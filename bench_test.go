@@ -640,8 +640,10 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly()}
-	backend.MulCt(&dst, c1, c2, rlk) // warm every pool
+	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly(), Domain: c1.Domain}
+	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
+		b.Fatal(err)
+	}
 	return c1, c2, dst, rlk
 }
 
@@ -660,7 +662,9 @@ func BenchmarkMulCtRNSK2N4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backend.MulCt(&dst, c1, c2, rlk)
+		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -677,7 +681,9 @@ func BenchmarkMulCtOracleN4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backend.MulCt(&dst, c1, c2, rlk)
+		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -721,7 +727,7 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 			b.Fatal(err)
 		}
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level, Domain: c1.Domain}
 	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
@@ -751,7 +757,7 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 // allocs/op steady state.
 func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
 	backend, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1, Domain: c1.Domain}
 	if err := backend.ModSwitch(&dst, c1); err != nil {
 		b.Fatal(err)
 	}
@@ -761,4 +767,87 @@ func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- PR 12: BEHZ base conversion on the affine-rows kernel ---
+
+// benchConvFixture builds the level-0 conversion shape of a k=4 multiply
+// at n=4096: base Q (4 towers), the extension base (5 towers plus m_sk),
+// the three converters, and seeded canonical operands in each base.
+func benchConvFixture(b *testing.B) (conv *rns.BaseConverter, mconv *rns.MontBaseConverter, sk *rns.SKConverter, q, e rns.Poly) {
+	b.Helper()
+	const k, n = 4, 1 << 12
+	primes, err := modmath.FindNTTPrimes64(59, 2*n, 2*k+2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qc, err := rns.NewContextForPrimes(primes[:k], n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ec, err := rns.NewContextForPrimes(primes[k:], n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if conv, err = rns.NewBaseConverter(qc, ec); err != nil {
+		b.Fatal(err)
+	}
+	if mconv, err = rns.NewMontBaseConverter(qc, ec, 1<<16); err != nil {
+		b.Fatal(err)
+	}
+	if sk, err = rns.NewSKConverter(ec, qc); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	q, e = qc.NewPoly(), ec.NewPoly()
+	for i, mod := range qc.Mods {
+		for j := range q.Res[i] {
+			q.Res[i][j] = rng.Uint64() % mod.Q
+		}
+	}
+	// A small value's residues are consistent across every extension
+	// tower, inside the Shenoy-Kumaresan window.
+	for j := 0; j < n; j++ {
+		v := rng.Uint64() >> 8
+		for i := range ec.Mods {
+			e.Res[i][j] = v
+		}
+	}
+	return conv, mconv, sk, q, e
+}
+
+// benchConvert times one conversion per iteration, errors checked.
+func benchConvert(b *testing.B, convert func() error) {
+	b.Helper()
+	if err := convert(); err != nil { // warm the scratch pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := convert(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBaseConvK4N4096 is the plain FastBConv of the divide-by-Q
+// step: 6 output towers, each one 4-row affine-rows call.
+func BenchmarkBaseConvK4N4096(b *testing.B) {
+	conv, _, _, q, e := benchConvFixture(b)
+	benchConvert(b, func() error { return conv.ConvertInto(e, q) })
+}
+
+// BenchmarkMontBaseConvK4N4096 is the m~-corrected operand extension: 6
+// output towers of 6 rows (digits, r, centering).
+func BenchmarkMontBaseConvK4N4096(b *testing.B) {
+	_, mconv, _, q, e := benchConvFixture(b)
+	benchConvert(b, func() error { return mconv.ConvertInto(e, q) })
+}
+
+// BenchmarkSKReturnK4N4096 is the exact Shenoy-Kumaresan return: the
+// 6-row overshoot count, then 4 output towers of 6 rows.
+func BenchmarkSKReturnK4N4096(b *testing.B) {
+	_, _, sk, q, e := benchConvFixture(b)
+	benchConvert(b, func() error { return sk.ConvertInto(q, e) })
 }

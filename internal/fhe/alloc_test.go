@@ -50,7 +50,7 @@ func allocFixture(t *testing.T, levels int) (Backend, *BackendScheme, BackendRel
 // PR 1 discipline to the hot path in its PR 6 resting state: with the
 // scratch pool warmed and a reused destination ciphertext, the RNS
 // backend's NTT-resident MulCt — operand crossing, base extension,
-// tensor, fused divide-and-round, relinearization, resident return —
+// tensor, divide-and-round, relinearization, resident return —
 // must allocate nothing. (The 128-bit oracle backend is exempt by
 // design: it trades allocation discipline for exact big-int arithmetic.)
 func TestRNSMulCtDoesNotAllocate(t *testing.T) {

@@ -51,15 +51,20 @@ import (
 //     operands' evaluation form directly (zero forward transforms), the
 //     operands cross to coefficient form exactly once for the m~-corrected
 //     extension, squared operands are detected by row identity and
-//     extended/transformed once instead of twice, the divide-and-round
-//     runs as fused single-pass kernels per tower, and the relinearized
+//     extended/transformed once instead of twice, and the relinearized
 //     result is returned resident (the accumulators already live in the
 //     evaluation domain, so the result adds NTT(c0/c1) instead of leaving
 //     the domain). Coefficient form survives only where BEHZ needs
 //     positional digits: the base conversions and the rounding offsets.
 //
-// Both pipelines dispatch their per-tower phases through the shared
-// ring.ParallelChunks worker pool when workers != 1.
+// Every per-coefficient BEHZ step of both pipelines — the operand
+// extension, the divide-and-round (rnsLevel.scaleRound), the exact return
+// and the ladder's rescale — hands rows and precomputed weights to
+// ring.AffineRows on the plan's kernel tier; see rns/baseconv.go for the
+// row and weight table. Both pipelines dispatch their transform-bearing
+// per-tower phases (crossing, tensor, relinearization) through the shared
+// ring.ParallelChunks worker pool when workers != 1; the conversions run
+// inline on the calling goroutine.
 type rnsBackend struct {
 	t       uint64
 	k       int // towers at level 0
@@ -90,26 +95,17 @@ type rnsLevel struct {
 	conv   *rns.BaseConverter     // Q_l -> ext, plain FastBConv for the divide-by-Q step
 	mconv  *rns.MontBaseConverter // Q_l -> ext, m~-corrected operand extension
 	skConv *rns.SKConverter       // ext -> Q_l, exact
-	tResQ  []uint64               // T mod q_i
-	tResE  []uint64               // T mod e_j
-	hResQ  []uint64               // floor(Q_l/2) mod q_i, the divide-by-Q rounding offset
-	hResE  []uint64               // floor(Q_l/2) mod e_j
-	qInvE  []uint64               // Q_l^-1 mod e_j
 	gadget [][]uint64             // gadget[i][tau] = (Q_l/q_i) mod q_tau, the relin gadget
 
-	// Fused divide-and-round constants (the resident pipeline). The PR 5
-	// rescale materializes w_i = T*v_i + h per Q tower and then lets
-	// FastBConv take w's digit w_i*(Q_l/q_i)^-1; folding the constants
-	// gives the digit directly in one pass per tower,
-	// z_i = v_i*tQiInv[i] + hQiInv[i] mod q_i, feeding
-	// rns.BaseConverter.ConvertDigitsInto. On the extension side tResEPre
-	// and qInvEPre let the two scalar passes and the subtraction collapse
-	// into one fused loop after the conversion lands.
-	tQiInv    []uint64 // (T * (Q_l/q_i)^-1) mod q_i
-	tQiInvPre []uint64 // Shoup precomputation of tQiInv
-	hQiInv    []uint64 // (floor(Q_l/2) * (Q_l/q_i)^-1) mod q_i
-	tResEPre  []uint64 // Shoup precomputation of tResE
-	qInvEPre  []uint64 // Shoup precomputation of qInvE
+	// Divide-and-round constants, one ring.AffineRows call per tower.
+	// With w = T*v + h, h = floor(Q_l/2): digit[i] weighs the Q-base tensor
+	// row (v_i) into w's FastBConv digit z_i = v_i*T*(Q_l/q_i)^-1 +
+	// h*(Q_l/q_i)^-1 mod q_i, feeding rns.BaseConverter.ConvertDigitsInto;
+	// extRound[j] weighs the extension-base tensor row and the converted
+	// remainder (v_j, [w]_Q) into (w - [w]_Q)/Q_l = v_j*T*Q_l^-1 -
+	// [w]_Q*Q_l^-1 + h*Q_l^-1 mod e_j.
+	digit    []ring.Affine
+	extRound []ring.Affine
 
 	// relinLazy reports that k lazy Shoup products (each < 2q) fit a
 	// 64-bit accumulator for every tower of this level, enabling the
@@ -137,11 +133,12 @@ type rnsMulScratch struct {
 	ev               [5][]uint64 // shared evaluation-domain rows (sequential path)
 	evE              [5]rns.Poly // per-tower evaluation-domain rows (ext-base shaped)
 	opQ              [4]rns.Poly // resident path: operand coefficient forms in Q_l
-	zQ               rns.Poly    // resident path: fused rescale digits / relin digit rows
+	zQ               rns.Poly    // divide-and-round digits, then relin digit rows
 	liftQ, prodQ     rns.Poly    // per-tower relin scratch (parallel + resident)
 	c0Q, c1Q, c2Q    rns.Poly    // tensor, then scaled ciphertext, in Q_l
 	c0E, c1E, c2E    rns.Poly    // tensor in the ext base
 	convE            rns.Poly    // FastBConv([w]_Q) landing buffer
+	extRows          [][]uint64  // row list of the divide-and-round's extension step
 	zrow, lift, prod []uint64    // relin digit, lifted digit, product rows
 	accA, accB       rns.Poly    // relin evaluation-domain accumulators
 
@@ -317,14 +314,9 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	t := new(big.Int)
 	for i, mod := range c.Mods {
 		qb := new(big.Int).SetUint64(mod.Q)
-		hq := t.Mod(lv.halfQ, qb).Uint64()
-		lv.tResQ = append(lv.tResQ, b.t%mod.Q)
-		lv.hResQ = append(lv.hResQ, hq)
 		qiInv := c.QiInv(i)
-		tqi := mod.Mul(b.t%mod.Q, qiInv)
-		lv.tQiInv = append(lv.tQiInv, tqi)
-		lv.tQiInvPre = append(lv.tQiInvPre, mod.ShoupPrecompute(tqi))
-		lv.hQiInv = append(lv.hQiInv, mod.Mul(hq, qiInv))
+		lv.digit = append(lv.digit, ring.NewAffine(mod,
+			mod.Mul(t.Mod(lv.halfQ, qb).Uint64(), qiInv), mod.Mul(b.t%mod.Q, qiInv)))
 		row := make([]uint64, k)
 		qi := c.QiBig(i)
 		for tau, modT := range c.Mods {
@@ -334,13 +326,10 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	}
 	for _, mod := range ext.Mods {
 		qb := new(big.Int).SetUint64(mod.Q)
-		tRes := b.t % mod.Q
 		qInv := mod.Inv(t.Mod(c.Q, qb).Uint64())
-		lv.tResE = append(lv.tResE, tRes)
-		lv.tResEPre = append(lv.tResEPre, mod.ShoupPrecompute(tRes))
-		lv.hResE = append(lv.hResE, t.Mod(lv.halfQ, qb).Uint64())
-		lv.qInvE = append(lv.qInvE, qInv)
-		lv.qInvEPre = append(lv.qInvEPre, mod.ShoupPrecompute(qInv))
+		lv.extRound = append(lv.extRound, ring.NewAffine(mod,
+			mod.Mul(t.Mod(lv.halfQ, qb).Uint64(), qInv),
+			mod.Mul(b.t%mod.Q, qInv), mod.Neg(qInv)))
 	}
 	maxQ, minQ := c.Mods[0].Q, c.Mods[0].Q
 	for _, mod := range c.Mods[1:] {
@@ -359,8 +348,8 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		sc := &rnsMulScratch{
 			c0Q: c.NewPoly(), c1Q: c.NewPoly(), c2Q: c.NewPoly(),
 			c0E: ext.NewPoly(), c1E: ext.NewPoly(), c2E: ext.NewPoly(),
-			convE: ext.NewPoly(),
-			zQ:    c.NewPoly(), liftQ: c.NewPoly(), prodQ: c.NewPoly(),
+			convE: ext.NewPoly(), extRows: make([][]uint64, 2),
+			zQ: c.NewPoly(), liftQ: c.NewPoly(), prodQ: c.NewPoly(),
 			accA: c.NewPoly(), accB: c.NewPoly(),
 			zrow: make([]uint64, c.N), lift: make([]uint64, c.N), prod: make([]uint64, c.N),
 		}
@@ -1109,36 +1098,23 @@ func tensorTower(plan *ring.Plan[uint64, ring.Shoup64], mod *modmath.Modulus64,
 
 // scaleRound turns one tensor component held in (cQ, cE) into the scaled
 // ciphertext component round(T*v/Q_l) mod Q_l, written back into cQ:
-// w = T*v + floor(Q_l/2) in both bases, FastBConv of w's Q-remainder into
-// the extension base, y = (w - [w]_Q)/Q_l there, and the exact
-// Shenoy-Kumaresan conversion back to Q_l. The FastBConv overshoot
-// divides down to an additive error below k+1 — noise, not wrongness.
+// with w = T*v + floor(Q_l/2), the FastBConv digits of w's Q-remainder
+// (one kernel call per Q tower), their conversion into the extension
+// base, y = (w - [w]_Q)/Q_l there (one kernel call per extension tower),
+// and the exact Shenoy-Kumaresan conversion back to Q_l. The FastBConv
+// overshoot divides down to an additive error below k+1 — noise, not
+// wrongness. Each step is tens of microseconds on the vector tier, so it
+// runs inline on the calling goroutine whatever the worker count.
 func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
-	for i, mod := range lv.c.Mods {
-		plan := lv.c.Plans[i].Generic()
-		plan.ScalarMulInto(cQ.Res[i], cQ.Res[i], lv.tResQ[i])
-		addConstRow(cQ.Res[i], mod, lv.hResQ[i])
+	for i, plan := range lv.c.Plans {
+		ring.AffineRows(plan.Generic(), sc.zQ.Res[i], lv.digit[i], cQ.Res[i:i+1])
 	}
-	for j, mod := range lv.ext.Mods {
-		plan := lv.ext.Plans[j].Generic()
-		plan.ScalarMulInto(cE.Res[j], cE.Res[j], lv.tResE[j])
-		addConstRow(cE.Res[j], mod, lv.hResE[j])
-	}
-	must(lv.conv.ConvertInto(sc.convE, cQ))
-	for j, mod := range lv.ext.Mods {
-		we, ce := cE.Res[j], sc.convE.Res[j]
-		for idx := range we {
-			we[idx] = mod.Sub(we[idx], ce[idx])
-		}
-		lv.ext.Plans[j].Generic().ScalarMulInto(we, we, lv.qInvE[j])
+	must(lv.conv.ConvertDigitsInto(sc.convE, sc.zQ))
+	for j, plan := range lv.ext.Plans {
+		sc.extRows[0], sc.extRows[1] = cE.Res[j], sc.convE.Res[j]
+		ring.AffineRows(plan.Generic(), cE.Res[j], lv.extRound[j], sc.extRows)
 	}
 	must(lv.skConv.ConvertInto(cQ, cE))
-}
-
-func addConstRow(row []uint64, mod *modmath.Modulus64, v uint64) {
-	for j := range row {
-		row[j] = mod.Add(row[j], v)
-	}
 }
 
 // MulCt is the BEHZ homomorphic multiply in the operands' level basis:
@@ -1474,13 +1450,13 @@ func (b *rnsBackend) mulResident(ctx context.Context, lv *rnsLevel, sc *rnsMulSc
 		})
 	}
 
-	// 3. Fused divide-and-round per component.
+	// 3. Divide-and-round per component.
 	if err := phaseGate(ctx, faultinject.SiteMulScale); err != nil {
 		return err
 	}
-	b.residentScaleRound(lv, sc, sc.c0Q, sc.c0E)
-	b.residentScaleRound(lv, sc, sc.c1Q, sc.c1E)
-	b.residentScaleRound(lv, sc, sc.c2Q, sc.c2E)
+	lv.scaleRound(sc, sc.c0Q, sc.c0E)
+	lv.scaleRound(sc, sc.c1Q, sc.c1E)
+	lv.scaleRound(sc, sc.c2Q, sc.c2E)
 
 	// 4. Relinearize and return resident: digit rows once, then each
 	// tower accumulates its k digit transforms and adds NTT(c1/c0) to the
@@ -1569,66 +1545,6 @@ func residentTensorExt(sc *rnsMulScratch, tau int) {
 	tensorTower(plan, mod,
 		sc.opE[0].Res[tau], sc.opE[1].Res[tau], sc.opE[2].Res[tau], sc.opE[3].Res[tau],
 		&ev, sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
-}
-
-// residentScaleRound is the fused divide-and-round: the Q-side digit of
-// the scaled tensor lands in one pass per tower (z_i = v_i*tQiInv +
-// hQiInv feeds the accumulate-only ConvertDigitsInto), and the extension
-// side folds its two scalar passes and the conversion subtraction into
-// one loop. Bit-identical to rnsLevel.scaleRound — same residues, fewer
-// memory passes.
-func (b *rnsBackend) residentScaleRound(lv *rnsLevel, sc *rnsMulScratch, cQ, cE rns.Poly) {
-	k, m := lv.c.Channels(), lv.ext.Channels()
-	if b.workers == 1 {
-		for i := 0; i < k; i++ {
-			residentDigitRow(sc, cQ, i)
-		}
-	} else {
-		ring.ParallelChunks(k, b.workers, func(start, end int) {
-			for i := start; i < end; i++ {
-				residentDigitRow(sc, cQ, i)
-			}
-		})
-	}
-	must(lv.conv.ConvertDigitsInto(sc.convE, sc.zQ))
-	if b.workers == 1 {
-		for j := 0; j < m; j++ {
-			residentExtRound(sc, cE, j)
-		}
-	} else {
-		ring.ParallelChunks(m, b.workers, func(start, end int) {
-			for j := start; j < end; j++ {
-				residentExtRound(sc, cE, j)
-			}
-		})
-	}
-	must(lv.skConv.ConvertInto(cQ, cE))
-}
-
-// residentDigitRow computes one tower's FastBConv digit of the scaled
-// tensor in a single pass: z = v*(T*QiInv) + h*QiInv mod q_i.
-func residentDigitRow(sc *rnsMulScratch, cQ rns.Poly, i int) {
-	lv := sc.lv
-	mod := lv.c.Mods[i]
-	v, z := cQ.Res[i], sc.zQ.Res[i]
-	tq, tqPre, hq := lv.tQiInv[i], lv.tQiInvPre[i], lv.hQiInv[i]
-	for j := range v {
-		z[j] = mod.Add(mod.MulShoup(v[j], tq, tqPre), hq)
-	}
-}
-
-// residentExtRound finishes one extension tower of the divide-and-round
-// in a single pass: w = T*v + h, then (w - [w]_Q) * Q^-1.
-func residentExtRound(sc *rnsMulScratch, cE rns.Poly, j int) {
-	lv := sc.lv
-	mod := lv.ext.Mods[j]
-	we, ce := cE.Res[j], sc.convE.Res[j]
-	tE, tEPre, hE := lv.tResE[j], lv.tResEPre[j], lv.hResE[j]
-	qInv, qInvPre := lv.qInvE[j], lv.qInvEPre[j]
-	for idx := range we {
-		w := mod.Add(mod.MulShoup(we[idx], tE, tEPre), hE)
-		we[idx] = mod.MulShoup(mod.Sub(w, ce[idx]), qInv, qInvPre)
-	}
 }
 
 // relinDigitRow scales one tower of c2 into its CRT gadget digit row.

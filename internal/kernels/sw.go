@@ -161,6 +161,18 @@ func (s *SW[W, C]) MulShoupLazy(a, w, wPre W) W {
 	return o.Sub(o.MulLo(a, w), o.MulLo(qhat, s.q))
 }
 
+// AffineTerm folds one row term into the ring.AffineRows accumulator:
+// acc + x*w via the lazy Shoup multiply (acc, t < 2q, so the sum < 4q
+// never wraps), back under 2q with one conditional subtract. x is any
+// 64-bit value.
+func (s *SW[W, C]) AffineTerm(acc, x, w, wPre W) W {
+	return s.condSub2Q(s.O.Add(acc, s.MulShoupLazy(x, w, wPre)))
+}
+
+// AffineLand lands the ring.AffineRows accumulator on its canonical
+// residue.
+func (s *SW[W, C]) AffineLand(acc W) W { return s.condSubQLazy(acc) }
+
 // LazyButterfly is the relaxed-domain CT butterfly (ring.Shoup64.CTSpan's
 // body): even = (a+b) mod 2q, odd = (a + 2q - b)·w via the lazy Shoup
 // multiply, relaxed in, relaxed out.

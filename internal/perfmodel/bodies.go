@@ -244,11 +244,29 @@ func LazySWButterflyBlkBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
 	return recordSW(level, mod64, func(m *vm.Machine, r swAny) { r.lazyBlkIter() })
 }
 
+// AffineRowsBody records one steady-state output iteration of
+// ring.AffineRows (the affineRowsSpan* bodies) over the given row count:
+// per row one streamed load, the lazy Shoup multiply against a broadcast
+// weight pair, the accumulate and its conditional subtract by 2q; then
+// the canonical landing and one store. The weight pair is modeled
+// register-resident: the assembly re-broadcasts it from memory per term,
+// which costs a load-port slot and no vector-port work. The unused low
+// half of the Shoup quotient's widening multiply is pruned, as in the
+// assembly; the butterfly bodies above keep it because CIBenchHost's
+// calibration was fitted with it.
+func AffineRowsBody(level isa.Level, mod64 *modmath.Modulus64, rows int) *Body {
+	return recordSW(level, mod64, func(m *vm.Machine, r swAny) {
+		r.affineRowsIter(rows)
+		m.PruneDead()
+	})
+}
+
 // swAny adapts the per-tier SW runners for body recording, like dwAny for
 // the double-word bodies.
 type swAny interface {
 	lazyIter()
 	lazyBlkIter()
+	affineRowsIter(rows int)
 }
 
 type swRunner[W, C any] struct {
@@ -294,6 +312,16 @@ func (r *swRunner[W, C]) lazyBlkIter() {
 	r0, r1 := o.Interleave(even, odd)
 	o.Store(r.buf, 4*L, r0)
 	o.Store(r.buf, 5*L, r1)
+}
+
+func (r *swRunner[W, C]) affineRowsIter(rows int) {
+	o := r.s.O
+	L := o.Lanes()
+	acc := r.wp // any register-resident value stands in for broadcast c0
+	for k := 0; k < rows; k++ {
+		acc = r.s.AffineTerm(acc, o.Load(r.buf, (k%4)*L), r.w, r.wp)
+	}
+	o.Store(r.buf, 4*L, r.s.AffineLand(acc))
 }
 
 func recordSW(level isa.Level, mod64 *modmath.Modulus64, run func(*vm.Machine, swAny)) *Body {

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"sort"
 
 	"mqxgo/internal/isa"
@@ -63,6 +64,77 @@ func (m *BEHZResidentModel) Transforms() int {
 // TransformNs projects the single-core time of those transforms.
 func (m *BEHZResidentModel) TransformNs() float64 {
 	return float64(m.Transforms()) * m.NTT.TimeNs()
+}
+
+// conversionCalls is the base-conversion census of one resident multiply:
+// every ring.AffineRows call (and every one-row ScalarMulSpan digit pass,
+// the same cost class) as output towers keyed by row count. The
+// converters see the extension base fhe actually builds, E = K+2 towers
+// (K+1 towers of P plus m_sk) — one more than ExtTowers, whose transform
+// census undercounts the extension tensor by that tower and is left as
+// the BENCH series and the benchmark's transform share define it.
+//
+//	operand extension, x nops:  K digit passes, E sums of K+2 rows
+//	divide-and-round, x 3:      K digit passes, E sums of K rows,
+//	                            E two-row roundings, K+1 SK digit passes,
+//	                            the K+2-row overshoot count, K sums of K+2 rows
+//
+// The m~ remainder of the operand extension (K+1 masked scalar passes) is
+// not a kernel call and is not counted.
+func (m *BEHZResidentModel) conversionCalls() map[int]int {
+	k, e, nops := m.K, m.K+2, m.nops()
+	calls := map[int]int{}
+	calls[1] += nops*k + 3*(k+k+1)
+	calls[k] += 3 * e
+	calls[2] += 3 * e
+	calls[k+2] += nops*e + 3*(1+k)
+	return calls
+}
+
+// ConversionTerms returns the element-terms (row entries multiplied and
+// accumulated) per coefficient position of one resident multiply's base
+// conversions — the count beside Transforms.
+func (m *BEHZResidentModel) ConversionTerms() int {
+	terms := 0
+	for rows, towers := range m.conversionCalls() {
+		terms += rows * towers
+	}
+	return terms
+}
+
+// ConversionNs projects the single-core time of those conversions at the
+// NTT model's size, machine and tier: with TransformNs it states a
+// conversion share next to the transform share.
+func (m *BEHZResidentModel) ConversionNs(mod64 *modmath.Modulus64) float64 {
+	k := m.NTT.Kernel
+	ns := 0.0
+	for rows, towers := range m.conversionCalls() {
+		ns += float64(towers) * ProjectAffineRows(k.Machine, k.Level, mod64, m.NTT.N, rows).TimeNs()
+	}
+	return ns
+}
+
+// AffineRowsModel models one ring.AffineRows call: n outputs of the given
+// row count, the larger of the compute estimate and the memory-traffic
+// estimate over the rows+1 resident rows.
+type AffineRowsModel struct {
+	Kernel  *KernelModel
+	N, Rows int
+}
+
+// ProjectAffineRows is the one-call helper for the affine-rows body.
+func ProjectAffineRows(mach *Machine, level isa.Level, mod64 *modmath.Modulus64, n, rows int) *AffineRowsModel {
+	return &AffineRowsModel{Kernel: NewKernelModel(mach, AffineRowsBody(level, mod64, rows)), N: n, Rows: rows}
+}
+
+// TimeNs returns the projected single-core runtime of the call.
+func (m *AffineRowsModel) TimeNs() float64 {
+	k := m.Kernel
+	iters := float64(m.N) / float64(k.Body.Lanes)
+	compute := iters * k.CyclesPerIter
+	bw := k.Machine.BWForWorkingSet(int64(m.N) * 8 * int64(m.Rows+1))
+	memory := iters * float64(k.BytesPerIter) / bw
+	return math.Max(compute, memory) / k.Machine.MaxGHz
 }
 
 // MulCtSpeedup is the Amdahl bound for the whole resident multiply when

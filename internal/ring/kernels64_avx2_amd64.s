@@ -570,3 +570,47 @@ gsbnext:
 	JNZ  gsbblock
 	VZEROUPPER
 	RET
+
+// func affineRowsSpanAVX2(q uint64, dst *uint64, c0 uint64, rows *[]uint64, w, pre *uint64, nrows, n int)
+// Affine combination of rows, 4-lane layout: see the AVX-512 variant.
+// Constants: LAZYCONSTS plus Y11 = q^2^63 for the canonical landing and
+// Y10 = c0. n is a multiple of 4, nrows >= 1.
+TEXT ·affineRowsSpanAVX2(SB), NOSPLIT, $0-64
+	MOVQ q+0(FP), AX
+	MOVQ dst+8(FP), DI
+	MOVQ rows+24(FP), SI
+	MOVQ w+32(FP), R8
+	MOVQ pre+40(FP), R9
+	MOVQ nrows+48(FP), R10
+	MOVQ n+56(FP), CX
+	LAZYCONSTS
+	XORQ R13, AX                  // qF = q^2^63 (R13 still 2^63)
+	MOVQ AX, X11
+	VPBROADCASTQ X11, Y11
+	VPBROADCASTQ c0+16(FP), Y10
+	XORQ BX, BX                   // byte offset into dst and every row
+
+afelem:
+	VMOVDQA Y10, Y0               // acc = c0
+	MOVQ    SI, R11               // slice-header cursor
+	XORQ    R12, R12              // r
+
+afrow:
+	MOVQ         (R11), R13       // rows[r] data pointer
+	VMOVDQU      (R13)(BX*1), Y1  // x
+	VPBROADCASTQ (R8)(R12*8), Y2  // w[r]
+	VPBROADCASTQ (R9)(R12*8), Y3  // pre[r]
+	SHOUPMUL(Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8)
+	VPADDQ       Y4, Y0, Y0       // acc + t < 4q
+	CONDSUB(Y0, Y14, Y13, Y5, Y6) // < 2q
+	ADDQ         $24, R11
+	INCQ         R12
+	CMPQ         R12, R10
+	JLT          afrow
+	CONDSUB(Y0, Y12, Y11, Y5, Y6) // canonical
+	VMOVDQU      Y0, (DI)(BX*1)
+	ADDQ         $32, BX
+	SUBQ         $4, CX
+	JNZ          afelem
+	VZEROUPPER
+	RET

@@ -558,3 +558,50 @@ gsbnext:
 	JNZ  gsbblock
 	VZEROUPPER
 	RET
+
+// func affineRowsSpanAVX512(q uint64, dst *uint64, c0 uint64, rows *[]uint64, w, pre *uint64, nrows, n int)
+// Affine combination of rows: dst[i] = c0 + sum_r rows[r][i]*w[r] mod q,
+// canonical. rows points at nrows slice headers (24 bytes each, data
+// pointer first); (w[r], pre[r]) are broadcast per row. The accumulator
+// stays in Z0 across the row loop: each lazy Shoup summand is < 2q, one
+// CONDSUB by 2q per term keeps acc < 2q (acc + t < 4q never wraps), and
+// one CONDSUB by q lands the canonical residue. n is a multiple of 8,
+// nrows >= 1. Element i of every row is loaded before dst[i] is stored,
+// so dst may alias a row.
+TEXT ·affineRowsSpanAVX512(SB), NOSPLIT, $0-64
+	MOVQ q+0(FP), AX
+	MOVQ dst+8(FP), DI
+	MOVQ rows+24(FP), SI
+	MOVQ w+32(FP), R8
+	MOVQ pre+40(FP), R9
+	MOVQ nrows+48(FP), R10
+	MOVQ n+56(FP), CX
+	VPBROADCASTQ AX, Z31          // q
+	VPADDQ       Z31, Z31, Z30   // 2q
+	VPBROADCASTQ c0+16(FP), Z29
+	XORQ         BX, BX           // byte offset into dst and every row
+
+afelem:
+	VMOVDQA64 Z29, Z0             // acc = c0
+	MOVQ      SI, R11             // slice-header cursor
+	XORQ      R12, R12            // r
+
+afrow:
+	MOVQ         (R11), R13       // rows[r] data pointer
+	VMOVDQU64    (R13)(BX*1), Z1  // x
+	VPBROADCASTQ (R8)(R12*8), Z2  // w[r]
+	VPBROADCASTQ (R9)(R12*8), Z3  // pre[r]
+	SHOUPMUL(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8)
+	VPADDQ       Z4, Z0, Z0       // acc + t < 4q
+	CONDSUB(Z0, Z30, Z5)          // < 2q
+	ADDQ         $24, R11
+	INCQ         R12
+	CMPQ         R12, R10
+	JLT          afrow
+	CONDSUB(Z0, Z31, Z5)          // canonical
+	VMOVDQU64    Z0, (DI)(BX*1)
+	ADDQ         $64, BX
+	SUBQ         $8, CX
+	JNZ          afelem
+	VZEROUPPER
+	RET

@@ -53,6 +53,9 @@ func gsSpanBlkAVX512(q uint64, oLo, oHi, in, w, pre *uint64, nBlocks, blk int)
 //go:noescape
 func macFinal2SpanAVX512(q uint64, accA, accB, lo, hi, wA, preA, wB, preB *uint64, n int)
 
+//go:noescape
+func affineRowsSpanAVX512(q uint64, dst *uint64, c0 uint64, rows *[]uint64, w, pre *uint64, nrows, n int)
+
 // Dense-span assembly, AVX2 (4 lanes). Same contracts.
 
 //go:noescape
@@ -87,6 +90,9 @@ func gsSpanBlkAVX2(q uint64, oLo, oHi, in, w, pre *uint64, nBlocks, blk int)
 
 //go:noescape
 func macFinal2SpanAVX2(q uint64, accA, accB, lo, hi, wA, preA, wB, preB *uint64, n int)
+
+//go:noescape
+func affineRowsSpanAVX2(q uint64, dst *uint64, c0 uint64, rows *[]uint64, w, pre *uint64, nrows, n int)
 
 // selectKernels implements tierSelector for Shoup64 on amd64: resolve the
 // requested tier against the environment knob and the CPU's ceiling, and
@@ -259,6 +265,20 @@ func (r shoup64AVX512) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []ui
 	}
 }
 
+// AffineRowsSpan is the affine-combination-of-rows body: the row loop runs
+// inside the assembly with the accumulator in a register, so each output
+// element is written once however many rows feed it.
+func (r shoup64AVX512) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64) {
+	nv := len(dst) &^ 7
+	if len(rows) == 0 {
+		nv = 0
+	}
+	if nv > 0 {
+		affineRowsSpanAVX512(r.M.Q, &dst[0], c0, &rows[0], &w[0], &pre[0], len(rows), nv)
+	}
+	affineRowsSpanScalar(r.M.Q, dst, c0, rows, w, pre, nv)
+}
+
 // shoup64AVX2 is the 4-lane tier: sign-flipped VPCMPGTQ + VPBLENDVB
 // conditional subtracts, VPMULUDQ-composed 64-bit products, and
 // unpack/permute interleaves — the lane layouts sketched by the seed's
@@ -399,11 +419,25 @@ func (r shoup64AVX2) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint
 	}
 }
 
+// AffineRowsSpan: see the AVX-512 variant; 4-lane layout.
+func (r shoup64AVX2) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64) {
+	nv := len(dst) &^ 3
+	if len(rows) == 0 {
+		nv = 0
+	}
+	if nv > 0 {
+		affineRowsSpanAVX2(r.M.Q, &dst[0], c0, &rows[0], &w[0], &pre[0], len(rows), nv)
+	}
+	affineRowsSpanScalar(r.M.Q, dst, c0, rows, w, pre, nv)
+}
+
 var (
 	_ SpanKernels[uint64]        = shoup64AVX512{}
 	_ BlockedSpanKernels[uint64] = shoup64AVX512{}
 	_ fusedMACSpanKernels        = shoup64AVX512{}
+	_ affineRowsSpanKernels      = shoup64AVX512{}
 	_ SpanKernels[uint64]        = shoup64AVX2{}
 	_ BlockedSpanKernels[uint64] = shoup64AVX2{}
 	_ fusedMACSpanKernels        = shoup64AVX2{}
+	_ affineRowsSpanKernels      = shoup64AVX2{}
 )

@@ -129,6 +129,56 @@ func TestSIMDSpanBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSIMDAffineRowsBitIdentity: the affine-rows bodies against the
+// scalar body on arbitrary 64-bit row entries (the boundary set of
+// fillBoundary: 0, q-1, q, 2q, 2^64-1, raw words), at lengths that
+// exercise the vector tail, 1 to 8 rows, both ends of c0's range, and
+// with dst aliasing rows[0].
+func TestSIMDAffineRowsBitIdentity(t *testing.T) {
+	m := simdMod(t)
+	q := m.Q
+	for tier, vecAny := range simdTiers(t, m) {
+		vec, ok := vecAny.(affineRowsSpanKernels)
+		if !ok {
+			t.Fatalf("%s: vector tier must implement affineRowsSpanKernels", tier)
+		}
+		t.Run(tier, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			for _, n := range simdSpanLens {
+				for nrows := 1; nrows <= 8; nrows++ {
+					rows := make([][]uint64, nrows)
+					for r := range rows {
+						rows[r] = make([]uint64, n)
+						fillBoundary(rng, rows[r], q)
+					}
+					w := make([]uint64, nrows)
+					pre := make([]uint64, nrows)
+					fillTwiddles(rng, m, w, pre)
+					w[0], pre[0] = q-1, m.ShoupPrecompute(q-1)
+					for _, c0 := range []uint64{0, q - 1} {
+						want := make([]uint64, n)
+						got := make([]uint64, n)
+						affineRowsSpanScalar(q, want, c0, rows, w, pre, 0)
+						vec.AffineRowsSpan(got, c0, rows, w, pre)
+						diffU64(t, "AffineRowsSpan", got, want)
+						for _, v := range got {
+							if v >= q {
+								t.Fatalf("AffineRowsSpan: output %#x not canonical", v)
+							}
+						}
+
+						alias := make([][]uint64, nrows)
+						copy(alias, rows)
+						alias[0] = append([]uint64(nil), rows[0]...)
+						vec.AffineRowsSpan(alias[0], c0, alias, w, pre)
+						diffU64(t, "AffineRowsSpan dst=rows[0]", alias[0], want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSIMDBlockedBitIdentity(t *testing.T) {
 	m := simdMod(t)
 	scalar := NewShoup64(m)
@@ -261,6 +311,11 @@ func FuzzSIMDSpans(f *testing.F) {
 			scalar.MulPreSpan(outS[:n], lo, w, pre)
 			vec.MulPreSpan(outV[:n], lo, w, pre)
 			diffU64(t, tier+" MulPreSpan", outV[:n], outS[:n])
+
+			rows := [][]uint64{lo, hi}[:min(2, n)]
+			affineRowsSpanScalar(q, outS[:n], x%q, rows, w, pre, 0)
+			vec.(affineRowsSpanKernels).AffineRowsSpan(outV[:n], x%q, rows, w[:len(rows)], pre[:len(rows)])
+			diffU64(t, tier+" AffineRowsSpan", outV[:n], outS[:n])
 		}
 	})
 }

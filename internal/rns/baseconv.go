@@ -3,10 +3,8 @@ package rns
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 	"sync"
 
-	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
 )
 
@@ -18,10 +16,12 @@ import (
 //     base Q to a disjoint base P. Given residues x_i of x in [0, Q), it
 //     computes residues of x + alpha*Q in base P for some overshoot
 //     0 <= alpha < k. The overshoot is the defining trade of FastBConv: no
-//     per-coefficient big-integer reconstruction, just k scale-accumulate
-//     spans per output tower, and the alpha*Q error is either harmless
+//     per-coefficient big-integer reconstruction, just a weighted sum of k
+//     digit rows per output tower, and the alpha*Q error is either harmless
 //     (it vanishes mod Q, and divides down to an additive error < k after
 //     a divide-by-Q rescale) or repaired by the exact converter below.
+//   - MontBaseConverter: FastBConv with the overshoot removed by a small
+//     Montgomery reduction modulo an auxiliary power of two m~.
 //   - SKConverter: the exact Shenoy-Kumaresan conversion out of an
 //     extension base whose last tower is a redundant modulus m_sk. Because
 //     the converted value's residue mod m_sk is carried alongside base P,
@@ -34,115 +34,54 @@ import (
 //     (round(x / q_{k-1}) into the prefix base), the BGV/CKKS-style
 //     modulus-switch primitive.
 //
-// All three ride the existing plan kernels (ScalarMulSpan /
-// ScaleAddSpan): the Shoup multiply underlying them is exact for ANY
-// 64-bit multiplicand, which is what lets a digit z_i < q_i feed a tower
-// with a smaller prime p_j, and what makes every entry point tolerant of
-// lazy [0, 2q) inputs. With pooled scratch, all conversions are
+// Every output tower of every step is the canonical residue of an
+// integer-linear expression in rows that already exist, so each is ONE
+// call to ring.AffineRows — dst = c0 + sum_r rows[r]*w[r] mod p, on the
+// plan's kernel tier — with the constants folded into weights at build:
+//
+//	step                    rows                     weights (mod the output prime)
+//	FastBConv tower j       z_0..z_{k-1}             (Q/q_i)
+//	m~-corrected tower j    z_0..z_{k-1}, r, [r>m~/2]  (Q/q_i)*m~^-1, Q*m~^-1, -Q
+//	SK overshoot gamma      z_0..z_{l-1}, y_sk       (P/p_i)*P^-1, -P^-1   (mod m_sk)
+//	SK output tower j       z_0..z_{l-1}, gamma      (P/p_i), -P
+//	rescale tower i         a_i, u                   q_k^-1, -q_k^-1;  c0 = h*q_k^-1
+//
+// The kernel's lazy Shoup product is exact for ANY 64-bit row entry,
+// which is what lets a digit z_i < q_i feed a tower with a smaller prime
+// p_j, a remainder u < q_k feed every prefix tower unreduced, and every
+// entry point tolerate lazy [0, 2q) inputs; it has no headroom condition
+// on prime width or row count. With pooled scratch, all conversions are
 // allocation-free in steady state.
 
-// convScratch pools the digit rows (shaped like the source base) and the
-// correction row a conversion needs. rows is only populated by the
-// Rescaler, whose NTT-resident path needs one coefficient-domain row per
-// prefix tower; accHi/accLo are the 128-bit accumulator lanes of the
-// wide conversion path (nil when the basis disqualifies it).
+// convScratch pools the rows a conversion works on, one batch: the digit
+// rows (z views them as a Poly) followed by the rows the converter
+// appends to the sum. list is the row list handed to ring.AffineRows: a
+// copy of the batch's headers (z's rows, then extra's), so a converter may
+// point an entry at a caller's row for one call.
 type convScratch struct {
 	z     Poly
-	gamma []uint64
-	rows  [][]uint64
-
-	accHi, accLo []uint64
+	extra [][]uint64
+	list  [][]uint64
 }
 
-// wideOK reports whether the weighted digit sum of a conversion from one
-// base into another may run on the deferred 128-bit accumulator. Two
-// halves of the contract: the sum of terms z_i * m_i (canonical digits
-// z_i < 2^Nf times weights m_i < 2^Nt) must not wrap 128 bits, and the
-// low accumulator lane (< 2^64) must fit the target's q^2 Barrett
-// domain, i.e. every target prime exceeds 32 bits. The high lane needs
-// no domain check — it feeds the Shoup multiply, exact for any 64-bit
-// input.
-func wideOK(from, to *Context, terms int) bool {
-	if terms > 32 {
-		return false
+func newConvScratch(n, digits, extra int) *convScratch {
+	rows := ring.AllocBatch[uint64](n, digits+extra)
+	return &convScratch{
+		z:     Poly{Res: rows[:digits:digits]},
+		extra: rows[digits:],
+		list:  append([][]uint64(nil), rows...),
 	}
-	var nf, nt uint
-	for _, mod := range from.Mods {
-		if mod.N > nf {
-			nf = mod.N
-		}
-	}
-	for _, mod := range to.Mods {
-		if mod.N < 33 {
-			return false
-		}
-		if mod.N > nt {
-			nt = mod.N
-		}
-	}
-	return nf+nt+uint(bits.Len(uint(terms-1))) <= 128
 }
 
-// r64Table precomputes R_j = 2^64 mod p_j (and its Shoup dual) for every
-// tower of a context — the radix constant that splits a 128-bit
-// accumulator reduction as x mod p = hi*R + [lo]_p. The Shoup multiply
-// is exact for ANY 64-bit first operand, so the raw high lane feeds it
-// directly: only the low lane ever pays a Barrett reduction.
-func r64Table(to *Context) (r, pre []uint64) {
-	radix := new(big.Int).Lsh(big.NewInt(1), 64)
+// crtWeights returns (Q/q_i) mod p for every tower i of from.
+func crtWeights(from *Context, p uint64) []uint64 {
+	pb := new(big.Int).SetUint64(p)
 	t := new(big.Int)
-	r = make([]uint64, len(to.Mods))
-	pre = make([]uint64, len(to.Mods))
-	for j, mod := range to.Mods {
-		r[j] = t.Mod(radix, new(big.Int).SetUint64(mod.Q)).Uint64()
-		pre[j] = mod.ShoupPrecompute(r[j])
+	w := make([]uint64, from.Channels())
+	for i := range w {
+		w[i] = t.Mod(from.qi[i], pb).Uint64()
 	}
-	return r, pre
-}
-
-// wideMulRow initializes the accumulator lanes with the widening products
-// accHi:accLo = z[j] * w.
-//
-//mqx:hotpath
-func wideMulRow(accHi, accLo, z []uint64, w uint64) {
-	accHi = accHi[:len(accLo)]
-	z = z[:len(accLo)]
-	for j := range accLo {
-		accHi[j], accLo[j] = bits.Mul64(z[j], w)
-	}
-}
-
-// wideMACRow folds one more weighted digit row into the accumulator
-// lanes: accHi:accLo += z[j] * w, exact in 128 bits (callers guarantee
-// the no-wrap headroom via wideOK).
-//
-//mqx:hotpath
-func wideMACRow(accHi, accLo, z []uint64, w uint64) {
-	accHi = accHi[:len(accLo)]
-	z = z[:len(accLo)]
-	for j := range accLo {
-		hi, lo := bits.Mul64(z[j], w)
-		var c uint64
-		accLo[j], c = bits.Add64(accLo[j], lo, 0)
-		accHi[j] += hi + c
-	}
-}
-
-// wideReduceRow lands the accumulator lanes canonically on dst:
-// dst[j] = (accHi[j]*2^64 + accLo[j]) mod p — the one reduction the whole
-// deferred inner product pays, replacing one canonical scale-accumulate
-// pass per digit. The high lane rides the exact-for-any-input Shoup
-// multiply by R = 2^64 mod p; only the low lane pays a Barrett.
-//
-//mqx:hotpath
-func wideReduceRow(dst, accHi, accLo []uint64, mod *modmath.Modulus64, r64, r64Pre uint64) {
-	q, mu, nb := mod.Q, mod.Mu, mod.N
-	accHi = accHi[:len(dst)]
-	accLo = accLo[:len(dst)]
-	for j := range dst {
-		dst[j] = mod.Add(mod.MulShoup(accHi[j], r64, r64Pre),
-			modmath.Barrett64Reduce(0, accLo[j], q, mu, nb))
-	}
+	return w
 }
 
 // BaseConverter converts polynomials from base Q (the from context) to a
@@ -150,11 +89,8 @@ func wideReduceRow(dst, accHi, accLo []uint64, mod *modmath.Modulus64, r64, r64P
 type BaseConverter struct {
 	from, to *Context
 
-	// m[j][i] = (Q/q_i) mod p_j, the cross-base CRT weight matrix.
-	m [][]uint64
-
-	r64, r64Pre []uint64 // 2^64 mod p_j and Shoup duals (wide radix)
-	wide        bool
+	// sum[j] weighs the digit rows into tower j: (Q/q_i) mod p_j.
+	sum []ring.Affine
 
 	scratch sync.Pool
 }
@@ -166,60 +102,18 @@ func NewBaseConverter(from, to *Context) (*BaseConverter, error) {
 		return nil, fmt.Errorf("rns: base sizes differ: %d vs %d", from.N, to.N)
 	}
 	bc := &BaseConverter{from: from, to: to}
-	t := new(big.Int)
 	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, from.Channels())
-		for i := range from.Mods {
-			row[i] = t.Mod(from.qi[i], qb).Uint64()
-		}
-		bc.m = append(bc.m, row)
+		bc.sum = append(bc.sum, ring.NewAffine(mod, 0, crtWeights(from, mod.Q)...))
 	}
-	bc.wide = wideOK(from, to, from.Channels())
-	bc.r64, bc.r64Pre = r64Table(to)
-	bc.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if bc.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
-		}
-		return sc
-	}
+	bc.scratch.New = func() any { return newConvScratch(from.N, from.Channels(), 0) }
 	return bc, nil
 }
 
-// digitsInto fills z with the fast-base-conversion digits of src:
-// z_i = x_i * (Q/q_i)^-1 mod q_i. Inputs may be lazy ([0, 2q_i)); digits
-// are canonical.
-func (bc *BaseConverter) digitsInto(z, src Poly) {
-	for i := range bc.from.Mods {
-		bc.from.Plans[i].Generic().ScalarMulInto(z.Res[i], src.Res[i], bc.from.qiInv[i])
-	}
-}
-
-// accumulateInto folds the digit rows z against column i of the weight
-// matrix into every tower of dst: dst_j = sum_i z_i * m[j][i] mod p_j.
-// On a wide-eligible basis the k-term sum runs on the 128-bit
-// accumulator lanes and reduces once per element; otherwise it is the
-// canonical chain of scale-accumulate spans. Same sum, same canonical
-// representative — bit-identical either way.
-func (bc *BaseConverter) accumulateInto(sc *convScratch, dst, z Poly) {
-	k := bc.from.Channels()
-	for j := range bc.to.Mods {
-		row := bc.m[j]
-		if bc.wide {
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < k; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			wideReduceRow(dst.Res[j], sc.accHi, sc.accLo, bc.to.Mods[j], bc.r64[j], bc.r64Pre[j])
-			continue
-		}
-		plan := bc.to.Plans[j].Generic()
-		plan.ScalarMulInto(dst.Res[j], z.Res[0], row[0])
-		for i := 1; i < k; i++ {
-			plan.ScaleAddInto(dst.Res[j], dst.Res[j], z.Res[i], row[i])
-		}
+// accumulateInto folds the digit rows z into every tower of dst:
+// dst_j = sum_i z_i * (Q/q_i) mod p_j, one kernel call per tower.
+func (bc *BaseConverter) accumulateInto(dst, z Poly) {
+	for j, plan := range bc.to.Plans {
+		ring.AffineRows(plan.Generic(), dst.Res[j], bc.sum[j], z.Res)
 	}
 }
 
@@ -238,8 +132,11 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 		return err
 	}
 	sc := bc.scratch.Get().(*convScratch)
-	bc.digitsInto(sc.z, src)
-	bc.accumulateInto(sc, dst, sc.z)
+	// Digits z_i = x_i * (Q/q_i)^-1 mod q_i, canonical.
+	for i, plan := range bc.from.Plans {
+		plan.Generic().ScalarMulInto(sc.z.Res[i], src.Res[i], bc.from.qiInv[i])
+	}
+	bc.accumulateInto(dst, sc.z)
 	bc.scratch.Put(sc)
 	return nil
 }
@@ -247,9 +144,9 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 // ConvertDigitsInto is ConvertInto with CALLER-COMPUTED digits: z_i must
 // already hold the fast-base-conversion digits [x_i * (Q/q_i)^-1]_{q_i}.
 // It exists for callers that can fuse the digit scalar into an adjacent
-// pass (the resident BEHZ divide-and-round folds T, the rounding offset,
-// and the digit constant into ONE span per tower instead of three);
-// the accumulation is unchanged. dst is canonical; allocates nothing.
+// pass (the BEHZ divide-and-round folds T, the rounding offset, and the
+// digit constant into one kernel call per tower); the accumulation is
+// unchanged. dst is canonical; allocates nothing.
 //
 //mqx:hotpath
 func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
@@ -259,9 +156,7 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 	if err := bc.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := bc.scratch.Get().(*convScratch)
-	bc.accumulateInto(sc, dst, z)
-	bc.scratch.Put(sc)
+	bc.accumulateInto(dst, z)
 	return nil
 }
 
@@ -269,7 +164,7 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 // §3.2 (the small Montgomery reduction SmMRq): it converts x in base Q to a
 // base P with the FastBConv overshoot alpha*Q (0 <= alpha < k) removed, at
 // the cost of one extra residue channel modulo a small auxiliary modulus
-// m~ and a per-coefficient correction.
+// m~ and two more rows in every tower's sum.
 //
 // The trick, folded into the digit constants so no caller-side scaling is
 // needed: instead of converting x, convert X = [m~ * x]_Q (its digits are
@@ -287,26 +182,22 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 // the multiply noise constant is gone, which is what lets
 // fhe.MulNoiseBoundBits tighten its conversion term.
 //
-// Like BaseConverter, every step is exact for the Shoup span kernels
-// (digits and accumulation), inputs may be lazy ([0, 2q)), and steady-state
-// conversions allocate nothing. The correction itself is one masked
-// multiply-accumulate per coefficient (m~ is a power of two) plus two
-// modular multiplies per output residue.
+// Per output tower, (V + r*Q - [r > m~/2]*m~*Q) * m~^-1 is one kernel call
+// over the digit rows, the r row and a 0/1 centering row, with m~^-1
+// folded into every weight. Inputs may be lazy ([0, 2q)) and steady-state
+// conversions allocate nothing; r itself is a masked multiply-accumulate
+// per coefficient (m~ is a power of two).
 type MontBaseConverter struct {
 	from, to *Context
 	mt       uint64 // m~, a power of two > 2*k
 
-	digitMul []uint64   // (m~ * (Q/q_i)^-1) mod q_i: digits of [m~ x]_Q
-	m        [][]uint64 // m[j][i] = (Q/q_i) mod p_j
-	mRowMt   []uint64   // (Q/q_i) mod m~
-	negQInv  uint64     // (-Q^-1) mod m~
-	qModP    []uint64   // Q mod p_j
-	mtQModP  []uint64   // (m~ * Q) mod p_j, the centering subtract
-	mtInvP   []uint64   // m~^-1 mod p_j
-	mtInvPre []uint64   // Shoup precomputation of mtInvP
-	r64      []uint64   // 2^64 mod p_j (wide-accumulator radix)
-	r64Pre   []uint64   // Shoup duals of r64
-	wide     bool
+	digitMul []uint64 // (m~ * (Q/q_i)^-1) mod q_i: digits of [m~ x]_Q
+	mRowMt   []uint64 // (Q/q_i) mod m~
+	negQInv  uint64   // (-Q^-1) mod m~
+
+	// sum[j] weighs (z_0..z_{k-1}, r, [r > m~/2]) into tower j:
+	// (Q/q_i)*m~^-1, Q*m~^-1, -Q, all mod p_j.
+	sum []ring.Affine
 
 	scratch sync.Pool
 }
@@ -341,29 +232,16 @@ func NewMontBaseConverter(from, to *Context, mtilde uint64) (*MontBaseConverter,
 		bc.mRowMt = append(bc.mRowMt, t.Mod(from.qi[i], mtBig).Uint64())
 	}
 	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, from.Channels())
-		for i := range from.Mods {
-			row[i] = t.Mod(from.qi[i], qb).Uint64()
-		}
-		bc.m = append(bc.m, row)
-		qModP := t.Mod(from.Q, qb).Uint64()
-		bc.qModP = append(bc.qModP, qModP)
-		bc.mtQModP = append(bc.mtQModP, mod.Mul(mtilde%mod.Q, qModP))
 		inv := mod.Inv(mtilde % mod.Q)
-		bc.mtInvP = append(bc.mtInvP, inv)
-		bc.mtInvPre = append(bc.mtInvPre, mod.ShoupPrecompute(inv))
-	}
-	bc.wide = wideOK(from, to, from.Channels())
-	bc.r64, bc.r64Pre = r64Table(to)
-	bc.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if bc.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
+		qModP := t.Mod(from.Q, new(big.Int).SetUint64(mod.Q)).Uint64()
+		w := crtWeights(from, mod.Q)
+		for i := range w {
+			w[i] = mod.Mul(w[i], inv)
 		}
-		return sc
+		w = append(w, mod.Mul(qModP, inv), mod.Neg(qModP))
+		bc.sum = append(bc.sum, ring.NewAffine(mod, 0, w...))
 	}
+	bc.scratch.New = func() any { return newConvScratch(from.N, from.Channels(), 2) }
 	return bc, nil
 }
 
@@ -382,12 +260,11 @@ func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 		return err
 	}
 	sc := bc.scratch.Get().(*convScratch)
-	z, r := sc.z, sc.gamma
-	k := bc.from.Channels()
+	z, r, center := sc.z, sc.extra[0], sc.extra[1]
 	mask := bc.mt - 1
 	// Digits of X = [m~ x]_Q, one fused scalar multiply per tower.
-	for i := 0; i < k; i++ {
-		bc.from.Plans[i].Generic().ScalarMulInto(z.Res[i], src.Res[i], bc.digitMul[i])
+	for i, plan := range bc.from.Plans {
+		plan.Generic().ScalarMulInto(z.Res[i], src.Res[i], bc.digitMul[i])
 	}
 	// r = [-V * Q^-1]_m~ per coefficient, from the digit residues mod m~.
 	// Row-sequential accumulation with plain wrapping adds: m~ is a power
@@ -395,60 +272,24 @@ func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 	// mod m~ and a single final mask suffices — same r, streaming passes
 	// instead of a strided per-coefficient walk over the digit rows.
 	clear(r)
-	for i := 0; i < k; i++ {
-		zr := z.Res[i][:len(r)]
+	for i, zr := range z.Res {
+		zr = zr[:len(r)]
 		wmt := bc.mRowMt[i]
 		for j := range r {
 			r[j] += (zr[j] & mask) * wmt
 		}
 	}
-	for j := range r {
-		r[j] = ((r[j] & mask) * bc.negQInv) & mask
-	}
+	// r is centered in (-m~/2, m~/2]: values above m~/2 stand for r - m~,
+	// which the 0/1 row carries into the sum with weight -m~*Q*m~^-1 = -Q.
 	half := bc.mt / 2
-	for jt, mod := range bc.to.Mods {
-		row := bc.m[jt]
-		dr := dst.Res[jt]
-		qp, mtq := bc.qModP[jt], bc.mtQModP[jt]
-		inv, pre := bc.mtInvP[jt], bc.mtInvPre[jt]
-		if bc.wide {
-			// Deferred FastBConv: the k-digit weighted sum V rides the
-			// 128-bit accumulator lanes and the Montgomery correction is
-			// fused into the single reduce pass — one canonical landing
-			// per element instead of k scale-accumulate spans plus a
-			// correction pass. Same residues, reduced once.
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < k; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			q, mu, nb := mod.Q, mod.Mu, mod.N
-			r64, r64Pre := bc.r64[jt], bc.r64Pre[jt]
-			for j := range dr {
-				v := mod.Add(mod.MulShoup(sc.accHi[j], r64, r64Pre),
-					modmath.Barrett64Reduce(0, sc.accLo[j], q, mu, nb))
-				t := mod.Add(v, mod.Mul(r[j], qp))
-				if r[j] > half {
-					t = mod.Sub(t, mtq)
-				}
-				dr[j] = mod.MulShoup(t, inv, pre)
-			}
-			continue
-		}
-		plan := bc.to.Plans[jt].Generic()
-		// dst = sum_i z_i * (Q/q_i) mod p_j, the plain FastBConv value...
-		plan.ScalarMulInto(dr, z.Res[0], row[0])
-		for i := 1; i < k; i++ {
-			plan.ScaleAddInto(dr, dr, z.Res[i], row[i])
-		}
-		// ...then the Montgomery correction: (V + r*Q) * m~^-1, with r
-		// centered in (-m~/2, m~/2] (values above m~/2 stand for r - m~).
-		for j := range dr {
-			t := mod.Add(dr[j], mod.Mul(r[j], qp))
-			if r[j] > half {
-				t = mod.Sub(t, mtq)
-			}
-			dr[j] = mod.MulShoup(t, inv, pre)
-		}
+	center = center[:len(r)]
+	for j := range r {
+		v := ((r[j] & mask) * bc.negQInv) & mask
+		r[j] = v
+		center[j] = (half - v) >> 63
+	}
+	for j, plan := range bc.to.Plans {
+		ring.AffineRows(plan.Generic(), dst.Res[j], bc.sum[j], sc.list)
 	}
 	bc.scratch.Put(sc)
 	return nil
@@ -462,14 +303,13 @@ type SKConverter struct {
 	from, to *Context
 	l        int // towers of P (from minus the redundant modulus)
 
-	piInv  []uint64   // (P/p_i)^-1 mod p_i
-	m      [][]uint64 // m[j][i] = (P/p_i) mod q_j
-	mSK    []uint64   // (P/p_i) mod m_sk
-	pInvSK uint64     // P^-1 mod m_sk
-	negP   []uint64   // (-P) mod q_j, folds the gamma correction via ScaleAdd
-	r64    []uint64   // 2^64 mod q_j (wide-accumulator radix)
-	r64Pre []uint64   // Shoup duals of r64
-	wide   bool
+	piInv []uint64 // (P/p_i)^-1 mod p_i
+
+	// gamma weighs (z_0..z_{l-1}, y_sk) into the overshoot count mod m_sk:
+	// (P/p_i)*P^-1, -P^-1. sum[j] weighs (z_0..z_{l-1}, gamma) into tower
+	// j: (P/p_i), -P, mod q_j.
+	gamma ring.Affine
+	sum   []ring.Affine
 
 	scratch sync.Pool
 }
@@ -484,7 +324,6 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 		return nil, fmt.Errorf("rns: Shenoy-Kumaresan base needs >= 2 towers, got %d", from.Channels())
 	}
 	l := from.Channels() - 1
-	skMod := from.Mods[l]
 	p := big.NewInt(1)
 	for i := 0; i < l; i++ {
 		p.Mul(p, new(big.Int).SetUint64(from.Mods[i].Q))
@@ -497,29 +336,31 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 		qb := new(big.Int).SetUint64(mod.Q)
 		pis[i] = new(big.Int).Div(p, qb)
 		sk.piInv = append(sk.piInv, mod.Inv(t.Mod(pis[i], qb).Uint64()))
-		sk.mSK = append(sk.mSK, t.Mod(pis[i], new(big.Int).SetUint64(skMod.Q)).Uint64())
 	}
-	sk.pInvSK = skMod.Inv(t.Mod(p, new(big.Int).SetUint64(skMod.Q)).Uint64())
-	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, l)
+	// weights returns (P/p_i) mod q for every i, then P mod q.
+	weights := func(q uint64) []uint64 {
+		qb := new(big.Int).SetUint64(q)
+		w := make([]uint64, l+1)
 		for i := 0; i < l; i++ {
-			row[i] = t.Mod(pis[i], qb).Uint64()
+			w[i] = t.Mod(pis[i], qb).Uint64()
 		}
-		sk.m = append(sk.m, row)
-		sk.negP = append(sk.negP, mod.Neg(t.Mod(p, qb).Uint64()))
+		w[l] = t.Mod(p, qb).Uint64()
+		return w
 	}
-	// l digit terms plus the gamma correction term ride the accumulator.
-	sk.wide = wideOK(from, to, l+1)
-	sk.r64, sk.r64Pre = r64Table(to)
-	sk.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if sk.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
-		}
-		return sc
+	skMod := from.Mods[l]
+	w := weights(skMod.Q)
+	pInv := skMod.Inv(w[l])
+	for i := 0; i < l; i++ {
+		w[i] = skMod.Mul(w[i], pInv)
 	}
+	w[l] = skMod.Neg(pInv)
+	sk.gamma = ring.NewAffine(skMod, 0, w...)
+	for _, mod := range to.Mods {
+		w := weights(mod.Q)
+		w[l] = mod.Neg(w[l])
+		sk.sum = append(sk.sum, ring.NewAffine(mod, 0, w...))
+	}
+	sk.scratch.New = func() any { return newConvScratch(from.N, l, 1) }
 	return sk, nil
 }
 
@@ -538,50 +379,20 @@ func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 		return err
 	}
 	sc := sk.scratch.Get().(*convScratch)
-	z := sc.z
 	// Digits over base P only.
 	for i := 0; i < sk.l; i++ {
-		sk.from.Plans[i].Generic().ScalarMulInto(z.Res[i], src.Res[i], sk.piInv[i])
+		sk.from.Plans[i].Generic().ScalarMulInto(sc.z.Res[i], src.Res[i], sk.piInv[i])
 	}
 	// gamma = (FastBConv_{P->m_sk}(y) - y) * P^-1 mod m_sk: the exact
-	// overshoot count, recoverable because 0 <= gamma <= l < m_sk.
-	skMod := sk.from.Mods[sk.l]
-	skPlan := sk.from.Plans[sk.l].Generic()
-	g := sc.gamma
-	skPlan.ScalarMulInto(g, z.Res[0], sk.mSK[0])
-	for i := 1; i < sk.l; i++ {
-		skPlan.ScaleAddInto(g, g, z.Res[i], sk.mSK[i])
-	}
-	ySK := src.Res[sk.l]
-	q := skMod.Q
-	for j := range g {
-		v := ySK[j]
-		if v >= q { // tolerate lazy inputs on the redundant tower
-			v -= q
-		}
-		g[j] = skMod.Sub(g[j], v)
-	}
-	skPlan.ScalarMulInto(g, g, sk.pInvSK)
-	// dst_j = sum_i z_i*(P/p_i) - gamma*P mod q_j. On a wide-eligible
-	// basis the whole thing — digits and the gamma correction — is one
-	// (l+1)-term deferred inner product with a single canonical landing.
-	for j := range sk.to.Mods {
-		row := sk.m[j]
-		if sk.wide {
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < sk.l; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			wideMACRow(sc.accHi, sc.accLo, g, sk.negP[j])
-			wideReduceRow(dst.Res[j], sc.accHi, sc.accLo, sk.to.Mods[j], sk.r64[j], sk.r64Pre[j])
-			continue
-		}
-		plan := sk.to.Plans[j].Generic()
-		plan.ScalarMulInto(dst.Res[j], z.Res[0], row[0])
-		for i := 1; i < sk.l; i++ {
-			plan.ScaleAddInto(dst.Res[j], dst.Res[j], z.Res[i], row[i])
-		}
-		plan.ScaleAddInto(dst.Res[j], dst.Res[j], g, sk.negP[j])
+	// overshoot count, recoverable because 0 <= gamma <= l < m_sk. The
+	// redundant tower's row takes the list's last slot for this one call.
+	g := sc.extra[0]
+	sc.list[sk.l] = src.Res[sk.l]
+	ring.AffineRows(sk.from.Plans[sk.l].Generic(), g, sk.gamma, sc.list)
+	sc.list[sk.l] = g
+	// dst_j = sum_i z_i*(P/p_i) - gamma*P mod q_j.
+	for j, plan := range sk.to.Plans {
+		ring.AffineRows(plan.Generic(), dst.Res[j], sk.sum[j], sc.list)
 	}
 	sk.scratch.Put(sc)
 	return nil
@@ -593,18 +404,20 @@ func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 type Rescaler struct {
 	from, to *Context
 
-	qkInv    []uint64 // q_{k-1}^-1 mod q_i
-	qkInvPre []uint64 // Shoup precomputation of qkInv
-	half     uint64   // floor(q_{k-1} / 2)
-	halfRes  []uint64 // half mod q_i
+	half uint64 // h = floor(q_{k-1} / 2)
+
+	// With inv[i] = q_{k-1}^-1 mod q_i and the remainder u = [x_{k-1} + h]:
+	// coef[i] weighs (a_i, u) into (a_i + h - u)*inv, the coefficient-domain
+	// tower; corr[i] weighs (u) into the correction (h - u)*inv, which the
+	// resident path transforms and adds to a_i*inv.
+	inv        []uint64
+	coef, corr []ring.Affine
 
 	scratch sync.Pool
 }
 
 // NewRescaler validates that to is the prefix of from with the last tower
-// dropped and precomputes the rescale constants. Every prefix prime must
-// exceed half the dropped prime (true for any same-bit-width basis), so
-// the dropped tower's remainder reduces with one conditional subtraction.
+// dropped and precomputes the rescale constants.
 func NewRescaler(from, to *Context) (*Rescaler, error) {
 	if from.N != to.N {
 		return nil, fmt.Errorf("rns: base sizes differ: %d vs %d", from.N, to.N)
@@ -619,21 +432,35 @@ func NewRescaler(from, to *Context) (*Rescaler, error) {
 		if mod.Q != from.Mods[i].Q {
 			return nil, fmt.Errorf("rns: rescale target tower %d prime %d != source %d", i, mod.Q, from.Mods[i].Q)
 		}
-		if 2*mod.Q <= qk {
-			return nil, fmt.Errorf("rns: rescale prefix prime %d too small for dropped prime %d", mod.Q, qk)
-		}
 		inv := mod.Inv(qk % mod.Q)
-		r.qkInv = append(r.qkInv, inv)
-		r.qkInvPre = append(r.qkInvPre, mod.ShoupPrecompute(inv))
-		r.halfRes = append(r.halfRes, r.half%mod.Q)
+		negInv := mod.Neg(inv)
+		hInv := mod.Mul(r.half%mod.Q, inv)
+		r.inv = append(r.inv, inv)
+		r.coef = append(r.coef, ring.NewAffine(mod, hInv, inv, negInv))
+		r.corr = append(r.corr, ring.NewAffine(mod, hInv, negInv))
 	}
-	r.scratch.New = func() any {
-		return &convScratch{
-			gamma: make([]uint64, from.N),
-			rows:  ring.AllocBatch[uint64](from.N, to.Channels()),
-		}
-	}
+	// extra[0] is the remainder row u, extra[1+i] tower i's correction row.
+	r.scratch.New = func() any { return newConvScratch(from.N, 0, 1+to.Channels()) }
 	return r, nil
+}
+
+// remainderInto writes u[j] = (x_{k-1} + h) mod q_{k-1}, the
+// rounded-division remainder, from the dropped tower's coefficients
+// (lazy [0, 2q) tolerated).
+func (r *Rescaler) remainderInto(u, last []uint64) {
+	qk := r.from.Mods[r.from.Channels()-1].Q
+	last = last[:len(u)]
+	for j := range u {
+		v := last[j]
+		if v >= qk {
+			v -= qk
+		}
+		s := v + r.half // < 2*q_k, no overflow: q_k < 2^62
+		if s >= qk {
+			s -= qk
+		}
+		u[j] = s
+	}
 }
 
 // RescaleInto writes round(x / q_{k-1}) into dst for every coefficient x
@@ -651,38 +478,13 @@ func (r *Rescaler) RescaleInto(dst, a Poly) error {
 		return err
 	}
 	sc := r.scratch.Get().(*convScratch)
-	u := sc.gamma
-	qk := r.from.Mods[r.from.Channels()-1].Q
-	last := a.Res[r.from.Channels()-1]
-	// u[j] = (x_{k-1} + h) mod q_{k-1}: the rounded-division remainder.
-	for j := range u {
-		v := last[j]
-		if v >= qk {
-			v -= qk
-		}
-		s := v + r.half // < 2*q_k, no overflow: q_k < 2^62
-		if s >= qk {
-			s -= qk
-		}
-		u[j] = s
-	}
-	for i, mod := range r.to.Mods {
-		q := mod.Q
-		ar, dr := a.Res[i], dst.Res[i]
-		h := r.halfRes[i]
-		inv, pre := r.qkInv[i], r.qkInvPre[i]
-		for j := range dr {
-			v := ar[j]
-			if v >= q {
-				v -= q
-			}
-			w := u[j] // < q_k < 2q, one subtract reduces
-			if w >= q {
-				w -= q
-			}
-			t := mod.Sub(mod.Add(v, h), w)
-			dr[j] = mod.MulShoup(t, inv, pre)
-		}
+	u := sc.extra[0]
+	r.remainderInto(u, a.Res[r.from.Channels()-1])
+	rows := sc.list[:2]
+	rows[1] = u
+	for i, plan := range r.to.Plans {
+		rows[0] = a.Res[i]
+		ring.AffineRows(plan.Generic(), dst.Res[i], r.coef[i], rows)
 	}
 	r.scratch.Put(sc)
 	return nil
@@ -693,10 +495,10 @@ func (r *Rescaler) RescaleInto(dst, a Poly) error {
 // result in the same domain, without ever materializing the prefix towers
 // in coefficient form. Only the dropped tower is inverse-transformed (its
 // remainder u is inherently positional); each prefix tower then builds the
-// correction polynomial w_i = (h_i - u) mod q_i, forward-transforms it,
-// and fuses dst_i = (a_i + NTT(w_i)) * q_k^-1 pointwise — bit-identical to
+// correction polynomial w_i = (h - u) * q_k^-1 mod q_i, forward-transforms
+// it, and lands dst_i = a_i * q_k^-1 + NTT(w_i) — bit-identical to
 // RescaleInto composed with transforms, by NTT linearity. The per-tower
-// work (one transform plus the fused pass) dispatches through
+// work (one transform between two span passes) dispatches through
 // ring.ParallelChunks; workers follows the batch convention (0 means
 // GOMAXPROCS, 1 is the sequential zero-alloc path). dst rows may alias a's
 // prefix rows. Input rows may be lazy ([0, 2q)); dst is canonical.
@@ -708,19 +510,10 @@ func (r *Rescaler) RescaleNTTInto(dst, a Poly, workers int) error {
 		return err
 	}
 	sc := r.scratch.Get().(*convScratch)
-	u := sc.gamma
+	u := sc.extra[0]
 	kq := r.from.Channels() - 1
-	qk := r.from.Mods[kq].Q
 	r.from.Plans[kq].Generic().NegacyclicInverseInto(u, a.Res[kq])
-	// u[j] = (x_{k-1} + h) mod q_{k-1}: the rounded-division remainder
-	// (the inverse transform's output is canonical).
-	for j := range u {
-		s := u[j] + r.half // < 2*q_k, no overflow: q_k < 2^62
-		if s >= qk {
-			s -= qk
-		}
-		u[j] = s
-	}
+	r.remainderInto(u, u)
 	towers := r.to.Channels()
 	// Named method, not a closure: a closure shared with the parallel
 	// branch would escape and put an allocation on the workers==1 path.
@@ -739,31 +532,14 @@ func (r *Rescaler) RescaleNTTInto(dst, a Poly, workers int) error {
 	return nil
 }
 
-// rescaleNTTTower finishes one prefix tower of a resident rescale: build
-// the correction w_i = (h_i - u) mod q_i from the shared remainder in
-// sc.gamma, forward-transform it, and fuse the add-and-scale pass.
+// rescaleNTTTower finishes one prefix tower of a resident rescale from the
+// shared remainder row.
 func (r *Rescaler) rescaleNTTTower(sc *convScratch, dst, a Poly, i int) {
-	u := sc.gamma
-	mod := r.to.Mods[i]
-	q := mod.Q
-	w := sc.rows[i]
-	h := r.halfRes[i]
-	for j := range w {
-		t := u[j] // < q_k < 2q, one subtract reduces
-		if t >= q {
-			t -= q
-		}
-		w[j] = mod.Sub(h, t)
-	}
 	plan := r.to.Plans[i].Generic()
+	w := sc.extra[1+i]
+	ring.AffineRows(plan, w, r.corr[i], sc.extra[:1])
 	plan.NegacyclicForwardInto(w, w)
-	ar, dr := a.Res[i], dst.Res[i]
-	inv, pre := r.qkInv[i], r.qkInvPre[i]
-	for j := range dr {
-		v := ar[j]
-		if v >= q {
-			v -= q
-		}
-		dr[j] = mod.MulShoup(mod.Add(v, w[j]), inv, pre)
-	}
+	// w is canonical; the scale-accumulate's Shoup product is exact for any
+	// 64-bit multiplicand, so a_i may be lazy.
+	plan.ScaleAddInto(dst.Res[i], w, a.Res[i], r.inv[i])
 }

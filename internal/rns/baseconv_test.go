@@ -31,49 +31,63 @@ type bcFix struct {
 }
 
 var (
-	fixOnce sync.Once
-	fix     bcFix
+	fixOnce, fix62Once sync.Once
+	fix, fix62         bcFix
 )
+
+// newBCFix builds the fixture over 8 primes: 3 for Q, 5 for the
+// extension base.
+func newBCFix(primes []uint64) bcFix {
+	const n = 32
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	q, err := NewContextForPrimes(primes[:3], n)
+	must(err)
+	e, err := NewContextForPrimes(primes[3:8], n)
+	must(err)
+	conv, err := NewBaseConverter(q, e)
+	must(err)
+	mconv, err := NewMontBaseConverter(q, e, 1<<16)
+	must(err)
+	sk, err := NewSKConverter(e, q)
+	must(err)
+	p := new(big.Int).Div(e.Q, new(big.Int).SetUint64(e.Mods[4].Q))
+	sub, err := NewContextForPrimes(primes[:2], n)
+	must(err)
+	rs, err := NewRescaler(q, sub)
+	must(err)
+	return bcFix{q: q, e: e, conv: conv, mconv: mconv, sk: sk, p: p, sub: sub, rs: rs}
+}
 
 func convFix(t testing.TB) *bcFix {
 	fixOnce.Do(func() {
-		const n = 32
-		primes, err := modmath.FindNTTPrimes64(59, 2*n, 8)
+		primes, err := modmath.FindNTTPrimes64(59, 64, 8)
 		if err != nil {
 			panic(err)
 		}
-		q, err := NewContextForPrimes(primes[:3], n)
-		if err != nil {
-			panic(err)
-		}
-		e, err := NewContextForPrimes(primes[3:], n)
-		if err != nil {
-			panic(err)
-		}
-		conv, err := NewBaseConverter(q, e)
-		if err != nil {
-			panic(err)
-		}
-		mconv, err := NewMontBaseConverter(q, e, 1<<16)
-		if err != nil {
-			panic(err)
-		}
-		sk, err := NewSKConverter(e, q)
-		if err != nil {
-			panic(err)
-		}
-		p := new(big.Int).Div(e.Q, new(big.Int).SetUint64(e.Mods[4].Q))
-		sub, err := NewContextForPrimes(primes[:2], n)
-		if err != nil {
-			panic(err)
-		}
-		rs, err := NewRescaler(q, sub)
-		if err != nil {
-			panic(err)
-		}
-		fix = bcFix{q: q, e: e, conv: conv, mconv: mconv, sk: sk, p: p, sub: sub, rs: rs}
+		fix = newBCFix(primes)
 	})
 	return &fix
+}
+
+// convFix62 is the same fixture over primes just below 2^62, the widest
+// modmath.Modulus64 admits (modmath.FindNTTPrimes64 stops at 61 bits):
+// the kernel's acc + t < 4q bound comes closest to 2^64 here, with lazy
+// inputs on top.
+func convFix62(t testing.TB) *bcFix {
+	fix62Once.Do(func() {
+		var primes []uint64
+		for q := uint64(1)<<62 - 63; len(primes) < 8; q -= 64 {
+			if new(big.Int).SetUint64(q).ProbablyPrime(20) {
+				primes = append(primes, q)
+			}
+		}
+		fix62 = newBCFix(primes)
+	})
+	return &fix62
 }
 
 // fillResidues derives one residue matrix from a seeded generator,
@@ -121,9 +135,8 @@ func refConvert(from *Context, src Poly, j int, target uint64) uint64 {
 	return sum.Mod(sum, term.SetUint64(target)).Uint64()
 }
 
-func checkBaseConvert(t *testing.T, seed int64, pattern byte) {
+func checkBaseConvert(t *testing.T, f *bcFix, seed int64, pattern byte) {
 	t.Helper()
-	f := convFix(t)
 	src := f.q.NewPoly()
 	fillResidues(src, f.q.Mods, seed, pattern)
 	dst := f.e.NewPoly()
@@ -144,9 +157,8 @@ func checkBaseConvert(t *testing.T, seed int64, pattern byte) {
 // property against big-integer reconstruction: every coefficient converts
 // to a representative y = x + gamma*Q with ONE gamma in {-1, 0} shared by
 // all extension towers — the k*Q overshoot of the plain FastBConv is gone.
-func checkMontConvert(t *testing.T, seed int64, pattern byte) {
+func checkMontConvert(t *testing.T, f *bcFix, seed int64, pattern byte) {
 	t.Helper()
-	f := convFix(t)
 	src := f.q.NewPoly()
 	fillResidues(src, f.q.Mods, seed, pattern)
 	canon := f.q.NewPoly()
@@ -190,9 +202,8 @@ func checkMontConvert(t *testing.T, seed int64, pattern byte) {
 	}
 }
 
-func checkSKConvert(t *testing.T, seed int64, pattern byte) {
+func checkSKConvert(t *testing.T, f *bcFix, seed int64, pattern byte) {
 	t.Helper()
-	f := convFix(t)
 	// Draw a centered y with |y| < P/2 per coefficient and lay down its
 	// exact residues across the extension base (P towers and m_sk).
 	rng := rand.New(rand.NewSource(seed))
@@ -239,9 +250,8 @@ func checkSKConvert(t *testing.T, seed int64, pattern byte) {
 	}
 }
 
-func checkRescale(t *testing.T, seed int64, pattern byte) {
+func checkRescale(t *testing.T, f *bcFix, seed int64, pattern byte) {
 	t.Helper()
-	f := convFix(t)
 	full, sub := f.q, f.sub
 	src := full.NewPoly()
 	fillResidues(src, full.Mods, seed, pattern)
@@ -277,21 +287,27 @@ func checkRescale(t *testing.T, seed int64, pattern byte) {
 	}
 }
 
-func TestBaseConverterMatchesBigInt(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		for _, pattern := range []byte{0, 1, 2, 3, 4, 7, 8, 15} {
-			checkBaseConvert(t, seed, pattern)
-		}
+// eachBasis sweeps a differential check over seeds and input patterns on
+// the 59-bit fixture and on the 62-bit one.
+func eachBasis(t *testing.T, check func(t *testing.T, f *bcFix, seed int64, pattern byte)) {
+	for _, b := range []struct {
+		name string
+		f    *bcFix
+	}{{"59bit", convFix(t)}, {"62bit", convFix62(t)}} {
+		f := b.f
+		t.Run(b.name, func(t *testing.T) {
+			for seed := int64(0); seed < 4; seed++ {
+				for _, pattern := range []byte{0, 1, 2, 3, 4, 7, 8, 12, 15} {
+					check(t, f, seed, pattern)
+				}
+			}
+		})
 	}
 }
 
-func TestMontBaseConverterOvershootFree(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		for _, pattern := range []byte{0, 1, 2, 3, 4, 7, 8, 15} {
-			checkMontConvert(t, seed, pattern)
-		}
-	}
-}
+func TestBaseConverterMatchesBigInt(t *testing.T) { eachBasis(t, checkBaseConvert) }
+
+func TestMontBaseConverterOvershootFree(t *testing.T) { eachBasis(t, checkMontConvert) }
 
 func TestMontBaseConverterValidation(t *testing.T) {
 	f := convFix(t)
@@ -310,21 +326,9 @@ func TestMontBaseConverterValidation(t *testing.T) {
 	}
 }
 
-func TestSKConverterExact(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		for _, pattern := range []byte{0, 1, 2, 3, 4, 7, 8, 15} {
-			checkSKConvert(t, seed, pattern)
-		}
-	}
-}
+func TestSKConverterExact(t *testing.T) { eachBasis(t, checkSKConvert) }
 
-func TestRescalerMatchesBigInt(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		for _, pattern := range []byte{0, 1, 2, 3, 4, 7, 8, 15} {
-			checkRescale(t, seed, pattern)
-		}
-	}
-}
+func TestRescalerMatchesBigInt(t *testing.T) { eachBasis(t, checkRescale) }
 
 // TestRescaleNTTMatchesCoefficientPath: the resident rescale on an
 // NTT-domain polynomial must be BIT-IDENTICAL to transform -> RescaleInto
@@ -332,41 +336,41 @@ func TestRescalerMatchesBigInt(t *testing.T) {
 // the linearity argument (NTT(x + w) = NTT(x) + NTT(w), scalars commute)
 // checked in code rather than trusted.
 func TestRescaleNTTMatchesCoefficientPath(t *testing.T) {
-	f := convFix(t)
+	eachBasis(t, checkRescaleNTT)
+}
+
+func checkRescaleNTT(t *testing.T, f *bcFix, seed int64, pattern byte) {
+	t.Helper()
 	full, sub := f.q, f.sub
-	for seed := int64(0); seed < 4; seed++ {
-		for _, pattern := range []byte{0, 1, 2, 3, 4, 7} {
-			src := full.NewPoly()
-			fillResidues(src, full.Mods, seed, pattern)
-			for i, mod := range full.Mods {
-				for j := range src.Res[i] {
-					src.Res[i][j] %= mod.Q
-				}
-			}
-			want := sub.NewPoly()
-			if err := f.rs.RescaleInto(want, src); err != nil {
-				t.Fatal(err)
-			}
-			srcHat := full.NewPoly()
-			if err := full.NegacyclicNTTAll(srcHat, src, 1); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				gotHat := sub.NewPoly()
-				if err := f.rs.RescaleNTTInto(gotHat, srcHat, workers); err != nil {
-					t.Fatal(err)
-				}
-				got := sub.NewPoly()
-				if err := sub.NegacyclicINTTAll(got, gotHat, 1); err != nil {
-					t.Fatal(err)
-				}
-				for i := range got.Res {
-					for j := range got.Res[i] {
-						if got.Res[i][j] != want.Res[i][j] {
-							t.Fatalf("seed %d pattern %x workers %d: tower %d coeff %d: resident %d, coefficient path %d",
-								seed, pattern, workers, i, j, got.Res[i][j], want.Res[i][j])
-						}
-					}
+	src := full.NewPoly()
+	fillResidues(src, full.Mods, seed, pattern)
+	for i, mod := range full.Mods {
+		for j := range src.Res[i] {
+			src.Res[i][j] %= mod.Q
+		}
+	}
+	want := sub.NewPoly()
+	if err := f.rs.RescaleInto(want, src); err != nil {
+		t.Fatal(err)
+	}
+	srcHat := full.NewPoly()
+	if err := full.NegacyclicNTTAll(srcHat, src, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		gotHat := sub.NewPoly()
+		if err := f.rs.RescaleNTTInto(gotHat, srcHat, workers); err != nil {
+			t.Fatal(err)
+		}
+		got := sub.NewPoly()
+		if err := sub.NegacyclicINTTAll(got, gotHat, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.Res {
+			for j := range got.Res[i] {
+				if got.Res[i][j] != want.Res[i][j] {
+					t.Fatalf("seed %d pattern %x workers %d: tower %d coeff %d: resident %d, coefficient path %d",
+						seed, pattern, workers, i, j, got.Res[i][j], want.Res[i][j])
 				}
 			}
 		}
@@ -411,10 +415,17 @@ func FuzzBaseConvert(f *testing.F) {
 	f.Add(int64(4), byte(4))
 	f.Add(int64(5), byte(7))
 	f.Add(int64(6), byte(15))
+	// Lazy [q, 2q) inputs combined with the boundary and small-value
+	// steering, on top of the all-lazy seed above.
+	f.Add(int64(7), byte(5))
+	f.Add(int64(8), byte(6))
+	f.Add(int64(9), byte(12))
 	f.Fuzz(func(t *testing.T, seed int64, pattern byte) {
-		checkBaseConvert(t, seed, pattern)
-		checkMontConvert(t, seed, pattern)
-		checkSKConvert(t, seed, pattern)
+		for _, fx := range []*bcFix{convFix(t), convFix62(t)} {
+			checkBaseConvert(t, fx, seed, pattern)
+			checkMontConvert(t, fx, seed, pattern)
+			checkSKConvert(t, fx, seed, pattern)
+		}
 	})
 }
 
@@ -427,7 +438,13 @@ func FuzzRescale(f *testing.F) {
 	f.Add(int64(4), byte(4))
 	f.Add(int64(5), byte(7))
 	f.Add(int64(6), byte(15))
+	f.Add(int64(7), byte(5))
+	f.Add(int64(8), byte(6))
+	f.Add(int64(9), byte(12))
 	f.Fuzz(func(t *testing.T, seed int64, pattern byte) {
-		checkRescale(t, seed, pattern)
+		for _, fx := range []*bcFix{convFix(t), convFix62(t)} {
+			checkRescale(t, fx, seed, pattern)
+			checkRescaleNTT(t, fx, seed, pattern)
+		}
 	})
 }

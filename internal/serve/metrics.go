@@ -74,9 +74,14 @@ type metrics struct {
 	perOp map[string]*histogram // fixed key set, created once; values are atomic
 }
 
+// observedOps is every label evalClass can hand observe: the encrypt and
+// decrypt routes, and each op /v1/eval accepts.
+var observedOps = []string{"encrypt", "decrypt",
+	"mul", "square", "add", "modswitch", "rotate", "conjugate", "encode", "decode", "free"}
+
 func newMetrics() *metrics {
 	m := &metrics{perOp: make(map[string]*histogram)}
-	for _, op := range []string{"encrypt", "mul", "square", "add", "modswitch", "decrypt"} {
+	for _, op := range observedOps {
 		m.perOp[op] = &histogram{}
 	}
 	return m

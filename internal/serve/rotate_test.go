@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -225,5 +226,61 @@ func TestServeRotateEncodeSteadyStateAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("steady-state serve decode allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestMetricsCountEveryOp drives one successful request of every
+// evaluation-class op and requires each label the handlers observe to
+// show up in /v1/metrics with a non-zero count: a label missing from the
+// histogram key set is dropped silently, which is how the packed ops'
+// latencies went unrecorded.
+func TestMetricsCountEveryOp(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(t, ts, "/v1/keygen", map[string]string{"tenant": "m"})
+
+	eval := func(op string, extra map[string]any) map[string]any {
+		body := map[string]any{"tenant": "m", "op": op}
+		for k, v := range extra {
+			body[k] = v
+		}
+		return evalOK(t, ts, body)
+	}
+	enc := eval("encode", map[string]any{"values": testSlots(4)})
+	code, ct := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "m", "values": decodeValues(t, enc)})
+	if code != http.StatusOK {
+		t.Fatalf("encrypt: %d %v", code, ct)
+	}
+	h := ct["handle"].(string)
+	eval("mul", map[string]any{"args": []string{h, h}})
+	eval("square", map[string]any{"args": []string{h}})
+	eval("add", map[string]any{"args": []string{h, h}})
+	eval("modswitch", map[string]any{"args": []string{h}})
+	eval("rotate", map[string]any{"args": []string{h}, "steps": 1})
+	eval("conjugate", map[string]any{"args": []string{h}})
+	code, dec := post(t, ts, "/v1/decrypt", map[string]any{"tenant": "m", "handle": h})
+	if code != http.StatusOK {
+		t.Fatalf("decrypt: %d %v", code, dec)
+	}
+	eval("decode", map[string]any{"values": decodeValues(t, dec)})
+	eval("free", map[string]any{"args": []string{h}})
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range observedOps {
+		if snap.PerOp[op].Count == 0 {
+			t.Errorf("op %q completed but /v1/metrics counts none: %+v", op, snap.PerOp[op])
+		}
+	}
+	if want := uint64(len(observedOps)); snap.Completed != want {
+		t.Errorf("completed = %d, want %d: a driven op was not observed", snap.Completed, want)
 	}
 }
