@@ -18,6 +18,7 @@
 package benches
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -641,7 +642,7 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext
 		b.Fatal(err)
 	}
 	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly(), Domain: c1.Domain}
-	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
+	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
 	return c1, c2, dst, rlk
@@ -662,7 +663,7 @@ func BenchmarkMulCtRNSK2N4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+		if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -681,7 +682,7 @@ func BenchmarkMulCtOracleN4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+		if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -720,15 +721,15 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 		b.Fatal(err)
 	}
 	for l := 0; l < level; l++ {
-		if c1, err = s.ModSwitch(c1); err != nil {
+		if c1, err = s.ModSwitchCtx(context.Background(), c1); err != nil {
 			b.Fatal(err)
 		}
-		if c2, err = s.ModSwitch(c2); err != nil {
+		if c2, err = s.ModSwitchCtx(context.Background(), c2); err != nil {
 			b.Fatal(err)
 		}
 	}
 	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level, Domain: c1.Domain}
-	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
+	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
 	return backend, c1, c2, dst, rlk
@@ -744,7 +745,7 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 			backend, c1, c2, dst, rlk := ladderFixture(b, 4, level, 1<<12)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+				if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -758,12 +759,12 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
 	backend, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
 	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1, Domain: c1.Domain}
-	if err := backend.ModSwitch(&dst, c1); err != nil {
+	if err := backend.ModSwitchCtx(context.Background(), &dst, c1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.ModSwitch(&dst, c1); err != nil {
+		if err := backend.ModSwitchCtx(context.Background(), &dst, c1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ const (
 )
 
 func run(name string, b fhe.Backend) error {
+	ctx := context.Background()
 	s := fhe.NewBackendScheme(b, 9001)
 	sk := s.KeyGen()
 	rlk, err := s.RelinKeyGen(sk)
@@ -69,7 +71,7 @@ func run(name string, b fhe.Backend) error {
 	}
 
 	// One multiply: every slot-wise product at once.
-	acc, err := s.MulCiphertexts(cx, cy, rlk)
+	acc, err := s.MulCiphertextsCtx(ctx, cx, cy, rlk)
 	if err != nil {
 		return err
 	}
@@ -78,7 +80,7 @@ func run(name string, b fhe.Backend) error {
 	// single key-switch hop.
 	hops := 0
 	for sh := rows / 2; sh >= 1; sh /= 2 {
-		rot, err := s.RotateSlots(acc, sh, gk)
+		rot, err := s.RotateSlotsCtx(ctx, acc, sh, gk)
 		if err != nil {
 			return err
 		}

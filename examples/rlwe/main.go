@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"slices"
@@ -28,7 +29,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scheme := fhe.NewScheme(params, 42)
+	ctx := context.Background()
+	scheme := fhe.NewBackendScheme(fhe.NewRingBackend(params), 42)
 	sk := scheme.KeyGen()
 
 	// Two plaintext vectors (packed as polynomial coefficients).
@@ -68,7 +70,7 @@ func main() {
 		n, ok, m1[3], m2[3], dec[3])
 
 	// Homomorphic rotation: multiply by the monomial x (negacyclic shift).
-	x := make([]u128.U128, n)
+	x := make([]u128.U128, n) // the 128-bit backend's polynomial handle
 	x[1] = u128.One
 	rot, err := scheme.MulPlain(c1, x)
 	if err != nil {
@@ -87,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prodCT, err := scheme.MulCiphertexts(c1, c2, rlk)
+	prodCT, err := scheme.MulCiphertextsCtx(ctx, c1, c2, rlk)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rprodCT, err := rs.MulCiphertexts(rc1, rc2, rrlk)
+	rprodCT, err := rs.MulCiphertextsCtx(ctx, rc1, rc2, rrlk)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -194,11 +196,11 @@ func main() {
 	}
 
 	runDepth3 := func(towers int, switching bool) (got []uint64, budget int, level int) {
-		ctx, err := rns.NewContext(59, towers, n)
+		lc, err := rns.NewContext(59, towers, n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		b, err := fhe.NewRNSBackend(ctx, ladderT)
+		b, err := fhe.NewRNSBackend(lc, ladderT)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -213,11 +215,11 @@ func main() {
 			log.Fatal(err)
 		}
 		for d := 0; d < 3; d++ {
-			if ct, err = s.MulCiphertexts(ct, ct, rlk); err != nil {
+			if ct, err = s.MulCiphertextsCtx(ctx, ct, ct, rlk); err != nil {
 				log.Fatal(err)
 			}
 			if switching && d < 2 {
-				if ct, err = s.ModSwitch(ct); err != nil {
+				if ct, err = s.ModSwitchCtx(ctx, ct); err != nil {
 					log.Fatal(err)
 				}
 			}

@@ -9,7 +9,7 @@ package fixture
 import (
 	"context"
 
-	"mqxgo/internal/fhe"
+	"mqxgo/internal/ring"
 )
 
 // phaseGate mirrors the backends' tower-phase checkpoint.
@@ -60,19 +60,20 @@ func launder(ctx context.Context, n int) int {
 	return n + 1
 }
 
-// evalBare calls the bare scheme API from a ctxstrict package: the
-// admission deadline never reaches the tower phases.
-func evalBare(s *fhe.BackendScheme, ct fhe.BackendCiphertext) {
-	s.ModSwitch(ct) // want `calls fhe\.BackendScheme\.ModSwitch from a //mqx:ctxstrict package, but ModSwitchCtx exists`
+// evalBare calls a bare dispatch from a ctxstrict package although its
+// cancellable sibling exists: the admission deadline never reaches the
+// chunks.
+func evalBare(n int, chunk func(start, end int)) {
+	ring.ParallelChunks(n, 0, chunk) // want `calls ring\.ParallelChunks from a //mqx:ctxstrict package, but ParallelChunksCtx exists`
 }
 
 // evalCtx is the compliant caller.
-func evalCtx(ctx context.Context, s *fhe.BackendScheme, ct fhe.BackendCiphertext) (fhe.BackendCiphertext, error) {
-	return s.ModSwitchCtx(ctx, ct)
+func evalCtx(ctx context.Context, n int, chunk func(start, end int)) error {
+	return ring.ParallelChunksCtx(ctx, n, 0, chunk)
 }
 
 // evalAllowed is evalBare consciously accepted, reason in scope.
-func evalAllowed(s *fhe.BackendScheme, ct fhe.BackendCiphertext) {
+func evalAllowed(n int, chunk func(start, end int)) {
 	//mqx:allow ctxphase fixture exercises the bare path deliberately
-	s.ModSwitch(ct)
+	ring.ParallelChunks(n, 0, chunk)
 }

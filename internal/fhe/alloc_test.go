@@ -1,13 +1,14 @@
 package fhe
 
 import (
+	"context"
 	"testing"
 
 	"mqxgo/internal/rns"
 )
 
-// allocFixture builds a single-worker RNS backend (the zero-allocation
-// configuration: the tower dispatch runs as plain loops, no pool
+// allocFixture builds a width-1 RNS backend (the zero-allocation
+// configuration: the tower dispatch runs on the caller, no pool
 // submission) with two encryptions of the same message and relin and
 // Galois keys.
 func allocFixture(t *testing.T, levels int) (Backend, *BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
@@ -59,11 +60,11 @@ func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 	}
 	b, _, rlk, _, c1, c2 := allocFixture(t, 2)
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-	if err := b.MulCt(&dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
+	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCt(&dst, c1, c2, rlk); err != nil {
+		if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -81,11 +82,11 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	}
 	b, _, rlk, _, c1, _ := allocFixture(t, 2)
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-	if err := b.MulCt(&dst, c1, c1, rlk); err != nil {
+	if err := b.MulCtCtx(context.Background(), &dst, c1, c1, rlk); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCt(&dst, c1, c1, rlk); err != nil {
+		if err := b.MulCtCtx(context.Background(), &dst, c1, c1, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -93,9 +94,10 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRNSMulCtCoeffDoesNotAllocate keeps the PR 5 coefficient-domain
-// pipeline — still reachable through ConvertDomain and coefficient-domain
-// handles — under the same gate.
+// TestRNSMulCtCoeffDoesNotAllocate holds the coefficient-domain adapter
+// (coeffIn / coeffOut around the resident steps, reached by handles that
+// went through ConvertDomain) to the same gate: it parks the operand
+// transforms in pooled rows, so it may not allocate either.
 func TestRNSMulCtCoeffDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -110,11 +112,11 @@ func TestRNSMulCtCoeffDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCt(&dst, cc1, cc2, rlk); err != nil {
+	if err := b.MulCtCtx(context.Background(), &dst, cc1, cc2, rlk); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCt(&dst, cc1, cc2, rlk); err != nil {
+		if err := b.MulCtCtx(context.Background(), &dst, cc1, cc2, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -132,11 +134,11 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 	}
 	b, _, _, _, ct, _ := allocFixture(t, 3)
 	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: DomainNTT}
-	if err := b.ModSwitch(&dst, ct); err != nil { // warm the rescale scratch pool
+	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.ModSwitch(&dst, ct); err != nil {
+		if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -155,11 +157,11 @@ func TestRNSModSwitchCoeffDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
-	if err := b.ModSwitch(&dst, cct); err != nil {
+	if err := b.ModSwitchCtx(context.Background(), &dst, cct); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.ModSwitch(&dst, cct); err != nil {
+		if err := b.ModSwitchCtx(context.Background(), &dst, cct); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -177,27 +179,43 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, _, gk, c1, _ := allocFixture(t, 2)
+	b, s, _, gk, c1, _ := allocFixture(t, 2)
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-	if err := b.RotateSlots(&dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
+	if err := b.RotateSlotsCtx(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.RotateSlots(&dst, c1, 3, gk); err != nil {
+		if err := b.RotateSlotsCtx(context.Background(), &dst, c1, 3, gk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("RNS resident RotateSlots allocates %.1f per run, want 0", got)
 	}
-	if err := b.Conjugate(&dst, c1, gk); err != nil {
+	if err := b.ConjugateCtx(context.Background(), &dst, c1, gk); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.Conjugate(&dst, c1, gk); err != nil {
+		if err := b.ConjugateCtx(context.Background(), &dst, c1, gk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("RNS resident Conjugate allocates %.1f per run, want 0", got)
+	}
+	// The same chain on a coefficient-domain handle, through the adapter.
+	cc1, err := s.ConvertDomain(c1, DomainCoeff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.Domain = DomainCoeff
+	if err := b.RotateSlotsCtx(context.Background(), &dst, cc1, 3, gk); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if err := b.RotateSlotsCtx(context.Background(), &dst, cc1, 3, gk); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("RNS coefficient RotateSlots allocates %.1f per run, want 0", got)
 	}
 }
 

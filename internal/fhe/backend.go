@@ -22,8 +22,8 @@ type Poly any
 // MulCt/ModSwitch keep it, and coefficient form appears only at the
 // Encrypt/Decrypt boundaries and inside the BEHZ base-extension steps
 // where positional coefficients are mandatory. DomainCoeff is the zero
-// value, so directly-constructed ciphertexts (tests, the legacy
-// fhe.Scheme wrapper) keep their historical coefficient-domain meaning.
+// value, so a ciphertext constructed directly from coefficient polynomials
+// means what it says.
 type Domain uint8
 
 const (
@@ -128,59 +128,54 @@ type Backend interface {
 	NoiseBits(level int, a Poly, msg []uint64) int
 	// RelinKeyGen builds a relinearization key for the secret s: at
 	// every level of the chain, gadget encryptions of s^2 (stored in the
-	// NTT domain) that MulCt uses to bring a degree-2 tensor product
+	// NTT domain) that MulCtCtx uses to bring a degree-2 tensor product
 	// back to a degree-1 ciphertext. The key representation is
 	// backend-owned and must not be mixed across backends.
 	RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey
-	// MulCt computes the homomorphic product of ct1 and ct2 into dst:
+	// MulCtCtx computes the homomorphic product of ct1 and ct2 into dst:
 	// tensor product over the integers in the CURRENT level's basis,
 	// rescale by T/Q_l, and relinearization with rlk's keys for that
 	// level, so dst decrypts (degree-1, via the usual B - A*S) to the
 	// negacyclic product of the plaintexts mod T, noise permitting.
 	// ct1, ct2, and dst must share one level AND one domain (set
-	// dst.Domain before the call; domain-mismatched handles are
-	// rejected); dst's components must be distinct polynomials not
-	// aliasing ct1's or ct2's. With DomainNTT operands the RNS backend
-	// runs the resident pipeline: the tensor consumes the operands'
-	// evaluation form directly, per-tower work dispatches through the
-	// worker pool, and the relinearized result is returned resident —
-	// only the BEHZ base-extension and divide-and-round steps touch
-	// coefficient form. Malformed handles, mixed-backend keys, and
-	// out-of-range tensors (the oracle backend's rescale detection)
-	// return errors. The RNS backend is allocation-free in steady state
-	// (sequential dispatch; parallel dispatch pays the pool's fixed
-	// per-chunk closure cost); the 128-bit oracle backend favors
-	// exactness over allocation discipline.
-	MulCt(dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error
-	// ModSwitch rescales ct from its level to level+1 into dst: every
+	// dst.Level and dst.Domain before the call; mismatched handles are
+	// rejected), and the result rests in that domain. Malformed handles,
+	// mixed-backend keys, and out-of-range tensors (the oracle backend's
+	// rescale detection) return errors. ctx is observed at the four phase
+	// boundaries (base extension, tensor, divide-and-round,
+	// relinearization): a phase runs to completion or not at all, and once
+	// ctx fires the call returns ctx.Err() itself — errors.Is(err,
+	// context.DeadlineExceeded) works without unwrapping — with dst's
+	// contents unspecified, to be discarded.
+	MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error
+	// ModSwitchCtx rescales ct from its level to level+1 into dst: every
 	// coefficient becomes round(c * Q_{l+1} / Q_l), dividing the noise
 	// by the dropped factor along with the modulus. dst must be shaped
 	// for ct.Level+1 with dst.Level already set and dst.Domain matching
-	// ct's. DomainNTT ciphertexts stay resident: only the dropped tower
-	// is inverse-transformed (rns.Rescaler.RescaleNTTInto). The RNS path
-	// is allocation-free in steady state.
-	ModSwitch(dst *BackendCiphertext, ct BackendCiphertext) error
+	// ct's; the result rests in that domain. ctx is observed before the
+	// switch starts and between the two components, with MulCtCtx's abort
+	// contract.
+	ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error
 	// GaloisKeyGen builds the slot-rotation key set for the secret s: at
 	// every level of the chain, gadget encryptions of tau_g(s) — the
 	// same per-level NTT-domain gadget RelinKeyGen uses — for the
 	// power-of-two rotation elements g = 3^(2^j) mod 2N plus the
-	// conjugation element 2N-1. RotateSlots composes power-of-two hops,
+	// conjugation element 2N-1. RotateSlotsCtx composes power-of-two hops,
 	// so one key set covers every rotation amount with O(log N) key
 	// material. The key representation is backend-owned and must not be
 	// mixed across backends.
 	GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey
-	// RotateSlots key-switches ct through the automorphism that rotates
-	// both slot rows left by steps (negative steps rotate right),
-	// writing the result into dst: dst must be shaped for ct's level
-	// with dst.Level and dst.Domain already matching and storage not
-	// aliasing ct's. Resident (DomainNTT) ciphertexts stay resident —
-	// the automorphism is a pure permutation of the evaluation rows and
-	// the key-switch accumulates in the evaluation domain. The RNS path
-	// is allocation-free in steady state (workers == 1).
-	RotateSlots(dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error
-	// Conjugate applies the row-swap automorphism x -> x^(2N-1) with the
-	// same contract as RotateSlots.
-	Conjugate(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error
+	// RotateSlotsCtx key-switches ct through the automorphism that
+	// rotates both slot rows left by steps (negative steps rotate right),
+	// writing the result into dst: dst must be shaped for ct's level with
+	// dst.Level and dst.Domain already matching, and its storage must not
+	// alias ct's (rejected). The result rests in ct's domain. ctx is
+	// observed before every power-of-two key-switch hop, with MulCtCtx's
+	// abort contract.
+	RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error
+	// ConjugateCtx applies the row-swap automorphism x -> x^(2N-1) with
+	// the same contract as RotateSlotsCtx.
+	ConjugateCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error
 }
 
 // BackendRelinKey is an opaque backend-owned relinearization key handle.
@@ -188,15 +183,6 @@ type BackendRelinKey any
 
 // BackendGaloisKey is an opaque backend-owned slot-rotation key handle.
 type BackendGaloisKey any
-
-// CoeffDomainRelinKeyGenerator is implemented by backends that can also
-// build their relinearization keys in the COEFFICIENT domain — the PR 4
-// layout whose per-multiply key-transform cost the NTT-domain default
-// eliminates. It exists as the benchmark comparison axis (benchjson
-// -out5); production callers want Backend.RelinKeyGen.
-type CoeffDomainRelinKeyGenerator interface {
-	RelinKeyGenCoeffDomain(s Poly, rng *rand.Rand) BackendRelinKey
-}
 
 // BackendSecretKey is a small ternary secret polynomial (level 0).
 type BackendSecretKey struct {
@@ -216,8 +202,7 @@ type BackendCiphertext struct {
 }
 
 // BackendScheme is the symmetric-key RLWE ("BFV-style") scheme written
-// once against the Backend seam; fhe.Scheme specializes it to the 128-bit
-// ring for API compatibility. The rand.Rand source keeps examples and
+// once against the Backend seam. The rand.Rand source keeps examples and
 // tests reproducible; production code would use crypto/rand.
 //
 // A BackendScheme is safe for concurrent use: the evaluation entry points
@@ -329,7 +314,7 @@ func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 // NTT-RESIDENT (DomainNTT): sampling, key product, and message embedding
 // happen in coefficient form, then both components forward-transform once
 // — the last mandatory transform until Decrypt, as far as the linear ops,
-// MulCiphertexts, and ModSwitch are concerned.
+// MulCiphertextsCtx, and ModSwitchCtx are concerned.
 func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphertext, error) {
 	if err := s.checkSecret(sk); err != nil {
 		return BackendCiphertext{}, err
@@ -374,7 +359,7 @@ func (s *BackendScheme) coeffAB(ct BackendCiphertext) (a, b Poly) {
 // ConvertDomain returns a copy of ct with its components resting in
 // domain d — the explicit boundary crossing between the resident
 // double-CRT world and coefficient-form consumers (serialization, the
-// legacy fhe.Scheme wrapper, coefficient-domain benchmark fixtures).
+// differential tests that hold one handle in each domain).
 // Converting to the domain ct already rests in returns an independent
 // copy. Decryption commutes with this conversion bit-for-bit: the
 // transforms are exact, so a resident chain checked through ConvertDomain
@@ -459,7 +444,7 @@ func (s *BackendScheme) Neg(ct BackendCiphertext) (BackendCiphertext, error) {
 }
 
 // RelinKeyGen samples a relinearization key for sk, required by
-// MulCiphertexts. One key serves any number of multiplications at any
+// MulCiphertextsCtx. One key serves any number of multiplications at any
 // level of the chain. A secret-key handle from another backend is
 // rejected here — key generation indexes deep into the handle and must
 // never see a foreign one.
@@ -473,7 +458,7 @@ func (s *BackendScheme) RelinKeyGen(sk BackendSecretKey) (BackendRelinKey, error
 }
 
 // GaloisKeyGen samples the slot-rotation key set for sk, required by
-// RotateSlots and Conjugate. One key set serves every rotation amount at
+// RotateSlotsCtx and ConjugateCtx. One key set serves every rotation amount at
 // every level of the chain (power-of-two hops compose). Foreign secret
 // keys are rejected, as in RelinKeyGen.
 func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, error) {
@@ -485,58 +470,71 @@ func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, err
 	return s.B.GaloisKeyGen(sk.S, s.rng), nil
 }
 
-// RotateSlots homomorphically rotates both slot rows of ct left by steps
-// (negative steps rotate right): the result decrypts — after DecodeSlots —
-// to the slot vector of ct rotated within each row. Requires a Galois key
-// from this scheme's backend; the key-switch adds relin-gadget-sized
-// noise per power-of-two hop.
-func (s *BackendScheme) RotateSlots(ct BackendCiphertext, steps int, gk BackendGaloisKey) (BackendCiphertext, error) {
-	return s.RotateSlotsCtx(context.Background(), ct, steps, gk)
-}
-
-// Conjugate homomorphically swaps the two slot rows of ct (the Galois
-// element -1), with the same contract as RotateSlots.
-func (s *BackendScheme) Conjugate(ct BackendCiphertext, gk BackendGaloisKey) (BackendCiphertext, error) {
-	return s.ConjugateCtx(context.Background(), ct, gk)
-}
-
-// MulCiphertexts is homomorphic multiplication at the operands' shared
-// level: the result decrypts to NegacyclicProductModT of the two
-// plaintexts, noise permitting. Each multiply grows the noise roughly as
-// documented at MulNoiseBoundBits; once the budget is gone, decryption
-// fails. Running the chain down the modulus ladder (ModSwitch between
-// multiplies) makes every subsequent multiply cheaper — fewer towers,
-// smaller transforms — at the same decryption correctness.
-func (s *BackendScheme) MulCiphertexts(c1, c2 BackendCiphertext, rlk BackendRelinKey) (BackendCiphertext, error) {
-	if err := s.checkCts(c1, c2); err != nil {
+// evalCtx is the shape the four evaluation entry points share: observe
+// ctx before starting, validate the operands (one backend, one level, one
+// domain), allocate the result drop levels below them in their domain, and
+// run eval into it. On any error — ctx.Err() itself once the context has
+// fired, at this check or at one of the backend's phase boundaries — the
+// zero ciphertext is returned, never a partially written one.
+func (s *BackendScheme) evalCtx(ctx context.Context, drop int, eval func(out *BackendCiphertext) error, cts ...BackendCiphertext) (BackendCiphertext, error) {
+	if err := ctx.Err(); err != nil {
 		return BackendCiphertext{}, err
 	}
-	l := c1.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: c1.Domain}
-	if err := s.B.MulCt(&out, c1, c2, rlk); err != nil {
+	if err := s.checkCts(cts...); err != nil {
+		return BackendCiphertext{}, err
+	}
+	l := cts[0].Level + drop
+	if l >= s.B.Levels() {
+		return BackendCiphertext{}, fmt.Errorf("fhe: ciphertext already at bottom level %d", cts[0].Level)
+	}
+	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: cts[0].Domain}
+	if err := eval(&out); err != nil {
 		return BackendCiphertext{}, err
 	}
 	return out, nil
 }
 
-// ModSwitch moves a ciphertext one level down the modulus chain:
+// MulCiphertextsCtx is homomorphic multiplication at the operands' shared
+// level: the result decrypts to NegacyclicProductModT of the two
+// plaintexts, noise permitting. Each multiply grows the noise roughly as
+// documented at MulNoiseBoundBits; once the budget is gone, decryption
+// fails. Running the chain down the modulus ladder (ModSwitchCtx between
+// multiplies) makes every subsequent multiply cheaper — fewer towers,
+// smaller transforms — at the same decryption correctness.
+func (s *BackendScheme) MulCiphertextsCtx(ctx context.Context, c1, c2 BackendCiphertext, rlk BackendRelinKey) (BackendCiphertext, error) {
+	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
+		return s.B.MulCtCtx(ctx, out, c1, c2, rlk)
+	}, c1, c2)
+}
+
+// ModSwitchCtx moves a ciphertext one level down the modulus chain:
 // coefficients (and noise) are divided-and-rounded by the dropped modulus
 // factor. The plaintext is unchanged; what shrinks is the cost of every
 // subsequent operation. Fails when the ciphertext is malformed or already
 // at the bottom of the chain.
-func (s *BackendScheme) ModSwitch(ct BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(ct); err != nil {
-		return BackendCiphertext{}, err
-	}
-	if ct.Level >= s.B.Levels()-1 {
-		return BackendCiphertext{}, fmt.Errorf("fhe: ciphertext already at bottom level %d", ct.Level)
-	}
-	l := ct.Level + 1
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: ct.Domain}
-	if err := s.B.ModSwitch(&out, ct); err != nil {
-		return BackendCiphertext{}, err
-	}
-	return out, nil
+func (s *BackendScheme) ModSwitchCtx(ctx context.Context, ct BackendCiphertext) (BackendCiphertext, error) {
+	return s.evalCtx(ctx, 1, func(out *BackendCiphertext) error {
+		return s.B.ModSwitchCtx(ctx, out, ct)
+	}, ct)
+}
+
+// RotateSlotsCtx homomorphically rotates both slot rows of ct left by
+// steps (negative steps rotate right): the result decrypts — after
+// DecodeSlots — to the slot vector of ct rotated within each row. Requires
+// a Galois key from this scheme's backend; the key-switch adds
+// relin-gadget-sized noise per power-of-two hop.
+func (s *BackendScheme) RotateSlotsCtx(ctx context.Context, ct BackendCiphertext, steps int, gk BackendGaloisKey) (BackendCiphertext, error) {
+	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
+		return s.B.RotateSlotsCtx(ctx, out, ct, steps, gk)
+	}, ct)
+}
+
+// ConjugateCtx homomorphically swaps the two slot rows of ct (the Galois
+// element -1), with the same contract as RotateSlotsCtx.
+func (s *BackendScheme) ConjugateCtx(ctx context.Context, ct BackendCiphertext, gk BackendGaloisKey) (BackendCiphertext, error) {
+	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
+		return s.B.ConjugateCtx(ctx, out, ct, gk)
+	}, ct)
 }
 
 // MulNoiseBoundBits bounds the noise magnitude (in bits) of a MulCt
@@ -651,7 +649,7 @@ func (s *BackendScheme) AddPlain(ct BackendCiphertext, msg []uint64) (BackendCip
 }
 
 // NegacyclicProductModT is the schoolbook product in Z_T[x]/(x^n + 1):
-// the plaintext-side ground truth a MulCiphertexts result decrypts to.
+// the plaintext-side ground truth a MulCiphertextsCtx result decrypts to.
 // O(n^2) — it exists for tests, demos, and benchmark gates, not for
 // performance.
 func NegacyclicProductModT(m1, m2 []uint64, t uint64) []uint64 {

@@ -17,8 +17,7 @@ import (
 
 // ringBackend runs the scheme on the library's primary configuration:
 // 128-bit double-word rings with the Barrett-multiplied 128-bit NTT. Its
-// Poly handles are plain []u128.U128, so the legacy Scheme API unwraps
-// them at zero cost.
+// Poly handles are plain []u128.U128.
 //
 // For homomorphic multiplication this backend is the exactness oracle the
 // differential harness trusts: the ciphertext tensor product is computed
@@ -434,17 +433,12 @@ func (b *ringBackend) scaleRoundInto(lv *ringLevel, out []u128.U128, coeffs []*b
 	return nil
 }
 
-// MulCt is the oracle homomorphic multiply at the operands' level: exact
-// integer tensor product via the wide CRT basis, exact big-int rescale by
-// T/q_l, then 2^31-gadget relinearization with the level's keys. dst must
-// not alias the inputs.
-func (b *ringBackend) MulCt(dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
-	return b.MulCtCtx(context.Background(), dst, ct1, ct2, rlk)
-}
-
-// MulCtCtx is MulCt with the DeadlineBackend contract: ctx is observed at
-// the same four phase boundaries as the RNS pipeline (lift/decompose,
-// integer tensor, exact rescale, relinearization).
+// MulCtCtx is the oracle homomorphic multiply at the operands' level:
+// exact integer tensor product via the wide CRT basis, exact big-int
+// rescale by T/q_l, then 2^31-gadget relinearization with the level's
+// keys. ctx is observed at the same four phase boundaries as the RNS
+// pipeline (lift/decompose, integer tensor, exact rescale,
+// relinearization).
 func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	key, ok := rlk.(*ringRelinKey)
 	if !ok {
@@ -658,14 +652,6 @@ func (b *ringBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 	return key
 }
 
-func (b *ringBackend) RotateSlots(dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
-	return b.RotateSlotsCtx(context.Background(), dst, ct, steps, gk)
-}
-
-func (b *ringBackend) Conjugate(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error {
-	return b.ConjugateCtx(context.Background(), dst, ct, gk)
-}
-
 // RotateSlotsCtx rotates both slot rows left by steps, one key-switch hop
 // per set bit of the rotation. Like the oracle's MulCt, every hop runs
 // the automorphism on positional coefficients (resident inputs cross out
@@ -708,14 +694,22 @@ func (b *ringBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCipherte
 	if dst.Domain != ct.Domain {
 		return nil, fmt.Errorf("fhe: rotate domain mismatch: %s -> %s", ct.Domain, dst.Domain)
 	}
+	var src [2][]u128.U128
 	for i, op := range []Poly{ct.A, ct.B} {
-		if x, ok := op.([]u128.U128); !ok || len(x) != b.p.N {
+		x, ok := op.([]u128.U128)
+		if !ok || len(x) != b.p.N {
 			return nil, fmt.Errorf("fhe: malformed rotate operand %d on the %s backend", i, b.Name())
 		}
+		src[i] = x
 	}
 	for i, op := range []Poly{dst.A, dst.B} {
-		if x, ok := op.([]u128.U128); !ok || len(x) != b.p.N {
+		x, ok := op.([]u128.U128)
+		if !ok || len(x) != b.p.N {
 			return nil, fmt.Errorf("fhe: malformed rotate destination %d on the %s backend", i, b.Name())
+		}
+		// Every handle is N long, so same storage is same first element.
+		if &x[0] == &src[0][0] || &x[0] == &src[1][0] {
+			return nil, fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
 		}
 	}
 	return key, nil
@@ -845,16 +839,11 @@ func (b *ringBackend) galoisHop(lv *ringLevel, lkey *ringLevelKey, tab *ring.Gal
 	}
 }
 
-// ModSwitch is the oracle's exact modulus switch: every coefficient moves
-// from level l to l+1 as the big-integer round(c * q_{l+1} / q_l) of its
-// centered value — the bit-exactness ground truth the RNS Rescaler path
-// is differentially tested against.
-func (b *ringBackend) ModSwitch(dst *BackendCiphertext, ct BackendCiphertext) error {
-	return b.ModSwitchCtx(context.Background(), dst, ct)
-}
-
-// ModSwitchCtx is ModSwitch with the DeadlineBackend contract: ctx is
-// observed before the switch starts and between the two components.
+// ModSwitchCtx is the oracle's exact modulus switch: every coefficient
+// moves from level l to l+1 as the big-integer round(c * q_{l+1} / q_l) of
+// its centered value — the bit-exactness ground truth the RNS Rescaler
+// path is differentially tested against. ctx is observed before the switch
+// starts and between the two components.
 func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level+1 >= len(b.levels) {
 		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, len(b.levels))

@@ -36,39 +36,46 @@ import (
 // PR 4 kQ operand overshoot is gone), the tensor and the T/Q_l
 // divide-and-round run tower-by-tower on the plan kernels, and the result
 // returns to base Q_l through the exact Shenoy-Kumaresan conversion
-// (rns.SKConverter). Relinearization keys are stored per level in that
-// level's NTT domain, so the per-multiply key-side forward transforms are
-// gone. All multiply state is pooled per level; steady-state MulCt and
-// ModSwitch allocate nothing in the workers == 1 configuration.
+// (rns.SKConverter). Relinearization and Galois keys are stored per level
+// in that level's NTT domain, so no multiply or rotation transforms a key
+// row. All evaluation state is pooled per level; steady-state MulCtCtx,
+// RotateSlotsCtx and ModSwitchCtx allocate nothing at dispatch width 1
+// (wider dispatch pays the ring worker pool's per-call bookkeeping).
 //
-// Since PR 6 ciphertexts REST in the twisted-evaluation (double-CRT)
-// domain, and MulCt has two pipelines keyed off the operands' Domain tag:
+// Ciphertexts REST in the twisted-evaluation (double-CRT) domain, and
+// there is ONE multiply pipeline, written for resident operands
+// (mulResident): the Q-base tensor consumes the operands' evaluation form
+// directly (zero forward transforms), the operands cross to coefficient
+// form exactly once for the m~-corrected extension, squared operands are
+// detected by row identity and extended/transformed once instead of
+// twice, and the relinearized result is returned resident (the
+// accumulators already live in the evaluation domain, so the result adds
+// NTT(c0/c1) instead of leaving the domain). Coefficient form survives
+// only where BEHZ needs positional digits: the base conversions and the
+// rounding offsets. The Galois key switch (galoisHop) is a second, shorter
+// pipeline over the same frame and the same key-switch accumulate.
 //
-//   - DomainCoeff: the PR 5 pipeline, bit-for-bit — each tensor tower
-//     forward-transforms its four operand rows, multiplies pointwise, and
-//     inverse-transforms the three products.
-//   - DomainNTT (the resident pipeline): the Q-base tensor consumes the
-//     operands' evaluation form directly (zero forward transforms), the
-//     operands cross to coefficient form exactly once for the m~-corrected
-//     extension, squared operands are detected by row identity and
-//     extended/transformed once instead of twice, and the relinearized
-//     result is returned resident (the accumulators already live in the
-//     evaluation domain, so the result adds NTT(c0/c1) instead of leaving
-//     the domain). Coefficient form survives only where BEHZ needs
-//     positional digits: the base conversions and the rounding offsets.
+// Each pipeline is a straight-line list of steps under its phaseGate
+// sites. A step is either a per-tower body — dispatched by the one helper,
+// rnsBackend.towers, whose width (b.workers) is the only difference
+// between the sequential and the tower-parallel configuration — or a
+// per-coefficient BEHZ conversion run inline on the calling goroutine:
+// the operand extension, the divide-and-round (rnsLevel.scaleRound), the
+// exact return and the ladder's rescale each hand rows and precomputed
+// weights to ring.AffineRows on the plan's kernel tier; see
+// rns/baseconv.go for the row and weight table.
 //
-// Every per-coefficient BEHZ step of both pipelines — the operand
-// extension, the divide-and-round (rnsLevel.scaleRound), the exact return
-// and the ladder's rescale — hands rows and precomputed weights to
-// ring.AffineRows on the plan's kernel tier; see rns/baseconv.go for the
-// row and weight table. Both pipelines dispatch their transform-bearing
-// per-tower phases (crossing, tensor, relinearization) through the shared
-// ring.ParallelChunks worker pool when workers != 1; the conversions run
-// inline on the calling goroutine.
+// Coefficient-domain handles (DomainCoeff, reachable through
+// ConvertDomain) are still accepted by MulCtCtx, RotateSlotsCtx and
+// ConjugateCtx through one adapter around the resident steps (coeffIn /
+// coeffOut): the operands forward-transform into pooled rows that are
+// idle until the key switch, and the landed result inverse-transforms in
+// place. Every transform is exact, so the result is bit-identical to
+// converting, evaluating resident and converting back.
 type rnsBackend struct {
 	t       uint64
 	k       int // towers at level 0
-	workers int // tower-dispatch width: 1 sequential/zero-alloc, 0 GOMAXPROCS
+	workers int // tower-dispatch width, resolved at construction (never 0)
 	levels  []*rnsLevel
 }
 
@@ -117,39 +124,69 @@ type rnsLevel struct {
 	mulPool sync.Pool
 }
 
-// rnsMulScratch is the pooled working set of one MulCt call at one level.
-// The per-TOWER-disjoint members (evE, opQ, zQ, liftQ, prodQ) exist so the
-// dispatched phases can run towers concurrently without sharing rows; the
-// flat rows (ev, zrow, lift, prod) serve the sequential coefficient-domain
-// pipeline, whose explicit loops are what escape analysis keeps
-// allocation-free.
+// rnsMulScratch is the pooled working set of one evaluation call (a
+// multiply or a rotation chain) at one level. Every member is shaped per
+// tower, so the dispatched steps run towers concurrently without sharing
+// rows.
 //
-// The struct doubles as the call frame of the dispatched phases: the
-// operand/destination fields are set at the top of MulCt so the parallel
-// closures capture ONE pointer (the scratch itself, already pooled)
-// instead of a fresh environment per phase.
+// The struct doubles as the call frame of the steps: the operand,
+// destination and key fields are set at the top of the call, and the one
+// dispatch closure (chunk, built with the frame in the pool's New)
+// captures the frame itself and reads the current step from body — so a
+// step costs no closure of its own, whatever the dispatch width.
 type rnsMulScratch struct {
-	opE              [4]rns.Poly // operands extended to the ext base
-	ev               [5][]uint64 // shared evaluation-domain rows (sequential path)
-	evE              [5]rns.Poly // per-tower evaluation-domain rows (ext-base shaped)
-	opQ              [4]rns.Poly // resident path: operand coefficient forms in Q_l
-	zQ               rns.Poly    // divide-and-round digits, then relin digit rows
-	liftQ, prodQ     rns.Poly    // per-tower relin scratch (parallel + resident)
-	c0Q, c1Q, c2Q    rns.Poly    // tensor, then scaled ciphertext, in Q_l
-	c0E, c1E, c2E    rns.Poly    // tensor in the ext base
-	convE            rns.Poly    // FastBConv([w]_Q) landing buffer
-	extRows          [][]uint64  // row list of the divide-and-round's extension step
-	zrow, lift, prod []uint64    // relin digit, lifted digit, product rows
-	accA, accB       rns.Poly    // relin evaluation-domain accumulators
+	opE           [4]rns.Poly // operands extended to the ext base
+	evE           [5]rns.Poly // per-tower evaluation-domain rows (ext-base shaped)
+	opQ           [4]rns.Poly // operand coefficient forms in Q_l; a rotation chain's hop buffers
+	zQ            rns.Poly    // divide-and-round digits, then key-switch digit rows
+	c0Q, c1Q, c2Q rns.Poly    // tensor, then scaled ciphertext, in Q_l
+	c0E, c1E, c2E rns.Poly    // tensor in the ext base
+	convE         rns.Poly    // FastBConv([w]_Q) landing buffer
+	extRows       [][]uint64  // row list of the divide-and-round's extension step
+	accA, accB    rns.Poly    // key-switch evaluation-domain accumulators
+	liftQ, prodQ  rns.Poly    // key-switch rows of the unfused accumulate
 
-	// Call frame for the dispatched phases.
-	lv           *rnsLevel
-	in           [4]rns.Poly // a1, b1, a2, b2 as passed
-	outA, outB   rns.Poly
-	lkey         *rnsLevelRelin
-	keyNTTDomain bool
-	squaring     bool               // operand rows of ct1 and ct2 are identical slices
-	gtab         *ring.GaloisTables // the galois hop's index maps (rotation path)
+	// Call frame for the dispatched steps.
+	lv         *rnsLevel
+	in         [4]rns.Poly // a1, b1, a2, b2 in evaluation form
+	outA, outB rns.Poly
+	lkey       *rnsLevelRelin
+	squaring   bool               // operand rows of ct1 and ct2 are identical slices
+	gtab       *ring.GaloisTables // the galois hop's index maps (rotation path)
+
+	body  func(sc *rnsMulScratch, i int) // the step towers is dispatching
+	chunk func(start, end int)           // runs body over [start, end)
+}
+
+// towers is the one tower dispatch: body runs for every i in [0, n), on
+// at most b.workers goroutines of the shared ring worker pool. Width 1 is
+// a plain loop on the caller (the pool's dispatch degenerates to
+// chunk(0, n)), so sequential versus tower-parallel is this argument and
+// not a code path. Steps of one call are issued one after another, each
+// dispatch a barrier, so a step may read anything an earlier step wrote.
+func (b *rnsBackend) towers(sc *rnsMulScratch, n int, body func(sc *rnsMulScratch, i int)) {
+	sc.body = body
+	ring.ParallelChunks(n, b.workers, sc.chunk)
+}
+
+// release returns a frame to its level's pool — or, when a panic is
+// unwinding through the evaluation, quarantines it: the frame may be torn
+// by whichever step panicked, so the GC reclaims it, the pool refills
+// fresh, and the panic continues to the caller's recovery layer.
+// Cancellation is an ordinary exit (the frame is intact, just abandoned
+// mid-math). The caller's polynomials and key rows are dropped first so
+// the pool never pins live ciphertext storage between calls. Deferred
+// directly, so recover() sees the caller's panic.
+func (sc *rnsMulScratch) release() {
+	if r := recover(); r != nil {
+		quarantinedScratch.Add(1)
+		panic(r)
+	}
+	lv := sc.lv
+	sc.lv, sc.lkey, sc.gtab, sc.squaring = nil, nil, nil, false
+	sc.in = [4]rns.Poly{}
+	sc.outA, sc.outB = rns.Poly{}, rns.Poly{}
+	lv.mulPool.Put(sc)
 }
 
 // NewRNSBackend wraps an RNS context and plaintext modulus t as a
@@ -163,13 +200,10 @@ func NewRNSBackend(c *rns.Context, t uint64) (Backend, error) {
 }
 
 // NewRNSBackendWorkers is NewRNSBackend with the tower-dispatch width
-// pinned. workers == 1 runs every per-tower phase as a plain sequential
-// loop — the zero-allocation configuration the alloc gates measure.
-// workers == 0 resolves to GOMAXPROCS at construction (the default): on
-// a single-CPU host that IS the sequential zero-allocation path, so the
-// default backend never pays pool dispatch it cannot use. Any other
-// positive value caps the pool fan-out at that many concurrent tower
-// chunks.
+// pinned: at most that many towers of a step run concurrently. 1 keeps
+// every step on the calling goroutine — the zero-allocation configuration
+// the alloc gates measure. 0 resolves to GOMAXPROCS at construction (the
+// default), which on a single-CPU host is that same configuration.
 func NewRNSBackendWorkers(c *rns.Context, t uint64, workers int) (Backend, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("fhe: negative worker count %d", workers)
@@ -351,7 +385,6 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 			convE: ext.NewPoly(), extRows: make([][]uint64, 2),
 			zQ: c.NewPoly(), liftQ: c.NewPoly(), prodQ: c.NewPoly(),
 			accA: c.NewPoly(), accB: c.NewPoly(),
-			zrow: make([]uint64, c.N), lift: make([]uint64, c.N), prod: make([]uint64, c.N),
 		}
 		for i := range sc.opE {
 			sc.opE[i] = ext.NewPoly()
@@ -359,13 +392,15 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		for i := range sc.opQ {
 			sc.opQ[i] = c.NewPoly()
 		}
-		for i := range sc.ev {
-			sc.ev[i] = make([]uint64, c.N)
-		}
 		for i := range sc.evE {
 			// Ext-base shaped (the wider base), so the same rows serve both
-			// bases' per-tower phases: m >= k and every row is length N.
+			// bases' per-tower steps: m >= k and every row is length N.
 			sc.evE[i] = ext.NewPoly()
+		}
+		sc.chunk = func(start, end int) {
+			for i := start; i < end; i++ {
+				sc.body(sc, i)
+			}
 		}
 		return sc
 	}
@@ -557,98 +592,106 @@ func (b *rnsBackend) NoiseBits(level int, a Poly, msg []uint64) int {
 
 // rnsRelinKey holds the RNS-gadget relinearization key, one set per
 // ladder level: for each tower i of level l, an encryption
-// (a_i, a_i*s + e_i + (Q_l/q_i)*s^2) under that level's basis. With
-// nttDomain set (the default and the fast path), both components are
-// stored per tower in the twisted-evaluation domain, so relinearization
-// pays one forward transform per digit-tower pair and two inverse
-// transforms per tower — the key-side transforms are all at keygen.
-// Coefficient-domain keys (RelinKeyGenCoeffDomain) pay two extra forward
-// transforms per digit-tower pair on EVERY multiply; they exist as the
-// benchmark comparison axis that measures what the NTT-domain layout
-// saves.
+// (a_i, a_i*s + e_i + (Q_l/q_i)*s^2) under that level's basis.
 type rnsRelinKey struct {
-	nttDomain bool
-	levels    []rnsLevelRelin
+	levels []rnsLevelRelin
 }
 
+// rnsLevelRelin is one level's gadget key-switch key — the relin key's
+// and every Galois entry's layout alike. Both components are stored per
+// tower in the twisted-evaluation domain, so a key switch pays one forward
+// transform per digit-tower pair and the key-side transforms are all at
+// keygen.
 type rnsLevelRelin struct {
 	a, b []rns.Poly
 
-	// aPre/bPre are the elementwise Shoup precomputations of the
-	// NTT-domain key rows (nil for coefficient-domain keys). With the
-	// second multiplicand fixed — the key — the relin inner product can
+	// aPre/bPre are the elementwise Shoup precomputations of the key rows.
+	// With the second multiplicand fixed — the key — the inner product can
 	// run as lazy Shoup products accumulated with plain integer adds,
 	// deferring the per-digit Barrett reduction to one pass per tower.
 	aPre, bPre []rns.Poly
 }
 
+// check validates a key level against the k-tower, degree-n level it is
+// about to be indexed at: a key of the right TYPE can still come from a
+// different backend instance (other tower count, other N).
+func (lk *rnsLevelRelin) check(what string, k, n int) error {
+	if len(lk.a) != k || len(lk.b) != k || len(lk.aPre) != k || len(lk.bPre) != k {
+		return fmt.Errorf("fhe: %s key has %d digits, want %d", what, len(lk.a), k)
+	}
+	for i := 0; i < k; i++ {
+		for _, p := range [4]rns.Poly{lk.a[i], lk.b[i], lk.aPre[i], lk.bPre[i]} {
+			if len(p.Res) != k || len(p.Res[0]) != n {
+				return fmt.Errorf("fhe: %s key digit %d shaped for another backend", what, i)
+			}
+		}
+	}
+	return nil
+}
+
+// gadgetKeyLevel builds one level's gadget encryption of target under s:
+// for each tower i, (a_i, a_i*s + e_i + (Q_l/q_i)*target), transformed
+// and Shoup-precomputed. target is a level-0 polynomial in coefficient
+// form whose tower PREFIX is its restriction to the level (s^2 and
+// tau_g(s) both act row-wise, so the restriction is free). Per digit the
+// generator draws a_i, then e_i — the order every committed key and test
+// vector depends on.
+func (b *rnsBackend) gadgetKeyLevel(level int, s Poly, target rns.Poly, rng *rand.Rand) rnsLevelRelin {
+	lv := b.levels[level]
+	c := lv.c
+	k := c.Channels()
+	sk := b.SecretAt(level, s).(rns.Poly)
+	noise := make([]int64, c.N)
+	e := c.NewPoly()
+	lk := rnsLevelRelin{}
+	for i := 0; i < k; i++ {
+		a := c.NewPoly()
+		sampleUniformCtx(c, a, rng)
+		for j := range noise {
+			noise[j] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
+		}
+		b.setSignedCtx(c, e, noise)
+		bb := c.NewPoly()
+		must(c.MulAll(bb, a, sk, 1)) // a_i * s
+		must(c.AddInto(bb, bb, e))   // + e_i
+		aPre, bPre := c.NewPoly(), c.NewPoly()
+		for tau := 0; tau < k; tau++ {
+			plan := c.Plans[tau].Generic()
+			// + (Q_l/q_i mod q_tau) * target, on the scale-accumulate kernel.
+			plan.ScaleAddInto(bb.Res[tau], bb.Res[tau], target.Res[tau], lv.gadget[i][tau])
+			plan.NegacyclicForwardInto(a.Res[tau], a.Res[tau])
+			plan.NegacyclicForwardInto(bb.Res[tau], bb.Res[tau])
+			mod := c.Mods[tau]
+			for j, v := range a.Res[tau] {
+				aPre.Res[tau][j] = mod.ShoupPrecompute(v)
+			}
+			for j, v := range bb.Res[tau] {
+				bPre.Res[tau][j] = mod.ShoupPrecompute(v)
+			}
+		}
+		lk.a = append(lk.a, a)
+		lk.b = append(lk.b, bb)
+		lk.aPre = append(lk.aPre, aPre)
+		lk.bPre = append(lk.bPre, bPre)
+	}
+	return lk
+}
+
 // RelinKeyGen builds the CRT-gadget relinearization key at every ladder
-// level, stored in the NTT domain. The gadget digits are the towers
-// themselves (z_i = [c2_i * (Q_l/q_i)^-1]_{q_i}, with
-// sum_i z_i*(Q_l/q_i) = c2 mod Q_l), so no integer digit extraction is
-// ever needed — the decomposition the paper's RNS philosophy already paid
-// for is the key-switching gadget, at every level.
+// level. The gadget digits are the towers themselves
+// (z_i = [c2_i * (Q_l/q_i)^-1]_{q_i}, with sum_i z_i*(Q_l/q_i) = c2 mod
+// Q_l), so no integer digit extraction is ever needed — the decomposition
+// the paper's RNS philosophy already paid for is the key-switching gadget,
+// at every level.
 func (b *rnsBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
-	return b.relinKeyGen(s, rng, true)
-}
-
-// RelinKeyGenCoeffDomain builds the same per-level key with both
-// components left in the coefficient domain — the PR 4-style layout whose
-// per-multiply transform cost the NTT-domain default eliminates. It
-// exists for benchmarks and tests; production callers want RelinKeyGen.
-func (b *rnsBackend) RelinKeyGenCoeffDomain(s Poly, rng *rand.Rand) BackendRelinKey {
-	return b.relinKeyGen(s, rng, false)
-}
-
-func (b *rnsBackend) relinKeyGen(s Poly, rng *rand.Rand, nttDomain bool) BackendRelinKey {
-	sk0 := s.(rns.Poly)
 	// s^2 per tower is level-independent (each tower's negacyclic square
-	// stands alone), so compute it once at level 0 and slice prefixes.
+	// stands alone), so compute it once at level 0.
+	sk0 := s.(rns.Poly)
 	s2 := b.levels[0].c.NewPoly()
 	must(b.levels[0].c.MulAll(s2, sk0, sk0, 1))
-	noise := make([]int64, b.N())
-	key := &rnsRelinKey{nttDomain: nttDomain}
-	for l, lv := range b.levels {
-		c := lv.c
-		k := c.Channels()
-		sk := b.SecretAt(l, s).(rns.Poly)
-		e := c.NewPoly()
-		lk := rnsLevelRelin{}
-		for i := 0; i < k; i++ {
-			a := c.NewPoly()
-			sampleUniformCtx(c, a, rng)
-			for j := range noise {
-				noise[j] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
-			}
-			b.setSignedCtx(c, e, noise)
-			bb := c.NewPoly()
-			must(c.MulAll(bb, a, sk, 1)) // a_i * s
-			must(c.AddInto(bb, bb, e))   // + e_i
-			for tau := 0; tau < k; tau++ {
-				// + (Q_l/q_i mod q_tau) * s^2, on the scale-accumulate kernel.
-				c.Plans[tau].Generic().ScaleAddInto(bb.Res[tau], bb.Res[tau], s2.Res[tau], lv.gadget[i][tau])
-			}
-			if nttDomain {
-				aPre, bPre := c.NewPoly(), c.NewPoly()
-				for tau := 0; tau < k; tau++ {
-					plan := c.Plans[tau].Generic()
-					plan.NegacyclicForwardInto(a.Res[tau], a.Res[tau])
-					plan.NegacyclicForwardInto(bb.Res[tau], bb.Res[tau])
-					mod := c.Mods[tau]
-					for j, v := range a.Res[tau] {
-						aPre.Res[tau][j] = mod.ShoupPrecompute(v)
-					}
-					for j, v := range bb.Res[tau] {
-						bPre.Res[tau][j] = mod.ShoupPrecompute(v)
-					}
-				}
-				lk.aPre = append(lk.aPre, aPre)
-				lk.bPre = append(lk.bPre, bPre)
-			}
-			lk.a = append(lk.a, a)
-			lk.b = append(lk.b, bb)
-		}
-		key.levels = append(key.levels, lk)
+	key := &rnsRelinKey{}
+	for l := range b.levels {
+		key.levels = append(key.levels, b.gadgetKeyLevel(l, s, s2, rng))
 	}
 	return key
 }
@@ -683,19 +726,14 @@ func galoisKeyElements(n int) []uint64 {
 	return append(gs, ring.ConjugationElement(n))
 }
 
-// GaloisKeyGen builds the per-level Galois key-switch keys, stored in the
-// NTT domain. Structurally this is RelinKeyGen with tau_g(s) in place of
-// s^2: for each covered element g and each tower i of level l, an
-// encryption (a_i, a_i*s + e_i + (Q_l/q_i)*tau_g(s)) under that level's
-// basis. tau_g(s) is computed once per g at level 0 in the coefficient
-// domain; a lower rung's secret is a tower PREFIX, and the automorphism
-// acts row-wise, so the restriction commutes with tau for free.
+// GaloisKeyGen builds the per-level Galois key-switch keys: RelinKeyGen
+// with tau_g(s) in place of s^2 for each covered element g. tau_g(s) is
+// computed once per g at level 0 in the coefficient domain.
 func (b *rnsBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 	sk0 := s.(rns.Poly)
 	n := b.N()
 	c0 := b.levels[0].c
 	tauS := c0.NewPoly()
-	noise := make([]int64, n)
 	key := &rnsGaloisKey{n: n, entries: make(map[uint64]*rnsGaloisEntry)}
 	for _, g := range galoisKeyElements(n) {
 		tab, err := ring.GaloisTablesFor(n, g)
@@ -704,65 +742,20 @@ func (b *rnsBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 			c0.Plans[tau].Generic().AutomorphismCoeffInto(tab, tauS.Res[tau], sk0.Res[tau])
 		}
 		entry := &rnsGaloisEntry{g: g, tab: tab}
-		for l, lv := range b.levels {
-			c := lv.c
-			k := c.Channels()
-			sk := b.SecretAt(l, s).(rns.Poly)
-			e := c.NewPoly()
-			lk := rnsLevelRelin{}
-			for i := 0; i < k; i++ {
-				a := c.NewPoly()
-				sampleUniformCtx(c, a, rng)
-				for j := range noise {
-					noise[j] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
-				}
-				b.setSignedCtx(c, e, noise)
-				bb := c.NewPoly()
-				must(c.MulAll(bb, a, sk, 1)) // a_i * s
-				must(c.AddInto(bb, bb, e))   // + e_i
-				for tau := 0; tau < k; tau++ {
-					// + (Q_l/q_i mod q_tau) * tau_g(s)
-					c.Plans[tau].Generic().ScaleAddInto(bb.Res[tau], bb.Res[tau], tauS.Res[tau], lv.gadget[i][tau])
-				}
-				aPre, bPre := c.NewPoly(), c.NewPoly()
-				for tau := 0; tau < k; tau++ {
-					plan := c.Plans[tau].Generic()
-					plan.NegacyclicForwardInto(a.Res[tau], a.Res[tau])
-					plan.NegacyclicForwardInto(bb.Res[tau], bb.Res[tau])
-					mod := c.Mods[tau]
-					for j, v := range a.Res[tau] {
-						aPre.Res[tau][j] = mod.ShoupPrecompute(v)
-					}
-					for j, v := range bb.Res[tau] {
-						bPre.Res[tau][j] = mod.ShoupPrecompute(v)
-					}
-				}
-				lk.a = append(lk.a, a)
-				lk.b = append(lk.b, bb)
-				lk.aPre = append(lk.aPre, aPre)
-				lk.bPre = append(lk.bPre, bPre)
-			}
-			entry.levels = append(entry.levels, lk)
+		for l := range b.levels {
+			entry.levels = append(entry.levels, b.gadgetKeyLevel(l, s, tauS, rng))
 		}
 		key.entries[g] = entry
 	}
 	return key
 }
 
-func (b *rnsBackend) RotateSlots(dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
-	return b.RotateSlotsCtx(context.Background(), dst, ct, steps, gk)
-}
-
-func (b *rnsBackend) Conjugate(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error {
-	return b.ConjugateCtx(context.Background(), dst, ct, gk)
-}
-
 // RotateSlotsCtx rotates both slot rows left by steps via the binary
 // decomposition of the rotation: one Galois key-switch hop per set bit,
-// each hop a permutation + CRT-gadget key switch that reuses the multiply
-// pipeline's pooled scratch and lazy fused-MAC accumulation. ctx is
-// observed before every hop. Zero allocations in steady state when
-// workers == 1; dst must not alias ct.
+// each hop a permutation + CRT-gadget key switch on the multiply's pooled
+// frame and key-switch accumulate. ctx is observed before every hop. dst
+// must not alias ct (checked: the permutation writes tau(B) straight into
+// dst).
 func (b *rnsBackend) RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
 	key, err := b.checkGaloisCall(dst, ct, gk)
 	if err != nil {
@@ -785,7 +778,7 @@ func (b *rnsBackend) ConjugateCtx(ctx context.Context, dst *BackendCiphertext, c
 
 // checkGaloisCall validates the rotate/conjugate arguments the way
 // MulCtCtx validates its own: key provenance first, then level and domain
-// agreement, then handle types and destination shape.
+// agreement, then handle types, destination shape and aliasing.
 func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) (*rnsGaloisKey, error) {
 	key, ok := gk.(*rnsGaloisKey)
 	if !ok {
@@ -819,6 +812,9 @@ func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertex
 		len(dstA.Res[0]) != c.N || len(dstB.Res[0]) != c.N {
 		return nil, fmt.Errorf("fhe: rotate operands not shaped for level %d", ct.Level)
 	}
+	if sameRows(dstA, srcA) || sameRows(dstA, srcB) || sameRows(dstB, srcA) || sameRows(dstB, srcB) {
+		return nil, fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
+	}
 	return key, nil
 }
 
@@ -830,8 +826,7 @@ func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertex
 func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, key *rnsGaloisKey, steps int, conj bool) error {
 	n := b.N()
 	lv := b.levels[ct.Level]
-	c := lv.c
-	k := c.Channels()
+	k := lv.c.Channels()
 	var hops [65]*rnsGaloisEntry
 	nh := 0
 	g := uint64(ring.SlotGenerator)
@@ -865,170 +860,76 @@ func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct
 		}
 		return nil
 	}
-	// A key of the right type and degree can still come from another
-	// backend instance: validate every hop's per-level shape before any
-	// hop indexes into it.
+	// Validate every hop's per-level shape before any hop indexes into it.
 	for h := 0; h < nh; h++ {
 		if ct.Level >= len(hops[h].levels) {
 			return fmt.Errorf("fhe: galois key covers %d levels, ciphertext at level %d", len(hops[h].levels), ct.Level)
 		}
-		lk := &hops[h].levels[ct.Level]
-		if len(lk.a) != k || len(lk.b) != k {
-			return fmt.Errorf("fhe: galois key has %d digits at level %d, want %d", len(lk.a), ct.Level, k)
-		}
-		for i := 0; i < k; i++ {
-			if len(lk.a[i].Res) != k || len(lk.b[i].Res) != k ||
-				len(lk.a[i].Res[0]) != c.N || len(lk.b[i].Res[0]) != c.N {
-				return fmt.Errorf("fhe: galois key digit %d shaped for another backend", i)
-			}
+		if err := hops[h].levels[ct.Level].check("galois", k, n); err != nil {
+			return err
 		}
 	}
-	resident := ct.Domain == DomainNTT
 	sc := lv.mulPool.Get().(*rnsMulScratch)
-	defer func() {
-		if r := recover(); r != nil {
-			quarantinedScratch.Add(1)
-			panic(r)
-		}
-		sc.lv, sc.lkey, sc.gtab = nil, nil, nil
-		sc.in = [4]rns.Poly{}
-		sc.outA, sc.outB = rns.Poly{}, rns.Poly{}
-		lv.mulPool.Put(sc)
-	}()
+	defer sc.release()
 	sc.lv = lv
-	sc.keyNTTDomain = true
-	hopA, hopB := srcA, srcB
+	sc.in[0], sc.in[1] = srcA, srcB
+	if ct.Domain == DomainCoeff {
+		b.coeffIn(sc, 2)
+	}
 	for h := 0; h < nh; h++ {
 		if err := phaseGate(ctx, faultinject.SiteRotate); err != nil {
 			return err
 		}
-		outA, outB := dstA, dstB
+		sc.outA, sc.outB = dstA, dstB
 		if h != nh-1 {
-			if h%2 == 0 {
-				outA, outB = sc.opQ[0], sc.opQ[1]
-			} else {
-				outA, outB = sc.opQ[2], sc.opQ[3]
-			}
+			sc.outA, sc.outB = sc.opQ[2*(h%2)], sc.opQ[2*(h%2)+1]
 		}
-		sc.in[0], sc.in[1] = hopA, hopB
-		sc.outA, sc.outB = outA, outB
 		sc.lkey = &hops[h].levels[ct.Level]
 		sc.gtab = hops[h].tab
-		b.galoisHop(sc, k, resident)
-		hopA, hopB = outA, outB
+		b.galoisHop(sc)
+		sc.in[0], sc.in[1] = sc.outA, sc.outB
+	}
+	if ct.Domain == DomainCoeff {
+		b.coeffOut(sc)
 	}
 	return nil
 }
 
-// galoisHop applies one automorphism + key switch: permute both
-// components (phase 1), scale tau(A) into its gadget digit rows (phase 2,
-// the relin digit map verbatim), then accumulate the key inner product
-// per tower and land the hop (phase 3). The phases dispatch through the
-// worker pool exactly like the multiply's.
-func (b *rnsBackend) galoisHop(sc *rnsMulScratch, k int, resident bool) {
-	if b.workers == 1 {
-		for tau := 0; tau < k; tau++ {
-			galoisPermuteTower(sc, tau, resident)
-		}
-		for i := 0; i < k; i++ {
-			relinDigitRow(sc, i)
-		}
-		for tau := 0; tau < k; tau++ {
-			galoisTower(sc, tau, resident)
-		}
-		return
-	}
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for tau := start; tau < end; tau++ {
-			galoisPermuteTower(sc, tau, resident)
-		}
-	})
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			relinDigitRow(sc, i)
-		}
-	})
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for tau := start; tau < end; tau++ {
-			galoisTower(sc, tau, resident)
-		}
-	})
+// galoisHop applies one automorphism + key switch to the frame's resident
+// (in[0], in[1]): permute both components, scale tau(A) into its gadget
+// digit rows (the relin digit map verbatim), then accumulate the key
+// inner product per tower and land the hop.
+func (b *rnsBackend) galoisHop(sc *rnsMulScratch) {
+	k := sc.lv.c.Channels()
+	b.towers(sc, k, galoisPermuteTower)
+	b.towers(sc, k, relinDigitRow)
+	b.towers(sc, k, galoisTower)
 }
 
-// galoisPermuteTower permutes one tower of both ciphertext components:
-// tau(A) lands in c2Q in COEFFICIENT form (the gadget decomposition needs
-// positional digits), tau(B) lands directly in the hop's output rows, in
-// the ciphertext's own domain. Resident rows permute in the evaluation
-// domain — a pure index map — and only tau(A) pays an inverse transform.
-func galoisPermuteTower(sc *rnsMulScratch, tau int, resident bool) {
-	lv := sc.lv
-	plan := lv.c.Plans[tau].Generic()
-	srcA, srcB := sc.in[0].Res[tau], sc.in[1].Res[tau]
-	if resident {
-		tmp := sc.evE[0].Res[tau]
-		plan.AutomorphismEvalInto(sc.gtab, tmp, srcA)
-		plan.NegacyclicInverseInto(sc.c2Q.Res[tau], tmp)
-		plan.AutomorphismEvalInto(sc.gtab, sc.outB.Res[tau], srcB)
-		return
-	}
-	plan.AutomorphismCoeffInto(sc.gtab, sc.c2Q.Res[tau], srcA)
-	plan.AutomorphismCoeffInto(sc.gtab, sc.outB.Res[tau], srcB)
+// galoisPermuteTower permutes one tower of both ciphertext components in
+// the evaluation domain — a pure index map. tau(A) then crosses to
+// COEFFICIENT form in c2Q (the gadget decomposition needs positional
+// digits); tau(B) lands directly in the hop's output rows.
+func galoisPermuteTower(sc *rnsMulScratch, tau int) {
+	plan := sc.lv.c.Plans[tau].Generic()
+	tmp := sc.evE[0].Res[tau]
+	plan.AutomorphismEvalInto(sc.gtab, tmp, sc.in[0].Res[tau])
+	plan.NegacyclicInverseInto(sc.c2Q.Res[tau], tmp)
+	plan.AutomorphismEvalInto(sc.gtab, sc.outB.Res[tau], sc.in[1].Res[tau])
 }
 
 // galoisTower accumulates the k gadget digits of tau(A) against one
-// tower of the hop's key rows — the relinTower inner product, including
-// the lazy fused-MAC path — and lands the key-switched pair
+// tower of the hop's key rows and lands the key-switched pair
 // (A', B') = (-acc_a, tau(B) - acc_b): the key's b rows encrypt
 // tau_g(s) under s, so B' - A'*s = tau(B) - tau(A)*tau(s) + small noise.
-func galoisTower(sc *rnsMulScratch, tau int, resident bool) {
-	lv := sc.lv
-	c := lv.c
-	k := c.Channels()
-	plan := c.Plans[tau].Generic()
-	mod := c.Mods[tau]
-	accA, accB := sc.accA.Res[tau], sc.accB.Res[tau]
-	clearRow(accA)
-	clearRow(accB)
-	outA, outB := sc.outA.Res[tau], sc.outB.Res[tau]
-	if lv.relinLazy && len(sc.lkey.aPre) == k {
-		for i := 0; i < k; i++ {
-			ring.NegacyclicForwardMAC2(plan, accA, accB, sc.zQ.Res[i],
-				sc.lkey.a[i].Res[tau], sc.lkey.aPre[i].Res[tau],
-				sc.lkey.b[i].Res[tau], sc.lkey.bPre[i].Res[tau])
-		}
-		if resident {
-			reduceNegRow(outA, accA, mod)
-			reduceSubRow(outB, accB, mod)
-			return
-		}
-		reduceRow(accA, mod)
-		reduceRow(accB, mod)
-	} else {
-		lift, prod := sc.liftQ.Res[tau], sc.prodQ.Res[tau]
-		for i := 0; i < k; i++ {
-			plan.NegacyclicForwardInto(lift, sc.zQ.Res[i])
-			plan.PointwiseMulInto(prod, lift, sc.lkey.a[i].Res[tau])
-			addRow(accA, prod, mod)
-			plan.PointwiseMulInto(prod, lift, sc.lkey.b[i].Res[tau])
-			addRow(accB, prod, mod)
-		}
-		if resident {
-			negRowInto(outA, accA, mod)
-			subRow(outB, accB, mod)
-			return
-		}
-	}
-	// Coefficient-domain landing: the accumulators live in the
-	// evaluation domain; cross them out, then negate/subtract against
-	// the already-permuted coefficient rows.
-	lift := sc.liftQ.Res[tau]
-	plan.NegacyclicInverseInto(lift, accA)
-	negRowInto(outA, lift, mod)
-	plan.NegacyclicInverseInto(lift, accB)
-	subRow(outB, lift, mod)
+func galoisTower(sc *rnsMulScratch, tau int) {
+	mod := sc.lv.c.Mods[tau]
+	accA, accB := keySwitchAccumulate(sc, tau)
+	reduceNegRow(sc.outA.Res[tau], accA, mod)
+	reduceSubRow(sc.outB.Res[tau], accB, mod)
 }
 
-// reduceNegRow lands a lazy accumulator row negated on a canonical row:
+// reduceNegRow lands an accumulator row negated on a canonical row:
 // dst[j] = -acc[j] mod q, one Barrett reduction per element.
 func reduceNegRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	q, mu, nb := mod.Q, mod.Mu, mod.N
@@ -1038,25 +939,13 @@ func reduceNegRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	}
 }
 
-// reduceSubRow lands a lazy accumulator row subtracted from a canonical
-// row: dst[j] = dst[j] - acc[j] mod q.
+// reduceSubRow lands an accumulator row subtracted from a canonical row:
+// dst[j] = dst[j] - acc[j] mod q.
 func reduceSubRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	q, mu, nb := mod.Q, mod.Mu, mod.N
 	acc = acc[:len(dst)]
 	for j := range dst {
 		dst[j] = mod.Sub(dst[j], modmath.Barrett64Reduce(0, acc[j], q, mu, nb))
-	}
-}
-
-func negRowInto(dst, src []uint64, mod *modmath.Modulus64) {
-	for j := range dst {
-		dst[j] = mod.Neg(src[j])
-	}
-}
-
-func subRow(dst, src []uint64, mod *modmath.Modulus64) {
-	for j := range dst {
-		dst[j] = mod.Sub(dst[j], src[j])
 	}
 }
 
@@ -1117,26 +1006,18 @@ func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
 	must(lv.skConv.ConvertInto(cQ, cE))
 }
 
-// MulCt is the BEHZ homomorphic multiply in the operands' level basis:
+// MulCtCtx is the BEHZ homomorphic multiply in the operands' level basis:
 // m~-corrected base extension (no operand overshoot), tensor,
 // divide-and-round by Q_l/T, exact return to base Q_l, and CRT-gadget
-// relinearization with the level's NTT-domain keys — residues end to end,
-// no big integers anywhere, zero allocations in steady state when workers
-// == 1. dst must not alias the inputs. The two operand domains select the
-// two pipelines described on rnsBackend; they produce bit-identical
-// ciphertexts up to the final exact transform.
-func (b *rnsBackend) MulCt(dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
-	return b.MulCtCtx(context.Background(), dst, ct1, ct2, rlk)
-}
-
-// MulCtCtx is MulCt with the DeadlineBackend contract: ctx is observed at
-// the four BEHZ phase boundaries (base extension, tensor,
-// divide-and-round, relinearization) and the multiply aborts with
-// ctx.Err() — dst then holds garbage the scheme layer never returns. The
-// pooled scratch frame goes back to the pool on every ordinary exit,
-// including cancellation (the frame is intact, just abandoned mid-math);
-// a PANIC unwinding through the multiply quarantines it instead, because
-// a torn frame must never serve the next request.
+// relinearization with the level's keys — residues end to end, no big
+// integers anywhere. ctx is observed at the four BEHZ phase boundaries
+// (base extension, tensor, divide-and-round, relinearization) and the
+// multiply aborts with ctx.Err() — dst then holds garbage the scheme layer
+// never returns. dst may alias an operand: its rows are first written by
+// the relinearization's landing, after the last read of every operand.
+// The pooled frame goes back to the pool on every ordinary exit,
+// including cancellation; a PANIC unwinding through the multiply
+// quarantines it instead (rnsMulScratch.release).
 func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	key, ok := rlk.(*rnsRelinKey)
 	if !ok {
@@ -1151,32 +1032,15 @@ func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, 
 	if ct1.Level < 0 || ct1.Level >= len(b.levels) {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct1.Level, len(b.levels))
 	}
-	resident := ct1.Domain == DomainNTT
-	if resident && !key.nttDomain {
-		// The coefficient-domain key layout exists as the PR 4 benchmark
-		// axis; the resident pipeline's relin accumulation assumes key rows
-		// already transformed. Callers measuring that axis hold
-		// coefficient-domain ciphertexts (ConvertDomain) anyway.
-		return fmt.Errorf("fhe: coefficient-domain relin keys require coefficient-domain ciphertexts")
-	}
 	lv := b.levels[ct1.Level]
-	c, ext := lv.c, lv.ext
-	k, m := c.Channels(), ext.Channels()
-	// A key of the right TYPE can still come from a different backend
-	// instance (other tower count, other N): validate its chain depth and
-	// per-level shape before the digit loop indexes into it.
+	c := lv.c
+	k := c.Channels()
 	if ct1.Level >= len(key.levels) {
 		return fmt.Errorf("fhe: relin key covers %d levels, ciphertext at level %d", len(key.levels), ct1.Level)
 	}
 	lkey := &key.levels[ct1.Level]
-	if len(lkey.a) != k || len(lkey.b) != k {
-		return fmt.Errorf("fhe: relin key has %d digits at level %d, want %d", len(lkey.a), ct1.Level, k)
-	}
-	for i := 0; i < k; i++ {
-		if len(lkey.a[i].Res) != k || len(lkey.b[i].Res) != k ||
-			len(lkey.a[i].Res[0]) != c.N || len(lkey.b[i].Res[0]) != c.N {
-			return fmt.Errorf("fhe: relin key digit %d shaped for another backend", i)
-		}
+	if err := lkey.check("relin", k, c.N); err != nil {
+		return err
 	}
 	a1, ok1 := ct1.A.(rns.Poly)
 	b1, ok2 := ct1.B.(rns.Poly)
@@ -1195,40 +1059,27 @@ func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, 
 		return fmt.Errorf("fhe: MulCt destination not shaped for level %d", ct1.Level)
 	}
 	sc := lv.mulPool.Get().(*rnsMulScratch)
-	defer func() {
-		if r := recover(); r != nil {
-			// The panic unwound mid-pipeline: sc may be torn. Quarantine
-			// it (the GC reclaims it, the pool refills fresh) and let the
-			// panic continue to the caller's recovery layer.
-			quarantinedScratch.Add(1)
-			panic(r)
-		}
-		// Drop the caller's polynomials from the pooled frame so the pool
-		// never pins live ciphertext storage between multiplies.
-		sc.lv, sc.lkey = nil, nil
-		sc.in = [4]rns.Poly{}
-		sc.outA, sc.outB = rns.Poly{}, rns.Poly{}
-		lv.mulPool.Put(sc)
-	}()
+	defer sc.release()
 	sc.lv = lv
 	sc.in = [4]rns.Poly{a1, b1, a2, b2}
 	sc.outA, sc.outB = dstA, dstB
 	sc.lkey = lkey
-	sc.keyNTTDomain = key.nttDomain
 	sc.squaring = sameRows(a1, a2) && sameRows(b1, b2)
-
-	if resident {
-		return b.mulResident(ctx, lv, sc)
+	if ct1.Domain == DomainNTT {
+		return b.mulResident(ctx, sc)
 	}
-	if b.workers == 1 {
-		return b.mulCoeffSequential(ctx, lv, sc, k, m)
+	b.coeffIn(sc, sc.nops())
+	if err := b.mulResident(ctx, sc); err != nil {
+		return err
 	}
-	return b.mulCoeffParallel(ctx, lv, sc, k, m)
+	b.coeffOut(sc)
+	return nil
 }
 
 // sameRows reports whether two polynomials share their row storage — the
-// squaring detection the resident pipeline uses to base-extend and
-// transform aliased operands once instead of twice.
+// squaring detection that lets the multiply base-extend and transform
+// aliased operands once instead of twice, and the rotation's aliasing
+// check.
 func sameRows(a, b rns.Poly) bool {
 	if len(a.Res) != len(b.Res) {
 		return false
@@ -1241,40 +1092,93 @@ func sameRows(a, b rns.Poly) bool {
 	return true
 }
 
-// mulCoeffSequential is the PR 5 coefficient-domain pipeline, verbatim:
-// the explicit loops (no dispatch closures) are what escape analysis
-// keeps allocation-free, and it is the bit-exact baseline the resident
-// pipeline is measured and differentially tested against.
-func (b *rnsBackend) mulCoeffSequential(ctx context.Context, lv *rnsLevel, sc *rnsMulScratch, k, m int) error {
-	c, ext := lv.c, lv.ext
+// nops is the number of distinct operand polynomials of the framed
+// multiply: squaring reads (a1, b1) only.
+func (sc *rnsMulScratch) nops() int {
+	if sc.squaring {
+		return 2
+	}
+	return 4
+}
 
-	// 1. Base-extend the four operand polynomials into the extension
-	// base with the m~ correction: extended values are x + gamma*Q with
-	// gamma in {-1, 0}, so the tensor headroom validated at construction
-	// carries no k*Q operand overshoot.
+// coeffIn and coeffOut are the coefficient-domain adapter around the
+// resident pipelines. coeffIn forward-transforms the frame's first nops
+// operand polynomials into the land rows and re-points the frame at them
+// (a squaring's second operand follows its first), so the steps only ever
+// see evaluation form; coeffOut inverse-transforms the landed result in
+// place. A caller that stays resident pays neither crossing: nops*k
+// forward and 2*k inverse transforms are the price of holding coefficient
+// form, paid here instead of by a second pipeline.
+func (b *rnsBackend) coeffIn(sc *rnsMulScratch, nops int) {
+	b.towers(sc, nops*sc.lv.c.Channels(), coeffOperandNTT)
+	for i := 0; i < nops; i++ {
+		sc.in[i] = sc.land(i)
+	}
+	if sc.squaring {
+		sc.in[2], sc.in[3] = sc.in[0], sc.in[1]
+	}
+}
+
+func (b *rnsBackend) coeffOut(sc *rnsMulScratch) {
+	b.towers(sc, 2*sc.lv.c.Channels(), coeffResultINTT)
+}
+
+// land is where coeffIn parks the transform of operand idx: the four
+// key-switch polys are Q-shaped and no step touches them before the key
+// switch, by which point no step reads an operand any more.
+func (sc *rnsMulScratch) land(idx int) rns.Poly {
+	return [4]rns.Poly{sc.accA, sc.accB, sc.liftQ, sc.prodQ}[idx]
+}
+
+// coeffOperandNTT forward-transforms one (operand, tower) cell of the
+// coefficient-domain operands into its land row.
+func coeffOperandNTT(sc *rnsMulScratch, u int) {
+	k := sc.lv.c.Channels()
+	idx, tau := u/k, u%k
+	sc.lv.c.Plans[tau].Generic().NegacyclicForwardInto(sc.land(idx).Res[tau], sc.in[idx].Res[tau])
+}
+
+// coeffResultINTT inverse-transforms one (component, tower) cell of the
+// landed result in place.
+func coeffResultINTT(sc *rnsMulScratch, u int) {
+	k := sc.lv.c.Channels()
+	row := sc.outA.Res[u%k]
+	if u >= k {
+		row = sc.outB.Res[u%k]
+	}
+	sc.lv.c.Plans[u%k].Generic().NegacyclicInverseInto(row, row)
+}
+
+// mulResident is the one BEHZ multiply (see the rnsBackend doc), four
+// phases of steps over the frame in sc.
+func (b *rnsBackend) mulResident(ctx context.Context, sc *rnsMulScratch) error {
+	lv := sc.lv
+	k, m := lv.c.Channels(), lv.ext.Channels()
+	nops := sc.nops()
+
+	// 1. Operands cross to coefficient form once — nops*k independent
+	// tower transforms — and base-extend with the m~ correction: extended
+	// values are x + gamma*Q with gamma in {-1, 0}, so the tensor headroom
+	// validated at construction carries no k*Q operand overshoot. Squared
+	// operands (identical rows, the ladder's dominant workload) make the
+	// crossing and both extensions once.
 	if err := phaseGate(ctx, faultinject.SiteMulExtend); err != nil {
 		return err
 	}
-	for i := range sc.in {
-		if err := lv.mconv.ConvertInto(sc.opE[i], sc.in[i]); err != nil {
-			return err
-		}
+	b.towers(sc, nops*k, residentOpINTT)
+	for i := 0; i < nops; i++ {
+		must(lv.mconv.ConvertInto(sc.opE[i], sc.opQ[i]))
 	}
 
-	// 2. Tensor product, tower by tower across both bases.
+	// 2. Tensor product. Q base: the operands are already evaluation
+	// rows, so each tower is three pointwise products and three inverse
+	// transforms. Ext base: the extended operands are coefficient rows;
+	// squaring halves the forward transforms.
 	if err := phaseGate(ctx, faultinject.SiteMulTensor); err != nil {
 		return err
 	}
-	for tau := 0; tau < k; tau++ {
-		tensorTower(c.Plans[tau].Generic(), c.Mods[tau],
-			sc.in[0].Res[tau], sc.in[1].Res[tau], sc.in[2].Res[tau], sc.in[3].Res[tau],
-			&sc.ev, sc.c0Q.Res[tau], sc.c1Q.Res[tau], sc.c2Q.Res[tau])
-	}
-	for tau := 0; tau < m; tau++ {
-		tensorTower(ext.Plans[tau].Generic(), ext.Mods[tau],
-			sc.opE[0].Res[tau], sc.opE[1].Res[tau], sc.opE[2].Res[tau], sc.opE[3].Res[tau],
-			&sc.ev, sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
-	}
+	b.towers(sc, k, residentTensorQ)
+	b.towers(sc, m, residentTensorExt)
 
 	// 3. Divide-and-round each component by Q_l/T; results land in the
 	// c*Q polys as the degree-2 scaled ciphertext.
@@ -1285,204 +1189,15 @@ func (b *rnsBackend) mulCoeffSequential(ctx context.Context, lv *rnsLevel, sc *r
 	lv.scaleRound(sc, sc.c1Q, sc.c1E)
 	lv.scaleRound(sc, sc.c2Q, sc.c2E)
 
+	// 4. Relinearize and return resident: the towers of c2 are the gadget
+	// digits; each tower accumulates its k digit transforms and adds
+	// NTT(c1/c0) to the evaluation-domain accumulators instead of leaving
+	// the domain.
 	if err := phaseGate(ctx, faultinject.SiteMulRelin); err != nil {
 		return err
 	}
-	// 4. Relinearize: the towers of c2 are the gadget digits. Everything
-	// accumulates in the evaluation domain; one inverse per tower at the
-	// end. With NTT-domain keys (the default) the key rows are already
-	// transformed; coefficient-domain keys pay two forward transforms per
-	// digit-tower pair right here — the cost the per-level NTT layout
-	// removes.
-	for tau := 0; tau < k; tau++ {
-		clearRow(sc.accA.Res[tau])
-		clearRow(sc.accB.Res[tau])
-	}
-	for i := 0; i < k; i++ {
-		c.Plans[i].Generic().ScalarMulInto(sc.zrow, sc.c2Q.Res[i], c.QiInv(i))
-		for tau := 0; tau < k; tau++ {
-			mod := c.Mods[tau]
-			q := mod.Q
-			for j, v := range sc.zrow {
-				// One conditional subtract lifts the digit into tower
-				// tau (same-width basis, validated at construction).
-				if v >= q {
-					v -= q
-				}
-				sc.lift[j] = v
-			}
-			plan := c.Plans[tau].Generic()
-			plan.NegacyclicForwardInto(sc.lift, sc.lift)
-			krowA, krowB := sc.lkey.a[i].Res[tau], sc.lkey.b[i].Res[tau]
-			if !sc.keyNTTDomain {
-				plan.NegacyclicForwardInto(sc.ev[0], krowA)
-				plan.NegacyclicForwardInto(sc.ev[1], krowB)
-				krowA, krowB = sc.ev[0], sc.ev[1]
-			}
-			plan.PointwiseMulInto(sc.prod, sc.lift, krowA)
-			addRow(sc.accA.Res[tau], sc.prod, mod)
-			plan.PointwiseMulInto(sc.prod, sc.lift, krowB)
-			addRow(sc.accB.Res[tau], sc.prod, mod)
-		}
-	}
-	for tau := 0; tau < k; tau++ {
-		plan := c.Plans[tau].Generic()
-		mod := c.Mods[tau]
-		plan.NegacyclicInverseInto(sc.outA.Res[tau], sc.accA.Res[tau])
-		addRow(sc.outA.Res[tau], sc.c1Q.Res[tau], mod)
-		plan.NegacyclicInverseInto(sc.outB.Res[tau], sc.accB.Res[tau])
-		addRow(sc.outB.Res[tau], sc.c0Q.Res[tau], mod)
-	}
-	return nil
-}
-
-// mulCoeffParallel is the coefficient-domain pipeline with its per-tower
-// phases dispatched through the worker pool: same math, same bits, the
-// tensor and relin towers running concurrently on per-tower-disjoint
-// scratch rows. The base conversions stay sequential (they carry
-// cross-tower accumulations).
-func (b *rnsBackend) mulCoeffParallel(ctx context.Context, lv *rnsLevel, sc *rnsMulScratch, k, m int) error {
-	if err := phaseGate(ctx, faultinject.SiteMulExtend); err != nil {
-		return err
-	}
-	for i := range sc.in {
-		if err := lv.mconv.ConvertInto(sc.opE[i], sc.in[i]); err != nil {
-			return err
-		}
-	}
-	if err := phaseGate(ctx, faultinject.SiteMulTensor); err != nil {
-		return err
-	}
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for tau := start; tau < end; tau++ {
-			coeffTensorQ(sc, tau)
-		}
-	})
-	ring.ParallelChunks(m, b.workers, func(start, end int) {
-		for tau := start; tau < end; tau++ {
-			coeffTensorExt(sc, tau)
-		}
-	})
-	if err := phaseGate(ctx, faultinject.SiteMulScale); err != nil {
-		return err
-	}
-	lv.scaleRound(sc, sc.c0Q, sc.c0E)
-	lv.scaleRound(sc, sc.c1Q, sc.c1E)
-	lv.scaleRound(sc, sc.c2Q, sc.c2E)
-	if err := phaseGate(ctx, faultinject.SiteMulRelin); err != nil {
-		return err
-	}
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			relinDigitRow(sc, i)
-		}
-	})
-	ring.ParallelChunks(k, b.workers, func(start, end int) {
-		for tau := start; tau < end; tau++ {
-			relinTower(sc, tau, false)
-		}
-	})
-	return nil
-}
-
-// mulResident is the NTT-resident BEHZ multiply (see the rnsBackend doc):
-// the Q-base tensor consumes the operands' resident evaluation form
-// directly, coefficient form appears exactly where base conversion needs
-// positional digits, the divide-and-round runs as fused one-pass kernels,
-// and the result is returned resident.
-func (b *rnsBackend) mulResident(ctx context.Context, lv *rnsLevel, sc *rnsMulScratch) error {
-	k, m := lv.c.Channels(), lv.ext.Channels()
-	seq := b.workers == 1
-	nops := 4
-	if sc.squaring {
-		nops = 2
-	}
-
-	// 1. Operands cross to coefficient form once — nops*k independent
-	// tower transforms — and base-extend with the m~ correction. Squared
-	// operands (identical rows, the ladder's dominant workload) make the
-	// crossing and both extensions once.
-	if err := phaseGate(ctx, faultinject.SiteMulExtend); err != nil {
-		return err
-	}
-	if seq {
-		for u := 0; u < nops*k; u++ {
-			residentOpINTT(sc, u)
-		}
-	} else {
-		ring.ParallelChunks(nops*k, b.workers, func(start, end int) {
-			for u := start; u < end; u++ {
-				residentOpINTT(sc, u)
-			}
-		})
-	}
-	for i := 0; i < nops; i++ {
-		if err := lv.mconv.ConvertInto(sc.opE[i], sc.opQ[i]); err != nil {
-			return err
-		}
-	}
-
-	// 2. Tensor product. Q base: the operands are already evaluation
-	// rows, so each tower is three pointwise products and three inverse
-	// transforms — the forward half of the PR 5 tensor is gone. Ext base:
-	// the extended operands are coefficient rows; squaring halves the
-	// forward transforms.
-	if err := phaseGate(ctx, faultinject.SiteMulTensor); err != nil {
-		return err
-	}
-	if seq {
-		for tau := 0; tau < k; tau++ {
-			residentTensorQ(sc, tau)
-		}
-		for tau := 0; tau < m; tau++ {
-			residentTensorExt(sc, tau)
-		}
-	} else {
-		ring.ParallelChunks(k, b.workers, func(start, end int) {
-			for tau := start; tau < end; tau++ {
-				residentTensorQ(sc, tau)
-			}
-		})
-		ring.ParallelChunks(m, b.workers, func(start, end int) {
-			for tau := start; tau < end; tau++ {
-				residentTensorExt(sc, tau)
-			}
-		})
-	}
-
-	// 3. Divide-and-round per component.
-	if err := phaseGate(ctx, faultinject.SiteMulScale); err != nil {
-		return err
-	}
-	lv.scaleRound(sc, sc.c0Q, sc.c0E)
-	lv.scaleRound(sc, sc.c1Q, sc.c1E)
-	lv.scaleRound(sc, sc.c2Q, sc.c2E)
-
-	// 4. Relinearize and return resident: digit rows once, then each
-	// tower accumulates its k digit transforms and adds NTT(c1/c0) to the
-	// evaluation-domain accumulators instead of leaving the domain.
-	if err := phaseGate(ctx, faultinject.SiteMulRelin); err != nil {
-		return err
-	}
-	if seq {
-		for i := 0; i < k; i++ {
-			relinDigitRow(sc, i)
-		}
-		for tau := 0; tau < k; tau++ {
-			relinTower(sc, tau, true)
-		}
-	} else {
-		ring.ParallelChunks(k, b.workers, func(start, end int) {
-			for i := start; i < end; i++ {
-				relinDigitRow(sc, i)
-			}
-		})
-		ring.ParallelChunks(k, b.workers, func(start, end int) {
-			for tau := start; tau < end; tau++ {
-				relinTower(sc, tau, true)
-			}
-		})
-	}
+	b.towers(sc, k, relinDigitRow)
+	b.towers(sc, k, relinTower)
 	return nil
 }
 
@@ -1553,102 +1268,68 @@ func relinDigitRow(sc *rnsMulScratch, i int) {
 	c.Plans[i].Generic().ScalarMulInto(sc.zQ.Res[i], sc.c2Q.Res[i], c.QiInv(i))
 }
 
-// relinTower accumulates all k gadget digits into one tower of the
-// relinearized result, entirely in the evaluation domain, then lands the
-// tower's output: resident output adds NTT(c1/c0) to the accumulators
-// (NTT(INTT(acc) + c) = acc + NTT(c), exactly); coefficient output
-// inverse-transforms the accumulators and adds c1/c0 as PR 5 did. The
+// keySwitchAccumulate is the inner product every key switch shares: the
+// k gadget digit rows in zQ, each forward-transformed into tower tau,
+// against that tower of the framed key's a and b rows. It returns the two
+// accumulator rows holding 64-bit sums congruent to the inner products
+// mod q_tau — lazy on the fused path, canonical on the fallback — which
+// the landings (relinTower, galoisTower) reduce once per element; Barrett
+// of a canonical value is the value, so one landing serves both. The
 // digit rows are canonical mod q_i with q_i < 2*q_tau, and the twist
 // pass's Shoup multiply is exact for any 64-bit input, so they feed the
-// forward transform directly — the per-pair reduction copy of the
-// sequential path is gone.
-func relinTower(sc *rnsMulScratch, tau int, resident bool) {
+// forward transform directly.
+func keySwitchAccumulate(sc *rnsMulScratch, tau int) (accA, accB []uint64) {
 	lv := sc.lv
 	c := lv.c
 	k := c.Channels()
 	plan := c.Plans[tau].Generic()
-	mod := c.Mods[tau]
-	accA, accB := sc.accA.Res[tau], sc.accB.Res[tau]
+	accA, accB = sc.accA.Res[tau], sc.accB.Res[tau]
 	clearRow(accA)
 	clearRow(accB)
-	lift, prod := sc.liftQ.Res[tau], sc.prodQ.Res[tau]
-	if sc.keyNTTDomain && lv.relinLazy && len(sc.lkey.aPre) == k {
+	if lv.relinLazy {
 		// Deferred-reduction inner product: the key rows are fixed, so
 		// each digit contributes one lazy Shoup product (< 2q) folded in
 		// with a plain integer add — relinLazy guarantees k of them fit
-		// the 64-bit accumulator — and the whole k-digit sum pays a
-		// single Barrett reduction per element at the end. Same residues
-		// as the canonical multiply-add chain, reduced once. The digit
-		// transform and both key-row MACs run as one fused pass
-		// (NegacyclicForwardMAC2): the final NTT stage's outputs are
-		// accumulated as they are produced instead of being written out
-		// and streamed back twice per digit.
+		// the 64-bit accumulator. The digit transform and both key-row
+		// MACs run as one fused pass (NegacyclicForwardMAC2): the final
+		// NTT stage's outputs are accumulated as they are produced
+		// instead of being written out and streamed back twice per digit.
 		for i := 0; i < k; i++ {
 			ring.NegacyclicForwardMAC2(plan, accA, accB, sc.zQ.Res[i],
 				sc.lkey.a[i].Res[tau], sc.lkey.aPre[i].Res[tau],
 				sc.lkey.b[i].Res[tau], sc.lkey.bPre[i].Res[tau])
 		}
-		if resident {
-			plan.NegacyclicForwardInto(sc.outA.Res[tau], sc.c1Q.Res[tau])
-			reduceAddRow(sc.outA.Res[tau], accA, mod)
-			plan.NegacyclicForwardInto(sc.outB.Res[tau], sc.c0Q.Res[tau])
-			reduceAddRow(sc.outB.Res[tau], accB, mod)
-			return
-		}
-		// The inverse transform wants its relaxed domain (< 2q), not a
-		// raw 64-bit sum: land the accumulators first.
-		reduceRow(accA, mod)
-		reduceRow(accB, mod)
-		plan.NegacyclicInverseInto(sc.outA.Res[tau], accA)
-		addRow(sc.outA.Res[tau], sc.c1Q.Res[tau], mod)
-		plan.NegacyclicInverseInto(sc.outB.Res[tau], accB)
-		addRow(sc.outB.Res[tau], sc.c0Q.Res[tau], mod)
-		return
+		return accA, accB
 	}
+	// Bases where k lazy summands would wrap (or Barrett's q^2 window is
+	// too small): the canonical multiply-add chain, digit by digit.
+	mod := c.Mods[tau]
+	lift, prod := sc.liftQ.Res[tau], sc.prodQ.Res[tau]
 	for i := 0; i < k; i++ {
 		plan.NegacyclicForwardInto(lift, sc.zQ.Res[i])
-		krowA, krowB := sc.lkey.a[i].Res[tau], sc.lkey.b[i].Res[tau]
-		if !sc.keyNTTDomain {
-			plan.NegacyclicForwardInto(sc.evE[2].Res[tau], krowA)
-			plan.NegacyclicForwardInto(sc.evE[3].Res[tau], krowB)
-			krowA, krowB = sc.evE[2].Res[tau], sc.evE[3].Res[tau]
-		}
-		plan.PointwiseMulInto(prod, lift, krowA)
+		plan.PointwiseMulInto(prod, lift, sc.lkey.a[i].Res[tau])
 		addRow(accA, prod, mod)
-		plan.PointwiseMulInto(prod, lift, krowB)
+		plan.PointwiseMulInto(prod, lift, sc.lkey.b[i].Res[tau])
 		addRow(accB, prod, mod)
 	}
-	if resident {
-		plan.NegacyclicForwardInto(sc.outA.Res[tau], sc.c1Q.Res[tau])
-		addRow(sc.outA.Res[tau], accA, mod)
-		plan.NegacyclicForwardInto(sc.outB.Res[tau], sc.c0Q.Res[tau])
-		addRow(sc.outB.Res[tau], accB, mod)
-		return
-	}
-	plan.NegacyclicInverseInto(sc.outA.Res[tau], accA)
-	addRow(sc.outA.Res[tau], sc.c1Q.Res[tau], mod)
-	plan.NegacyclicInverseInto(sc.outB.Res[tau], accB)
-	addRow(sc.outB.Res[tau], sc.c0Q.Res[tau], mod)
+	return accA, accB
 }
 
-// mulPreAddRow folds one lazy Shoup product row into a raw 64-bit
-// accumulator row: acc[j] += a[j]*w[j] - floor(a[j]*pre[j]/2^64)*q, each
-// summand < 2q and congruent to a[j]*w[j] mod q for any 64-bit a[j].
-// Callers guarantee the no-wrap headroom (rnsLevel.relinLazy).
-//
-//mqx:hotpath
-//mqx:lazy wide=a,acc
-func mulPreAddRow(acc, a, w, pre []uint64, q uint64) {
-	a = a[:len(acc)]
-	w = w[:len(acc)]
-	pre = pre[:len(acc)]
-	for j := range acc {
-		qhat, _ := bits.Mul64(a[j], pre[j])
-		acc[j] += a[j]*w[j] - qhat*q
-	}
+// relinTower accumulates all k gadget digits into one tower of the
+// relinearized result, entirely in the evaluation domain, then lands the
+// tower's output by adding NTT(c1/c0) to the accumulators
+// (NTT(INTT(acc) + c) = acc + NTT(c), exactly).
+func relinTower(sc *rnsMulScratch, tau int) {
+	plan := sc.lv.c.Plans[tau].Generic()
+	mod := sc.lv.c.Mods[tau]
+	accA, accB := keySwitchAccumulate(sc, tau)
+	plan.NegacyclicForwardInto(sc.outA.Res[tau], sc.c1Q.Res[tau])
+	reduceAddRow(sc.outA.Res[tau], accA, mod)
+	plan.NegacyclicForwardInto(sc.outB.Res[tau], sc.c0Q.Res[tau])
+	reduceAddRow(sc.outB.Res[tau], accB, mod)
 }
 
-// reduceAddRow lands a lazy accumulator row on a canonical row:
+// reduceAddRow lands an accumulator row on a canonical row:
 // dst[j] = dst[j] + acc[j] mod q, one Barrett reduction per element for
 // the whole deferred inner product.
 //
@@ -1661,48 +1342,10 @@ func reduceAddRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	}
 }
 
-// reduceRow reduces a lazy accumulator row in place to canonical form.
-func reduceRow(acc []uint64, mod *modmath.Modulus64) {
-	q, mu, nb := mod.Q, mod.Mu, mod.N
-	for j := range acc {
-		acc[j] = modmath.Barrett64Reduce(0, acc[j], q, mu, nb)
-	}
-}
-
-// coeffTensorQ is one Q-base tower of the coefficient-domain tensor on
-// per-tower-disjoint scratch (the parallel dispatch variant).
-func coeffTensorQ(sc *rnsMulScratch, tau int) {
-	lv := sc.lv
-	var ev [5][]uint64
-	for s := range ev {
-		ev[s] = sc.evE[s].Res[tau]
-	}
-	tensorTower(lv.c.Plans[tau].Generic(), lv.c.Mods[tau],
-		sc.in[0].Res[tau], sc.in[1].Res[tau], sc.in[2].Res[tau], sc.in[3].Res[tau],
-		&ev, sc.c0Q.Res[tau], sc.c1Q.Res[tau], sc.c2Q.Res[tau])
-}
-
-// coeffTensorExt is one extension-base tower of the same.
-func coeffTensorExt(sc *rnsMulScratch, tau int) {
-	lv := sc.lv
-	var ev [5][]uint64
-	for s := range ev {
-		ev[s] = sc.evE[s].Res[tau]
-	}
-	tensorTower(lv.ext.Plans[tau].Generic(), lv.ext.Mods[tau],
-		sc.opE[0].Res[tau], sc.opE[1].Res[tau], sc.opE[2].Res[tau], sc.opE[3].Res[tau],
-		&ev, sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
-}
-
-// ModSwitch drops one tower: dst = round(ct / q_{k-1-l}) via the PR 4
+// ModSwitchCtx drops one tower: dst = round(ct / q_{k-1-l}) via the PR 4
 // Rescaler, residues only, allocation-free in steady state — the RNS
-// half of the ladder the oracle's big-integer switch ground-truths.
-func (b *rnsBackend) ModSwitch(dst *BackendCiphertext, ct BackendCiphertext) error {
-	return b.ModSwitchCtx(context.Background(), dst, ct)
-}
-
-// ModSwitchCtx is ModSwitch with the DeadlineBackend contract: ctx is
-// observed before the rescale starts and between the two components.
+// half of the ladder the oracle's big-integer switch ground-truths. ctx
+// is observed before the rescale starts and between the two components.
 func (b *rnsBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level+1 >= len(b.levels) {
 		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, len(b.levels))

@@ -211,9 +211,8 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	b, _, rlk, _, c1, c2 := allocFixture(t, 2)
-	db := b.(DeadlineBackend)
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-	if err := b.MulCt(&dst, c1, c2, rlk); err != nil { // warm the scratch pool
+	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}
 	before := QuarantinedScratch()
@@ -222,7 +221,7 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		cc.calls = 0
 		cc.fireAt = 1 + i%totalPhases // rotate the abort across every phase
-		if err := db.MulCtCtx(cc, &dst, c1, c2, rlk); !errors.Is(err, context.DeadlineExceeded) {
+		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("cancelled request %d: got err %v", i, err)
 		}
 	}
@@ -232,7 +231,7 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		cc.calls = 0
 		cc.fireAt = 2
-		if err := db.MulCtCtx(cc, &dst, c1, c2, rlk); err == nil {
+		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); err == nil {
 			t.Fatal("countdown context did not fire")
 		}
 	}); got != 0 {
@@ -241,7 +240,7 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() {
 		cc.calls = 0
 		cc.fireAt = 0
-		if err := db.MulCtCtx(cc, &dst, c1, c2, rlk); err != nil {
+		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -294,12 +293,12 @@ func TestSharedBackendConcurrentEval(t *testing.T) {
 					errs <- err
 					return
 				}
-				prod, err := s.MulCiphertexts(c1, c2, rlk)
+				prod, err := s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)
 				if err != nil {
 					errs <- err
 					return
 				}
-				low, err := s.ModSwitch(prod)
+				low, err := s.ModSwitchCtx(context.Background(), prod)
 				if err != nil {
 					errs <- err
 					return
@@ -354,7 +353,7 @@ func TestPanicQuarantinesScratch(t *testing.T) {
 	if got := QuarantinedScratch(); got != before+1 {
 		t.Fatalf("quarantined count went %d -> %d, want +1", before, got)
 	}
-	out, err := f.s.MulCiphertexts(f.c1, f.c2, f.rlk)
+	out, err := f.s.MulCiphertextsCtx(context.Background(), f.c1, f.c2, f.rlk)
 	if err != nil {
 		t.Fatal(err)
 	}

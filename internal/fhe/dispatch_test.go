@@ -1,0 +1,85 @@
+package fhe
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"mqxgo/internal/rns"
+)
+
+// TestTowerDispatchWidthIsInvisible pins the one thing rnsBackend.towers
+// may vary: HOW MANY goroutines run a step's towers, never what they
+// compute. The same seeded scheme is built at dispatch widths 1, 2, 3 and
+// 5 (below, at, and above the tower count's divisors, so chunks come out
+// uneven), and every evaluation op — multiply, squaring, a one-hop and a
+// two-hop rotation, conjugation — at every level, on resident and on
+// coefficient-domain handles, must return byte-identical ciphertext rows
+// at every width.
+func TestTowerDispatchWidthIsInvisible(t *testing.T) {
+	const n, T, k = 64, 257, 4
+	ctx := context.Background()
+	c, err := rns.NewContext(59, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run evaluates the whole op matrix at one width, keyed by op name.
+	run := func(workers int) map[string][][]uint64 {
+		b, err := NewRNSBackendWorkers(c, T, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewBackendScheme(b, 1616)
+		sk := s.KeyGen()
+		rlk, err := s.RelinKeyGen(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gk, err := s.GaloisKeyGen(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := make([]uint64, n)
+		for i := range msg {
+			msg[i] = uint64(11*i+3) % T
+		}
+		x := mustCT(s.Encrypt(sk, msg))
+		y := mustCT(s.Encrypt(sk, msg))
+		out := map[string][][]uint64{}
+		for level := 0; level < b.Levels(); level++ {
+			if level > 0 {
+				x = mustCT(s.ModSwitchCtx(ctx, x))
+				y = mustCT(s.ModSwitchCtx(ctx, y))
+			}
+			for _, d := range []Domain{DomainNTT, DomainCoeff} {
+				xd, yd := mustCT(s.ConvertDomain(x, d)), mustCT(s.ConvertDomain(y, d))
+				for name, ct := range map[string]BackendCiphertext{
+					"mul":       mustCT(s.MulCiphertextsCtx(ctx, xd, yd, rlk)),
+					"square":    mustCT(s.MulCiphertextsCtx(ctx, xd, xd, rlk)),
+					"rotate1":   mustCT(s.RotateSlotsCtx(ctx, xd, 1, gk)),
+					"rotate5":   mustCT(s.RotateSlotsCtx(ctx, xd, 5, gk)),
+					"conjugate": mustCT(s.ConjugateCtx(ctx, xd, gk)),
+				} {
+					if ct.Level != level || ct.Domain != d {
+						t.Fatalf("%s at level %d in %s came back at level %d in %s", name, level, d, ct.Level, ct.Domain)
+					}
+					rows := append([][]uint64{}, ct.A.(rns.Poly).Res...)
+					out[fmt.Sprintf("%s/l%d/%s", name, level, d)] = append(rows, ct.B.(rns.Poly).Res...)
+				}
+			}
+		}
+		return out
+	}
+	want := run(1)
+	if len(want) != 5*k*2 {
+		t.Fatalf("reference matrix has %d cells, want %d", len(want), 5*k*2)
+	}
+	for _, workers := range []int{2, 3, 5} {
+		for cell, rows := range run(workers) {
+			if !reflect.DeepEqual(rows, want[cell]) {
+				t.Errorf("workers=%d: %s differs from the sequential result", workers, cell)
+			}
+		}
+	}
+}

@@ -5,9 +5,9 @@
 // pipeline runs on either of the paper's two hardware philosophies: the
 // 128-bit double-word ring (NewRingBackend) or a basis of 64-bit RNS
 // towers (NewRNSBackend). Both backends carry a modulus-switching ladder
-// (BackendScheme.ModSwitch) that trades ciphertext width for per-level
-// cost down a depth-L circuit. Scheme is the historical 128-bit-ring API,
-// kept as a thin level-0 specialization.
+// (BackendScheme.ModSwitchCtx) that trades ciphertext width for per-level
+// cost down a depth-L circuit, and every evaluation call takes a context
+// that is observed at the pipeline's phase boundaries.
 //
 // This is an educational scheme: parameters are chosen for correctness
 // demonstrations, not for standardized security levels.
@@ -21,8 +21,8 @@ import (
 	"mqxgo/internal/u128"
 )
 
-// Params holds the ring parameters: R_q = Z_q[x]/(x^N + 1) with plaintext
-// modulus T.
+// Params holds the 128-bit ring backend's parameters:
+// R_q = Z_q[x]/(x^N + 1) with plaintext modulus T.
 type Params struct {
 	Mod *modmath.Modulus128
 	N   int
@@ -46,156 +46,4 @@ func NewParams(mod *modmath.Modulus128, n int, t uint64) (*Params, error) {
 		return nil, fmt.Errorf("fhe: plaintext modulus %d too large for q", t)
 	}
 	return &Params{Mod: mod, N: n, T: t, Delta: delta, plan: plan}, nil
-}
-
-// SecretKey is a small ternary polynomial.
-type SecretKey struct {
-	S []u128.U128
-}
-
-// Ciphertext is an RLWE pair (A, B) with B = A*S + E + Delta*M at the top
-// of the modulus chain (level 0).
-type Ciphertext struct {
-	A, B []u128.U128
-}
-
-// Scheme is the RLWE scheme on the 128-bit ring backend: a compatibility
-// specialization of BackendScheme whose keys and ciphertexts expose their
-// []u128.U128 coefficients directly and always live at level 0. Leveled
-// circuits (ModSwitch) use BackendScheme directly.
-type Scheme struct {
-	P  *Params
-	bs *BackendScheme
-}
-
-// NewScheme builds a scheme with the given seed.
-func NewScheme(p *Params, seed int64) *Scheme {
-	return &Scheme{P: p, bs: NewBackendScheme(NewRingBackend(p), seed)}
-}
-
-// Backend returns the generic scheme this wrapper delegates to.
-func (s *Scheme) Backend() *BackendScheme { return s.bs }
-
-func wrapCT(ct Ciphertext) BackendCiphertext { return BackendCiphertext{A: ct.A, B: ct.B} }
-
-func unwrapCT(ct BackendCiphertext) Ciphertext {
-	return Ciphertext{A: ct.A.([]u128.U128), B: ct.B.([]u128.U128)}
-}
-
-// KeyGen samples a ternary secret s with coefficients in {-1, 0, 1}.
-func (s *Scheme) KeyGen() SecretKey {
-	return SecretKey{S: s.bs.KeyGen().S.([]u128.U128)}
-}
-
-// Encrypt encrypts a plaintext polynomial with coefficients in [0, T).
-func (s *Scheme) Encrypt(sk SecretKey, msg []uint64) (Ciphertext, error) {
-	ct, err := s.bs.Encrypt(BackendSecretKey{S: sk.S}, msg)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	// The generic scheme hands out NTT-resident ciphertexts; this legacy
-	// wrapper's handles are coefficient-domain by contract (wrapCT tags
-	// them DomainCoeff), so cross back before unwrapping.
-	ct, err = s.bs.ConvertDomain(ct, DomainCoeff)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(ct), nil
-}
-
-// Decrypt recovers the plaintext: round((B - A*S) * T / q) mod T.
-func (s *Scheme) Decrypt(sk SecretKey, ct Ciphertext) ([]uint64, error) {
-	return s.bs.Decrypt(BackendSecretKey{S: sk.S}, wrapCT(ct))
-}
-
-// AddCiphertexts is homomorphic addition: decrypts to the coefficient-wise
-// sum of the plaintexts mod T (noise permitting).
-func (s *Scheme) AddCiphertexts(c1, c2 Ciphertext) (Ciphertext, error) {
-	out, err := s.bs.AddCiphertexts(wrapCT(c1), wrapCT(c2))
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// SubCiphertexts is homomorphic subtraction.
-func (s *Scheme) SubCiphertexts(c1, c2 Ciphertext) (Ciphertext, error) {
-	out, err := s.bs.SubCiphertexts(wrapCT(c1), wrapCT(c2))
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// Neg negates a ciphertext (decrypts to -m mod T).
-func (s *Scheme) Neg(ct Ciphertext) (Ciphertext, error) {
-	out, err := s.bs.Neg(wrapCT(ct))
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// RelinKey is a relinearization key on the 128-bit ring backend.
-type RelinKey struct {
-	k BackendRelinKey
-}
-
-// RelinKeyGen samples the relinearization key MulCiphertexts needs. A
-// malformed secret-key handle is rejected with an error (PR 5's hardening
-// contract, extended to key generation).
-func (s *Scheme) RelinKeyGen(sk SecretKey) (RelinKey, error) {
-	k, err := s.bs.RelinKeyGen(BackendSecretKey{S: sk.S})
-	if err != nil {
-		return RelinKey{}, err
-	}
-	return RelinKey{k: k}, nil
-}
-
-// MulCiphertexts is homomorphic multiplication: the result decrypts to
-// the negacyclic product of the two plaintexts mod T, noise permitting.
-func (s *Scheme) MulCiphertexts(c1, c2 Ciphertext, rlk RelinKey) (Ciphertext, error) {
-	out, err := s.bs.MulCiphertexts(wrapCT(c1), wrapCT(c2), rlk.k)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// MulPlain multiplies a ciphertext by a plaintext polynomial with small
-// coefficients (negacyclic convolution of both components).
-func (s *Scheme) MulPlain(ct Ciphertext, pt []u128.U128) (Ciphertext, error) {
-	out, err := s.bs.MulPlain(wrapCT(ct), pt)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// MulScalar multiplies a ciphertext by a small integer constant k
-// (decrypts to k*m mod T, noise permitting: noise grows by a factor k).
-func (s *Scheme) MulScalar(ct Ciphertext, k uint64) (Ciphertext, error) {
-	out, err := s.bs.MulScalar(wrapCT(ct), k)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// AddPlain adds a plaintext message to a ciphertext without encrypting it
-// first: only the B component moves, by Delta * m.
-func (s *Scheme) AddPlain(ct Ciphertext, msg []uint64) (Ciphertext, error) {
-	out, err := s.bs.AddPlain(wrapCT(ct), msg)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return unwrapCT(out), nil
-}
-
-// NoiseBudgetBits estimates the remaining noise budget of a ciphertext in
-// bits: log2(Delta / (2*|noise|)) where noise = B - A*S - Delta*m. When it
-// reaches zero, decryption starts failing. Diagnostic only (requires the
-// secret key).
-func (s *Scheme) NoiseBudgetBits(sk SecretKey, ct Ciphertext, msg []uint64) (int, error) {
-	return s.bs.NoiseBudgetBits(BackendSecretKey{S: sk.S}, wrapCT(ct), msg)
 }

@@ -4,111 +4,174 @@ import (
 	"testing"
 
 	"mqxgo/internal/modmath"
-	"mqxgo/internal/u128"
 )
 
-// mustLCT unwraps an error-returning legacy entry point in tests where
-// the inputs are well-formed by construction.
-func mustLCT(ct Ciphertext, err error) Ciphertext {
-	if err != nil {
-		panic(err)
-	}
-	return ct
-}
+// The scheme-layer tests in this file hold their ciphertexts in
+// COEFFICIENT form (ConvertDomain right after Encrypt) on both backends:
+// the linear ops are domain-agnostic, but MulPlain, AddPlain, Decrypt and
+// the noise diagnostics each have a coefficient-form arm, and these tests
+// are what reaches it. backend_test.go runs the same operations on the
+// resident handles Encrypt returns.
 
-func testScheme(t *testing.T, n int) *Scheme {
+// eachBackendCoeff runs f once per backend with a fresh scheme and key and
+// an encryptor that returns coefficient-domain ciphertexts.
+func eachBackendCoeff(t *testing.T, n int, f func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext)) {
 	t.Helper()
-	p, err := NewParams(modmath.DefaultModulus128(), n, 257)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range testBackends(t, n) {
+		t.Run(b.Name(), func(t *testing.T) {
+			s := NewBackendScheme(b, 12345)
+			sk := s.KeyGen()
+			f(t, s, sk, func(msg []uint64) BackendCiphertext {
+				t.Helper()
+				ct, err := s.Encrypt(sk, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mustCT(s.ConvertDomain(ct, DomainCoeff))
+			})
+		})
 	}
-	return NewScheme(p, 12345)
 }
 
-func TestEncryptDecryptRoundTrip(t *testing.T) {
-	s := testScheme(t, 64)
-	sk := s.KeyGen()
-	msg := make([]uint64, 64)
-	for i := range msg {
-		msg[i] = uint64(i*7) % s.P.T
-	}
-	ct, err := s.Encrypt(sk, msg)
-	if err != nil {
-		t.Fatal(err)
+// wantDecrypt asserts ct decrypts to want.
+func wantDecrypt(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct BackendCiphertext, want func(i int) uint64) {
+	t.Helper()
+	if ct.Domain != DomainCoeff {
+		t.Fatalf("result rests in %s, want %s", ct.Domain, DomainCoeff)
 	}
 	got, err := s.Decrypt(sk, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range msg {
-		if got[i] != msg[i] {
-			t.Fatalf("coeff %d: got %d, want %d", i, got[i], msg[i])
+	for i := range got {
+		if got[i] != want(i) {
+			t.Fatalf("coeff %d: got %d, want %d", i, got[i], want(i))
 		}
 	}
 }
 
-func TestHomomorphicAddition(t *testing.T) {
-	s := testScheme(t, 32)
-	sk := s.KeyGen()
-	m1 := make([]uint64, 32)
-	m2 := make([]uint64, 32)
-	for i := range m1 {
-		m1[i] = uint64(i) % s.P.T
-		m2[i] = uint64(3*i+1) % s.P.T
-	}
-	c1, err := s.Encrypt(sk, m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := s.Encrypt(sk, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := mustLCT(s.AddCiphertexts(c1, c2))
-	got, err := s.Decrypt(sk, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1 {
-		if got[i] != (m1[i]+m2[i])%s.P.T {
-			t.Fatalf("coeff %d: got %d, want %d", i, got[i], (m1[i]+m2[i])%s.P.T)
+func TestEncryptDecryptRoundTrip(t *testing.T) {
+	eachBackendCoeff(t, 64, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		msg := make([]uint64, 64)
+		for i := range msg {
+			msg[i] = uint64(i*7) % s.B.PlainModulus()
 		}
-	}
+		wantDecrypt(t, s, sk, enc(msg), func(i int) uint64 { return msg[i] })
+	})
+}
+
+func TestHomomorphicAddition(t *testing.T) {
+	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		T := s.B.PlainModulus()
+		m1 := make([]uint64, 32)
+		m2 := make([]uint64, 32)
+		for i := range m1 {
+			m1[i] = uint64(i) % T
+			m2[i] = uint64(3*i+1) % T
+		}
+		sum := mustCT(s.AddCiphertexts(enc(m1), enc(m2)))
+		wantDecrypt(t, s, sk, sum, func(i int) uint64 { return (m1[i] + m2[i]) % T })
+	})
+}
+
+func TestHomomorphicSubAndNeg(t *testing.T) {
+	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		T := s.B.PlainModulus()
+		m1 := make([]uint64, 32)
+		m2 := make([]uint64, 32)
+		for i := range m1 {
+			m1[i] = uint64(200 + i)
+			m2[i] = uint64(3 * i)
+		}
+		c1, c2 := enc(m1), enc(m2)
+		wantDecrypt(t, s, sk, mustCT(s.SubCiphertexts(c1, c2)), func(i int) uint64 { return (m1[i] + T - m2[i]) % T })
+		wantDecrypt(t, s, sk, mustCT(s.Neg(c1)), func(i int) uint64 { return (T - m1[i]%T) % T })
+	})
+}
+
+func TestMulScalar(t *testing.T) {
+	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		T := s.B.PlainModulus()
+		m := make([]uint64, 16)
+		for i := range m {
+			m[i] = uint64(i)
+		}
+		const k = 7
+		wantDecrypt(t, s, sk, mustCT(s.MulScalar(enc(m), k)), func(i int) uint64 { return (m[i] * k) % T })
+	})
 }
 
 func TestMulPlainByMonomial(t *testing.T) {
 	// Multiplying by x rotates coefficients negacyclically; decryption
 	// must match the rotated plaintext (with sign wrap mod T).
-	s := testScheme(t, 16)
-	sk := s.KeyGen()
-	msg := make([]uint64, 16)
-	for i := range msg {
-		msg[i] = uint64(i + 1)
-	}
-	ct, err := s.Encrypt(sk, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]u128.U128, 16)
-	x[1] = u128.One // the monomial x
-	rot, err := s.MulPlain(ct, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Decrypt(sk, rot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (x * m)(x): coefficient j of the product is m[j-1]; coefficient 0 is
-	// -m[15] mod T.
-	if got[0] != (s.P.T-msg[15])%s.P.T {
-		t.Fatalf("coeff 0: got %d, want %d", got[0], (s.P.T-msg[15])%s.P.T)
-	}
-	for j := 1; j < 16; j++ {
-		if got[j] != msg[j-1] {
-			t.Fatalf("coeff %d: got %d, want %d", j, got[j], msg[j-1])
+	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		T := s.B.PlainModulus()
+		msg := make([]uint64, 16)
+		for i := range msg {
+			msg[i] = uint64(i + 1)
 		}
-	}
+		mono := make([]int64, 16)
+		mono[1] = 1
+		x := s.B.NewPoly()
+		s.B.SetSigned(x, mono)
+		// (x * m)(x): coefficient j of the product is m[j-1]; coefficient
+		// 0 is -m[15] mod T.
+		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(msg), x)), func(j int) uint64 {
+			if j == 0 {
+				return (T - msg[15]) % T
+			}
+			return msg[j-1]
+		})
+	})
+}
+
+func TestAddPlain(t *testing.T) {
+	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		T := s.B.PlainModulus()
+		m := make([]uint64, 16)
+		pt := make([]uint64, 16)
+		for i := range m {
+			m[i] = uint64(i*5) % T
+			pt[i] = uint64(i*11) % T
+		}
+		ct := enc(m)
+		wantDecrypt(t, s, sk, mustCT(s.AddPlain(ct, pt)), func(i int) uint64 { return (m[i] + pt[i]) % T })
+		if _, err := s.AddPlain(ct, make([]uint64, 3)); err == nil {
+			t.Error("expected length error")
+		}
+		if _, err := s.AddPlain(ct, append(make([]uint64, 15), 99999)); err == nil {
+			t.Error("expected range error")
+		}
+	})
+}
+
+func TestNoiseBudget(t *testing.T) {
+	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		m := make([]uint64, 32)
+		ct := enc(m)
+		fresh, err := s.NoiseBudgetBits(sk, ct, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh <= 0 {
+			t.Fatalf("fresh ciphertext should have positive noise budget, got %d", fresh)
+		}
+		// Repeated additions consume budget monotonically (or keep it equal).
+		acc := ct
+		for i := 0; i < 8; i++ {
+			acc = mustCT(s.AddCiphertexts(acc, ct))
+		}
+		after, err := s.NoiseBudgetBits(sk, acc, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after > fresh {
+			t.Fatalf("noise budget grew after additions: %d -> %d", fresh, after)
+		}
+		if _, err := s.NoiseBudgetBits(sk, ct, make([]uint64, 5)); err == nil {
+			t.Error("expected length error")
+		}
+	})
 }
 
 func TestValidation(t *testing.T) {
@@ -119,19 +182,18 @@ func TestValidation(t *testing.T) {
 	if _, err := NewParams(mod, 3, 257); err == nil {
 		t.Error("expected error for bad ring degree")
 	}
-	s := testScheme(t, 16)
-	sk := s.KeyGen()
-	if _, err := s.Encrypt(sk, make([]uint64, 7)); err == nil {
-		t.Error("expected message length error")
-	}
-	if _, err := s.Encrypt(sk, []uint64{999999, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("expected out-of-range coefficient error")
-	}
-	if _, err := s.Decrypt(sk, Ciphertext{}); err == nil {
-		t.Error("expected malformed ciphertext error")
-	}
-	ct, _ := s.Encrypt(sk, make([]uint64, 16))
-	if _, err := s.MulPlain(ct, nil); err == nil {
-		t.Error("expected plaintext length error")
-	}
+	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+		if _, err := s.Encrypt(sk, make([]uint64, 7)); err == nil {
+			t.Error("expected message length error")
+		}
+		if _, err := s.Encrypt(sk, append(make([]uint64, 15), 999999)); err == nil {
+			t.Error("expected out-of-range coefficient error")
+		}
+		if _, err := s.Decrypt(sk, BackendCiphertext{}); err == nil {
+			t.Error("expected malformed ciphertext error")
+		}
+		if _, err := s.MulPlain(enc(make([]uint64, 16)), nil); err == nil {
+			t.Error("expected plaintext handle error")
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -83,7 +84,7 @@ func checkModSwitch(t *testing.T, seed int64, pattern, levelByte byte) {
 		}
 	}
 	dst := BackendCiphertext{A: b.NewPolyAt(level + 1), B: b.NewPolyAt(level + 1), Level: level + 1}
-	if err := b.ModSwitch(&dst, ct); err != nil {
+	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil {
 		t.Fatal(err)
 	}
 

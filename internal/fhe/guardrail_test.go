@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -81,7 +82,7 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prod, err := s.MulCiphertexts(ct, ct2, rlk)
+			prod, err := s.MulCiphertextsCtx(context.Background(), ct, ct2, rlk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +107,7 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 			}
 
 			// Modulus switch: the bound divides down with the modulus.
-			low, err := s.ModSwitch(prod)
+			low, err := s.ModSwitchCtx(context.Background(), prod)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 					t.Fatal(err)
 				}
 				const steps = 3
-				rot, err := s.RotateSlots(prod, steps, gk)
+				rot, err := s.RotateSlotsCtx(context.Background(), prod, steps, gk)
 				if err != nil {
 					t.Fatal(err)
 				}

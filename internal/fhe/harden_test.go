@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -87,16 +88,16 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				return err
 			})
 			errNotPanic(t, "MulCiphertexts/foreign", func() error {
-				_, err := s.MulCiphertexts(ok, foreign, rlk)
+				_, err := s.MulCiphertextsCtx(context.Background(), ok, foreign, rlk)
 				return err
 			})
 			errNotPanic(t, "ModSwitch/foreign", func() error {
-				_, err := s.ModSwitch(foreign)
+				_, err := s.ModSwitchCtx(context.Background(), foreign)
 				return err
 			})
 			// Foreign relinearization key.
 			errNotPanic(t, "MulCiphertexts/foreignKey", func() error {
-				_, err := s.MulCiphertexts(ok, ok, foreignKey)
+				_, err := s.MulCiphertextsCtx(context.Background(), ok, ok, foreignKey)
 				return err
 			})
 			// A key of the RIGHT type from a DIFFERENT backend instance:
@@ -125,7 +126,7 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				if keyErr != nil {
 					return keyErr
 				}
-				_, err := s.MulCiphertexts(ok, ok, otherKey)
+				_, err := s.MulCiphertextsCtx(context.Background(), ok, ok, otherKey)
 				return err
 			})
 			// Nil components.
@@ -134,7 +135,7 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				return err
 			})
 			errNotPanic(t, "ModSwitch/nil", func() error {
-				_, err := s.ModSwitch(BackendCiphertext{A: ok.A})
+				_, err := s.ModSwitchCtx(context.Background(), BackendCiphertext{A: ok.A})
 				return err
 			})
 			// Levels outside the chain.
@@ -148,7 +149,7 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 			})
 			// Mismatched operand levels.
 			errNotPanic(t, "AddCiphertexts/levelMismatch", func() error {
-				down, err := s.ModSwitch(ok)
+				down, err := s.ModSwitchCtx(context.Background(), ok)
 				if err != nil {
 					return err
 				}
@@ -165,11 +166,11 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				ct := ok
 				var err error
 				for ct.Level < s.B.Levels()-1 {
-					if ct, err = s.ModSwitch(ct); err != nil {
+					if ct, err = s.ModSwitchCtx(context.Background(), ct); err != nil {
 						return nil // unexpected, surfaced below by level check
 					}
 				}
-				_, err = s.ModSwitch(ct)
+				_, err = s.ModSwitchCtx(context.Background(), ct)
 				return err
 			})
 			// Foreign plaintext polynomial.
@@ -249,7 +250,7 @@ func TestDomainMismatchedHandlesAreRejected(t *testing.T) {
 				return err
 			})
 			errNotPanic(t, "MulCiphertexts/mixedDomain", func() error {
-				_, err := s.MulCiphertexts(res, coe, rlk)
+				_, err := s.MulCiphertextsCtx(context.Background(), res, coe, rlk)
 				return err
 			})
 			// Unknown domain tag on an otherwise well-formed handle.
@@ -269,36 +270,26 @@ func TestDomainMismatchedHandlesAreRejected(t *testing.T) {
 			bRlk := b.RelinKeyGen(sk.S, rng)
 			errNotPanic(t, "MulCt/dstDomainMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainCoeff}
-				return b.MulCt(&dst, res, res, bRlk)
+				return b.MulCtCtx(context.Background(), &dst, res, res, bRlk)
 			})
 			errNotPanic(t, "MulCt/operandDomainMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-				return b.MulCt(&dst, res, coe, bRlk)
+				return b.MulCtCtx(context.Background(), &dst, res, coe, bRlk)
 			})
 			errNotPanic(t, "ModSwitch/dstDomainMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: DomainCoeff}
-				return b.ModSwitch(&dst, res)
+				return b.ModSwitchCtx(context.Background(), &dst, res)
 			})
-			// Coefficient-domain relin keys exist as a benchmark layout;
-			// feeding one to the resident pipeline must error rather than
-			// relinearize evaluation points against coefficient key rows.
-			if gen, okGen := b.(CoeffDomainRelinKeyGenerator); okGen {
-				cKey := gen.RelinKeyGenCoeffDomain(sk.S, rand.New(rand.NewSource(63)))
-				errNotPanic(t, "MulCt/coeffKeyResidentOperands", func() error {
-					dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-					return b.MulCt(&dst, res, res, cKey)
-				})
-			}
 		})
 	}
 }
 
 // TestGaloisCallsRejectMalformedInput extends the hardening gate to the
 // rotation seam: foreign ciphertexts and Galois keys, keys of the right
-// type from a differently-shaped backend instance, nil keys, and
-// destination tags (level, domain) that disagree with the source must all
-// be refused with an error — never a panic or a silently wrong
-// permutation.
+// type from a differently-shaped backend instance, nil keys, destination
+// tags (level, domain) that disagree with the source, and destinations
+// aliasing the source must all be refused with an error — never a panic
+// or a silently wrong permutation.
 func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 	const n, T = 32, 257
 	params, err := NewParams(modmath.DefaultModulus128(), n, T)
@@ -343,15 +334,15 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 		foreignKey := galois[otherOf[name]]
 		t.Run(name, func(t *testing.T) {
 			errNotPanic(t, "RotateSlots/foreignCt", func() error {
-				_, err := s.RotateSlots(foreign, 1, gk)
+				_, err := s.RotateSlotsCtx(context.Background(), foreign, 1, gk)
 				return err
 			})
 			errNotPanic(t, "RotateSlots/foreignKey", func() error {
-				_, err := s.RotateSlots(ok, 1, foreignKey)
+				_, err := s.RotateSlotsCtx(context.Background(), ok, 1, foreignKey)
 				return err
 			})
 			errNotPanic(t, "Conjugate/nilKey", func() error {
-				_, err := s.Conjugate(ok, nil)
+				_, err := s.ConjugateCtx(context.Background(), ok, nil)
 				return err
 			})
 			// A key of the RIGHT type from a backend with a different ring
@@ -380,15 +371,15 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 				if keyErr != nil {
 					return keyErr
 				}
-				_, err := s.RotateSlots(ok, 1, otherKey)
+				_, err := s.RotateSlotsCtx(context.Background(), ok, 1, otherKey)
 				return err
 			})
 			errNotPanic(t, "RotateSlots/nilCt", func() error {
-				_, err := s.RotateSlots(BackendCiphertext{}, 1, gk)
+				_, err := s.RotateSlotsCtx(context.Background(), BackendCiphertext{}, 1, gk)
 				return err
 			})
 			errNotPanic(t, "RotateSlots/hugeLevel", func() error {
-				_, err := s.RotateSlots(BackendCiphertext{A: ok.A, B: ok.B, Level: 99, Domain: ok.Domain}, 1, gk)
+				_, err := s.RotateSlotsCtx(context.Background(), BackendCiphertext{A: ok.A, B: ok.B, Level: 99, Domain: ok.Domain}, 1, gk)
 				return err
 			})
 
@@ -396,7 +387,7 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 			b := s.B
 			errNotPanic(t, "RotateSlots/dstLevelMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: ok.Domain}
-				return b.RotateSlots(&dst, ok, 1, gk)
+				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "RotateSlots/dstDomainMismatch", func() error {
 				wrong := DomainCoeff
@@ -404,11 +395,22 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 					wrong = DomainNTT
 				}
 				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: wrong}
-				return b.RotateSlots(&dst, ok, 1, gk)
+				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "Conjugate/dstLevelMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: ok.Domain}
-				return b.Conjugate(&dst, ok, gk)
+				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
+			})
+			// The permutation writes tau(B) straight into dst: a destination
+			// sharing storage with the source — whole, or one component
+			// crossed onto the other — would come back silently wrong.
+			errNotPanic(t, "RotateSlots/dstAliasesSource", func() error {
+				dst := ok
+				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
+			})
+			errNotPanic(t, "Conjugate/dstComponentAliasesSource", func() error {
+				dst := BackendCiphertext{A: b.NewPoly(), B: ok.A, Domain: ok.Domain}
+				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
 			})
 		})
 	}

@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -102,12 +103,12 @@ func TestLadderDifferentialAcrossBackends(t *testing.T) {
 				expected := append([]uint64(nil), msg...)
 				for level := 0; level < depth; level++ {
 					for _, ch := range chains {
-						ch.ct = mustCT(ch.s.MulCiphertexts(ch.ct, ch.ct, ch.rlk))
+						ch.ct = mustCT(ch.s.MulCiphertextsCtx(context.Background(), ch.ct, ch.ct, ch.rlk))
 					}
 					expected = NegacyclicProductModT(expected, expected, T)
 					compare(fmt.Sprintf("after mul at level %d", level), expected)
 					for _, ch := range chains {
-						ch.ct = mustCT(ch.s.ModSwitch(ch.ct))
+						ch.ct = mustCT(ch.s.ModSwitchCtx(context.Background(), ch.ct))
 						if ch.ct.Level != level+1 {
 							t.Fatalf("ModSwitch left %s at level %d, want %d",
 								ch.s.B.Name(), ch.ct.Level, level+1)
@@ -193,9 +194,9 @@ func TestLadderDepth3BudgetProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d := 0; d < depth; d++ {
-			ct = mustCT(s.MulCiphertexts(ct, ct, rlk))
+			ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 			if switching && d < depth-1 {
-				ct = mustCT(s.ModSwitch(ct))
+				ct = mustCT(s.ModSwitchCtx(context.Background(), ct))
 			}
 		}
 		return ct, s, sk
@@ -348,16 +349,16 @@ func TestResidentLadderMatchesCoeffPath(t *testing.T) {
 				check("fresh", expected)
 				depth := min(b.Levels()-1, 3)
 				for level := 0; level < depth; level++ {
-					res = mustCT(s.MulCiphertexts(res, res, rlk))
-					coe = mustCT(s.MulCiphertexts(coe, coe, rlk))
+					res = mustCT(s.MulCiphertextsCtx(context.Background(), res, res, rlk))
+					coe = mustCT(s.MulCiphertextsCtx(context.Background(), coe, coe, rlk))
 					if res.Domain != DomainNTT || coe.Domain != DomainCoeff {
 						t.Fatalf("multiply at level %d moved a handle: resident now %s, coeff-path now %s",
 							level, res.Domain, coe.Domain)
 					}
 					expected = NegacyclicProductModT(expected, expected, T)
 					check(fmt.Sprintf("after mul at level %d", level), expected)
-					res = mustCT(s.ModSwitch(res))
-					coe = mustCT(s.ModSwitch(coe))
+					res = mustCT(s.ModSwitchCtx(context.Background(), res))
+					coe = mustCT(s.ModSwitchCtx(context.Background(), coe))
 					if res.Domain != DomainNTT || coe.Domain != DomainCoeff {
 						t.Fatalf("drop to level %d moved a handle: resident now %s, coeff-path now %s",
 							level+1, res.Domain, coe.Domain)
@@ -402,7 +403,7 @@ func TestOracleRescaleOutOfRangeIsDetected(t *testing.T) {
 
 	// Backend seam: the rescale detection fires instead of a panic.
 	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCt(&dst, evil(), evil(), rlk); err == nil {
+	if err := b.MulCtCtx(context.Background(), &dst, evil(), evil(), rlk); err == nil {
 		t.Fatal("expected oracle rescale range error for unreduced ciphertext")
 	} else {
 		t.Logf("backend error (expected): %v", err)
@@ -413,7 +414,7 @@ func TestOracleRescaleOutOfRangeIsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MulCiphertexts(evil(), good, rlk); err == nil {
+	if _, err := s.MulCiphertextsCtx(context.Background(), evil(), good, rlk); err == nil {
 		t.Fatal("expected scheme-layer validation error for unreduced ciphertext")
 	}
 }

@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func mulTrace(t *testing.T, b Backend, seed int64, m1, m2 []uint64) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Decrypt(sk, mustCT(s.MulCiphertexts(c1, c2, rlk)))
+	got, err := s.Decrypt(sk, mustCT(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,45 +114,6 @@ func TestMulCtDifferentialAcrossBackends(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestMulCiphertextsLegacyScheme covers the 128-bit compatibility wrapper.
-func TestMulCiphertextsLegacyScheme(t *testing.T) {
-	const n, T = 64, 257
-	params, err := NewParams(modmath.DefaultModulus128(), n, T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheme(params, 7)
-	sk := s.KeyGen()
-	rlk, rlkErr := s.RelinKeyGen(sk)
-	if rlkErr != nil {
-		t.Fatal(rlkErr)
-	}
-	m1 := make([]uint64, n)
-	m2 := make([]uint64, n)
-	for i := range m1 {
-		m1[i] = uint64(i) % T
-		m2[i] = uint64(5*i+2) % T
-	}
-	c1, err := s.Encrypt(sk, m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := s.Encrypt(sk, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Decrypt(sk, mustLCT(s.MulCiphertexts(c1, c2, rlk)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NegacyclicProductModT(m1, m2, T)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("coeff %d: got %d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -214,7 +176,7 @@ func TestMulCtNoiseBudgetProperty(t *testing.T) {
 
 			// Depth 1: full-amplitude messages must round-trip, and the
 			// measured noise must respect the documented bound.
-			ct = mustCT(s.MulCiphertexts(ct, ct, rlk))
+			ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 			expected = NegacyclicProductModT(expected, expected, T)
 			got, err := s.Decrypt(sk, ct)
 			if err != nil {
@@ -244,7 +206,7 @@ func TestMulCtNoiseBudgetProperty(t *testing.T) {
 			// a few levels, with the budget reading zero when it does.
 			failed := false
 			for depth := 2; depth <= 6; depth++ {
-				ct = mustCT(s.MulCiphertexts(ct, ct, rlk))
+				ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 				expected = NegacyclicProductModT(expected, expected, T)
 				got, err := s.Decrypt(sk, ct)
 				if err != nil {
@@ -313,10 +275,10 @@ func TestMtildeReclaimsNoiseBoundBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	expected := append([]uint64(nil), msg...)
-	ct = mustCT(s.MulCiphertexts(ct, ct, rlk))
+	ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 	expected = NegacyclicProductModT(expected, expected, T)
 	depth1Noise := noiseBitsOf(t, s, sk, ct, expected)
-	ct = mustCT(s.MulCiphertexts(ct, ct, rlk))
+	ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 	expected = NegacyclicProductModT(expected, expected, T)
 	depth2Noise := noiseBitsOf(t, s, sk, ct, expected)
 

@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestRotateSlotsAllAmountsCrossBackend(t *testing.T) {
 				if bi == 0 && r%oracleStride != 0 {
 					continue
 				}
-				rot, err := s.RotateSlots(ct, r, gk)
+				rot, err := s.RotateSlotsCtx(context.Background(), ct, r, gk)
 				if err != nil {
 					t.Fatalf("%s n=%d rotate %d: %v", b.Name(), n, r, err)
 				}
@@ -223,7 +224,7 @@ func TestRotateSlotsAllAmountsCrossBackend(t *testing.T) {
 				}
 			}
 			// Conjugation and negative steps on every backend.
-			conj, err := s.Conjugate(ct, gk)
+			conj, err := s.ConjugateCtx(context.Background(), ct, gk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestRotateSlotsAllAmountsCrossBackend(t *testing.T) {
 					t.Fatalf("%s n=%d conjugate: slot %d = %d, want %d", b.Name(), n, i, got[i], want[i])
 				}
 			}
-			neg, err := s.RotateSlots(ct, -3, gk)
+			neg, err := s.RotateSlotsCtx(context.Background(), ct, -3, gk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,19 +301,19 @@ func TestRotateComposedDownLadder(t *testing.T) {
 			model = rotatedModel(model, 5)
 			model = rotatedModel(model, n/2-5) // full-row cycle: back to x*y
 
-			prod, err := s.MulCiphertexts(ctX, ctY, rlk)
+			prod, err := s.MulCiphertextsCtx(context.Background(), ctX, ctY, rlk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, err := s.RotateSlots(prod, 5, gk)
+			r1, err := s.RotateSlotsCtx(context.Background(), prod, 5, gk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			down, err := s.ModSwitch(r1)
+			down, err := s.ModSwitchCtx(context.Background(), r1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := s.RotateSlots(down, n/2-5, gk)
+			r2, err := s.RotateSlotsCtx(context.Background(), down, n/2-5, gk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,11 +358,11 @@ func TestRotateCoeffDomainMatchesResident(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range []int{1, 7, n/2 - 1} {
-				viaRes, err := s.RotateSlots(ct, r, gk)
+				viaRes, err := s.RotateSlotsCtx(context.Background(), ct, r, gk)
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaCoeff, err := s.RotateSlots(ctCoeff, r, gk)
+				viaCoeff, err := s.RotateSlotsCtx(context.Background(), ctCoeff, r, gk)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -160,8 +160,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		// steady-state serving loop — no allocation beyond the backend's
 		// pooled scratch.
 		if dst := s.reusableDst(t, req.Out, level, e1.ct.Domain, h1, h2); dst != nil {
-			db := sch.B.(fhe.DeadlineBackend)
-			if err := db.MulCtCtx(ctx, &dst.ct, e1.ct, e2.ct, t.rlk); err != nil {
+			if err := sch.B.MulCtCtx(ctx, &dst.ct, e1.ct, e2.ct, t.rlk); err != nil {
 				return evalResponse{}, ctxErr(s, err)
 			}
 			dst.noiseBits = pred
@@ -197,8 +196,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 				"modswitch to level %d would leave %d budget bits (floor %d)", level+1, budget, s.cfg.BudgetFloorBits)
 		}
 		if dst := s.reusableDst(t, req.Out, level+1, e.ct.Domain, req.Args[0], ""); dst != nil {
-			db := sch.B.(fhe.DeadlineBackend)
-			if err := db.ModSwitchCtx(ctx, &dst.ct, e.ct); err != nil {
+			if err := sch.B.ModSwitchCtx(ctx, &dst.ct, e.ct); err != nil {
 				return evalResponse{}, ctxErr(s, err)
 			}
 			dst.noiseBits = pred
@@ -243,19 +241,17 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		// existing same-level destination with zero allocation beyond the
 		// backend's pooled scratch.
 		if dst := s.reusableDst(t, req.Out, level, e.ct.Domain, req.Args[0], ""); dst != nil {
-			if rb, rok := sch.B.(fhe.RotateDeadlineBackend); rok {
-				var err error
-				if req.Op == "rotate" {
-					err = rb.RotateSlotsCtx(ctx, &dst.ct, e.ct, req.Steps, t.gk)
-				} else {
-					err = rb.ConjugateCtx(ctx, &dst.ct, e.ct, t.gk)
-				}
-				if err != nil {
-					return evalResponse{}, ctxErr(s, err)
-				}
-				dst.noiseBits = pred
-				return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
+			var err error
+			if req.Op == "rotate" {
+				err = sch.B.RotateSlotsCtx(ctx, &dst.ct, e.ct, req.Steps, t.gk)
+			} else {
+				err = sch.B.ConjugateCtx(ctx, &dst.ct, e.ct, t.gk)
 			}
+			if err != nil {
+				return evalResponse{}, ctxErr(s, err)
+			}
+			dst.noiseBits = pred
+			return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
 		}
 		var out fhe.BackendCiphertext
 		var err error
@@ -319,9 +315,6 @@ func (s *Server) reusableDst(t *tenant, out string, level int, d fhe.Domain, arg
 	}
 	e := t.cts[out]
 	if e == nil || e.ct.Level != level || e.ct.Domain != d {
-		return nil
-	}
-	if _, ok := s.cfg.Scheme.B.(fhe.DeadlineBackend); !ok {
 		return nil
 	}
 	return e
