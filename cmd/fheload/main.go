@@ -28,6 +28,7 @@ import (
 
 	"mqxgo/internal/fhe"
 	"mqxgo/internal/ring"
+	"mqxgo/internal/rns"
 )
 
 type stats struct {
@@ -219,15 +220,18 @@ func (c *client) run(ctx context.Context, id int, msgLen int, plainMod uint64, m
 	return nil
 }
 
+// hostConfig stamps the host into the report. kernel_tier is read from a
+// built 64-bit tower plan, so it is whatever ring's one tier policy
+// resolved (the MQXGO_KERNEL_TIER knob clamped to the detected ceiling).
 func hostConfig(cfg map[string]any) map[string]any {
-	sel := ring.DetectKernelTier()
-	if e := ring.EnvKernelTier(); e != ring.TierAuto && e < sel {
-		sel = e
+	c, err := rns.NewContext(59, 1, 2)
+	if err != nil {
+		log.Fatalf("fheload: kernel tier probe: %v", err)
 	}
 	cfg["goos"] = runtime.GOOS
 	cfg["goarch"] = runtime.GOARCH
 	cfg["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	cfg["kernel_tier"] = sel.String()
+	cfg["kernel_tier"] = c.Plans[0].Generic().KernelTier()
 	cfg["kernel_tier_detected"] = ring.DetectKernelTier().String()
 	cfg["cpu_features"] = ring.CPUFeatures()
 	return cfg

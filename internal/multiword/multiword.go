@@ -303,9 +303,13 @@ func toBig(x Int) *big.Int {
 
 func fromBig(b *big.Int, k int) Int {
 	z := NewInt(k)
-	words := b.Bits()
-	for i := 0; i < len(words) && i < k; i++ {
-		z[i] = uint64(words[i])
+	// Word i sits at bit i*bits.UintSize (a 32-bit big.Word is half a limb).
+	for i, w := range b.Bits() {
+		sh := uint(i * bits.UintSize)
+		if int(sh/64) >= k {
+			break
+		}
+		z[sh/64] |= uint64(w) << (sh % 64)
 	}
 	return z
 }

@@ -7,8 +7,8 @@ import (
 // Batched 128-bit transforms: thin delegations to the generic chunked
 // batch dispatch in internal/ring, which fans a batch of independent
 // transforms across a persistent worker pool (Section 6, "towards
-// realizing SOL performance"). Plan64 exposes the identical surface in
-// ntt64.go.
+// realizing SOL performance"). 64-bit callers use the same methods on
+// Plan64.Generic().
 
 // BatchForward runs the forward transform over every input, in parallel
 // across at most workers chunks (0 means GOMAXPROCS). Inputs are not

@@ -4,23 +4,13 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"mqxgo/internal/modmath"
 )
 
-// Plan64 batch API regression tests, mirroring the 128-bit suite in
-// engine_test.go so the 64-bit path is exercised under -race too (the
-// raceEnabled gate in race_on_test.go / race_off_test.go skips only the
-// allocation assertions, which race instrumentation breaks by design).
-
-func testPlan64(t *testing.T, n int) *Plan64 {
-	t.Helper()
-	ps, err := modmath.FindNTTPrimes64(60, uint64(2*n), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return MustPlan64(modmath.MustModulus64(ps[0]), n)
-}
+// 64-bit batch regression tests on Plan64.Generic(), mirroring the
+// 128-bit suite in engine_test.go so the 64-bit path is exercised under
+// -race too (the raceEnabled gate in race_on_test.go / race_off_test.go
+// skips only the allocation assertions, which race instrumentation breaks
+// by design).
 
 func randPoly64(r *rand.Rand, q uint64, n int) []uint64 {
 	out := make([]uint64, n)
@@ -37,8 +27,8 @@ func TestBatch64MatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	inputs := make([][]uint64, batch)
 	pairs := make([][2][]uint64, batch)
 	for i := range inputs {
-		inputs[i] = randPoly64(r, p.Mod.Q, n)
-		pairs[i] = [2][]uint64{randPoly64(r, p.Mod.Q, n), randPoly64(r, p.Mod.Q, n)}
+		inputs[i] = randPoly64(r, p.R.M.Q, n)
+		pairs[i] = [2][]uint64{randPoly64(r, p.R.M.Q, n), randPoly64(r, p.R.M.Q, n)}
 	}
 	wantF := make([][]uint64, batch)
 	wantM := make([][]uint64, batch)
@@ -77,7 +67,7 @@ func TestBatch64IntoMatchesBatch(t *testing.T) {
 	inputs := make([][]uint64, batch)
 	dsts := make([][]uint64, batch)
 	for i := range inputs {
-		inputs[i] = randPoly64(r, p.Mod.Q, n)
+		inputs[i] = randPoly64(r, p.R.M.Q, n)
 		dsts[i] = make([]uint64, n)
 	}
 	p.BatchForwardInto(dsts, inputs, 3)
@@ -100,7 +90,7 @@ func TestBatch64IntoMatchesBatch(t *testing.T) {
 
 	pairs := make([][2][]uint64, batch)
 	for i := range pairs {
-		pairs[i] = [2][]uint64{randPoly64(r, p.Mod.Q, n), randPoly64(r, p.Mod.Q, n)}
+		pairs[i] = [2][]uint64{randPoly64(r, p.R.M.Q, n), randPoly64(r, p.R.M.Q, n)}
 	}
 	p.BatchPolyMulNegacyclicInto(dsts, pairs, 2)
 	for i := range pairs {
@@ -126,13 +116,13 @@ func TestBatch64IntoAllocsBounded(t *testing.T) {
 	inputs := make([][]uint64, batch)
 	dsts := make([][]uint64, batch)
 	for i := range inputs {
-		inputs[i] = randPoly64(r, p.Mod.Q, n)
+		inputs[i] = randPoly64(r, p.R.M.Q, n)
 		dsts[i] = make([]uint64, n)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	p.BatchForwardInto(dsts, inputs, workers) // warm pool + scratch
 	a := testing.AllocsPerRun(10, func() { p.BatchForwardInto(dsts, inputs, workers) })
 	if limit := float64(4*workers + 8); a > limit {
-		t.Errorf("Plan64.BatchForwardInto allocates %.1f per run, want <= %.0f", a, limit)
+		t.Errorf("Plan64.Generic().BatchForwardInto allocates %.1f per run, want <= %.0f", a, limit)
 	}
 }

@@ -19,10 +19,10 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 		x := randPoly(r, mod, n)
 		got := make([]u128.U128, n)
 		p.ForwardInto(got, x)
-		want := Reference(mod, p.Omega, x)
+		want := Reference(mod, p.Generic().Omega, x)
 		for i := 0; i < n; i++ {
-			if !got[i].Equal(want[BitReverse(i, p.M)]) {
-				t.Fatalf("n=%d: output %d = %s, want %s", n, i, got[i], want[BitReverse(i, p.M)])
+			if !got[i].Equal(want[bitReverse(i, p.M)]) {
+				t.Fatalf("n=%d: output %d = %s, want %s", n, i, got[i], want[bitReverse(i, p.M)])
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func TestPlan64IntoMatchesWrappers(t *testing.T) {
 	mod := modmath.MustModulus64(ps[0])
 	r := rand.New(rand.NewSource(54))
 	for _, n := range []int{2, 8, 64, 256} {
-		p := MustPlan64(mod, n)
+		p := generic64(t, mod, n)
 		x := make([]uint64, n)
 		b := make([]uint64, n)
 		for i := range x {
@@ -172,7 +172,7 @@ func TestPlan64IntoAPIsDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := modmath.MustModulus64(ps[0])
-	p := MustPlan64(mod, n)
+	p := generic64(t, mod, n)
 	r := rand.New(rand.NewSource(56))
 	x := make([]uint64, n)
 	b := make([]uint64, n)
@@ -185,13 +185,13 @@ func TestPlan64IntoAPIsDoNotAllocate(t *testing.T) {
 	p.PolyMulNegacyclicInto(dst, x, b)
 
 	if a := testing.AllocsPerRun(20, func() { p.ForwardInto(dst, x) }); a != 0 {
-		t.Errorf("Plan64.ForwardInto allocates %.1f per run, want 0", a)
+		t.Errorf("Plan64.Generic().ForwardInto allocates %.1f per run, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { p.InverseInto(dst, x) }); a != 0 {
-		t.Errorf("Plan64.InverseInto allocates %.1f per run, want 0", a)
+		t.Errorf("Plan64.Generic().InverseInto allocates %.1f per run, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { p.PolyMulNegacyclicInto(dst, x, b) }); a != 0 {
-		t.Errorf("Plan64.PolyMulNegacyclicInto allocates %.1f per run, want 0", a)
+		t.Errorf("Plan64.Generic().PolyMulNegacyclicInto allocates %.1f per run, want 0", a)
 	}
 }
 

@@ -11,68 +11,6 @@ import (
 	"mqxgo/internal/vm"
 )
 
-func TestInPlaceMatchesConstantGeometry(t *testing.T) {
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(91))
-	for _, n := range []int{2, 4, 16, 128, 1024} {
-		p := MustPlan(mod, n)
-		x := randPoly(r, mod, n)
-		want := p.ForwardNative(x)
-		got := append(x[:0:0], x...)
-		p.ForwardInPlace(got)
-		for i := 0; i < n; i++ {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("n=%d: GS in-place differs from CG at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestInPlaceRoundTrip(t *testing.T) {
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(92))
-	for _, n := range []int{4, 64, 512} {
-		p := MustPlan(mod, n)
-		x := randPoly(r, mod, n)
-		y := append(x[:0:0], x...)
-		p.ForwardInPlace(y)
-		p.InverseInPlace(y)
-		for i := range x {
-			if !y[i].Equal(x[i]) {
-				t.Fatalf("n=%d: in-place round trip failed at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestInPlaceCrossDataflowRoundTrip(t *testing.T) {
-	// Forward with the CG dataflow, inverse with the in-place CT dataflow
-	// (and vice versa): the ordering conventions must be interchangeable.
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(93))
-	n := 256
-	p := MustPlan(mod, n)
-	x := randPoly(r, mod, n)
-
-	y := p.ForwardNative(x)
-	z := append(y[:0:0], y...)
-	p.InverseInPlace(z)
-	for i := range x {
-		if !z[i].Equal(x[i]) {
-			t.Fatalf("CG forward + CT inverse failed at %d", i)
-		}
-	}
-
-	w := append(x[:0:0], x...)
-	p.ForwardInPlace(w)
-	back := p.InverseNative(w)
-	for i := range x {
-		if !back[i].Equal(x[i]) {
-			t.Fatalf("GS forward + CG inverse failed at %d", i)
-		}
-	}
-}
-
 func TestBatchTransforms(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(94))

@@ -42,34 +42,6 @@ func (p *Plan) ForwardNative(x []u128.U128) []u128.U128 {
 	return out
 }
 
-// InverseNative computes the inverse NTT of y (bit-reversed order) back to
-// natural order, including the 1/N scaling. It is an allocating wrapper
-// over InverseInto.
-func (p *Plan) InverseNative(y []u128.U128) []u128.U128 {
-	out := make([]u128.U128, p.N)
-	p.InverseInto(out, y)
-	return out
-}
-
-// PolyMulNegacyclic multiplies two polynomials in Z_q[x]/(x^n + 1) using
-// the twisted (negacyclic) NTT: pre-twist by psi^j, transform, point-wise
-// multiply, inverse transform, and untwist by psi^-j (with 1/N folded into
-// the untwist table). It is an allocating wrapper over
-// PolyMulNegacyclicInto.
-func (p *Plan) PolyMulNegacyclic(a, b []u128.U128) []u128.U128 {
-	out := make([]u128.U128, p.N)
-	p.PolyMulNegacyclicInto(out, a, b)
-	return out
-}
-
-// PolyMulCyclic multiplies two polynomials in Z_q[x]/(x^n - 1) by plain
-// NTT convolution.
-func (p *Plan) PolyMulCyclic(a, b []u128.U128) []u128.U128 {
-	out := make([]u128.U128, p.N)
-	p.g.PolyMulCyclicInto(out, a, b)
-	return out
-}
-
 func (p *Plan) checkLen(n int) {
 	if n != p.N {
 		panic("ntt: input length does not match plan size")

@@ -7,26 +7,14 @@ import (
 
 // Plan64 is the single-word (64-bit) NTT plan used by the residue number
 // system substrate (internal/rns): the conventional alternative to 128-bit
-// residues that the paper discusses in Sections 1 and 8. It is a thin
-// instantiation of the generic engine in internal/ring over uint64 with
-// Shoup one-correction twiddle multiplication, so it shares the Pease
-// stage loops, pooled scratch, folded 1/N scaling, and the batch worker
-// pool with the 128-bit Plan.
-//
-// Plan64 exposes the same destination-passing APIs as Plan (ForwardInto,
-// InverseInto, PolyMulNegacyclicInto — nothing allocated in steady state)
-// and the same Batch*/Batch*Into surface. A Plan64 is safe for concurrent
-// use once built.
+// residues that the paper discusses in Sections 1 and 8. It is a handle to
+// the generic engine in internal/ring instantiated over uint64 with Shoup
+// one-correction twiddle multiplication, so it shares the Pease stage
+// loops, pooled scratch, folded 1/N scaling, and the batch worker pool
+// with the 128-bit Plan. Every transform runs through Generic(); the
+// handle is the value CachedPlan64 shares and rns.Context.Plans holds. A
+// Plan64 is safe for concurrent use once built.
 type Plan64 struct {
-	Mod *modmath.Modulus64
-	N   int
-	M   int
-
-	Omega    uint64
-	OmegaInv uint64
-	NInv     uint64
-	Psi      uint64
-
 	g *ring.Plan[uint64, ring.Shoup64]
 }
 
@@ -36,97 +24,8 @@ func NewPlan64(mod *modmath.Modulus64, n int) (*Plan64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan64{
-		Mod:      mod,
-		N:        g.N,
-		M:        g.M,
-		Omega:    g.Omega,
-		OmegaInv: g.OmegaInv,
-		NInv:     g.NInv,
-		Psi:      g.Psi,
-		g:        g,
-	}, nil
-}
-
-// MustPlan64 is NewPlan64 but panics on error.
-func MustPlan64(mod *modmath.Modulus64, n int) *Plan64 {
-	p, err := NewPlan64(mod, n)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return &Plan64{g: g}, nil
 }
 
 // Generic returns the underlying generic engine plan.
 func (p *Plan64) Generic() *ring.Plan[uint64, ring.Shoup64] { return p.g }
-
-// ForwardInto computes the forward NTT of x (natural order) into dst
-// (bit-reversed order). dst may alias x. Steady-state it allocates
-// nothing.
-func (p *Plan64) ForwardInto(dst, x []uint64) { p.g.ForwardInto(dst, x) }
-
-// InverseInto computes the inverse NTT of y (bit-reversed order) into dst
-// (natural order) with the 1/N scale folded into the final stage. dst may
-// alias y. Steady-state it allocates nothing.
-func (p *Plan64) InverseInto(dst, y []uint64) { p.g.InverseInto(dst, y) }
-
-// PolyMulNegacyclicInto computes dst = a*b in Z_q[x]/(x^n + 1) via the
-// twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
-func (p *Plan64) PolyMulNegacyclicInto(dst, a, b []uint64) {
-	p.g.PolyMulNegacyclicInto(dst, a, b)
-}
-
-// Forward computes the forward NTT (natural in, bit-reversed out). It is
-// an allocating wrapper over ForwardInto.
-func (p *Plan64) Forward(x []uint64) []uint64 { return p.g.Forward(x) }
-
-// Inverse computes the inverse NTT (bit-reversed in, natural out) with the
-// 1/N scaling applied. It is an allocating wrapper over InverseInto.
-func (p *Plan64) Inverse(y []uint64) []uint64 { return p.g.Inverse(y) }
-
-// PolyMulNegacyclic multiplies in Z_q[x]/(x^n + 1) via the twisted NTT. It
-// is an allocating wrapper over PolyMulNegacyclicInto.
-func (p *Plan64) PolyMulNegacyclic(a, b []uint64) []uint64 {
-	return p.g.PolyMulNegacyclic(a, b)
-}
-
-// PolyMulCyclic multiplies two polynomials in Z_q[x]/(x^n - 1) by plain
-// NTT convolution.
-func (p *Plan64) PolyMulCyclic(a, b []uint64) []uint64 {
-	out := make([]uint64, p.N)
-	p.g.PolyMulCyclicInto(out, a, b)
-	return out
-}
-
-// BatchForward runs the forward transform over every input, in parallel
-// across at most workers chunks (0 means GOMAXPROCS).
-func (p *Plan64) BatchForward(inputs [][]uint64, workers int) [][]uint64 {
-	return p.g.BatchForward(inputs, workers)
-}
-
-// BatchForwardInto is BatchForward with caller-provided destinations.
-func (p *Plan64) BatchForwardInto(dst, inputs [][]uint64, workers int) {
-	p.g.BatchForwardInto(dst, inputs, workers)
-}
-
-// BatchInverse runs the inverse transform over every input in parallel.
-func (p *Plan64) BatchInverse(inputs [][]uint64, workers int) [][]uint64 {
-	return p.g.BatchInverse(inputs, workers)
-}
-
-// BatchInverseInto is BatchInverse with caller-provided destinations.
-func (p *Plan64) BatchInverseInto(dst, inputs [][]uint64, workers int) {
-	p.g.BatchInverseInto(dst, inputs, workers)
-}
-
-// BatchPolyMulNegacyclic multiplies pairs[i][0] * pairs[i][1] in
-// Z_q[x]/(x^n + 1) for every pair, in parallel.
-func (p *Plan64) BatchPolyMulNegacyclic(pairs [][2][]uint64, workers int) [][]uint64 {
-	return p.g.BatchPolyMulNegacyclic(pairs, workers)
-}
-
-// BatchPolyMulNegacyclicInto is BatchPolyMulNegacyclic with
-// caller-provided destinations.
-func (p *Plan64) BatchPolyMulNegacyclicInto(dst [][]uint64, pairs [][2][]uint64, workers int) {
-	p.g.BatchPolyMulNegacyclicInto(dst, pairs, workers)
-}

@@ -5,21 +5,36 @@ import (
 	"testing"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/ring"
 )
 
-func plan64ForTest(t *testing.T, n int) *Plan64 {
+// The ntt-layer checks of the RNS substrate: every 64-bit transform runs
+// on Plan64.Generic(), the engine plan the towers call.
+
+// generic64 builds the 64-bit engine plan for (mod, n) through NewPlan64.
+func generic64(t *testing.T, mod *modmath.Modulus64, n int) *ring.Plan[uint64, ring.Shoup64] {
+	t.Helper()
+	p, err := NewPlan64(mod, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Generic()
+}
+
+// testPlan64 is generic64 over a 60-bit prime supporting size n.
+func testPlan64(t *testing.T, n int) *ring.Plan[uint64, ring.Shoup64] {
 	t.Helper()
 	ps, err := modmath.FindNTTPrimes64(60, uint64(2*n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MustPlan64(modmath.MustModulus64(ps[0]), n)
+	return generic64(t, modmath.MustModulus64(ps[0]), n)
 }
 
 func TestPlan64ForwardMatchesDefinition(t *testing.T) {
 	n := 32
-	p := plan64ForTest(t, n)
-	mod := p.Mod
+	p := testPlan64(t, n)
+	mod := p.R.M
 	r := rand.New(rand.NewSource(71))
 	x := make([]uint64, n)
 	for i := range x {
@@ -39,19 +54,19 @@ func TestPlan64ForwardMatchesDefinition(t *testing.T) {
 		for 1<<m < n {
 			m++
 		}
-		if got[BitReverse(k, m)] != acc {
-			t.Fatalf("output %d: got %d, want %d", k, got[BitReverse(k, m)], acc)
+		if got[bitReverse(k, m)] != acc {
+			t.Fatalf("output %d: got %d, want %d", k, got[bitReverse(k, m)], acc)
 		}
 	}
 }
 
 func TestPlan64RoundTrip(t *testing.T) {
 	for _, n := range []int{2, 16, 256, 4096} {
-		p := plan64ForTest(t, n)
+		p := testPlan64(t, n)
 		r := rand.New(rand.NewSource(int64(72 + n)))
 		x := make([]uint64, n)
 		for i := range x {
-			x[i] = r.Uint64() % p.Mod.Q
+			x[i] = r.Uint64() % p.R.M.Q
 		}
 		back := p.Inverse(p.Forward(x))
 		for i := range x {
@@ -64,8 +79,8 @@ func TestPlan64RoundTrip(t *testing.T) {
 
 func TestPlan64PolyMulMatchesSchoolbook(t *testing.T) {
 	n := 64
-	p := plan64ForTest(t, n)
-	mod := p.Mod
+	p := testPlan64(t, n)
+	mod := p.R.M
 	r := rand.New(rand.NewSource(73))
 	a := make([]uint64, n)
 	b := make([]uint64, n)
@@ -102,7 +117,7 @@ func TestPlan64Validation(t *testing.T) {
 	if _, err := NewPlan64(mod, 3); err == nil {
 		t.Error("expected error for non-power-of-two size")
 	}
-	if _, err := NewPlan64(mod, 1<<40); err == nil {
+	if _, err := NewPlan64(mod, 1<<30); err == nil {
 		t.Error("expected error for unsupported order")
 	}
 }

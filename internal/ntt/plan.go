@@ -4,22 +4,21 @@
 // single-word 64-bit residues with Shoup twiddles (Plan64, the RNS-tower
 // substrate of Sections 1 and 8).
 //
-// Both are thin instantiations of the generic engine in internal/ring,
-// which implements the Pease constant-geometry stage loops, pooled
-// ping-pong scratch, negacyclic twist/untwist, folded 1/N scaling, the
-// process-wide plan cache, and the chunk-dispatch batch worker pool
-// exactly once. This package adds the width-specific conveniences:
-//   - Plan / Plan64 (plan.go, ntt64.go): compatibility wrappers carrying
-//     the historical exported fields (SoA blas.Vector twiddle mirrors on
-//     Plan) and delegating every transform to the shared generic engine.
-//   - ForwardInPlace / InverseInPlace (iterative.go): classic in-place
-//     Gentleman-Sande / Cooley-Tukey dataflows that cross-check the
-//     constant-geometry engine.
-//   - ForwardVM / InverseVM (vmntt.go) and Forward64VM (vm64.go): generic
-//     over a kernels backend, producing scalar/AVX2/AVX-512/MQX
+// Both run on the generic engine in internal/ring, which implements the
+// Pease constant-geometry stage loops, pooled ping-pong scratch,
+// negacyclic twist/untwist, folded 1/N scaling, the process-wide plan
+// cache, and the chunk-dispatch batch worker pool exactly once. This
+// package adds the width-specific pieces:
+//   - Plan (plan.go, native.go, batch.go): the 128-bit engine plan plus
+//     the SoA blas.Vector twiddle mirrors the trace-machine and baseline
+//     dataflows read.
+//   - Plan64 (ntt64.go): a cached handle to the 64-bit engine plan; every
+//     caller transforms through Generic().
+//   - ForwardVM / InverseVM / PolyMulNegacyclicVM (vmntt.go, vmpoly.go):
+//     generic over a kernels backend, producing scalar/AVX2/AVX-512/MQX
 //     instruction streams on the trace machine for performance modeling.
-//   - Reference (reference.go): the O(n^2) definition (Eq. 11), used as
-//     ground truth in tests.
+//   - Reference / SchoolbookNegacyclic (reference.go): the O(n^2)
+//     definitions, used as ground truth.
 //
 // A Plan is safe for concurrent use once built: the twiddle tables are
 // read-only after NewPlan and all mutable transform state lives in pooled
@@ -35,18 +34,16 @@ import (
 
 // Plan holds the precomputed tables for size-n transforms modulo q with
 // 128-bit coefficients. The exported twiddle fields are SoA blas.Vector
-// mirrors of the generic engine's tables, kept for the baseline backends
-// (ForwardWith), the in-place iterative dataflows, and external seed
-// comparators; the transforms themselves run on the embedded generic
-// plan.
+// mirrors of the generic engine's tables, read by the trace-machine
+// dataflows (ForwardVM, InverseVM, PolyMulNegacyclicVM) and the baseline
+// backends (ForwardWith, core.BigPlan); the transforms themselves run on
+// the embedded generic plan.
 type Plan struct {
 	Mod *modmath.Modulus128
 	N   int // transform size, a power of two >= 2
 	M   int // log2(N)
 
-	Omega    u128.U128 // primitive N-th root of unity
-	OmegaInv u128.U128
-	NInv     u128.U128 // N^-1 mod q
+	NInv u128.U128 // N^-1 mod q
 
 	// FwdTw[s] and InvTw[s] hold the N/2 stage-s twiddles in SoA layout.
 	FwdTw []blas.Vector
@@ -54,7 +51,6 @@ type Plan struct {
 
 	// Negacyclic twist tables (psi is a primitive 2N-th root with
 	// psi^2 = omega): Twist[j] = psi^j, Untwist[j] = psi^-j * N^-1.
-	Psi     u128.U128
 	Twist   blas.Vector
 	Untwist blas.Vector
 
@@ -70,14 +66,11 @@ func NewPlan(mod *modmath.Modulus128, n int) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{
-		Mod:      mod,
-		N:        g.N,
-		M:        g.M,
-		Omega:    g.Omega,
-		OmegaInv: g.OmegaInv,
-		NInv:     g.NInv,
-		Psi:      g.Psi,
-		g:        g,
+		Mod:  mod,
+		N:    g.N,
+		M:    g.M,
+		NInv: g.NInv,
+		g:    g,
 	}
 	p.FwdTw = make([]blas.Vector, g.M)
 	p.InvTw = make([]blas.Vector, g.M)
@@ -121,19 +114,4 @@ func (p *Plan) InverseInto(dst, y []u128.U128) { p.g.InverseInto(dst, y) }
 // twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
 func (p *Plan) PolyMulNegacyclicInto(dst, a, b []u128.U128) {
 	p.g.PolyMulNegacyclicInto(dst, a, b)
-}
-
-// BitReverse returns the bit-reversal of i in m bits.
-func BitReverse(i, m int) int {
-	r := 0
-	for b := 0; b < m; b++ {
-		r = r<<1 | (i>>b)&1
-	}
-	return r
-}
-
-// TwiddleBytes returns the total size of the precomputed stage tables in
-// bytes, used by the memory model.
-func (p *Plan) TwiddleBytes() int64 {
-	return p.g.TwiddleBytes()
 }

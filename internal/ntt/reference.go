@@ -28,7 +28,8 @@ func Reference(mod *modmath.Modulus128, omega u128.U128, x []u128.U128) []u128.U
 }
 
 // SchoolbookNegacyclic multiplies two polynomials in Z_q[x]/(x^n + 1) by
-// the O(n^2) definition; for tests only.
+// the O(n^2) definition: the ground truth tests and the benchmark's
+// kernels128 check products against.
 func SchoolbookNegacyclic(mod *modmath.Modulus128, a, b []u128.U128) []u128.U128 {
 	n := len(a)
 	c := make([]u128.U128, n)
@@ -41,20 +42,6 @@ func SchoolbookNegacyclic(mod *modmath.Modulus128, a, b []u128.U128) []u128.U128
 			} else {
 				c[k-n] = mod.Sub(c[k-n], p) // x^n = -1
 			}
-		}
-	}
-	return c
-}
-
-// SchoolbookCyclic multiplies two polynomials in Z_q[x]/(x^n - 1); for
-// tests only.
-func SchoolbookCyclic(mod *modmath.Modulus128, a, b []u128.U128) []u128.U128 {
-	n := len(a)
-	c := make([]u128.U128, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := mod.Mul(a[i], b[j])
-			c[(i+j)%n] = mod.Add(c[(i+j)%n], p)
 		}
 	}
 	return c

@@ -25,23 +25,11 @@ type planKey struct {
 
 var planCache sync.Map // planKey -> cached value (plan or wrapper)
 
-// CachedPlan returns the process-wide shared plan for (r.Fingerprint(), n),
-// building it on first use.
-func CachedPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
-	v, err := CacheLoadOrBuild(r.Fingerprint(), n, func() (any, error) {
-		return NewPlan[T, R](r, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Plan[T, R]), nil
-}
-
-// CacheLoadOrBuild is the raw cache primitive: it returns the cached
-// value for (fp, n), calling build exactly when no entry exists yet.
-// Wrapper packages (internal/ntt) use it with their own fingerprint tags
-// to cache compatibility wrappers without duplicating the cache
-// machinery. Concurrent first-use may build twice; one winner is kept.
+// CacheLoadOrBuild is the cache primitive: it returns the cached value
+// for (fp, n), calling build exactly when no entry exists yet. Wrapper
+// packages (internal/ntt) use it with their own fingerprint tags to cache
+// their plan types without duplicating the cache machinery. Concurrent
+// first-use may build twice; one winner is kept.
 func CacheLoadOrBuild(fp Fingerprint, n int, build func() (any, error)) (any, error) {
 	k := planKey{fp: fp, n: n}
 	if v, ok := planCache.Load(k); ok {

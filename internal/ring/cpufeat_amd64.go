@@ -58,9 +58,9 @@ func detectCPUTier() KernelTier {
 	return TierAVX2
 }
 
-// CPUFeatures reports the host's vector capabilities for benchmark
-// metadata (cmd/benchjson records them in every BENCH_*.json so
-// trajectories across hosts stay comparable).
+// CPUFeatures reports the host's vector capabilities for run reports
+// (cmd/fheload records them so trajectories across hosts stay
+// comparable).
 func CPUFeatures() []string {
 	f := []string{"amd64"}
 	t := DetectKernelTier()

@@ -97,8 +97,8 @@ type fusedMACSpanKernels interface {
 // tiers are differential-tested against, and the tail loop behind their
 // full vectors. Inputs are relaxed (< 2q): s = a+b < 4q and d = a+2q-b
 // in (0, 4q), and two conditional subtracts land each on its canonical
-// residue. The Shoup MAC summand d*w - qhat*q is then the same value
-// the unfused mulPreAddRow folds in.
+// residue. The Shoup MAC summand d*w - qhat*q is then the same value an
+// unfused lazy MAC over the NegacyclicForwardInto output folds in.
 //
 //mqx:hotpath
 //mqx:lazy params=lo,hi wide=accA,accB

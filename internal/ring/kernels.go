@@ -22,12 +22,12 @@ package ring
 //   - CTSpan, GSSpan and MulPreSpan may produce relaxed outputs, which the
 //     plan only ever routes back into the same implementation's spans.
 //
-// Strict implementations (Barrett128, Goldilocks, Shoup64Strict) simply
-// keep relaxed == canonical. Every method must be allocation-free and safe
-// for concurrent use; out/dst may alias the inputs only in the patterns
-// the plan uses (butterfly spans read lo[i], hi[i] / in[2i], in[2i+1]
-// before writing index i of their outputs; elementwise spans are
-// read-before-write per index).
+// Strict implementations (Barrett128) simply keep relaxed == canonical.
+// Every method must be allocation-free and safe for concurrent use;
+// out/dst may alias the inputs only in the patterns the plan uses
+// (butterfly spans read lo[i], hi[i] / in[2i], in[2i+1] before writing
+// index i of their outputs; elementwise spans are read-before-write per
+// index).
 type SpanKernels[T any] interface {
 	// CTSpan runs one non-final forward Pease stage over the whole span:
 	// for each i, a, b := lo[i], hi[i]; out[2i] = a+b; out[2i+1] = (a-b)·w[i].
@@ -91,8 +91,8 @@ type BlockedSpanKernels[T any] interface {
 
 // ElementOnly wraps a ring and hides any SpanKernels implementation it
 // has, forcing a Plan built over it onto the element-op fallback path.
-// It exists for differential testing and for benchmarking the kernel
-// seam itself (cmd/benchjson's kernel-vs-element axis).
+// It exists for differential testing: the element-op path is the reference
+// every span kernel is checked against.
 type ElementOnly[T any] struct{ Ring[T] }
 
 // Fingerprint tags the wrapped fingerprint so an element-only plan never

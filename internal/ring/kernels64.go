@@ -375,123 +375,3 @@ func (r Shoup64) ScaleAddSpan(dst, a []uint64, m []uint64, w uint64, pre uint64)
 		dst[i] = s
 	}
 }
-
-// Shoup64Strict is Shoup64 with strict (canonical-everywhere) span
-// kernels: the same fused loops, but every butterfly fully reduces its
-// outputs and the twist pass stays canonical. It exists to isolate the
-// lazy-reduction win from the devirtualization win on the benchmark axis
-// (cmd/benchjson's lazy-vs-strict comparison); production paths use the
-// lazy Shoup64.
-type Shoup64Strict struct{ Shoup64 }
-
-// NewShoup64Strict wraps a 64-bit modulus as a strict-kernel ring.
-func NewShoup64Strict(m *modmath.Modulus64) Shoup64Strict {
-	return Shoup64Strict{Shoup64: NewShoup64(m)}
-}
-
-// Fingerprint separates strict-kernel plans from lazy ones in the cache.
-func (r Shoup64Strict) Fingerprint() Fingerprint {
-	return Fingerprint{QLo: r.M.Q, Tag: TagShoup64Strict}
-}
-
-// selectKernels pins the strict ring to its own scalar kernels: without
-// this override the method promoted from the embedded Shoup64 would hand
-// strict plans the lazy-domain vector tier.
-func (r Shoup64Strict) selectKernels() (span, blocked any, tier string) {
-	return nil, nil, "scalar"
-}
-
-// CTSpan: canonical in, canonical out (one extra conditional subtract per
-// lane versus the lazy kernel — exactly the cost lazy reduction removes).
-func (r Shoup64Strict) CTSpan(out, lo, hi, w []uint64, pre []uint64) {
-	q := r.M.Q
-	n := len(w)
-	lo, hi, pre = lo[:n], hi[:n], pre[:n]
-	out = out[:2*n]
-	for i := 0; i < n; i++ {
-		a, b := lo[i], hi[i]
-		s := a + b
-		if s >= q {
-			s -= q
-		}
-		d := a + q - b
-		if d >= q {
-			d -= q
-		}
-		qhat, _ := bits.Mul64(d, pre[i])
-		t := d*w[i] - qhat*q
-		if t >= q {
-			t -= q
-		}
-		out[2*i] = s
-		out[2*i+1] = t
-	}
-}
-
-// CTSpanLast is CTSpan: strict outputs are already canonical.
-func (r Shoup64Strict) CTSpanLast(out, lo, hi, w []uint64, pre []uint64) {
-	r.CTSpan(out, lo, hi, w, pre)
-}
-
-// GSSpan: canonical in, canonical out.
-func (r Shoup64Strict) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
-	q := r.M.Q
-	n := len(w)
-	oLo, oHi, pre = oLo[:n], oHi[:n], pre[:n]
-	in = in[:2*n]
-	for i := 0; i < n; i++ {
-		e, o := in[2*i], in[2*i+1]
-		qhat, _ := bits.Mul64(o, pre[i])
-		t := o*w[i] - qhat*q
-		if t >= q {
-			t -= q
-		}
-		lo := e + t
-		if lo >= q {
-			lo -= q
-		}
-		hi := e + q - t
-		if hi >= q {
-			hi -= q
-		}
-		oLo[i] = lo
-		oHi[i] = hi
-	}
-}
-
-// GSSpanLastScaled: canonical in, canonical out, 1/N folded.
-func (r Shoup64Strict) GSSpanLastScaled(oLo, oHi, in, w []uint64, pre []uint64, nInv uint64, nInvPre uint64) {
-	q := r.M.Q
-	n := len(w)
-	oLo, oHi, pre = oLo[:n], oHi[:n], pre[:n]
-	in = in[:2*n]
-	for i := 0; i < n; i++ {
-		e, o := in[2*i], in[2*i+1]
-		qhat, _ := bits.Mul64(o, pre[i])
-		t := o*w[i] - qhat*q
-		if t >= q {
-			t -= q
-		}
-		qhat, _ = bits.Mul64(e, nInvPre)
-		es := e*nInv - qhat*q
-		if es >= q {
-			es -= q
-		}
-		lo := es + t
-		if lo >= q {
-			lo -= q
-		}
-		hi := es + q - t
-		if hi >= q {
-			hi -= q
-		}
-		oLo[i] = lo
-		oHi[i] = hi
-	}
-}
-
-// MulPreSpan: strict kernels keep the twist pass canonical, because their
-// butterflies assume canonical inputs.
-func (r Shoup64Strict) MulPreSpan(dst, a, w []uint64, pre []uint64) {
-	r.MulPreNormSpan(dst, a, w, pre)
-}

@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 )
 
 // Plan holds the precomputed tables for size-n negacyclic-capable
@@ -77,8 +76,7 @@ type Plan[T any, R Ring[T]] struct {
 // span and blocked kernel sets to use (as `any`, asserted against the
 // plan's element type) and the tier name, or a nil span to keep the
 // ring's own kernels. Shoup64 implements it on amd64 (selecting the
-// AVX2/AVX-512 assembly tiers); Shoup64Strict pins it to scalar so the
-// lazy-domain assembly can never ride in through embedding.
+// AVX2/AVX-512 assembly tiers).
 type tierSelector interface {
 	selectKernels() (span, blocked any, tier string)
 }
@@ -169,19 +167,6 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 // "element", "scalar", "avx2" or "avx512". Benchmark reports record it so
 // measured trajectories stay attributable across hosts.
 func (p *Plan[T, R]) KernelTier() string { return p.kernTier }
-
-// HasSpanKernels reports whether transforms run on the fused span-kernel
-// path (true) or the element-op fallback (false).
-func (p *Plan[T, R]) HasSpanKernels() bool { return p.kern != nil }
-
-// MustPlan is NewPlan but panics on error.
-func MustPlan[T any, R Ring[T]](r R, n int) *Plan[T, R] {
-	p, err := NewPlan[T, R](r, n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
 
 func (p *Plan[T, R]) newTable(n int) table[T] {
 	return table[T]{w: make([]T, n), pre: make([]uint64, n)}
@@ -344,25 +329,6 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.polyMulNegacyclicScratch(dst, a, b, poly, ping)
 	p.putScratch(ping)
 	p.putScratch(poly)
-}
-
-// PolyMulCyclicInto computes dst = a*b in Z_q[x]/(x^n - 1) by plain NTT
-// convolution. dst may alias a or b. Steady-state it allocates nothing.
-//
-//mqx:hotpath
-func (p *Plan[T, R]) PolyMulCyclicInto(dst, a, b []T) {
-	p.checkLen(len(dst))
-	p.checkLen(len(a))
-	p.checkLen(len(b))
-	sc := p.getScratch()
-	ping := p.getScratch()
-	af, bf := sc.a, sc.b
-	p.forwardStages(af, a, ping)
-	p.forwardStages(bf, b, ping)
-	p.PointwiseMulInto(af, af, bf)
-	p.inverseStages(dst, af, ping, true)
-	p.putScratch(ping)
-	p.putScratch(sc)
 }
 
 // Forward is an allocating wrapper over ForwardInto.
@@ -652,12 +618,4 @@ func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratch
 	for j := range ut {
 		dst[j] = r.MulPre(at[j], ut[j], up[j]) // psi^-j * N^-1
 	}
-}
-
-// TwiddleBytes returns the total size of the precomputed stage twiddle
-// values in bytes (excluding the MulPre constants), used by the memory
-// model.
-func (p *Plan[T, R]) TwiddleBytes() int64 {
-	var t T
-	return int64(p.M) * int64(p.N/2) * int64(unsafe.Sizeof(t))
 }

@@ -10,8 +10,10 @@
 // A Ring[T] supplies the element arithmetic (modular add/sub/mul and
 // twiddle application: the Shoup one-correction multiply for single-word
 // rings, Barrett for double-word rings) plus the number-theoretic setup
-// a plan needs. Plan[T, R] does everything else. internal/ntt's Plan and
-// Plan64 are thin instantiations over u128.U128 and uint64.
+// a plan needs. Plan[T, R] does everything else. The stack runs exactly
+// two rings: Barrett128 under internal/ntt's Plan, and Shoup64 under the
+// RNS towers (internal/ntt's Plan64 is a cached handle to a
+// Plan[uint64, Shoup64]).
 package ring
 
 import (
@@ -65,14 +67,11 @@ type Fingerprint struct {
 // use tags at or above TagExternalBase so a wrapper entry never collides
 // with the generic plan entry for the same modulus. The low 16 bits of a
 // tag name the family (bit 15 is the ElementOnly modifier); families with
-// per-modulus arithmetic configuration (Barrett128's MulAlgorithm) fold it
-// into the high bits.
+// per-modulus arithmetic configuration (Barrett128's MulAlgorithm, the
+// resolved Shoup64 kernel tier) fold it into the high bits.
 const (
 	TagBarrett128 uint32 = iota
 	TagShoup64
-	TagGoldilocks
-	TagShoup64Strict
-	TagMontgomery128
 	TagExternalBase uint32 = 8
 	// TagElementOnly marks a plan built over ElementOnly (kernel seam
 	// disabled); it must never share a cache entry with the kernel plan.

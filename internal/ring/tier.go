@@ -74,14 +74,6 @@ func DetectKernelTier() KernelTier {
 	return detectedTier
 }
 
-// EnvKernelTier returns the process-wide forcing knob: the tier named by
-// MQXGO_KERNEL_TIER at first use, TierAuto when unset or unrecognized.
-// CI uses it to push every tier through the same build/test/alloc gates.
-func EnvKernelTier() KernelTier {
-	tierInit()
-	return envTier
-}
-
 // resolveKernelTier clamps a requested tier to what the host supports:
 // an explicit request wins over the environment knob, the environment
 // knob over detection, and nothing ever resolves above the detected

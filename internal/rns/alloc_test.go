@@ -2,6 +2,7 @@ package rns
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -44,12 +45,16 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := testing.AllocsPerRun(20, func() {
-		if err := c.DecomposeInto(dst, coeffs); err != nil {
-			t.Fatal(err)
+	// On 32-bit-word platforms DecomposeInto takes its documented big.Int
+	// fallback, which allocates; the transform gates below still hold.
+	if bits.UintSize == 64 {
+		if got := testing.AllocsPerRun(20, func() {
+			if err := c.DecomposeInto(dst, coeffs); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("DecomposeInto allocates %.1f per run, want 0", got)
 		}
-	}); got != 0 {
-		t.Errorf("DecomposeInto allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if err := c.NTTAll(dst, a, 1); err != nil {

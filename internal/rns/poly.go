@@ -149,13 +149,13 @@ func (c *Context) NTTAll(dst, a Poly, workers int) error {
 	}
 	if c.seqTowers(workers) {
 		for i, p := range c.Plans {
-			p.ForwardInto(dst.Res[i], a.Res[i])
+			p.Generic().ForwardInto(dst.Res[i], a.Res[i])
 		}
 		return nil
 	}
 	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
 		for i := start; i < end; i++ {
-			c.Plans[i].ForwardInto(dst.Res[i], a.Res[i])
+			c.Plans[i].Generic().ForwardInto(dst.Res[i], a.Res[i])
 		}
 	})
 	return nil
@@ -169,13 +169,13 @@ func (c *Context) INTTAll(dst, a Poly, workers int) error {
 	}
 	if c.seqTowers(workers) {
 		for i, p := range c.Plans {
-			p.InverseInto(dst.Res[i], a.Res[i])
+			p.Generic().InverseInto(dst.Res[i], a.Res[i])
 		}
 		return nil
 	}
 	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
 		for i := start; i < end; i++ {
-			c.Plans[i].InverseInto(dst.Res[i], a.Res[i])
+			c.Plans[i].Generic().InverseInto(dst.Res[i], a.Res[i])
 		}
 	})
 	return nil
@@ -190,13 +190,13 @@ func (c *Context) MulAll(dst, a, b Poly, workers int) error {
 	}
 	if c.seqTowers(workers) {
 		for i, p := range c.Plans {
-			p.PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
+			p.Generic().PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
 		}
 		return nil
 	}
 	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
 		for i := start; i < end; i++ {
-			c.Plans[i].PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
+			c.Plans[i].Generic().PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
 		}
 	})
 	return nil

@@ -108,13 +108,14 @@ func FromBig(b *big.Int) (x U128, ok bool) {
 	if b.Sign() < 0 || b.BitLen() > 128 {
 		return Zero, false
 	}
-	words := b.Bits()
-	// big.Word is 64-bit on all platforms this library targets (x86-64).
-	if len(words) > 0 {
-		x.Lo = uint64(words[0])
-	}
-	if len(words) > 1 {
-		x.Hi = uint64(words[1])
+	// Word i sits at bit i*bits.UintSize: one word per half on 64-bit
+	// platforms, two on 32-bit ones.
+	for i, w := range b.Bits() {
+		if sh := uint(i * bits.UintSize); sh < 64 {
+			x.Lo |= uint64(w) << sh
+		} else {
+			x.Hi |= uint64(w) << (sh - 64)
+		}
 	}
 	return x, true
 }

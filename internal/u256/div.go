@@ -2,6 +2,7 @@ package u256
 
 import (
 	"math/big"
+	"math/bits"
 
 	"mqxgo/internal/u128"
 )
@@ -58,8 +59,10 @@ func FromBig(b *big.Int) (x U256, ok bool) {
 	if b.Sign() < 0 || b.BitLen() > 256 {
 		return U256{}, false
 	}
+	// Word i sits at bit i*bits.UintSize (a 32-bit big.Word is half a limb).
 	for i, w := range b.Bits() {
-		x.W[i] = uint64(w)
+		sh := uint(i * bits.UintSize)
+		x.W[sh/64] |= uint64(w) << (sh % 64)
 	}
 	return x, true
 }
