@@ -614,7 +614,7 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly(), Domain: c1.Domain}
+	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly()}
 	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
@@ -701,7 +701,7 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 			b.Fatal(err)
 		}
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level, Domain: c1.Domain}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level}
 	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
@@ -731,7 +731,7 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 // allocs/op steady state.
 func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
 	backend, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1, Domain: c1.Domain}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1}
 	if err := backend.ModSwitchCtx(context.Background(), &dst, c1); err != nil {
 		b.Fatal(err)
 	}

@@ -8,23 +8,23 @@ import (
 	"mqxgo/internal/analysis/mqx"
 )
 
-// DomainTag enforces the PR 6 residency convention at API boundaries:
-// since Encrypt started emitting NTT-resident handles, every ciphertext
-// carries a Domain tag, and pointwise arithmetic on components of
-// mismatched or unknown domains is silently wrong (not a crash — wrong
-// plaintexts). The convention is that every EXPORTED function reading
-// BackendCiphertext component polys (the A/B fields) first passes
-// through a recognized domain validation: a call to a function annotated
-// //mqx:domaincheck (checkCts, CheckCiphertext and friends), or an
-// explicit read of the .Domain tag. Unexported helpers are inside the
-// validated perimeter and exempt; validators themselves are annotated.
+// DomainTag enforces validation before component access at API
+// boundaries. A BackendCiphertext's components are backend-owned handles,
+// and arithmetic on a pair that never passed the backend's gate — a
+// foreign handle, a level whose shape it does not have, unreduced
+// residues — is a panic deep in a kernel at best and a silently wrong
+// plaintext at worst. The convention is that every EXPORTED function
+// reading BackendCiphertext component polys (the A/B fields) first calls
+// a function annotated //mqx:domaincheck (checkCts, CheckCiphertext and
+// friends). Unexported helpers are inside the validated perimeter and
+// exempt; validators themselves are annotated.
 //
 // The check is ordered: the validation must occur before (in source
 // order) the first component read, so a check bolted on after the
 // arithmetic does not count.
 var DomainTag = &mqx.Analyzer{
 	Name: "domaintag",
-	Doc:  "exported readers of BackendCiphertext components must validate domain tags first",
+	Doc:  "exported readers of BackendCiphertext components must call a //mqx:domaincheck validator first",
 	Run:  runDomainTag,
 }
 
@@ -73,12 +73,7 @@ func checkDomainReads(pass *mqx.Pass, fd *ast.FuncDecl) {
 			if !ok || !namedIn(tv.Type, "internal/fhe", "BackendCiphertext") {
 				return true
 			}
-			switch x.Sel.Name {
-			case "Domain":
-				if validatedAt == token.NoPos || x.Pos() < validatedAt {
-					validatedAt = x.Pos()
-				}
-			case "A", "B":
+			if x.Sel.Name == "A" || x.Sel.Name == "B" {
 				if firstRead == nil || x.Pos() < firstRead.pos {
 					firstRead = &read{x.Pos(), x.Sel.Name}
 				}
@@ -92,5 +87,5 @@ func checkDomainReads(pass *mqx.Pass, fd *ast.FuncDecl) {
 	if validatedAt != token.NoPos && validatedAt < firstRead.pos {
 		return
 	}
-	pass.Reportf(firstRead.pos, "%s reads BackendCiphertext.%s without a prior domain check: call a //mqx:domaincheck validator or inspect .Domain before touching components", fd.Name.Name, firstRead.field)
+	pass.Reportf(firstRead.pos, "%s reads BackendCiphertext.%s without a prior domain check: call a //mqx:domaincheck validator before touching components", fd.Name.Name, firstRead.field)
 }

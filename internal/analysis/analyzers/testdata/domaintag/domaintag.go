@@ -1,6 +1,6 @@
 // Package fixture exercises the domaintag analyzer: exported readers of
-// BackendCiphertext component polys must validate the domain tag before
-// touching .A or .B.
+// BackendCiphertext component polys must call a //mqx:domaincheck
+// validator before touching .A or .B.
 package fixture
 
 import (
@@ -9,13 +9,13 @@ import (
 	"mqxgo/internal/fhe"
 )
 
-// Validate is the fixture's domain validator; the annotation is what
+// Validate is the fixture's ciphertext validator; the annotation is what
 // makes calls to it satisfy the ordered-check rule.
 //
 //mqx:domaincheck
 func Validate(ct fhe.BackendCiphertext) error {
-	if ct.Domain > fhe.DomainNTT {
-		return fmt.Errorf("fixture: unknown domain tag %d", ct.Domain)
+	if ct.A == nil || ct.B == nil {
+		return fmt.Errorf("fixture: nil component")
 	}
 	return nil
 }
@@ -33,12 +33,13 @@ func ComponentsChecked(ct fhe.BackendCiphertext) (fhe.Poly, fhe.Poly, error) {
 	return ct.A, ct.B, nil
 }
 
-// ComponentTagged inspects the tag inline instead of calling a validator.
-func ComponentTagged(ct fhe.BackendCiphertext) fhe.Poly {
-	if ct.Domain != fhe.DomainNTT {
+// LevelOnly inspects another field before the read: only a validator
+// call counts as the check.
+func LevelOnly(ct fhe.BackendCiphertext) fhe.Poly {
+	if ct.Level != 0 {
 		return nil
 	}
-	return ct.A
+	return ct.A // want `LevelOnly reads BackendCiphertext\.A without a prior domain check`
 }
 
 // LateCheck bolts the validation on after the arithmetic: the ordered

@@ -22,8 +22,9 @@ import (
 //	    The function recycles its argument into a pool, like Pool.Put.
 //
 //	//mqx:domaincheck
-//	    The function validates BackendCiphertext domain tags; a call to
-//	    it satisfies domaintag's "check before component access" rule.
+//	    The function validates a BackendCiphertext (provenance, level,
+//	    shape, residue ranges); a call to it satisfies domaintag's
+//	    "check before component access" rule.
 //
 //	//mqx:lazy <directive> [<directive>...]
 //	    Lazy-reduction range contract (lazyrange), directives:

@@ -11,7 +11,7 @@ import (
 // configuration: the tower dispatch runs on the caller, no pool
 // submission) with two encryptions of the same message and relin and
 // Galois keys.
-func allocFixture(t *testing.T, levels int) (Backend, *BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
+func allocFixture(t *testing.T, levels int) (Backend, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
 	t.Helper()
 	const n, T = 256, 257
 	c, err := rns.NewContext(59, levels, n)
@@ -44,22 +44,22 @@ func allocFixture(t *testing.T, levels int) (Backend, *BackendScheme, BackendRel
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, s, rlk, gk, c1, c2
+	return b, rlk, gk, c1, c2
 }
 
 // Steady-state allocation regression for the BEHZ multiply, extending the
 // PR 1 discipline to the hot path in its PR 6 resting state: with the
 // scratch pool warmed and a reused destination ciphertext, the RNS
-// backend's NTT-resident MulCt — operand crossing, base extension,
-// tensor, divide-and-round, relinearization, resident return —
-// must allocate nothing. (The 128-bit oracle backend is exempt by
+// backend's MulCt — operand crossing, base extension, tensor,
+// divide-and-round, relinearization, evaluation-domain return — must
+// allocate nothing. (The 128-bit oracle backend is exempt by
 // design: it trades allocation discipline for exact big-int arithmetic.)
 func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, rlk, _, c1, c2 := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
+	b, rlk, _, c1, c2 := allocFixture(t, 2)
+	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
 	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("RNS resident MulCt allocates %.1f per run, want 0", got)
+		t.Errorf("RNS MulCt allocates %.1f per run, want 0", got)
 	}
 }
 
-// TestRNSMulCtSquaringDoesNotAllocate pins the resident squaring
+// TestRNSMulCtSquaringDoesNotAllocate pins the squaring
 // shortcut (aliased operands, deduplicated crossings and extensions) to
 // the same zero-allocation bar — it is the ladder benchmark's exact
 // workload.
@@ -80,8 +80,8 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, rlk, _, c1, _ := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
+	b, rlk, _, c1, _ := allocFixture(t, 2)
+	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
 	if err := b.MulCtCtx(context.Background(), &dst, c1, c1, rlk); err != nil {
 		t.Fatal(err)
 	}
@@ -90,50 +90,19 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("RNS resident squaring allocates %.1f per run, want 0", got)
-	}
-}
-
-// TestRNSMulCtCoeffDoesNotAllocate holds the coefficient-domain adapter
-// (coeffIn / coeffOut around the resident steps, reached by handles that
-// went through ConvertDomain) to the same gate: it parks the operand
-// transforms in pooled rows, so it may not allocate either.
-func TestRNSMulCtCoeffDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	b, s, rlk, _, c1, c2 := allocFixture(t, 2)
-	cc1, err := s.ConvertDomain(c1, DomainCoeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc2, err := s.ConvertDomain(c2, DomainCoeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCtCtx(context.Background(), &dst, cc1, cc2, rlk); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCtCtx(context.Background(), &dst, cc1, cc2, rlk); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("RNS coefficient MulCt allocates %.1f per run, want 0", got)
+		t.Errorf("RNS squaring allocates %.1f per run, want 0", got)
 	}
 }
 
 // TestRNSModSwitchDoesNotAllocate extends the gate to the ladder
-// primitive in its resident form: with the Rescaler's scratch pool warmed
-// and a reused destination ciphertext, dropping a level of an NTT-domain
-// ciphertext allocates nothing.
+// primitive: with the Rescaler's scratch pool warmed and a reused
+// destination ciphertext, dropping a level allocates nothing.
 func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, _, _, ct, _ := allocFixture(t, 3)
-	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: DomainNTT}
+	b, _, _, ct, _ := allocFixture(t, 3)
+	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
 	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
 		t.Fatal(err)
 	}
@@ -142,36 +111,13 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("RNS resident ModSwitch allocates %.1f per run, want 0", got)
-	}
-}
-
-// TestRNSModSwitchCoeffDoesNotAllocate is the coefficient-domain variant.
-func TestRNSModSwitchCoeffDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	b, s, _, _, ct, _ := allocFixture(t, 3)
-	cct, err := s.ConvertDomain(ct, DomainCoeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
-	if err := b.ModSwitchCtx(context.Background(), &dst, cct); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		if err := b.ModSwitchCtx(context.Background(), &dst, cct); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("RNS coefficient ModSwitch allocates %.1f per run, want 0", got)
+		t.Errorf("RNS ModSwitch allocates %.1f per run, want 0", got)
 	}
 }
 
 // TestRNSRotateDoesNotAllocate extends the gate to the Galois key-switch
 // chain: with the multiply scratch pool warmed and a reused destination,
-// a resident multi-hop rotation — eval-domain permutation, gadget
+// a multi-hop rotation — eval-domain permutation, gadget
 // decomposition, fused MAC accumulation, landing — allocates nothing.
 // Rotation is plain ring arithmetic mod Q, so the gate runs on the
 // standard fixture regardless of the plaintext modulus.
@@ -179,8 +125,8 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, s, _, gk, c1, _ := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
+	b, _, gk, c1, _ := allocFixture(t, 2)
+	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
 	if err := b.RotateSlotsCtx(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
 		t.Fatal(err)
 	}
@@ -189,7 +135,7 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("RNS resident RotateSlots allocates %.1f per run, want 0", got)
+		t.Errorf("RNS RotateSlots allocates %.1f per run, want 0", got)
 	}
 	if err := b.ConjugateCtx(context.Background(), &dst, c1, gk); err != nil {
 		t.Fatal(err)
@@ -199,23 +145,7 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("RNS resident Conjugate allocates %.1f per run, want 0", got)
-	}
-	// The same chain on a coefficient-domain handle, through the adapter.
-	cc1, err := s.ConvertDomain(c1, DomainCoeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst.Domain = DomainCoeff
-	if err := b.RotateSlotsCtx(context.Background(), &dst, cc1, 3, gk); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		if err := b.RotateSlotsCtx(context.Background(), &dst, cc1, 3, gk); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("RNS coefficient RotateSlots allocates %.1f per run, want 0", got)
+		t.Errorf("RNS Conjugate allocates %.1f per run, want 0", got)
 	}
 }
 

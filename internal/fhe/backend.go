@@ -16,35 +16,6 @@ import (
 // crashing when they are.
 type Poly any
 
-// Domain says which representation a ciphertext's components are resting
-// in. Since PR 6 the NTT (double-CRT) domain is the RESTING STATE of a
-// ciphertext: Encrypt produces DomainNTT, the linear ops and
-// MulCt/ModSwitch keep it, and coefficient form appears only at the
-// Encrypt/Decrypt boundaries and inside the BEHZ base-extension steps
-// where positional coefficients are mandatory. DomainCoeff is the zero
-// value, so a ciphertext constructed directly from coefficient polynomials
-// means what it says.
-type Domain uint8
-
-const (
-	// DomainCoeff: components hold positional coefficients.
-	DomainCoeff Domain = iota
-	// DomainNTT: components hold per-tower twisted-evaluation (negacyclic
-	// NTT) values — double-CRT form on the RNS backend.
-	DomainNTT
-)
-
-func (d Domain) String() string {
-	switch d {
-	case DomainCoeff:
-		return "coeff"
-	case DomainNTT:
-		return "ntt"
-	default:
-		return fmt.Sprintf("domain(%d)", uint8(d))
-	}
-}
-
 // Backend is the ring-arithmetic seam the RLWE scheme runs on: the
 // paper's two hardware philosophies — one 124-bit double-word ring versus
 // a basis of 64-bit RNS towers — as swappable implementations. A backend
@@ -137,9 +108,8 @@ type Backend interface {
 	// rescale by T/Q_l, and relinearization with rlk's keys for that
 	// level, so dst decrypts (degree-1, via the usual B - A*S) to the
 	// negacyclic product of the plaintexts mod T, noise permitting.
-	// ct1, ct2, and dst must share one level AND one domain (set
-	// dst.Level and dst.Domain before the call; mismatched handles are
-	// rejected), and the result rests in that domain. Malformed handles,
+	// ct1, ct2, and dst must share one level (set dst.Level before the
+	// call; mismatched handles are rejected). Malformed handles,
 	// mixed-backend keys, and out-of-range tensors (the oracle backend's
 	// rescale detection) return errors. ctx is observed at the four phase
 	// boundaries (base extension, tensor, divide-and-round,
@@ -151,10 +121,9 @@ type Backend interface {
 	// ModSwitchCtx rescales ct from its level to level+1 into dst: every
 	// coefficient becomes round(c * Q_{l+1} / Q_l), dividing the noise
 	// by the dropped factor along with the modulus. dst must be shaped
-	// for ct.Level+1 with dst.Level already set and dst.Domain matching
-	// ct's; the result rests in that domain. ctx is observed before the
-	// switch starts and between the two components, with MulCtCtx's abort
-	// contract.
+	// for ct.Level+1 with dst.Level already set. ctx is observed before
+	// the switch starts and between the two components, with MulCtCtx's
+	// abort contract.
 	ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error
 	// GaloisKeyGen builds the slot-rotation key set for the secret s: at
 	// every level of the chain, gadget encryptions of tau_g(s) — the
@@ -168,10 +137,9 @@ type Backend interface {
 	// RotateSlotsCtx key-switches ct through the automorphism that
 	// rotates both slot rows left by steps (negative steps rotate right),
 	// writing the result into dst: dst must be shaped for ct's level with
-	// dst.Level and dst.Domain already matching, and its storage must not
-	// alias ct's (rejected). The result rests in ct's domain. ctx is
-	// observed before every power-of-two key-switch hop, with MulCtCtx's
-	// abort contract.
+	// dst.Level already matching, and its storage must not alias ct's
+	// (rejected). ctx is observed before every power-of-two key-switch
+	// hop, with MulCtCtx's abort contract.
 	RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error
 	// ConjugateCtx applies the row-swap automorphism x -> x^(2N-1) with
 	// the same contract as RotateSlotsCtx.
@@ -190,15 +158,19 @@ type BackendSecretKey struct {
 }
 
 // BackendCiphertext is an RLWE pair (A, B) with B = A*S + E + Delta*M,
-// tagged with the modulus-chain level its components live at and the
-// representation Domain they rest in. Fresh encryptions are at level 0 in
-// DomainNTT (the double-CRT resting state); ModSwitch increments Level
-// and preserves the domain. The zero Domain is DomainCoeff, so pairs
-// constructed directly from coefficient polynomials remain valid.
+// tagged with the modulus-chain level its components live at. Both
+// components always hold the level's twisted-evaluation (negacyclic NTT)
+// values — double-CRT form on the RNS backend — so that evaluation runs
+// on pointwise products and never on convolutions. Encrypt produces that
+// form at level 0, every evaluation op consumes and produces it, and
+// ModSwitch increments Level. Coefficient form exists only inside an
+// operation that needs positional coefficients — Encrypt, Decrypt, the
+// noise diagnostics, the plaintext operands of MulPlain and AddPlain, the
+// BEHZ conversions, the oracle backend's exact arithmetic — and never in
+// a handle.
 type BackendCiphertext struct {
-	A, B   Poly
-	Level  int
-	Domain Domain
+	A, B  Poly
+	Level int
 }
 
 // BackendScheme is the symmetric-key RLWE ("BFV-style") scheme written
@@ -281,19 +253,12 @@ func (s *BackendScheme) checkMsg(msg []uint64) error {
 }
 
 // checkCts validates every ciphertext's provenance against the backend
-// and that they all sit at one level AND in one domain — the hardening
-// gate every public entry point passes malformed inputs through instead
-// of panicking. Domain-mismatched operands are rejected, never silently
-// converted: a resident and a coefficient handle meeting in one operation
-// means some caller lost track of representation state, and an implicit
-// transform would bury that bug under a correctness-preserving cost.
+// and that they all sit at one level — the hardening gate every public
+// entry point passes malformed inputs through instead of panicking.
 //
 //mqx:domaincheck
 func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 	for i, ct := range cts {
-		if ct.Domain > DomainNTT {
-			return fmt.Errorf("fhe: operand %d carries unknown domain tag %d", i, ct.Domain)
-		}
 		if err := s.B.CheckCiphertext(ct); err != nil {
 			return err
 		}
@@ -301,18 +266,53 @@ func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 			return fmt.Errorf("fhe: operand %d at level %d, operand 0 at level %d",
 				i, ct.Level, cts[0].Level)
 		}
-		if ct.Domain != cts[0].Domain {
-			return fmt.Errorf("fhe: operand %d in the %s domain, operand 0 in the %s domain",
-				i, ct.Domain, cts[0].Domain)
-		}
+	}
+	return nil
+}
+
+// checkMulLevels, checkSwitchLevels and checkRotateLevels are the backend
+// seam's tag checks, shared by both backends: they validate the Level
+// tags of an evaluation call against a chain of `levels` rungs before any
+// component is unpacked. Handle types and shapes are checked where the
+// components are unpacked; residue ranges are CheckCiphertext's.
+//
+//mqx:domaincheck
+func checkMulLevels(levels int, dst *BackendCiphertext, ct1, ct2 BackendCiphertext) error {
+	if ct1.Level != ct2.Level || dst.Level != ct1.Level {
+		return fmt.Errorf("fhe: MulCt level mismatch: %d, %d -> %d", ct1.Level, ct2.Level, dst.Level)
+	}
+	if ct1.Level < 0 || ct1.Level >= levels {
+		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct1.Level, levels)
+	}
+	return nil
+}
+
+//mqx:domaincheck
+func checkSwitchLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
+	if ct.Level < 0 || ct.Level+1 >= levels {
+		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, levels)
+	}
+	if dst.Level != ct.Level+1 {
+		return fmt.Errorf("fhe: ModSwitch destination at level %d, want %d", dst.Level, ct.Level+1)
+	}
+	return nil
+}
+
+//mqx:domaincheck
+func checkRotateLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
+	if ct.Level < 0 || ct.Level >= levels {
+		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, levels)
+	}
+	if dst.Level != ct.Level {
+		return fmt.Errorf("fhe: rotate level mismatch: %d -> %d", ct.Level, dst.Level)
 	}
 	return nil
 }
 
 // Encrypt encrypts a plaintext polynomial with coefficients in [0, T) at
-// level 0, the top of the modulus chain. The returned ciphertext is
-// NTT-RESIDENT (DomainNTT): sampling, key product, and message embedding
-// happen in coefficient form, then both components forward-transform once
+// level 0, the top of the modulus chain. Sampling, key product, and
+// message embedding happen in coefficient form, then both components
+// forward-transform once into the evaluation form every ciphertext takes
 // — the last mandatory transform until Decrypt, as far as the linear ops,
 // MulCiphertextsCtx, and ModSwitchCtx are concerned.
 func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphertext, error) {
@@ -339,56 +339,26 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 	b.AddDeltaMsg(0, bb, bb, msg)   // + Delta*M
 	b.ToNTT(0, a, a)
 	b.ToNTT(0, bb, bb)
-	return BackendCiphertext{A: a, B: bb, Domain: DomainNTT}, nil
+	return BackendCiphertext{A: a, B: bb}, nil
 }
 
-// coeffAB returns ct's components in coefficient form: the originals for
-// a DomainCoeff handle, fresh inverse-transformed copies for a resident
-// one. It is the decryption-side boundary crossing; ct is never mutated.
-func (s *BackendScheme) coeffAB(ct BackendCiphertext) (a, b Poly) {
-	if ct.Domain != DomainNTT {
-		return ct.A, ct.B
-	}
-	a = s.B.Copy(ct.A)
-	b = s.B.Copy(ct.B)
-	s.B.ToCoeff(ct.Level, a, a)
-	s.B.ToCoeff(ct.Level, b, b)
-	return a, b
-}
-
-// ConvertDomain returns a copy of ct with its components resting in
-// domain d — the explicit boundary crossing between the resident
-// double-CRT world and coefficient-form consumers (serialization, the
-// differential tests that hold one handle in each domain).
-// Converting to the domain ct already rests in returns an independent
-// copy. Decryption commutes with this conversion bit-for-bit: the
-// transforms are exact, so a resident chain checked through ConvertDomain
-// must agree with a coefficient chain at every step.
-func (s *BackendScheme) ConvertDomain(ct BackendCiphertext, d Domain) (BackendCiphertext, error) {
-	if err := s.checkCts(ct); err != nil {
-		return BackendCiphertext{}, err
-	}
-	if d > DomainNTT {
-		return BackendCiphertext{}, fmt.Errorf("fhe: unknown target domain tag %d", d)
-	}
-	out := BackendCiphertext{A: s.B.Copy(ct.A), B: s.B.Copy(ct.B), Level: ct.Level, Domain: d}
-	if ct.Domain == d {
-		return out, nil
-	}
-	if d == DomainNTT {
-		s.B.ToNTT(ct.Level, out.A, out.A)
-		s.B.ToNTT(ct.Level, out.B, out.B)
-	} else {
-		s.B.ToCoeff(ct.Level, out.A, out.A)
-		s.B.ToCoeff(ct.Level, out.B, out.B)
-	}
-	return out, nil
+// phase returns B - A*S = Delta_l*M + E in coefficient form at ct's
+// level: the value decryption rounds and the noise diagnostics measure.
+// The components cross to coefficient form in scratch copies (rounding
+// needs positional coefficients); ct is never mutated.
+func (s *BackendScheme) phase(sk BackendSecretKey, ct BackendCiphertext) Poly {
+	b, l := s.B, ct.Level
+	ca, cb := b.Copy(ct.A), b.Copy(ct.B)
+	b.ToCoeff(l, ca, ca)
+	b.ToCoeff(l, cb, cb)
+	noisy := b.NewPolyAt(l)
+	b.MulNegacyclic(l, noisy, ca, b.SecretAt(l, sk.S))
+	b.Sub(l, noisy, cb, noisy)
+	return noisy
 }
 
 // Decrypt recovers the plaintext at the ciphertext's level:
-// round((B - A*S) * T / Q_l) mod T. Resident ciphertexts are
-// inverse-transformed into scratch copies first — decryption is the other
-// boundary where coefficient form is mandatory.
+// round((B - A*S) * T / Q_l) mod T.
 func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]uint64, error) {
 	if err := s.checkSecret(sk); err != nil {
 		return nil, err
@@ -396,51 +366,41 @@ func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]ui
 	if err := s.checkCts(ct); err != nil {
 		return nil, err
 	}
-	b := s.B
-	l := ct.Level
-	ca, cb := s.coeffAB(ct)
-	noisy := b.NewPolyAt(l)
-	b.MulNegacyclic(l, noisy, ca, b.SecretAt(l, sk.S))
-	b.Sub(l, noisy, cb, noisy) // B - A*S = Delta*M + E
-	return b.RoundToPlain(l, noisy), nil
+	return s.B.RoundToPlain(ct.Level, s.phase(sk, ct)), nil
+}
+
+// componentwise is the body the linear ops share: validate the operands
+// (one backend, one level), allocate the result at their level, and apply
+// op to the A components, then to the B components. x is the first
+// operand's component and y the last's, so a one-operand op sees its
+// operand twice.
+func (s *BackendScheme) componentwise(op func(l int, dst, x, y Poly), cts ...BackendCiphertext) (BackendCiphertext, error) {
+	if err := s.checkCts(cts...); err != nil {
+		return BackendCiphertext{}, err
+	}
+	c1, c2 := cts[0], cts[len(cts)-1]
+	l := c1.Level
+	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
+	op(l, out.A, c1.A, c2.A)
+	op(l, out.B, c1.B, c2.B)
+	return out, nil
 }
 
 // AddCiphertexts is homomorphic addition: decrypts to the coefficient-wise
 // sum of the plaintexts mod T (noise permitting). The operands must share
 // a level.
 func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(c1, c2); err != nil {
-		return BackendCiphertext{}, err
-	}
-	l := c1.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: c1.Domain}
-	s.B.Add(l, out.A, c1.A, c2.A)
-	s.B.Add(l, out.B, c1.B, c2.B)
-	return out, nil
+	return s.componentwise(s.B.Add, c1, c2)
 }
 
 // SubCiphertexts is homomorphic subtraction.
 func (s *BackendScheme) SubCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(c1, c2); err != nil {
-		return BackendCiphertext{}, err
-	}
-	l := c1.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: c1.Domain}
-	s.B.Sub(l, out.A, c1.A, c2.A)
-	s.B.Sub(l, out.B, c1.B, c2.B)
-	return out, nil
+	return s.componentwise(s.B.Sub, c1, c2)
 }
 
 // Neg negates a ciphertext (decrypts to -m mod T).
 func (s *BackendScheme) Neg(ct BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(ct); err != nil {
-		return BackendCiphertext{}, err
-	}
-	l := ct.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: ct.Domain}
-	s.B.Neg(l, out.A, ct.A)
-	s.B.Neg(l, out.B, ct.B)
-	return out, nil
+	return s.componentwise(func(l int, dst, x, _ Poly) { s.B.Neg(l, dst, x) }, ct)
 }
 
 // RelinKeyGen samples a relinearization key for sk, required by
@@ -471,9 +431,8 @@ func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, err
 }
 
 // evalCtx is the shape the four evaluation entry points share: observe
-// ctx before starting, validate the operands (one backend, one level, one
-// domain), allocate the result drop levels below them in their domain, and
-// run eval into it. On any error — ctx.Err() itself once the context has
+// ctx before starting, validate the operands (one backend, one level),
+// allocate the result drop levels below them, and run eval into it. On any error — ctx.Err() itself once the context has
 // fired, at this check or at one of the backend's phase boundaries — the
 // zero ciphertext is returned, never a partially written one.
 func (s *BackendScheme) evalCtx(ctx context.Context, drop int, eval func(out *BackendCiphertext) error, cts ...BackendCiphertext) (BackendCiphertext, error) {
@@ -487,7 +446,7 @@ func (s *BackendScheme) evalCtx(ctx context.Context, drop int, eval func(out *Ba
 	if l >= s.B.Levels() {
 		return BackendCiphertext{}, fmt.Errorf("fhe: ciphertext already at bottom level %d", cts[0].Level)
 	}
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: cts[0].Domain}
+	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
 	if err := eval(&out); err != nil {
 		return BackendCiphertext{}, err
 	}
@@ -585,10 +544,9 @@ func MulNoiseBoundBits(n int, t uint64, noiseBits, digits, digitBits, overshoot 
 // MulPlain multiplies a ciphertext by a plaintext polynomial with small
 // coefficients (negacyclic convolution of both components). pt must be a
 // COEFFICIENT-form handle from this scheme's backend shaped for ct's
-// level. A resident ciphertext stays resident: pt forward-transforms once
-// into scratch and both components take the pointwise product, replacing
-// two full negacyclic convolutions (4 transforms each) with one transform
-// total.
+// level. pt forward-transforms once into scratch and both components take
+// the pointwise product, so the multiply costs one transform instead of
+// two negacyclic convolutions.
 func (s *BackendScheme) MulPlain(ct BackendCiphertext, pt Poly) (BackendCiphertext, error) {
 	if err := s.checkCts(ct); err != nil {
 		return BackendCiphertext{}, err
@@ -597,34 +555,23 @@ func (s *BackendScheme) MulPlain(ct BackendCiphertext, pt Poly) (BackendCipherte
 	if err := s.B.CheckPoly(l, pt); err != nil {
 		return BackendCiphertext{}, err
 	}
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: ct.Domain}
-	if ct.Domain == DomainNTT {
-		ev := s.B.Copy(pt)
-		s.B.ToNTT(l, ev, ev)
-		s.B.PMul(l, out.A, ct.A, ev)
-		s.B.PMul(l, out.B, ct.B, ev)
-		return out, nil
-	}
-	s.B.MulNegacyclic(l, out.A, ct.A, pt)
-	s.B.MulNegacyclic(l, out.B, ct.B, pt)
+	ev := s.B.Copy(pt)
+	s.B.ToNTT(l, ev, ev)
+	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
+	s.B.PMul(l, out.A, ct.A, ev)
+	s.B.PMul(l, out.B, ct.B, ev)
 	return out, nil
 }
 
 // MulScalar multiplies a ciphertext by a small integer constant k
 // (decrypts to k*m mod T, noise permitting: noise grows by a factor k).
 func (s *BackendScheme) MulScalar(ct BackendCiphertext, k uint64) (BackendCiphertext, error) {
-	if err := s.checkCts(ct); err != nil {
-		return BackendCiphertext{}, err
-	}
-	l := ct.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l, Domain: ct.Domain}
-	s.B.ScalarMul(l, out.A, ct.A, k)
-	s.B.ScalarMul(l, out.B, ct.B, k)
-	return out, nil
+	return s.componentwise(func(l int, dst, x, _ Poly) { s.B.ScalarMul(l, dst, x, k) }, ct)
 }
 
 // AddPlain adds a plaintext message to a ciphertext without encrypting it
-// first: only the B component moves, by Delta_l * m.
+// first: only the B component moves, by the transform of Delta_l * m (the
+// NTT is linear, so adding its image is adding the message).
 func (s *BackendScheme) AddPlain(ct BackendCiphertext, msg []uint64) (BackendCiphertext, error) {
 	if err := s.checkCts(ct); err != nil {
 		return BackendCiphertext{}, err
@@ -633,18 +580,11 @@ func (s *BackendScheme) AddPlain(ct BackendCiphertext, msg []uint64) (BackendCip
 		return BackendCiphertext{}, err
 	}
 	l := ct.Level
-	out := BackendCiphertext{A: s.B.Copy(ct.A), B: s.B.NewPolyAt(l), Level: l, Domain: ct.Domain}
-	if ct.Domain == DomainNTT {
-		// Embed Delta*m in coefficient form, transform it (the NTT is
-		// linear, so adding its image is adding the message), and add into
-		// the resident B.
-		dm := s.B.NewPolyAt(l)
-		s.B.AddDeltaMsg(l, dm, dm, msg)
-		s.B.ToNTT(l, dm, dm)
-		s.B.Add(l, out.B, ct.B, dm)
-		return out, nil
-	}
-	s.B.AddDeltaMsg(l, out.B, ct.B, msg)
+	dm := s.B.NewPolyAt(l)
+	s.B.AddDeltaMsg(l, dm, dm, msg)
+	s.B.ToNTT(l, dm, dm)
+	out := BackendCiphertext{A: s.B.Copy(ct.A), B: s.B.NewPolyAt(l), Level: l}
+	s.B.Add(l, out.B, ct.B, dm)
 	return out, nil
 }
 
@@ -686,13 +626,7 @@ func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg
 	if len(msg) != s.B.N() {
 		return 0, fmt.Errorf("fhe: message length mismatch")
 	}
-	b := s.B
-	l := ct.Level
-	ca, cb := s.coeffAB(ct)
-	noisy := b.NewPolyAt(l)
-	b.MulNegacyclic(l, noisy, ca, b.SecretAt(l, sk.S))
-	b.Sub(l, noisy, cb, noisy)
-	return b.NoiseBits(l, noisy, msg), nil
+	return s.B.NoiseBits(ct.Level, s.phase(sk, ct), msg), nil
 }
 
 // NoiseBudgetBits estimates the remaining noise budget of a ciphertext in
@@ -703,28 +637,13 @@ func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg
 // what it buys is cheaper arithmetic, not headroom. Diagnostic only
 // (requires the secret key).
 func (s *BackendScheme) NoiseBudgetBits(sk BackendSecretKey, ct BackendCiphertext, msg []uint64) (int, error) {
-	if err := s.checkSecret(sk); err != nil {
+	nb, err := s.NoiseBits(sk, ct, msg)
+	if err != nil {
 		return 0, err
 	}
-	if err := s.checkCts(ct); err != nil {
-		return 0, err
-	}
-	if len(msg) != s.B.N() {
-		return 0, fmt.Errorf("fhe: message length mismatch")
-	}
-	b := s.B
-	l := ct.Level
-	ca, cb := s.coeffAB(ct)
-	noisy := b.NewPolyAt(l)
-	b.MulNegacyclic(l, noisy, ca, b.SecretAt(l, sk.S))
-	b.Sub(l, noisy, cb, noisy)
-	nb := b.NoiseBits(l, noisy, msg)
+	db := s.B.DeltaBits(ct.Level)
 	if nb == 0 {
-		return b.DeltaBits(l), nil
+		return db, nil
 	}
-	budget := b.DeltaBits(l) - nb - 1
-	if budget < 0 {
-		budget = 0
-	}
-	return budget, nil
+	return max(db-nb-1, 0), nil
 }

@@ -167,9 +167,6 @@ func (b *ringBackend) CheckCiphertext(ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level >= len(b.levels) {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
 	}
-	if ct.Domain > DomainNTT {
-		return fmt.Errorf("fhe: unknown domain tag %d", ct.Domain)
-	}
 	if ct.A == nil || ct.B == nil {
 		return fmt.Errorf("fhe: malformed ciphertext (nil component)")
 	}
@@ -313,6 +310,58 @@ type ringLevelKey struct {
 	ahat, bhat [][]u128.U128
 }
 
+// keyAt returns one level's entry of a relin or Galois key after
+// validating it against this level: a key of the right TYPE can still
+// come from a backend over other parameters (chain depth, digit count,
+// row length).
+func (lv *ringLevel) keyAt(what string, keys []ringLevelKey, level, n int) (*ringLevelKey, error) {
+	if level >= len(keys) {
+		return nil, fmt.Errorf("fhe: %s key covers %d levels, ciphertext at level %d", what, len(keys), level)
+	}
+	lk := &keys[level]
+	if len(lk.ahat) != lv.digits || len(lk.bhat) != lv.digits {
+		return nil, fmt.Errorf("fhe: %s key has %d digits at level %d, want %d", what, len(lk.ahat), level, lv.digits)
+	}
+	for d := range lk.ahat {
+		if len(lk.ahat[d]) != n || len(lk.bhat[d]) != n {
+			return nil, fmt.Errorf("fhe: %s key digit %d shaped for another backend", what, d)
+		}
+	}
+	return lk, nil
+}
+
+// accumulate is the key-switch inner product relinearization and every
+// Galois hop share: z (coefficient form, reduced mod q_l) splits into
+// 2^31-radix digits z_d, and each digit forward-transforms and multiplies
+// the key rows pointwise, so the results are sum_d NTT(z_d) ∘ ahat_d and
+// sum_d NTT(z_d) ∘ bhat_d in the level's evaluation domain.
+func (lk *ringLevelKey) accumulate(lv *ringLevel, z []u128.U128) (accA, accB []u128.U128) {
+	n := len(z)
+	g := lv.plan.Generic()
+	mod := lv.mod
+	accA = make([]u128.U128, n)
+	accB = make([]u128.U128, n)
+	zd := make([]u128.U128, n)
+	zhat := make([]u128.U128, n)
+	prod := make([]u128.U128, n)
+	for d := range lk.ahat {
+		shift := uint(oracleDigitBits * d)
+		for j := range zd {
+			zd[j] = u128.From64(z[j].Rsh(shift).Lo & (1<<oracleDigitBits - 1))
+		}
+		g.NegacyclicForwardInto(zhat, zd)
+		g.PointwiseMulInto(prod, zhat, lk.ahat[d])
+		for j := range accA {
+			accA[j] = mod.Add(accA[j], prod[j])
+		}
+		g.PointwiseMulInto(prod, zhat, lk.bhat[d])
+		for j := range accB {
+			accB[j] = mod.Add(accB[j], prod[j])
+		}
+	}
+	return accA, accB
+}
+
 // wideCtx returns the integer-convolution tower basis, built on first
 // use: the product of the towers exceeds 4*n*q_0^2, so signed negacyclic
 // product coefficients (magnitude < n*q_l^2 at any level, doubled once
@@ -332,41 +381,48 @@ func (b *ringBackend) wideCtx() *rns.Context {
 	return b.wide
 }
 
-// RelinKeyGen builds the 2^31-gadget relinearization key at every ladder
-// level: for each level l and digit position d, an encryption
-// (a_d, a_d*s + e_d + 2^(31d)*s^2) under the level's modulus.
-func (b *ringBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
-	p := b.p
-	key := &ringRelinKey{}
-	noise := make([]int64, p.N)
-	for l, lv := range b.levels {
-		g := lv.plan.Generic()
-		sk := b.SecretAt(l, s).([]u128.U128)
-		s2 := make([]u128.U128, p.N)
-		lv.plan.PolyMulNegacyclicInto(s2, sk, sk)
-		lk := ringLevelKey{}
-		e := make([]u128.U128, p.N)
-		tmp := make([]u128.U128, p.N)
-		for d := 0; d < lv.digits; d++ {
-			a := make([]u128.U128, p.N)
-			b.sampleUniformAt(l, a, rng)
-			for i := range noise {
-				noise[i] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
-			}
-			b.setSignedAt(l, e, noise)
-			bb := make([]u128.U128, p.N)
-			lv.plan.PolyMulNegacyclicInto(bb, a, sk) // a_d * s
-			b.Add(l, bb, bb, e)                      // + e_d
-			g.ScalarMulInto(tmp, s2, u128.One.Lsh(uint(oracleDigitBits*d)).Mod(lv.mod.Q))
-			b.Add(l, bb, bb, tmp) // + 2^(31d) * s^2
-			ahat := make([]u128.U128, p.N)
-			bhat := make([]u128.U128, p.N)
-			g.NegacyclicForwardInto(ahat, a)
-			g.NegacyclicForwardInto(bhat, bb)
-			lk.ahat = append(lk.ahat, ahat)
-			lk.bhat = append(lk.bhat, bhat)
+// gadgetKeyLevel builds one level's 2^31-gadget encryption of target
+// under sk, both in coefficient form at the level's modulus: for each
+// digit position d, (a_d, a_d*sk + e_d + 2^(31d)*target) with both rows
+// forward-transformed under the level's plan. Per digit the generator
+// draws a_d, then e_d — the order every seeded key depends on.
+func (b *ringBackend) gadgetKeyLevel(level int, sk, target []u128.U128, rng *rand.Rand) ringLevelKey {
+	lv := b.levels[level]
+	g := lv.plan.Generic()
+	n := b.p.N
+	noise := make([]int64, n)
+	e := make([]u128.U128, n)
+	tmp := make([]u128.U128, n)
+	lk := ringLevelKey{}
+	for d := 0; d < lv.digits; d++ {
+		a := make([]u128.U128, n)
+		b.sampleUniformAt(level, a, rng)
+		for i := range noise {
+			noise[i] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
 		}
-		key.levels = append(key.levels, lk)
+		b.setSignedAt(level, e, noise)
+		bb := make([]u128.U128, n)
+		lv.plan.PolyMulNegacyclicInto(bb, a, sk) // a_d * s
+		b.Add(level, bb, bb, e)                  // + e_d
+		g.ScalarMulInto(tmp, target, u128.One.Lsh(uint(oracleDigitBits*d)).Mod(lv.mod.Q))
+		b.Add(level, bb, bb, tmp) // + 2^(31d) * target
+		g.NegacyclicForwardInto(a, a)
+		g.NegacyclicForwardInto(bb, bb)
+		lk.ahat = append(lk.ahat, a)
+		lk.bhat = append(lk.bhat, bb)
+	}
+	return lk
+}
+
+// RelinKeyGen builds the 2^31-gadget relinearization key at every ladder
+// level: gadget encryptions of s^2 under the level's modulus.
+func (b *ringBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
+	key := &ringRelinKey{}
+	for l, lv := range b.levels {
+		sk := b.SecretAt(l, s).([]u128.U128)
+		s2 := make([]u128.U128, b.p.N)
+		lv.plan.PolyMulNegacyclicInto(s2, sk, sk)
+		key.levels = append(key.levels, b.gadgetKeyLevel(l, sk, s2, rng))
 	}
 	return key
 }
@@ -438,67 +494,43 @@ func (b *ringBackend) scaleRoundInto(lv *ringLevel, out []u128.U128, coeffs []*b
 // rescale by T/q_l, then 2^31-gadget relinearization with the level's
 // keys. ctx is observed at the same four phase boundaries as the RNS
 // pipeline (lift/decompose, integer tensor, exact rescale,
-// relinearization).
+// relinearization). The operands cross to coefficient form at entry and
+// the result crosses back at exit: the integer tensor is defined on
+// positional coefficients, and exactness — not transform count — is this
+// backend's contract.
 func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	key, ok := rlk.(*ringRelinKey)
 	if !ok {
 		return fmt.Errorf("fhe: foreign relinearization key %T on the %s backend", rlk, b.Name())
 	}
-	if ct1.Level != ct2.Level || dst.Level != ct1.Level {
-		return fmt.Errorf("fhe: MulCt level mismatch: %d, %d -> %d", ct1.Level, ct2.Level, dst.Level)
+	if err := checkMulLevels(len(b.levels), dst, ct1, ct2); err != nil {
+		return err
 	}
-	if ct1.Domain != ct2.Domain || dst.Domain != ct1.Domain {
-		return fmt.Errorf("fhe: MulCt domain mismatch: %s, %s -> %s", ct1.Domain, ct2.Domain, dst.Domain)
-	}
-	if ct1.Level < 0 || ct1.Level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct1.Level, len(b.levels))
-	}
-	resident := ct1.Domain == DomainNTT
 	lv := b.levels[ct1.Level]
-	// A key of the right TYPE can still come from a backend over other
-	// parameters: validate its chain depth and row shapes before use.
-	if ct1.Level >= len(key.levels) {
-		return fmt.Errorf("fhe: relin key covers %d levels, ciphertext at level %d", len(key.levels), ct1.Level)
-	}
-	lkey := key.levels[ct1.Level]
-	if len(lkey.ahat) != lv.digits || len(lkey.bhat) != lv.digits {
-		return fmt.Errorf("fhe: relin key has %d digits at level %d, want %d", len(lkey.ahat), ct1.Level, lv.digits)
-	}
-	for d := 0; d < lv.digits; d++ {
-		if len(lkey.ahat[d]) != b.p.N || len(lkey.bhat[d]) != b.p.N {
-			return fmt.Errorf("fhe: relin key digit %d shaped for another backend", d)
-		}
+	n := b.p.N
+	lkey, err := lv.keyAt("relin", key.levels, ct1.Level, n)
+	if err != nil {
+		return err
 	}
 	w := b.wideCtx()
-	p := b.p
 	g := lv.plan.Generic()
-	n := p.N
 
-	// Lift the four components and decompose into the wide basis. Resident
-	// operands cross back to coefficient form through a scratch copy first:
-	// the oracle's integer tensor is defined on positional coefficients,
-	// and exactness — not transform count — is this backend's contract.
+	// Cross each component to coefficient form, lift it, and decompose it
+	// into the wide basis.
 	if err := phaseGate(ctx, faultinject.SiteMulExtend); err != nil {
 		return err
 	}
 	coeffs := make([]*big.Int, n)
 	t := new(big.Int)
-	ops := [4]Poly{ct1.A, ct1.B, ct2.A, ct2.B}
-	var coeffScratch []u128.U128
-	if resident {
-		coeffScratch = make([]u128.U128, n)
-	}
+	coef := make([]u128.U128, n)
 	var wp [4]rns.Poly
-	for i, op := range ops {
+	for i, op := range [4]Poly{ct1.A, ct1.B, ct2.A, ct2.B} {
 		x, ok := op.([]u128.U128)
 		if !ok || len(x) != n {
 			return fmt.Errorf("fhe: malformed MulCt operand %d on the %s backend", i, b.Name())
 		}
-		if resident {
-			g.NegacyclicInverseInto(coeffScratch, x)
-			x = coeffScratch
-		}
-		liftInto(coeffs, x, t)
+		g.NegacyclicInverseInto(coef, x)
+		liftInto(coeffs, coef, t)
 		wp[i] = w.NewPoly()
 		must(w.DecomposeInto(wp[i], coeffs))
 	}
@@ -538,27 +570,7 @@ func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1,
 	if err := phaseGate(ctx, faultinject.SiteMulRelin); err != nil {
 		return err
 	}
-	accA := make([]u128.U128, n)
-	accB := make([]u128.U128, n)
-	zd := make([]u128.U128, n)
-	zhat := make([]u128.U128, n)
-	prod := make([]u128.U128, n)
-	mod := lv.mod
-	for d := range lkey.ahat {
-		shift := uint(oracleDigitBits * d)
-		for j := range zd {
-			zd[j] = u128.From64(r2[j].Rsh(shift).Lo & (1<<oracleDigitBits - 1))
-		}
-		g.NegacyclicForwardInto(zhat, zd)
-		g.PointwiseMulInto(prod, zhat, lkey.ahat[d])
-		for j := range accA {
-			accA[j] = mod.Add(accA[j], prod[j])
-		}
-		g.PointwiseMulInto(prod, zhat, lkey.bhat[d])
-		for j := range accB {
-			accB[j] = mod.Add(accB[j], prod[j])
-		}
-	}
+	accA, accB := lkey.accumulate(lv, r2)
 	dstA, ok := dst.A.([]u128.U128)
 	if !ok || len(dstA) != n {
 		return fmt.Errorf("fhe: malformed MulCt destination on the %s backend", b.Name())
@@ -567,25 +579,13 @@ func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1,
 	if !ok || len(dstB) != n {
 		return fmt.Errorf("fhe: malformed MulCt destination on the %s backend", b.Name())
 	}
-	if resident {
-		// The relin accumulators already live in the evaluation domain; a
-		// resident result adds the transformed rescaled components instead
-		// of leaving the domain: NTT(INTT(acc) + r) = acc + NTT(r) exactly.
-		g.NegacyclicForwardInto(zhat, r1)
-		for j := range dstA {
-			dstA[j] = mod.Add(accA[j], zhat[j])
-		}
-		g.NegacyclicForwardInto(zhat, r0)
-		for j := range dstB {
-			dstB[j] = mod.Add(accB[j], zhat[j])
-		}
-		return nil
-	}
-	g.NegacyclicInverseInto(dstA, accA)
-	g.NegacyclicInverseInto(dstB, accB)
+	// The rescaled components cross back and join the accumulators in the
+	// evaluation domain: NTT(INTT(acc) + r) = acc + NTT(r) exactly.
+	g.NegacyclicForwardInto(dstA, r1)
+	g.NegacyclicForwardInto(dstB, r0)
 	for j := range dstA {
-		dstA[j] = mod.Add(dstA[j], r1[j])
-		dstB[j] = mod.Add(dstB[j], r0[j])
+		dstA[j] = lv.mod.Add(accA[j], dstA[j])
+		dstB[j] = lv.mod.Add(accB[j], dstB[j])
 	}
 	return nil
 }
@@ -611,41 +611,17 @@ type ringGaloisEntry struct {
 // applied to the level's re-encoded secret (SecretAt changes the modulus,
 // and tau commutes with the re-encoding coefficient-wise).
 func (b *ringBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
-	p := b.p
-	key := &ringGaloisKey{n: p.N, entries: make(map[uint64]*ringGaloisEntry)}
-	noise := make([]int64, p.N)
-	for _, gal := range galoisKeyElements(p.N) {
-		tab, err := ring.GaloisTablesFor(p.N, gal)
+	n := b.p.N
+	key := &ringGaloisKey{n: n, entries: make(map[uint64]*ringGaloisEntry)}
+	for _, gal := range galoisKeyElements(n) {
+		tab, err := ring.GaloisTablesFor(n, gal)
 		must(err)
 		entry := &ringGaloisEntry{g: gal, tab: tab}
 		for l, lv := range b.levels {
-			g := lv.plan.Generic()
 			sk := b.SecretAt(l, s).([]u128.U128)
-			tauS := make([]u128.U128, p.N)
-			g.AutomorphismCoeffInto(tab, tauS, sk)
-			lk := ringLevelKey{}
-			e := make([]u128.U128, p.N)
-			tmp := make([]u128.U128, p.N)
-			for d := 0; d < lv.digits; d++ {
-				a := make([]u128.U128, p.N)
-				b.sampleUniformAt(l, a, rng)
-				for i := range noise {
-					noise[i] = int64(rng.Intn(2*noiseBound+1) - noiseBound)
-				}
-				b.setSignedAt(l, e, noise)
-				bb := make([]u128.U128, p.N)
-				lv.plan.PolyMulNegacyclicInto(bb, a, sk) // a_d * s
-				b.Add(l, bb, bb, e)                      // + e_d
-				g.ScalarMulInto(tmp, tauS, u128.One.Lsh(uint(oracleDigitBits*d)).Mod(lv.mod.Q))
-				b.Add(l, bb, bb, tmp) // + 2^(31d) * tau_g(s)
-				ahat := make([]u128.U128, p.N)
-				bhat := make([]u128.U128, p.N)
-				g.NegacyclicForwardInto(ahat, a)
-				g.NegacyclicForwardInto(bhat, bb)
-				lk.ahat = append(lk.ahat, ahat)
-				lk.bhat = append(lk.bhat, bhat)
-			}
-			entry.levels = append(entry.levels, lk)
+			tauS := make([]u128.U128, n)
+			lv.plan.Generic().AutomorphismCoeffInto(tab, tauS, sk)
+			entry.levels = append(entry.levels, b.gadgetKeyLevel(l, sk, tauS, rng))
 		}
 		key.entries[gal] = entry
 	}
@@ -653,10 +629,11 @@ func (b *ringBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 }
 
 // RotateSlotsCtx rotates both slot rows left by steps, one key-switch hop
-// per set bit of the rotation. Like the oracle's MulCt, every hop runs
-// the automorphism on positional coefficients (resident inputs cross out
-// through a scratch copy first — exactness over transform count) and
-// allocates freely; the RNS backend is the performance configuration.
+// per set bit of the rotation. Like the oracle's MulCt, every hop crosses
+// to coefficient form and runs the automorphism on positional
+// coefficients — an independent check of the RNS backend's
+// evaluation-domain permutation — and allocates freely; the RNS backend
+// is the performance configuration.
 func (b *ringBackend) RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
 	key, err := b.checkGaloisCall(dst, ct, gk)
 	if err != nil {
@@ -685,14 +662,8 @@ func (b *ringBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCipherte
 	if key.n != b.p.N {
 		return nil, fmt.Errorf("fhe: galois key built for degree %d, want %d", key.n, b.p.N)
 	}
-	if ct.Level < 0 || ct.Level >= len(b.levels) {
-		return nil, fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
-	}
-	if dst.Level != ct.Level {
-		return nil, fmt.Errorf("fhe: rotate level mismatch: %d -> %d", ct.Level, dst.Level)
-	}
-	if dst.Domain != ct.Domain {
-		return nil, fmt.Errorf("fhe: rotate domain mismatch: %s -> %s", ct.Domain, dst.Domain)
+	if err := checkRotateLevels(len(b.levels), dst, ct); err != nil {
+		return nil, err
 	}
 	var src [2][]u128.U128
 	for i, op := range []Poly{ct.A, ct.B} {
@@ -748,20 +719,10 @@ func (b *ringBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, c
 		return nil
 	}
 	for _, e := range hops {
-		if ct.Level >= len(e.levels) {
-			return fmt.Errorf("fhe: galois key covers %d levels, ciphertext at level %d", len(e.levels), ct.Level)
-		}
-		lk := &e.levels[ct.Level]
-		if len(lk.ahat) != lv.digits || len(lk.bhat) != lv.digits {
-			return fmt.Errorf("fhe: galois key has %d digits at level %d, want %d", len(lk.ahat), ct.Level, lv.digits)
-		}
-		for d := 0; d < lv.digits; d++ {
-			if len(lk.ahat[d]) != n || len(lk.bhat[d]) != n {
-				return fmt.Errorf("fhe: galois key digit %d shaped for another backend", d)
-			}
+		if _, err := lv.keyAt("galois", e.levels, ct.Level, n); err != nil {
+			return err
 		}
 	}
-	resident := ct.Domain == DomainNTT
 	hopA, hopB := srcA, srcB
 	for h, e := range hops {
 		if err := phaseGate(ctx, faultinject.SiteRotate); err != nil {
@@ -772,97 +733,53 @@ func (b *ringBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, c
 			outA = make([]u128.U128, n)
 			outB = make([]u128.U128, n)
 		}
-		b.galoisHop(lv, &e.levels[ct.Level], e.tab, outA, outB, hopA, hopB, resident)
+		b.galoisHop(lv, &e.levels[ct.Level], e.tab, outA, outB, hopA, hopB)
 		hopA, hopB = outA, outB
 	}
 	return nil
 }
 
 // galoisHop applies one automorphism + 2^31-gadget key switch:
-// (A', B') = (-sum_d zhat_d ∘ ahat_d, tau(B) - sum_d zhat_d ∘ bhat_d)
-// where the z_d are the gadget digits of tau(A). The key's b rows
-// encrypt tau_g(s) under s, so B' - A'*s = tau(B) - tau(A)*tau(s) plus
-// the digit noise.
-func (b *ringBackend) galoisHop(lv *ringLevel, lkey *ringLevelKey, tab *ring.GaloisTables, outA, outB, srcA, srcB []u128.U128, resident bool) {
+// (A', B') = (-sum_d zhat_d ∘ ahat_d, NTT(tau(B)) - sum_d zhat_d ∘ bhat_d)
+// where the z_d are the gadget digits of tau(A), with tau applied in
+// coefficient form. The key's b rows encrypt tau_g(s) under s, so
+// B' - A'*s = tau(B) - tau(A)*tau(s) plus the digit noise.
+func (b *ringBackend) galoisHop(lv *ringLevel, lkey *ringLevelKey, tab *ring.GaloisTables, outA, outB, srcA, srcB []u128.U128) {
 	n := b.p.N
 	g := lv.plan.Generic()
-	mod := lv.mod
-	coefA, coefB := srcA, srcB
-	if resident {
-		ca := make([]u128.U128, n)
-		cb := make([]u128.U128, n)
-		g.NegacyclicInverseInto(ca, srcA)
-		g.NegacyclicInverseInto(cb, srcB)
-		coefA, coefB = ca, cb
-	}
+	coef := make([]u128.U128, n)
 	tauA := make([]u128.U128, n)
 	tauB := make([]u128.U128, n)
-	g.AutomorphismCoeffInto(tab, tauA, coefA)
-	g.AutomorphismCoeffInto(tab, tauB, coefB)
-	accA := make([]u128.U128, n)
-	accB := make([]u128.U128, n)
-	zd := make([]u128.U128, n)
-	zhat := make([]u128.U128, n)
-	prod := make([]u128.U128, n)
-	for d := range lkey.ahat {
-		shift := uint(oracleDigitBits * d)
-		for j := range zd {
-			zd[j] = u128.From64(tauA[j].Rsh(shift).Lo & (1<<oracleDigitBits - 1))
-		}
-		g.NegacyclicForwardInto(zhat, zd)
-		g.PointwiseMulInto(prod, zhat, lkey.ahat[d])
-		for j := range accA {
-			accA[j] = mod.Add(accA[j], prod[j])
-		}
-		g.PointwiseMulInto(prod, zhat, lkey.bhat[d])
-		for j := range accB {
-			accB[j] = mod.Add(accB[j], prod[j])
-		}
-	}
-	if resident {
-		for j := range outA {
-			outA[j] = mod.Neg(accA[j])
-		}
-		g.NegacyclicForwardInto(zhat, tauB)
-		for j := range outB {
-			outB[j] = mod.Sub(zhat[j], accB[j])
-		}
-		return
-	}
-	g.NegacyclicInverseInto(zhat, accA)
+	g.NegacyclicInverseInto(coef, srcA)
+	g.AutomorphismCoeffInto(tab, tauA, coef)
+	g.NegacyclicInverseInto(coef, srcB)
+	g.AutomorphismCoeffInto(tab, tauB, coef)
+	accA, accB := lkey.accumulate(lv, tauA)
 	for j := range outA {
-		outA[j] = mod.Neg(zhat[j])
+		outA[j] = lv.mod.Neg(accA[j])
 	}
-	g.NegacyclicInverseInto(zhat, accB)
+	g.NegacyclicForwardInto(outB, tauB)
 	for j := range outB {
-		outB[j] = mod.Sub(tauB[j], zhat[j])
+		outB[j] = lv.mod.Sub(outB[j], accB[j])
 	}
 }
 
 // ModSwitchCtx is the oracle's exact modulus switch: every coefficient
 // moves from level l to l+1 as the big-integer round(c * q_{l+1} / q_l) of
 // its centered value — the bit-exactness ground truth the RNS Rescaler
-// path is differentially tested against. ctx is observed before the switch
-// starts and between the two components.
+// path is differentially tested against. Each component crosses to
+// coefficient form for the big-integer rescale and back under the NEW
+// level's plan (the twiddle tower changes with q). ctx is observed before
+// the switch starts and between the two components.
 func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level+1 >= len(b.levels) {
-		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, len(b.levels))
-	}
-	if dst.Level != ct.Level+1 {
-		return fmt.Errorf("fhe: ModSwitch destination at level %d, want %d", dst.Level, ct.Level+1)
-	}
-	if dst.Domain != ct.Domain {
-		return fmt.Errorf("fhe: ModSwitch domain mismatch: %s -> %s", ct.Domain, dst.Domain)
+	if err := checkSwitchLevels(len(b.levels), dst, ct); err != nil {
+		return err
 	}
 	if err := phaseGate(ctx, faultinject.SiteModSwitch); err != nil {
 		return err
 	}
-	resident := ct.Domain == DomainNTT
 	from, to := b.levels[ct.Level], b.levels[ct.Level+1]
-	var coeffScratch []u128.U128
-	if resident {
-		coeffScratch = make([]u128.U128, b.p.N)
-	}
+	coef := make([]u128.U128, b.p.N)
 	for i, pair := range [2][2]Poly{{ct.A, dst.A}, {ct.B, dst.B}} {
 		if i > 0 {
 			if err := ctx.Err(); err != nil {
@@ -877,17 +794,11 @@ func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, 
 		if !ok || len(out) != b.p.N {
 			return fmt.Errorf("fhe: malformed ModSwitch destination %d on the %s backend", i, b.Name())
 		}
-		if resident {
-			// Exactness first: the oracle crosses to coefficient form for
-			// the big-integer rescale and transforms the result back under
-			// the NEW level's plan (the twiddle tower changes with q).
-			from.plan.Generic().NegacyclicInverseInto(coeffScratch, src)
-			src = coeffScratch
-		}
+		from.plan.Generic().NegacyclicInverseInto(coef, src)
 		v := new(big.Int)
 		t := new(big.Int)
-		for j := range src {
-			liftOne(v, src[j], t)
+		for j := range coef {
+			liftOne(v, coef[j], t)
 			if v.Cmp(from.halfQ) > 0 { // center mod q_l
 				v.Sub(v, from.qBig)
 			}
@@ -901,9 +812,7 @@ func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, 
 			}
 			out[j] = x
 		}
-		if resident {
-			to.plan.Generic().NegacyclicForwardInto(out, out)
-		}
+		to.plan.Generic().NegacyclicForwardInto(out, out)
 	}
 	return nil
 }

@@ -42,15 +42,15 @@ import (
 // RotateSlotsCtx and ModSwitchCtx allocate nothing at dispatch width 1
 // (wider dispatch pays the ring worker pool's per-call bookkeeping).
 //
-// Ciphertexts REST in the twisted-evaluation (double-CRT) domain, and
-// there is ONE multiply pipeline, written for resident operands
-// (mulResident): the Q-base tensor consumes the operands' evaluation form
-// directly (zero forward transforms), the operands cross to coefficient
-// form exactly once for the m~-corrected extension, squared operands are
-// detected by row identity and extended/transformed once instead of
-// twice, and the relinearized result is returned resident (the
-// accumulators already live in the evaluation domain, so the result adds
-// NTT(c0/c1) instead of leaving the domain). Coefficient form survives
+// Ciphertexts live in the twisted-evaluation (double-CRT) domain — the
+// only form a BackendCiphertext takes — and there is ONE multiply
+// pipeline (mulResident): the Q-base tensor consumes the operands'
+// evaluation form directly (zero forward transforms), the operands cross
+// to coefficient form exactly once for the m~-corrected extension,
+// squared operands are detected by row identity and extended/transformed
+// once instead of twice, and the relinearized result lands in evaluation
+// form (the accumulators already live in the evaluation domain, so the
+// result adds NTT(c0/c1) instead of leaving it). Coefficient form survives
 // only where BEHZ needs positional digits: the base conversions and the
 // rounding offsets. The Galois key switch (galoisHop) is a second, shorter
 // pipeline over the same frame and the same key-switch accumulate.
@@ -64,14 +64,6 @@ import (
 // exact return and the ladder's rescale each hand rows and precomputed
 // weights to ring.AffineRows on the plan's kernel tier; see
 // rns/baseconv.go for the row and weight table.
-//
-// Coefficient-domain handles (DomainCoeff, reachable through
-// ConvertDomain) are still accepted by MulCtCtx, RotateSlotsCtx and
-// ConjugateCtx through one adapter around the resident steps (coeffIn /
-// coeffOut): the operands forward-transform into pooled rows that are
-// idle until the key switch, and the landed result inverse-transforms in
-// place. Every transform is exact, so the result is bit-identical to
-// converting, evaluating resident and converting back.
 type rnsBackend struct {
 	t       uint64
 	k       int // towers at level 0
@@ -463,9 +455,6 @@ func (b *rnsBackend) CheckCiphertext(ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level >= len(b.levels) {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
 	}
-	if ct.Domain > DomainNTT {
-		return fmt.Errorf("fhe: unknown domain tag %d", ct.Domain)
-	}
 	if ct.A == nil || ct.B == nil {
 		return fmt.Errorf("fhe: malformed ciphertext (nil component)")
 	}
@@ -777,8 +766,8 @@ func (b *rnsBackend) ConjugateCtx(ctx context.Context, dst *BackendCiphertext, c
 }
 
 // checkGaloisCall validates the rotate/conjugate arguments the way
-// MulCtCtx validates its own: key provenance first, then level and domain
-// agreement, then handle types, destination shape and aliasing.
+// MulCtCtx validates its own: key provenance first, then level agreement,
+// then handle types, destination shape and aliasing.
 func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) (*rnsGaloisKey, error) {
 	key, ok := gk.(*rnsGaloisKey)
 	if !ok {
@@ -787,14 +776,8 @@ func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertex
 	if key.n != b.N() {
 		return nil, fmt.Errorf("fhe: galois key built for degree %d, want %d", key.n, b.N())
 	}
-	if ct.Level < 0 || ct.Level >= len(b.levels) {
-		return nil, fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
-	}
-	if dst.Level != ct.Level {
-		return nil, fmt.Errorf("fhe: rotate level mismatch: %d -> %d", ct.Level, dst.Level)
-	}
-	if dst.Domain != ct.Domain {
-		return nil, fmt.Errorf("fhe: rotate domain mismatch: %s -> %s", ct.Domain, dst.Domain)
+	if err := checkRotateLevels(len(b.levels), dst, ct); err != nil {
+		return nil, err
 	}
 	c := b.levels[ct.Level].c
 	k := c.Channels()
@@ -873,9 +856,6 @@ func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct
 	defer sc.release()
 	sc.lv = lv
 	sc.in[0], sc.in[1] = srcA, srcB
-	if ct.Domain == DomainCoeff {
-		b.coeffIn(sc, 2)
-	}
 	for h := 0; h < nh; h++ {
 		if err := phaseGate(ctx, faultinject.SiteRotate); err != nil {
 			return err
@@ -889,14 +869,11 @@ func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct
 		b.galoisHop(sc)
 		sc.in[0], sc.in[1] = sc.outA, sc.outB
 	}
-	if ct.Domain == DomainCoeff {
-		b.coeffOut(sc)
-	}
 	return nil
 }
 
-// galoisHop applies one automorphism + key switch to the frame's resident
-// (in[0], in[1]): permute both components, scale tau(A) into its gadget
+// galoisHop applies one automorphism + key switch to the frame's operand
+// pair (in[0], in[1]): permute both components, scale tau(A) into its gadget
 // digit rows (the relin digit map verbatim), then accumulate the key
 // inner product per tower and land the hop.
 func (b *rnsBackend) galoisHop(sc *rnsMulScratch) {
@@ -1023,14 +1000,8 @@ func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, 
 	if !ok {
 		return fmt.Errorf("fhe: foreign relinearization key %T on the %s backend", rlk, b.Name())
 	}
-	if ct1.Level != ct2.Level || dst.Level != ct1.Level {
-		return fmt.Errorf("fhe: MulCt level mismatch: %d, %d -> %d", ct1.Level, ct2.Level, dst.Level)
-	}
-	if ct1.Domain != ct2.Domain || dst.Domain != ct1.Domain {
-		return fmt.Errorf("fhe: MulCt domain mismatch: %s, %s -> %s", ct1.Domain, ct2.Domain, dst.Domain)
-	}
-	if ct1.Level < 0 || ct1.Level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct1.Level, len(b.levels))
+	if err := checkMulLevels(len(b.levels), dst, ct1, ct2); err != nil {
+		return err
 	}
 	lv := b.levels[ct1.Level]
 	c := lv.c
@@ -1065,15 +1036,7 @@ func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, 
 	sc.outA, sc.outB = dstA, dstB
 	sc.lkey = lkey
 	sc.squaring = sameRows(a1, a2) && sameRows(b1, b2)
-	if ct1.Domain == DomainNTT {
-		return b.mulResident(ctx, sc)
-	}
-	b.coeffIn(sc, sc.nops())
-	if err := b.mulResident(ctx, sc); err != nil {
-		return err
-	}
-	b.coeffOut(sc)
-	return nil
+	return b.mulResident(ctx, sc)
 }
 
 // sameRows reports whether two polynomials share their row storage — the
@@ -1099,54 +1062,6 @@ func (sc *rnsMulScratch) nops() int {
 		return 2
 	}
 	return 4
-}
-
-// coeffIn and coeffOut are the coefficient-domain adapter around the
-// resident pipelines. coeffIn forward-transforms the frame's first nops
-// operand polynomials into the land rows and re-points the frame at them
-// (a squaring's second operand follows its first), so the steps only ever
-// see evaluation form; coeffOut inverse-transforms the landed result in
-// place. A caller that stays resident pays neither crossing: nops*k
-// forward and 2*k inverse transforms are the price of holding coefficient
-// form, paid here instead of by a second pipeline.
-func (b *rnsBackend) coeffIn(sc *rnsMulScratch, nops int) {
-	b.towers(sc, nops*sc.lv.c.Channels(), coeffOperandNTT)
-	for i := 0; i < nops; i++ {
-		sc.in[i] = sc.land(i)
-	}
-	if sc.squaring {
-		sc.in[2], sc.in[3] = sc.in[0], sc.in[1]
-	}
-}
-
-func (b *rnsBackend) coeffOut(sc *rnsMulScratch) {
-	b.towers(sc, 2*sc.lv.c.Channels(), coeffResultINTT)
-}
-
-// land is where coeffIn parks the transform of operand idx: the four
-// key-switch polys are Q-shaped and no step touches them before the key
-// switch, by which point no step reads an operand any more.
-func (sc *rnsMulScratch) land(idx int) rns.Poly {
-	return [4]rns.Poly{sc.accA, sc.accB, sc.liftQ, sc.prodQ}[idx]
-}
-
-// coeffOperandNTT forward-transforms one (operand, tower) cell of the
-// coefficient-domain operands into its land row.
-func coeffOperandNTT(sc *rnsMulScratch, u int) {
-	k := sc.lv.c.Channels()
-	idx, tau := u/k, u%k
-	sc.lv.c.Plans[tau].Generic().NegacyclicForwardInto(sc.land(idx).Res[tau], sc.in[idx].Res[tau])
-}
-
-// coeffResultINTT inverse-transforms one (component, tower) cell of the
-// landed result in place.
-func coeffResultINTT(sc *rnsMulScratch, u int) {
-	k := sc.lv.c.Channels()
-	row := sc.outA.Res[u%k]
-	if u >= k {
-		row = sc.outB.Res[u%k]
-	}
-	sc.lv.c.Plans[u%k].Generic().NegacyclicInverseInto(row, row)
 }
 
 // mulResident is the one BEHZ multiply (see the rnsBackend doc), four
@@ -1342,19 +1257,16 @@ func reduceAddRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	}
 }
 
-// ModSwitchCtx drops one tower: dst = round(ct / q_{k-1-l}) via the PR 4
-// Rescaler, residues only, allocation-free in steady state — the RNS
-// half of the ladder the oracle's big-integer switch ground-truths. ctx
-// is observed before the rescale starts and between the two components.
+// ModSwitchCtx drops one tower: dst = round(ct / q_{k-1-l}) via the
+// Rescaler's evaluation-domain rescale, residues only, allocation-free in
+// steady state — the RNS half of the ladder the oracle's big-integer
+// switch ground-truths. Only the dropped tower crosses to coefficient
+// form (one inverse transform), plus k-1 forward transforms of the
+// correction term. ctx is observed before the rescale starts and between
+// the two components.
 func (b *rnsBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level+1 >= len(b.levels) {
-		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, len(b.levels))
-	}
-	if dst.Level != ct.Level+1 {
-		return fmt.Errorf("fhe: ModSwitch destination at level %d, want %d", dst.Level, ct.Level+1)
-	}
-	if dst.Domain != ct.Domain {
-		return fmt.Errorf("fhe: ModSwitch domain mismatch: %s -> %s", ct.Domain, dst.Domain)
+	if err := checkSwitchLevels(len(b.levels), dst, ct); err != nil {
+		return err
 	}
 	srcA, ok1 := ct.A.(rns.Poly)
 	srcB, ok2 := ct.B.(rns.Poly)
@@ -1370,26 +1282,13 @@ func (b *rnsBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, c
 		return err
 	}
 	r := b.levels[ct.Level].rescale
-	if ct.Domain == DomainNTT {
-		// Resident rescale: one inverse transform (the dropped tower)
-		// plus k-1 forward transforms of the correction term, instead of
-		// crossing the whole ciphertext out of the evaluation domain and
-		// back.
-		if err := r.RescaleNTTInto(dstA, srcA, b.workers); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return r.RescaleNTTInto(dstB, srcB, b.workers)
-	}
-	if err := r.RescaleInto(dstA, srcA); err != nil {
+	if err := r.RescaleNTTInto(dstA, srcA, b.workers); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return r.RescaleInto(dstB, srcB)
+	return r.RescaleNTTInto(dstB, srcB, b.workers)
 }
 
 // MulNoiseModel exposes the MulNoiseBoundBits parameters of the RNS

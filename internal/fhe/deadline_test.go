@@ -210,8 +210,8 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, rlk, _, c1, c2 := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
+	b, rlk, _, c1, c2 := allocFixture(t, 2)
+	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
 	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}

@@ -1,21 +1,22 @@
 package fhe
 
 import (
+	"context"
 	"testing"
 
 	"mqxgo/internal/modmath"
 )
 
-// The scheme-layer tests in this file hold their ciphertexts in
-// COEFFICIENT form (ConvertDomain right after Encrypt) on both backends:
-// the linear ops are domain-agnostic, but MulPlain, AddPlain, Decrypt and
-// the noise diagnostics each have a coefficient-form arm, and these tests
-// are what reaches it. backend_test.go runs the same operations on the
-// resident handles Encrypt returns.
+// The scheme-layer tests in this file run every operation one rung down
+// the modulus ladder: the encryptor switches each fresh ciphertext to
+// level 1, so the linear ops, the plaintext crossings of MulPlain and
+// AddPlain, and Decrypt's and the noise diagnostics' inverse transforms
+// all run on a lower level's modulus and plans. backend_test.go runs the
+// same operations at level 0, where Encrypt leaves its ciphertexts.
 
-// eachBackendCoeff runs f once per backend with a fresh scheme and key and
-// an encryptor that returns coefficient-domain ciphertexts.
-func eachBackendCoeff(t *testing.T, n int, f func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext)) {
+// eachBackendLevel1 runs f once per backend with a fresh scheme and key
+// and an encryptor that returns ciphertexts switched to level 1.
+func eachBackendLevel1(t *testing.T, n int, f func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext)) {
 	t.Helper()
 	for _, b := range testBackends(t, n) {
 		t.Run(b.Name(), func(t *testing.T) {
@@ -27,17 +28,17 @@ func eachBackendCoeff(t *testing.T, n int, f func(t *testing.T, s *BackendScheme
 				if err != nil {
 					t.Fatal(err)
 				}
-				return mustCT(s.ConvertDomain(ct, DomainCoeff))
+				return mustCT(s.ModSwitchCtx(context.Background(), ct))
 			})
 		})
 	}
 }
 
-// wantDecrypt asserts ct decrypts to want.
+// wantDecrypt asserts ct is still at level 1 and decrypts to want.
 func wantDecrypt(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct BackendCiphertext, want func(i int) uint64) {
 	t.Helper()
-	if ct.Domain != DomainCoeff {
-		t.Fatalf("result rests in %s, want %s", ct.Domain, DomainCoeff)
+	if ct.Level != 1 {
+		t.Fatalf("result at level %d, want 1", ct.Level)
 	}
 	got, err := s.Decrypt(sk, ct)
 	if err != nil {
@@ -51,7 +52,7 @@ func wantDecrypt(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct Backend
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	eachBackendCoeff(t, 64, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 64, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		msg := make([]uint64, 64)
 		for i := range msg {
 			msg[i] = uint64(i*7) % s.B.PlainModulus()
@@ -61,7 +62,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 func TestHomomorphicAddition(t *testing.T) {
-	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
 		m1 := make([]uint64, 32)
 		m2 := make([]uint64, 32)
@@ -75,7 +76,7 @@ func TestHomomorphicAddition(t *testing.T) {
 }
 
 func TestHomomorphicSubAndNeg(t *testing.T) {
-	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
 		m1 := make([]uint64, 32)
 		m2 := make([]uint64, 32)
@@ -90,7 +91,7 @@ func TestHomomorphicSubAndNeg(t *testing.T) {
 }
 
 func TestMulScalar(t *testing.T) {
-	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
 		m := make([]uint64, 16)
 		for i := range m {
@@ -104,7 +105,7 @@ func TestMulScalar(t *testing.T) {
 func TestMulPlainByMonomial(t *testing.T) {
 	// Multiplying by x rotates coefficients negacyclically; decryption
 	// must match the rotated plaintext (with sign wrap mod T).
-	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
 		msg := make([]uint64, 16)
 		for i := range msg {
@@ -114,6 +115,7 @@ func TestMulPlainByMonomial(t *testing.T) {
 		mono[1] = 1
 		x := s.B.NewPoly()
 		s.B.SetSigned(x, mono)
+		x = s.B.SecretAt(1, x) // shaped for the ciphertext's level
 		// (x * m)(x): coefficient j of the product is m[j-1]; coefficient
 		// 0 is -m[15] mod T.
 		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(msg), x)), func(j int) uint64 {
@@ -126,7 +128,7 @@ func TestMulPlainByMonomial(t *testing.T) {
 }
 
 func TestAddPlain(t *testing.T) {
-	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
 		m := make([]uint64, 16)
 		pt := make([]uint64, 16)
@@ -146,7 +148,7 @@ func TestAddPlain(t *testing.T) {
 }
 
 func TestNoiseBudget(t *testing.T) {
-	eachBackendCoeff(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		m := make([]uint64, 32)
 		ct := enc(m)
 		fresh, err := s.NoiseBudgetBits(sk, ct, m)
@@ -182,7 +184,7 @@ func TestValidation(t *testing.T) {
 	if _, err := NewParams(mod, 3, 257); err == nil {
 		t.Error("expected error for bad ring degree")
 	}
-	eachBackendCoeff(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
+	eachBackendLevel1(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		if _, err := s.Encrypt(sk, make([]uint64, 7)); err == nil {
 			t.Error("expected message length error")
 		}

@@ -12,11 +12,14 @@ import (
 
 // FuzzModSwitch differentially checks the Backend-seam modulus switch on
 // the RNS path against its math/big specification: for every coefficient
-// x of the (centered) input, the switched coefficient must equal
-// round(x / q_dropped) mod the remaining towers — the same divide-and-
-// round the oracle backend computes with big integers. The fuzzed level
-// byte picks the rung, the pattern byte steers residues into boundary
-// values (0, q_i-1, small) exactly like the rns-package conversions fuzz.
+// x of the input, the switched coefficient must equal round(x / q_dropped)
+// mod the remaining towers — the same divide-and-round the oracle backend
+// computes with big integers. The fuzzed rows are coefficient form; they
+// cross into the evaluation form every ciphertext takes before the switch
+// (so the evaluation-domain rescale is what runs) and the result crosses
+// back before the comparison. The fuzzed level byte picks the rung, the
+// pattern byte steers residues into boundary values (0, q_i-1, small)
+// exactly like the rns-package conversions fuzz.
 
 type modSwitchFix struct {
 	c        *rns.Context
@@ -83,24 +86,30 @@ func checkModSwitch(t *testing.T, seed int64, pattern, levelByte byte) {
 			}
 		}
 	}
+	// math/big reference over the level's prefix basis, taken from the
+	// coefficient rows before they cross.
+	towers := 4 - level
+	full := f.prefixes[level]
+	var coeffs [2][]*big.Int
+	for hi, h := range []Poly{ct.A, ct.B} {
+		x, err := full.Reconstruct(h.(rns.Poly))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coeffs[hi] = x
+		b.ToNTT(level, h, h)
+	}
 	dst := BackendCiphertext{A: b.NewPolyAt(level + 1), B: b.NewPolyAt(level + 1), Level: level + 1}
 	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil {
 		t.Fatal(err)
 	}
-
-	// math/big reference over the level's prefix basis.
-	towers := 4 - level
-	full := f.prefixes[level]
 	qk := new(big.Int).SetUint64(f.c.Mods[towers-1].Q)
 	half := new(big.Int).Rsh(qk, 1)
 	tmp := new(big.Int)
-	for hi, pair := range [2][2]Poly{{ct.A, dst.A}, {ct.B, dst.B}} {
-		coeffs, err := full.Reconstruct(pair[0].(rns.Poly))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := pair[1].(rns.Poly)
-		for j, x := range coeffs {
+	for hi, h := range []Poly{dst.A, dst.B} {
+		b.ToCoeff(level+1, h, h)
+		got := h.(rns.Poly)
+		for j, x := range coeffs[hi] {
 			y := tmp.Add(x, half)
 			y.Div(y, qk)
 			for i := 0; i < towers-1; i++ {

@@ -2,7 +2,6 @@ package fhe
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -178,6 +177,16 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				_, err := s.MulPlain(ok, foreign.A)
 				return err
 			})
+			// Backend seam: a destination whose level tag disagrees with
+			// the operands is refused before any component is unpacked.
+			errNotPanic(t, "MulCt/dstLevelMismatch", func() error {
+				dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+				return s.B.MulCtCtx(context.Background(), &dst, ok, ok, rlk)
+			})
+			errNotPanic(t, "ModSwitch/dstLevelMismatch", func() error {
+				dst := BackendCiphertext{A: s.B.NewPoly(), B: s.B.NewPoly()}
+				return s.B.ModSwitchCtx(context.Background(), &dst, ok)
+			})
 		})
 	}
 
@@ -202,92 +211,10 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 	})
 }
 
-// TestDomainMismatchedHandlesAreRejected covers the representation half
-// of the hardening gate introduced with double-CRT residency: a pair of
-// handles resting in different domains must be refused — never silently
-// mixed, which would tensor evaluation points against coefficients — at
-// both the scheme layer and the raw backend seam, and an unknown domain
-// tag is rejected outright.
-func TestDomainMismatchedHandlesAreRejected(t *testing.T) {
-	const n, T = 32, 257
-	params, err := NewParams(modmath.DefaultModulus128(), n, T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := rns.NewContext(59, 3, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnsB, err := NewRNSBackend(c, T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Backend{NewRingBackend(params), rnsB} {
-		b := b
-		t.Run(b.Name(), func(t *testing.T) {
-			s := NewBackendScheme(b, 61)
-			sk := s.KeyGen()
-			rlk, rlkErr := s.RelinKeyGen(sk)
-			if rlkErr != nil {
-				t.Fatal(rlkErr)
-			}
-			res, err := s.Encrypt(sk, make([]uint64, n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			coe, err := s.ConvertDomain(res, DomainCoeff)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Scheme layer: every two-operand entry point refuses the pair.
-			errNotPanic(t, "AddCiphertexts/mixedDomain", func() error {
-				_, err := s.AddCiphertexts(res, coe)
-				return err
-			})
-			errNotPanic(t, "SubCiphertexts/mixedDomain", func() error {
-				_, err := s.SubCiphertexts(coe, res)
-				return err
-			})
-			errNotPanic(t, "MulCiphertexts/mixedDomain", func() error {
-				_, err := s.MulCiphertextsCtx(context.Background(), res, coe, rlk)
-				return err
-			})
-			// Unknown domain tag on an otherwise well-formed handle.
-			errNotPanic(t, "Decrypt/unknownDomainTag", func() error {
-				_, err := s.Decrypt(sk, BackendCiphertext{A: res.A, B: res.B, Domain: 7})
-				return err
-			})
-			errNotPanic(t, "ConvertDomain/unknownTarget", func() error {
-				_, err := s.ConvertDomain(res, 7)
-				return err
-			})
-
-			// Backend seam: destination tags that disagree with the
-			// operands select a pipeline the scratch was not shaped for,
-			// so MulCt and ModSwitch must reject them up front.
-			rng := rand.New(rand.NewSource(62))
-			bRlk := b.RelinKeyGen(sk.S, rng)
-			errNotPanic(t, "MulCt/dstDomainMismatch", func() error {
-				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainCoeff}
-				return b.MulCtCtx(context.Background(), &dst, res, res, bRlk)
-			})
-			errNotPanic(t, "MulCt/operandDomainMismatch", func() error {
-				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: DomainNTT}
-				return b.MulCtCtx(context.Background(), &dst, res, coe, bRlk)
-			})
-			errNotPanic(t, "ModSwitch/dstDomainMismatch", func() error {
-				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: DomainCoeff}
-				return b.ModSwitchCtx(context.Background(), &dst, res)
-			})
-		})
-	}
-}
-
 // TestGaloisCallsRejectMalformedInput extends the hardening gate to the
 // rotation seam: foreign ciphertexts and Galois keys, keys of the right
 // type from a differently-shaped backend instance, nil keys, destination
-// tags (level, domain) that disagree with the source, and destinations
+// level tags that disagree with the source, and destinations
 // aliasing the source must all be refused with an error — never a panic
 // or a silently wrong permutation.
 func TestGaloisCallsRejectMalformedInput(t *testing.T) {
@@ -379,26 +306,18 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 				return err
 			})
 			errNotPanic(t, "RotateSlots/hugeLevel", func() error {
-				_, err := s.RotateSlotsCtx(context.Background(), BackendCiphertext{A: ok.A, B: ok.B, Level: 99, Domain: ok.Domain}, 1, gk)
+				_, err := s.RotateSlotsCtx(context.Background(), BackendCiphertext{A: ok.A, B: ok.B, Level: 99}, 1, gk)
 				return err
 			})
 
 			// Backend seam: destination tags that disagree with the source.
 			b := s.B
 			errNotPanic(t, "RotateSlots/dstLevelMismatch", func() error {
-				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: ok.Domain}
-				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
-			})
-			errNotPanic(t, "RotateSlots/dstDomainMismatch", func() error {
-				wrong := DomainCoeff
-				if ok.Domain == DomainCoeff {
-					wrong = DomainNTT
-				}
-				dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly(), Domain: wrong}
+				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
 				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "Conjugate/dstLevelMismatch", func() error {
-				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1, Domain: ok.Domain}
+				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
 				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
 			})
 			// The permutation writes tau(B) straight into dst: a destination
@@ -409,7 +328,7 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "Conjugate/dstComponentAliasesSource", func() error {
-				dst := BackendCiphertext{A: b.NewPoly(), B: ok.A, Domain: ok.Domain}
+				dst := BackendCiphertext{A: b.NewPoly(), B: ok.A}
 				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
 			})
 		})

@@ -3,6 +3,7 @@ package fhe
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -252,131 +253,17 @@ func TestLadderDepth3BudgetProperty(t *testing.T) {
 	t.Logf("depth-3: k=4 ladder budget %d bits at level %d; fixed k=2 budget %d", budget, ct.Level, budget2)
 }
 
-// TestResidentLadderMatchesCoeffPath is the PR 6 differential gate for
-// double-CRT residency: the same squaring-and-switching ladder runs twice
-// against ONE backend with ONE key set — one handle left in its natural
-// DomainNTT resting state, the other converted to DomainCoeff right after
-// encryption and kept there. Every transform on the resident pipeline is
-// exact, so after EVERY multiply and EVERY level drop the two handles
-// must decrypt bit-identically to each other and to the schoolbook
-// product — and, for the RNS backend, converting the resident handle
-// back to coefficient form must reproduce the coefficient handle's
-// residues bit for bit, not merely decrypt alike.
-func TestResidentLadderMatchesCoeffPath(t *testing.T) {
-	const T = 257
-	sizes := []int{64, 4096}
-	if testing.Short() {
-		sizes = []int{64, 1024}
-	}
-	for _, n := range sizes {
-		params, err := NewParams(modmath.DefaultModulus128(), n, T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends := []Backend{NewRingBackend(params)}
-		for _, k := range []int{3, 4} {
-			c, err := rns.NewContext(59, k, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := NewRNSBackend(c, T)
-			if err != nil {
-				t.Fatal(err)
-			}
-			backends = append(backends, rb)
-		}
-		for _, b := range backends {
-			b := b
-			t.Run(fmt.Sprintf("n%d/%s/lv%d", n, b.Name(), b.Levels()), func(t *testing.T) {
-				s := NewBackendScheme(b, 606)
-				sk := s.KeyGen()
-				rlk, rlkErr := s.RelinKeyGen(sk)
-				if rlkErr != nil {
-					t.Fatal(rlkErr)
-				}
-				rng := rand.New(rand.NewSource(int64(3*n + b.Levels())))
-				msg := make([]uint64, n)
-				for i := range msg {
-					msg[i] = rng.Uint64() % T
-				}
-				res := mustCT(s.Encrypt(sk, msg))
-				if res.Domain != DomainNTT {
-					t.Fatalf("fresh encryption rests in %s, want %s", res.Domain, DomainNTT)
-				}
-				coe := mustCT(s.ConvertDomain(res, DomainCoeff))
-
-				dec := func(ct BackendCiphertext) []uint64 {
-					t.Helper()
-					got, err := s.Decrypt(sk, ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return got
-				}
-				check := func(stage string, expected []uint64) {
-					t.Helper()
-					gotR := dec(res)
-					gotC := dec(coe)
-					for j := range expected {
-						if gotR[j] != expected[j] || gotC[j] != expected[j] {
-							t.Fatalf("%s: coeff %d: resident %d, coeff-path %d, want %d",
-								stage, j, gotR[j], gotC[j], expected[j])
-						}
-					}
-					if _, isRNS := s.B.(*rnsBackend); !isRNS {
-						return
-					}
-					// Residue-level identity, stronger than matching
-					// decryptions: the resident handle crossed back into
-					// coefficient form must BE the coefficient handle.
-					down := mustCT(s.ConvertDomain(res, DomainCoeff))
-					for name, pair := range map[string][2]Poly{
-						"A": {down.A, coe.A}, "B": {down.B, coe.B},
-					} {
-						dp, cp := pair[0].(rns.Poly), pair[1].(rns.Poly)
-						for tau := range cp.Res {
-							for j := range cp.Res[tau] {
-								if dp.Res[tau][j] != cp.Res[tau][j] {
-									t.Fatalf("%s: component %s tower %d coeff %d: resident-converted %d != coeff-path %d",
-										stage, name, tau, j, dp.Res[tau][j], cp.Res[tau][j])
-								}
-							}
-						}
-					}
-				}
-
-				expected := append([]uint64(nil), msg...)
-				check("fresh", expected)
-				depth := min(b.Levels()-1, 3)
-				for level := 0; level < depth; level++ {
-					res = mustCT(s.MulCiphertextsCtx(context.Background(), res, res, rlk))
-					coe = mustCT(s.MulCiphertextsCtx(context.Background(), coe, coe, rlk))
-					if res.Domain != DomainNTT || coe.Domain != DomainCoeff {
-						t.Fatalf("multiply at level %d moved a handle: resident now %s, coeff-path now %s",
-							level, res.Domain, coe.Domain)
-					}
-					expected = NegacyclicProductModT(expected, expected, T)
-					check(fmt.Sprintf("after mul at level %d", level), expected)
-					res = mustCT(s.ModSwitchCtx(context.Background(), res))
-					coe = mustCT(s.ModSwitchCtx(context.Background(), coe))
-					if res.Domain != DomainNTT || coe.Domain != DomainCoeff {
-						t.Fatalf("drop to level %d moved a handle: resident now %s, coeff-path now %s",
-							level+1, res.Domain, coe.Domain)
-					}
-					check(fmt.Sprintf("after drop to level %d", level+1), expected)
-				}
-			})
-		}
-	}
-}
-
-// TestOracleRescaleOutOfRangeIsDetected drives the once-unreachable
-// "oracle rescale out of range" panic path with an adversarial ciphertext
-// whose coefficients are NOT reduced modulo q (over-noisy in the most
-// literal sense: the handle carries values up to 2^128). The tensor then
-// overflows the oracle's wide CRT basis; since PR 5 the condition is
-// detected and returned as an error from MulCt — and the scheme layer's
-// range validation refuses the handle before it even gets there.
+// TestOracleRescaleOutOfRangeIsDetected keeps the oracle rescale's range
+// detection tested. A centered tensor coefficient beyond the level's
+// vBound (2*n*q_l^2) cannot come from reduced operands: it means the wide
+// CRT basis wrapped, and scaleRoundInto returns an error instead of
+// rescaling garbage. The oracle crosses its operands to coefficient form
+// at MulCt entry, and the inverse transform reduces whatever it is fed,
+// so no handle — not even one carrying values up to 2^128 — can bring
+// such a coefficient to the rescale through the backend seam; the
+// detection is driven directly, on both sides of zero. The scheme layer's
+// range validation refuses the unreduced handle before the backend sees
+// it.
 func TestOracleRescaleOutOfRangeIsDetected(t *testing.T) {
 	const n, T = 64, 257
 	params, err := NewParams(modmath.DefaultModulus128(), n, T)
@@ -384,37 +271,52 @@ func TestOracleRescaleOutOfRangeIsDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewRingBackend(params)
+	rb := b.(*ringBackend)
+	lv := rb.levels[0]
+	w := rb.wideCtx()
+	halfWideQ := new(big.Int).Rsh(w.Q, 1)
+	// rescale runs the detection on one tensor component whose coefficient
+	// 3 holds v, as the wide basis reconstructs it (in [0, wideQ)).
+	rescale := func(v *big.Int) error {
+		coeffs := make([]*big.Int, n)
+		for i := range coeffs {
+			coeffs[i] = new(big.Int)
+		}
+		coeffs[3].Mod(v, w.Q)
+		return rb.scaleRoundInto(lv, make([]u128.U128, n), coeffs, w.Q, halfWideQ)
+	}
+	over := new(big.Int).Add(lv.vBound, big.NewInt(1))
+	for _, v := range []*big.Int{lv.vBound, new(big.Int).Neg(lv.vBound)} {
+		if err := rescale(v); err != nil {
+			t.Fatalf("tensor coefficient %v at the bound rejected: %v", v, err)
+		}
+	}
+	for _, v := range []*big.Int{over, new(big.Int).Neg(over)} {
+		if err := rescale(v); err == nil {
+			t.Fatalf("tensor coefficient %v past the bound rescaled without an error", v)
+		} else {
+			t.Logf("detected (expected): %v", err)
+		}
+	}
+
+	// Scheme layer: the provenance/range gate rejects an unreduced handle.
 	s := NewBackendScheme(b, 5)
 	sk := s.KeyGen()
 	rlk, rlkErr := s.RelinKeyGen(sk)
 	if rlkErr != nil {
 		t.Fatal(rlkErr)
 	}
-
-	evil := func() BackendCiphertext {
-		a := make([]u128.U128, n)
-		bb := make([]u128.U128, n)
-		for i := range a {
-			a[i] = u128.New(^uint64(0), uint64(i)*0x9e3779b97f4a7c15)
-			bb[i] = u128.New(^uint64(0)>>1, ^uint64(i))
-		}
-		return BackendCiphertext{A: a, B: bb}
+	a := make([]u128.U128, n)
+	bb := make([]u128.U128, n)
+	for i := range a {
+		a[i] = u128.New(^uint64(0), uint64(i)*0x9e3779b97f4a7c15)
+		bb[i] = u128.New(^uint64(0)>>1, ^uint64(i))
 	}
-
-	// Backend seam: the rescale detection fires instead of a panic.
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCtCtx(context.Background(), &dst, evil(), evil(), rlk); err == nil {
-		t.Fatal("expected oracle rescale range error for unreduced ciphertext")
-	} else {
-		t.Logf("backend error (expected): %v", err)
-	}
-
-	// Scheme layer: the provenance/range gate rejects the handle first.
 	good, err := s.Encrypt(sk, make([]uint64, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MulCiphertextsCtx(context.Background(), evil(), good, rlk); err == nil {
+	if _, err := s.MulCiphertextsCtx(context.Background(), BackendCiphertext{A: a, B: bb}, good, rlk); err == nil {
 		t.Fatal("expected scheme-layer validation error for unreduced ciphertext")
 	}
 }

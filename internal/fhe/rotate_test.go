@@ -334,56 +334,6 @@ func TestRotateComposedDownLadder(t *testing.T) {
 	}
 }
 
-// TestRotateCoeffDomainMatchesResident pins that the coefficient-domain
-// rotation pipeline computes the same ciphertext map as the resident one:
-// rotating a ConvertDomain'd ciphertext and converting back must decrypt
-// identically.
-func TestRotateCoeffDomainMatchesResident(t *testing.T) {
-	const n = 64
-	for _, b := range packedBackends(t, n) {
-		t.Run(b.Name(), func(t *testing.T) {
-			s := NewBackendScheme(b, 31337)
-			sk := s.KeyGen()
-			gk, err := s.GaloisKeyGen(sk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slots := randomSlots(n, 8)
-			ct, err := s.Encrypt(sk, mustMsg(t, s, slots))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctCoeff, err := s.ConvertDomain(ct, DomainCoeff)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range []int{1, 7, n/2 - 1} {
-				viaRes, err := s.RotateSlotsCtx(context.Background(), ct, r, gk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viaCoeff, err := s.RotateSlotsCtx(context.Background(), ctCoeff, r, gk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d1, err := s.Decrypt(sk, viaRes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d2, err := s.Decrypt(sk, viaCoeff)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range d1 {
-					if d1[i] != d2[i] {
-						t.Fatalf("rotate %d: domains disagree at coefficient %d", r, i)
-					}
-				}
-			}
-		})
-	}
-}
-
 func mustMsg(t *testing.T, s *BackendScheme, slots []uint64) []uint64 {
 	t.Helper()
 	msg, err := s.EncodeSlots(slots)

@@ -159,7 +159,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		// whose buffers already have the right shape. This is the
 		// steady-state serving loop — no allocation beyond the backend's
 		// pooled scratch.
-		if dst := s.reusableDst(t, req.Out, level, e1.ct.Domain, h1, h2); dst != nil {
+		if dst := s.reusableDst(t, req.Out, level, h1, h2); dst != nil {
 			if err := sch.B.MulCtCtx(ctx, &dst.ct, e1.ct, e2.ct, t.rlk); err != nil {
 				return evalResponse{}, ctxErr(s, err)
 			}
@@ -195,7 +195,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
 				"modswitch to level %d would leave %d budget bits (floor %d)", level+1, budget, s.cfg.BudgetFloorBits)
 		}
-		if dst := s.reusableDst(t, req.Out, level+1, e.ct.Domain, req.Args[0], ""); dst != nil {
+		if dst := s.reusableDst(t, req.Out, level+1, req.Args[0], ""); dst != nil {
 			if err := sch.B.ModSwitchCtx(ctx, &dst.ct, e.ct); err != nil {
 				return evalResponse{}, ctxErr(s, err)
 			}
@@ -240,7 +240,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		// In-place fast path, same shape as mul: a rotation lands in an
 		// existing same-level destination with zero allocation beyond the
 		// backend's pooled scratch.
-		if dst := s.reusableDst(t, req.Out, level, e.ct.Domain, req.Args[0], ""); dst != nil {
+		if dst := s.reusableDst(t, req.Out, level, req.Args[0], ""); dst != nil {
 			var err error
 			if req.Op == "rotate" {
 				err = sch.B.RotateSlotsCtx(ctx, &dst.ct, e.ct, req.Steps, t.gk)
@@ -306,15 +306,15 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 
 // reusableDst returns the entry named by out when it can be overwritten
 // in place: it exists, is not an operand of the current op, and its
-// buffers match the result's level and domain. Caller holds t.mu.
+// buffers match the result's level. Caller holds t.mu.
 //
 //mqx:hotpath
-func (s *Server) reusableDst(t *tenant, out string, level int, d fhe.Domain, arg1, arg2 string) *entry {
+func (s *Server) reusableDst(t *tenant, out string, level int, arg1, arg2 string) *entry {
 	if out == "" || out == arg1 || out == arg2 {
 		return nil
 	}
 	e := t.cts[out]
-	if e == nil || e.ct.Level != level || e.ct.Domain != d {
+	if e == nil || e.ct.Level != level {
 		return nil
 	}
 	return e
