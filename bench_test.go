@@ -1,6 +1,6 @@
 // Package benches is the paper-reproduction benchmark harness: one bench
-// per table and figure of the evaluation (see DESIGN.md §4 for the
-// experiment index).
+// per table and figure of the evaluation (`go run ./cmd/report` prints the
+// tables and figures themselves).
 //
 // Two kinds of benchmarks coexist:
 //
@@ -29,7 +29,6 @@ import (
 	"mqxgo/internal/fhe"
 	"mqxgo/internal/isa"
 	"mqxgo/internal/modmath"
-	"mqxgo/internal/multiword"
 	"mqxgo/internal/ntt"
 	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/pisa"
@@ -101,54 +100,6 @@ var (
 	sinkU128 u128.U128
 	sinkU64  uint64
 )
-
-func BenchmarkModMul128Montgomery(b *testing.B) {
-	mod := modmath.DefaultModulus128()
-	mg, err := modmath.NewMontgomery128(mod.Q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := randResidues(4, mod, 1024)
-	// In-domain chain: the regime Montgomery is designed for.
-	for i := range xs {
-		xs[i] = mg.ToMont(xs[i])
-	}
-	b.ResetTimer()
-	acc := mg.ToMont(u128.One)
-	for i := 0; i < b.N; i++ {
-		acc = mg.MulMont(acc, xs[i%1024])
-	}
-	sinkU128 = acc
-}
-
-func BenchmarkModMulGoldilocks(b *testing.B) {
-	g := modmath.Goldilocks{}
-	acc := uint64(0x123456789abcdef)
-	w := uint64(0xfedcba987654321)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc = g.Mul(acc, w)
-	}
-	sinkU64 = acc
-}
-
-func BenchmarkModMulMultiword256(b *testing.B) {
-	q, err := multiword.FindNTTPrime(252, 4, 1<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod := multiword.MustModulus(q)
-	x := multiword.Int{0x1234, 0x5678, 0x9abc, 0x0def}
-	acc := mod.Reduce(x)
-	w := mod.Reduce(multiword.Int{7, 11, 13, 3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc = mod.Mul(acc, w)
-	}
-	if acc.IsZero() {
-		b.Fatal("unexpected zero")
-	}
-}
 
 func BenchmarkNTT64Native4096(b *testing.B) {
 	ps, err := modmath.FindNTTPrimes64(60, 1<<13, 1)

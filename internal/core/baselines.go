@@ -10,8 +10,8 @@ import (
 )
 
 // GenericArith is the division-based 128-bit arithmetic standing in for
-// OpenFHE's built-in math backend (see DESIGN.md substitutions). It
-// satisfies ntt.Arith.
+// OpenFHE's built-in math backend (the "OpenFHE-backend" series of Figure 5
+// in `go run ./cmd/report`). It satisfies ntt.Arith.
 type GenericArith struct {
 	Q u128.U128
 }
@@ -94,7 +94,8 @@ func (bp *BigPlan) Forward(x []*big.Int) []*big.Int {
 // division-based generic backend and the math/big backend run the n-point
 // NTT compared to the optimized Barrett scalar implementation. The figure
 // generators use these host-measured ratios to anchor the "OpenFHE built-in
-// backend" and "GMP" series to the modeled scalar tier (DESIGN.md §5).
+// backend" and "GMP" series to the modeled scalar tier (`go run ./cmd/report
+// -measure`).
 func (c *Context) MeasureNTTBaselineRatios(n int) (perfmodel.BaselineRatios, error) {
 	p, err := c.Plan(n)
 	if err != nil {
@@ -128,7 +129,7 @@ func (c *Context) MeasureNTTBaselineRatios(n int) (perfmodel.BaselineRatios, err
 
 // DefaultBaselineRatios are representative host-measured ratios used when
 // callers want reproducible figure output without re-measuring (tests, and
-// cmd tools when -measure=false). The values are in the ballpark the
+// cmd/report without -measure). The values are in the ballpark the
 // paper reports for OpenFHE's built-in backend and GMP against optimized
 // scalar code (Sections 5.3, 5.4 and 8).
 var DefaultBaselineRatios = perfmodel.BaselineRatios{

@@ -1,8 +1,8 @@
 // Package core is the library facade: it ties the double-word modular
 // arithmetic, BLAS and NTT kernels, performance model, PISA methodology and
 // roofline analysis together behind one Context type, and assembles every
-// table and figure of the paper's evaluation (figures.go) for the cmd/
-// tools and benchmarks.
+// table and figure of the paper's evaluation (figures.go) for cmd/report
+// and the benchmarks.
 package core
 
 import (

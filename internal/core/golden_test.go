@@ -9,16 +9,16 @@ import (
 	"mqxgo/internal/perfmodel"
 )
 
-// Golden values: the model is fully deterministic, and EXPERIMENTS.md
-// documents these exact numbers. If a cost-table or kernel change moves
-// them, this test fails as a reminder to regenerate the documentation
-// (and to re-examine the paper-shape comparisons).
+// Golden values: the model is fully deterministic, and `go run ./cmd/report`
+// prints these exact numbers. If a cost-table or kernel change moves them,
+// this test fails as a reminder to re-check the report (and to re-examine
+// the paper-shape comparisons).
 func TestGoldenModelValues(t *testing.T) {
 	mod := modmath.DefaultModulus128()
 	approx := func(got, want float64, what string) {
 		t.Helper()
 		if math.Abs(got-want) > 0.01 {
-			t.Errorf("%s = %.3f, documented %.3f — update EXPERIMENTS.md if intentional", what, got, want)
+			t.Errorf("%s = %.3f, golden %.3f — re-check `go run ./cmd/report` if intentional", what, got, want)
 		}
 	}
 

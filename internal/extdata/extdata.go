@@ -17,7 +17,7 @@
 // pipelines favor large batched sizes; GPUs lose efficiency at small
 // sizes). The AMD-side comparisons therefore reproduce the stated ratios
 // by construction, while every Intel-side comparison in Figure 7a is a
-// genuine model prediction. See EXPERIMENTS.md.
+// genuine model prediction. `go run ./cmd/report` prints both figures.
 package extdata
 
 import (

@@ -50,8 +50,8 @@ func cost(lat int, uops ...PortSet) Cost { return Cost{Uops: uops, Lat: lat} }
 //
 // The tables are assembled from public instruction-timing data
 // (vendor optimization manuals and uops.info-class measurements) at the
-// fidelity needed for relative comparisons; see DESIGN.md §5. The paper's
-// own MQX numbers rest on the same class of data via LLVM-MCA.
+// fidelity needed for relative comparisons. The paper's own MQX numbers
+// rest on the same class of data via LLVM-MCA.
 type Microarch struct {
 	Name          string
 	PortNames     []string // index = port id used in PortSet
@@ -334,13 +334,3 @@ func zen4Costs() map[Op]Cost {
 
 // Microarchs lists the modeled measurement microarchitectures.
 var Microarchs = []*Microarch{SunnyCove, Zen4}
-
-// MicroarchByName returns the microarchitecture with the given name.
-func MicroarchByName(name string) (*Microarch, error) {
-	for _, m := range Microarchs {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("isa: unknown microarchitecture %q", name)
-}

@@ -79,18 +79,6 @@ func TestCostOfPanicsOnUnknown(t *testing.T) {
 	SunnyCove.CostOf(Op(9999))
 }
 
-func TestMicroarchByName(t *testing.T) {
-	for _, name := range []string{"SunnyCove", "Zen4"} {
-		m, err := MicroarchByName(name)
-		if err != nil || m.Name != name {
-			t.Errorf("MicroarchByName(%q) = %v, %v", name, m, err)
-		}
-	}
-	if _, err := MicroarchByName("Haswell"); err == nil {
-		t.Error("expected error for unknown march")
-	}
-}
-
 func TestLevelProperties(t *testing.T) {
 	if LevelScalar.Lanes() != 1 || LevelAVX2.Lanes() != 4 || LevelAVX512.Lanes() != 8 || LevelMQX.Lanes() != 8 {
 		t.Error("lanes wrong")

@@ -38,7 +38,7 @@ func MeasureBLAS(fn func()) float64 { return MeasureProtocol(1000, 500, fn) }
 // figure generators anchor the "GMP" and "OpenFHE built-in backend" series
 // to the modeled scalar tier through these ratios, so every series in a
 // chart lives in one machine's time domain while the baseline gaps remain
-// real measurements (see DESIGN.md §5).
+// real measurements (`go run ./cmd/report -measure` re-measures them).
 type BaselineRatios struct {
 	GenericOverNative float64 // division-based backend vs Barrett scalar
 	BignumOverNative  float64 // math/big backend vs Barrett scalar

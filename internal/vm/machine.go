@@ -214,8 +214,7 @@ func (m *Machine) noteStore(bytes int64) {
 // x86 a cleared carry falls out of instruction selection (ADD vs ADC).
 func FalseFlag() F { return F{B: false, id: noID} }
 
-// Dump renders the body trace with mnemonic names, for debugging and for
-// cmd/mca.
+// Dump renders the body trace with mnemonic names, for debugging.
 func (m *Machine) Dump() string {
 	s := ""
 	for _, in := range m.body {
