@@ -128,26 +128,13 @@ func BenchmarkNTT64Native4096(b *testing.B) {
 
 // --- Zero-allocation engine (PR 1): Into variants and batch pool ---
 
-func BenchmarkNTTForwardNative4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randResidues(70, ctx.Mod, 1<<12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForwardNative(x)
-	}
-}
-
 func BenchmarkNTTForwardNativeInto4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := randResidues(71, ctx.Mod, 1<<12)
+	x := randResidues(71, mod, 1<<12)
 	dst := make([]u128.U128, 1<<12)
 	p.ForwardInto(dst, x) // warm the scratch pool
 	b.ResetTimer()
@@ -159,12 +146,12 @@ func BenchmarkNTTForwardNativeInto4096(b *testing.B) {
 }
 
 func BenchmarkNTTInverseNativeInto4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	y := randResidues(73, ctx.Mod, 1<<12)
+	y := randResidues(73, mod, 1<<12)
 	dst := make([]u128.U128, 1<<12)
 	p.InverseInto(dst, y)
 	b.ResetTimer()
@@ -176,13 +163,13 @@ func BenchmarkNTTInverseNativeInto4096(b *testing.B) {
 }
 
 func BenchmarkNTTPolyMulNegacyclicInto4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := randResidues(74, ctx.Mod, 1<<12)
-	y := randResidues(75, ctx.Mod, 1<<12)
+	x := randResidues(74, mod, 1<<12)
+	y := randResidues(75, mod, 1<<12)
 	dst := make([]u128.U128, 1<<12)
 	p.PolyMulNegacyclicInto(dst, x, y)
 	b.ResetTimer()
@@ -195,8 +182,8 @@ func BenchmarkNTTPolyMulNegacyclicInto4096(b *testing.B) {
 // of 64 forward transforms at n=4096 dispatched over 8 workers through the
 // persistent pool, transforms/sec derivable from ns/transform.
 func BenchmarkBatchNTTPool4096W8(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +191,7 @@ func BenchmarkBatchNTTPool4096W8(b *testing.B) {
 	inputs := make([][]u128.U128, batch)
 	dsts := make([][]u128.U128, batch)
 	for i := range inputs {
-		inputs[i] = randResidues(int64(85+i), ctx.Mod, 1<<12)
+		inputs[i] = randResidues(int64(85+i), mod, 1<<12)
 		dsts[i] = make([]u128.U128, 1<<12)
 	}
 	p.BatchForwardInto(dsts, inputs, 8)
@@ -216,19 +203,21 @@ func BenchmarkBatchNTTPool4096W8(b *testing.B) {
 }
 
 func BenchmarkBatchNTTParallel(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 10)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const batch = 64
 	inputs := make([][]u128.U128, batch)
+	dsts := make([][]u128.U128, batch)
 	for i := range inputs {
-		inputs[i] = randResidues(int64(80+i), ctx.Mod, 1<<10)
+		inputs[i] = randResidues(int64(80+i), mod, 1<<10)
+		dsts[i] = make([]u128.U128, 1<<10)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.BatchForward(inputs, 0)
+		p.BatchForwardInto(dsts, inputs, 0)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/transform")
 }
@@ -266,14 +255,16 @@ func BenchmarkFigure4AxpyNative(b *testing.B)    { benchBLASNative(b, blas.OpAxp
 
 func BenchmarkFigure4VecPMulGeneric(b *testing.B) {
 	mod := modmath.DefaultModulus128()
-	gen := blas.Generic{Q: mod.Q}
+	gen := core.GenericArith{Q: mod.Q}
 	n := core.BLASVectorLength
 	x := randResidues(6, mod, n)
 	y := randResidues(7, mod, n)
 	dst := make([]u128.U128, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.VecPMulMod(dst, x, y)
+		for j := range dst {
+			dst[j] = gen.Mul(x[j], y[j])
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
 }
@@ -319,15 +310,17 @@ func BenchmarkFigure4Model(b *testing.B) {
 // --- Figure 5: NTT across sizes ---
 
 func benchNTTNative(b *testing.B, n int) {
-	ctx := core.Default()
-	p, err := ctx.Plan(n)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := randResidues(10, ctx.Mod, n)
+	x := randResidues(10, mod, n)
+	dst := make([]u128.U128, n)
+	p.ForwardInto(dst, x) // warm the scratch pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ForwardNative(x)
+		p.ForwardInto(dst, x)
 	}
 	butterflies := float64(n/2) * float64(p.M)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/butterflies, "ns/butterfly")
@@ -339,13 +332,13 @@ func BenchmarkFigure5NTTNative16384(b *testing.B) { benchNTTNative(b, 1<<14) }
 func BenchmarkFigure5NTTNative65536(b *testing.B) { benchNTTNative(b, 1<<16) }
 
 func BenchmarkFigure5NTTGeneric4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := core.GenericArith{Q: ctx.Mod.Q}
-	x := randResidues(11, ctx.Mod, 1<<12)
+	g := core.GenericArith{Q: mod.Q}
+	x := randResidues(11, mod, 1<<12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ForwardWith(g, x)
@@ -355,13 +348,13 @@ func BenchmarkFigure5NTTGeneric4096(b *testing.B) {
 }
 
 func BenchmarkFigure5NTTBignum4096(b *testing.B) {
-	ctx := core.Default()
-	p, err := ctx.Plan(1 << 12)
+	mod := modmath.DefaultModulus128()
+	p, err := ntt.CachedPlan(mod, 1<<12)
 	if err != nil {
 		b.Fatal(err)
 	}
 	bp := core.NewBigPlan(p)
-	xs := randResidues(12, ctx.Mod, 1<<12)
+	xs := randResidues(12, mod, 1<<12)
 	x := make([]*big.Int, len(xs))
 	for i := range x {
 		x[i] = xs[i].ToBig()

@@ -42,7 +42,7 @@ func main() {
 	fmt.Println()
 	ratios := core.DefaultBaselineRatios
 	if *measure {
-		r, err := core.Default().MeasureNTTBaselineRatios(1 << 12)
+		r, err := core.MeasureNTTBaselineRatios(modmath.DefaultModulus128(), 1<<12)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 func run(w io.Writer, ratios perfmodel.BaselineRatios, verify bool) error {
 	mod := modmath.DefaultModulus128()
 	if verify {
-		if err := core.NewContext(mod).VerifyAllTiers(1 << 12); err != nil {
+		if err := core.VerifyAllTiers(mod, 1<<12); err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "[verify] all ISA tiers bit-match the native 2^12 transform")

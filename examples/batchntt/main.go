@@ -12,15 +12,16 @@ import (
 	"runtime"
 	"time"
 
-	"mqxgo/internal/core"
+	"mqxgo/internal/modmath"
+	"mqxgo/internal/ntt"
 	"mqxgo/internal/u128"
 )
 
 func main() {
 	const n = 1 << 12
 	const batch = 256
-	ctx := core.Default()
-	plan, err := ctx.Plan(n)
+	mod := modmath.DefaultModulus128()
+	plan, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		panic(err)
 	}
@@ -33,7 +34,7 @@ func main() {
 		xs := make([]u128.U128, n)
 		for j := range xs {
 			xs[j] = v
-			v = ctx.Add(ctx.Mul(v, u128.From64(0x9e3779b97f4a7c15)), u128.One)
+			v = mod.Add(mod.Mul(v, u128.From64(0x9e3779b97f4a7c15)), u128.One)
 		}
 		inputs[i] = xs
 		dsts[i] = make([]u128.U128, n)

@@ -11,7 +11,7 @@ import (
 	"math/rand"
 	"time"
 
-	"mqxgo/internal/core"
+	"mqxgo/internal/modmath"
 	"mqxgo/internal/ntt"
 	"mqxgo/internal/rns"
 	"mqxgo/internal/u128"
@@ -19,27 +19,29 @@ import (
 
 func main() {
 	const n = 256
-	ctx := core.Default()
+	mod := modmath.DefaultModulus128()
 	r := rand.New(rand.NewSource(2026))
 
 	a := make([]u128.U128, n)
 	b := make([]u128.U128, n)
 	for i := range a {
-		a[i] = u128.New(r.Uint64(), r.Uint64()).Mod(ctx.Mod.Q)
-		b[i] = u128.New(r.Uint64(), r.Uint64()).Mod(ctx.Mod.Q)
+		a[i] = u128.New(r.Uint64(), r.Uint64()).Mod(mod.Q)
+		b[i] = u128.New(r.Uint64(), r.Uint64()).Mod(mod.Q)
 	}
 
 	// 1. Double-word (128-bit residue) negacyclic NTT multiplication.
 	start := time.Now()
-	viaNTT, err := ctx.PolyMul(a, b)
+	plan, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		log.Fatal(err)
 	}
+	viaNTT := make([]u128.U128, n)
+	plan.PolyMulNegacyclicInto(viaNTT, a, b)
 	nttTime := time.Since(start)
 
 	// 2. Schoolbook O(n^2) cross-check.
 	start = time.Now()
-	viaSchoolbook := ntt.SchoolbookNegacyclic(ctx.Mod, a, b)
+	viaSchoolbook := ntt.SchoolbookNegacyclic(mod, a, b)
 	sbTime := time.Since(start)
 
 	match := true
@@ -64,20 +66,18 @@ func main() {
 	ab := toBig(a)
 	bb := toBig(b)
 	start = time.Now()
-	ra, err := rc.Decompose(ab)
-	if err != nil {
+	ra, rb, rprod := rc.NewPoly(), rc.NewPoly(), rc.NewPoly()
+	if err := rc.DecomposeInto(ra, ab); err != nil {
 		log.Fatal(err)
 	}
-	rb, err := rc.Decompose(bb)
-	if err != nil {
+	if err := rc.DecomposeInto(rb, bb); err != nil {
 		log.Fatal(err)
 	}
-	rprod, err := rc.PolyMulNegacyclic(ra, rb)
-	if err != nil {
+	if err := rc.MulAll(rprod, ra, rb, 1); err != nil {
 		log.Fatal(err)
 	}
-	got, err := rc.Reconstruct(rprod)
-	if err != nil {
+	got := make([]*big.Int, n)
+	if err := rc.ReconstructInto(got, rprod); err != nil {
 		log.Fatal(err)
 	}
 	rnsTime := time.Since(start)

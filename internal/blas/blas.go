@@ -2,15 +2,15 @@
 // 128-bit coefficients (Section 2.3): vector addition, vector subtraction,
 // point-wise vector multiplication, and axpy (y = a*x + y).
 //
-// Two families of implementations are provided:
-//
-//   - VM kernels (this file): generic over a kernels.Ops backend, emitting
-//     scalar/AVX2/AVX-512/MQX instruction streams on the trace machine for
-//     the Figure 4 performance model, while computing exact results.
-//   - Native kernels (native.go): plain Go implementations — the optimized
-//     fixed-width scalar path, a division-based "generic" backend standing
-//     in for OpenFHE's built-in math backend, and a math/big backend
-//     standing in for GMP — measured for real with testing.B.
+//   - Native kernels (native.go): the optimized fixed-width scalar backend
+//     (Barrett reduction on u128 words), which the benchmark's kernels128
+//     workload runs, and a math/big point-wise multiply standing in for
+//     GMP, timed beside it.
+//   - VecPMulModVM (this file): the point-wise multiply on the trace
+//     machine, generic over a kernels.Ops backend, run by the negacyclic
+//     trace-machine pipeline (ntt.PolyMulNegacyclicVM). Figure 4's modeled
+//     per-element times come from perfmodel.BLASBody, not from this
+//     package; Op only names the four kernels of that figure.
 //
 // Vectors use a structure-of-arrays layout: separate hi and lo word slices,
 // exactly how the SIMD kernels want their 128-bit lanes split (Section 3.2).
@@ -38,13 +38,6 @@ func (v Vector) Len() int { return len(v.Hi) }
 
 // At returns element i.
 func (v Vector) At(i int) u128.U128 { return u128.U128{Hi: v.Hi[i], Lo: v.Lo[i]} }
-
-// Raw returns the backing hi/lo word slices, both truncated to exactly n
-// elements. Hot loops iterate these directly — `hi, lo := v.Raw(n)` hoists
-// the slice bounds once, where per-element At calls pay two bounds checks
-// and a struct reassembly per read (measurably slower in the NTT
-// butterfly).
-func (v Vector) Raw(n int) (hi, lo []uint64) { return v.Hi[:n], v.Lo[:n] }
 
 // Set stores x at element i.
 func (v Vector) Set(i int, x u128.U128) { v.Hi[i], v.Lo[i] = x.Hi, x.Lo }
@@ -105,25 +98,12 @@ func (o Op) String() string {
 // AllOps lists the Figure 4 kernels.
 var AllOps = []Op{OpVecAdd, OpVecSub, OpVecPMul, OpAxpy}
 
-// VecAddModVM computes dst = a + b mod q on the trace machine, lane group
-// by lane group. Lengths must be equal and a multiple of the backend lane
-// count (the paper assumes power-of-two lengths, Section 3.2).
-func VecAddModVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector) error {
-	return ewiseVM(d, dst, a, b, d.AddMod)
-}
-
-// VecSubModVM computes dst = a - b mod q on the trace machine.
-func VecSubModVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector) error {
-	return ewiseVM(d, dst, a, b, d.SubMod)
-}
-
-// VecPMulModVM computes dst = a .* b mod q on the trace machine.
+// VecPMulModVM computes dst = a .* b mod q on the trace machine, lane
+// group by lane group: the point-wise multiply of the negacyclic pipeline
+// (ntt.PolyMulNegacyclicVM). Lengths must be equal and a multiple of the
+// backend lane count (the paper assumes power-of-two lengths, Section
+// 3.2).
 func VecPMulModVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector) error {
-	return ewiseVM(d, dst, a, b, d.MulMod)
-}
-
-func ewiseVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector,
-	f func(x, y kernels.DWPair[W]) kernels.DWPair[W]) error {
 	if err := checkLens(dst, a, b); err != nil {
 		return err
 	}
@@ -135,31 +115,9 @@ func ewiseVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector,
 	for i := 0; i < dst.Len(); i += lanes {
 		x := kernels.DWPair[W]{Hi: o.Load(a.Hi, i), Lo: o.Load(a.Lo, i)}
 		y := kernels.DWPair[W]{Hi: o.Load(b.Hi, i), Lo: o.Load(b.Lo, i)}
-		z := f(x, y)
+		z := d.MulMod(x, y)
 		o.Store(dst.Hi, i, z.Hi)
 		o.Store(dst.Lo, i, z.Lo)
-	}
-	return nil
-}
-
-// AxpyVM computes y = a*x + y mod q for a scalar a, on the trace machine.
-// The broadcast of a must happen before BeginLoop for clean loop-body
-// accounting, so a is passed pre-broadcast.
-func AxpyVM[W, C any](d *kernels.DW[W, C], a kernels.DWPair[W], x, y Vector) error {
-	if err := checkLens(y, x); err != nil {
-		return err
-	}
-	o := d.O
-	lanes := o.Lanes()
-	if y.Len()%lanes != 0 {
-		return fmt.Errorf("blas: length %d not a multiple of %d lanes", y.Len(), lanes)
-	}
-	for i := 0; i < y.Len(); i += lanes {
-		xv := kernels.DWPair[W]{Hi: o.Load(x.Hi, i), Lo: o.Load(x.Lo, i)}
-		yv := kernels.DWPair[W]{Hi: o.Load(y.Hi, i), Lo: o.Load(y.Lo, i)}
-		z := d.AddMod(d.MulMod(a, xv), yv)
-		o.Store(y.Hi, i, z.Hi)
-		o.Store(y.Lo, i, z.Lo)
 	}
 	return nil
 }
@@ -168,20 +126,4 @@ func AxpyVM[W, C any](d *kernels.DW[W, C], a kernels.DWPair[W], x, y Vector) err
 // (preamble; call before BeginLoop).
 func Broadcast128[W, C any](o kernels.Ops[W, C], x u128.U128) kernels.DWPair[W] {
 	return kernels.DWPair[W]{Hi: o.Broadcast(x.Hi), Lo: o.Broadcast(x.Lo)}
-}
-
-// RunVM dispatches one of the Figure 4 kernels on the trace machine.
-// For OpAxpy, a is the scalar multiplier.
-func RunVM[W, C any](d *kernels.DW[W, C], op Op, a kernels.DWPair[W], dst, x, y Vector) error {
-	switch op {
-	case OpVecAdd:
-		return VecAddModVM(d, dst, x, y)
-	case OpVecSub:
-		return VecSubModVM(d, dst, x, y)
-	case OpVecPMul:
-		return VecPMulModVM(d, dst, x, y)
-	case OpAxpy:
-		return AxpyVM(d, a, x, y)
-	}
-	return fmt.Errorf("blas: unknown op %v", op)
 }

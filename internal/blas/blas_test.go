@@ -41,68 +41,42 @@ func TestVMKernelsAllLevels(t *testing.T) {
 	xs := randResidues(r, mod, n)
 	ys := randResidues(r, mod, n)
 
-	check := func(level isa.Level, op Op, got Vector) {
+	check := func(level isa.Level, got Vector, err error) {
 		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
-			want := refOp(mod, op, a, xs[i], ys[i])
+			want := refOp(mod, OpVecPMul, a, xs[i], ys[i])
 			if !got.At(i).Equal(want) {
-				t.Fatalf("%v %v element %d: got %s, want %s", level, op, i, got.At(i), want)
+				t.Fatalf("%v element %d: got %s, want %s", level, i, got.At(i), want)
 			}
 		}
 	}
 
-	for _, op := range AllOps {
-		// 512-bit tiers.
-		for _, level := range []isa.Level{isa.LevelAVX512, isa.LevelMQX} {
-			m := vm.New(vm.TraceOff)
-			b := kernels.NewB512(m, level)
-			d := kernels.NewDW[vm.V, vm.M](b, mod)
-			av := Broadcast128[vm.V, vm.M](b, a)
-			m.BeginLoop()
-			x, y := FromSlice(xs), FromSlice(ys)
-			dst := NewVector(n)
-			if op == OpAxpy {
-				dst = y
-			}
-			if err := RunVM(d, op, av, dst, x, y); err != nil {
-				t.Fatal(err)
-			}
-			check(level, op, dst)
-		}
-		// AVX2.
-		{
-			m := vm.New(vm.TraceOff)
-			b := kernels.NewB256(m)
-			d := kernels.NewDW[vm.V4, vm.V4](b, mod)
-			av := Broadcast128[vm.V4, vm.V4](b, a)
-			m.BeginLoop()
-			x, y := FromSlice(xs), FromSlice(ys)
-			dst := NewVector(n)
-			if op == OpAxpy {
-				dst = y
-			}
-			if err := RunVM(d, op, av, dst, x, y); err != nil {
-				t.Fatal(err)
-			}
-			check(isa.LevelAVX2, op, dst)
-		}
-		// Scalar.
-		{
-			m := vm.New(vm.TraceOff)
-			b := kernels.NewBScalar(m)
-			d := kernels.NewDW[vm.S, vm.F](b, mod)
-			av := Broadcast128[vm.S, vm.F](b, a)
-			m.BeginLoop()
-			x, y := FromSlice(xs), FromSlice(ys)
-			dst := NewVector(n)
-			if op == OpAxpy {
-				dst = y
-			}
-			if err := RunVM(d, op, av, dst, x, y); err != nil {
-				t.Fatal(err)
-			}
-			check(isa.LevelScalar, op, dst)
-		}
+	// 512-bit tiers.
+	for _, level := range []isa.Level{isa.LevelAVX512, isa.LevelMQX} {
+		m := vm.New(vm.TraceOff)
+		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), mod)
+		m.BeginLoop()
+		dst := NewVector(n)
+		check(level, dst, VecPMulModVM(d, dst, FromSlice(xs), FromSlice(ys)))
+	}
+	// AVX2.
+	{
+		m := vm.New(vm.TraceOff)
+		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), mod)
+		m.BeginLoop()
+		dst := NewVector(n)
+		check(isa.LevelAVX2, dst, VecPMulModVM(d, dst, FromSlice(xs), FromSlice(ys)))
+	}
+	// Scalar.
+	{
+		m := vm.New(vm.TraceOff)
+		d := kernels.NewDW[vm.S, vm.F](kernels.NewBScalar(m), mod)
+		m.BeginLoop()
+		dst := NewVector(n)
+		check(isa.LevelScalar, dst, VecPMulModVM(d, dst, FromSlice(xs), FromSlice(ys)))
 	}
 }
 
@@ -115,11 +89,7 @@ func TestNativeBackends(t *testing.T) {
 	ys := randResidues(r, mod, n)
 
 	nat := Native{Mod: mod}
-	gen := Generic{Q: mod.Q}
-	big := NewBignum(mod.Q)
-
 	for _, op := range AllOps {
-		// Native.
 		dstN := make([]u128.U128, n)
 		yn := append([]u128.U128(nil), ys...)
 		switch op {
@@ -133,45 +103,18 @@ func TestNativeBackends(t *testing.T) {
 			nat.Axpy(a, xs, yn)
 			dstN = yn
 		}
-		// Generic.
-		dstG := make([]u128.U128, n)
-		yg := append([]u128.U128(nil), ys...)
-		switch op {
-		case OpVecAdd:
-			gen.VecAddMod(dstG, xs, ys)
-		case OpVecSub:
-			gen.VecSubMod(dstG, xs, ys)
-		case OpVecPMul:
-			gen.VecPMulMod(dstG, xs, ys)
-		case OpAxpy:
-			gen.Axpy(a, xs, yg)
-			dstG = yg
-		}
-		// Bignum.
-		xb, yb := ToBigVector(xs), ToBigVector(ys)
-		dstB := BigVector(n)
-		switch op {
-		case OpVecAdd:
-			big.VecAddMod(dstB, xb, yb)
-		case OpVecSub:
-			big.VecSubMod(dstB, xb, yb)
-		case OpVecPMul:
-			big.VecPMulMod(dstB, xb, yb)
-		case OpAxpy:
-			big.Axpy(a.ToBig(), xb, yb)
-			dstB = yb
-		}
 		for i := 0; i < n; i++ {
-			want := refOp(mod, op, a, xs[i], ys[i])
-			if !dstN[i].Equal(want) {
+			if !dstN[i].Equal(refOp(mod, op, a, xs[i], ys[i])) {
 				t.Fatalf("native %v element %d wrong", op, i)
 			}
-			if !dstG[i].Equal(want) {
-				t.Fatalf("generic %v element %d wrong", op, i)
-			}
-			if got, ok := u128.FromBig(dstB[i]); !ok || !got.Equal(want) {
-				t.Fatalf("bignum %v element %d wrong", op, i)
-			}
+		}
+	}
+
+	dstB := BigVector(n)
+	NewBignum(mod.Q).VecPMulMod(dstB, ToBigVector(xs), ToBigVector(ys))
+	for i := 0; i < n; i++ {
+		if got, ok := u128.FromBig(dstB[i]); !ok || !got.Equal(refOp(mod, OpVecPMul, a, xs[i], ys[i])) {
+			t.Fatalf("bignum vecpmul element %d wrong", i)
 		}
 	}
 }
@@ -195,16 +138,10 @@ func TestLengthValidation(t *testing.T) {
 	b := kernels.NewB512(m, isa.LevelAVX512)
 	d := kernels.NewDW[vm.V, vm.M](b, mod)
 	m.BeginLoop()
-	if err := VecAddModVM(d, NewVector(8), NewVector(16), NewVector(8)); err == nil {
+	if err := VecPMulModVM(d, NewVector(8), NewVector(16), NewVector(8)); err == nil {
 		t.Error("expected length mismatch error")
 	}
-	if err := VecAddModVM(d, NewVector(12), NewVector(12), NewVector(12)); err == nil {
+	if err := VecPMulModVM(d, NewVector(12), NewVector(12), NewVector(12)); err == nil {
 		t.Error("expected lane multiple error")
-	}
-	if err := AxpyVM(d, kernels.DWPair[vm.V]{}, NewVector(8), NewVector(16)); err == nil {
-		t.Error("expected axpy length error")
-	}
-	if err := RunVM(d, Op(99), kernels.DWPair[vm.V]{}, NewVector(8), NewVector(8), NewVector(8)); err == nil {
-		t.Error("expected unknown op error")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/u128"
-	"mqxgo/internal/u256"
 )
 
 // Native is the optimized fixed-width scalar backend: Barrett reduction on
@@ -47,57 +46,6 @@ func (n Native) Axpy(a u128.U128, x, y []u128.U128) {
 	}
 }
 
-// Generic is the division-based portable backend, standing in for
-// OpenFHE's built-in 128-bit math backend: structurally correct but with a
-// Knuth shift-subtract reduction instead of Barrett, and per-element
-// branching. Its slowdown against Native mirrors the OpenFHE-vs-optimized
-// gap in Figures 4 and 5.
-type Generic struct {
-	Q u128.U128
-}
-
-// VecAddMod computes dst = a + b mod q element-wise.
-func (g Generic) VecAddMod(dst, a, b []u128.U128) {
-	for i := range dst {
-		s := a[i].Add(b[i])
-		if g.Q.LessEq(s) {
-			s = s.Sub(g.Q)
-		}
-		dst[i] = s
-	}
-}
-
-// VecSubMod computes dst = a - b mod q element-wise.
-func (g Generic) VecSubMod(dst, a, b []u128.U128) {
-	for i := range dst {
-		if a[i].Less(b[i]) {
-			dst[i] = a[i].Add(g.Q).Sub(b[i])
-		} else {
-			dst[i] = a[i].Sub(b[i])
-		}
-	}
-}
-
-// VecPMulMod computes dst = a .* b mod q element-wise via 256-bit product
-// and shift-subtract division.
-func (g Generic) VecPMulMod(dst, a, b []u128.U128) {
-	for i := range dst {
-		dst[i] = u256.MulSchoolbook(a[i], b[i]).Mod128(g.Q)
-	}
-}
-
-// Axpy computes y = a*x + y mod q.
-func (g Generic) Axpy(a u128.U128, x, y []u128.U128) {
-	for i := range y {
-		p := u256.MulSchoolbook(a, x[i]).Mod128(g.Q)
-		s := p.Add(y[i])
-		if g.Q.LessEq(s) {
-			s = s.Sub(g.Q)
-		}
-		y[i] = s
-	}
-}
-
 // Bignum is the arbitrary-precision backend standing in for GMP: exact
 // integer arithmetic through math/big, paying allocation and normalization
 // per element the same way a general multi-precision library does.
@@ -108,37 +56,11 @@ type Bignum struct {
 // NewBignum builds the backend for modulus q.
 func NewBignum(q u128.U128) Bignum { return Bignum{Q: q.ToBig()} }
 
-// VecAddMod computes dst = a + b mod q element-wise.
-func (g Bignum) VecAddMod(dst, a, b []*big.Int) {
-	for i := range dst {
-		dst[i].Add(a[i], b[i])
-		dst[i].Mod(dst[i], g.Q)
-	}
-}
-
-// VecSubMod computes dst = a - b mod q element-wise.
-func (g Bignum) VecSubMod(dst, a, b []*big.Int) {
-	for i := range dst {
-		dst[i].Sub(a[i], b[i])
-		dst[i].Mod(dst[i], g.Q)
-	}
-}
-
 // VecPMulMod computes dst = a .* b mod q element-wise.
 func (g Bignum) VecPMulMod(dst, a, b []*big.Int) {
 	for i := range dst {
 		dst[i].Mul(a[i], b[i])
 		dst[i].Mod(dst[i], g.Q)
-	}
-}
-
-// Axpy computes y = a*x + y mod q.
-func (g Bignum) Axpy(a *big.Int, x, y []*big.Int) {
-	t := new(big.Int)
-	for i := range y {
-		t.Mul(a, x[i])
-		y[i].Add(y[i], t)
-		y[i].Mod(y[i], g.Q)
 	}
 }
 

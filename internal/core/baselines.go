@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 
+	"mqxgo/internal/modmath"
 	"mqxgo/internal/ntt"
 	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/u128"
@@ -96,8 +97,8 @@ func (bp *BigPlan) Forward(x []*big.Int) []*big.Int {
 // generators use these host-measured ratios to anchor the "OpenFHE built-in
 // backend" and "GMP" series to the modeled scalar tier (`go run ./cmd/report
 // -measure`).
-func (c *Context) MeasureNTTBaselineRatios(n int) (perfmodel.BaselineRatios, error) {
-	p, err := c.Plan(n)
+func MeasureNTTBaselineRatios(mod *modmath.Modulus128, n int) (perfmodel.BaselineRatios, error) {
+	p, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		return perfmodel.BaselineRatios{}, err
 	}
@@ -105,13 +106,13 @@ func (c *Context) MeasureNTTBaselineRatios(n int) (perfmodel.BaselineRatios, err
 	v := u128.One
 	for i := range x {
 		x[i] = v
-		v = c.Mod.Add(c.Mod.Mul(v, u128.From64(0x9e3779b97f4a7c15)), u128.One)
+		v = mod.Add(mod.Mul(v, u128.From64(0x9e3779b97f4a7c15)), u128.One)
 	}
 	xb := make([]*big.Int, n)
 	for i := range xb {
 		xb[i] = x[i].ToBig()
 	}
-	g := GenericArith{Q: c.Mod.Q}
+	g := GenericArith{Q: mod.Q}
 	bp := NewBigPlan(p)
 
 	// Short protocol runs keep tool startup fast while still warming up.

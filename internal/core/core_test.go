@@ -12,72 +12,22 @@ import (
 	"mqxgo/internal/u128"
 )
 
-func TestContextRoundTripAndPolyMul(t *testing.T) {
-	c := Default()
-	r := rand.New(rand.NewSource(81))
-	n := 64
-	x := make([]u128.U128, n)
-	y := make([]u128.U128, n)
-	for i := range x {
-		x[i] = u128.New(r.Uint64(), r.Uint64()).Mod(c.Mod.Q)
-		y[i] = u128.New(r.Uint64(), r.Uint64()).Mod(c.Mod.Q)
-	}
-	f, err := c.NTT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.INTT(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !back[i].Equal(x[i]) {
-			t.Fatalf("round trip failed at %d", i)
-		}
-	}
-	prod, err := c.PolyMul(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ntt.SchoolbookNegacyclic(c.Mod, x, y)
-	for i := range want {
-		if !prod[i].Equal(want[i]) {
-			t.Fatalf("polymul coeff %d wrong", i)
-		}
-	}
-	if _, err := c.PolyMul(x, y[:8]); err == nil {
-		t.Error("expected length mismatch error")
-	}
-	a, b := x[0], y[0]
-	if !c.Add(a, b).Equal(c.Mod.Add(a, b)) || !c.Sub(a, b).Equal(c.Mod.Sub(a, b)) || !c.Mul(a, b).Equal(c.Mod.Mul(a, b)) {
-		t.Error("scalar pass-throughs wrong")
-	}
-	// Plan caching.
-	p1, _ := c.Plan(64)
-	p2, _ := c.Plan(64)
-	if p1 != p2 {
-		t.Error("plan not cached")
-	}
-	if _, err := c.Plan(3); err == nil {
-		t.Error("expected plan error")
-	}
-}
-
 func TestGenericArithAndBigPlanAgreeWithNative(t *testing.T) {
-	c := Default()
+	mod := modmath.DefaultModulus128()
 	n := 32
-	p, err := c.Plan(n)
+	p, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(82))
 	x := make([]u128.U128, n)
 	for i := range x {
-		x[i] = u128.New(r.Uint64(), r.Uint64()).Mod(c.Mod.Q)
+		x[i] = u128.New(r.Uint64(), r.Uint64()).Mod(mod.Q)
 	}
-	want := p.ForwardNative(x)
+	want := make([]u128.U128, n)
+	p.ForwardInto(want, x)
 
-	got := p.ForwardWith(GenericArith{Q: c.Mod.Q}, x)
+	got := p.ForwardWith(GenericArith{Q: mod.Q}, x)
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("generic NTT differs at %d", i)
@@ -99,8 +49,7 @@ func TestGenericArithAndBigPlanAgreeWithNative(t *testing.T) {
 }
 
 func TestMeasureBaselineRatios(t *testing.T) {
-	c := Default()
-	r, err := c.MeasureNTTBaselineRatios(256)
+	r, err := MeasureNTTBaselineRatios(modmath.DefaultModulus128(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,10 @@
+// Package core assembles every table and figure of the paper's evaluation
+// (figures.go) from the performance model, the PISA methodology and the
+// roofline analysis, for cmd/report and the benchmarks. Beside them sit
+// what the figures rest on: VerifyAllTiers checks every ISA tier's
+// trace-machine transform against the native engine (verify.go), and the
+// division-based and math/big baselines anchor the GMP and OpenFHE-backend
+// series with host-measured ratios (baselines.go).
 package core
 
 import (

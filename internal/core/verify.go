@@ -8,18 +8,17 @@ import (
 	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ntt"
-	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/u128"
 	"mqxgo/internal/vm"
 )
 
-// VerifyAllTiers functionally executes the forward NTT of size n on the
-// trace machine for every standard ISA tier and compares the results
-// bit-for-bit against the native transform. It returns the first
+// VerifyAllTiers functionally executes the forward NTT of size n modulo
+// mod.Q on the trace machine for every standard ISA tier and compares the
+// results bit-for-bit against the native transform. It returns the first
 // divergence found, or nil when every tier agrees — the library's
 // equivalent of the paper's functional-correctness flag (Section 4.2).
-func (c *Context) VerifyAllTiers(n int) error {
-	plan, err := c.Plan(n)
+func VerifyAllTiers(mod *modmath.Modulus128, n int) error {
+	plan, err := ntt.CachedPlan(mod, n)
 	if err != nil {
 		return err
 	}
@@ -27,9 +26,10 @@ func (c *Context) VerifyAllTiers(n int) error {
 	v := u128.From64(7)
 	for i := range x {
 		x[i] = v
-		v = c.Add(c.Mul(v, u128.From64(0x9e3779b9)), u128.One)
+		v = mod.Add(mod.Mul(v, u128.From64(0x9e3779b9)), u128.One)
 	}
-	want := plan.ForwardNative(x)
+	want := make([]u128.U128, n)
+	plan.ForwardInto(want, x)
 	xv := blas.FromSlice(x)
 
 	for _, level := range isa.AllLevels {
@@ -38,17 +38,17 @@ func (c *Context) VerifyAllTiers(n int) error {
 		switch level {
 		case isa.LevelScalar:
 			b := kernels.NewBScalar(m)
-			d := kernels.NewDW[vm.S, vm.F](b, c.Mod)
+			d := kernels.NewDW[vm.S, vm.F](b, mod)
 			m.BeginLoop()
 			got, err = ntt.ForwardVM(d, plan, xv)
 		case isa.LevelAVX2:
 			b := kernels.NewB256(m)
-			d := kernels.NewDW[vm.V4, vm.V4](b, c.Mod)
+			d := kernels.NewDW[vm.V4, vm.V4](b, mod)
 			m.BeginLoop()
 			got, err = ntt.ForwardVM(d, plan, xv)
 		default:
 			b := kernels.NewB512(m, level)
-			d := kernels.NewDW[vm.V, vm.M](b, c.Mod)
+			d := kernels.NewDW[vm.V, vm.M](b, mod)
 			m.BeginLoop()
 			got, err = ntt.ForwardVM(d, plan, xv)
 		}
@@ -62,34 +62,4 @@ func (c *Context) VerifyAllTiers(n int) error {
 		}
 	}
 	return nil
-}
-
-// BLASSweepPoint is one vector length in a working-set sweep.
-type BLASSweepPoint struct {
-	Len          int
-	NsPerElement float64
-	MemoryBound  bool
-}
-
-// BLASSweep models one BLAS kernel across vector lengths, exposing the
-// cache-capacity knees the memory model predicts as the working set walks
-// through L1, L2 and L3 — the BLAS counterpart of the paper's NTT L2-knee
-// analysis (Section 5.4).
-func BLASSweep(mach *perfmodel.Machine, level isa.Level, mod *modmath.Modulus128, op blas.Op, lengths []int) []BLASSweepPoint {
-	body := perfmodel.BLASBody(level, mod, op)
-	k := perfmodel.NewKernelModel(mach, body)
-	var out []BLASSweepPoint
-	for _, n := range lengths {
-		m := perfmodel.NewBLASModel(k, op, n)
-		iters := float64(n) / float64(body.Lanes)
-		compute := iters * k.CyclesPerIter
-		bw := mach.BWForWorkingSet(m.WorkingSetBytes())
-		memory := iters * float64(body.Bytes) / bw
-		out = append(out, BLASSweepPoint{
-			Len:          n,
-			NsPerElement: m.NsPerElement(),
-			MemoryBound:  memory > compute,
-		})
-	}
-	return out
 }

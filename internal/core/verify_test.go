@@ -3,51 +3,20 @@ package core
 import (
 	"testing"
 
-	"mqxgo/internal/blas"
-	"mqxgo/internal/isa"
 	"mqxgo/internal/modmath"
-	"mqxgo/internal/perfmodel"
 )
 
 func TestVerifyAllTiers(t *testing.T) {
-	c := Default()
-	if err := c.VerifyAllTiers(64); err != nil {
+	mod := modmath.DefaultModulus128()
+	if err := VerifyAllTiers(mod, 64); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid size propagates an error.
-	if err := c.VerifyAllTiers(3); err == nil {
+	if err := VerifyAllTiers(mod, 3); err == nil {
 		t.Error("expected plan error for size 3")
 	}
 	// Too small for the 8-lane tiers.
-	if err := c.VerifyAllTiers(8); err == nil {
+	if err := VerifyAllTiers(mod, 8); err == nil {
 		t.Error("expected lane-count error for size 8")
-	}
-}
-
-func TestBLASSweepKnees(t *testing.T) {
-	mod := modmath.DefaultModulus128()
-	lengths := []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 22}
-	pts := BLASSweep(perfmodel.IntelXeon8352Y, isa.LevelMQX, mod, blas.OpVecAdd, lengths)
-	if len(pts) != len(lengths) {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// ns/element must be non-decreasing as the working set spills caches.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].NsPerElement < pts[i-1].NsPerElement-1e-9 {
-			t.Errorf("sweep not monotone at %d: %f -> %f", pts[i].Len, pts[i-1].NsPerElement, pts[i].NsPerElement)
-		}
-	}
-	// The lightweight add kernel must eventually turn memory-bound, and
-	// must not be memory-bound at L1-resident sizes.
-	if pts[0].MemoryBound {
-		t.Error("L1-resident add should be compute-bound")
-	}
-	if !pts[len(pts)-1].MemoryBound {
-		t.Error("DRAM-resident add should be memory-bound")
-	}
-	// The multiply-heavy kernel stays compute-bound far longer.
-	mulPts := BLASSweep(perfmodel.IntelXeon8352Y, isa.LevelAVX512, mod, blas.OpVecPMul, lengths)
-	if mulPts[3].MemoryBound {
-		t.Error("AVX-512 pmul at 2^14 should remain compute-bound")
 	}
 }

@@ -92,11 +92,10 @@ func checkModSwitch(t *testing.T, seed int64, pattern, levelByte byte) {
 	full := f.prefixes[level]
 	var coeffs [2][]*big.Int
 	for hi, h := range []Poly{ct.A, ct.B} {
-		x, err := full.Reconstruct(h.(rns.Poly))
-		if err != nil {
+		coeffs[hi] = make([]*big.Int, full.N)
+		if err := full.ReconstructInto(coeffs[hi], h.(rns.Poly)); err != nil {
 			t.Fatal(err)
 		}
-		coeffs[hi] = x
 		b.ToNTT(level, h, h)
 	}
 	dst := BackendCiphertext{A: b.NewPolyAt(level + 1), B: b.NewPolyAt(level + 1), Level: level + 1}

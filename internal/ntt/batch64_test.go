@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"mqxgo/internal/ring"
 )
 
 // 64-bit batch regression tests on Plan64.Generic(), mirroring the
@@ -25,35 +27,20 @@ func TestBatch64MatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	p := testPlan64(t, n)
 	r := rand.New(rand.NewSource(71))
 	inputs := make([][]uint64, batch)
-	pairs := make([][2][]uint64, batch)
 	for i := range inputs {
 		inputs[i] = randPoly64(r, p.R.M.Q, n)
-		pairs[i] = [2][]uint64{randPoly64(r, p.R.M.Q, n), randPoly64(r, p.R.M.Q, n)}
 	}
 	wantF := make([][]uint64, batch)
-	wantM := make([][]uint64, batch)
 	for i := range inputs {
-		wantF[i] = p.Forward(inputs[i])
-		wantM[i] = p.PolyMulNegacyclic(pairs[i][0], pairs[i][1])
+		wantF[i] = forward(p, inputs[i])
 	}
 	for _, workers := range []int{0, 1, 3, runtime.GOMAXPROCS(0)} {
-		gotF := p.BatchForward(inputs, workers)
-		gotM := p.BatchPolyMulNegacyclic(pairs, workers)
+		gotF := ring.AllocBatch[uint64](n, batch)
+		p.BatchForwardInto(gotF, inputs, workers)
 		for i := range wantF {
 			for j := range wantF[i] {
 				if gotF[i][j] != wantF[i][j] {
-					t.Fatalf("workers=%d: BatchForward[%d][%d] mismatch", workers, i, j)
-				}
-				if gotM[i][j] != wantM[i][j] {
-					t.Fatalf("workers=%d: BatchPolyMul[%d][%d] mismatch", workers, i, j)
-				}
-			}
-		}
-		gotI := p.BatchInverse(gotF, workers)
-		for i := range inputs {
-			for j := range inputs[i] {
-				if gotI[i][j] != inputs[i][j] {
-					t.Fatalf("workers=%d: BatchInverse[%d][%d] did not round-trip", workers, i, j)
+					t.Fatalf("workers=%d: BatchForwardInto[%d][%d] mismatch", workers, i, j)
 				}
 			}
 		}
@@ -72,32 +59,10 @@ func TestBatch64IntoMatchesBatch(t *testing.T) {
 	}
 	p.BatchForwardInto(dsts, inputs, 3)
 	for i := range inputs {
-		want := p.Forward(inputs[i])
+		want := forward(p, inputs[i])
 		for j := range want {
 			if dsts[i][j] != want[j] {
 				t.Fatalf("BatchForwardInto[%d][%d] mismatch", i, j)
-			}
-		}
-	}
-	p.BatchInverseInto(dsts, dsts, 3)
-	for i := range inputs {
-		for j := range inputs[i] {
-			if dsts[i][j] != inputs[i][j] {
-				t.Fatalf("BatchInverseInto[%d][%d] did not round-trip", i, j)
-			}
-		}
-	}
-
-	pairs := make([][2][]uint64, batch)
-	for i := range pairs {
-		pairs[i] = [2][]uint64{randPoly64(r, p.R.M.Q, n), randPoly64(r, p.R.M.Q, n)}
-	}
-	p.BatchPolyMulNegacyclicInto(dsts, pairs, 2)
-	for i := range pairs {
-		want := p.PolyMulNegacyclic(pairs[i][0], pairs[i][1])
-		for j := range want {
-			if dsts[i][j] != want[j] {
-				t.Fatalf("BatchPolyMulNegacyclicInto[%d][%d] mismatch", i, j)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/ring"
 	"mqxgo/internal/u128"
 )
 
@@ -15,7 +16,7 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(51))
 	for _, n := range []int{2, 4, 8, 16, 64, 256, 1024} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
 		got := make([]u128.U128, n)
 		p.ForwardInto(got, x)
@@ -32,7 +33,7 @@ func TestIntoRoundTrip(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(52))
 	for _, n := range []int{2, 8, 32, 128, 1024} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
 		f := make([]u128.U128, n)
 		back := make([]u128.U128, n)
@@ -52,12 +53,12 @@ func TestIntoInPlaceAliasing(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(53))
 	for _, n := range []int{2, 4, 64, 512} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
 
 		buf := append([]u128.U128(nil), x...)
 		p.ForwardInto(buf, buf)
-		want := p.ForwardNative(x)
+		want := forward(p, x)
 		for i := range want {
 			if !buf[i].Equal(want[i]) {
 				t.Fatalf("n=%d: in-place forward differs at %d", n, i)
@@ -72,7 +73,7 @@ func TestIntoInPlaceAliasing(t *testing.T) {
 		}
 
 		b := randPoly(r, mod, n)
-		wantMul := p.PolyMulNegacyclic(x, b)
+		wantMul := polyMul(p, x, b)
 		got := append([]u128.U128(nil), x...)
 		p.PolyMulNegacyclicInto(got, got, b)
 		for i := range wantMul {
@@ -100,12 +101,6 @@ func TestPlan64IntoMatchesWrappers(t *testing.T) {
 		}
 		f := make([]uint64, n)
 		p.ForwardInto(f, x)
-		wantF := p.Forward(x)
-		for i := range f {
-			if f[i] != wantF[i] {
-				t.Fatalf("n=%d: ForwardInto differs at %d", n, i)
-			}
-		}
 		back := make([]uint64, n)
 		p.InverseInto(back, f)
 		for i := range back {
@@ -122,12 +117,13 @@ func TestPlan64IntoMatchesWrappers(t *testing.T) {
 				t.Fatalf("n=%d: in-place 64-bit round trip failed at %d", n, i)
 			}
 		}
-		got := make([]uint64, n)
-		p.PolyMulNegacyclicInto(got, x, b)
-		want := p.PolyMulNegacyclic(x, b)
+		// The product in place over its first operand.
+		got := append([]uint64(nil), x...)
+		p.PolyMulNegacyclicInto(got, got, b)
+		want := polyMul(p, x, b)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d: PolyMulNegacyclicInto differs at %d", n, i)
+				t.Fatalf("n=%d: aliased PolyMulNegacyclicInto differs at %d", n, i)
 			}
 		}
 	}
@@ -142,7 +138,7 @@ func TestIntoAPIsDoNotAllocate(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(55))
 	const n = 1 << 10
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	x := randPoly(r, mod, n)
 	b := randPoly(r, mod, n)
 	dst := make([]u128.U128, n)
@@ -205,7 +201,7 @@ func TestBatchIntoAllocsBounded(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(57))
 	const n, batch = 1 << 8, 32
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	inputs := make([][]u128.U128, batch)
 	dsts := make([][]u128.U128, batch)
 	for i := range inputs {
@@ -227,37 +223,22 @@ func TestBatchMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(58))
 	const n, batch = 1 << 7, 37 // deliberately not a multiple of the worker counts
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	inputs := make([][]u128.U128, batch)
-	pairs := make([][2][]u128.U128, batch)
 	for i := range inputs {
 		inputs[i] = randPoly(r, mod, n)
-		pairs[i] = [2][]u128.U128{randPoly(r, mod, n), randPoly(r, mod, n)}
 	}
 	wantF := make([][]u128.U128, batch)
-	wantM := make([][]u128.U128, batch)
 	for i := range inputs {
-		wantF[i] = p.ForwardNative(inputs[i])
-		wantM[i] = p.PolyMulNegacyclic(pairs[i][0], pairs[i][1])
+		wantF[i] = forward(p, inputs[i])
 	}
 	for _, workers := range []int{0, 1, 3, runtime.GOMAXPROCS(0)} {
-		gotF := p.BatchForward(inputs, workers)
-		gotM := p.BatchPolyMulNegacyclic(pairs, workers)
+		gotF := ring.AllocBatch[u128.U128](n, batch)
+		p.BatchForwardInto(gotF, inputs, workers)
 		for i := range wantF {
 			for j := range wantF[i] {
 				if !gotF[i][j].Equal(wantF[i][j]) {
-					t.Fatalf("workers=%d: BatchForward[%d][%d] mismatch", workers, i, j)
-				}
-				if !gotM[i][j].Equal(wantM[i][j]) {
-					t.Fatalf("workers=%d: BatchPolyMul[%d][%d] mismatch", workers, i, j)
-				}
-			}
-		}
-		gotI := p.BatchInverse(gotF, workers)
-		for i := range inputs {
-			for j := range inputs[i] {
-				if !gotI[i][j].Equal(inputs[i][j]) {
-					t.Fatalf("workers=%d: BatchInverse[%d][%d] did not round-trip", workers, i, j)
+					t.Fatalf("workers=%d: BatchForwardInto[%d][%d] mismatch", workers, i, j)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"mqxgo/internal/blas"
 	"mqxgo/internal/isa"
 	"mqxgo/internal/kernels"
+	"mqxgo/internal/ring"
 	"mqxgo/internal/u128"
 	"mqxgo/internal/vm"
 )
@@ -15,45 +16,21 @@ func TestBatchTransforms(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(94))
 	n := 128
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	const batch = 9 // deliberately not a multiple of workers
 	inputs := make([][]u128.U128, batch)
 	for i := range inputs {
 		inputs[i] = randPoly(r, mod, n)
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		fwd := p.BatchForward(inputs, workers)
-		if len(fwd) != batch {
-			t.Fatalf("workers=%d: got %d outputs", workers, len(fwd))
-		}
+		fwd := ring.AllocBatch[u128.U128](n, batch)
+		p.BatchForwardInto(fwd, inputs, workers)
 		for i := range inputs {
-			want := p.ForwardNative(inputs[i])
+			want := forward(p, inputs[i])
 			for j := 0; j < n; j++ {
 				if !fwd[i][j].Equal(want[j]) {
 					t.Fatalf("workers=%d: batch forward %d differs at %d", workers, i, j)
 				}
-			}
-		}
-		back := p.BatchInverse(fwd, workers)
-		for i := range inputs {
-			for j := 0; j < n; j++ {
-				if !back[i][j].Equal(inputs[i][j]) {
-					t.Fatalf("workers=%d: batch round trip %d failed at %d", workers, i, j)
-				}
-			}
-		}
-	}
-
-	pairs := make([][2][]u128.U128, 4)
-	for i := range pairs {
-		pairs[i] = [2][]u128.U128{randPoly(r, mod, n), randPoly(r, mod, n)}
-	}
-	prods := p.BatchPolyMulNegacyclic(pairs, 2)
-	for i := range pairs {
-		want := p.PolyMulNegacyclic(pairs[i][0], pairs[i][1])
-		for j := 0; j < n; j++ {
-			if !prods[i][j].Equal(want[j]) {
-				t.Fatalf("batch polymul %d differs at %d", i, j)
 			}
 		}
 	}
@@ -63,10 +40,10 @@ func TestPolyMulNegacyclicVMAllLevels(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(95))
 	n := 64
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	a := randPoly(r, mod, n)
 	b := randPoly(r, mod, n)
-	want := p.PolyMulNegacyclic(a, b)
+	want := polyMul(p, a, b)
 	av, bv := blas.FromSlice(a), blas.FromSlice(b)
 
 	check := func(level string, got blas.Vector, err error) {

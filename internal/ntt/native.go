@@ -33,15 +33,6 @@ func (p *Plan) ForwardWith(ar Arith, x []u128.U128) []u128.U128 {
 	return src
 }
 
-// ForwardNative computes the forward NTT of x (natural order) into
-// bit-reversed order. It is an allocating wrapper over ForwardInto, the
-// library's measured scalar implementation.
-func (p *Plan) ForwardNative(x []u128.U128) []u128.U128 {
-	out := make([]u128.U128, p.N)
-	p.ForwardInto(out, x)
-	return out
-}
-
 func (p *Plan) checkLen(n int) {
 	if n != p.N {
 		panic("ntt: input length does not match plan size")

@@ -40,7 +40,7 @@ func TestPlan64ForwardMatchesDefinition(t *testing.T) {
 	for i := range x {
 		x[i] = r.Uint64() % mod.Q
 	}
-	got := p.Forward(x)
+	got := forward(p, x)
 	// Direct O(n^2) definition.
 	for k := 0; k < n; k++ {
 		step := mod.Pow(p.Omega, uint64(k))
@@ -68,7 +68,7 @@ func TestPlan64RoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = r.Uint64() % p.R.M.Q
 		}
-		back := p.Inverse(p.Forward(x))
+		back := inverse(p, forward(p, x))
 		for i := range x {
 			if back[i] != x[i] {
 				t.Fatalf("n=%d: round trip failed at %d", n, i)
@@ -88,7 +88,7 @@ func TestPlan64PolyMulMatchesSchoolbook(t *testing.T) {
 		a[i] = r.Uint64() % mod.Q
 		b[i] = r.Uint64() % mod.Q
 	}
-	got := p.PolyMulNegacyclic(a, b)
+	got := polyMul(p, a, b)
 	want := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

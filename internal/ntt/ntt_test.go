@@ -25,21 +25,52 @@ func randPoly(r *rand.Rand, mod *modmath.Modulus128, n int) []u128.U128 {
 	return xs
 }
 
-// PolyMulNegacyclic is the allocating form of PolyMulNegacyclicInto the
-// tests compare against.
-func (p *Plan) PolyMulNegacyclic(a, b []u128.U128) []u128.U128 {
-	out := make([]u128.U128, p.N)
+// mustPlan builds the 128-bit plan for (mod, n) or fails the test.
+func mustPlan(t *testing.T, mod *modmath.Modulus128, n int) *Plan {
+	t.Helper()
+	p, err := NewPlan(mod, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// intoPlan is the transform surface Plan and the 64-bit engine plan
+// share; forward, inverse and polyMul are its allocating forms, which
+// the tests compare against.
+type intoPlan[T any] interface {
+	ForwardInto(dst, x []T)
+	InverseInto(dst, y []T)
+	PolyMulNegacyclicInto(dst, a, b []T)
+}
+
+func forward[T any](p intoPlan[T], x []T) []T {
+	out := make([]T, len(x))
+	p.ForwardInto(out, x)
+	return out
+}
+
+func inverse[T any](p intoPlan[T], y []T) []T {
+	out := make([]T, len(y))
+	p.InverseInto(out, y)
+	return out
+}
+
+func polyMul[T any](p intoPlan[T], a, b []T) []T {
+	out := make([]T, len(a))
 	p.PolyMulNegacyclicInto(out, a, b)
 	return out
 }
 
+// TestForwardNativeMatchesReference checks the native (non-VM) forward
+// transform against the O(n^2) definition.
 func TestForwardNativeMatchesReference(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(41))
 	for _, n := range []int{2, 4, 8, 16, 64, 256} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
-		got := p.ForwardNative(x)
+		got := forward(p, x)
 		want := Reference(mod, p.Generic().Omega, x)
 		for i := 0; i < n; i++ {
 			if !got[i].Equal(want[bitReverse(i, p.M)]) {
@@ -53,10 +84,10 @@ func TestPolyMulNegacyclicMatchesSchoolbook(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(43))
 	for _, n := range []int{2, 8, 64, 256} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		a := randPoly(r, mod, n)
 		b := randPoly(r, mod, n)
-		got := p.PolyMulNegacyclic(a, b)
+		got := polyMul(p, a, b)
 		want := SchoolbookNegacyclic(mod, a, b)
 		for i := 0; i < n; i++ {
 			if !got[i].Equal(want[i]) {
@@ -70,14 +101,14 @@ func TestLinearity(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(45))
 	n := 128
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	a := randPoly(r, mod, n)
 	b := randPoly(r, mod, n)
 	sum := make([]u128.U128, n)
 	for i := range sum {
 		sum[i] = mod.Add(a[i], b[i])
 	}
-	fa, fb, fsum := p.ForwardNative(a), p.ForwardNative(b), p.ForwardNative(sum)
+	fa, fb, fsum := forward(p, a), forward(p, b), forward(p, sum)
 	for i := 0; i < n; i++ {
 		if !fsum[i].Equal(mod.Add(fa[i], fb[i])) {
 			t.Fatalf("NTT not linear at %d", i)
@@ -90,10 +121,10 @@ func TestConvolutionTheoremDeltaFunction(t *testing.T) {
 	// twiddle power sequence.
 	mod := testMod(t)
 	n := 64
-	p := MustPlan(mod, n)
+	p := mustPlan(t, mod, n)
 	delta := make([]u128.U128, n)
 	delta[0] = u128.One
-	f := p.ForwardNative(delta)
+	f := forward(p, delta)
 	for i := range f {
 		if !f[i].Equal(u128.One) {
 			t.Fatalf("NTT(delta)[%d] = %s, want 1", i, f[i])
@@ -180,9 +211,9 @@ func TestVMForwardMatchesNativeAllLevels(t *testing.T) {
 		isa.LevelMQXPredicated,
 	}
 	for _, n := range []int{16, 64, 512} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
-		want := p.ForwardNative(x)
+		want := forward(p, x)
 		for _, level := range levels {
 			got := vmForward(t, level, p, x)
 			for i := 0; i < n; i++ {
@@ -199,7 +230,7 @@ func TestVMInverseRoundTripAllLevels(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	levels := []isa.Level{isa.LevelScalar, isa.LevelAVX2, isa.LevelAVX512, isa.LevelMQX}
 	for _, n := range []int{16, 256} {
-		p := MustPlan(mod, n)
+		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
 		for _, level := range levels {
 			fwd := vmForward(t, level, p, x)
@@ -251,7 +282,7 @@ func TestBitReverse(t *testing.T) {
 
 func TestVMInputLengthErrors(t *testing.T) {
 	mod := testMod(t)
-	p := MustPlan(mod, 16)
+	p := mustPlan(t, mod, 16)
 	m := vm.New(vm.TraceOff)
 	b := kernels.NewB512(m, isa.LevelAVX512)
 	d := kernels.NewDW[vm.V, vm.M](b, mod)
@@ -263,7 +294,7 @@ func TestVMInputLengthErrors(t *testing.T) {
 		t.Error("expected length error")
 	}
 	// n/2 < lanes: an 8-point plan cannot run on the 8-lane backend.
-	p8 := MustPlan(mod, 8)
+	p8 := mustPlan(t, mod, 8)
 	if _, err := ForwardVM(d, p8, blas.NewVector(8)); err == nil {
 		t.Error("expected lane-count error")
 	}

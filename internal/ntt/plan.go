@@ -9,8 +9,10 @@
 // negacyclic twist/untwist, folded 1/N scaling, the process-wide plan
 // cache, and the chunk-dispatch batch worker pool exactly once. This
 // package adds the width-specific pieces:
-//   - Plan (plan.go, native.go, batch.go): the 128-bit engine plan plus
-//     the SoA blas.Vector twiddle mirrors the trace-machine and baseline
+//   - Plan (plan.go, native.go): the 128-bit engine plan, whose
+//     ForwardInto, InverseInto, PolyMulNegacyclicInto and
+//     BatchForwardInto delegate to the generic plan, plus the SoA
+//     blas.Vector twiddle mirrors the trace-machine and baseline
 //     dataflows read.
 //   - Plan64 (ntt64.go): a cached handle to the 64-bit engine plan; every
 //     caller transforms through Generic().
@@ -87,15 +89,6 @@ func NewPlan(mod *modmath.Modulus128, n int) (*Plan, error) {
 	return p, nil
 }
 
-// MustPlan is NewPlan but panics on error.
-func MustPlan(mod *modmath.Modulus128, n int) *Plan {
-	p, err := NewPlan(mod, n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Generic returns the underlying generic engine plan, for callers that
 // batch across plans (RNS towers) or instantiate width-agnostic code.
 func (p *Plan) Generic() *ring.Plan[u128.U128, ring.Barrett128] { return p.g }
@@ -114,4 +107,14 @@ func (p *Plan) InverseInto(dst, y []u128.U128) { p.g.InverseInto(dst, y) }
 // twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
 func (p *Plan) PolyMulNegacyclicInto(dst, a, b []u128.U128) {
 	p.g.PolyMulNegacyclicInto(dst, a, b)
+}
+
+// BatchForwardInto runs the forward transform of every input through the
+// generic engine's worker pool (Section 6, "towards realizing SOL
+// performance"), across at most workers chunks (0 means GOMAXPROCS):
+// dst[i] receives the transform of inputs[i]. Beyond the fixed dispatch
+// cost (one closure and one scratch checkout per chunk) it allocates
+// nothing.
+func (p *Plan) BatchForwardInto(dst, inputs [][]u128.U128, workers int) {
+	p.g.BatchForwardInto(dst, inputs, workers)
 }

@@ -61,39 +61,14 @@ func InverseVM[W, C any](d *kernels.DW[W, C], p *Plan, y blas.Vector) (blas.Vect
 	if half%lanes != 0 {
 		return blas.Vector{}, fmt.Errorf("ntt: n/2 = %d not a multiple of %d lanes", half, lanes)
 	}
-	src := blas.NewVector(p.N)
-	copy(src.Hi, y.Hi)
-	copy(src.Lo, y.Lo)
-	dst := blas.NewVector(p.N)
-	for s := p.M - 1; s >= 0; s-- {
-		tw := p.InvTw[s]
-		for i := 0; i < half; i += lanes {
-			r0Hi := o.Load(src.Hi, 2*i)
-			r0Lo := o.Load(src.Lo, 2*i)
-			r1Hi := o.Load(src.Hi, 2*i+lanes)
-			r1Lo := o.Load(src.Lo, 2*i+lanes)
-			eHi, oHi := o.Deinterleave(r0Hi, r1Hi)
-			eLo, oLo := o.Deinterleave(r0Lo, r1Lo)
-			e := kernels.DWPair[W]{Hi: eHi, Lo: eLo}
-			od := kernels.DWPair[W]{Hi: oHi, Lo: oLo}
-			w := kernels.DWPair[W]{Hi: o.Load(tw.Hi, i), Lo: o.Load(tw.Lo, i)}
-			t := d.MulMod(od, w)
-			sum := d.AddMod(e, t)
-			diff := d.SubMod(e, t)
-			o.Store(dst.Hi, i, sum.Hi)
-			o.Store(dst.Lo, i, sum.Lo)
-			o.Store(dst.Hi, i+half, diff.Hi)
-			o.Store(dst.Lo, i+half, diff.Lo)
-		}
-		src, dst = dst, src
-	}
-	// Final 1/N scaling pass.
+	out := inverseNoScaleVM(d, p, y)
+	// Final 1/N scaling pass, in place.
 	nInv := blas.Broadcast128(o, p.NInv)
 	for i := 0; i < p.N; i += lanes {
-		v := kernels.DWPair[W]{Hi: o.Load(src.Hi, i), Lo: o.Load(src.Lo, i)}
+		v := kernels.DWPair[W]{Hi: o.Load(out.Hi, i), Lo: o.Load(out.Lo, i)}
 		z := d.MulMod(v, nInv)
-		o.Store(dst.Hi, i, z.Hi)
-		o.Store(dst.Lo, i, z.Lo)
+		o.Store(out.Hi, i, z.Hi)
+		o.Store(out.Lo, i, z.Lo)
 	}
-	return dst, nil
+	return out, nil
 }

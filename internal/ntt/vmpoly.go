@@ -49,10 +49,7 @@ func PolyMulNegacyclicVM[W, C any](d *kernels.DW[W, C], p *Plan, a, b blas.Vecto
 
 	// Inverse without the separate 1/N pass: the untwist table already
 	// carries psi^-j * N^-1, so run the stage recursion and untwist.
-	c, err := inverseNoScaleVM(d, p, cf)
-	if err != nil {
-		return blas.Vector{}, err
-	}
+	c := inverseNoScaleVM(d, p, cf)
 	out := blas.NewVector(p.N)
 	if err := blas.VecPMulModVM(d, out, c, p.Untwist); err != nil {
 		return blas.Vector{}, err
@@ -60,8 +57,10 @@ func PolyMulNegacyclicVM[W, C any](d *kernels.DW[W, C], p *Plan, a, b blas.Vecto
 	return out, nil
 }
 
-// inverseNoScaleVM is InverseVM without the final scaling pass.
-func inverseNoScaleVM[W, C any](d *kernels.DW[W, C], p *Plan, y blas.Vector) (blas.Vector, error) {
+// inverseNoScaleVM runs the inverse stage recursion (bit-reversed input,
+// natural output) without the 1/N scaling pass; callers have checked y's
+// length and the lane count.
+func inverseNoScaleVM[W, C any](d *kernels.DW[W, C], p *Plan, y blas.Vector) blas.Vector {
 	o := d.O
 	lanes := o.Lanes()
 	half := p.N / 2
@@ -91,5 +90,5 @@ func inverseNoScaleVM[W, C any](d *kernels.DW[W, C], p *Plan, y blas.Vector) (bl
 		}
 		src, dst = dst, src
 	}
-	return src, nil
+	return src
 }

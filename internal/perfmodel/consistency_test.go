@@ -12,6 +12,16 @@ import (
 	"mqxgo/internal/vm"
 )
 
+// mustPlan builds the 128-bit plan for (mod, n) or fails the test.
+func mustPlan(t *testing.T, mod *modmath.Modulus128, n int) *ntt.Plan {
+	t.Helper()
+	p, err := ntt.NewPlan(mod, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestModelMatchesFullTrace validates the analytic composition the NTT
 // model relies on: (ops per butterfly-body iteration) x (iterations) must
 // equal the instruction counts of a complete functional ForwardVM run,
@@ -37,7 +47,7 @@ func TestModelMatchesFullTrace(t *testing.T) {
 		m := vm.New(vm.TraceCounts)
 		b := kernels.NewB512(m, level)
 		d := kernels.NewDW[vm.V, vm.M](b, mod)
-		plan := ntt.MustPlan(mod, n)
+		plan := mustPlan(t, mod, n)
 		m.BeginLoop()
 		x := blas.NewVector(n)
 		v := u128.From64(9)
@@ -81,7 +91,7 @@ func TestModelMatchesFullTrace(t *testing.T) {
 func TestNTTDominatesPolyMulPipeline(t *testing.T) {
 	mod := modmath.DefaultModulus128()
 	const n = 1024
-	plan := ntt.MustPlan(mod, n)
+	plan := mustPlan(t, mod, n)
 
 	countOps := func(run func(d *kernels.DW[vm.V, vm.M], x blas.Vector)) int64 {
 		m := vm.New(vm.TraceCounts)

@@ -8,9 +8,9 @@ import (
 
 // Batched transforms. Real FHE workloads process many independent
 // polynomials at once (Section 6, "towards realizing SOL performance");
-// these helpers fan a batch out across cores with no cross-transform data
-// dependencies, the parallelism regime the paper's speed-of-light model
-// assumes.
+// BatchForwardInto fans a batch out across cores with no cross-transform
+// data dependencies, the parallelism regime the paper's speed-of-light
+// model assumes.
 //
 // Dispatch goes through a persistent, lazily-started worker pool shared
 // by every plan (and by RNS tower dispatch via ParallelChunks): a batch
@@ -149,19 +149,11 @@ func ParallelChunksCtx(ctx context.Context, n, workers int, chunk func(start, en
 	return ctx.Err()
 }
 
-// BatchForward runs the forward transform over every input, in parallel
-// across at most workers chunks (0 means GOMAXPROCS). Inputs are not
-// modified; results are returned in order.
-func (p *Plan[T, R]) BatchForward(inputs [][]T, workers int) [][]T {
-	out := AllocBatch[T](p.N, len(inputs))
-	p.BatchForwardInto(out, inputs, workers)
-	return out
-}
-
-// BatchForwardInto is BatchForward with caller-provided destinations:
-// dst[i] receives the transform of inputs[i]. Beyond the fixed dispatch
-// cost (one closure and one scratch checkout per chunk) it allocates
-// nothing.
+// BatchForwardInto runs the forward transform of every input, in
+// parallel across at most workers chunks (0 means GOMAXPROCS): dst[i]
+// receives the transform of inputs[i]; inputs are not modified. Beyond
+// the fixed dispatch cost (one closure and one scratch checkout per
+// chunk) it allocates nothing.
 func (p *Plan[T, R]) BatchForwardInto(dst, inputs [][]T, workers int) {
 	p.checkBatch(dst, inputs)
 	ParallelChunks(len(inputs), workers, func(start, end int) {
@@ -173,58 +165,10 @@ func (p *Plan[T, R]) BatchForwardInto(dst, inputs [][]T, workers int) {
 	})
 }
 
-// BatchInverse runs the inverse transform over every input in parallel.
-func (p *Plan[T, R]) BatchInverse(inputs [][]T, workers int) [][]T {
-	out := AllocBatch[T](p.N, len(inputs))
-	p.BatchInverseInto(out, inputs, workers)
-	return out
-}
-
-// BatchInverseInto is BatchInverse with caller-provided destinations.
-func (p *Plan[T, R]) BatchInverseInto(dst, inputs [][]T, workers int) {
-	p.checkBatch(dst, inputs)
-	ParallelChunks(len(inputs), workers, func(start, end int) {
-		sc := p.getScratch()
-		for i := start; i < end; i++ {
-			p.inverseStages(dst[i], inputs[i], sc, true)
-		}
-		p.putScratch(sc)
-	})
-}
-
-// BatchPolyMulNegacyclic multiplies pairs[i][0] * pairs[i][1] in
-// Z_q[x]/(x^n + 1) for every pair, in parallel.
-func (p *Plan[T, R]) BatchPolyMulNegacyclic(pairs [][2][]T, workers int) [][]T {
-	out := AllocBatch[T](p.N, len(pairs))
-	p.BatchPolyMulNegacyclicInto(out, pairs, workers)
-	return out
-}
-
-// BatchPolyMulNegacyclicInto is BatchPolyMulNegacyclic with
-// caller-provided destinations.
-func (p *Plan[T, R]) BatchPolyMulNegacyclicInto(dst [][]T, pairs [][2][]T, workers int) {
-	checkBatchLens(len(dst), len(pairs))
-	for i := range dst {
-		p.checkLen(len(dst[i]))
-		p.checkLen(len(pairs[i][0]))
-		p.checkLen(len(pairs[i][1]))
-	}
-	ParallelChunks(len(pairs), workers, func(start, end int) {
-		poly := p.getScratch()
-		ping := p.getScratch()
-		for i := start; i < end; i++ {
-			p.polyMulNegacyclicScratch(dst[i], pairs[i][0], pairs[i][1], poly, ping)
-		}
-		p.putScratch(ping)
-		p.putScratch(poly)
-	})
-}
-
-// AllocBatch allocates count result rows of length n in one backing array
-// (one allocation, contiguous for the sequential consumer). Note the
-// lifetime consequence: retaining any single returned row keeps the whole
-// batch's backing array live. Callers that keep a few rows long-term and
-// drop the rest should use the *Into variants with their own buffers.
+// AllocBatch allocates count rows of length n in one backing array (one
+// allocation, contiguous for the sequential consumer). Note the lifetime
+// consequence: retaining any single returned row keeps the whole backing
+// array live.
 func AllocBatch[T any](n, count int) [][]T {
 	flat := make([]T, n*count)
 	out := make([][]T, count)
@@ -234,18 +178,14 @@ func AllocBatch[T any](n, count int) [][]T {
 	return out
 }
 
-func checkBatchLens(dst, src int) {
-	if dst != src {
-		panic("ring: batch destination count does not match input count")
-	}
-}
-
 // checkBatch validates every row length before parallel dispatch, so a
 // malformed batch panics deterministically on the calling goroutine —
 // where a serving layer's recover can see it — rather than inside a pool
 // worker mid-flight.
 func (p *Plan[T, R]) checkBatch(dst, inputs [][]T) {
-	checkBatchLens(len(dst), len(inputs))
+	if len(dst) != len(inputs) {
+		panic("ring: batch destination count does not match input count")
+	}
 	for i := range dst {
 		p.checkLen(len(dst[i]))
 		p.checkLen(len(inputs[i]))

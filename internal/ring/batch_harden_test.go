@@ -132,7 +132,6 @@ func TestBatchLenValidationBeforeDispatch(t *testing.T) {
 	}{
 		{"forward_bad_input", func() { p.BatchForwardInto(good, bad, 2) }},
 		{"forward_bad_dst", func() { p.BatchForwardInto(bad, good, 2) }},
-		{"inverse_bad_input", func() { p.BatchInverseInto(good, bad, 2) }},
 		{"count_mismatch", func() { p.BatchForwardInto(good[:3], good, 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -88,17 +88,3 @@ type BlockedSpanKernels[T any] interface {
 	// [b*blk, (b+1)*blk).
 	GSSpanBlk(oLo, oHi, in, w []T, pre []uint64, blk int)
 }
-
-// ElementOnly wraps a ring and hides any SpanKernels implementation it
-// has, forcing a Plan built over it onto the element-op fallback path.
-// It exists for differential testing: the element-op path is the reference
-// every span kernel is checked against.
-type ElementOnly[T any] struct{ Ring[T] }
-
-// Fingerprint tags the wrapped fingerprint so an element-only plan never
-// shares a cache entry with the kernel plan for the same modulus.
-func (e ElementOnly[T]) Fingerprint() Fingerprint {
-	fp := e.Ring.Fingerprint()
-	fp.Tag |= TagElementOnly
-	return fp
-}

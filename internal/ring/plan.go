@@ -331,27 +331,6 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.putScratch(poly)
 }
 
-// Forward is an allocating wrapper over ForwardInto.
-func (p *Plan[T, R]) Forward(x []T) []T {
-	out := make([]T, p.N)
-	p.ForwardInto(out, x)
-	return out
-}
-
-// Inverse is an allocating wrapper over InverseInto.
-func (p *Plan[T, R]) Inverse(y []T) []T {
-	out := make([]T, p.N)
-	p.InverseInto(out, y)
-	return out
-}
-
-// PolyMulNegacyclic is an allocating wrapper over PolyMulNegacyclicInto.
-func (p *Plan[T, R]) PolyMulNegacyclic(a, b []T) []T {
-	out := make([]T, p.N)
-	p.PolyMulNegacyclicInto(out, a, b)
-	return out
-}
-
 // NegacyclicForwardInto computes the forward half of a negacyclic product:
 // dst = NTT(psi^j ∘ a), the twisted transform whose pointwise products
 // invert (via NegacyclicInverseInto) to products in Z_q[x]/(x^N + 1).
@@ -580,10 +559,9 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 	}
 }
 
-// polyMulNegacyclicScratch is PolyMulNegacyclicInto with caller-provided
-// scratch, so batch workers can reuse one scratch set across many
-// products. poly holds the twisted operands; ping holds the transform
-// ping-pong buffers.
+// polyMulNegacyclicScratch is the body of PolyMulNegacyclicInto over two
+// checked-out scratch pairs: poly holds the twisted operands; ping holds
+// the transform ping-pong buffers.
 func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratchPair[T]) {
 	at, bt := poly.a, poly.b
 	tw := p.twist.w[:p.N]

@@ -13,7 +13,8 @@
 // a plan needs. Plan[T, R] does everything else. The stack runs exactly
 // two rings: Barrett128 under internal/ntt's Plan, and Shoup64 under the
 // RNS towers (internal/ntt's Plan64 is a cached handle to a
-// Plan[uint64, Shoup64]).
+// Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
+// …Into call that writes into a buffer the caller passes.
 package ring
 
 import (
@@ -66,16 +67,14 @@ type Fingerprint struct {
 // Tags for the built-in ring families. Wrapper-level caches (internal/ntt)
 // use tags at or above TagExternalBase so a wrapper entry never collides
 // with the generic plan entry for the same modulus. The low 16 bits of a
-// tag name the family (bit 15 is the ElementOnly modifier); families with
-// per-modulus arithmetic configuration (Barrett128's MulAlgorithm, the
-// resolved Shoup64 kernel tier) fold it into the high bits.
+// tag name the family (bit 15 is reserved for the tests' ElementOnly
+// wrapper); families with per-modulus arithmetic configuration
+// (Barrett128's MulAlgorithm, the resolved Shoup64 kernel tier) fold it
+// into the high bits.
 const (
 	TagBarrett128 uint32 = iota
 	TagShoup64
 	TagExternalBase uint32 = 8
-	// TagElementOnly marks a plan built over ElementOnly (kernel seam
-	// disabled); it must never share a cache entry with the kernel plan.
-	TagElementOnly uint32 = 1 << 15
 )
 
 // Barrett128 is the double-word ring over modmath.Modulus128: 128-bit

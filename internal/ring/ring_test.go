@@ -35,7 +35,9 @@ func TestGenericRoundTripBothWidths(t *testing.T) {
 		for i := range x {
 			x[i] = u128.New(r.Uint64(), r.Uint64()).Mod(r128.M.Q)
 		}
-		back := p128.Inverse(p128.Forward(x))
+		f, back := make([]u128.U128, n), make([]u128.U128, n)
+		p128.ForwardInto(f, x)
+		p128.InverseInto(back, f)
 		for i := range x {
 			if !back[i].Equal(x[i]) {
 				t.Fatalf("u128 n=%d: round trip failed at %d", n, i)
@@ -56,7 +58,9 @@ func TestGenericRoundTripBothWidths(t *testing.T) {
 		for i := range y {
 			y[i] = r.Uint64() % r64.M.Q
 		}
-		back64 := p64.Inverse(p64.Forward(y))
+		f64, back64 := make([]uint64, n), make([]uint64, n)
+		p64.ForwardInto(f64, y)
+		p64.InverseInto(back64, f64)
 		for i := range y {
 			if back64[i] != y[i] {
 				t.Fatalf("uint64 n=%d: round trip failed at %d", n, i)
@@ -80,7 +84,8 @@ func TestGenericNegacyclicMatchesSchoolbook(t *testing.T) {
 		a[i] = r.Uint64() % mod.Q
 		b[i] = r.Uint64() % mod.Q
 	}
-	got := p.PolyMulNegacyclic(a, b)
+	got := make([]uint64, n)
+	p.PolyMulNegacyclicInto(got, a, b)
 	want := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -115,12 +120,13 @@ func TestGenericBatchMatchesSequential(t *testing.T) {
 		}
 		inputs[i] = row
 	}
-	want := make([][]uint64, batch)
+	want := ring.AllocBatch[uint64](n, batch)
 	for i := range inputs {
-		want[i] = p.Forward(inputs[i])
+		p.ForwardInto(want[i], inputs[i])
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		got := p.BatchForward(inputs, workers)
+		got := ring.AllocBatch[uint64](n, batch)
+		p.BatchForwardInto(got, inputs, workers)
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {

@@ -9,8 +9,9 @@ import (
 
 // Steady-state allocation regression for the Poly hot paths, matching the
 // PR 1 discipline on the NTT engine: DecomposeInto runs on the
-// precomputed Barrett limb tables, NTTAll/MulAll draw pooled per-plan
-// scratch, so with reused destination buffers none of them may allocate.
+// precomputed Barrett limb tables, the negacyclic transforms and MulAll
+// draw pooled per-plan scratch, so with reused destination buffers none
+// of them may allocate.
 // The sequential dispatch path (workers == 1) is the zero-alloc
 // guarantee; parallel dispatch pays the worker pool's fixed per-chunk
 // closure cost by design.
@@ -38,7 +39,7 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 	}
 
 	// Warm the plan scratch pools.
-	if err := c.NTTAll(dst, a, 1); err != nil {
+	if err := c.NegacyclicNTTAll(dst, a, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MulAll(dst, a, b, 1); err != nil {
@@ -57,18 +58,18 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 		}
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if err := c.NTTAll(dst, a, 1); err != nil {
+		if err := c.NegacyclicNTTAll(dst, a, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("NTTAll allocates %.1f per run, want 0", got)
+		t.Errorf("NegacyclicNTTAll allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if err := c.INTTAll(dst, a, 1); err != nil {
+		if err := c.NegacyclicINTTAll(dst, a, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("INTTAll allocates %.1f per run, want 0", got)
+		t.Errorf("NegacyclicINTTAll allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if err := c.MulAll(dst, a, b, 1); err != nil {
@@ -151,10 +152,7 @@ func TestReconstructIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(82))
-	a, err := c.Decompose(randCoeffs(r, c.Q, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := decompose(t, c, randCoeffs(r, c.Q, n))
 	dst := make([]*big.Int, n)
 	if err := c.ReconstructInto(dst, a); err != nil { // warm-up growth
 		t.Fatal(err)

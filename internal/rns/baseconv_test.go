@@ -167,10 +167,7 @@ func checkMontConvert(t *testing.T, f *bcFix, seed int64, pattern byte) {
 			canon.Res[i][j] = v % mod.Q
 		}
 	}
-	xs, err := f.q.Reconstruct(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs := reconstruct(t, f.q, canon)
 	dst := f.e.NewPoly()
 	if err := f.mconv.ConvertInto(dst, src); err != nil {
 		t.Fatal(err)
@@ -267,10 +264,7 @@ func checkRescale(t *testing.T, f *bcFix, seed int64, pattern byte) {
 			canon.Res[i][j] = v % mod.Q
 		}
 	}
-	coeffs, err := full.Reconstruct(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coeffs := reconstruct(t, full, canon)
 	qk := new(big.Int).SetUint64(full.Mods[2].Q)
 	half := new(big.Int).Rsh(qk, 1)
 	tmp := new(big.Int)

@@ -51,22 +51,11 @@ func TestCrossWidthNegacyclicOracle(t *testing.T) {
 
 		// RNS side: decompose, tower-parallel negacyclic multiply,
 		// CRT-recombine, and lift to the exact signed integer product.
-		ra, err := c.Decompose(aBig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := c.Decompose(bBig)
-		if err != nil {
-			t.Fatal(err)
-		}
 		prod := c.NewPoly()
-		if err := c.MulAll(prod, ra, rb, 0); err != nil {
+		if err := c.MulAll(prod, decompose(t, c, aBig), decompose(t, c, bBig), 0); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := c.Reconstruct(prod)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := reconstruct(t, c, prod)
 		halfQ := new(big.Int).Rsh(c.Q, 1)
 		qBig := mod128.Q.ToBig()
 		for i := range rec {

@@ -10,8 +10,8 @@ import (
 )
 
 // Poly is a polynomial in RNS form: Res[i][j] is coefficient j modulo
-// prime i. Whether the rows hold coefficient-domain or NTT
-// (evaluation-domain) values is a caller convention: NTTAll/INTTAll move a
+// prime i. Whether the rows hold coefficient-domain or evaluation-domain
+// values is a caller convention: NegacyclicNTTAll/NegacyclicINTTAll move a
 // Poly between the two, and MulAll consumes coefficient-domain inputs.
 // Polys allocated by NewPoly keep all towers in one contiguous backing
 // array, the layout the tower-parallel dispatch and future SIMD tiers
@@ -127,58 +127,18 @@ func (c *Context) ReconstructInto(dst []*big.Int, p Poly) error {
 	return nil
 }
 
-// Tower dispatch convention for NTTAll/INTTAll/MulAll: workers follows
-// the batch convention of internal/ring — 0 means GOMAXPROCS, and all k
-// towers go through the shared worker pool as one batch. workers == 1 (or
-// a single tower) takes a direct sequential loop that allocates nothing;
-// parallel dispatch pays the pool's fixed per-chunk closure cost. The
-// sequential loops are written out (not routed through a shared
-// higher-order helper) precisely so escape analysis keeps them
-// allocation-free.
+// Tower dispatch convention for MulAll, NegacyclicNTTAll and
+// NegacyclicINTTAll: workers follows the batch convention of
+// internal/ring — 0 means GOMAXPROCS, and all k towers go through the
+// shared worker pool as one batch. workers == 1 (or a single tower) takes
+// a direct sequential loop that allocates nothing; parallel dispatch pays
+// the pool's fixed per-chunk closure cost. The sequential loops are
+// written out (not routed through a shared higher-order helper) precisely
+// so escape analysis keeps them allocation-free.
 
 // seqTowers reports whether the sequential zero-alloc path applies.
 func (c *Context) seqTowers(workers int) bool {
 	return workers == 1 || c.Channels() <= 1
-}
-
-// NTTAll converts every tower of a to evaluation form into dst. dst may
-// alias a. Each tower's transform draws pooled scratch from its plan.
-func (c *Context) NTTAll(dst, a Poly, workers int) error {
-	if err := c.checkPoly(dst, a); err != nil {
-		return err
-	}
-	if c.seqTowers(workers) {
-		for i, p := range c.Plans {
-			p.Generic().ForwardInto(dst.Res[i], a.Res[i])
-		}
-		return nil
-	}
-	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			c.Plans[i].Generic().ForwardInto(dst.Res[i], a.Res[i])
-		}
-	})
-	return nil
-}
-
-// INTTAll converts every tower of a back to coefficient form into dst,
-// with the same dispatch and allocation behavior as NTTAll.
-func (c *Context) INTTAll(dst, a Poly, workers int) error {
-	if err := c.checkPoly(dst, a); err != nil {
-		return err
-	}
-	if c.seqTowers(workers) {
-		for i, p := range c.Plans {
-			p.Generic().InverseInto(dst.Res[i], a.Res[i])
-		}
-		return nil
-	}
-	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			c.Plans[i].Generic().InverseInto(dst.Res[i], a.Res[i])
-		}
-	})
-	return nil
 }
 
 // MulAll computes the negacyclic product dst = a*b in Z_Q[x]/(x^n + 1),
@@ -202,11 +162,10 @@ func (c *Context) MulAll(dst, a, b Poly, workers int) error {
 	return nil
 }
 
-// NegacyclicNTTAll converts every tower of a to the TWISTED evaluation
+// NegacyclicNTTAll converts every tower of a to the twisted evaluation
 // domain into dst — the double-CRT resting state of an NTT-resident
-// ciphertext, where pointwise products are negacyclic convolutions. It is
-// the domain MulAll uses internally; NTTAll's plain (cyclic) transform is
-// a different domain and the two must not be mixed. dst may alias a.
+// ciphertext, where pointwise products (PMulInto) are negacyclic
+// convolutions. It is the domain MulAll uses internally. dst may alias a.
 func (c *Context) NegacyclicNTTAll(dst, a Poly, workers int) error {
 	if err := c.checkPoly(dst, a); err != nil {
 		return err

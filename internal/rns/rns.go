@@ -9,8 +9,10 @@
 // NewPoly holds its k tower rows in one contiguous backing array, the hot
 // conversions DecomposeInto/ReconstructInto run on precomputed Barrett limb
 // tables instead of per-coefficient big.Int arithmetic (zero steady-state
-// allocations), and the tower-parallel NTTAll/INTTAll/MulAll dispatch all k
-// towers through the shared internal/ring worker pool as one batch.
+// allocations), and the tower-parallel MulAll and
+// NegacyclicNTTAll/NegacyclicINTTAll dispatch all k towers through the
+// shared internal/ring worker pool as one batch. Every operation writes
+// into a destination Poly the caller passes.
 package rns
 
 import (
@@ -125,109 +127,3 @@ func (c *Context) QiBig(i int) *big.Int { return new(big.Int).Set(c.qi[i]) }
 // multiplying tower i's residue by it yields the fast-base-conversion digit
 // z_i with x = sum_i z_i*(Q/q_i) - alpha*Q for some 0 <= alpha < k.
 func (c *Context) QiInv(i int) uint64 { return c.qiInv[i] }
-
-// Decompose converts big-integer coefficients (reduced modulo Q or not)
-// into RNS form. It is an allocating wrapper over DecomposeInto.
-func (c *Context) Decompose(coeffs []*big.Int) (Poly, error) {
-	p := c.NewPoly()
-	if err := c.DecomposeInto(p, coeffs); err != nil {
-		return Poly{}, err
-	}
-	return p, nil
-}
-
-// Reconstruct converts RNS form back to big-integer coefficients in
-// [0, Q). It is an allocating wrapper over ReconstructInto.
-func (c *Context) Reconstruct(p Poly) ([]*big.Int, error) {
-	out := make([]*big.Int, c.N)
-	if err := c.ReconstructInto(out, p); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PolyMulNegacyclic multiplies two RNS polynomials in Z_Q[x]/(x^n + 1):
-// each residue tower runs an independent negacyclic NTT convolution. It is
-// an allocating wrapper over MulAll.
-func (c *Context) PolyMulNegacyclic(a, b Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.MulAll(out, a, b, 1); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// Add adds two RNS polynomials tower-wise.
-func (c *Context) Add(a, b Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.AddInto(out, a, b); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// Sub subtracts two RNS polynomials tower-wise.
-func (c *Context) Sub(a, b Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.SubInto(out, a, b); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// PMul multiplies two RNS polynomials coefficient-wise (the evaluation-form
-// product; distinct from the convolution PolyMulNegacyclic computes).
-func (c *Context) PMul(a, b Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.PMulInto(out, a, b); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// Neg negates an RNS polynomial.
-func (c *Context) Neg(a Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.NegInto(out, a); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// ScalarMul multiplies every coefficient by a big-integer scalar (reduced
-// per tower).
-func (c *Context) ScalarMul(a Poly, k *big.Int) (Poly, error) {
-	if err := c.checkPoly(a); err != nil {
-		return Poly{}, err
-	}
-	out := c.NewPoly()
-	t := new(big.Int)
-	for i, mod := range c.Mods {
-		ki := t.Mod(k, c.qBig[i]).Uint64()
-		row, ar := out.Res[i], a.Res[i]
-		for j := 0; j < c.N; j++ {
-			row[j] = mod.Mul(ar[j], ki)
-		}
-	}
-	return out, nil
-}
-
-// NTT converts every tower to evaluation (frequency) form. It is an
-// allocating wrapper over NTTAll.
-func (c *Context) NTT(a Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.NTTAll(out, a, 1); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}
-
-// INTT converts every tower back to coefficient form. It is an allocating
-// wrapper over INTTAll.
-func (c *Context) INTT(a Poly) (Poly, error) {
-	out := c.NewPoly()
-	if err := c.INTTAll(out, a, 1); err != nil {
-		return Poly{}, err
-	}
-	return out, nil
-}

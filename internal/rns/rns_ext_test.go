@@ -15,25 +15,22 @@ func TestRNSSubNegScalarMul(t *testing.T) {
 	r := rand.New(rand.NewSource(111))
 	a := randCoeffs(r, c.Q, n)
 	b := randCoeffs(r, c.Q, n)
-	ra, _ := c.Decompose(a)
-	rb, _ := c.Decompose(b)
+	ra, rb := decompose(t, c, a), decompose(t, c, b)
 
-	diff, err := c.Sub(ra, rb)
-	if err != nil {
+	diff, neg, scaled := c.NewPoly(), c.NewPoly(), c.NewPoly()
+	if err := c.SubInto(diff, ra, rb); err != nil {
 		t.Fatal(err)
 	}
-	gotDiff, _ := c.Reconstruct(diff)
-	neg, err := c.Neg(ra)
-	if err != nil {
+	gotDiff := reconstruct(t, c, diff)
+	if err := c.NegInto(neg, ra); err != nil {
 		t.Fatal(err)
 	}
-	gotNeg, _ := c.Reconstruct(neg)
+	gotNeg := reconstruct(t, c, neg)
 	k := big.NewInt(987654321)
-	scaled, err := c.ScalarMul(ra, k)
-	if err != nil {
+	if err := c.ScalarMulUint64Into(scaled, ra, k.Uint64()); err != nil {
 		t.Fatal(err)
 	}
-	gotScaled, _ := c.Reconstruct(scaled)
+	gotScaled := reconstruct(t, c, scaled)
 
 	for i := 0; i < n; i++ {
 		want := new(big.Int).Sub(a[i], b[i])
@@ -52,10 +49,9 @@ func TestRNSSubNegScalarMul(t *testing.T) {
 	}
 }
 
-// TestNTTEvaluationFormProduct verifies the NTT/PMul/INTT path: cyclic
-// convolution through evaluation form must match PolyMulNegacyclic only
-// when the twist is applied, so instead verify NTT+INTT is the identity
-// and that PMul in evaluation form equals the *cyclic* convolution.
+// TestNTTEvaluationFormProduct verifies the evaluation-form path the fhe
+// layer runs: NegacyclicNTTAll then NegacyclicINTTAll is the identity, and
+// a PMulInto between the two computes the negacyclic convolution.
 func TestNTTEvaluationFormProduct(t *testing.T) {
 	n := 16
 	c, err := NewContext(58, 2, n)
@@ -64,33 +60,35 @@ func TestNTTEvaluationFormProduct(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(112))
 	a := randCoeffs(r, c.Q, n)
-	ra, _ := c.Decompose(a)
+	ra := decompose(t, c, a)
 
-	f, err := c.NTT(ra)
-	if err != nil {
+	f, back := c.NewPoly(), c.NewPoly()
+	if err := c.NegacyclicNTTAll(f, ra, 1); err != nil {
 		t.Fatal(err)
 	}
-	back, err := c.INTT(f)
-	if err != nil {
+	if err := c.NegacyclicINTTAll(back, f, 1); err != nil {
 		t.Fatal(err)
 	}
-	gotBack, _ := c.Reconstruct(back)
+	gotBack := reconstruct(t, c, back)
 	for i := 0; i < n; i++ {
 		if gotBack[i].Cmp(a[i]) != 0 {
 			t.Fatalf("NTT round trip failed at %d", i)
 		}
 	}
 
-	// Cyclic convolution via evaluation form.
+	// Negacyclic convolution via evaluation form.
 	b := randCoeffs(r, c.Q, n)
-	rb, _ := c.Decompose(b)
-	fb, _ := c.NTT(rb)
-	prod, err := c.PMul(f, fb)
-	if err != nil {
+	fb, prod := c.NewPoly(), c.NewPoly()
+	if err := c.NegacyclicNTTAll(fb, decompose(t, c, b), 1); err != nil {
 		t.Fatal(err)
 	}
-	conv, _ := c.INTT(prod)
-	got, _ := c.Reconstruct(conv)
+	if err := c.PMulInto(prod, f, fb); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NegacyclicINTTAll(prod, prod, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := reconstruct(t, c, prod)
 
 	want := make([]*big.Int, n)
 	for i := range want {
@@ -100,13 +98,17 @@ func TestNTTEvaluationFormProduct(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			tmp.Mul(a[i], b[j])
-			want[(i+j)%n].Add(want[(i+j)%n], tmp)
+			if k := i + j; k < n {
+				want[k].Add(want[k], tmp)
+			} else {
+				want[k-n].Sub(want[k-n], tmp) // x^n = -1
+			}
 		}
 	}
 	for i := range want {
 		want[i].Mod(want[i], c.Q)
 		if got[i].Cmp(want[i]) != 0 {
-			t.Fatalf("cyclic convolution coeff %d: got %s, want %s", i, got[i], want[i])
+			t.Fatalf("negacyclic convolution coeff %d: got %s, want %s", i, got[i], want[i])
 		}
 	}
 }
@@ -116,23 +118,23 @@ func TestExtOpsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Poly{}
-	if _, err := c.Sub(bad, bad); err == nil {
-		t.Error("Sub should reject bad channels")
+	bad, dst := Poly{}, c.NewPoly()
+	if err := c.SubInto(dst, bad, bad); err == nil {
+		t.Error("SubInto should reject bad channels")
 	}
-	if _, err := c.PMul(bad, bad); err == nil {
-		t.Error("PMul should reject bad channels")
+	if err := c.PMulInto(dst, bad, bad); err == nil {
+		t.Error("PMulInto should reject bad channels")
 	}
-	if _, err := c.Neg(bad); err == nil {
-		t.Error("Neg should reject bad channels")
+	if err := c.NegInto(dst, bad); err == nil {
+		t.Error("NegInto should reject bad channels")
 	}
-	if _, err := c.ScalarMul(bad, big.NewInt(1)); err == nil {
-		t.Error("ScalarMul should reject bad channels")
+	if err := c.ScalarMulUint64Into(dst, bad, 1); err == nil {
+		t.Error("ScalarMulUint64Into should reject bad channels")
 	}
-	if _, err := c.NTT(bad); err == nil {
-		t.Error("NTT should reject bad channels")
+	if err := c.NegacyclicNTTAll(dst, bad, 1); err == nil {
+		t.Error("NegacyclicNTTAll should reject bad channels")
 	}
-	if _, err := c.INTT(bad); err == nil {
-		t.Error("INTT should reject bad channels")
+	if err := c.NegacyclicINTTAll(dst, bad, 1); err == nil {
+		t.Error("NegacyclicINTTAll should reject bad channels")
 	}
 }

@@ -14,6 +14,26 @@ func randCoeffs(r *rand.Rand, bound *big.Int, n int) []*big.Int {
 	return out
 }
 
+// decompose and reconstruct are the allocating forms of DecomposeInto and
+// ReconstructInto that the tests build operands and read results with.
+func decompose(t testing.TB, c *Context, coeffs []*big.Int) Poly {
+	t.Helper()
+	p := c.NewPoly()
+	if err := c.DecomposeInto(p, coeffs); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func reconstruct(t testing.TB, c *Context, p Poly) []*big.Int {
+	t.Helper()
+	out := make([]*big.Int, c.N)
+	if err := c.ReconstructInto(out, p); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestDecomposeReconstructRoundTrip(t *testing.T) {
 	c, err := NewContext(60, 3, 64)
 	if err != nil {
@@ -24,14 +44,7 @@ func TestDecomposeReconstructRoundTrip(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(61))
 	coeffs := randCoeffs(r, c.Q, 64)
-	p, err := c.Decompose(coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.Reconstruct(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reconstruct(t, c, decompose(t, c, coeffs))
 	for i := range coeffs {
 		if back[i].Cmp(coeffs[i]) != 0 {
 			t.Fatalf("coeff %d: got %s, want %s", i, back[i], coeffs[i])
@@ -49,22 +62,11 @@ func TestRNSPolyMulMatchesBigIntSchoolbook(t *testing.T) {
 	a := randCoeffs(r, c.Q, n)
 	b := randCoeffs(r, c.Q, n)
 
-	ra, err := c.Decompose(a)
-	if err != nil {
+	rc := c.NewPoly()
+	if err := c.MulAll(rc, decompose(t, c, a), decompose(t, c, b), 1); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := c.Decompose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := c.PolyMulNegacyclic(ra, rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Reconstruct(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := reconstruct(t, c, rc)
 
 	// Schoolbook negacyclic product over big.Int mod Q.
 	want := make([]*big.Int, n)
@@ -100,13 +102,11 @@ func TestRNSAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(63))
 	a := randCoeffs(r, c.Q, n)
 	b := randCoeffs(r, c.Q, n)
-	ra, _ := c.Decompose(a)
-	rb, _ := c.Decompose(b)
-	sum, err := c.Add(ra, rb)
-	if err != nil {
+	sum := c.NewPoly()
+	if err := c.AddInto(sum, decompose(t, c, a), decompose(t, c, b)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := c.Reconstruct(sum)
+	got := reconstruct(t, c, sum)
 	for i := range a {
 		want := new(big.Int).Add(a[i], b[i])
 		want.Mod(want, c.Q)
@@ -127,16 +127,16 @@ func TestContextValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decompose(make([]*big.Int, 7)); err == nil {
+	if err := c.DecomposeInto(c.NewPoly(), make([]*big.Int, 7)); err == nil {
 		t.Error("expected length error")
 	}
-	if _, err := c.Reconstruct(Poly{}); err == nil {
+	if err := c.ReconstructInto(make([]*big.Int, c.N), Poly{}); err == nil {
 		t.Error("expected channel error")
 	}
-	if _, err := c.Add(Poly{}, Poly{}); err == nil {
+	if err := c.AddInto(c.NewPoly(), Poly{}, Poly{}); err == nil {
 		t.Error("expected channel error")
 	}
-	if _, err := c.PolyMulNegacyclic(Poly{}, Poly{}); err == nil {
+	if err := c.MulAll(c.NewPoly(), Poly{}, Poly{}, 1); err == nil {
 		t.Error("expected channel error")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mqxgo/internal/faultinject"
@@ -245,14 +244,4 @@ func armedStrings() []string {
 		out = append(out, sp.String())
 	}
 	return out
-}
-
-// RetryAfter parses a Retry-After header value in seconds; helper shared
-// with the load driver.
-func RetryAfter(v string) time.Duration {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return time.Duration(n) * time.Second
 }

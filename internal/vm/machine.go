@@ -11,11 +11,7 @@
 // — while their *costs* are resolved through the PISA proxies of Table 3.
 package vm
 
-import (
-	"fmt"
-
-	"mqxgo/internal/isa"
-)
+import "mqxgo/internal/isa"
 
 // Vec is a 512-bit vector register: eight 64-bit lanes.
 type Vec [8]uint64
@@ -213,12 +209,3 @@ func (m *Machine) noteStore(bytes int64) {
 // FalseFlag returns a constant clear flag. No instruction is recorded: on
 // x86 a cleared carry falls out of instruction selection (ADD vs ADC).
 func FalseFlag() F { return F{B: false, id: noID} }
-
-// Dump renders the body trace with mnemonic names, for debugging.
-func (m *Machine) Dump() string {
-	s := ""
-	for _, in := range m.body {
-		s += fmt.Sprintf("%-18v out=%v in=%v\n", in.Op, in.Out, in.In)
-	}
-	return s
-}
