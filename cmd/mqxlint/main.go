@@ -1,5 +1,5 @@
 // Command mqxlint runs the repo's five invariant analyzers — hotalloc,
-// scratchescape, lazyrange, ctxphase, domaintag — over the named
+// scratchescape, lazyrange, ctxphase, validatefirst — over the named
 // packages and exits non-zero if any finding survives //mqx:allow
 // filtering. It is the local mirror of the CI gate:
 //

@@ -9,42 +9,26 @@ import (
 )
 
 // CtxPhase enforces the context-threading convention at the BEHZ phase
-// boundaries. Two rules:
-//
-//  1. Every exported function or method whose name ends in "Ctx" and
-//     takes a context.Context must actually thread it: somewhere in its
-//     body there must be a call to phaseGate, or a call to another
-//     *Ctx function that receives the context (the scheme-layer
-//     wrappers delegate; the backend pipelines gate each tower phase).
-//     A Ctx suffix over a body that ignores its context is a lie in the
-//     API.
-//
-//  2. In packages carrying a //mqx:ctxstrict directive (internal/serve —
-//     the request path where deadlines are load-bearing), calling a
-//     function or method from another package is forbidden when a
-//     sibling with the same name plus "Ctx" exists: the bare BEHZ
-//     internals bypass admission deadlines. Call the Ctx variant.
+// boundaries: every exported function or method whose name ends in "Ctx"
+// and takes a context.Context must actually thread it. Somewhere in its
+// body there must be a call to phaseGate, or a call to another *Ctx
+// function that receives the context (the scheme-layer wrappers
+// delegate; the backend pipelines gate each tower phase). A Ctx suffix
+// over a body that ignores its context is a lie in the API.
 var CtxPhase = &mqx.Analyzer{
 	Name: "ctxphase",
-	Doc:  "exported ...Ctx APIs must thread their context into a phase gate; ctxstrict packages must not call bare siblings of Ctx APIs",
+	Doc:  "exported ...Ctx APIs must thread their context into a phase gate",
 	Run:  runCtxPhase,
 }
 
 func runCtxPhase(pass *mqx.Pass) error {
-	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCtxThreading(pass, fd)
-			if pass.Pkg.CtxStrict() {
-				checkCtxStrictCalls(pass, fd)
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkCtxThreading(pass, fd)
 			}
 		}
 	}
-	_ = info
 	return nil
 }
 
@@ -179,29 +163,6 @@ func callArgUsesObj(info *types.Info, call *ast.CallExpr, obj types.Object) bool
 	return false
 }
 
-// checkCtxStrictCalls flags calls from a //mqx:ctxstrict package to
-// cross-package functions or methods that have a Ctx sibling.
-func checkCtxStrictCalls(pass *mqx.Pass, fd *ast.FuncDecl) {
-	info := pass.Pkg.Info
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calledFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg() == pass.Pkg.Types {
-			return true
-		}
-		if strings.HasSuffix(fn.Name(), "Ctx") {
-			return true
-		}
-		if sibling := ctxSibling(fn); sibling != nil {
-			pass.Reportf(call.Pos(), "calls %s.%s from a //mqx:ctxstrict package, but %s exists: the bare variant bypasses deadline propagation", recvOrPkg(fn), fn.Name(), sibling.Name())
-		}
-		return true
-	})
-}
-
 // calledFunc resolves the callee including interface methods (unlike
 // staticCallee, which treats them as boundaries).
 func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -216,32 +177,4 @@ func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// ctxSibling looks up a method or package function named fn.Name()+"Ctx"
-// on the same receiver type or in the same package.
-func ctxSibling(fn *types.Func) *types.Func {
-	want := fn.Name() + "Ctx"
-	sig := fn.Signature()
-	if recv := sig.Recv(); recv != nil {
-		obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), want)
-		if m, ok := obj.(*types.Func); ok {
-			return m
-		}
-		return nil
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	if m, ok := fn.Pkg().Scope().Lookup(want).(*types.Func); ok {
-		return m
-	}
-	return nil
-}
-
-func recvOrPkg(fn *types.Func) string {
-	if recv := fn.Signature().Recv(); recv != nil {
-		return strings.TrimPrefix(types.TypeString(recv.Type(), func(p *types.Package) string { return p.Name() }), "*")
-	}
-	return fn.Pkg().Name()
 }

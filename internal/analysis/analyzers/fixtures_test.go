@@ -27,8 +27,8 @@ func TestCtxPhaseFixtures(t *testing.T) {
 	analyzertest.Run(t, "testdata/ctxphase", CtxPhase)
 }
 
-func TestDomainTagFixtures(t *testing.T) {
-	analyzertest.Run(t, "testdata/domaintag", DomainTag)
+func TestValidateFirstFixtures(t *testing.T) {
+	analyzertest.Run(t, "testdata/validatefirst", ValidateFirst)
 }
 
 // TestMalformedAllow checks the suppression grammar's failure mode: an

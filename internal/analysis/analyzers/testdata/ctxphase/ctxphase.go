@@ -1,16 +1,8 @@
 // Package fixture exercises the ctxphase analyzer: exported ...Ctx APIs
-// must actually thread their context, and — because this package carries
-// the //mqx:ctxstrict directive, like internal/serve — calls to bare
-// siblings of Ctx APIs in other packages are forbidden.
-//
-//mqx:ctxstrict
+// must actually thread their context.
 package fixture
 
-import (
-	"context"
-
-	"mqxgo/internal/ring"
-)
+import "context"
 
 // phaseGate mirrors the backends' tower-phase checkpoint.
 func phaseGate(ctx context.Context, phase string) error {
@@ -60,20 +52,9 @@ func launder(ctx context.Context, n int) int {
 	return n + 1
 }
 
-// evalBare calls a bare dispatch from a ctxstrict package although its
-// cancellable sibling exists: the admission deadline never reaches the
-// chunks.
-func evalBare(n int, chunk func(start, end int)) {
-	ring.ParallelChunks(n, 0, chunk) // want `calls ring\.ParallelChunks from a //mqx:ctxstrict package, but ParallelChunksCtx exists`
-}
-
-// evalCtx is the compliant caller.
-func evalCtx(ctx context.Context, n int, chunk func(start, end int)) error {
-	return ring.ParallelChunksCtx(ctx, n, 0, chunk)
-}
-
-// evalAllowed is evalBare consciously accepted, reason in scope.
-func evalAllowed(n int, chunk func(start, end int)) {
-	//mqx:allow ctxphase fixture exercises the bare path deliberately
-	ring.ParallelChunks(n, 0, chunk)
+// AllowedCtx is DeadCtx consciously accepted, reason in scope.
+//
+//mqx:allow ctxphase fixture keeps an unthreaded context deliberately
+func AllowedCtx(ctx context.Context, n int) int {
+	return n * 3
 }

@@ -1,6 +1,6 @@
-// Package fixture exercises the domaintag analyzer: exported readers of
-// BackendCiphertext component polys must call a //mqx:domaincheck
-// validator before touching .A or .B.
+// Package fixture exercises the validatefirst analyzer: exported readers
+// of BackendCiphertext component polys must call a //mqx:validator
+// function before touching .A or .B.
 package fixture
 
 import (
@@ -12,7 +12,7 @@ import (
 // Validate is the fixture's ciphertext validator; the annotation is what
 // makes calls to it satisfy the ordered-check rule.
 //
-//mqx:domaincheck
+//mqx:validator
 func Validate(ct fhe.BackendCiphertext) error {
 	if ct.A == nil || ct.B == nil {
 		return fmt.Errorf("fixture: nil component")
@@ -22,7 +22,7 @@ func Validate(ct fhe.BackendCiphertext) error {
 
 // Components reads the component polys with no check at all.
 func Components(ct fhe.BackendCiphertext) (fhe.Poly, fhe.Poly) {
-	return ct.A, ct.B // want `Components reads BackendCiphertext\.A without a prior domain check`
+	return ct.A, ct.B // want `Components reads BackendCiphertext\.A without a prior validation`
 }
 
 // ComponentsChecked validates before the reads.
@@ -39,13 +39,13 @@ func LevelOnly(ct fhe.BackendCiphertext) fhe.Poly {
 	if ct.Level != 0 {
 		return nil
 	}
-	return ct.A // want `LevelOnly reads BackendCiphertext\.A without a prior domain check`
+	return ct.A // want `LevelOnly reads BackendCiphertext\.A without a prior validation`
 }
 
 // LateCheck bolts the validation on after the arithmetic: the ordered
 // rule still reports it.
 func LateCheck(ct fhe.BackendCiphertext) fhe.Poly {
-	a := ct.A // want `LateCheck reads BackendCiphertext\.A without a prior domain check`
+	a := ct.A // want `LateCheck reads BackendCiphertext\.A without a prior validation`
 	if err := Validate(ct); err != nil {
 		return nil
 	}
@@ -59,7 +59,7 @@ func componentInternal(ct fhe.BackendCiphertext) fhe.Poly {
 
 // ComponentAllowed reads without a check, consciously accepted.
 func ComponentAllowed(ct fhe.BackendCiphertext) fhe.Poly {
-	//mqx:allow domaintag fixture reads a component deliberately
+	//mqx:allow validatefirst fixture reads a component deliberately
 	return ct.A
 }
 

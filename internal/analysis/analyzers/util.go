@@ -3,8 +3,8 @@
 // defended before: allocation-free //mqx:hotpath call graphs (hotalloc),
 // pool-scoped scratch lifetimes (scratchescape), machine-checked lazy
 // reduction headroom (lazyrange), context threading at BEHZ phase
-// boundaries (ctxphase), and domain-tag validation before ciphertext
-// component access (domaintag).
+// boundaries (ctxphase), and validation before ciphertext component
+// access (validatefirst).
 package analyzers
 
 import (
@@ -20,7 +20,7 @@ var All = []*mqx.Analyzer{
 	ScratchEscape,
 	LazyRange,
 	CtxPhase,
-	DomainTag,
+	ValidateFirst,
 }
 
 func unparen(e ast.Expr) ast.Expr {

@@ -8,27 +8,27 @@ import (
 	"mqxgo/internal/analysis/mqx"
 )
 
-// DomainTag enforces validation before component access at API
+// ValidateFirst enforces validation before component access at API
 // boundaries. A BackendCiphertext's components are backend-owned handles,
 // and arithmetic on a pair that never passed the backend's gate — a
 // foreign handle, a level whose shape it does not have, unreduced
 // residues — is a panic deep in a kernel at best and a silently wrong
 // plaintext at worst. The convention is that every EXPORTED function
 // reading BackendCiphertext component polys (the A/B fields) first calls
-// a function annotated //mqx:domaincheck (checkCts, CheckCiphertext and
-// friends). Unexported helpers are inside the validated perimeter and
+// a function annotated //mqx:validator (checkCts, CheckCiphertext, the
+// backend seam's level checks). Unexported helpers are inside the validated perimeter and
 // exempt; validators themselves are annotated.
 //
 // The check is ordered: the validation must occur before (in source
 // order) the first component read, so a check bolted on after the
 // arithmetic does not count.
-var DomainTag = &mqx.Analyzer{
-	Name: "domaintag",
-	Doc:  "exported readers of BackendCiphertext components must call a //mqx:domaincheck validator first",
-	Run:  runDomainTag,
+var ValidateFirst = &mqx.Analyzer{
+	Name: "validatefirst",
+	Doc:  "exported readers of BackendCiphertext components must call a //mqx:validator function first",
+	Run:  runValidateFirst,
 }
 
-func runDomainTag(pass *mqx.Pass) error {
+func runValidateFirst(pass *mqx.Pass) error {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -36,17 +36,17 @@ func runDomainTag(pass *mqx.Pass) error {
 				continue
 			}
 			if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				if fi := pass.Prog.FuncInfo(fn); fi != nil && fi.Annot().DomainCheck {
+				if fi := pass.Prog.FuncInfo(fn); fi != nil && fi.Annot().Validator {
 					continue // the validator itself
 				}
 			}
-			checkDomainReads(pass, fd)
+			checkComponentReads(pass, fd)
 		}
 	}
 	return nil
 }
 
-func checkDomainReads(pass *mqx.Pass, fd *ast.FuncDecl) {
+func checkComponentReads(pass *mqx.Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	var validatedAt token.Pos = token.NoPos
 	type read struct {
@@ -63,7 +63,7 @@ func checkDomainReads(pass *mqx.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			fi := pass.Prog.FuncInfo(fn)
-			if fi != nil && fi.Annot().DomainCheck {
+			if fi != nil && fi.Annot().Validator {
 				if validatedAt == token.NoPos || x.Pos() < validatedAt {
 					validatedAt = x.Pos()
 				}
@@ -87,5 +87,5 @@ func checkDomainReads(pass *mqx.Pass, fd *ast.FuncDecl) {
 	if validatedAt != token.NoPos && validatedAt < firstRead.pos {
 		return
 	}
-	pass.Reportf(firstRead.pos, "%s reads BackendCiphertext.%s without a prior domain check: call a //mqx:domaincheck validator before touching components", fd.Name.Name, firstRead.field)
+	pass.Reportf(firstRead.pos, "%s reads BackendCiphertext.%s without a prior validation: call a //mqx:validator function before touching components", fd.Name.Name, firstRead.field)
 }

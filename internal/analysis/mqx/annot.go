@@ -21,9 +21,9 @@ import (
 //	//mqx:scratchput
 //	    The function recycles its argument into a pool, like Pool.Put.
 //
-//	//mqx:domaincheck
+//	//mqx:validator
 //	    The function validates a BackendCiphertext (provenance, level,
-//	    shape, residue ranges); a call to it satisfies domaintag's
+//	    shape, residue ranges); a call to it satisfies validatefirst's
 //	    "check before component access" rule.
 //
 //	//mqx:lazy <directive> [<directive>...]
@@ -35,10 +35,10 @@ import (
 //	      slices=out     the function may store relaxed [0, 2q) values
 //	                     into the named slice parameters
 type FuncAnnot struct {
-	Hotpath     bool
-	Scratch     bool
-	ScratchPut  bool
-	DomainCheck bool
+	Hotpath    bool
+	Scratch    bool
+	ScratchPut bool
+	Validator  bool
 
 	LazyReturns bool
 	LazyStrict  bool
@@ -78,8 +78,8 @@ func ParseFuncAnnot(doc *ast.CommentGroup) *FuncAnnot {
 			a.Scratch = true
 		case "scratchput":
 			a.ScratchPut = true
-		case "domaincheck":
-			a.DomainCheck = true
+		case "validator":
+			a.Validator = true
 		case "lazy":
 			for _, f := range fields[1:] {
 				switch {
@@ -110,20 +110,4 @@ func addNames(m map[string]bool, csv string) map[string]bool {
 		}
 	}
 	return m
-}
-
-// hasCtxStrict reports whether any comment in the files carries a
-// //mqx:ctxstrict package directive.
-func hasCtxStrict(files []*ast.File) bool {
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				line := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if line == "mqx:ctxstrict" {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

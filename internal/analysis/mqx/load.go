@@ -30,14 +30,8 @@ type Package struct {
 	Info   *types.Info
 	Target bool
 
-	ctxStrict bool // package carries a //mqx:ctxstrict directive
-	annots    map[*ast.FuncDecl]*FuncAnnot
+	annots map[*ast.FuncDecl]*FuncAnnot
 }
-
-// CtxStrict reports whether any file in the package carries a
-// //mqx:ctxstrict directive (the ctxphase analyzer's opt-in for the
-// "never call the bare sibling of a Ctx API" rule).
-func (p *Package) CtxStrict() bool { return p.ctxStrict }
 
 // FuncInfo pairs a function's declaration syntax with the package it
 // lives in, for cross-package body and annotation lookups.
@@ -365,13 +359,12 @@ func (l *Loader) check(lp listedPackage) (*Package, error) {
 		return nil, fmt.Errorf("mqx: type-checking %s: %v", lp.ImportPath, err)
 	}
 	pkg := &Package{
-		Path:      lp.ImportPath,
-		Name:      tpkg.Name(),
-		Dir:       lp.Dir,
-		Files:     files,
-		Types:     tpkg,
-		Info:      info,
-		ctxStrict: hasCtxStrict(files),
+		Path:  lp.ImportPath,
+		Name:  tpkg.Name(),
+		Dir:   lp.Dir,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}
 	l.pkgs[lp.ImportPath] = pkg
 	l.order = append(l.order, pkg)

@@ -6,11 +6,11 @@
 //     (Barrett reduction on u128 words), which the benchmark's kernels128
 //     workload runs, and a math/big point-wise multiply standing in for
 //     GMP, timed beside it.
-//   - VecPMulModVM (this file): the point-wise multiply on the trace
-//     machine, generic over a kernels.Ops backend, run by the negacyclic
-//     trace-machine pipeline (ntt.PolyMulNegacyclicVM). Figure 4's modeled
-//     per-element times come from perfmodel.BLASBody, not from this
-//     package; Op only names the four kernels of that figure.
+//   - Vector and Broadcast128 (this file): the SoA operand layout and the
+//     double-word broadcast the trace-machine dataflows (ntt.ForwardVM,
+//     perfmodel's bodies) load from. Figure 4's modeled per-element times
+//     come from perfmodel.BLASBody, not from this package; Op only names
+//     the four kernels of that figure.
 //
 // Vectors use a structure-of-arrays layout: separate hi and lo word slices,
 // exactly how the SIMD kernels want their 128-bit lanes split (Section 3.2).
@@ -51,25 +51,6 @@ func FromSlice(xs []u128.U128) Vector {
 	return v
 }
 
-// ToSlice converts the vector to 128-bit values.
-func (v Vector) ToSlice() []u128.U128 {
-	xs := make([]u128.U128, v.Len())
-	for i := range xs {
-		xs[i] = v.At(i)
-	}
-	return xs
-}
-
-func checkLens(dst Vector, srcs ...Vector) error {
-	n := dst.Len()
-	for _, s := range srcs {
-		if s.Len() != n {
-			return fmt.Errorf("blas: length mismatch: %d vs %d", s.Len(), n)
-		}
-	}
-	return nil
-}
-
 // Op identifies a BLAS kernel in the paper's Figure 4 benchmark set.
 type Op int
 
@@ -97,30 +78,6 @@ func (o Op) String() string {
 
 // AllOps lists the Figure 4 kernels.
 var AllOps = []Op{OpVecAdd, OpVecSub, OpVecPMul, OpAxpy}
-
-// VecPMulModVM computes dst = a .* b mod q on the trace machine, lane
-// group by lane group: the point-wise multiply of the negacyclic pipeline
-// (ntt.PolyMulNegacyclicVM). Lengths must be equal and a multiple of the
-// backend lane count (the paper assumes power-of-two lengths, Section
-// 3.2).
-func VecPMulModVM[W, C any](d *kernels.DW[W, C], dst, a, b Vector) error {
-	if err := checkLens(dst, a, b); err != nil {
-		return err
-	}
-	o := d.O
-	lanes := o.Lanes()
-	if dst.Len()%lanes != 0 {
-		return fmt.Errorf("blas: length %d not a multiple of %d lanes", dst.Len(), lanes)
-	}
-	for i := 0; i < dst.Len(); i += lanes {
-		x := kernels.DWPair[W]{Hi: o.Load(a.Hi, i), Lo: o.Load(a.Lo, i)}
-		y := kernels.DWPair[W]{Hi: o.Load(b.Hi, i), Lo: o.Load(b.Lo, i)}
-		z := d.MulMod(x, y)
-		o.Store(dst.Hi, i, z.Hi)
-		o.Store(dst.Lo, i, z.Lo)
-	}
-	return nil
-}
 
 // Broadcast128 broadcasts a 128-bit scalar into a backend double-word pair
 // (preamble; call before BeginLoop).

@@ -58,8 +58,6 @@ type Backend interface {
 	Add(level int, dst, a, b Poly)
 	// Sub computes dst = a - b at the given level; dst may alias a or b.
 	Sub(level int, dst, a, b Poly)
-	// Neg computes dst = -a at the given level; dst may alias a.
-	Neg(level int, dst, a Poly)
 	// MulNegacyclic computes dst = a*b in Z_{Q_l}[x]/(x^N + 1), both
 	// operands in coefficient form.
 	MulNegacyclic(level int, dst, a, b Poly)
@@ -73,9 +71,6 @@ type Backend interface {
 	// for operands already in the twisted NTT domain — the negacyclic
 	// convolution of their coefficient forms. dst may alias a or b.
 	PMul(level int, dst, a, b Poly)
-	// ScalarMul computes dst = k*a at the given level for a small
-	// integer constant k.
-	ScalarMul(level int, dst, a Poly, k uint64)
 	// SampleUniform overwrites dst (a level-0 polynomial) with a uniform
 	// ring element.
 	SampleUniform(dst Poly, rng *rand.Rand)
@@ -256,7 +251,7 @@ func (s *BackendScheme) checkMsg(msg []uint64) error {
 // and that they all sit at one level — the hardening gate every public
 // entry point passes malformed inputs through instead of panicking.
 //
-//mqx:domaincheck
+//mqx:validator
 func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 	for i, ct := range cts {
 		if err := s.B.CheckCiphertext(ct); err != nil {
@@ -276,7 +271,7 @@ func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 // component is unpacked. Handle types and shapes are checked where the
 // components are unpacked; residue ranges are CheckCiphertext's.
 //
-//mqx:domaincheck
+//mqx:validator
 func checkMulLevels(levels int, dst *BackendCiphertext, ct1, ct2 BackendCiphertext) error {
 	if ct1.Level != ct2.Level || dst.Level != ct1.Level {
 		return fmt.Errorf("fhe: MulCt level mismatch: %d, %d -> %d", ct1.Level, ct2.Level, dst.Level)
@@ -287,7 +282,7 @@ func checkMulLevels(levels int, dst *BackendCiphertext, ct1, ct2 BackendCipherte
 	return nil
 }
 
-//mqx:domaincheck
+//mqx:validator
 func checkSwitchLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level+1 >= levels {
 		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, levels)
@@ -298,7 +293,7 @@ func checkSwitchLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext)
 	return nil
 }
 
-//mqx:domaincheck
+//mqx:validator
 func checkRotateLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level >= levels {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, levels)
@@ -369,38 +364,18 @@ func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]ui
 	return s.B.RoundToPlain(ct.Level, s.phase(sk, ct)), nil
 }
 
-// componentwise is the body the linear ops share: validate the operands
-// (one backend, one level), allocate the result at their level, and apply
-// op to the A components, then to the B components. x is the first
-// operand's component and y the last's, so a one-operand op sees its
-// operand twice.
-func (s *BackendScheme) componentwise(op func(l int, dst, x, y Poly), cts ...BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(cts...); err != nil {
-		return BackendCiphertext{}, err
-	}
-	c1, c2 := cts[0], cts[len(cts)-1]
-	l := c1.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
-	op(l, out.A, c1.A, c2.A)
-	op(l, out.B, c1.B, c2.B)
-	return out, nil
-}
-
 // AddCiphertexts is homomorphic addition: decrypts to the coefficient-wise
 // sum of the plaintexts mod T (noise permitting). The operands must share
 // a level.
 func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
-	return s.componentwise(s.B.Add, c1, c2)
-}
-
-// SubCiphertexts is homomorphic subtraction.
-func (s *BackendScheme) SubCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
-	return s.componentwise(s.B.Sub, c1, c2)
-}
-
-// Neg negates a ciphertext (decrypts to -m mod T).
-func (s *BackendScheme) Neg(ct BackendCiphertext) (BackendCiphertext, error) {
-	return s.componentwise(func(l int, dst, x, _ Poly) { s.B.Neg(l, dst, x) }, ct)
+	if err := s.checkCts(c1, c2); err != nil {
+		return BackendCiphertext{}, err
+	}
+	l := c1.Level
+	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
+	s.B.Add(l, out.A, c1.A, c2.A)
+	s.B.Add(l, out.B, c1.B, c2.B)
+	return out, nil
 }
 
 // RelinKeyGen samples a relinearization key for sk, required by
@@ -561,12 +536,6 @@ func (s *BackendScheme) MulPlain(ct BackendCiphertext, pt Poly) (BackendCipherte
 	s.B.PMul(l, out.A, ct.A, ev)
 	s.B.PMul(l, out.B, ct.B, ev)
 	return out, nil
-}
-
-// MulScalar multiplies a ciphertext by a small integer constant k
-// (decrypts to k*m mod T, noise permitting: noise grows by a factor k).
-func (s *BackendScheme) MulScalar(ct BackendCiphertext, k uint64) (BackendCiphertext, error) {
-	return s.componentwise(func(l int, dst, x, _ Poly) { s.B.ScalarMul(l, dst, x, k) }, ct)
 }
 
 // AddPlain adds a plaintext message to a ciphertext without encrypting it

@@ -162,7 +162,7 @@ func (b *ringBackend) CheckPoly(level int, a Poly) error {
 	return b.checkPolyAt(level, a)
 }
 
-//mqx:domaincheck
+//mqx:validator
 func (b *ringBackend) CheckCiphertext(ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level >= len(b.levels) {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
@@ -192,14 +192,6 @@ func (b *ringBackend) Sub(level int, dst, a, c Poly) {
 	}
 }
 
-func (b *ringBackend) Neg(level int, dst, a Poly) {
-	mod := b.levels[level].mod
-	d, x := dst.([]u128.U128), a.([]u128.U128)
-	for i := range d {
-		d[i] = mod.Neg(x[i])
-	}
-}
-
 func (b *ringBackend) MulNegacyclic(level int, dst, a, c Poly) {
 	b.levels[level].plan.PolyMulNegacyclicInto(dst.([]u128.U128), a.([]u128.U128), c.([]u128.U128))
 }
@@ -214,12 +206,6 @@ func (b *ringBackend) ToCoeff(level int, dst, a Poly) {
 
 func (b *ringBackend) PMul(level int, dst, a, c Poly) {
 	b.levels[level].plan.Generic().PointwiseMulInto(dst.([]u128.U128), a.([]u128.U128), c.([]u128.U128))
-}
-
-func (b *ringBackend) ScalarMul(level int, dst, a Poly, k uint64) {
-	lv := b.levels[level]
-	kk := u128.From64(k).Mod(lv.mod.Q)
-	lv.plan.Generic().ScalarMulInto(dst.([]u128.U128), a.([]u128.U128), kk)
 }
 
 func (b *ringBackend) SampleUniform(dst Poly, rng *rand.Rand) {

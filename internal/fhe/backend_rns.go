@@ -450,7 +450,7 @@ func (b *rnsBackend) CheckPoly(level int, a Poly) error {
 	return b.checkPolyAt(level, a)
 }
 
-//mqx:domaincheck
+//mqx:validator
 func (b *rnsBackend) CheckCiphertext(ct BackendCiphertext) error {
 	if ct.Level < 0 || ct.Level >= len(b.levels) {
 		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
@@ -481,10 +481,6 @@ func (b *rnsBackend) Sub(level int, dst, a, c Poly) {
 	must(b.levels[level].c.SubInto(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly)))
 }
 
-func (b *rnsBackend) Neg(level int, dst, a Poly) {
-	must(b.levels[level].c.NegInto(dst.(rns.Poly), a.(rns.Poly)))
-}
-
 func (b *rnsBackend) MulNegacyclic(level int, dst, a, c Poly) {
 	must(b.levels[level].c.MulAll(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly), b.workers))
 }
@@ -499,10 +495,6 @@ func (b *rnsBackend) ToCoeff(level int, dst, a Poly) {
 
 func (b *rnsBackend) PMul(level int, dst, a, c Poly) {
 	must(b.levels[level].c.PMulInto(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly)))
-}
-
-func (b *rnsBackend) ScalarMul(level int, dst, a Poly, k uint64) {
-	must(b.levels[level].c.ScalarMulUint64Into(dst.(rns.Poly), a.(rns.Poly), k))
 }
 
 // SampleUniform draws independent uniform residues per tower, which by

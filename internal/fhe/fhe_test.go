@@ -75,6 +75,10 @@ func TestHomomorphicAddition(t *testing.T) {
 	})
 }
 
+// TestHomomorphicSubAndNeg checks the backend's Sub, the seam op Decrypt's
+// B - A*S runs through, on ciphertext components one rung down: applied to
+// both components it subtracts the plaintexts, and subtracting from the
+// zero ciphertext negates one.
 func TestHomomorphicSubAndNeg(t *testing.T) {
 	eachBackendLevel1(t, 32, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
@@ -84,12 +88,21 @@ func TestHomomorphicSubAndNeg(t *testing.T) {
 			m1[i] = uint64(200 + i)
 			m2[i] = uint64(3 * i)
 		}
+		sub := func(x, y BackendCiphertext) BackendCiphertext {
+			out := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+			s.B.Sub(1, out.A, x.A, y.A)
+			s.B.Sub(1, out.B, x.B, y.B)
+			return out
+		}
 		c1, c2 := enc(m1), enc(m2)
-		wantDecrypt(t, s, sk, mustCT(s.SubCiphertexts(c1, c2)), func(i int) uint64 { return (m1[i] + T - m2[i]) % T })
-		wantDecrypt(t, s, sk, mustCT(s.Neg(c1)), func(i int) uint64 { return (T - m1[i]%T) % T })
+		zero := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+		wantDecrypt(t, s, sk, sub(c1, c2), func(i int) uint64 { return (m1[i] + T - m2[i]) % T })
+		wantDecrypt(t, s, sk, sub(zero, c1), func(i int) uint64 { return (T - m1[i]%T) % T })
 	})
 }
 
+// TestMulScalar multiplies by a small integer constant the way the scheme
+// does it: MulPlain by the constant polynomial k.
 func TestMulScalar(t *testing.T) {
 	eachBackendLevel1(t, 16, func(t *testing.T, s *BackendScheme, sk BackendSecretKey, enc func([]uint64) BackendCiphertext) {
 		T := s.B.PlainModulus()
@@ -98,7 +111,11 @@ func TestMulScalar(t *testing.T) {
 			m[i] = uint64(i)
 		}
 		const k = 7
-		wantDecrypt(t, s, sk, mustCT(s.MulScalar(enc(m), k)), func(i int) uint64 { return (m[i] * k) % T })
+		kc := make([]int64, 16)
+		kc[0] = k
+		kp := s.B.NewPoly()
+		s.B.SetSigned(kp, kc)
+		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(m), s.B.SecretAt(1, kp))), func(i int) uint64 { return (m[i] * k) % T })
 	})
 }
 

@@ -74,8 +74,8 @@ func TestSlotEncoderRoundTripAndSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if enc.Slots() != n || enc.RowLen() != n/2 {
-			t.Fatalf("n=%d: slots %d rows %d", n, enc.Slots(), enc.RowLen())
+		if enc.n != n {
+			t.Fatalf("n=%d: encoder has %d slots", n, enc.n)
 		}
 		slots := randomSlots(n, int64(n))
 		msg, err := enc.Encode(slots)

@@ -27,7 +27,6 @@ import (
 // nothing in steady state.
 type SlotEncoder struct {
 	n    int
-	rows int // n/2, the length of each rotation row
 	t    uint64
 	plan *ring.Plan[uint64, ring.Shoup64]
 	pos  []int32 // slot index -> evaluation-order position
@@ -62,23 +61,13 @@ func NewSlotEncoder(n int, t uint64) (*SlotEncoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &SlotEncoder{n: n, rows: n / 2, t: t, plan: plan.Generic(), pos: pos}
+	e := &SlotEncoder{n: n, t: t, plan: plan.Generic(), pos: pos}
 	e.scratch.New = func() any {
 		s := make([]uint64, n)
 		return &s
 	}
 	return e, nil
 }
-
-// Slots returns the total slot count n (two rotation rows of n/2).
-func (e *SlotEncoder) Slots() int { return e.n }
-
-// RowLen returns n/2, the length of each rotation row: RotateSlots moves
-// slots within rows, never across them.
-func (e *SlotEncoder) RowLen() int { return e.rows }
-
-// Modulus returns the plaintext modulus the slots live in.
-func (e *SlotEncoder) Modulus() uint64 { return e.t }
 
 // EncodeInto writes into msg the message polynomial whose slot vector is
 // slots. Slot values are reduced mod T. Both slices must have length n;

@@ -8,16 +8,6 @@ type PortSet uint32
 // Has reports whether port p is in the set.
 func (s PortSet) Has(p int) bool { return s&(1<<uint(p)) != 0 }
 
-// Count returns the number of ports in the set.
-func (s PortSet) Count() int {
-	n := 0
-	for s != 0 {
-		s &= s - 1
-		n++
-	}
-	return n
-}
-
 // Ports lists the port indices in the set.
 func (s PortSet) Ports() []int {
 	var ps []int
@@ -72,12 +62,6 @@ func (m *Microarch) CostOf(op Op) Cost {
 		}
 	}
 	panic(fmt.Sprintf("isa: no cost for %v on %s", op, m.Name))
-}
-
-// HasNative reports whether op has a native (non-proxied) cost entry.
-func (m *Microarch) HasNative(op Op) bool {
-	_, ok := m.Costs[op]
-	return ok
 }
 
 // PISAProxy maps each proposed MQX instruction to the structurally closest

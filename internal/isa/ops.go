@@ -151,15 +151,6 @@ func (op Op) String() string {
 // IsMQX reports whether the op is one of the proposed extension instructions.
 func (op Op) IsMQX() bool { return op >= MQXMulQ && op <= MQXPredSbbQ }
 
-// IsMemory reports whether the op is a load or store.
-func (op Op) IsMemory() bool {
-	switch op {
-	case ScalarLoad, ScalarStore, AVX2Load, AVX2Store, AVX512Load, AVX512Store:
-		return true
-	}
-	return false
-}
-
 // Level identifies an instruction-set tier in the paper's evaluation.
 type Level int
 
@@ -212,26 +203,6 @@ func (l Level) Lanes() int {
 	default:
 		return 8
 	}
-}
-
-// HasWideningMul reports whether the level provides a 64-bit widening
-// multiply (full or as a mullo/mulhi pair).
-func (l Level) HasWideningMul() bool {
-	switch l {
-	case LevelMQX, LevelMQXMulOnly, LevelMQXMulHi, LevelMQXPredicated:
-		return true
-	}
-	return false
-}
-
-// HasCarry reports whether the level provides vector add-with-carry /
-// subtract-with-borrow.
-func (l Level) HasCarry() bool {
-	switch l {
-	case LevelMQX, LevelMQXCarryOnly, LevelMQXMulHi, LevelMQXPredicated:
-		return true
-	}
-	return false
 }
 
 // AllLevels lists the standard evaluation tiers (Figures 4 and 5).

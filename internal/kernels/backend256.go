@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"mqxgo/internal/isa"
-	"mqxgo/internal/vm"
-)
+import "mqxgo/internal/vm"
 
 // B256 is the AVX2 backend: four 64-bit lanes, no mask registers, no
 // unsigned compares. Conditions are lane masks (all-ones/all-zeros) held in
@@ -13,10 +10,8 @@ import (
 type B256 struct {
 	M *vm.Machine
 
-	level    isa.Level
 	signFlip vm.V4 // broadcast 2^63
 	allOnes  vm.V4
-	zeroC    vm.V4
 }
 
 var _ Ops[vm.V4, vm.V4] = (*B256)(nil)
@@ -25,18 +20,13 @@ var _ Ops[vm.V4, vm.V4] = (*B256)(nil)
 func NewB256(m *vm.Machine) *B256 {
 	return &B256{
 		M:        m,
-		level:    isa.LevelAVX2,
 		signFlip: m.Set1x4(1 << 63),
 		allOnes:  m.Set1x4(^uint64(0)),
-		zeroC:    m.Set1x4(0),
 	}
 }
 
 // Lanes implements Ops.
 func (b *B256) Lanes() int { return 4 }
-
-// Level implements Ops.
-func (b *B256) Level() isa.Level { return b.level }
 
 // Broadcast implements Ops.
 func (b *B256) Broadcast(x uint64) vm.V4 { return b.M.Set1x4(x) }
@@ -46,9 +36,6 @@ func (b *B256) Load(s []uint64, i int) vm.V4 { return b.M.Load4(s, i) }
 
 // Store implements Ops.
 func (b *B256) Store(s []uint64, i int, w vm.V4) { b.M.Store4(s, i, w) }
-
-// Zero implements Ops.
-func (b *B256) Zero() vm.V4 { return b.zeroC }
 
 // Add implements Ops.
 func (b *B256) Add(a, x vm.V4) vm.V4 { return b.M.Add4(a, x) }
@@ -138,7 +125,7 @@ func (b *B256) CondAddOut(a vm.V4, cond vm.V4, x vm.V4) (vm.V4, vm.V4) {
 func (b *B256) CmpLt(a, x vm.V4) vm.V4 { return b.ltU(a, x) }
 
 // CmpLe implements Ops: !(x < a).
-func (b *B256) CmpLe(a, x vm.V4) vm.V4 { return b.CNot(b.ltU(x, a)) }
+func (b *B256) CmpLe(a, x vm.V4) vm.V4 { return b.cnot(b.ltU(x, a)) }
 
 // CmpEq implements Ops.
 func (b *B256) CmpEq(a, x vm.V4) vm.V4 { return b.M.CmpEqQ4(a, x) }
@@ -149,8 +136,8 @@ func (b *B256) COr(a, x vm.V4) vm.V4 { return b.M.Or4(a, x) }
 // CAnd implements Ops.
 func (b *B256) CAnd(a, x vm.V4) vm.V4 { return b.M.And4(a, x) }
 
-// CNot implements Ops.
-func (b *B256) CNot(a vm.V4) vm.V4 { return b.M.Xor4(a, b.allOnes) }
+// cnot inverts a lane mask.
+func (b *B256) cnot(a vm.V4) vm.V4 { return b.M.Xor4(a, b.allOnes) }
 
 // Select implements Ops.
 func (b *B256) Select(c vm.V4, a, x vm.V4) vm.V4 { return b.M.BlendV4(c, a, x) }
@@ -163,16 +150,6 @@ func (b *B256) Interleave(even, odd vm.V4) (vm.V4, vm.V4) {
 	r0 := b.M.Perm2x128(lo, hi, 0, 2) // [e0 o0 e1 o1]
 	r1 := b.M.Perm2x128(lo, hi, 1, 3) // [e2 o2 e3 o3]
 	return r0, r1
-}
-
-// Deinterleave implements Ops: unpack pairs across the two registers, then
-// fix lane order with VPERMQ.
-func (b *B256) Deinterleave(r0, r1 vm.V4) (vm.V4, vm.V4) {
-	lo := b.M.UnpackLo4(r0, r1) // [e0 e2 e1 e3]
-	hi := b.M.UnpackHi4(r0, r1) // [o0 o2 o1 o3]
-	even := b.M.Perm4(lo, [4]int{0, 2, 1, 3})
-	odd := b.M.Perm4(hi, [4]int{0, 2, 1, 3})
-	return even, odd
 }
 
 // Shr implements Ops.

@@ -22,15 +22,11 @@ type B512 struct {
 	// Predicated enables the +P predicated carry instructions.
 	Predicated bool
 
-	level isa.Level
-
 	one    vm.V // broadcast 1, for emulated carry insertion
 	zeroW  vm.V // broadcast 0, for native adc-based AddCW
 	zeroC  vm.M
 	idxEvn vm.V // permutation indices for Interleave
 	idxOdd vm.V
-	idxDeE vm.V // permutation indices for Deinterleave
-	idxDeO vm.V
 }
 
 var _ Ops[vm.V, vm.M] = (*B512)(nil)
@@ -38,7 +34,7 @@ var _ Ops[vm.V, vm.M] = (*B512)(nil)
 // NewB512 builds a 512-bit backend for the given level. It must be called
 // before m.BeginLoop so constants land in the preamble.
 func NewB512(m *vm.Machine, level isa.Level) *B512 {
-	b := &B512{M: m, level: level}
+	b := &B512{M: m}
 	switch level {
 	case isa.LevelAVX512:
 	case isa.LevelMQX:
@@ -61,20 +57,13 @@ func NewB512(m *vm.Machine, level isa.Level) *B512 {
 	// hoisted to the preamble like any other constant).
 	b.idxEvn = m.Set1(0)
 	b.idxOdd = m.Set1(0)
-	b.idxDeE = m.Set1(0)
-	b.idxDeO = m.Set1(0)
 	b.idxEvn.X = vm.Vec{0, 8, 1, 9, 2, 10, 3, 11}
 	b.idxOdd.X = vm.Vec{4, 12, 5, 13, 6, 14, 7, 15}
-	b.idxDeE.X = vm.Vec{0, 2, 4, 6, 8, 10, 12, 14}
-	b.idxDeO.X = vm.Vec{1, 3, 5, 7, 9, 11, 13, 15}
 	return b
 }
 
 // Lanes implements Ops.
 func (b *B512) Lanes() int { return 8 }
-
-// Level implements Ops.
-func (b *B512) Level() isa.Level { return b.level }
 
 // Broadcast implements Ops.
 func (b *B512) Broadcast(x uint64) vm.V { return b.M.Set1(x) }
@@ -84,9 +73,6 @@ func (b *B512) Load(s []uint64, i int) vm.V { return b.M.Load(s, i) }
 
 // Store implements Ops.
 func (b *B512) Store(s []uint64, i int, w vm.V) { b.M.Store(s, i, w) }
-
-// Zero implements Ops.
-func (b *B512) Zero() vm.M { return b.zeroC }
 
 // Add implements Ops.
 func (b *B512) Add(a, x vm.V) vm.V { return b.M.Add(a, x) }
@@ -207,9 +193,6 @@ func (b *B512) COr(a, x vm.M) vm.M { return b.M.KOr(a, x) }
 // CAnd implements Ops.
 func (b *B512) CAnd(a, x vm.M) vm.M { return b.M.KAnd(a, x) }
 
-// CNot implements Ops.
-func (b *B512) CNot(a vm.M) vm.M { return b.M.KNot(a) }
-
 // Select implements Ops.
 func (b *B512) Select(c vm.M, a, x vm.V) vm.V { return b.M.Blend(c, a, x) }
 
@@ -218,13 +201,6 @@ func (b *B512) Interleave(even, odd vm.V) (vm.V, vm.V) {
 	r0 := b.M.Permute2(b.idxEvn, even, odd)
 	r1 := b.M.Permute2(b.idxOdd, even, odd)
 	return r0, r1
-}
-
-// Deinterleave implements Ops with two VPERMI2Q permutes.
-func (b *B512) Deinterleave(r0, r1 vm.V) (vm.V, vm.V) {
-	even := b.M.Permute2(b.idxDeE, r0, r1)
-	odd := b.M.Permute2(b.idxDeO, r0, r1)
-	return even, odd
 }
 
 // MinU implements MinUOps: VPMINUQ, native at every 512-bit level.

@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"mqxgo/internal/isa"
-	"mqxgo/internal/vm"
-)
+import "mqxgo/internal/vm"
 
 // BScalar is the optimized scalar x86-64 backend (Section 3.1, Listing 1):
 // one element per iteration, hardware ADC/SBB carry chains, CMOV for
@@ -52,9 +49,6 @@ func (b *BScalar) tick() {
 // Lanes implements Ops.
 func (b *BScalar) Lanes() int { return 1 }
 
-// Level implements Ops.
-func (b *BScalar) Level() isa.Level { return isa.LevelScalar }
-
 // Broadcast implements Ops.
 func (b *BScalar) Broadcast(x uint64) vm.S { return b.M.SImm(x) }
 
@@ -63,9 +57,6 @@ func (b *BScalar) Load(s []uint64, i int) vm.S { return b.M.SLoad(s, i) }
 
 // Store implements Ops.
 func (b *BScalar) Store(s []uint64, i int, w vm.S) { b.M.SStore(s, i, w) }
-
-// Zero implements Ops: a cleared carry flag costs nothing on x86.
-func (b *BScalar) Zero() vm.F { return vm.FalseFlag() }
 
 // Add implements Ops.
 func (b *BScalar) Add(a, x vm.S) vm.S {
@@ -154,9 +145,6 @@ func (b *BScalar) COr(a, x vm.F) vm.F { return b.M.SFOr(a, x) }
 // CAnd implements Ops.
 func (b *BScalar) CAnd(a, x vm.F) vm.F { return b.M.SFAnd(a, x) }
 
-// CNot implements Ops.
-func (b *BScalar) CNot(a vm.F) vm.F { return b.M.SFNot(a) }
-
 // Select implements Ops.
 func (b *BScalar) Select(c vm.F, a, x vm.S) vm.S {
 	b.tick()
@@ -166,9 +154,6 @@ func (b *BScalar) Select(c vm.F, a, x vm.S) vm.S {
 // Interleave implements Ops: with one lane, outputs are already in
 // consecutive-storage order.
 func (b *BScalar) Interleave(even, odd vm.S) (vm.S, vm.S) { return even, odd }
-
-// Deinterleave implements Ops (identity for one lane).
-func (b *BScalar) Deinterleave(r0, r1 vm.S) (vm.S, vm.S) { return r0, r1 }
 
 // Shr implements Ops.
 func (b *BScalar) Shr(a vm.S, n uint) vm.S {

@@ -311,6 +311,28 @@ func TestPredicatedVariantSavesBlends(t *testing.T) {
 	}
 }
 
+// TestB512LevelFeatures pins the Figure 6 feature matrix NewB512 derives
+// from each 512-bit level: which tiers lower to a native 64-bit widening
+// multiply (+M, or the +Mh pair) and which to native carries (+C).
+func TestB512LevelFeatures(t *testing.T) {
+	for _, c := range []struct {
+		level      isa.Level
+		mul, carry bool
+	}{
+		{isa.LevelAVX512, false, false},
+		{isa.LevelMQX, true, true},
+		{isa.LevelMQXMulOnly, true, false},
+		{isa.LevelMQXCarryOnly, false, true},
+		{isa.LevelMQXMulHi, true, true},
+		{isa.LevelMQXPredicated, true, true},
+	} {
+		b := NewB512(vm.New(vm.TraceOff), c.level)
+		if mul := b.NativeMulWide || b.NativeMulHi; mul != c.mul || b.NativeCarry != c.carry {
+			t.Errorf("%v: native mul %v carry %v, want %v %v", c.level, mul, b.NativeCarry, c.mul, c.carry)
+		}
+	}
+}
+
 func TestInterleave(t *testing.T) {
 	// 512-bit interleave.
 	m := vm.New(vm.TraceOff)

@@ -1,7 +1,10 @@
 // Package kernels builds the paper's double-word modular arithmetic kernels
-// (Listings 1-3) as instruction streams on the internal/vm machine, once per
-// ISA tier: scalar x86-64, AVX2, AVX-512 and MQX (including the Figure 6
-// sensitivity variants).
+// (Listings 1-3), and the single-word RNS-lane kernels beside them, as
+// instruction streams on the internal/vm machine, once per ISA tier: scalar
+// x86-64, AVX2, AVX-512 and MQX (including the Figure 6 sensitivity
+// variants). perfmodel records their loop bodies for the modeled tables and
+// figures, and ntt.ForwardVM runs a whole forward transform on them, which
+// core.VerifyAllTiers checks against the native engine.
 //
 // The algorithms are written once against the Ops interface; each backend
 // lowers the primitive operations to its ISA's best sequence. A backend with
@@ -12,8 +15,6 @@
 // paper identifies as the AVX-512 bottleneck (Section 4).
 package kernels
 
-import "mqxgo/internal/isa"
-
 // Ops is the primitive vocabulary of double-word modular arithmetic over a
 // backend's word type W (one or more 64-bit lanes) and condition type C
 // (carry/borrow/comparison results: CPU flags, k-masks, or lane masks).
@@ -23,8 +24,6 @@ import "mqxgo/internal/isa"
 type Ops[W, C any] interface {
 	// Lanes returns how many 64-bit elements W holds.
 	Lanes() int
-	// Level identifies the ISA tier for reporting.
-	Level() isa.Level
 
 	// Broadcast materializes a loop-invariant constant. Call before
 	// BeginLoop so it lands in the preamble.
@@ -33,9 +32,6 @@ type Ops[W, C any] interface {
 	Load(s []uint64, i int) W
 	// Store writes Lanes() contiguous words to s at index i.
 	Store(s []uint64, i int, w W)
-
-	// Zero returns the cleared condition (no carry in).
-	Zero() C
 
 	Add(a, b W) W
 	Sub(a, b W) W
@@ -72,7 +68,6 @@ type Ops[W, C any] interface {
 
 	COr(a, b C) C
 	CAnd(a, b C) C
-	CNot(a C) C
 
 	// Select returns b where c is set, a elsewhere.
 	Select(c C, a, b W) W
@@ -81,9 +76,6 @@ type Ops[W, C any] interface {
 	// order: r0 holds lanes {e0,o0,e1,o1,...} and r1 the upper half. For
 	// a scalar backend this is the identity.
 	Interleave(even, odd W) (r0, r1 W)
-	// Deinterleave is the inverse of Interleave: it splits two
-	// consecutive-storage registers back into even and odd streams.
-	Deinterleave(r0, r1 W) (even, odd W)
 
 	// Shr and Shl are lane-wise shifts by an immediate.
 	Shr(a W, n uint) W

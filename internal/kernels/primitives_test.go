@@ -39,7 +39,7 @@ func TestPrimitives512Conformance(t *testing.T) {
 			x, y := randOperand(r), randOperand(r)
 			ci := r.Intn(2)
 			xv, yv := b.Broadcast(x), b.Broadcast(y)
-			ciM := b.Zero()
+			ciM := m.SetMask(0)
 			if ci == 1 {
 				ciM = m.SetMask(0xff)
 			}
@@ -101,12 +101,12 @@ func TestPrimitivesAVX2Conformance(t *testing.T) {
 	m := vm.New(vm.TraceOff)
 	b := NewB256(m)
 	m.BeginLoop()
-	ones := m.Set1x4(^uint64(0))
+	zero, ones := m.Set1x4(0), m.Set1x4(^uint64(0))
 	for iter := 0; iter < 500; iter++ {
 		x, y := randOperand(r), randOperand(r)
 		ci := r.Intn(2)
 		xv, yv := b.Broadcast(x), b.Broadcast(y)
-		ciM := b.Zero()
+		ciM := zero
 		if ci == 1 {
 			ciM = ones
 		}

@@ -15,8 +15,7 @@ type SW[W, C any] struct {
 	O   Ops[W, C]
 	Mod *modmath.Modulus64
 
-	q, mu, twoQ W
-	n           uint
+	q, twoQ W
 
 	// minU is the backend's native unsigned minimum when it has one
 	// (AVX-512 VPMINUQ); the lazy conditional subtracts lower to
@@ -30,9 +29,7 @@ func NewSW[W, C any](o Ops[W, C], mod *modmath.Modulus64) *SW[W, C] {
 		O:    o,
 		Mod:  mod,
 		q:    o.Broadcast(mod.Q),
-		mu:   o.Broadcast(mod.Mu),
 		twoQ: o.Broadcast(2 * mod.Q),
-		n:    mod.N,
 	}
 	if m, ok := o.(MinUOps[W]); ok {
 		s.minU = m
@@ -56,27 +53,6 @@ func (s *SW[W, C]) SubMod(a, b W) W {
 	fixed := o.Add(d, s.q)
 	wrap := o.CmpLt(a, b)
 	return o.Select(wrap, d, fixed)
-}
-
-// MulMod returns (a * b) mod q per lane via Barrett reduction — the
-// 64-bit analogue of the paper's Eq. 4 pipeline.
-func (s *SW[W, C]) MulMod(a, b W) W {
-	o := s.O
-	hi, lo := o.MulWide(a, b)
-
-	// t1 = floor(t / 2^(n-1)), at most n+1 <= 63 bits.
-	t1 := o.Or(o.Shr(lo, s.n-1), o.Shl(hi, 65-s.n))
-
-	// qhat = floor(t1 * mu / 2^(n+1)).
-	h2, l2 := o.MulWide(t1, s.mu)
-	qhat := o.Or(o.Shr(l2, s.n+1), o.Shl(h2, 63-s.n))
-
-	r := o.Sub(lo, o.MulLo(qhat, s.q))
-
-	// Two corrective subtractions (Barrett bound).
-	r = s.condSubQ(r)
-	r = s.condSubQ(r)
-	return r
 }
 
 func (s *SW[W, C]) condSubQ(r W) W {
@@ -180,11 +156,4 @@ func (s *SW[W, C]) LazyButterfly(a, b, w, wPre W) (even, odd W) {
 	even = s.AddLazy(a, b)
 	odd = s.MulShoupLazy(s.SubLazy(a, b), w, wPre)
 	return even, odd
-}
-
-// LazyButterflyLast is the final-stage variant (ring.Shoup64.CTSpanLast):
-// the same dataflow plus the deferred normalization landing on both lanes.
-func (s *SW[W, C]) LazyButterflyLast(a, b, w, wPre W) (even, odd W) {
-	even, odd = s.LazyButterfly(a, b, w, wPre)
-	return s.condSubQLazy(even), s.condSubQLazy(odd)
 }

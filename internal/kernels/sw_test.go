@@ -47,7 +47,6 @@ func TestSWKernels512AllLevels(t *testing.T) {
 
 			add := s.AddMod(a, bb)
 			sub := s.SubMod(a, bb)
-			mul := s.MulMod(a, bb)
 			shoup := s.MulShoup(a, w, wp)
 			even, odd := s.Butterfly(a, bb, w, wp)
 			for l := 0; l < 8; l++ {
@@ -56,9 +55,6 @@ func TestSWKernels512AllLevels(t *testing.T) {
 				}
 				if sub.X[l] != mod.Sub(as[l], bs[l]) {
 					t.Fatalf("%v SubMod lane %d", level, l)
-				}
-				if mul.X[l] != mod.Mul(as[l], bs[l]) {
-					t.Fatalf("%v MulMod lane %d: got %d want %d", level, l, mul.X[l], mod.Mul(as[l], bs[l]))
 				}
 				if shoup.X[l] != mod.Mul(as[l], ws[l]) {
 					t.Fatalf("%v MulShoup lane %d", level, l)
@@ -85,10 +81,10 @@ func TestSWKernelsScalarAndAVX2(t *testing.T) {
 		m.BeginLoop()
 		for i := 0; i < 500; i++ {
 			a, x := r.Uint64()%mod.Q, r.Uint64()%mod.Q
-			sl := []uint64{a, x}
-			av, xv := m.SLoad(sl, 0), m.SLoad(sl, 1)
-			if s.MulMod(av, xv).X != mod.Mul(a, x) {
-				t.Fatalf("scalar MulMod(%d, %d)", a, x)
+			sl := []uint64{a, x, mod.ShoupPrecompute(x)}
+			av, xv, xp := m.SLoad(sl, 0), m.SLoad(sl, 1), m.SLoad(sl, 2)
+			if s.MulShoup(av, xv, xp).X != mod.Mul(a, x) {
+				t.Fatalf("scalar MulShoup(%d, %d)", a, x)
 			}
 			if s.AddMod(av, xv).X != mod.Add(a, x) {
 				t.Fatalf("scalar AddMod(%d, %d)", a, x)
@@ -106,16 +102,16 @@ func TestSWKernelsScalarAndAVX2(t *testing.T) {
 		m.BeginLoop()
 		for i := 0; i < 300; i++ {
 			var as, xs [4]uint64
-			sl := make([]uint64, 8)
+			sl := make([]uint64, 12)
 			for l := 0; l < 4; l++ {
 				as[l], xs[l] = r.Uint64()%mod.Q, r.Uint64()%mod.Q
-				sl[l], sl[4+l] = as[l], xs[l]
+				sl[l], sl[4+l], sl[8+l] = as[l], xs[l], mod.ShoupPrecompute(xs[l])
 			}
-			av, xv := m.Load4(sl, 0), m.Load4(sl, 4)
-			mul := s.MulMod(av, xv)
+			av, xv, xp := m.Load4(sl, 0), m.Load4(sl, 4), m.Load4(sl, 8)
+			mul := s.MulShoup(av, xv, xp)
 			for l := 0; l < 4; l++ {
 				if mul.X[l] != mod.Mul(as[l], xs[l]) {
-					t.Fatalf("avx2 MulMod lane %d", l)
+					t.Fatalf("avx2 MulShoup lane %d", l)
 				}
 			}
 		}
@@ -124,11 +120,11 @@ func TestSWKernelsScalarAndAVX2(t *testing.T) {
 
 // TestRNSLaneVsDoubleWordInstructionCounts quantifies the kernel-level
 // trade-off behind the paper's Section 1 motivation: per 8 SIMD lanes,
-// the 64-bit RNS kernel needs far fewer instructions than the 128-bit
-// double-word kernel on plain AVX-512 (no carry emulation is needed at
-// 64 bits), and MQX shrinks the double-word kernel much more than the
-// single-word one — the extension specifically attacks the multi-word
-// bottleneck.
+// the 64-bit RNS multiply (the Shoup multiply the towers run) needs far
+// fewer instructions than the 128-bit double-word Barrett multiply on
+// plain AVX-512 (no carry emulation is needed at 64 bits), and MQX
+// shrinks the double-word kernel much more than the single-word one — the
+// extension specifically attacks the multi-word bottleneck.
 func TestRNSLaneVsDoubleWordInstructionCounts(t *testing.T) {
 	mod64 := sw64Mod(t)
 	mod128 := modmath.DefaultModulus128()
@@ -137,10 +133,11 @@ func TestRNSLaneVsDoubleWordInstructionCounts(t *testing.T) {
 		m := vm.New(vm.TraceCounts)
 		b := NewB512(m, level)
 		s := NewSW[vm.V, vm.M](b, mod64)
+		w, wPre := b.Broadcast(5), b.Broadcast(mod64.ShoupPrecompute(5))
 		m.BeginLoop()
 		x := b.Broadcast(123)
-		s.MulMod(x, x)
-		return m.TotalOps() - 1 // exclude the broadcast
+		s.MulShoup(x, w, wPre)
+		return m.TotalOps() - 3 // exclude the broadcasts
 	}
 	countDW := func(level isa.Level) int64 {
 		m := vm.New(vm.TraceCounts)
@@ -156,7 +153,7 @@ func TestRNSLaneVsDoubleWordInstructionCounts(t *testing.T) {
 	dwAVX, dwMQX := countDW(isa.LevelAVX512), countDW(isa.LevelMQX)
 
 	if swAVX*4 > dwAVX {
-		t.Errorf("64-bit mulmod (%d ops) should be >4x smaller than 128-bit (%d ops) on AVX-512", swAVX, dwAVX)
+		t.Errorf("64-bit Shoup mulmod (%d ops) should be >4x smaller than 128-bit (%d ops) on AVX-512", swAVX, dwAVX)
 	}
 	gainSW := float64(swAVX) / float64(swMQX)
 	gainDW := float64(dwAVX) / float64(dwMQX)

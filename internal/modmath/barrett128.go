@@ -176,9 +176,3 @@ func (m *Modulus128) Pow(base u128.U128, exp u128.U128) u128.U128 {
 func (m *Modulus128) Inv(a u128.U128) u128.U128 {
 	return m.Pow(a, m.Q.Sub64(2))
 }
-
-// ReduceWide reduces an arbitrary 128-bit value (not necessarily < 2q)
-// modulo q using division; a setup-path helper.
-func (m *Modulus128) ReduceWide(a u128.U128) u128.U128 {
-	return a.Mod(m.Q)
-}

@@ -39,15 +39,6 @@ func (m *Modulus128) PrimitiveRootOfUnity(n uint64) (u128.U128, error) {
 	return u128.Zero, fmt.Errorf("modmath: no primitive %d-th root found for q=%s", n, m.Q)
 }
 
-// MustPrimitiveRootOfUnity is PrimitiveRootOfUnity but panics on error.
-func (m *Modulus128) MustPrimitiveRootOfUnity(n uint64) u128.U128 {
-	w, err := m.PrimitiveRootOfUnity(n)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // PrimitiveRootOfUnity64 is the single-word analogue used by the RNS
 // substrate's 64-bit NTTs.
 func (m *Modulus64) PrimitiveRootOfUnity64(n uint64) (uint64, error) {

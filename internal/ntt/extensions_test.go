@@ -4,12 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"mqxgo/internal/blas"
-	"mqxgo/internal/isa"
-	"mqxgo/internal/kernels"
 	"mqxgo/internal/ring"
 	"mqxgo/internal/u128"
-	"mqxgo/internal/vm"
 )
 
 func TestBatchTransforms(t *testing.T) {
@@ -33,62 +29,5 @@ func TestBatchTransforms(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPolyMulNegacyclicVMAllLevels(t *testing.T) {
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(95))
-	n := 64
-	p := mustPlan(t, mod, n)
-	a := randPoly(r, mod, n)
-	b := randPoly(r, mod, n)
-	want := polyMul(p, a, b)
-	av, bv := blas.FromSlice(a), blas.FromSlice(b)
-
-	check := func(level string, got blas.Vector, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if !got.At(i).Equal(want[i]) {
-				t.Fatalf("%s: VM polymul differs at %d", level, i)
-			}
-		}
-	}
-
-	{
-		m := vm.New(vm.TraceOff)
-		bk := kernels.NewBScalar(m)
-		d := kernels.NewDW[vm.S, vm.F](bk, mod)
-		m.BeginLoop()
-		got, err := PolyMulNegacyclicVM(d, p, av, bv)
-		check("scalar", got, err)
-	}
-	{
-		m := vm.New(vm.TraceOff)
-		bk := kernels.NewB256(m)
-		d := kernels.NewDW[vm.V4, vm.V4](bk, mod)
-		m.BeginLoop()
-		got, err := PolyMulNegacyclicVM(d, p, av, bv)
-		check("avx2", got, err)
-	}
-	for _, level := range []isa.Level{isa.LevelAVX512, isa.LevelMQX} {
-		m := vm.New(vm.TraceOff)
-		bk := kernels.NewB512(m, level)
-		d := kernels.NewDW[vm.V, vm.M](bk, mod)
-		m.BeginLoop()
-		got, err := PolyMulNegacyclicVM(d, p, av, bv)
-		check(level.String(), got, err)
-	}
-
-	// Length validation.
-	m := vm.New(vm.TraceOff)
-	bk := kernels.NewB512(m, isa.LevelAVX512)
-	d := kernels.NewDW[vm.V, vm.M](bk, mod)
-	m.BeginLoop()
-	if _, err := PolyMulNegacyclicVM(d, p, blas.NewVector(8), bv); err == nil {
-		t.Error("expected length error")
 	}
 }

@@ -12,13 +12,14 @@
 //   - Plan (plan.go, native.go): the 128-bit engine plan, whose
 //     ForwardInto, InverseInto, PolyMulNegacyclicInto and
 //     BatchForwardInto delegate to the generic plan, plus the SoA
-//     blas.Vector twiddle mirrors the trace-machine and baseline
+//     blas.Vector forward-twiddle mirror the trace-machine and baseline
 //     dataflows read.
 //   - Plan64 (ntt64.go): a cached handle to the 64-bit engine plan; every
 //     caller transforms through Generic().
-//   - ForwardVM / InverseVM / PolyMulNegacyclicVM (vmntt.go, vmpoly.go):
-//     generic over a kernels backend, producing scalar/AVX2/AVX-512/MQX
-//     instruction streams on the trace machine for performance modeling.
+//   - ForwardVM (vmntt.go): generic over a kernels backend, producing the
+//     scalar/AVX2/AVX-512/MQX instruction stream of the forward transform
+//     on the trace machine, which core.VerifyAllTiers checks against the
+//     native engine.
 //   - Reference / SchoolbookNegacyclic (reference.go): the O(n^2)
 //     definitions, used as ground truth.
 //
@@ -35,11 +36,10 @@ import (
 )
 
 // Plan holds the precomputed tables for size-n transforms modulo q with
-// 128-bit coefficients. The exported twiddle fields are SoA blas.Vector
-// mirrors of the generic engine's tables, read by the trace-machine
-// dataflows (ForwardVM, InverseVM, PolyMulNegacyclicVM) and the baseline
-// backends (ForwardWith, core.BigPlan); the transforms themselves run on
-// the embedded generic plan.
+// 128-bit coefficients. FwdTw is an SoA blas.Vector mirror of the generic
+// engine's forward twiddles, read by the trace-machine dataflow
+// (ForwardVM) and the baseline backends (ForwardWith, core.BigPlan); the
+// transforms themselves run on the embedded generic plan.
 type Plan struct {
 	Mod *modmath.Modulus128
 	N   int // transform size, a power of two >= 2
@@ -47,14 +47,8 @@ type Plan struct {
 
 	NInv u128.U128 // N^-1 mod q
 
-	// FwdTw[s] and InvTw[s] hold the N/2 stage-s twiddles in SoA layout.
+	// FwdTw[s] holds the N/2 stage-s forward twiddles in SoA layout.
 	FwdTw []blas.Vector
-	InvTw []blas.Vector
-
-	// Negacyclic twist tables (psi is a primitive 2N-th root with
-	// psi^2 = omega): Twist[j] = psi^j, Untwist[j] = psi^-j * N^-1.
-	Twist   blas.Vector
-	Untwist blas.Vector
 
 	g *ring.Plan[u128.U128, ring.Barrett128]
 }
@@ -75,17 +69,10 @@ func NewPlan(mod *modmath.Modulus128, n int) (*Plan, error) {
 		g:    g,
 	}
 	p.FwdTw = make([]blas.Vector, g.M)
-	p.InvTw = make([]blas.Vector, g.M)
 	for s := 0; s < g.M; s++ {
 		fw, _ := g.FwdStage(s)
-		iv, _ := g.InvStage(s)
 		p.FwdTw[s] = blas.FromSlice(fw)
-		p.InvTw[s] = blas.FromSlice(iv)
 	}
-	tw, _ := g.TwistTable()
-	utw, _ := g.UntwistTable()
-	p.Twist = blas.FromSlice(tw)
-	p.Untwist = blas.FromSlice(utw)
 	return p, nil
 }
 

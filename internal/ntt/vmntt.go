@@ -48,27 +48,3 @@ func ForwardVM[W, C any](d *kernels.DW[W, C], p *Plan, x blas.Vector) (blas.Vect
 	}
 	return src, nil
 }
-
-// InverseVM computes the inverse NTT on the trace machine (bit-reversed
-// input, natural output, including the 1/N scaling pass).
-func InverseVM[W, C any](d *kernels.DW[W, C], p *Plan, y blas.Vector) (blas.Vector, error) {
-	if y.Len() != p.N {
-		return blas.Vector{}, fmt.Errorf("ntt: input length %d != plan size %d", y.Len(), p.N)
-	}
-	o := d.O
-	lanes := o.Lanes()
-	half := p.N / 2
-	if half%lanes != 0 {
-		return blas.Vector{}, fmt.Errorf("ntt: n/2 = %d not a multiple of %d lanes", half, lanes)
-	}
-	out := inverseNoScaleVM(d, p, y)
-	// Final 1/N scaling pass, in place.
-	nInv := blas.Broadcast128(o, p.NInv)
-	for i := 0; i < p.N; i += lanes {
-		v := kernels.DWPair[W]{Hi: o.Load(out.Hi, i), Lo: o.Load(out.Lo, i)}
-		z := d.MulMod(v, nInv)
-		o.Store(out.Hi, i, z.Hi)
-		o.Store(out.Lo, i, z.Lo)
-	}
-	return out, nil
-}

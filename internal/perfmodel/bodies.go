@@ -62,18 +62,11 @@ func ModOpBody(level isa.Level, mod *modmath.Modulus128, op ModOp) *Body {
 	return record(level, mod, false, func(o dwAny) { o.modOp(op) })
 }
 
-// InverseButterflyBody records one inverse-NTT stage iteration
-// (deinterleave, twiddle multiply, add/sub, split stores).
-func InverseButterflyBody(level isa.Level, mod *modmath.Modulus128) *Body {
-	return record(level, mod, true, func(o dwAny) { o.inverseIter() })
-}
-
 // dwAny adapts the three generic backend instantiations to one interface
 // for body recording.
 type dwAny interface {
 	butterflyIter()
 	blasIter(op blas.Op)
-	inverseIter()
 	modOp(op ModOp)
 	lanes() int
 }
@@ -120,27 +113,6 @@ func (r *dwRunner[W, C]) butterflyIter() {
 	o.Store(r.buf.Lo, 0, lo0)
 	o.Store(r.buf.Hi, L, hi1)
 	o.Store(r.buf.Lo, L, lo1)
-}
-
-func (r *dwRunner[W, C]) inverseIter() {
-	o := r.d.O
-	L := o.Lanes()
-	r0Hi := o.Load(r.buf.Hi, 0)
-	r0Lo := o.Load(r.buf.Lo, 0)
-	r1Hi := o.Load(r.buf.Hi, L)
-	r1Lo := o.Load(r.buf.Lo, L)
-	eHi, oHi := o.Deinterleave(r0Hi, r1Hi)
-	eLo, oLo := o.Deinterleave(r0Lo, r1Lo)
-	e := kernels.DWPair[W]{Hi: eHi, Lo: eLo}
-	od := kernels.DWPair[W]{Hi: oHi, Lo: oLo}
-	w := kernels.DWPair[W]{Hi: o.Load(r.buf.Hi, 2*L), Lo: o.Load(r.buf.Lo, 2*L)}
-	t := r.d.MulMod(od, w)
-	sum := r.d.AddMod(e, t)
-	diff := r.d.SubMod(e, t)
-	o.Store(r.buf.Hi, 0, sum.Hi)
-	o.Store(r.buf.Lo, 0, sum.Lo)
-	o.Store(r.buf.Hi, L, diff.Hi)
-	o.Store(r.buf.Lo, L, diff.Lo)
 }
 
 func (r *dwRunner[W, C]) modOp(op ModOp) {

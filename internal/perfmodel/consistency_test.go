@@ -22,6 +22,28 @@ func mustPlan(t *testing.T, mod *modmath.Modulus128, n int) *ntt.Plan {
 	return p
 }
 
+// forwardVMCounts runs a complete functional ForwardVM of x at level and
+// returns the per-op counts the machine tallied, loop-invariant setup
+// included.
+func forwardVMCounts(t *testing.T, level isa.Level, mod *modmath.Modulus128, plan *ntt.Plan, x blas.Vector) map[isa.Op]int64 {
+	t.Helper()
+	m := vm.New(vm.TraceCounts)
+	var err error
+	if level == isa.LevelAVX2 {
+		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), mod)
+		m.BeginLoop()
+		_, err = ntt.ForwardVM(d, plan, x)
+	} else {
+		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), mod)
+		m.BeginLoop()
+		_, err = ntt.ForwardVM(d, plan, x)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Counts()
+}
+
 // TestModelMatchesFullTrace validates the analytic composition the NTT
 // model relies on: (ops per butterfly-body iteration) x (iterations) must
 // equal the instruction counts of a complete functional ForwardVM run,
@@ -30,8 +52,15 @@ func mustPlan(t *testing.T, mod *modmath.Modulus128, n int) *ntt.Plan {
 func TestModelMatchesFullTrace(t *testing.T) {
 	mod := modmath.DefaultModulus128()
 	const n = 256
+	plan := mustPlan(t, mod, n)
+	x := blas.NewVector(n)
+	v := u128.From64(9)
+	for i := 0; i < n; i++ {
+		x.Set(i, v)
+		v = mod.Mul(v, mod.Q.Sub64(12345))
+	}
 
-	for _, level := range []isa.Level{isa.LevelAVX512, isa.LevelMQX} {
+	for _, level := range []isa.Level{isa.LevelAVX2, isa.LevelAVX512, isa.LevelMQX} {
 		// Per-iteration op counts from the model's body (vector ops only;
 		// the body also carries modeled scalar loop overhead that the
 		// functional emulation does not execute).
@@ -43,25 +72,8 @@ func TestModelMatchesFullTrace(t *testing.T) {
 			}
 		}
 
-		// Full functional run with counting.
-		m := vm.New(vm.TraceCounts)
-		b := kernels.NewB512(m, level)
-		d := kernels.NewDW[vm.V, vm.M](b, mod)
-		plan := mustPlan(t, mod, n)
-		m.BeginLoop()
-		x := blas.NewVector(n)
-		v := u128.From64(9)
-		for i := 0; i < n; i++ {
-			x.Set(i, v)
-			v = mod.Mul(v, mod.Q.Sub64(12345))
-		}
-		if _, err := ntt.ForwardVM(d, plan, x); err != nil {
-			t.Fatal(err)
-		}
-		got := m.Counts()
-
-		stages := plan.M
-		iters := int64(stages) * int64(n/2) / 8
+		got := forwardVMCounts(t, level, mod, plan, x)
+		iters := int64(plan.M) * int64(n/2) / int64(level.Lanes())
 		for op, c := range perIter {
 			if got[op] != c*iters {
 				t.Errorf("%v %v: full trace has %d, model predicts %d x %d = %d",
@@ -73,7 +85,7 @@ func TestModelMatchesFullTrace(t *testing.T) {
 		// materialization), which TraceCounts tallies but the model
 		// rightly excludes from the steady-state body.
 		for op, c := range got {
-			if op == isa.AVX512Bcast || op == isa.AVX512KMov {
+			if op == isa.AVX512Bcast || op == isa.AVX512KMov || op == isa.AVX2Bcast {
 				continue
 			}
 			if op >= 100 && perIter[op] == 0 && c > 0 {
@@ -81,52 +93,4 @@ func TestModelMatchesFullTrace(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestNTTDominatesPolyMulPipeline reproduces the paper's Section 1 claim
-// that NTTs account for the overwhelming majority of FHE polynomial
-// arithmetic: in the full negacyclic multiplication pipeline, the three
-// transforms dominate the instruction count (>85% at size 1024, growing
-// with size since the transforms are the only O(n log n) part).
-func TestNTTDominatesPolyMulPipeline(t *testing.T) {
-	mod := modmath.DefaultModulus128()
-	const n = 1024
-	plan := mustPlan(t, mod, n)
-
-	countOps := func(run func(d *kernels.DW[vm.V, vm.M], x blas.Vector)) int64 {
-		m := vm.New(vm.TraceCounts)
-		b := kernels.NewB512(m, isa.LevelAVX512)
-		d := kernels.NewDW[vm.V, vm.M](b, mod)
-		m.BeginLoop()
-		x := blas.NewVector(n)
-		v := u128.From64(11)
-		for i := 0; i < n; i++ {
-			x.Set(i, v)
-			v = mod.Mul(v, mod.Q.Sub64(999))
-		}
-		run(d, x)
-		return m.TotalOps()
-	}
-
-	nttOps := countOps(func(d *kernels.DW[vm.V, vm.M], x blas.Vector) {
-		if _, err := ntt.ForwardVM(d, plan, x); err != nil {
-			t.Fatal(err)
-		}
-	})
-	pipelineOps := countOps(func(d *kernels.DW[vm.V, vm.M], x blas.Vector) {
-		if _, err := ntt.PolyMulNegacyclicVM(d, plan, x, x); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	// The pipeline runs 2 forward + 1 inverse transforms plus the twists
-	// and the point-wise product. The transforms are the only
-	// O(n log n) component, so their share grows with n; at n=1024 it is
-	// already the bulk of the work (the paper's >90%-of-runtime figure is
-	// at application level, where each homomorphic op runs many NTTs).
-	share := float64(3*nttOps) / float64(pipelineOps)
-	if share < 0.75 {
-		t.Errorf("NTT share of polymul pipeline = %.1f%%, expected > 75%%", share*100)
-	}
-	t.Logf("NTT share of the negacyclic polymul pipeline at n=%d: %.1f%% (paper: >90%% of FHE runtime)", n, share*100)
 }

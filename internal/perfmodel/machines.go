@@ -10,11 +10,7 @@
 // modeled scalar tier when composing the paper's figures.
 package perfmodel
 
-import (
-	"fmt"
-
-	"mqxgo/internal/isa"
-)
+import "mqxgo/internal/isa"
 
 // Machine describes one modeled CPU (Table 4 plus the SOL machines).
 // Bandwidths are sustained per-core figures in bytes per cycle, used by the
@@ -42,8 +38,8 @@ type Machine struct {
 	// get close, but compiled scalar Go loops carry address arithmetic,
 	// bounds logic and a serial dependence the scheduler's pure
 	// port-pressure bound does not see. Calibrated machines (CIBenchHost)
-	// carry the measured ratio so rankings against compiled scalar code
-	// use realistic baselines; the paper's Table 4 machines keep the
+	// carry the measured ratio so projections against compiled scalar
+	// code use realistic baselines; the paper's Table 4 machines keep the
 	// factor at zero to stay faithful to the published model.
 	ScalarSchedFactor float64
 }
@@ -117,9 +113,10 @@ var AMDEPYC9965S = &Machine{
 // BenchPR7Anchor), where the AVX-512 asm lands within a few percent of
 // the pure port-pressure bound (~2.56 measured vs ~2.5 modeled
 // cycles/butterfly) but the compiled scalar loop runs ~1.7x slower than
-// the bound (10.25 vs 6.0 cycles/butterfly). Ranking against that
-// uncorrected scalar baseline is exactly how a VM ranking can pick the
-// wrong body; pipeline_test.go bounds the drift so it cannot regress
+// the bound (10.25 vs 6.0 cycles/butterfly). Every speed-up projected
+// over that uncorrected scalar baseline would be skewed; the benchmark
+// prints this machine's lazy-body projection beside the measured
+// transform, and pipeline_test.go bounds the drift so it cannot regress
 // silently.
 var CIBenchHost = &Machine{
 	Name:           "CI bench host",
@@ -171,21 +168,6 @@ var MeasurementMachines = []*Machine{IntelXeon8352Y, AMDEPYC9654}
 var SOLMachines = map[string]*Machine{
 	IntelXeon8352Y.Name: IntelXeon6980P,
 	AMDEPYC9654.Name:    AMDEPYC9965S,
-}
-
-// MachineByName returns a machine from either set.
-func MachineByName(name string) (*Machine, error) {
-	for _, m := range MeasurementMachines {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	for _, m := range SOLMachines {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("perfmodel: unknown machine %q", name)
 }
 
 // BWForWorkingSet returns the sustained per-core bandwidth (bytes/cycle)

@@ -27,12 +27,6 @@ func MeasureProtocol(total, keep int, fn func()) float64 {
 	return float64(sum.Nanoseconds()) / float64(keep)
 }
 
-// MeasureNTT applies the NTT protocol (100 runs, final 50).
-func MeasureNTT(fn func()) float64 { return MeasureProtocol(100, 50, fn) }
-
-// MeasureBLAS applies the BLAS protocol (1000 runs, final 500).
-func MeasureBLAS(fn func()) float64 { return MeasureProtocol(1000, 500, fn) }
-
 // BaselineRatios holds host-measured slowdown factors of the baseline
 // libraries relative to the optimized native scalar implementation. The
 // figure generators anchor the "GMP" and "OpenFHE built-in backend" series

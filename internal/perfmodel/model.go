@@ -112,17 +112,6 @@ func (m *NTTModel) NsPerButterfly() float64 {
 	return m.TimeNs() / butterflies
 }
 
-// MemoryBound reports whether the memory term dominates the compute term
-// (the regime past the paper's L2 knee).
-func (m *NTTModel) MemoryBound() bool {
-	k := m.Kernel
-	itersPerStage := float64(m.N/2) / float64(k.Body.Lanes)
-	compute := itersPerStage * k.CyclesPerIter
-	bw := k.Machine.BWForWorkingSet(m.WorkingSetBytes())
-	memory := itersPerStage * float64(k.BytesPerIter) / bw
-	return memory > compute
-}
-
 // BLASModel models a length-len Figure 4 BLAS kernel.
 type BLASModel struct {
 	Kernel *KernelModel
@@ -151,39 +140,6 @@ func (m *BLASModel) CyclesTotal() float64 {
 // NsPerElement returns the paper's Figure 4 metric: runtime per element.
 func (m *BLASModel) NsPerElement() float64 {
 	return m.CyclesTotal() / m.Kernel.Machine.MaxGHz / float64(m.Len)
-}
-
-// PolyMulModel composes the full negacyclic polynomial-multiplication
-// pipeline from its parts: two forward transforms, one inverse transform
-// (modeled with the forward butterfly — same operation mix), and three
-// point-wise multiplication passes (two twists and the product) plus the
-// untwist fold (counted as one more pass).
-type PolyMulModel struct {
-	NTT  *NTTModel
-	PMul *BLASModel
-	N    int
-}
-
-// NewPolyMulModel builds the pipeline model at size n for one tier.
-func NewPolyMulModel(mach *Machine, level isa.Level, mod *modmath.Modulus128, n int) *PolyMulModel {
-	return &PolyMulModel{
-		NTT:  NewNTTModel(NewKernelModel(mach, ButterflyBody(level, mod)), n),
-		PMul: NewBLASModel(NewKernelModel(mach, BLASBody(level, mod, blas.OpVecPMul)), blas.OpVecPMul, n),
-		N:    n,
-	}
-}
-
-// TimeNs is the projected pipeline time on one core.
-func (m *PolyMulModel) TimeNs() float64 {
-	transforms := 3 * m.NTT.TimeNs()
-	pointwise := 4 * m.PMul.CyclesTotal() / m.NTT.Kernel.Machine.MaxGHz
-	return transforms + pointwise
-}
-
-// NTTShare is the fraction of pipeline time spent in transforms — the
-// paper's Section 1 observation that NTTs dominate FHE runtime.
-func (m *PolyMulModel) NTTShare() float64 {
-	return 3 * m.NTT.TimeNs() / m.TimeNs()
 }
 
 // ProjectNTT is the one-call helper: model an n-point NTT for a level on a

@@ -9,15 +9,6 @@ import (
 )
 
 func TestMachineLookupAndBW(t *testing.T) {
-	if _, err := MachineByName("Intel Xeon 8352Y"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MachineByName("Intel Xeon 6980P"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MachineByName("nope"); err == nil {
-		t.Fatal("expected error")
-	}
 	m := IntelXeon8352Y
 	if bw := m.BWForWorkingSet(1 << 10); bw != m.L1BW {
 		t.Errorf("small ws should hit L1 bw, got %f", bw)
@@ -39,10 +30,6 @@ func TestBodiesNonEmpty(t *testing.T) {
 		b := ButterflyBody(level, mod)
 		if len(b.Instrs) == 0 || b.Bytes == 0 {
 			t.Fatalf("%v: empty butterfly body", level)
-		}
-		ib := InverseButterflyBody(level, mod)
-		if len(ib.Instrs) == 0 {
-			t.Fatalf("%v: empty inverse body", level)
 		}
 		for _, op := range blas.AllOps {
 			bb := BLASBody(level, mod, op)
@@ -89,6 +76,16 @@ func TestPaperShapeNTT(t *testing.T) {
 		intel.scalar/intel.avx512, amd.scalar/amd.avx512)
 }
 
+// memoryBound reports whether the memory term of m's per-stage estimate
+// dominates the compute term (the regime past the paper's L2 knee).
+func memoryBound(m *NTTModel) bool {
+	k := m.Kernel
+	itersPerStage := float64(m.N/2) / float64(k.Body.Lanes)
+	compute := itersPerStage * k.CyclesPerIter
+	memory := itersPerStage * float64(k.BytesPerIter) / k.Machine.BWForWorkingSet(m.WorkingSetBytes())
+	return memory > compute
+}
+
 // TestL2KneeIntelMQX checks the Section 5.4 observation: on Intel, MQX
 // becomes memory-bound when the per-stage working set spills out of L2
 // (size 2^16), while AVX-512 remains compute-bound there.
@@ -99,16 +96,16 @@ func TestL2KneeIntelMQX(t *testing.T) {
 
 	small := NewNTTModel(kMQX, 1<<14)
 	big := NewNTTModel(kMQX, 1<<16)
-	if small.MemoryBound() {
+	if memoryBound(small) {
 		t.Error("MQX at 2^14 should be compute-bound on Intel")
 	}
-	if !big.MemoryBound() {
+	if !memoryBound(big) {
 		t.Error("MQX at 2^16 should be memory-bound on Intel")
 	}
 	if big.NsPerButterfly() <= small.NsPerButterfly() {
 		t.Error("MQX per-butterfly time should degrade past the L2 knee")
 	}
-	if NewNTTModel(kAVX, 1<<16).MemoryBound() {
+	if memoryBound(NewNTTModel(kAVX, 1<<16)) {
 		t.Error("AVX-512 at 2^16 should remain compute-bound on Intel")
 	}
 }

@@ -2,7 +2,6 @@ package perfmodel
 
 import (
 	"math"
-	"sort"
 
 	"mqxgo/internal/isa"
 	"mqxgo/internal/modmath"
@@ -11,10 +10,11 @@ import (
 // This file teaches the performance-model tier the shapes added since the
 // seed: the PR 3 lazy-reduction span kernels (as VM-recorded bodies, see
 // bodies.go) and the PR 4/PR 6 BEHZ resident-multiply pipeline (as a
-// transform census over the NTT model). Together they make the model
-// predictive for the vector kernel tier: candidate bodies are recorded,
-// scheduled, ranked, and the chosen body's projected speedup lands next to
-// the measured one in BENCH_PR7.json.
+// transform and base-conversion census over the NTT model). Together they
+// make the model predictive for the vector kernel tier: the benchmark
+// prints the lazy body's projected n=4096 forward transform beside the
+// measured one, and the drift-bound tests hold those projections to the
+// frozen BENCH_PR7 and BENCH_PR12 measurements.
 
 // BEHZResidentModel counts the mandatory transforms of one NTT-resident
 // BEHZ multiply (internal/fhe.mulResident) at a ladder level with K prime
@@ -135,74 +135,6 @@ func (m *AffineRowsModel) TimeNs() float64 {
 	bw := k.Machine.BWForWorkingSet(int64(m.N) * 8 * int64(m.Rows+1))
 	memory := iters * float64(k.BytesPerIter) / bw
 	return math.Max(compute, memory) / k.Machine.MaxGHz
-}
-
-// MulCtSpeedup is the Amdahl bound for the whole resident multiply when
-// the transform share of its runtime is nttShare and the butterfly kernel
-// gets kernelSpeedup times faster: 1 / (1 - share + share/speedup).
-func MulCtSpeedup(nttShare, kernelSpeedup float64) float64 {
-	if kernelSpeedup <= 0 {
-		return 0
-	}
-	return 1 / (1 - nttShare + nttShare/kernelSpeedup)
-}
-
-// BodyCandidate is one ranked vector-body candidate: a lazy butterfly
-// body at an ISA tier, dense or blocked, with its projected cost.
-type BodyCandidate struct {
-	Name           string
-	Level          isa.Level
-	Blocked        bool
-	NsPerButterfly float64
-	BytesPerIter   int64
-	// SpeedupVsScalar is the projected gain over the scalar lazy dense
-	// body — the PR 3 kernel the vector tier must beat.
-	SpeedupVsScalar float64
-}
-
-// RankLazyBodies records, schedules, and ranks the candidate lazy
-// butterfly bodies for an n-point transform on a machine: dense and
-// blocked variants at scalar, AVX2 and AVX-512. The result is sorted
-// fastest first; the scalar dense body is the speedup baseline. This is
-// the paper's cost-before-commit methodology applied to the tier below
-// the span seam.
-func RankLazyBodies(mach *Machine, mod64 *modmath.Modulus64, n int) []BodyCandidate {
-	levels := []isa.Level{isa.LevelScalar, isa.LevelAVX2, isa.LevelAVX512}
-	var out []BodyCandidate
-	var baseline float64
-	for _, lv := range levels {
-		for _, blocked := range []bool{false, true} {
-			var body *Body
-			name := lv.String() + "-dense"
-			if blocked {
-				body = LazySWButterflyBlkBody(lv, mod64)
-				name = lv.String() + "-blocked"
-			} else {
-				body = LazySWButterflyBody(lv, mod64)
-			}
-			ntt := NewNTTModel64(NewKernelModel(mach, body), n)
-			c := BodyCandidate{
-				Name:           name,
-				Level:          lv,
-				Blocked:        blocked,
-				NsPerButterfly: ntt.NsPerButterfly(),
-				BytesPerIter:   body.Bytes,
-			}
-			if lv == isa.LevelScalar && !blocked {
-				baseline = c.NsPerButterfly
-			}
-			out = append(out, c)
-		}
-	}
-	for i := range out {
-		if out[i].NsPerButterfly > 0 {
-			out[i].SpeedupVsScalar = baseline / out[i].NsPerButterfly
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].NsPerButterfly < out[j].NsPerButterfly
-	})
-	return out
 }
 
 // ProjectLazyNTT64 is the one-call helper for the single-word lazy tier:

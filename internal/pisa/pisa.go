@@ -50,29 +50,6 @@ func levelForTarget(op isa.Op) (isa.Level, error) {
 	return 0, fmt.Errorf("pisa: no kernel tier exercises %v", op)
 }
 
-// ProxyMarch returns a copy of march in which target's cost entry is
-// replaced by proxy's. When guard is true, one extra micro-op is appended —
-// the dependency-preserving instruction the paper inserts when the proxy
-// does not consume the same mask-register inputs as the target.
-func ProxyMarch(march *isa.Microarch, target, proxy isa.Op, guard bool) *isa.Microarch {
-	base := march.CostOf(proxy)
-	sub := isa.Cost{Lat: base.Lat, Uops: append([]isa.PortSet{}, base.Uops...)}
-	if guard {
-		sub.Uops = append(sub.Uops, base.Uops[0])
-	}
-	costs := make(map[isa.Op]isa.Cost, len(march.Costs)+1)
-	for op, c := range march.Costs {
-		costs[op] = c
-	}
-	costs[target] = sub
-	return &isa.Microarch{
-		Name:          march.Name + "+proxy(" + target.String() + ")",
-		PortNames:     march.PortNames,
-		DispatchWidth: march.DispatchWidth,
-		Costs:         costs,
-	}
-}
-
 // guardOp returns the dependency-preserving instruction the proxy build
 // inserts next to each substituted instruction ("guard the output with
 // volatile", Section 5.2): a mask move for the mask-register pairs, a

@@ -54,22 +54,6 @@ func TestMaskPairsConservative(t *testing.T) {
 	}
 }
 
-func TestProxyMarchSubstitution(t *testing.T) {
-	m := ProxyMarch(isa.SunnyCove, isa.AVX512MaskAddQ, isa.AVX512AddQ, true)
-	orig := isa.SunnyCove.CostOf(isa.AVX512AddQ)
-	got := m.Costs[isa.AVX512MaskAddQ]
-	if len(got.Uops) != len(orig.Uops)+1 {
-		t.Fatalf("guard uop missing: %d vs %d", len(got.Uops), len(orig.Uops))
-	}
-	if got.Lat != orig.Lat {
-		t.Fatalf("latency should match proxy: %d vs %d", got.Lat, orig.Lat)
-	}
-	// The original march must be untouched.
-	if len(isa.SunnyCove.CostOf(isa.AVX512MaskAddQ).Uops) != 1 {
-		t.Fatal("ProxyMarch mutated the source microarchitecture")
-	}
-}
-
 func TestLevelForTargetUnknown(t *testing.T) {
 	if _, err := levelForTarget(isa.ScalarAdd); err == nil {
 		t.Fatal("expected error for un-exercised target")

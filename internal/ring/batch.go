@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -127,26 +126,6 @@ func ParallelChunks(n, workers int, chunk func(start, end int)) {
 	if hasPanic {
 		panic(panicked)
 	}
-}
-
-// ParallelChunksCtx is ParallelChunks with a cancellation check in the
-// dispatch: ctx is tested before any work starts and again immediately
-// before each chunk body runs, and the context's error is returned when it
-// fires. Ranges whose check observed the cancellation are skipped, so on a
-// non-nil return the outputs are partial and must be discarded; a nil
-// return means every index was processed. Chunk panics propagate exactly
-// as in ParallelChunks.
-func ParallelChunksCtx(ctx context.Context, n, workers int, chunk func(start, end int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ParallelChunks(n, workers, func(start, end int) {
-		if ctx.Err() != nil {
-			return
-		}
-		chunk(start, end)
-	})
-	return ctx.Err()
 }
 
 // BatchForwardInto runs the forward transform of every input, in

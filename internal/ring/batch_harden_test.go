@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,54 +63,6 @@ func TestParallelChunksCallerPanicWaitsForPool(t *testing.T) {
 	if got := poolDone.Load(); got != int64(lastRange) {
 		t.Fatalf("pool chunks completed %d indices before unwind, want %d", got, lastRange)
 	}
-}
-
-func TestParallelChunksCtx(t *testing.T) {
-	const n = 64
-	t.Run("nil_error_covers_everything", func(t *testing.T) {
-		var covered atomic.Int64
-		err := ParallelChunksCtx(context.Background(), n, 4, func(start, end int) {
-			covered.Add(int64(end - start))
-		})
-		if err != nil {
-			t.Fatalf("ParallelChunksCtx: %v", err)
-		}
-		if covered.Load() != n {
-			t.Fatalf("covered %d of %d indices", covered.Load(), n)
-		}
-	})
-	t.Run("pre_cancelled_runs_nothing", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		ran := false
-		err := ParallelChunksCtx(ctx, n, 4, func(start, end int) { ran = true })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if ran {
-			t.Fatal("chunk ran after pre-cancelled context")
-		}
-	})
-	t.Run("deadline_error_identity", func(t *testing.T) {
-		// An already-expired deadline must surface as DeadlineExceeded —
-		// the error the serve layer maps to its timeout status.
-		ctx, cancel := context.WithTimeout(context.Background(), -1)
-		defer cancel()
-		err := ParallelChunksCtx(ctx, n, 4, func(start, end int) {})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-		}
-	})
-	t.Run("cancel_during_dispatch_is_reported", func(t *testing.T) {
-		// workers=1 keeps the ordering deterministic: one chunk, which
-		// cancels the context mid-flight; the dispatch must report it.
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		err := ParallelChunksCtx(ctx, n, 1, func(start, end int) { cancel() })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	})
 }
 
 // TestBatchLenValidationBeforeDispatch pins that a malformed batch panics

@@ -257,22 +257,6 @@ func (p *Plan[T, R]) FwdStage(s int) (w []T, pre []uint64) {
 	return p.fwdTw[s].w, p.fwdTw[s].pre
 }
 
-// InvStage returns stage s's inverse twiddles and their precomputations
-// (read-only, like FwdStage).
-func (p *Plan[T, R]) InvStage(s int) (w []T, pre []uint64) {
-	return p.invTw[s].w, p.invTw[s].pre
-}
-
-// TwistTable returns the negacyclic twist table Psi^j (read-only).
-func (p *Plan[T, R]) TwistTable() (w []T, pre []uint64) {
-	return p.twist.w, p.twist.pre
-}
-
-// UntwistTable returns the untwist table Psi^-j * N^-1 (read-only).
-func (p *Plan[T, R]) UntwistTable() (w []T, pre []uint64) {
-	return p.untwist.w, p.untwist.pre
-}
-
 // getScratch checks a ping/pong buffer pair out of the plan pool; the
 // value is only valid until the matching putScratch.
 //

@@ -240,30 +240,3 @@ func (c *Context) ewiseInto(dst, a, b Poly, f func(m *modmath.Modulus64, x, y ui
 	}
 	return nil
 }
-
-// NegInto computes dst = -a tower-wise. dst may alias a.
-func (c *Context) NegInto(dst, a Poly) error {
-	if err := c.checkPoly(dst, a); err != nil {
-		return err
-	}
-	for i, mod := range c.Mods {
-		dr, ar := dst.Res[i], a.Res[i]
-		for j := 0; j < c.N; j++ {
-			dr[j] = mod.Neg(ar[j])
-		}
-	}
-	return nil
-}
-
-// ScalarMulUint64Into computes dst = k * a for a small scalar k < min q_i
-// (reduced residue in every tower), one Shoup precomputation per tower
-// instead of a Barrett reduction per coefficient. dst may alias a.
-func (c *Context) ScalarMulUint64Into(dst, a Poly, k uint64) error {
-	if err := c.checkPoly(dst, a); err != nil {
-		return err
-	}
-	for i, mod := range c.Mods {
-		c.Plans[i].Generic().ScalarMulInto(dst.Res[i], a.Res[i], k%mod.Q)
-	}
-	return nil
-}

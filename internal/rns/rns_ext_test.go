@@ -17,17 +17,23 @@ func TestRNSSubNegScalarMul(t *testing.T) {
 	b := randCoeffs(r, c.Q, n)
 	ra, rb := decompose(t, c, a), decompose(t, c, b)
 
+	// Negation is a subtraction from zero, and a scalar multiple a
+	// pointwise product with the constant polynomial k.
 	diff, neg, scaled := c.NewPoly(), c.NewPoly(), c.NewPoly()
 	if err := c.SubInto(diff, ra, rb); err != nil {
 		t.Fatal(err)
 	}
 	gotDiff := reconstruct(t, c, diff)
-	if err := c.NegInto(neg, ra); err != nil {
+	if err := c.SubInto(neg, c.NewPoly(), ra); err != nil {
 		t.Fatal(err)
 	}
 	gotNeg := reconstruct(t, c, neg)
 	k := big.NewInt(987654321)
-	if err := c.ScalarMulUint64Into(scaled, ra, k.Uint64()); err != nil {
+	kc := make([]*big.Int, n)
+	for i := range kc {
+		kc[i] = k
+	}
+	if err := c.PMulInto(scaled, ra, decompose(t, c, kc)); err != nil {
 		t.Fatal(err)
 	}
 	gotScaled := reconstruct(t, c, scaled)
@@ -124,12 +130,6 @@ func TestExtOpsValidation(t *testing.T) {
 	}
 	if err := c.PMulInto(dst, bad, bad); err == nil {
 		t.Error("PMulInto should reject bad channels")
-	}
-	if err := c.NegInto(dst, bad); err == nil {
-		t.Error("NegInto should reject bad channels")
-	}
-	if err := c.ScalarMulUint64Into(dst, bad, 1); err == nil {
-		t.Error("ScalarMulUint64Into should reject bad channels")
 	}
 	if err := c.NegacyclicNTTAll(dst, bad, 1); err == nil {
 		t.Error("NegacyclicNTTAll should reject bad channels")

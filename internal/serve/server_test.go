@@ -395,7 +395,7 @@ func TestGracefulDrain(t *testing.T) {
 	if code := <-queued; code != http.StatusServiceUnavailable {
 		t.Fatalf("queued request during drain: %d, want 503", code)
 	}
-	waitFor(t, "draining health", func() bool { return s.Draining() })
+	waitFor(t, "draining health", func() bool { return s.draining.Load() })
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@
 //
 // The paper calls a 128-bit quantity a "double-word": [x0, x1] with x0 the
 // high 64 bits and x1 the low 64 bits (Eq. 5). U128 mirrors that layout.
-// All primitive operations (add with carry, subtract with borrow, widening
-// multiply) are the scalar counterparts of the SIMD instructions modeled in
-// internal/vm, so the vector machine's semantics can be validated lane by
-// lane against this package.
+// Its primitive operations (addition, subtraction, widening multiply) are
+// the scalar counterparts of the SIMD instructions modeled in internal/vm,
+// so the vector machine's semantics can be validated lane by lane against
+// this package.
 package u128
 
 import "math/bits"
@@ -73,14 +73,6 @@ func (x U128) Add(y U128) U128 {
 	return U128{Hi: hi, Lo: lo}
 }
 
-// AddCarry returns x + y + carryIn and the carry-out. carryIn must be 0 or 1.
-// This is the 128-bit analogue of the x86 ADC instruction chain.
-func (x U128) AddCarry(y U128, carryIn uint64) (sum U128, carryOut uint64) {
-	lo, c := bits.Add64(x.Lo, y.Lo, carryIn)
-	hi, c2 := bits.Add64(x.Hi, y.Hi, c)
-	return U128{Hi: hi, Lo: lo}, c2
-}
-
 // Add64 returns x + y mod 2^128 for a 64-bit y.
 func (x U128) Add64(y uint64) U128 {
 	lo, c := bits.Add64(x.Lo, y, 0)
@@ -92,14 +84,6 @@ func (x U128) Sub(y U128) U128 {
 	lo, b := bits.Sub64(x.Lo, y.Lo, 0)
 	hi, _ := bits.Sub64(x.Hi, y.Hi, b)
 	return U128{Hi: hi, Lo: lo}
-}
-
-// SubBorrow returns x - y - borrowIn and the borrow-out. borrowIn must be 0
-// or 1. This is the 128-bit analogue of the x86 SBB instruction chain.
-func (x U128) SubBorrow(y U128, borrowIn uint64) (diff U128, borrowOut uint64) {
-	lo, b := bits.Sub64(x.Lo, y.Lo, borrowIn)
-	hi, b2 := bits.Sub64(x.Hi, y.Hi, b)
-	return U128{Hi: hi, Lo: lo}, b2
 }
 
 // Sub64 returns x - y mod 2^128 for a 64-bit y.
@@ -149,17 +133,8 @@ func (x U128) Rsh(n uint) U128 {
 	return U128{}
 }
 
-// And returns x & y.
-func (x U128) And(y U128) U128 { return U128{Hi: x.Hi & y.Hi, Lo: x.Lo & y.Lo} }
-
 // Or returns x | y.
 func (x U128) Or(y U128) U128 { return U128{Hi: x.Hi | y.Hi, Lo: x.Lo | y.Lo} }
-
-// Xor returns x ^ y.
-func (x U128) Xor(y U128) U128 { return U128{Hi: x.Hi ^ y.Hi, Lo: x.Lo ^ y.Lo} }
-
-// Not returns ^x.
-func (x U128) Not() U128 { return U128{Hi: ^x.Hi, Lo: ^x.Lo} }
 
 // BitLen returns the number of bits required to represent x; BitLen(0) == 0.
 func (x U128) BitLen() int {
@@ -171,28 +146,6 @@ func (x U128) BitLen() int {
 
 // LeadingZeros returns the number of leading zero bits in x; 128 for x == 0.
 func (x U128) LeadingZeros() int { return 128 - x.BitLen() }
-
-// TrailingZeros returns the number of trailing zero bits in x; 128 for x == 0.
-func (x U128) TrailingZeros() int {
-	if x.Lo != 0 {
-		return bits.TrailingZeros64(x.Lo)
-	}
-	if x.Hi != 0 {
-		return 64 + bits.TrailingZeros64(x.Hi)
-	}
-	return 128
-}
-
-// Bit returns bit i of x (0 or 1). Bits at or above 128 are zero.
-func (x U128) Bit(i uint) uint64 {
-	switch {
-	case i < 64:
-		return (x.Lo >> i) & 1
-	case i < 128:
-		return (x.Hi >> (i - 64)) & 1
-	}
-	return 0
-}
 
 // DivMod64 returns the quotient and remainder of x divided by a 64-bit
 // divisor d. It panics if d == 0.

@@ -18,9 +18,6 @@ type U256 struct {
 	W [4]uint64
 }
 
-// Zero is the zero value of U256.
-var Zero = U256{}
-
 // FromU128 widens x to 256 bits.
 func FromU128(x u128.U128) U256 {
 	return U256{W: [4]uint64{x.Lo, x.Hi, 0, 0}}
@@ -29,18 +26,11 @@ func FromU128(x u128.U128) U256 {
 // From64 widens x to 256 bits.
 func From64(x uint64) U256 { return U256{W: [4]uint64{x, 0, 0, 0}} }
 
-// New returns a U256 from four words, most significant first
-// (matching how humans write numerals).
-func New(w3, w2, w1, w0 uint64) U256 { return U256{W: [4]uint64{w0, w1, w2, w3}} }
-
 // Lo128 returns the low 128 bits of x.
 func (x U256) Lo128() u128.U128 { return u128.U128{Hi: x.W[1], Lo: x.W[0]} }
 
 // Hi128 returns the high 128 bits of x.
 func (x U256) Hi128() u128.U128 { return u128.U128{Hi: x.W[3], Lo: x.W[2]} }
-
-// IsZero reports whether x is zero.
-func (x U256) IsZero() bool { return x.W[0]|x.W[1]|x.W[2]|x.W[3] == 0 }
 
 // Equal reports whether x == y.
 func (x U256) Equal(y U256) bool { return x.W == y.W }
@@ -61,26 +51,6 @@ func (x U256) Cmp(y U256) int {
 // Less reports whether x < y.
 func (x U256) Less(y U256) bool { return x.Cmp(y) < 0 }
 
-// Add returns x + y mod 2^256.
-func (x U256) Add(y U256) U256 {
-	var z U256
-	var c uint64
-	for i := 0; i < 4; i++ {
-		z.W[i], c = bits.Add64(x.W[i], y.W[i], c)
-	}
-	return z
-}
-
-// AddCarry returns x + y + carryIn mod 2^256 and the carry-out.
-func (x U256) AddCarry(y U256, carryIn uint64) (U256, uint64) {
-	var z U256
-	c := carryIn
-	for i := 0; i < 4; i++ {
-		z.W[i], c = bits.Add64(x.W[i], y.W[i], c)
-	}
-	return z, c
-}
-
 // Sub returns x - y mod 2^256.
 func (x U256) Sub(y U256) U256 {
 	var z U256
@@ -89,16 +59,6 @@ func (x U256) Sub(y U256) U256 {
 		z.W[i], b = bits.Sub64(x.W[i], y.W[i], b)
 	}
 	return z
-}
-
-// SubBorrow returns x - y - borrowIn mod 2^256 and the borrow-out.
-func (x U256) SubBorrow(y U256, borrowIn uint64) (U256, uint64) {
-	var z U256
-	b := borrowIn
-	for i := 0; i < 4; i++ {
-		z.W[i], b = bits.Sub64(x.W[i], y.W[i], b)
-	}
-	return z, b
 }
 
 // Lsh returns x << n mod 2^256 for 0 <= n. Shifts of 256 or more return zero.
@@ -143,14 +103,6 @@ func (x U256) BitLen() int {
 		}
 	}
 	return 0
-}
-
-// Bit returns bit i of x (0 or 1). Bits at or above 256 are zero.
-func (x U256) Bit(i uint) uint64 {
-	if i >= 256 {
-		return 0
-	}
-	return (x.W[i/64] >> (i % 64)) & 1
 }
 
 // MulSchoolbook returns the full 256-bit product of two 128-bit integers
@@ -218,18 +170,5 @@ func MulKaratsuba(a, b u128.U128) U256 {
 	z.W[1], c = bits.Add64(ll.Hi, m[0], 0)
 	z.W[2], c = bits.Add64(hh.Lo, m[1], c)
 	z.W[3] = hh.Hi + m[2] + c
-	return z
-}
-
-// Mul64x192 multiplies a 128-bit value by a 64-bit word, returning up to 192
-// bits in a U256. Used by the Barrett quotient computation.
-func Mul64x192(a u128.U128, b uint64) U256 {
-	lo := u128.Mul64(a.Lo, b)
-	hi := u128.Mul64(a.Hi, b)
-	var z U256
-	z.W[0] = lo.Lo
-	var c uint64
-	z.W[1], c = bits.Add64(lo.Hi, hi.Lo, 0)
-	z.W[2] = hi.Hi + c
 	return z
 }

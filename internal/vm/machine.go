@@ -81,9 +81,8 @@ type Machine struct {
 	mode       TraceMode
 	inPreamble bool
 
-	body     []Instr
-	preamble []Instr
-	counts   map[isa.Op]int64
+	body   []Instr
+	counts map[isa.Op]int64
 
 	bytesLoaded int64
 	bytesStored int64
@@ -104,13 +103,6 @@ func (m *Machine) BeginLoop() { m.inPreamble = false }
 
 // InLoop reports whether BeginLoop has been called.
 func (m *Machine) InLoop() bool { return !m.inPreamble }
-
-// ResetBody clears the recorded body (but not the preamble), letting a
-// caller capture exactly one loop iteration.
-func (m *Machine) ResetBody() {
-	m.body = m.body[:0]
-	m.bytesLoaded, m.bytesStored = 0, 0
-}
 
 // PruneDead drops the body instructions whose results nothing later in
 // the body consumes; instructions without results (stores) always stay.
@@ -140,9 +132,6 @@ func (m *Machine) PruneDead() {
 
 // Body returns the recorded steady-state instructions.
 func (m *Machine) Body() []Instr { return m.body }
-
-// Preamble returns the recorded loop-invariant setup instructions.
-func (m *Machine) Preamble() []Instr { return m.preamble }
 
 // Counts returns cumulative per-op counts (body + preamble).
 func (m *Machine) Counts() map[isa.Op]int64 { return m.counts }
@@ -183,13 +172,10 @@ func (m *Machine) rec(op isa.Op, nOut int, in ...int32) (int32, int32) {
 		if nOut > 1 {
 			o1 = m.newID()
 		}
-		ins := [4]int32{noID, noID, noID, noID}
-		copy(ins[:], in)
-		instr := Instr{Op: op, Out: [2]int32{o0, o1}, In: ins}
-		if m.inPreamble {
-			m.preamble = append(m.preamble, instr)
-		} else {
-			m.body = append(m.body, instr)
+		if !m.inPreamble {
+			ins := [4]int32{noID, noID, noID, noID}
+			copy(ins[:], in)
+			m.body = append(m.body, Instr{Op: op, Out: [2]int32{o0, o1}, In: ins})
 		}
 	}
 	return o0, o1

@@ -91,15 +91,6 @@ func (m *Machine) CmpEqQ4(a, b V4) V4 {
 	return V4{X: v, id: id}
 }
 
-// CmpLtU4 emulates an unsigned a < b comparison: both operands have their
-// sign bits flipped (two VPXOR) before a signed VPCMPGTQ with swapped
-// arguments. signFlip must hold broadcast 2^63 (hoisted to the preamble).
-func (m *Machine) CmpLtU4(a, b, signFlip V4) V4 {
-	af := m.Xor4(a, signFlip)
-	bf := m.Xor4(b, signFlip)
-	return m.CmpGtQ4(bf, af)
-}
-
 // BlendV4 is VPBLENDVB ymm: dst[i] = mask[i] sign bit ? b[i] : a[i].
 // With all-ones/all-zeros lane masks, it selects whole lanes.
 func (m *Machine) BlendV4(mask, a, b V4) V4 {
@@ -145,16 +136,6 @@ func (m *Machine) Xor4(a, b V4) V4 {
 	return V4{X: v, id: id}
 }
 
-// AndNot4 is VPANDN ymm: ^a & b.
-func (m *Machine) AndNot4(a, b V4) V4 {
-	var v Vec4
-	for i := range v {
-		v[i] = ^a.X[i] & b.X[i]
-	}
-	id, _ := m.rec(isa.AVX2AndNot, 1, a.id, b.id)
-	return V4{X: v, id: id}
-}
-
 // SrlI4 is VPSRLQ ymm, imm.
 func (m *Machine) SrlI4(a V4, n uint) V4 {
 	var v Vec4
@@ -186,17 +167,6 @@ func (m *Machine) UnpackLo4(a, b V4) V4 {
 func (m *Machine) UnpackHi4(a, b V4) V4 {
 	v := Vec4{a.X[1], b.X[1], a.X[3], b.X[3]}
 	id, _ := m.rec(isa.AVX2UnpckH, 1, a.id, b.id)
-	return V4{X: v, id: id}
-}
-
-// Perm4 is VPERMQ ymm, imm: arbitrary lane permutation by a 2-bit selector
-// per destination lane.
-func (m *Machine) Perm4(a V4, sel [4]int) V4 {
-	var v Vec4
-	for i := range v {
-		v[i] = a.X[sel[i]&3]
-	}
-	id, _ := m.rec(isa.AVX2Shuf, 1, a.id)
 	return V4{X: v, id: id}
 }
 

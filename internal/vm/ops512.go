@@ -181,16 +181,6 @@ func (m *Machine) SllI(a V, n uint) V {
 	return V{X: v, id: id}
 }
 
-// And is VPANDQ.
-func (m *Machine) And(a, b V) V {
-	var v Vec
-	for i := range v {
-		v[i] = a.X[i] & b.X[i]
-	}
-	id, _ := m.rec(isa.AVX512And, 1, a.id, b.id)
-	return V{X: v, id: id}
-}
-
 // Or is VPORQ.
 func (m *Machine) Or(a, b V) V {
 	var v Vec
@@ -198,29 +188,6 @@ func (m *Machine) Or(a, b V) V {
 		v[i] = a.X[i] | b.X[i]
 	}
 	id, _ := m.rec(isa.AVX512Or, 1, a.id, b.id)
-	return V{X: v, id: id}
-}
-
-// Xor is VPXORQ.
-func (m *Machine) Xor(a, b V) V {
-	var v Vec
-	for i := range v {
-		v[i] = a.X[i] ^ b.X[i]
-	}
-	id, _ := m.rec(isa.AVX512Xor, 1, a.id, b.id)
-	return V{X: v, id: id}
-}
-
-// MaxU is VPMAXUQ: lane-wise unsigned maximum.
-func (m *Machine) MaxU(a, b V) V {
-	var v Vec
-	for i := range v {
-		v[i] = a.X[i]
-		if b.X[i] > v[i] {
-			v[i] = b.X[i]
-		}
-	}
-	id, _ := m.rec(isa.AVX512MaxUQ, 1, a.id, b.id)
 	return V{X: v, id: id}
 }
 
@@ -238,31 +205,6 @@ func (m *Machine) MinU(a, b V) V {
 		}
 	}
 	id, _ := m.rec(isa.AVX512MinUQ, 1, a.id, b.id)
-	return V{X: v, id: id}
-}
-
-// Unpack instructions interleave 64-bit lanes of two vectors within each
-// 128-bit sub-lane, matching VPUNPCKLQDQ / VPUNPCKHQDQ zmm semantics.
-
-// UnpackLo is VPUNPCKLQDQ zmm.
-func (m *Machine) UnpackLo(a, b V) V {
-	var v Vec
-	for blk := 0; blk < 4; blk++ {
-		v[2*blk] = a.X[2*blk]
-		v[2*blk+1] = b.X[2*blk]
-	}
-	id, _ := m.rec(isa.AVX512UnpckL, 1, a.id, b.id)
-	return V{X: v, id: id}
-}
-
-// UnpackHi is VPUNPCKHQDQ zmm.
-func (m *Machine) UnpackHi(a, b V) V {
-	var v Vec
-	for blk := 0; blk < 4; blk++ {
-		v[2*blk] = a.X[2*blk+1]
-		v[2*blk+1] = b.X[2*blk+1]
-	}
-	id, _ := m.rec(isa.AVX512UnpckH, 1, a.id, b.id)
 	return V{X: v, id: id}
 }
 
@@ -292,16 +234,4 @@ func (m *Machine) KOr(a, b M) M {
 func (m *Machine) KAnd(a, b M) M {
 	id, _ := m.rec(isa.AVX512KAnd, 1, a.id, b.id)
 	return M{K: a.K & b.K, id: id}
-}
-
-// KNot is KNOTB.
-func (m *Machine) KNot(a M) M {
-	id, _ := m.rec(isa.AVX512KNot, 1, a.id)
-	return M{K: ^a.K, id: id}
-}
-
-// KXor is KXORB.
-func (m *Machine) KXor(a, b M) M {
-	id, _ := m.rec(isa.AVX512KXor, 1, a.id, b.id)
-	return M{K: a.K ^ b.K, id: id}
 }

@@ -106,16 +106,6 @@ func (m *Machine) SCmov(f F, a, b S) S {
 	return S{X: v, id: id}
 }
 
-// SSetcc is SETcc: materializes a flag as 0/1 in a register.
-func (m *Machine) SSetcc(f F) S {
-	v := uint64(0)
-	if f.B {
-		v = 1
-	}
-	id, _ := m.rec(isa.ScalarSetcc, 1, f.id)
-	return S{X: v, id: id}
-}
-
 // SFOr combines two flags (flag = f1 || f2), modeled as OR of SETcc
 // results feeding a TEST. x86 compilers emit or/test here.
 func (m *Machine) SFOr(a, b F) F {
@@ -129,28 +119,10 @@ func (m *Machine) SFAnd(a, b F) F {
 	return F{B: a.B && b.B, id: id1}
 }
 
-// SFNot inverts a flag.
-func (m *Machine) SFNot(a F) F {
-	_, id1 := m.rec(isa.ScalarNot, 2, a.id)
-	return F{B: !a.B, id: id1}
-}
-
-// SAnd is AND r64, r64.
-func (m *Machine) SAnd(a, b S) S {
-	id, _ := m.rec(isa.ScalarAnd, 1, a.id, b.id)
-	return S{X: a.X & b.X, id: id}
-}
-
 // SOr is OR r64, r64.
 func (m *Machine) SOr(a, b S) S {
 	id, _ := m.rec(isa.ScalarOr, 1, a.id, b.id)
 	return S{X: a.X | b.X, id: id}
-}
-
-// SXor is XOR r64, r64.
-func (m *Machine) SXor(a, b S) S {
-	id, _ := m.rec(isa.ScalarXor, 1, a.id, b.id)
-	return S{X: a.X ^ b.X, id: id}
 }
 
 // SShl is SHL r64, imm.
