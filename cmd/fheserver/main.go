@@ -37,7 +37,6 @@ func main() {
 	primeBits := flag.Int("prime-bits", 59, "bits per tower prime")
 	plainMod := flag.Uint64("t", 257, "plaintext modulus")
 	seed := flag.Int64("seed", 1, "scheme rng seed")
-	towerWorkers := flag.Int("tower-workers", 1, "tower parallelism inside one evaluation (1 = zero-alloc sequential)")
 	evalWorkers := flag.Int("eval-workers", 2, "concurrent evaluations")
 	queueDepth := flag.Int("queue", 8, "admission queue depth before shedding")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request deadline")
@@ -50,7 +49,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("fheserver: ring context: %v", err)
 	}
-	b, err := fhe.NewRNSBackendWorkers(c, *plainMod, *towerWorkers)
+	// One tower worker per evaluation: the eval workers already fill the cores.
+	b, err := fhe.NewRNSBackendWorkers(c, *plainMod, 1)
 	if err != nil {
 		log.Fatalf("fheserver: backend: %v", err)
 	}

@@ -139,6 +139,11 @@ type Backend interface {
 	// ConjugateCtx applies the row-swap automorphism x -> x^(2N-1) with
 	// the same contract as RotateSlotsCtx.
 	ConjugateCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error
+	// MulNoiseModel returns the MulNoiseBoundBits parameters at a level —
+	// the relinearization gadget digit count, the per-digit magnitude in
+	// bits, and the base-conversion operand overshoot factor — so the
+	// guardrail's noise prediction needs no backend type switches.
+	MulNoiseModel(level int) (digits, digitBits, overshoot int)
 }
 
 // BackendRelinKey is an opaque backend-owned relinearization key handle.

@@ -19,17 +19,6 @@ import "math/bits"
 // centered error magnitude is at most noiseBound per coefficient.
 const FreshNoiseBits = 4 // bits.Len(noiseBound), with noiseBound = 8
 
-// NoiseModeler is implemented by backends that expose their
-// MulNoiseBoundBits parameters — the relinearization gadget shape and the
-// base-conversion overshoot — so noise prediction needs no backend type
-// switches. Both shipped backends implement it.
-type NoiseModeler interface {
-	// MulNoiseModel returns the MulNoiseBoundBits parameters at a level:
-	// the gadget digit count, the per-digit magnitude in bits, and the
-	// base-conversion operand overshoot factor.
-	MulNoiseModel(level int) (digits, digitBits, overshoot int)
-}
-
 // modSwitchRoundBits bounds the additive rounding noise of one modulus
 // switch in bits: the rounding error per coefficient is at most
 // (1 + ||s||_1)/2 <= (n+1)/2 for a ternary secret.
@@ -39,14 +28,9 @@ func (s *BackendScheme) modSwitchRoundBits() int {
 
 // PredictMulNoiseBits bounds the noise (in bits) of a MulCt result at the
 // given level whose operands each carry at most opNoiseBits of noise.
-// Returns false when the backend exposes no noise model.
-func (s *BackendScheme) PredictMulNoiseBits(level, opNoiseBits int) (int, bool) {
-	nm, ok := s.B.(NoiseModeler)
-	if !ok {
-		return 0, false
-	}
-	digits, digitBits, overshoot := nm.MulNoiseModel(level)
-	return MulNoiseBoundBits(s.B.N(), s.B.PlainModulus(), opNoiseBits, digits, digitBits, overshoot), true
+func (s *BackendScheme) PredictMulNoiseBits(level, opNoiseBits int) int {
+	digits, digitBits, overshoot := s.B.MulNoiseModel(level)
+	return MulNoiseBoundBits(s.B.N(), s.B.PlainModulus(), opNoiseBits, digits, digitBits, overshoot)
 }
 
 // PredictModSwitchNoiseBits bounds the noise of a ModSwitch result whose
@@ -78,8 +62,7 @@ func (s *BackendScheme) PredictModSwitchNoiseBits(level, opNoiseBits int) int {
 // count; each hop permutes the existing noise unchanged and adds the
 // key-switch term sum_i d_i*e_i, bounded by digits * n * 2^digitBits *
 // noiseBound — the relin term of MulNoiseBoundBits with the same gadget.
-// Returns false when the backend exposes no noise model.
-func (s *BackendScheme) PredictRotateNoiseBits(level, opNoiseBits, steps int) (int, bool) {
+func (s *BackendScheme) PredictRotateNoiseBits(level, opNoiseBits, steps int) int {
 	rows := s.B.N() / 2
 	steps = ((steps % rows) + rows) % rows
 	return s.predictHopChainNoiseBits(level, opNoiseBits, bits.OnesCount(uint(steps)))
@@ -87,19 +70,15 @@ func (s *BackendScheme) PredictRotateNoiseBits(level, opNoiseBits, steps int) (i
 
 // PredictConjugateNoiseBits is PredictRotateNoiseBits for the row-swap
 // automorphism: always exactly one key-switch hop.
-func (s *BackendScheme) PredictConjugateNoiseBits(level, opNoiseBits int) (int, bool) {
+func (s *BackendScheme) PredictConjugateNoiseBits(level, opNoiseBits int) int {
 	return s.predictHopChainNoiseBits(level, opNoiseBits, 1)
 }
 
-func (s *BackendScheme) predictHopChainNoiseBits(level, opNoiseBits, hops int) (int, bool) {
-	nm, ok := s.B.(NoiseModeler)
-	if !ok {
-		return 0, false
-	}
+func (s *BackendScheme) predictHopChainNoiseBits(level, opNoiseBits, hops int) int {
 	if hops == 0 {
-		return opNoiseBits, true
+		return opNoiseBits
 	}
-	digits, digitBits, _ := nm.MulNoiseModel(level)
+	digits, digitBits, _ := s.B.MulNoiseModel(level)
 	ks := bits.Len(uint(digits)) + bits.Len(uint(s.B.N())) + digitBits + bits.Len(uint(noiseBound))
 	out := opNoiseBits
 	for h := 0; h < hops; h++ {
@@ -108,7 +87,7 @@ func (s *BackendScheme) predictHopChainNoiseBits(level, opNoiseBits, hops int) (
 		}
 		out++ // the hop's sum of permuted noise and key-switch term
 	}
-	return out, true
+	return out
 }
 
 // PredictedBudgetBits converts a tracked noise bound at a level into the

@@ -87,10 +87,7 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 				t.Fatal(err)
 			}
 			want := NegacyclicProductModT(msg, msg, T)
-			predNoise, ok := s.PredictMulNoiseBits(0, FreshNoiseBits)
-			if !ok {
-				t.Fatalf("%s backend exposes no noise model", name)
-			}
+			predNoise := s.PredictMulNoiseBits(0, FreshNoiseBits)
 			mulNoise, err := s.NoiseBits(sk, prod, want)
 			if err != nil {
 				t.Fatal(err)
@@ -148,10 +145,7 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				predRot, ok := s.PredictRotateNoiseBits(0, predNoise, steps)
-				if !ok {
-					t.Fatalf("%s backend exposes no noise model for rotate", name)
-				}
+				predRot := s.PredictRotateNoiseBits(0, predNoise, steps)
 				rotNoise, err := s.NoiseBits(sk, rot, rotWant)
 				if err != nil {
 					t.Fatal(err)

@@ -58,19 +58,16 @@ func AffineRows(p *Plan[uint64, Shoup64], dst []uint64, a Affine, rows [][]uint6
 	if len(a.w) != len(rows) {
 		panic("ring: AffineRows needs one weight per row")
 	}
-	if k, ok := p.kern.(affineRowsSpanKernels); ok {
-		k.AffineRowsSpan(dst, a.c0, rows, a.w, a.pre)
-		return
-	}
-	affineRowsSpanScalar(p.R.M.Q, dst, a.c0, rows, a.w, a.pre, 0)
+	p.kern.(shoup64Kernels).AffineRowsSpan(dst, a.c0, rows, a.w, a.pre)
 }
 
-// affineRowsSpanKernels is the optional kernel extension behind
-// AffineRows (the fusedMACSpanKernels pattern): the vector tiers provide
-// it, the scalar tier and element-only rings run the Go loop.
-// Bit-identical to affineRowsSpanScalar on arbitrary 64-bit row entries.
-type affineRowsSpanKernels interface {
-	AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64)
+// AffineRowsSpan is the scalar tier's affine-rows body (see
+// shoup64Kernels).
+//
+//mqx:hotpath
+//mqx:lazy params=c0 wide=rows
+func (r Shoup64) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64) {
+	affineRowsSpanScalar(r.M.Q, dst, c0, rows, w, pre, 0)
 }
 
 // affineRowsSpanScalar is the ground-truth body the vector tiers are

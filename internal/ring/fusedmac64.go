@@ -44,16 +44,7 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 
 	// Twist, exactly as NegacyclicForwardInto: relaxed outputs feed the
 	// stage loops directly.
-	tw := p.twist.w[:p.N]
-	tp := p.twist.pre[:p.N]
-	if k := p.kern; k != nil {
-		k.MulPreSpan(work, x, tw, tp)
-	} else {
-		r := p.R
-		for j := range tw {
-			work[j] = r.MulPre(x[j], tw[j], tp[j])
-		}
-	}
+	p.kern.MulPreSpan(work, x, p.twist.w[:p.N], p.twist.pre[:p.N])
 
 	// Stages 0..M-2 through the normal dispatch (scalar or vector tier),
 	// leaving relaxed residues in sc.b. The partial transform cannot run
@@ -67,30 +58,20 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 		src = sc.b[:p.N]
 	}
 
-	// Fused final stage, dispatched to the plan's kernel tier when it
-	// provides the fused body (the AVX2/AVX-512 sets do; the scalar tier
-	// and element-only rings run the Go loop).
+	// Fused final stage on the plan's kernel tier.
 	half := p.N >> 1
-	lo := src[:half]
-	hi := src[half:p.N]
-	if k, ok := p.kern.(fusedMACSpanKernels); ok {
-		k.MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB)
-	} else {
-		macFinal2SpanScalar(p.R.M.Q, accA, accB, lo, hi, wA, preA, wB, preB)
-	}
+	p.kern.(shoup64Kernels).MACFinal2Span(accA, accB, src[:half], src[half:p.N], wA, preA, wB, preB)
 	p.putScratch(ping)
 	p.putScratch(sc)
 }
 
-// fusedMACSpanKernels is the optional kernel extension for the fused
-// final stage: given the penultimate stage's relaxed outputs split into
-// lo/hi halves of h butterflies, produce the canonical final-stage
-// outputs (s, d interleaved, exactly CTSpanLast at unit twiddle) and
-// fold the two-row lazy Shoup MAC into accA/accB (each of length 2h)
-// without materializing the transform. Bit-identical to
-// macFinal2SpanScalar on arbitrary 64-bit lane values.
-type fusedMACSpanKernels interface {
-	MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64)
+// MACFinal2Span is the scalar tier's fused final stage (see
+// shoup64Kernels).
+//
+//mqx:hotpath
+//mqx:lazy params=lo,hi wide=accA,accB
+func (r Shoup64) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64) {
+	macFinal2SpanScalar(r.M.Q, accA, accB, lo, hi, wA, preA, wB, preB)
 }
 
 // macFinal2SpanScalar is the ground-truth final-stage body the vector

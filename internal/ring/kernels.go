@@ -2,8 +2,9 @@ package ring
 
 // SpanKernels is the optional fused-kernel extension of Ring[T]: whole-span
 // loops that a ring instantiation may implement to devirtualize the
-// transform inner loops. A Plan type-asserts its ring against this
-// interface exactly once at build time; when the assertion succeeds the
+// transform inner loops. A Plan type-asserts its ring (for Shoup64, the
+// kernel set of the ring's resolved tier) against this interface exactly
+// once at build time; when the assertion succeeds the
 // stage loops, the pointwise/twist passes of PolyMul*Into, and (through
 // them) the batch path all dispatch one interface call per span instead of
 // three dictionary-mediated element calls per butterfly. Rings that do not

@@ -27,6 +27,26 @@ import (
 // The loops below inline that multiply rather than call it so the modulus
 // words stay in registers across the span.
 
+// shoup64Kernels is the kernel set a Plan[uint64, Shoup64] dispatches to:
+// the span and blocked kernels plus the two Shoup64-only fused bodies.
+// Shoup64 itself is the scalar implementation and the ground truth;
+// shoup64SIMD (amd64) is the vector one. selectKernels picks between them
+// once, at plan build, so a Shoup64 plan's kern is never nil.
+//
+// MACFinal2Span is the fused final stage behind NegacyclicForwardMAC2:
+// given the penultimate stage's relaxed outputs split into lo/hi halves
+// of h butterflies, it produces the canonical final-stage outputs (s, d
+// interleaved, exactly CTSpanLast at unit twiddle) and folds the two-row
+// lazy Shoup MAC into accA/accB (each of length 2h) without materializing
+// the transform. AffineRowsSpan is the body behind AffineRows. Both are
+// bit-identical across tiers on arbitrary 64-bit lane values.
+type shoup64Kernels interface {
+	SpanKernels[uint64]
+	BlockedSpanKernels[uint64]
+	MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64)
+	AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64)
+}
+
 // CTSpan: one non-final forward stage, relaxed in, relaxed out.
 //
 //mqx:hotpath

@@ -52,33 +52,23 @@ type Plan[T any, R Ring[T]] struct {
 	// allocate nothing.
 	scratch sync.Pool
 
-	// kern is the ring's fused span-kernel implementation, type-asserted
-	// exactly once at plan build (nil when the ring does not provide one,
-	// or vetoes it for its arithmetic configuration). When non-nil the
-	// stage loops and the PolyMul* passes dispatch one interface call per
-	// span instead of dictionary-mediated element ops per butterfly.
+	// kern is the fused span-kernel implementation, type-asserted exactly
+	// once at plan build (nil when the ring does not provide one, or
+	// vetoes it for its arithmetic configuration). A Shoup64 ring hands
+	// over the kernel set of its resolved tier (selectKernels); any other
+	// ring is its own kernel set. When non-nil the stage loops and the
+	// PolyMul* passes dispatch one interface call per span instead of
+	// dictionary-mediated element ops per butterfly.
 	kern SpanKernels[T]
 
-	// blk is the blocked-kernel extension of kern, asserted once at plan
-	// build alongside it (nil when the ring's kernels don't provide the
-	// compact-table spans).
+	// blk is the blocked-kernel extension of kern, asserted from the same
+	// value (nil when the kernels don't provide the compact-table spans).
 	blk BlockedSpanKernels[T]
 
 	// kernTier names the span-kernel implementation the plan dispatches
 	// to: "element" (no kernels), "scalar" (the fused Go loops), or a
-	// vector tier ("avx2", "avx512") substituted by the ring's
-	// tierSelector at build time.
+	// vector tier ("avx2", "avx512").
 	kernTier string
-}
-
-// tierSelector is the optional seam a ring implements to substitute a
-// feature-dispatched kernel implementation at plan build: it returns the
-// span and blocked kernel sets to use (as `any`, asserted against the
-// plan's element type) and the tier name, or a nil span to keep the
-// ring's own kernels. Shoup64 implements it on amd64 (selecting the
-// AVX2/AVX-512 assembly tiers).
-type tierSelector interface {
-	selectKernels() (span, blocked any, tier string)
 }
 
 // blockedMinBlk is the smallest twiddle-run length the stage loops hand
@@ -127,37 +117,22 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 	p.scratch.New = func() any {
 		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
 	}
-	// The kernel seam: asserted once here, never per element. A ring may
-	// veto attachment for configurations its fused loops do not honor
-	// (Barrett128 with Karatsuba dispatch).
-	if k, ok := any(r).(SpanKernels[T]); ok {
-		if v, vetoable := any(r).(interface{ kernelsDisabled() bool }); !vetoable || !v.kernelsDisabled() {
-			p.kern = k
-			// The blocked extension only ever rides along with the span
-			// kernels: a ring that vetoes kernels vetoes both.
-			if bk, ok := any(r).(BlockedSpanKernels[T]); ok {
-				p.blk = bk
-			}
-		}
+	// The kernel seam: resolved once here, never per element. Shoup64
+	// picks its tier's kernel set (CPU detection + forcing knobs); any
+	// other ring offers itself. A ring may veto attachment for
+	// configurations its fused loops do not honor (Barrett128 with
+	// Karatsuba dispatch); the blocked extension only ever rides along
+	// with the span kernels, so a veto drops both.
+	var kern any = r
+	tier := TierScalar.String()
+	if s, ok := kern.(Shoup64); ok {
+		kern, tier = s.selectKernels()
 	}
 	p.kernTier = "element"
-	if p.kern != nil {
-		p.kernTier = "scalar"
-		// The vector tier seam: a ring may substitute feature-dispatched
-		// kernels (CPU detection + forcing knobs, resolved exactly once
-		// here). The substitute must carry the blocked extension itself;
-		// the scalar blocked kernels are not mixed into a vector tier.
-		if ts, ok := any(r).(tierSelector); ok {
-			if span, blocked, tier := ts.selectKernels(); span != nil {
-				if sk, ok := span.(SpanKernels[T]); ok {
-					p.kern = sk
-					p.kernTier = tier
-					p.blk = nil
-					if bk, ok := blocked.(BlockedSpanKernels[T]); ok {
-						p.blk = bk
-					}
-				}
-			}
+	if k, ok := kern.(SpanKernels[T]); ok {
+		if v, vetoable := any(r).(interface{ kernelsDisabled() bool }); !vetoable || !v.kernelsDisabled() {
+			p.kern, p.kernTier = k, tier
+			p.blk, _ = kern.(BlockedSpanKernels[T])
 		}
 	}
 	return p, nil

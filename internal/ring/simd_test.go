@@ -19,17 +19,15 @@ import (
 // contract): its scalar tail is a data-dependent subtract loop whose
 // 2-iteration Barrett bound needs in-range products.
 
-// simdTiers returns the vector kernel sets the host can run, with the
-// scalar ring they must match.
-func simdTiers(t testing.TB, m *modmath.Modulus64) map[string]SpanKernels[uint64] {
+// simdTiers returns the vector kernel sets the host can run, keyed by
+// tier name.
+func simdTiers(t testing.TB, m *modmath.Modulus64) map[string]shoup64SIMD {
 	r := NewShoup64(m)
-	tiers := make(map[string]SpanKernels[uint64])
-	det := DetectKernelTier()
-	if det >= TierAVX2 {
-		tiers["avx2"] = shoup64AVX2{r}
-	}
-	if det >= TierAVX512 {
-		tiers["avx512"] = shoup64AVX512{r}
+	tiers := make(map[string]shoup64SIMD)
+	for _, tier := range []KernelTier{TierAVX2, TierAVX512} {
+		if DetectKernelTier() >= tier {
+			tiers[tier.String()] = shoup64SIMD{r, tier == TierAVX512}
+		}
 	}
 	if len(tiers) == 0 {
 		t.Skip("no vector tier on this host")
@@ -114,7 +112,7 @@ func TestSIMDSpanBitIdentity(t *testing.T) {
 				accAV := append([]uint64(nil), accAS...)
 				accBV := append([]uint64(nil), accBS...)
 				macFinal2SpanScalar(q, accAS, accBS, lo, hi, wA2, preA2, wB2, preB2)
-				vec.(fusedMACSpanKernels).MACFinal2Span(accAV, accBV, lo, hi, wA2, preA2, wB2, preB2)
+				vec.MACFinal2Span(accAV, accBV, lo, hi, wA2, preA2, wB2, preB2)
 				diffU64(t, "MACFinal2Span accA", accAV, accAS)
 				diffU64(t, "MACFinal2Span accB", accBV, accBS)
 
@@ -137,11 +135,7 @@ func TestSIMDSpanBitIdentity(t *testing.T) {
 func TestSIMDAffineRowsBitIdentity(t *testing.T) {
 	m := simdMod(t)
 	q := m.Q
-	for tier, vecAny := range simdTiers(t, m) {
-		vec, ok := vecAny.(affineRowsSpanKernels)
-		if !ok {
-			t.Fatalf("%s: vector tier must implement affineRowsSpanKernels", tier)
-		}
+	for tier, vec := range simdTiers(t, m) {
 		t.Run(tier, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			for _, n := range simdSpanLens {
@@ -183,11 +177,7 @@ func TestSIMDBlockedBitIdentity(t *testing.T) {
 	m := simdMod(t)
 	scalar := NewShoup64(m)
 	q := m.Q
-	for tier, vecAny := range simdTiers(t, m) {
-		vec, ok := vecAny.(BlockedSpanKernels[uint64])
-		if !ok {
-			t.Fatalf("%s: vector tier must implement BlockedSpanKernels", tier)
-		}
+	for tier, vec := range simdTiers(t, m) {
 		t.Run(tier, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for _, blk := range []int{8, 16, 32} {
@@ -224,6 +214,42 @@ func TestSIMDBlockedBitIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelTierSelection pins plan-build tier selection: a plan forced
+// to a tier holds exactly that tier's kernel set, for both its span and
+// blocked kernels. Bit identity alone cannot catch a mix-up, since every
+// tier computes the same bits: a plan forced to avx2 that ran the
+// AVX-512 bodies would pass every differential test.
+func TestKernelTierSelection(t *testing.T) {
+	m := simdMod(t)
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
+		if DetectKernelTier() < tier {
+			continue
+		}
+		p, err := NewPlan[uint64, Shoup64](NewShoup64Tier(m, tier), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.KernelTier(); got != tier.String() {
+			t.Errorf("%s: KernelTier() = %s", tier, got)
+		}
+		switch k := p.kern.(type) {
+		case Shoup64:
+			if tier != TierScalar {
+				t.Errorf("%s: plan holds the scalar kernels", tier)
+			}
+		case shoup64SIMD:
+			if tier == TierScalar || k.wide != (tier == TierAVX512) {
+				t.Errorf("%s: plan holds shoup64SIMD{wide: %v}", tier, k.wide)
+			}
+		default:
+			t.Errorf("%s: plan holds kernels of type %T", tier, k)
+		}
+		if any(p.blk) != any(p.kern) {
+			t.Errorf("%s: blocked kernels %#v differ from span kernels %#v", tier, p.blk, p.kern)
+		}
 	}
 }
 
@@ -314,7 +340,7 @@ func FuzzSIMDSpans(f *testing.F) {
 
 			rows := [][]uint64{lo, hi}[:min(2, n)]
 			affineRowsSpanScalar(q, outS[:n], x%q, rows, w, pre, 0)
-			vec.(affineRowsSpanKernels).AffineRowsSpan(outV[:n], x%q, rows, w[:len(rows)], pre[:len(rows)])
+			vec.AffineRowsSpan(outV[:n], x%q, rows, w[:len(rows)], pre[:len(rows)])
 			diffU64(t, tier+" AffineRowsSpan", outV[:n], outS[:n])
 		}
 	})

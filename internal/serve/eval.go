@@ -83,14 +83,8 @@ func ctxErr(s *Server, err error) *apiError {
 // guardMul enforces the budget floor for a multiply at level with the
 // given operand noise bound, returning the predicted result noise.
 func (s *Server) guardMul(level, opNoise int) (int, *apiError) {
-	sch := s.cfg.Scheme
-	pred, ok := s.predictMul(level, opNoise)
-	if !ok {
-		// No noise model: the guardrail cannot predict, so it admits and
-		// relies on the decrypt-time integrity check.
-		return opNoise, nil
-	}
-	if budget := sch.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
+	pred := s.predictMul(level, opNoise)
+	if budget := s.cfg.Scheme.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
 		return 0, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
 			"multiply at level %d would leave %d budget bits (floor %d)", level, budget, s.cfg.BudgetFloorBits)
 	}
@@ -223,17 +217,12 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		injectFlip(e.ct)
 		level := e.ct.Level
 		var pred int
-		var ok bool
 		if req.Op == "rotate" {
-			pred, ok = sch.PredictRotateNoiseBits(level, e.noiseBits, req.Steps)
+			pred = sch.PredictRotateNoiseBits(level, e.noiseBits, req.Steps)
 		} else {
-			pred, ok = sch.PredictConjugateNoiseBits(level, e.noiseBits)
+			pred = sch.PredictConjugateNoiseBits(level, e.noiseBits)
 		}
-		if !ok {
-			// No noise model: the guardrail cannot predict, so it admits
-			// and relies on the decrypt-time integrity check.
-			pred = e.noiseBits
-		} else if budget := sch.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
+		if budget := sch.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
 			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
 				"%s at level %d would leave %d budget bits (floor %d)", req.Op, level, budget, s.cfg.BudgetFloorBits)
 		}

@@ -81,7 +81,7 @@ type Server struct {
 	// is tiny (levels × reachable noise bounds), so the cache converges
 	// after the first request at each depth.
 	predMu    sync.RWMutex
-	predCache map[predKey]predVal
+	predCache map[predKey]int
 
 	// queueSlots holds requests waiting for a worker; full means shed.
 	queueSlots chan struct{}
@@ -101,7 +101,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:        cfg,
 		m:          newMetrics(),
-		predCache:  make(map[predKey]predVal),
+		predCache:  make(map[predKey]int),
 		queueSlots: make(chan struct{}, cfg.QueueDepth),
 		workSlots:  make(chan struct{}, cfg.Workers),
 		drainCh:    make(chan struct{}),
@@ -110,24 +110,19 @@ func New(cfg Config) *Server {
 
 type predKey struct{ level, noise int }
 
-type predVal struct {
-	noise int
-	ok    bool
-}
-
 // predictMul is the memoized PredictMulNoiseBits.
-func (s *Server) predictMul(level, opNoise int) (int, bool) {
+func (s *Server) predictMul(level, opNoise int) int {
 	k := predKey{level, opNoise}
 	s.predMu.RLock()
 	v, hit := s.predCache[k]
 	s.predMu.RUnlock()
 	if !hit {
-		v.noise, v.ok = s.cfg.Scheme.PredictMulNoiseBits(level, opNoise)
+		v = s.cfg.Scheme.PredictMulNoiseBits(level, opNoise)
 		s.predMu.Lock()
 		s.predCache[k] = v
 		s.predMu.Unlock()
 	}
-	return v.noise, v.ok
+	return v
 }
 
 // admit runs the admission path for an evaluation-class request: refuse
