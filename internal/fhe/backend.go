@@ -412,9 +412,10 @@ func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, err
 
 // evalCtx is the shape the four evaluation entry points share: observe
 // ctx before starting, validate the operands (one backend, one level),
-// allocate the result drop levels below them, and run eval into it. On any error — ctx.Err() itself once the context has
-// fired, at this check or at one of the backend's phase boundaries — the
-// zero ciphertext is returned, never a partially written one.
+// allocate the result drop levels below them, and run eval into it. On
+// any error the zero ciphertext is returned, never a partially written
+// one. Once the context has fired, that error is ctx.Err() itself,
+// whether this check or one of the backend's phase boundaries saw it.
 func (s *BackendScheme) evalCtx(ctx context.Context, drop int, eval func(out *BackendCiphertext) error, cts ...BackendCiphertext) (BackendCiphertext, error) {
 	if err := ctx.Err(); err != nil {
 		return BackendCiphertext{}, err

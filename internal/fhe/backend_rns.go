@@ -931,29 +931,6 @@ func (b *rnsBackend) setSignedCtx(c *rns.Context, dst rns.Poly, coeffs []int64) 
 	}
 }
 
-// tensorTower computes one tower's share of the ciphertext tensor
-// product: four twisted forward transforms, four pointwise products, and
-// three inverse transforms yield c0 = b1*b2, c1 = a1*b2 + a2*b1 and
-// c2 = a1*a2 for that tower.
-func tensorTower(plan *ring.Plan[uint64, ring.Shoup64], mod *modmath.Modulus64,
-	a1, b1, a2, b2 []uint64, ev *[5][]uint64, o0, o1, o2 []uint64) {
-	plan.NegacyclicForwardInto(ev[0], a1)
-	plan.NegacyclicForwardInto(ev[1], b1)
-	plan.NegacyclicForwardInto(ev[2], a2)
-	plan.NegacyclicForwardInto(ev[3], b2)
-	plan.PointwiseMulInto(ev[4], ev[1], ev[3]) // b1 ∘ b2
-	plan.NegacyclicInverseInto(o0, ev[4])
-	plan.PointwiseMulInto(ev[4], ev[0], ev[2]) // a1 ∘ a2
-	plan.NegacyclicInverseInto(o2, ev[4])
-	plan.PointwiseMulInto(ev[4], ev[0], ev[3]) // a1 ∘ b2
-	plan.PointwiseMulInto(ev[0], ev[2], ev[1]) // a2 ∘ b1
-	r4, r0 := ev[4], ev[0]
-	for j := range r4 {
-		r4[j] = mod.Add(r4[j], r0[j])
-	}
-	plan.NegacyclicInverseInto(o1, ev[4])
-}
-
 // scaleRound turns one tensor component held in (cQ, cE) into the scaled
 // ciphertext component round(T*v/Q_l) mod Q_l, written back into cQ:
 // with w = T*v + floor(Q_l/2), the FastBConv digits of w's Q-remainder
@@ -1116,57 +1093,52 @@ func residentOpINTT(sc *rnsMulScratch, u int) {
 	sc.lv.c.Plans[tau].Generic().NegacyclicInverseInto(sc.opQ[idx].Res[tau], sc.in[idx].Res[tau])
 }
 
-// residentTensorQ is one Q-base tower of the resident tensor: pointwise
-// products of the operands' resident rows, inverse transforms of the
-// three results. Squaring doubles a∘b instead of computing the symmetric
-// product twice.
-func residentTensorQ(sc *rnsMulScratch, tau int) {
-	lv := sc.lv
-	plan := lv.c.Plans[tau].Generic()
-	mod := lv.c.Mods[tau]
-	a1, b1 := sc.in[0].Res[tau], sc.in[1].Res[tau]
-	a2, b2 := sc.in[2].Res[tau], sc.in[3].Res[tau]
-	t0, t1 := sc.evE[0].Res[tau], sc.evE[1].Res[tau]
+// tensorEval computes one tower's share of the ciphertext tensor product
+// from evaluation rows: c0 = b1∘b2, c2 = a1∘a2 and c1 = a1∘b2 + a2∘b1,
+// each inverse-transformed into o0, o2 and o1. t0 holds each product;
+// t1 holds a2∘b1 and may alias a1, whose last read comes first. Squaring
+// (a2, b2 aliasing a1, b1) doubles a1∘b1 instead of recomputing it.
+func tensorEval(plan *ring.Plan[uint64, ring.Shoup64], mod *modmath.Modulus64, squaring bool,
+	a1, b1, a2, b2, t0, t1, o0, o1, o2 []uint64) {
 	plan.PointwiseMulInto(t0, b1, b2)
-	plan.NegacyclicInverseInto(sc.c0Q.Res[tau], t0)
+	plan.NegacyclicInverseInto(o0, t0)
 	plan.PointwiseMulInto(t0, a1, a2)
-	plan.NegacyclicInverseInto(sc.c2Q.Res[tau], t0)
+	plan.NegacyclicInverseInto(o2, t0)
 	plan.PointwiseMulInto(t0, a1, b2)
-	if sc.squaring {
-		addRow(t0, t0, mod) // a1∘b2 == a2∘b1: double instead of recompute
+	if squaring {
+		addRow(t0, t0, mod)
 	} else {
 		plan.PointwiseMulInto(t1, a2, b1)
 		addRow(t0, t1, mod)
 	}
-	plan.NegacyclicInverseInto(sc.c1Q.Res[tau], t0)
+	plan.NegacyclicInverseInto(o1, t0)
 }
 
-// residentTensorExt is one extension-base tower of the resident tensor,
-// consuming the base-extended coefficient rows.
+// residentTensorQ is one Q-base tower of the resident tensor: the
+// operands' resident rows are already evaluation rows.
+func residentTensorQ(sc *rnsMulScratch, tau int) {
+	lv := sc.lv
+	tensorEval(lv.c.Plans[tau].Generic(), lv.c.Mods[tau], sc.squaring,
+		sc.in[0].Res[tau], sc.in[1].Res[tau], sc.in[2].Res[tau], sc.in[3].Res[tau],
+		sc.evE[0].Res[tau], sc.evE[1].Res[tau], sc.c0Q.Res[tau], sc.c1Q.Res[tau], sc.c2Q.Res[tau])
+}
+
+// residentTensorExt is one extension-base tower of the resident tensor:
+// each distinct base-extended coefficient row is forward-transformed
+// once, and the a1 row doubles as the second product row.
 func residentTensorExt(sc *rnsMulScratch, tau int) {
 	lv := sc.lv
 	plan := lv.ext.Plans[tau].Generic()
-	mod := lv.ext.Mods[tau]
-	var ev [5][]uint64
-	for s := range ev {
-		ev[s] = sc.evE[s].Res[tau]
+	ev := func(s int) []uint64 { return sc.evE[s].Res[tau] }
+	for i := 0; i < sc.nops(); i++ {
+		plan.NegacyclicForwardInto(ev(i), sc.opE[i].Res[tau])
 	}
-	if sc.squaring {
-		a, bb := sc.opE[0].Res[tau], sc.opE[1].Res[tau]
-		plan.NegacyclicForwardInto(ev[0], a)
-		plan.NegacyclicForwardInto(ev[1], bb)
-		plan.PointwiseMulInto(ev[2], ev[1], ev[1])
-		plan.NegacyclicInverseInto(sc.c0E.Res[tau], ev[2])
-		plan.PointwiseMulInto(ev[2], ev[0], ev[0])
-		plan.NegacyclicInverseInto(sc.c2E.Res[tau], ev[2])
-		plan.PointwiseMulInto(ev[2], ev[0], ev[1])
-		addRow(ev[2], ev[2], mod)
-		plan.NegacyclicInverseInto(sc.c1E.Res[tau], ev[2])
-		return
+	a2, b2 := ev(0), ev(1)
+	if !sc.squaring {
+		a2, b2 = ev(2), ev(3)
 	}
-	tensorTower(plan, mod,
-		sc.opE[0].Res[tau], sc.opE[1].Res[tau], sc.opE[2].Res[tau], sc.opE[3].Res[tau],
-		&ev, sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
+	tensorEval(plan, lv.ext.Mods[tau], sc.squaring, ev(0), ev(1), a2, b2,
+		ev(4), ev(0), sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
 }
 
 // relinDigitRow scales one tower of c2 into its CRT gadget digit row.

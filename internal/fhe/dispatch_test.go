@@ -15,7 +15,9 @@ import (
 // 5 (below, at, and above the tower count's divisors, so chunks come out
 // uneven), and every evaluation op — multiply, squaring, a one-hop and a
 // two-hop rotation, conjugation — at every level must return
-// byte-identical ciphertext rows at every width.
+// byte-identical ciphertext rows at every width. The multiply of x by a
+// row copy of itself takes the general tensor path, so it must also equal
+// the squaring shortcut byte for byte.
 func TestTowerDispatchWidthIsInvisible(t *testing.T) {
 	const n, T, k = 64, 257, 4
 	ctx := context.Background()
@@ -51,9 +53,11 @@ func TestTowerDispatchWidthIsInvisible(t *testing.T) {
 				x = mustCT(s.ModSwitchCtx(ctx, x))
 				y = mustCT(s.ModSwitchCtx(ctx, y))
 			}
+			xCopy := BackendCiphertext{A: b.Copy(x.A), B: b.Copy(x.B), Level: x.Level}
 			for name, ct := range map[string]BackendCiphertext{
 				"mul":       mustCT(s.MulCiphertextsCtx(ctx, x, y, rlk)),
 				"square":    mustCT(s.MulCiphertextsCtx(ctx, x, x, rlk)),
+				"mulcopy":   mustCT(s.MulCiphertextsCtx(ctx, x, xCopy, rlk)),
 				"rotate1":   mustCT(s.RotateSlotsCtx(ctx, x, 1, gk)),
 				"rotate5":   mustCT(s.RotateSlotsCtx(ctx, x, 5, gk)),
 				"conjugate": mustCT(s.ConjugateCtx(ctx, x, gk)),
@@ -64,12 +68,15 @@ func TestTowerDispatchWidthIsInvisible(t *testing.T) {
 				rows := append([][]uint64{}, ct.A.(rns.Poly).Res...)
 				out[fmt.Sprintf("%s/l%d", name, level)] = append(rows, ct.B.(rns.Poly).Res...)
 			}
+			if sq := fmt.Sprintf("/l%d", level); !reflect.DeepEqual(out["mulcopy"+sq], out["square"+sq]) {
+				t.Errorf("workers=%d: mul(x, copy(x)) at level %d differs from square(x)", workers, level)
+			}
 		}
 		return out
 	}
 	want := run(1)
-	if len(want) != 5*k {
-		t.Fatalf("reference matrix has %d cells, want %d", len(want), 5*k)
+	if len(want) != 6*k {
+		t.Fatalf("reference matrix has %d cells, want %d", len(want), 6*k)
 	}
 	for _, workers := range []int{2, 3, 5} {
 		for cell, rows := range run(workers) {

@@ -7,17 +7,14 @@ import (
 
 // Process-wide plan caching for the compatibility wrappers. The cache
 // itself — one sync.Map keyed by (modulus fingerprint, n) — lives in
-// internal/ring; this file only supplies the wrapper-level fingerprint
-// tags, chosen above ring.TagExternalBase so a cached wrapper never
-// collides with a generic plan cached for the same modulus. The 128-bit
-// tag folds in the modulus's multiplication algorithm so a
-// Karatsuba-configured context never receives a plan whose arithmetic
-// runs Schoolbook (the tables are identical; the transform-time Mul
-// dispatch is not).
+// internal/ring; this file only supplies the fingerprint tags that keep
+// the two wrapper types apart. The 128-bit tag folds in the modulus's
+// multiplication algorithm, so a Karatsuba-configured modulus keeps its
+// own cache entry.
 
 const (
-	tagWrapper128 = ring.TagExternalBase + 0
-	tagWrapper64  = ring.TagExternalBase + 1
+	tagWrapper128 = 0
+	tagWrapper64  = 1
 )
 
 // CachedPlan returns the process-wide shared plan for (mod.Q, n), building

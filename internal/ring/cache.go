@@ -7,10 +7,8 @@ import "sync"
 // their own context (cmd/*, examples/*, benchmarks) were rebuilding
 // identical tables. Plans are immutable after construction and safe for
 // concurrent use, so one instance per (fingerprint, n) serves the whole
-// process. The fingerprint's tag separates ring families and arithmetic
-// configurations (e.g. a Karatsuba-configured 128-bit modulus never
-// receives a Schoolbook plan: the tables are identical, the
-// transform-time Mul dispatch is not).
+// process. The fingerprint's tag, chosen by the caller, separates plan
+// types and arithmetic configurations at equal q.
 //
 // Entries are retained for the life of the process — the expected
 // workload reuses a handful of (q, n) pairs, and twiddle tables for those

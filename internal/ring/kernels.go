@@ -1,14 +1,11 @@
 package ring
 
-// SpanKernels is the optional fused-kernel extension of Ring[T]: whole-span
-// loops that a ring instantiation may implement to devirtualize the
-// transform inner loops. A Plan type-asserts its ring (for Shoup64, the
-// kernel set of the ring's resolved tier) against this interface exactly
-// once at build time; when the assertion succeeds the
-// stage loops, the pointwise/twist passes of PolyMul*Into, and (through
-// them) the batch path all dispatch one interface call per span instead of
-// three dictionary-mediated element calls per butterfly. Rings that do not
-// implement it keep the element-op fallback unchanged.
+// SpanKernels is the fused-kernel half of Ring[T]: the whole-span loops
+// every Plan operation runs. A Plan binds its ring (for Shoup64, the
+// kernel set of the ring's resolved tier) exactly once at build time; the
+// stage loops, the twist/pointwise/untwist passes, the elementwise entry
+// points and (through them) the batch path then dispatch one interface
+// call per span.
 //
 // Residue-domain contract: implementations may carry residues in a relaxed
 // internal domain across spans (the lazy [0, 2q) discipline of Shoup64),

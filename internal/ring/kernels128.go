@@ -14,11 +14,10 @@ import (
 // 8-word-multiply butterfly — so these kernels keep every residue
 // canonical and win by devirtualization instead: the modulus, the Barrett
 // constant mu, and the two shift amounts are hoisted into one stack
-// structure per span (loaded once, not per dictionary-mediated element
-// call), the conditional add/sub corrections are branchless mask selects
-// (the element path's a.Less(b) branch is data-dependent and mispredicts
-// on ~half of random residues), and the butterfly runs one direct call per
-// multiply instead of three interface-table calls per element.
+// structure per span (loaded once, not per element), the conditional
+// add/sub corrections are branchless mask selects (Modulus128's
+// a.Less(b) branch is data-dependent and mispredicts on ~half of random
+// residues), and the butterfly runs one direct call per multiply.
 //
 // Headroom for q <= 2^124 (enforced by modmath.NewModulus128):
 //
@@ -27,13 +26,9 @@ import (
 //	               128 bits, and two conditional subtractions suffice
 //	               (quotient estimate within 2 for canonical inputs).
 //
-// Karatsuba-configured moduli veto these kernels (kernelsDisabled): the
-// span loops hardwire the flattened schoolbook multiply, and a
-// Karatsuba-tagged plan must keep measuring Karatsuba dispatch.
-
-// kernelsDisabled vetoes span-kernel attachment for arithmetic
-// configurations the fused loops do not honor.
-func (r Barrett128) kernelsDisabled() bool { return r.M.Alg != modmath.Schoolbook }
+// The span loops hardwire the flattened schoolbook multiply whatever the
+// modulus's MulAlgorithm: a Karatsuba-configured modulus gets the same
+// residues, and only its table building runs Karatsuba.
 
 // barrett128Consts is the per-span register file: every word the inner
 // loop needs, hoisted out of the Modulus128 once.
@@ -75,10 +70,8 @@ func (c *barrett128Consts) sub(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
 
 // mul returns a*b mod q for canonical inputs via the one shared copy of
 // the flattened schoolbook multiply and word-level Barrett reduction
-// (modmath.MulBarrett128Words — the same carry chains the element path's
-// Modulus128.Mul runs), fed from the hoisted register file. Results are
-// bit-identical to the element path (cross-checked by the differential
-// kernel tests).
+// (modmath.MulBarrett128Words — the same carry chains Modulus128.Mul
+// runs), fed from the hoisted register file.
 func (c *barrett128Consts) mul(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
 	return modmath.MulBarrett128Words(aHi, aLo, bHi, bLo,
 		c.qHi, c.qLo, c.muHi, c.muLo, c.nm1, c.np1)

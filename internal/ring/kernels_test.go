@@ -1,6 +1,7 @@
 package ring_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,31 +10,112 @@ import (
 	"mqxgo/internal/u128"
 )
 
-// Differential tests for the kernel seam: for every Ring[T] instantiation
-// that implements SpanKernels, a plan built over the raw ring (kernel
-// path) and one built over ring.ElementOnly (element-op fallback) must be
-// bit-exact on forward, inverse and negacyclic products, and the
-// elementwise entry points — including boundary polynomials that push the
-// lazy [0, 2q) discipline to its headroom (all-q-1 inputs make the
-// relaxed differences approach 4q).
+// Definitional tests for the span kernels: for every Ring[T]
+// instantiation, each Plan operation must equal the O(n²) definition of
+// what it computes — the DFT in bit-reversed order, the schoolbook
+// negacyclic product, and elementwise modmath for the pointwise,
+// scalar-mul and scale-add passes — on random polynomials and on boundary
+// polynomials that push the lazy [0, 2q) discipline to its headroom
+// (all-q-1 inputs make the relaxed differences approach 4q). None of the
+// definitions shares the Pease dataflow the kernels run.
 
-// diffRing drives one instantiation through both paths and compares.
-func diffRing[T comparable, R ring.Ring[T]](t *testing.T, r R, n int, randElem func(*rand.Rand) T, boundary []T, maxSmall uint64) {
+// arith is the elementwise modmath the definitions are written in.
+type arith[T any] struct {
+	add, sub, mul func(a, b T) T
+	small         func(v uint64) T
+}
+
+func arith64(m *modmath.Modulus64) arith[uint64] {
+	return arith[uint64]{add: m.Add, sub: m.Sub, mul: m.Mul, small: func(v uint64) uint64 { return v }}
+}
+
+func arith128(m *modmath.Modulus128) arith[u128.U128] {
+	return arith[u128.U128]{add: m.Add, sub: m.Sub, mul: m.Mul, small: u128.From64}
+}
+
+// pow returns x^e by repeated multiplication.
+func (ar arith[T]) pow(x T, e int) T {
+	r := ar.small(1)
+	for ; e > 0; e-- {
+		r = ar.mul(r, x)
+	}
+	return r
+}
+
+// bitRevDFT is the transform definition over root w with the result
+// scaled by scale: forward (natural in, bit-reversed out) is
+// out[i] = Σ_j x[j]·w^(rev(i)·j); inverse (bit-reversed in, natural out)
+// is out[i] = Σ_j x[j]·w^(i·rev(j)).
+func bitRevDFT[T any](ar arith[T], x []T, w, scale T, inverse bool) []T {
+	n := len(x)
+	m := bits.TrailingZeros(uint(n))
+	rev := func(i int) int { return int(bits.Reverse(uint(i)) >> (bits.UintSize - m)) }
+	pw := make([]T, n)
+	pw[0] = ar.small(1)
+	for e := 1; e < n; e++ {
+		pw[e] = ar.mul(pw[e-1], w)
+	}
+	out := make([]T, n)
+	for i := range out {
+		acc := ar.small(0)
+		for j, v := range x {
+			e := rev(i) * j
+			if inverse {
+				e = i * rev(j)
+			}
+			acc = ar.add(acc, ar.mul(v, pw[e%n]))
+		}
+		out[i] = ar.mul(acc, scale)
+	}
+	return out
+}
+
+// schoolbookNegacyclic is a·b in Z_q[x]/(x^n + 1) by the O(n²) definition.
+func schoolbookNegacyclic[T any](ar arith[T], a, b []T) []T {
+	n := len(a)
+	out := make([]T, n)
+	for i := range out {
+		out[i] = ar.small(0)
+	}
+	for i := range a {
+		for j := range b {
+			prod := ar.mul(a[i], b[j])
+			if k := i + j; k < n {
+				out[k] = ar.add(out[k], prod)
+			} else {
+				out[k-n] = ar.sub(out[k-n], prod) // x^n = -1
+			}
+		}
+	}
+	return out
+}
+
+// checkRoots pins the plan's roots to their definition, so the DFT
+// oracle built on them is the genuine transform: Psi^N = -1 (order
+// exactly 2N), Omega = Psi², and NInv·N = 1.
+func checkRoots[T comparable, R ring.Ring[T]](t *testing.T, ar arith[T], p *ring.Plan[T, R], qMinus1 T) {
 	t.Helper()
-	kp, err := ring.NewPlan[T, R](r, n)
+	if ar.pow(p.Psi, p.N) != qMinus1 {
+		t.Fatalf("n=%d: Psi^N != -1", p.N)
+	}
+	if ar.mul(p.Psi, p.Psi) != p.Omega || ar.mul(p.Omega, p.OmegaInv) != ar.small(1) {
+		t.Fatalf("n=%d: Omega is not Psi² with inverse OmegaInv", p.N)
+	}
+	if ar.mul(p.NInv, ar.small(uint64(p.N))) != ar.small(1) {
+		t.Fatalf("n=%d: NInv is not 1/N", p.N)
+	}
+}
+
+// checkDefinitions drives one instantiation through every Plan operation
+// and compares each against its definition. boundary ends in q-1.
+func checkDefinitions[T comparable, R ring.Ring[T]](t *testing.T, r R, ar arith[T], n int, randElem func(*rand.Rand) T, boundary []T, maxSmall uint64) {
+	t.Helper()
+	p, err := ring.NewPlan[T, R](r, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ring.NewPlan[T, ring.ElementOnly[T]](ring.ElementOnly[T]{Ring: r}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp.KernelTier() == "element" {
-		t.Fatal("kernel plan is not on the span-kernel path")
-	}
-	if ep.KernelTier() != "element" {
-		t.Fatal("ElementOnly plan failed to hide the span kernels")
-	}
+	qMinus1 := boundary[len(boundary)-1]
+	checkRoots(t, ar, p, qMinus1)
 
 	rng := rand.New(rand.NewSource(int64(n) * 7919))
 	mkPoly := func(fill func(i int) T) []T {
@@ -47,7 +129,7 @@ func diffRing[T comparable, R ring.Ring[T]](t *testing.T, r R, n int, randElem f
 		t.Helper()
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d %s: kernel and element paths diverge at %d: %v != %v", n, ctx, i, got[i], want[i])
+				t.Fatalf("n=%d %s: kernel path diverges from the definition at %d: %v != %v", n, ctx, i, got[i], want[i])
 			}
 		}
 	}
@@ -55,100 +137,77 @@ func diffRing[T comparable, R ring.Ring[T]](t *testing.T, r R, n int, randElem f
 	polys := [][]T{
 		mkPoly(func(int) T { return randElem(rng) }),
 		mkPoly(func(i int) T { return boundary[i%len(boundary)] }),
-		mkPoly(func(int) T { return boundary[len(boundary)-1] }), // all max: worst-case lazy headroom
+		mkPoly(func(int) T { return qMinus1 }), // all max: worst-case lazy headroom
 	}
-	kd, ed, tmp := make([]T, n), make([]T, n), make([]T, n)
+	one := ar.small(1)
+	got, tmp := make([]T, n), make([]T, n)
 	for pi, x := range polys {
-		kp.ForwardInto(kd, x)
-		ep.ForwardInto(ed, x)
-		cmp("forward", kd, ed)
+		p.ForwardInto(got, x)
+		cmp("forward", got, bitRevDFT(ar, x, p.Omega, one, false))
 
-		copy(tmp, kd)
-		kp.InverseInto(kd, tmp)
-		ep.InverseInto(ed, tmp)
-		cmp("inverse", kd, ed)
-		cmp("round trip", kd, x)
+		copy(tmp, got)
+		p.InverseInto(got, tmp)
+		cmp("round trip", got, x)
+		p.InverseInto(got, x)
+		cmp("inverse", got, bitRevDFT(ar, x, p.OmegaInv, p.NInv, true))
 
 		b := polys[(pi+1)%len(polys)]
-		kp.PolyMulNegacyclicInto(kd, x, b)
-		ep.PolyMulNegacyclicInto(ed, x, b)
-		cmp("negacyclic", kd, ed)
+		p.PolyMulNegacyclicInto(got, x, b)
+		cmp("negacyclic", got, schoolbookNegacyclic(ar, x, b))
 
-		kp.PointwiseMulInto(kd, x, b)
-		ep.PointwiseMulInto(ed, x, b)
-		cmp("pointwise", kd, ed)
+		want := make([]T, n)
+		p.PointwiseMulInto(got, x, b)
+		for i := range want {
+			want[i] = ar.mul(x[i], b[i])
+		}
+		cmp("pointwise", got, want)
 
 		w := randElem(rng)
-		kp.ScalarMulInto(kd, x, w)
-		ep.ScalarMulInto(ed, x, w)
-		cmp("scalarmul", kd, ed)
+		p.ScalarMulInto(got, x, w)
+		for i := range want {
+			want[i] = ar.mul(x[i], w)
+		}
+		cmp("scalarmul", got, want)
 
 		m := make([]uint64, n)
 		for i := range m {
 			m[i] = rng.Uint64() % maxSmall
 		}
 		m[0] = maxSmall - 1 // boundary message residue
-		kp.ScaleAddInto(kd, x, m, w)
-		ep.ScaleAddInto(ed, x, m, w)
-		cmp("scaleadd", kd, ed)
+		p.ScaleAddInto(got, x, m, w)
+		for i := range want {
+			want[i] = ar.add(x[i], ar.mul(ar.small(m[i]), w))
+		}
+		cmp("scaleadd", got, want)
 	}
 }
 
-func TestKernelVsElementShoup64(t *testing.T) {
+func TestKernelsMatchDefinitionShoup64(t *testing.T) {
 	for _, n := range []int{2, 8, 64, 1024} {
 		r := testRing64(t, n)
 		q := r.M.Q
-		diffRing[uint64](t, r, n,
+		checkDefinitions[uint64](t, r, arith64(r.M), n,
 			func(rng *rand.Rand) uint64 { return rng.Uint64() % q },
 			[]uint64{0, 1, q - 1}, q)
 	}
 }
 
-func TestKernelVsElementBarrett128(t *testing.T) {
+func TestKernelsMatchDefinitionBarrett128(t *testing.T) {
 	for _, n := range []int{2, 8, 64, 1024} {
 		r := testRing128(t)
 		q := r.M.Q
-		diffRing[u128.U128](t, r, n,
+		checkDefinitions[u128.U128](t, r, arith128(r.M), n,
 			func(rng *rand.Rand) u128.U128 { return u128.New(rng.Uint64(), rng.Uint64()).Mod(q) },
 			[]u128.U128{u128.Zero, u128.One, q.Sub64(1)}, ^uint64(0))
 	}
 }
 
-// TestKaratsubaVetoesKernels: a Karatsuba-configured 128-bit modulus must
-// stay on the element path (the fused loops hardwire schoolbook), and
-// still agree with the schoolbook kernel plan bit for bit.
-func TestKaratsubaVetoesKernels(t *testing.T) {
-	const n = 32
-	mod := modmath.DefaultModulus128()
-	kp := ring.MustPlan[u128.U128, ring.Barrett128](ring.NewBarrett128(mod), n)
-	karat := ring.MustPlan[u128.U128, ring.Barrett128](ring.NewBarrett128(mod.WithAlgorithm(modmath.Karatsuba)), n)
-	if kp.KernelTier() == "element" {
-		t.Fatal("schoolbook plan should have span kernels")
-	}
-	if karat.KernelTier() != "element" {
-		t.Fatal("Karatsuba plan must veto span kernels")
-	}
-	rng := rand.New(rand.NewSource(17))
-	a := make([]u128.U128, n)
-	b := make([]u128.U128, n)
-	for i := range a {
-		a[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
-		b[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
-	}
-	got, want := make([]u128.U128, n), make([]u128.U128, n)
-	karat.PolyMulNegacyclicInto(got, a, b)
-	kp.PolyMulNegacyclicInto(want, a, b)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Karatsuba element path diverges from kernel path at %d", i)
-		}
-	}
-}
-
-// FuzzKernelVsElement64 is the native fuzz harness over the lazy Shoup64
-// kernels: arbitrary seeds drive random polynomials (plus forced boundary
-// residues) through both paths at n=16.
-func FuzzKernelVsElement64(f *testing.F) {
+// FuzzKernelsMatchDefinition64 is the native fuzz harness over the lazy
+// Shoup64 kernels: arbitrary seeds drive random polynomials (plus forced
+// q-1 boundary residues) through the forward transform and the negacyclic
+// product at n=16, against the bit-reversed DFT and schoolbook
+// definitions.
+func FuzzKernelsMatchDefinition64(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(255))
 	f.Add(int64(-7), uint8(3))
@@ -159,8 +218,8 @@ func FuzzKernelVsElement64(f *testing.F) {
 	}
 	r := ring.NewShoup64(modmath.MustModulus64(ps[0]))
 	q := r.M.Q
-	kp := ring.MustPlan[uint64, ring.Shoup64](r, n)
-	ep := ring.MustPlan[uint64, ring.ElementOnly[uint64]](ring.ElementOnly[uint64]{Ring: r}, n)
+	ar := arith64(r.M)
+	p := ring.MustPlan[uint64, ring.Shoup64](r, n)
 	f.Fuzz(func(t *testing.T, seed int64, boundaryMask uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		a := make([]uint64, n)
@@ -172,18 +231,18 @@ func FuzzKernelVsElement64(f *testing.F) {
 				a[i] = q - 1
 			}
 		}
-		kd, ed := make([]uint64, n), make([]uint64, n)
-		kp.ForwardInto(kd, a)
-		ep.ForwardInto(ed, a)
-		for i := range kd {
-			if kd[i] != ed[i] {
+		got := make([]uint64, n)
+		p.ForwardInto(got, a)
+		want := bitRevDFT(ar, a, p.Omega, 1, false)
+		for i := range got {
+			if got[i] != want[i] {
 				t.Fatalf("forward diverges at %d", i)
 			}
 		}
-		kp.PolyMulNegacyclicInto(kd, a, b)
-		ep.PolyMulNegacyclicInto(ed, a, b)
-		for i := range kd {
-			if kd[i] != ed[i] {
+		p.PolyMulNegacyclicInto(got, a, b)
+		want = schoolbookNegacyclic(ar, a, b)
+		for i := range got {
+			if got[i] != want[i] {
 				t.Fatalf("negacyclic diverges at %d", i)
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // for the forward and inverse Pease dataflows [Pease 1968], the stage-0
 // inverse table with 1/N folded in, and the negacyclic twist/untwist
 // tables. Every table carries the ring's per-multiplicand precomputation
-// alongside the twiddle values so the hot loops can use MulPre.
+// alongside the twiddle values, the constant the span kernels read.
 //
 // A Plan is safe for concurrent use once built: tables are read-only
 // after NewPlan and all mutable transform state lives in pooled scratch
@@ -52,13 +52,9 @@ type Plan[T any, R Ring[T]] struct {
 	// allocate nothing.
 	scratch sync.Pool
 
-	// kern is the fused span-kernel implementation, type-asserted exactly
-	// once at plan build (nil when the ring does not provide one, or
-	// vetoes it for its arithmetic configuration). A Shoup64 ring hands
-	// over the kernel set of its resolved tier (selectKernels); any other
-	// ring is its own kernel set. When non-nil the stage loops and the
-	// PolyMul* passes dispatch one interface call per span instead of
-	// dictionary-mediated element ops per butterfly.
+	// kern is the span-kernel set every operation runs, bound once at
+	// plan build: a Shoup64 ring hands over the kernel set of its
+	// resolved tier (selectKernels); any other ring is its own kernel set.
 	kern SpanKernels[T]
 
 	// blk is the blocked-kernel extension of kern, asserted from the same
@@ -66,8 +62,8 @@ type Plan[T any, R Ring[T]] struct {
 	blk BlockedSpanKernels[T]
 
 	// kernTier names the span-kernel implementation the plan dispatches
-	// to: "element" (no kernels), "scalar" (the fused Go loops), or a
-	// vector tier ("avx2", "avx512").
+	// to: "scalar" (the fused Go loops) or a vector tier ("avx2",
+	// "avx512").
 	kernTier string
 }
 
@@ -76,7 +72,7 @@ type Plan[T any, R Ring[T]] struct {
 // hoisted-load savings, and the dense kernels are already optimal.
 const blockedMinBlk = 8
 
-// table is one twiddle table: the values and their MulPre constants.
+// table is one twiddle table: the values and their Precompute constants.
 type table[T any] struct {
 	w   []T
 	pre []uint64
@@ -117,30 +113,23 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 	p.scratch.New = func() any {
 		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
 	}
-	// The kernel seam: resolved once here, never per element. Shoup64
-	// picks its tier's kernel set (CPU detection + forcing knobs); any
-	// other ring offers itself. A ring may veto attachment for
-	// configurations its fused loops do not honor (Barrett128 with
-	// Karatsuba dispatch); the blocked extension only ever rides along
-	// with the span kernels, so a veto drops both.
+	// The kernel seam, resolved once here: Shoup64 swaps in its tier's
+	// kernel set (CPU detection + forcing knobs); any other ring is its
+	// own kernel set. The blocked extension rides along when the set has
+	// one.
 	var kern any = r
-	tier := TierScalar.String()
+	p.kernTier = TierScalar.String()
 	if s, ok := kern.(Shoup64); ok {
-		kern, tier = s.selectKernels()
+		kern, p.kernTier = s.selectKernels()
 	}
-	p.kernTier = "element"
-	if k, ok := kern.(SpanKernels[T]); ok {
-		if v, vetoable := any(r).(interface{ kernelsDisabled() bool }); !vetoable || !v.kernelsDisabled() {
-			p.kern, p.kernTier = k, tier
-			p.blk, _ = kern.(BlockedSpanKernels[T])
-		}
-	}
+	p.kern = kern.(SpanKernels[T])
+	p.blk, _ = kern.(BlockedSpanKernels[T])
 	return p, nil
 }
 
 // KernelTier names the span-kernel implementation the plan dispatches to:
-// "element", "scalar", "avx2" or "avx512". Benchmark reports record it so
-// measured trajectories stay attributable across hosts.
+// "scalar", "avx2" or "avx512". Benchmark reports record it so measured
+// trajectories stay attributable across hosts.
 func (p *Plan[T, R]) KernelTier() string { return p.kernTier }
 
 func (p *Plan[T, R]) newTable(n int) table[T] {
@@ -302,17 +291,8 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
-	tw := p.twist.w[:p.N]
-	tp := p.twist.pre[:p.N]
 	sc := p.getScratch()
-	if k := p.kern; k != nil {
-		k.MulPreSpan(dst, a, tw, tp)
-	} else {
-		r := p.R
-		for j := range tw {
-			dst[j] = r.MulPre(a[j], tw[j], tp[j])
-		}
-	}
+	p.kern.MulPreSpan(dst, a, p.twist.w[:p.N], p.twist.pre[:p.N])
 	p.forwardStages(dst, dst, sc)
 	p.putScratch(sc)
 }
@@ -327,38 +307,23 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
-	ut := p.untwist.w[:p.N]
-	up := p.untwist.pre[:p.N]
 	sc := p.getScratch()
 	p.inverseStages(dst, y, sc, false)
-	if k := p.kern; k != nil {
-		k.MulPreNormSpan(dst, dst, ut, up) // psi^-j * N^-1, lands normalization
-	} else {
-		r := p.R
-		for j := range ut {
-			dst[j] = r.MulPre(dst[j], ut[j], up[j])
-		}
-	}
+	// psi^-j * N^-1, landing the deferred normalization.
+	p.kern.MulPreNormSpan(dst, dst, p.untwist.w[:p.N], p.untwist.pre[:p.N])
 	p.putScratch(sc)
 }
 
 // PointwiseMulInto computes the coefficient-wise product dst[i] = a[i]·b[i]
-// (the evaluation-domain Hadamard product) on the kernel path when the
-// ring provides one. dst may alias a or b; it allocates nothing.
+// (the evaluation-domain Hadamard product). dst may alias a or b; it
+// allocates nothing.
 //
 //mqx:hotpath
 func (p *Plan[T, R]) PointwiseMulInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	p.checkLen(len(b))
-	if k := p.kern; k != nil {
-		k.MulSpan(dst, a, b)
-		return
-	}
-	r := p.R
-	for i := range dst {
-		dst[i] = r.Mul(a[i], b[i])
-	}
+	p.kern.MulSpan(dst, a, b)
 }
 
 // ScalarMulInto computes dst[i] = a[i]·w for one reduced scalar w,
@@ -369,15 +334,7 @@ func (p *Plan[T, R]) PointwiseMulInto(dst, a, b []T) {
 func (p *Plan[T, R]) ScalarMulInto(dst, a []T, w T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
-	r := p.R
-	pre := r.Precompute(w)
-	if k := p.kern; k != nil {
-		k.ScalarMulSpan(dst, a, w, pre)
-		return
-	}
-	for i := range dst {
-		dst[i] = r.MulPre(a[i], w, pre)
-	}
+	p.kern.ScalarMulSpan(dst, a, w, p.R.Precompute(w))
 }
 
 // ScaleAddInto is the scale-accumulate entry point dst[i] = a[i] + m[i]·w
@@ -389,23 +346,15 @@ func (p *Plan[T, R]) ScaleAddInto(dst, a []T, m []uint64, w T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	p.checkLen(len(m))
-	r := p.R
-	pre := r.Precompute(w)
-	if k := p.kern; k != nil {
-		k.ScaleAddSpan(dst, a, m, w, pre)
-		return
-	}
-	for i := range dst {
-		dst[i] = r.Add(a[i], r.MulPre(r.FromUint64(m[i]), w, pre))
-	}
+	p.kern.ScaleAddSpan(dst, a, m, w, p.R.Precompute(w))
 }
 
 // forwardStages runs the constant-geometry forward dataflow: stage 0
 // reads x, intermediate stages ping-pong between the scratch buffers, and
 // the final stage writes dst. Safe for dst aliasing x because x is only
 // read by stage 0 (and the single-stage N=2 case reads both inputs before
-// writing). On the kernel path, intermediate stages may carry residues in
-// the kernel's relaxed domain; the final stage (CTSpanLast) is canonical.
+// writing). Intermediate stages may carry residues in the kernels'
+// relaxed domain; the final stage (CTSpanLast) is canonical.
 func (p *Plan[T, R]) forwardStages(dst, x []T, sc *scratchPair[T]) {
 	p.forwardStagesN(dst, x, sc, p.M)
 }
@@ -418,7 +367,6 @@ func (p *Plan[T, R]) forwardStages(dst, x []T, sc *scratchPair[T]) {
 // prepared input as dst.
 func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 	k := p.kern
-	r := p.R
 	half := p.N >> 1
 	src := x
 	for s := 0; s < m; s++ {
@@ -439,17 +387,10 @@ func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 			p.blk.CTSpanLastBlk(o, lo, hi, p.fwdTwC[s].w, p.fwdTwC[s].pre, blk)
 		case p.blk != nil && blk >= blockedMinBlk:
 			p.blk.CTSpanBlk(o, lo, hi, p.fwdTwC[s].w, p.fwdTwC[s].pre, blk)
-		case k != nil && s == p.M-1:
+		case s == p.M-1:
 			k.CTSpanLast(o, lo, hi, w, pre)
-		case k != nil:
-			k.CTSpan(o, lo, hi, w, pre)
 		default:
-			for i := range w {
-				a, b := lo[i], hi[i]
-				d := r.Sub(a, b)
-				o[2*i] = r.Add(a, b)
-				o[2*i+1] = r.MulPre(d, w[i], pre[i])
-			}
+			k.CTSpan(o, lo, hi, w, pre)
 		}
 		src = out
 	}
@@ -463,7 +404,6 @@ func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 // carries it).
 func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 	kern := p.kern
-	r := p.R
 	half := p.N >> 1
 	src := y
 	k := 0 // execution index: stage s runs as the k-th pass
@@ -485,33 +425,17 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 		oHi := out[half:p.N]
 		blk := 1 << s
 		switch {
-		case kern != nil && s == 0 && scale:
+		case s == 0 && scale:
 			kern.GSSpanLastScaled(oLo, oHi, in, w, pre, p.NInv, p.nInvPre)
 		case p.blk != nil && blk >= blockedMinBlk:
 			// Non-final inverse stages (and the s>0 stages of an unscaled
 			// inverse) carry block-constant twiddles: stream the compact
 			// table. The s == 0 && scale case above never reaches here.
 			p.blk.GSSpanBlk(oLo, oHi, in, p.invTwC[s].w, p.invTwC[s].pre, blk)
-		case kern != nil:
+		default:
 			// When scale is false the final pass stays relaxed: the
 			// caller's untwist (MulPreNormSpan) lands the normalization.
 			kern.GSSpan(oLo, oHi, in, w, pre)
-		case s == 0 && scale:
-			nInv, nPre := p.NInv, p.nInvPre
-			for i := range w {
-				e, o := in[2*i], in[2*i+1]
-				t := r.MulPre(o, w[i], pre[i]) // twiddle * N^-1 folded
-				es := r.MulPre(e, nInv, nPre)
-				oLo[i] = r.Add(es, t)
-				oHi[i] = r.Sub(es, t)
-			}
-		default:
-			for i := range w {
-				e, o := in[2*i], in[2*i+1]
-				t := r.MulPre(o, w[i], pre[i])
-				oLo[i] = r.Add(e, t)
-				oHi[i] = r.Sub(e, t)
-			}
 		}
 		src = out
 		k++
@@ -520,39 +444,20 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 
 // polyMulNegacyclicScratch is the body of PolyMulNegacyclicInto over two
 // checked-out scratch pairs: poly holds the twisted operands; ping holds
-// the transform ping-pong buffers.
+// the transform ping-pong buffers. The twist may leave residues relaxed
+// (the stage loops accept them), the transforms hand back canonical
+// values for the pointwise product, the unscaled inverse stays relaxed,
+// and the untwist lands the deferred normalization with 1/N.
 func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratchPair[T]) {
+	k := p.kern
 	at, bt := poly.a, poly.b
 	tw := p.twist.w[:p.N]
 	tp := p.twist.pre[:p.N]
-	ut := p.untwist.w[:p.N]
-	up := p.untwist.pre[:p.N]
-	if k := p.kern; k != nil {
-		// Kernel path: the twist may leave residues relaxed (the stage
-		// loops accept them), the transforms hand back canonical values
-		// for the pointwise product, the unscaled inverse stays relaxed,
-		// and the untwist lands the deferred normalization with 1/N.
-		k.MulPreSpan(at, a, tw, tp)
-		k.MulPreSpan(bt, b, tw, tp)
-		p.forwardStages(at, at, ping)
-		p.forwardStages(bt, bt, ping)
-		k.MulSpan(at, at, bt)
-		p.inverseStages(at, at, ping, false)
-		k.MulPreNormSpan(dst, at, ut, up) // psi^-j * N^-1
-		return
-	}
-	r := p.R
-	for j := range tw {
-		at[j] = r.MulPre(a[j], tw[j], tp[j])
-		bt[j] = r.MulPre(b[j], tw[j], tp[j])
-	}
+	k.MulPreSpan(at, a, tw, tp)
+	k.MulPreSpan(bt, b, tw, tp)
 	p.forwardStages(at, at, ping)
 	p.forwardStages(bt, bt, ping)
-	for j := range at {
-		at[j] = r.Mul(at[j], bt[j])
-	}
+	k.MulSpan(at, at, bt)
 	p.inverseStages(at, at, ping, false)
-	for j := range ut {
-		dst[j] = r.MulPre(at[j], ut[j], up[j]) // psi^-j * N^-1
-	}
+	k.MulPreNormSpan(dst, at, p.untwist.w[:p.N], p.untwist.pre[:p.N]) // psi^-j * N^-1
 }

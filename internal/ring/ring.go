@@ -7,10 +7,10 @@
 // cache, and the chunk-dispatch batch worker pool are each implemented
 // exactly once, generically over the element type.
 //
-// A Ring[T] supplies the element arithmetic (modular add/sub/mul and
-// twiddle application: the Shoup one-correction multiply for single-word
-// rings, Barrett for double-word rings) plus the number-theoretic setup
-// a plan needs. Plan[T, R] does everything else. The stack runs exactly
+// A Ring[T] supplies the fused span kernels every transform runs (lazy
+// Shoup spans for single-word rings, Barrett spans for double-word rings)
+// plus the element arithmetic and number-theoretic setup table building
+// needs. Plan[T, R] does everything else. The stack runs exactly
 // two rings: Barrett128 under internal/ntt's Plan, and Shoup64 under the
 // RNS towers (internal/ntt's Plan64 is a cached handle to a
 // Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
@@ -22,27 +22,21 @@ import (
 	"mqxgo/internal/u128"
 )
 
-// Ring is the element arithmetic a Plan needs: modular operations on
-// reduced residues of type T, twiddle precomputation, and the
-// number-theoretic setup (inverses, roots of unity) used when building
-// twiddle tables. Implementations must be cheap to copy by value; all
-// methods must be safe for concurrent use.
+// Ring is what a Plan needs from its coefficient type: the span kernels
+// every transform, product and elementwise pass runs, plus the element
+// operations on reduced residues of type T that table building and
+// AutomorphismCoeffInto read. Implementations must be cheap to copy by
+// value; all methods must be safe for concurrent use.
 type Ring[T any] interface {
-	// Add returns a + b mod q for reduced inputs.
-	Add(a, b T) T
-	// Sub returns a - b mod q for reduced inputs.
-	Sub(a, b T) T
+	SpanKernels[T]
 	// Neg returns -a mod q for reduced a.
 	Neg(a T) T
 	// Mul returns a * b mod q for reduced inputs.
 	Mul(a, b T) T
-	// MulPre multiplies a by a fixed multiplicand w using pre, the
-	// constant Precompute(w) produced for it: the Shoup one-correction
-	// multiply for single-word rings; Barrett rings ignore pre.
-	MulPre(a, w T, pre uint64) T
-	// Precompute returns the per-multiplicand constant MulPre consumes
-	// (the Shoup word floor(w * 2^64 / q) for single-word rings; 0 for
-	// rings whose MulPre does not use one).
+	// Precompute returns the per-multiplicand constant the span kernels
+	// read alongside each fixed multiplicand w (the Shoup word
+	// floor(w * 2^64 / q) for single-word rings; 0 for Barrett rings,
+	// whose kernels ignore it).
 	Precompute(w T) uint64
 	// Inv returns the multiplicative inverse of a mod q (q prime).
 	Inv(a T) T
@@ -51,31 +45,15 @@ type Ring[T any] interface {
 	// PrimitiveRootOfUnity returns an element of order exactly n, where
 	// n is a power of two dividing q-1.
 	PrimitiveRootOfUnity(n uint64) (T, error)
-	// Fingerprint identifies the modulus and arithmetic configuration for
-	// the process-wide plan cache.
-	Fingerprint() Fingerprint
 }
 
 // Fingerprint keys the process-wide plan cache: the modulus words plus a
-// tag separating ring families (and arithmetic configurations within a
-// family) whose plans must never be shared even at equal q.
+// caller-chosen tag separating plan types (and arithmetic configurations)
+// that must never share an entry even at equal q.
 type Fingerprint struct {
 	QHi, QLo uint64
 	Tag      uint32
 }
-
-// Tags for the built-in ring families. Wrapper-level caches (internal/ntt)
-// use tags at or above TagExternalBase so a wrapper entry never collides
-// with the generic plan entry for the same modulus. The low 16 bits of a
-// tag name the family (bit 15 is reserved for the tests' ElementOnly
-// wrapper); families with per-modulus arithmetic configuration
-// (Barrett128's MulAlgorithm, the resolved Shoup64 kernel tier) fold it
-// into the high bits.
-const (
-	TagBarrett128 uint32 = iota
-	TagShoup64
-	TagExternalBase uint32 = 8
-)
 
 // Barrett128 is the double-word ring over modmath.Modulus128: 128-bit
 // residues with flattened word-level Barrett multiplication, the paper's
@@ -87,23 +65,16 @@ type Barrett128 struct {
 // NewBarrett128 wraps a 128-bit Barrett modulus as a Ring.
 func NewBarrett128(m *modmath.Modulus128) Barrett128 { return Barrett128{M: m} }
 
-func (r Barrett128) Add(a, b u128.U128) u128.U128 { return r.M.Add(a, b) }
-func (r Barrett128) Sub(a, b u128.U128) u128.U128 { return r.M.Sub(a, b) }
 func (r Barrett128) Neg(a u128.U128) u128.U128    { return r.M.Neg(a) }
 func (r Barrett128) Mul(a, b u128.U128) u128.U128 { return r.M.Mul(a, b) }
 
-// MulPre is Barrett multiplication; the precomputed word is unused.
-func (r Barrett128) MulPre(a, w u128.U128, _ uint64) u128.U128 { return r.M.Mul(a, w) }
-func (r Barrett128) Precompute(u128.U128) uint64               { return 0 }
-func (r Barrett128) Inv(a u128.U128) u128.U128                 { return r.M.Inv(a) }
-func (r Barrett128) FromUint64(v uint64) u128.U128             { return u128.From64(v) }
+// Precompute is 0: Barrett multiplication has no per-multiplicand word.
+func (r Barrett128) Precompute(u128.U128) uint64   { return 0 }
+func (r Barrett128) Inv(a u128.U128) u128.U128     { return r.M.Inv(a) }
+func (r Barrett128) FromUint64(v uint64) u128.U128 { return u128.From64(v) }
 
 func (r Barrett128) PrimitiveRootOfUnity(n uint64) (u128.U128, error) {
 	return r.M.PrimitiveRootOfUnity(n)
-}
-
-func (r Barrett128) Fingerprint() Fingerprint {
-	return Fingerprint{QHi: r.M.Q.Hi, QLo: r.M.Q.Lo, Tag: TagBarrett128 | uint32(r.M.Alg)<<16}
 }
 
 // Shoup64 is the single-word ring over modmath.Modulus64: 64-bit residues
@@ -131,26 +102,14 @@ func NewShoup64Tier(m *modmath.Modulus64, tier KernelTier) Shoup64 {
 	return Shoup64{M: m, tier: tier}
 }
 
-func (r Shoup64) Add(a, b uint64) uint64 { return r.M.Add(a, b) }
-func (r Shoup64) Sub(a, b uint64) uint64 { return r.M.Sub(a, b) }
 func (r Shoup64) Neg(a uint64) uint64    { return r.M.Neg(a) }
 func (r Shoup64) Mul(a, b uint64) uint64 { return r.M.Mul(a, b) }
 
-// MulPre is the Shoup one-correction multiply: one high and one low
-// 64x64 product with a single conditional subtract.
-func (r Shoup64) MulPre(a, w uint64, pre uint64) uint64 { return r.M.MulShoup(a, w, pre) }
-func (r Shoup64) Precompute(w uint64) uint64            { return r.M.ShoupPrecompute(w) }
-func (r Shoup64) Inv(a uint64) uint64                   { return r.M.Inv(a) }
-func (r Shoup64) FromUint64(v uint64) uint64            { return v }
+// Precompute is the Shoup word the lazy span kernels multiply with.
+func (r Shoup64) Precompute(w uint64) uint64 { return r.M.ShoupPrecompute(w) }
+func (r Shoup64) Inv(a uint64) uint64        { return r.M.Inv(a) }
+func (r Shoup64) FromUint64(v uint64) uint64 { return v }
 
 func (r Shoup64) PrimitiveRootOfUnity(n uint64) (uint64, error) {
 	return r.M.PrimitiveRootOfUnity64(n)
-}
-
-// Fingerprint folds the RESOLVED kernel tier into the tag's high bits
-// (the Barrett128 MulAlgorithm precedent), so plans built at different
-// tiers — or under a different MQXGO_KERNEL_TIER — never share a cache
-// entry even at equal q.
-func (r Shoup64) Fingerprint() Fingerprint {
-	return Fingerprint{QLo: r.M.Q, Tag: TagShoup64 | uint32(resolveKernelTier(r.tier))<<16}
 }

@@ -143,7 +143,7 @@ func TestCachedPlanSharing(t *testing.T) {
 	const n = 64
 	r64 := testRing64(t, n)
 	cached := func(n int) (any, error) {
-		return ring.CacheLoadOrBuild(r64.Fingerprint(), n, func() (any, error) {
+		return ring.CacheLoadOrBuild(ring.Fingerprint{QLo: r64.M.Q}, n, func() (any, error) {
 			return ring.NewPlan[uint64, ring.Shoup64](r64, n)
 		})
 	}

@@ -80,6 +80,14 @@ func ctxErr(s *Server, err error) *apiError {
 	return errf(http.StatusInternalServerError, CodeInternal, "evaluation failed: %v", err)
 }
 
+// dropOut forgets the in-place destination out after its backend call
+// failed: the Backend contract leaves dst unspecified on error, so the
+// handle would otherwise decrypt to garbage. Caller holds t.mu.
+func (t *tenant) dropOut(s *Server, out string, err error) *apiError {
+	delete(t.cts, out)
+	return ctxErr(s, err)
+}
+
 // guardMul enforces the budget floor for a multiply at level with the
 // given operand noise bound, returning the predicted result noise.
 func (s *Server) guardMul(level, opNoise int) (int, *apiError) {
@@ -155,7 +163,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		// pooled scratch.
 		if dst := s.reusableDst(t, req.Out, level, h1, h2); dst != nil {
 			if err := sch.B.MulCtCtx(ctx, &dst.ct, e1.ct, e2.ct, t.rlk); err != nil {
-				return evalResponse{}, ctxErr(s, err)
+				return evalResponse{}, t.dropOut(s, req.Out, err)
 			}
 			dst.noiseBits = pred
 			return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
@@ -191,7 +199,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		}
 		if dst := s.reusableDst(t, req.Out, level+1, req.Args[0], ""); dst != nil {
 			if err := sch.B.ModSwitchCtx(ctx, &dst.ct, e.ct); err != nil {
-				return evalResponse{}, ctxErr(s, err)
+				return evalResponse{}, t.dropOut(s, req.Out, err)
 			}
 			dst.noiseBits = pred
 			return evalResponse{Handle: req.Out, Level: level + 1, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level+1, pred)}, nil
@@ -237,7 +245,7 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 				err = sch.B.ConjugateCtx(ctx, &dst.ct, e.ct, t.gk)
 			}
 			if err != nil {
-				return evalResponse{}, ctxErr(s, err)
+				return evalResponse{}, t.dropOut(s, req.Out, err)
 			}
 			dst.noiseBits = pred
 			return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
