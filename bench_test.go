@@ -535,9 +535,9 @@ func BenchmarkRNSMulAllParK4N4096(b *testing.B) {
 
 // --- PR 4: homomorphic multiply on the Backend seam ---
 
-// benchMulCtFixture prepares a ready-to-multiply ciphertext pair, relin
-// key, and reusable destination on one backend.
-func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
+// benchMulCtFixture prepares a scheme on one backend with a
+// ready-to-multiply ciphertext pair, relin key, and reusable destination.
+func benchMulCtFixture(b *testing.B, backend fhe.Backend) (*fhe.BackendScheme, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
 	b.Helper()
 	s := fhe.NewBackendScheme(backend, 77)
 	sk := s.KeyGen()
@@ -558,11 +558,11 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly()}
-	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(0), B: backend.NewPolyAt(0)}
+	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
-	return c1, c2, dst, rlk
+	return s, c1, c2, dst, rlk
 }
 
 // BenchmarkMulCtRNSK2N4096 is the BEHZ pipeline at the paper's sweet
@@ -577,10 +577,10 @@ func BenchmarkMulCtRNSK2N4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
+	s, c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
+		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -596,10 +596,10 @@ func BenchmarkMulCtOracleN4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	backend := fhe.NewRingBackend(params)
-	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
+	s, c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
+		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,9 +607,10 @@ func BenchmarkMulCtOracleN4096(b *testing.B) {
 
 // --- PR 5: the modulus ladder ---
 
-// ladderFixture prepares a k-tower RNS backend with a ciphertext pair
-// switched down to the requested level, ready to multiply there.
-func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
+// ladderFixture prepares a scheme on a k-tower RNS backend with a
+// ciphertext pair switched down to the requested level, ready to multiply
+// there.
+func ladderFixture(b *testing.B, towers, level, n int) (*fhe.BackendScheme, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
 	b.Helper()
 	c, err := rns.NewContext(59, towers, n)
 	if err != nil {
@@ -646,10 +647,10 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 		}
 	}
 	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level}
-	if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
+	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
-	return backend, c1, c2, dst, rlk
+	return s, c1, c2, dst, rlk
 }
 
 // BenchmarkMulCtLadderK4N4096 measures the per-level multiply cost down a
@@ -659,10 +660,10 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 	for level := 0; level <= 2; level++ {
 		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			backend, c1, c2, dst, rlk := ladderFixture(b, 4, level, 1<<12)
+			s, c1, c2, dst, rlk := ladderFixture(b, 4, level, 1<<12)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := backend.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
+				if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -674,14 +675,14 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 // divide-and-round of both ciphertext components, residues only, 0
 // allocs/op steady state.
 func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
-	backend, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1}
-	if err := backend.ModSwitchCtx(context.Background(), &dst, c1); err != nil {
+	s, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
+	dst := fhe.BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+	if err := s.ModSwitchInto(context.Background(), &dst, c1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := backend.ModSwitchCtx(context.Background(), &dst, c1); err != nil {
+		if err := s.ModSwitchInto(context.Background(), &dst, c1); err != nil {
 			b.Fatal(err)
 		}
 	}

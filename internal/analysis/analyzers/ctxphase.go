@@ -69,8 +69,8 @@ func checkCtxThreading(pass *mqx.Pass, fd *ast.FuncDecl) {
 // a *Ctx function with the context, observing the context directly
 // (ctx.Err(), ctx.Done(), ctx.Deadline()), or handing it to a
 // module-local callee whose own body threads its context parameter —
-// that last rule is what lets RotateSlotsCtx delegate to an unexported
-// galoisChain that gates each hop. Recursion is memoized per callee and
+// that last rule is what lets MulCiphertextsCtx delegate to
+// MulCiphertextsInto, whose entry check observes the context. Recursion is memoized per callee and
 // depth-limited; an in-progress callee answers false, so a cycle of
 // functions that only pass the context around never counts as threading.
 type threadCheck struct {

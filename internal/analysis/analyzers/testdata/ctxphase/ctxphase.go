@@ -27,7 +27,8 @@ func ObserveCtx(ctx context.Context) error {
 }
 
 // ChainCtx delegates to an unexported helper that gates each hop — the
-// galoisChain shape the transitive rule exists for.
+// shape (an allocating call delegating to a gated one) the transitive
+// rule exists for.
 func ChainCtx(ctx context.Context, hops int) error {
 	return chain(ctx, hops)
 }

@@ -15,9 +15,10 @@ import (
 // residues — is a panic deep in a kernel at best and a silently wrong
 // plaintext at worst. The convention is that every EXPORTED function
 // reading BackendCiphertext component polys (the A/B fields) first calls
-// a function annotated //mqx:validator (checkCts, CheckCiphertext, the
-// backend seam's level checks). Unexported helpers are inside the validated perimeter and
-// exempt; validators themselves are annotated.
+// a function annotated //mqx:validator (the scheme's checkCts, or
+// checkEval on the in-place evaluation calls). Unexported functions —
+// among them every backend evaluation method — are inside the validated
+// perimeter and exempt; validators themselves are annotated.
 //
 // The check is ordered: the validation must occur before (in source
 // order) the first component read, so a check bolted on after the

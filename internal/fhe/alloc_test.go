@@ -7,11 +7,11 @@ import (
 	"mqxgo/internal/rns"
 )
 
-// allocFixture builds a width-1 RNS backend (the zero-allocation
-// configuration: the tower dispatch runs on the caller, no pool
-// submission) with two encryptions of the same message and relin and
+// allocFixture builds a scheme on a width-1 RNS backend (the
+// zero-allocation configuration: the tower dispatch runs on the caller, no
+// pool submission) with two encryptions of the same message and relin and
 // Galois keys.
-func allocFixture(t *testing.T, levels int) (Backend, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
+func allocFixture(t *testing.T, levels int) (*BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
 	t.Helper()
 	const n, T = 256, 257
 	c, err := rns.NewContext(59, levels, n)
@@ -44,27 +44,27 @@ func allocFixture(t *testing.T, levels int) (Backend, BackendRelinKey, BackendGa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, rlk, gk, c1, c2
+	return s, rlk, gk, c1, c2
 }
 
 // Steady-state allocation regression for the BEHZ multiply, extending the
 // PR 1 discipline to the hot path in its PR 6 resting state: with the
-// scratch pool warmed and a reused destination ciphertext, the RNS
-// backend's MulCt — operand crossing, base extension, tensor,
-// divide-and-round, relinearization, evaluation-domain return — must
-// allocate nothing. (The 128-bit oracle backend is exempt by
+// scratch pool warmed and a reused destination ciphertext, the scheme's
+// in-place multiply on the RNS backend — operand validation, operand
+// crossing, base extension, tensor, divide-and-round, relinearization,
+// evaluation-domain return — must allocate nothing. (The 128-bit oracle backend is exempt by
 // design: it trades allocation discipline for exact big-int arithmetic.)
 func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, rlk, _, c1, c2 := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
+	s, rlk, _, c1, c2 := allocFixture(t, 2)
+	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil {
+		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -80,13 +80,13 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, rlk, _, c1, _ := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCtCtx(context.Background(), &dst, c1, c1, rlk); err != nil {
+	s, rlk, _, c1, _ := allocFixture(t, 2)
+	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c1, rlk); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.MulCtCtx(context.Background(), &dst, c1, c1, rlk); err != nil {
+		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c1, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -101,13 +101,13 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, _, ct, _ := allocFixture(t, 3)
-	dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
-	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
+	s, _, _, ct, _ := allocFixture(t, 3)
+	dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+	if err := s.ModSwitchInto(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil {
+		if err := s.ModSwitchInto(context.Background(), &dst, ct); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -125,23 +125,23 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, _, gk, c1, _ := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.RotateSlotsCtx(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
+	s, _, gk, c1, _ := allocFixture(t, 2)
+	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+	if err := s.RotateSlotsInto(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.RotateSlotsCtx(context.Background(), &dst, c1, 3, gk); err != nil {
+		if err := s.RotateSlotsInto(context.Background(), &dst, c1, 3, gk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("RNS RotateSlots allocates %.1f per run, want 0", got)
 	}
-	if err := b.ConjugateCtx(context.Background(), &dst, c1, gk); err != nil {
+	if err := s.ConjugateInto(context.Background(), &dst, c1, gk); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		if err := b.ConjugateCtx(context.Background(), &dst, c1, gk); err != nil {
+		if err := s.ConjugateInto(context.Background(), &dst, c1, gk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {

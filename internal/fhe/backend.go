@@ -19,15 +19,22 @@ type Poly any
 // Backend is the ring-arithmetic seam the RLWE scheme runs on: the
 // paper's two hardware philosophies — one 124-bit double-word ring versus
 // a basis of 64-bit RNS towers — as swappable implementations. A backend
-// fixes the ring degree N, the plaintext modulus T, and — since PR 5 — a
-// modulus-switching LADDER: a decreasing chain of ciphertext moduli
-// Q_0 > Q_1 > ... > Q_{L-1} built once at construction. Level 0 is the
-// full modulus fresh encryptions live at; ModSwitch moves a ciphertext
-// down one level (dividing coefficients — and noise — by the dropped
-// factor), and every ciphertext-space operation takes the level it runs
-// at, because the modulus, the plaintext scale Delta_l = floor(Q_l / T),
-// and (for RNS) the tower count all depend on it. The scheme layer
-// (BackendScheme) never sees coefficients.
+// fixes the ring degree N, the plaintext modulus T, and a modulus-switching
+// LADDER: a decreasing chain of ciphertext moduli Q_0 > Q_1 > ... >
+// Q_{L-1} built once at construction. Level 0 is the full modulus fresh
+// encryptions live at; a modulus switch moves a ciphertext down one level
+// (dividing coefficients — and noise — by the dropped factor), and every
+// ciphertext-space operation takes the level it runs at, because the
+// modulus, the plaintext scale Delta_l = floor(Q_l / T), and (for RNS) the
+// tower count all depend on it. The scheme layer (BackendScheme) never
+// sees coefficients.
+//
+// Backends assume validated arguments. BackendScheme is the one
+// validation perimeter: levels on the chain, operand handles of this
+// backend, shaped for their level, with reduced residues. A backend checks
+// only what it alone can: its key types and shapes, and the type, shape
+// and aliasing of the destination it writes. The evaluation methods are
+// unexported, so no caller outside the scheme can skip its checks.
 type Backend interface {
 	// Name identifies the backend in benchmarks and reports.
 	Name() string
@@ -38,21 +45,16 @@ type Backend interface {
 	// Levels is the length of the modulus chain; valid levels are
 	// [0, Levels()-1], level 0 the widest.
 	Levels() int
-	// NewPoly returns a zero polynomial at level 0.
-	NewPoly() Poly
 	// NewPolyAt returns a zero polynomial shaped for the given level.
 	NewPolyAt(level int) Poly
 	// Copy returns an independent copy of a (any level; the shape is
 	// carried by the handle).
 	Copy(a Poly) Poly
-	// CheckCiphertext validates a ciphertext's provenance against this
-	// backend: handle types, level range, per-level shape, and
-	// coefficient ranges. It is the scheme layer's gate — a ciphertext
-	// from another backend (or a corrupted one) fails here with an error
-	// instead of crashing deeper in the pipeline.
-	CheckCiphertext(ct BackendCiphertext) error
-	// CheckPoly validates a single polynomial handle the same way:
-	// backend type, the level's shape, and residue ranges.
+	// CheckPoly validates a polynomial handle at a level on the chain:
+	// backend type, the level's shape, and residue ranges. It is the
+	// scheme layer's gate — a handle from another backend (or a corrupted
+	// one) fails here with an error instead of crashing deeper in the
+	// pipeline.
 	CheckPoly(level int, a Poly) error
 	// Add computes dst = a + b at the given level; dst may alias a or b.
 	Add(level int, dst, a, b Poly)
@@ -94,51 +96,41 @@ type Backend interface {
 	NoiseBits(level int, a Poly, msg []uint64) int
 	// RelinKeyGen builds a relinearization key for the secret s: at
 	// every level of the chain, gadget encryptions of s^2 (stored in the
-	// NTT domain) that MulCtCtx uses to bring a degree-2 tensor product
+	// NTT domain) that mulCtx uses to bring a degree-2 tensor product
 	// back to a degree-1 ciphertext. The key representation is
 	// backend-owned and must not be mixed across backends.
 	RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey
-	// MulCtCtx computes the homomorphic product of ct1 and ct2 into dst:
-	// tensor product over the integers in the CURRENT level's basis,
+	// mulCtx computes the homomorphic product of ct1 and ct2 into dst:
+	// tensor product over the integers in the operands' level basis,
 	// rescale by T/Q_l, and relinearization with rlk's keys for that
 	// level, so dst decrypts (degree-1, via the usual B - A*S) to the
-	// negacyclic product of the plaintexts mod T, noise permitting.
-	// ct1, ct2, and dst must share one level (set dst.Level before the
-	// call; mismatched handles are rejected). Malformed handles,
-	// mixed-backend keys, and out-of-range tensors (the oracle backend's
-	// rescale detection) return errors. ctx is observed at the four phase
-	// boundaries (base extension, tensor, divide-and-round,
-	// relinearization): a phase runs to completion or not at all, and once
-	// ctx fires the call returns ctx.Err() itself — errors.Is(err,
-	// context.DeadlineExceeded) works without unwrapping — with dst's
-	// contents unspecified, to be discarded.
-	MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error
-	// ModSwitchCtx rescales ct from its level to level+1 into dst: every
-	// coefficient becomes round(c * Q_{l+1} / Q_l), dividing the noise
-	// by the dropped factor along with the modulus. dst must be shaped
-	// for ct.Level+1 with dst.Level already set. ctx is observed before
-	// the switch starts and between the two components, with MulCtCtx's
+	// negacyclic product of the plaintexts mod T, noise permitting. dst is
+	// tagged with the operands' level and may alias an operand. ctx is
+	// observed at the four phase boundaries (base extension, tensor,
+	// divide-and-round, relinearization): a phase runs to completion or not
+	// at all, and once ctx fires the call returns ctx.Err() itself, with
+	// dst's contents unspecified.
+	mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error
+	// modSwitchCtx rescales ct from its level to level+1 into dst: every
+	// coefficient becomes round(c * Q_{l+1} / Q_l), dividing the noise by
+	// the dropped factor along with the modulus. ctx is observed before
+	// the switch starts and between the two components, with mulCtx's
 	// abort contract.
-	ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error
+	modSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error
 	// GaloisKeyGen builds the slot-rotation key set for the secret s: at
 	// every level of the chain, gadget encryptions of tau_g(s) — the
 	// same per-level NTT-domain gadget RelinKeyGen uses — for the
 	// power-of-two rotation elements g = 3^(2^j) mod 2N plus the
-	// conjugation element 2N-1. RotateSlotsCtx composes power-of-two hops,
+	// conjugation element 2N-1. A rotation composes power-of-two hops,
 	// so one key set covers every rotation amount with O(log N) key
 	// material. The key representation is backend-owned and must not be
 	// mixed across backends.
 	GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey
-	// RotateSlotsCtx key-switches ct through the automorphism that
-	// rotates both slot rows left by steps (negative steps rotate right),
-	// writing the result into dst: dst must be shaped for ct's level with
-	// dst.Level already matching, and its storage must not alias ct's
-	// (rejected). ctx is observed before every power-of-two key-switch
-	// hop, with MulCtCtx's abort contract.
-	RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error
-	// ConjugateCtx applies the row-swap automorphism x -> x^(2N-1) with
-	// the same contract as RotateSlotsCtx.
-	ConjugateCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error
+	// galoisCtx key-switches ct through the automorphisms in hops, in
+	// order, writing the result into dst at ct's level; dst's storage must
+	// not alias ct's (rejected). No hops is the identity, a copy. ctx is
+	// observed before every hop, with mulCtx's abort contract.
+	galoisCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, hops galoisHops, gk BackendGaloisKey) error
 	// MulNoiseModel returns the MulNoiseBoundBits parameters at a level —
 	// the relinearization gadget digit count, the per-digit magnitude in
 	// bits, and the base-conversion operand overshoot factor — so the
@@ -220,7 +212,7 @@ func (s *BackendScheme) KeyGen() BackendSecretKey {
 			coeffs[i] = -1
 		}
 	}
-	sk := s.B.NewPoly()
+	sk := s.B.NewPolyAt(0)
 	s.B.SetSigned(sk, coeffs)
 	return BackendSecretKey{S: sk}
 }
@@ -252,59 +244,28 @@ func (s *BackendScheme) checkMsg(msg []uint64) error {
 	return nil
 }
 
-// checkCts validates every ciphertext's provenance against the backend
-// and that they all sit at one level — the hardening gate every public
-// entry point passes malformed inputs through instead of panicking.
+// checkCts validates every ciphertext against the backend — a level on
+// the chain, both components this backend's handles shaped for it, with
+// reduced residues — and that they all sit at one level: the hardening
+// gate every public entry point passes malformed inputs through instead
+// of panicking.
 //
 //mqx:validator
 func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 	for i, ct := range cts {
-		if err := s.B.CheckCiphertext(ct); err != nil {
-			return err
+		if ct.Level < 0 || ct.Level >= s.B.Levels() {
+			return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, s.B.Levels())
 		}
 		if ct.Level != cts[0].Level {
 			return fmt.Errorf("fhe: operand %d at level %d, operand 0 at level %d",
 				i, ct.Level, cts[0].Level)
 		}
-	}
-	return nil
-}
-
-// checkMulLevels, checkSwitchLevels and checkRotateLevels are the backend
-// seam's tag checks, shared by both backends: they validate the Level
-// tags of an evaluation call against a chain of `levels` rungs before any
-// component is unpacked. Handle types and shapes are checked where the
-// components are unpacked; residue ranges are CheckCiphertext's.
-//
-//mqx:validator
-func checkMulLevels(levels int, dst *BackendCiphertext, ct1, ct2 BackendCiphertext) error {
-	if ct1.Level != ct2.Level || dst.Level != ct1.Level {
-		return fmt.Errorf("fhe: MulCt level mismatch: %d, %d -> %d", ct1.Level, ct2.Level, dst.Level)
-	}
-	if ct1.Level < 0 || ct1.Level >= levels {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct1.Level, levels)
-	}
-	return nil
-}
-
-//mqx:validator
-func checkSwitchLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level+1 >= levels {
-		return fmt.Errorf("fhe: cannot switch below level %d of a %d-level chain", ct.Level, levels)
-	}
-	if dst.Level != ct.Level+1 {
-		return fmt.Errorf("fhe: ModSwitch destination at level %d, want %d", dst.Level, ct.Level+1)
-	}
-	return nil
-}
-
-//mqx:validator
-func checkRotateLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level >= levels {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, levels)
-	}
-	if dst.Level != ct.Level {
-		return fmt.Errorf("fhe: rotate level mismatch: %d -> %d", ct.Level, dst.Level)
+		if err := s.B.CheckPoly(ct.Level, ct.A); err != nil {
+			return err
+		}
+		if err := s.B.CheckPoly(ct.Level, ct.B); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -314,7 +275,7 @@ func checkRotateLevels(levels int, dst *BackendCiphertext, ct BackendCiphertext)
 // message embedding happen in coefficient form, then both components
 // forward-transform once into the evaluation form every ciphertext takes
 // — the last mandatory transform until Decrypt, as far as the linear ops,
-// MulCiphertextsCtx, and ModSwitchCtx are concerned.
+// the multiply and the modulus switch are concerned.
 func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphertext, error) {
 	if err := s.checkSecret(sk); err != nil {
 		return BackendCiphertext{}, err
@@ -323,7 +284,7 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 		return BackendCiphertext{}, err
 	}
 	b := s.B
-	a := b.NewPoly()
+	a := b.NewPolyAt(0)
 	noise := make([]int64, b.N())
 	s.rngMu.Lock()
 	b.SampleUniform(a, s.rng)
@@ -331,9 +292,9 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 		noise[i] = int64(s.rng.Intn(2*noiseBound+1) - noiseBound)
 	}
 	s.rngMu.Unlock()
-	e := b.NewPoly()
+	e := b.NewPolyAt(0)
 	b.SetSigned(e, noise)
-	bb := b.NewPoly()
+	bb := b.NewPolyAt(0)
 	b.MulNegacyclic(0, bb, a, sk.S) // A*S
 	b.Add(0, bb, bb, e)             // + E
 	b.AddDeltaMsg(0, bb, bb, msg)   // + Delta*M
@@ -383,8 +344,8 @@ func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphert
 	return out, nil
 }
 
-// RelinKeyGen samples a relinearization key for sk, required by
-// MulCiphertextsCtx. One key serves any number of multiplications at any
+// RelinKeyGen samples a relinearization key for sk, required by the
+// multiply. One key serves any number of multiplications at any
 // level of the chain. A secret-key handle from another backend is
 // rejected here — key generation indexes deep into the handle and must
 // never see a foreign one.
@@ -398,7 +359,7 @@ func (s *BackendScheme) RelinKeyGen(sk BackendSecretKey) (BackendRelinKey, error
 }
 
 // GaloisKeyGen samples the slot-rotation key set for sk, required by
-// RotateSlotsCtx and ConjugateCtx. One key set serves every rotation amount at
+// rotation and conjugation. One key set serves every rotation amount at
 // every level of the chain (power-of-two hops compose). Foreign secret
 // keys are rejected, as in RelinKeyGen.
 func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, error) {
@@ -410,71 +371,128 @@ func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, err
 	return s.B.GaloisKeyGen(sk.S, s.rng), nil
 }
 
-// evalCtx is the shape the four evaluation entry points share: observe
-// ctx before starting, validate the operands (one backend, one level),
-// allocate the result drop levels below them, and run eval into it. On
-// any error the zero ciphertext is returned, never a partially written
-// one. Once the context has fired, that error is ctx.Err() itself,
-// whether this check or one of the backend's phase boundaries saw it.
-func (s *BackendScheme) evalCtx(ctx context.Context, drop int, eval func(out *BackendCiphertext) error, cts ...BackendCiphertext) (BackendCiphertext, error) {
+// checkEval is the one validation of every in-place evaluation, in
+// order: observe ctx, validate the operands (checkCts), and require dst
+// tagged with the result level, drop levels below the operands' and on
+// the chain. Only then may the backend run; it checks dst's handles
+// itself, without scanning residues it is about to overwrite.
+//
+//mqx:validator
+func (s *BackendScheme) checkEval(ctx context.Context, dst *BackendCiphertext, drop int, cts ...BackendCiphertext) error {
 	if err := ctx.Err(); err != nil {
-		return BackendCiphertext{}, err
+		return err
 	}
 	if err := s.checkCts(cts...); err != nil {
-		return BackendCiphertext{}, err
+		return err
 	}
-	l := cts[0].Level + drop
-	if l >= s.B.Levels() {
-		return BackendCiphertext{}, fmt.Errorf("fhe: ciphertext already at bottom level %d", cts[0].Level)
+	if want := cts[0].Level + drop; dst.Level != want || want >= s.B.Levels() {
+		return fmt.Errorf("fhe: destination at level %d, result at level %d of a %d-level chain",
+			dst.Level, want, s.B.Levels())
 	}
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
-	if err := eval(&out); err != nil {
+	return nil
+}
+
+// newResult allocates the zero ciphertext an allocating evaluation call
+// lands in, refusing a level off the chain before it allocates.
+func (s *BackendScheme) newResult(level int) (BackendCiphertext, error) {
+	if level < 0 || level >= s.B.Levels() {
+		return BackendCiphertext{}, fmt.Errorf("fhe: result level %d outside the %d-level chain", level, s.B.Levels())
+	}
+	return BackendCiphertext{A: s.B.NewPolyAt(level), B: s.B.NewPolyAt(level), Level: level}, nil
+}
+
+// MulCiphertextsInto is homomorphic multiplication at the operands'
+// shared level, into dst: the result decrypts to NegacyclicProductModT of
+// the two plaintexts, noise permitting. dst must hold this backend's
+// handles shaped for that level, with dst.Level set to it; it may alias
+// an operand. Each multiply grows the noise roughly as documented at
+// MulNoiseBoundBits; once the budget is gone, decryption fails. Running
+// the chain down the modulus ladder (ModSwitchInto between multiplies)
+// makes every subsequent multiply cheaper — fewer towers, smaller
+// transforms — at the same decryption correctness.
+//
+// Every in-place call shares one contract: ctx is observed first and at
+// each of the backend's phase boundaries, and once it fires the call
+// returns ctx.Err() itself. On any error dst's contents are unspecified
+// and must be discarded.
+func (s *BackendScheme) MulCiphertextsInto(ctx context.Context, dst *BackendCiphertext, c1, c2 BackendCiphertext, rlk BackendRelinKey) error {
+	if err := s.checkEval(ctx, dst, 0, c1, c2); err != nil {
+		return err
+	}
+	return s.B.mulCtx(ctx, dst, c1, c2, rlk)
+}
+
+// ModSwitchInto moves a ciphertext one level down the modulus chain into
+// dst, shaped for and tagged with ct.Level+1: coefficients (and noise) are
+// divided-and-rounded by the dropped modulus factor. The plaintext is
+// unchanged; what shrinks is the cost of every subsequent operation.
+// Fails when the ciphertext is malformed or already at the bottom of the
+// chain.
+func (s *BackendScheme) ModSwitchInto(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
+	if err := s.checkEval(ctx, dst, 1, ct); err != nil {
+		return err
+	}
+	return s.B.modSwitchCtx(ctx, dst, ct)
+}
+
+// RotateSlotsInto homomorphically rotates both slot rows of ct left by
+// steps (negative steps rotate right) into dst at ct's level: the result
+// decrypts — after DecodeSlots — to the slot vector of ct rotated within
+// each row. dst must not share storage with ct. Requires a Galois key
+// from this scheme's backend; the key-switch adds relin-gadget-sized
+// noise per power-of-two hop.
+func (s *BackendScheme) RotateSlotsInto(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
+	if err := s.checkEval(ctx, dst, 0, ct); err != nil {
+		return err
+	}
+	return s.B.galoisCtx(ctx, dst, ct, s.rotationHops(steps), gk)
+}
+
+// ConjugateInto homomorphically swaps the two slot rows of ct (the Galois
+// element -1), with the same contract as RotateSlotsInto.
+func (s *BackendScheme) ConjugateInto(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error {
+	if err := s.checkEval(ctx, dst, 0, ct); err != nil {
+		return err
+	}
+	return s.B.galoisCtx(ctx, dst, ct, s.conjugationHops(), gk)
+}
+
+// MulCiphertextsCtx is MulCiphertextsInto into a fresh ciphertext. On any
+// error the zero ciphertext is returned, never a partially written one;
+// so for ModSwitchCtx and RotateSlotsCtx.
+func (s *BackendScheme) MulCiphertextsCtx(ctx context.Context, c1, c2 BackendCiphertext, rlk BackendRelinKey) (BackendCiphertext, error) {
+	out, err := s.newResult(c1.Level)
+	if err == nil {
+		err = s.MulCiphertextsInto(ctx, &out, c1, c2, rlk)
+	}
+	return resultOf(out, err)
+}
+
+// ModSwitchCtx is ModSwitchInto into a fresh ciphertext.
+func (s *BackendScheme) ModSwitchCtx(ctx context.Context, ct BackendCiphertext) (BackendCiphertext, error) {
+	out, err := s.newResult(ct.Level + 1)
+	if err == nil {
+		err = s.ModSwitchInto(ctx, &out, ct)
+	}
+	return resultOf(out, err)
+}
+
+// RotateSlotsCtx is RotateSlotsInto into a fresh ciphertext.
+func (s *BackendScheme) RotateSlotsCtx(ctx context.Context, ct BackendCiphertext, steps int, gk BackendGaloisKey) (BackendCiphertext, error) {
+	out, err := s.newResult(ct.Level)
+	if err == nil {
+		err = s.RotateSlotsInto(ctx, &out, ct, steps, gk)
+	}
+	return resultOf(out, err)
+}
+
+// resultOf returns an allocating call's result, or the zero ciphertext
+// with err.
+func resultOf(out BackendCiphertext, err error) (BackendCiphertext, error) {
+	if err != nil {
 		return BackendCiphertext{}, err
 	}
 	return out, nil
-}
-
-// MulCiphertextsCtx is homomorphic multiplication at the operands' shared
-// level: the result decrypts to NegacyclicProductModT of the two
-// plaintexts, noise permitting. Each multiply grows the noise roughly as
-// documented at MulNoiseBoundBits; once the budget is gone, decryption
-// fails. Running the chain down the modulus ladder (ModSwitchCtx between
-// multiplies) makes every subsequent multiply cheaper — fewer towers,
-// smaller transforms — at the same decryption correctness.
-func (s *BackendScheme) MulCiphertextsCtx(ctx context.Context, c1, c2 BackendCiphertext, rlk BackendRelinKey) (BackendCiphertext, error) {
-	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
-		return s.B.MulCtCtx(ctx, out, c1, c2, rlk)
-	}, c1, c2)
-}
-
-// ModSwitchCtx moves a ciphertext one level down the modulus chain:
-// coefficients (and noise) are divided-and-rounded by the dropped modulus
-// factor. The plaintext is unchanged; what shrinks is the cost of every
-// subsequent operation. Fails when the ciphertext is malformed or already
-// at the bottom of the chain.
-func (s *BackendScheme) ModSwitchCtx(ctx context.Context, ct BackendCiphertext) (BackendCiphertext, error) {
-	return s.evalCtx(ctx, 1, func(out *BackendCiphertext) error {
-		return s.B.ModSwitchCtx(ctx, out, ct)
-	}, ct)
-}
-
-// RotateSlotsCtx homomorphically rotates both slot rows of ct left by
-// steps (negative steps rotate right): the result decrypts — after
-// DecodeSlots — to the slot vector of ct rotated within each row. Requires
-// a Galois key from this scheme's backend; the key-switch adds
-// relin-gadget-sized noise per power-of-two hop.
-func (s *BackendScheme) RotateSlotsCtx(ctx context.Context, ct BackendCiphertext, steps int, gk BackendGaloisKey) (BackendCiphertext, error) {
-	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
-		return s.B.RotateSlotsCtx(ctx, out, ct, steps, gk)
-	}, ct)
-}
-
-// ConjugateCtx homomorphically swaps the two slot rows of ct (the Galois
-// element -1), with the same contract as RotateSlotsCtx.
-func (s *BackendScheme) ConjugateCtx(ctx context.Context, ct BackendCiphertext, gk BackendGaloisKey) (BackendCiphertext, error) {
-	return s.evalCtx(ctx, 0, func(out *BackendCiphertext) error {
-		return s.B.ConjugateCtx(ctx, out, ct, gk)
-	}, ct)
 }
 
 // MulNoiseBoundBits bounds the noise magnitude (in bits) of a MulCt

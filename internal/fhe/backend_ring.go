@@ -129,16 +129,15 @@ func (b *ringBackend) Name() string         { return "u128" }
 func (b *ringBackend) N() int               { return b.p.N }
 func (b *ringBackend) PlainModulus() uint64 { return b.p.T }
 func (b *ringBackend) Levels() int          { return len(b.levels) }
-func (b *ringBackend) NewPoly() Poly        { return make([]u128.U128, b.p.N) }
 func (b *ringBackend) NewPolyAt(int) Poly   { return make([]u128.U128, b.p.N) }
 
 func (b *ringBackend) Copy(a Poly) Poly {
 	return append([]u128.U128(nil), a.([]u128.U128)...)
 }
 
-// checkPolyAt validates one handle: backend type, shape, and residues
+// CheckPoly validates one handle: backend type, shape, and residues
 // reduced below the level modulus.
-func (b *ringBackend) checkPolyAt(level int, a Poly) error {
+func (b *ringBackend) CheckPoly(level int, a Poly) error {
 	x, ok := a.([]u128.U128)
 	if !ok {
 		return fmt.Errorf("fhe: foreign polynomial handle %T on the %s backend", a, b.Name())
@@ -155,25 +154,16 @@ func (b *ringBackend) checkPolyAt(level int, a Poly) error {
 	return nil
 }
 
-func (b *ringBackend) CheckPoly(level int, a Poly) error {
-	if level < 0 || level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", level, len(b.levels))
+// dstRows unpacks the destination an evaluation writes: this backend's
+// handles, N long. Its residues are about to be overwritten, so they are
+// not scanned.
+func (b *ringBackend) dstRows(dst *BackendCiphertext) (dstA, dstB []u128.U128, err error) {
+	dstA, okA := dst.A.([]u128.U128)
+	dstB, okB := dst.B.([]u128.U128)
+	if !okA || !okB || len(dstA) != b.p.N || len(dstB) != b.p.N {
+		return nil, nil, fmt.Errorf("fhe: malformed destination on the %s backend", b.Name())
 	}
-	return b.checkPolyAt(level, a)
-}
-
-//mqx:validator
-func (b *ringBackend) CheckCiphertext(ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
-	}
-	if ct.A == nil || ct.B == nil {
-		return fmt.Errorf("fhe: malformed ciphertext (nil component)")
-	}
-	if err := b.checkPolyAt(ct.Level, ct.A); err != nil {
-		return err
-	}
-	return b.checkPolyAt(ct.Level, ct.B)
+	return dstA, dstB, nil
 }
 
 func (b *ringBackend) Add(level int, dst, a, c Poly) {
@@ -283,37 +273,28 @@ func (b *ringBackend) NoiseBits(level int, a Poly, msg []uint64) int {
 // under Delta for any plaintext modulus this scheme accepts.
 const oracleDigitBits = 31
 
-// ringRelinKey holds, per ladder level, gadget encryptions of
-// 2^(31d) * s^2 with both components stored in that level's
-// twisted-evaluation domain, so relinearization costs one forward
-// transform per digit plus two inverse transforms total at whichever
-// level the multiply runs.
-type ringRelinKey struct {
-	levels []ringLevelKey
-}
-
+// ringLevelKey is one level of the oracle's relin key or of one Galois
+// entry: gadget encryptions of 2^(31d) * target with both components
+// stored in that level's twisted-evaluation domain, so a key switch costs
+// one forward transform per digit plus two inverse transforms total at
+// whichever level it runs.
 type ringLevelKey struct {
 	ahat, bhat [][]u128.U128
 }
 
-// keyAt returns one level's entry of a relin or Galois key after
-// validating it against this level: a key of the right TYPE can still
-// come from a backend over other parameters (chain depth, digit count,
+// checkKey validates a key entry against this level: a key of the right
+// TYPE can still come from a backend over other parameters (digit count,
 // row length).
-func (lv *ringLevel) keyAt(what string, keys []ringLevelKey, level, n int) (*ringLevelKey, error) {
-	if level >= len(keys) {
-		return nil, fmt.Errorf("fhe: %s key covers %d levels, ciphertext at level %d", what, len(keys), level)
-	}
-	lk := &keys[level]
+func (lv *ringLevel) checkKey(what string, lk *ringLevelKey, n int) error {
 	if len(lk.ahat) != lv.digits || len(lk.bhat) != lv.digits {
-		return nil, fmt.Errorf("fhe: %s key has %d digits at level %d, want %d", what, len(lk.ahat), level, lv.digits)
+		return fmt.Errorf("fhe: %s key has %d digits, want %d", what, len(lk.ahat), lv.digits)
 	}
 	for d := range lk.ahat {
 		if len(lk.ahat[d]) != n || len(lk.bhat[d]) != n {
-			return nil, fmt.Errorf("fhe: %s key digit %d shaped for another backend", what, d)
+			return fmt.Errorf("fhe: %s key digit %d shaped for another backend", what, d)
 		}
 	}
-	return lk, nil
+	return nil
 }
 
 // accumulate is the key-switch inner product relinearization and every
@@ -403,7 +384,7 @@ func (b *ringBackend) gadgetKeyLevel(level int, sk, target []u128.U128, rng *ran
 // RelinKeyGen builds the 2^31-gadget relinearization key at every ladder
 // level: gadget encryptions of s^2 under the level's modulus.
 func (b *ringBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
-	key := &ringRelinKey{}
+	key := &relinKey[ringLevelKey]{}
 	for l, lv := range b.levels {
 		sk := b.SecretAt(l, s).([]u128.U128)
 		s2 := make([]u128.U128, b.p.N)
@@ -449,11 +430,9 @@ func liftInto(dst []*big.Int, src []u128.U128, t *big.Int) {
 // is centered by wideQ. This is the oracle's defining step — big-integer
 // round-half-up, no approximation. A centered tensor coefficient larger
 // than the level's vBound cannot come from reduced operands: the wide
-// basis has wrapped, the rescale would silently decrypt garbage, and —
-// since PR 5's hardening pass — the condition is detected and returned as
-// an error instead of being unreachable-panic folklore. It is reachable
-// exactly when a caller bypasses the scheme layer's range validation with
-// unreduced (adversarially noisy) ciphertext coefficients.
+// basis has wrapped, and the rescale would silently decrypt garbage. The
+// scheme's residue check refuses unreduced operands before any backend
+// runs, so this error is a backstop, not a path.
 func (b *ringBackend) scaleRoundInto(lv *ringLevel, out []u128.U128, coeffs []*big.Int, wideQ, halfWideQ *big.Int) error {
 	for i, v := range coeffs {
 		if v.Cmp(halfWideQ) > 0 {
@@ -475,7 +454,7 @@ func (b *ringBackend) scaleRoundInto(lv *ringLevel, out []u128.U128, coeffs []*b
 	return nil
 }
 
-// MulCtCtx is the oracle homomorphic multiply at the operands' level:
+// mulCtx is the oracle homomorphic multiply at the operands' level:
 // exact integer tensor product via the wide CRT basis, exact big-int
 // rescale by T/q_l, then 2^31-gadget relinearization with the level's
 // keys. ctx is observed at the same four phase boundaries as the RNS
@@ -484,17 +463,17 @@ func (b *ringBackend) scaleRoundInto(lv *ringLevel, out []u128.U128, coeffs []*b
 // the result crosses back at exit: the integer tensor is defined on
 // positional coefficients, and exactness — not transform count — is this
 // backend's contract.
-func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
-	key, ok := rlk.(*ringRelinKey)
-	if !ok {
-		return fmt.Errorf("fhe: foreign relinearization key %T on the %s backend", rlk, b.Name())
-	}
-	if err := checkMulLevels(len(b.levels), dst, ct1, ct2); err != nil {
-		return err
-	}
+func (b *ringBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	lv := b.levels[ct1.Level]
 	n := b.p.N
-	lkey, err := lv.keyAt("relin", key.levels, ct1.Level, n)
+	lkey, err := relinKeyAt[ringLevelKey](rlk, b, ct1.Level)
+	if err != nil {
+		return err
+	}
+	if err := lv.checkKey("relin", lkey, n); err != nil {
+		return err
+	}
+	dstA, dstB, err := b.dstRows(dst)
 	if err != nil {
 		return err
 	}
@@ -511,11 +490,7 @@ func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1,
 	coef := make([]u128.U128, n)
 	var wp [4]rns.Poly
 	for i, op := range [4]Poly{ct1.A, ct1.B, ct2.A, ct2.B} {
-		x, ok := op.([]u128.U128)
-		if !ok || len(x) != n {
-			return fmt.Errorf("fhe: malformed MulCt operand %d on the %s backend", i, b.Name())
-		}
-		g.NegacyclicInverseInto(coef, x)
+		g.NegacyclicInverseInto(coef, op.([]u128.U128))
 		liftInto(coeffs, coef, t)
 		wp[i] = w.NewPoly()
 		must(w.DecomposeInto(wp[i], coeffs))
@@ -557,14 +532,6 @@ func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1,
 		return err
 	}
 	accA, accB := lkey.accumulate(lv, r2)
-	dstA, ok := dst.A.([]u128.U128)
-	if !ok || len(dstA) != n {
-		return fmt.Errorf("fhe: malformed MulCt destination on the %s backend", b.Name())
-	}
-	dstB, ok := dst.B.([]u128.U128)
-	if !ok || len(dstB) != n {
-		return fmt.Errorf("fhe: malformed MulCt destination on the %s backend", b.Name())
-	}
 	// The rescaled components cross back and join the accumulators in the
 	// evaluation domain: NTT(INTT(acc) + r) = acc + NTT(r) exactly.
 	g.NegacyclicForwardInto(dstA, r1)
@@ -576,150 +543,70 @@ func (b *ringBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1,
 	return nil
 }
 
-// ringGaloisKey is the oracle's Galois key set, mirroring the RNS
-// backend's exactly: one 2^31-gadget key-switch key per automorphism
-// element (the binary rotation ladder plus the conjugation), each an
-// encryption of 2^(31d) * tau_g(s) per level, stored in the level's
-// evaluation domain.
-type ringGaloisKey struct {
-	n       int
-	entries map[uint64]*ringGaloisEntry
-}
-
-type ringGaloisEntry struct {
-	g      uint64
-	tab    *ring.GaloisTables
-	levels []ringLevelKey
-}
-
-// GaloisKeyGen builds the oracle's Galois keys: RelinKeyGen with
-// tau_g(s) in place of s^2 for each covered element. The automorphism is
-// applied to the level's re-encoded secret (SecretAt changes the modulus,
-// and tau commutes with the re-encoding coefficient-wise).
+// GaloisKeyGen builds the oracle's Galois keys, mirroring the RNS
+// backend's exactly: RelinKeyGen with tau_g(s) in place of s^2 for each
+// covered element, 2^31-gadget encryptions per level in the level's
+// evaluation domain. The automorphism is applied to the level's
+// re-encoded secret (SecretAt changes the modulus, and tau commutes with
+// the re-encoding coefficient-wise).
 func (b *ringBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 	n := b.p.N
-	key := &ringGaloisKey{n: n, entries: make(map[uint64]*ringGaloisEntry)}
-	for _, gal := range galoisKeyElements(n) {
-		tab, err := ring.GaloisTablesFor(n, gal)
-		must(err)
-		entry := &ringGaloisEntry{g: gal, tab: tab}
+	return newGaloisKey(n, func(tab *ring.GaloisTables) []ringLevelKey {
+		var levels []ringLevelKey
 		for l, lv := range b.levels {
 			sk := b.SecretAt(l, s).([]u128.U128)
 			tauS := make([]u128.U128, n)
 			lv.plan.Generic().AutomorphismCoeffInto(tab, tauS, sk)
-			entry.levels = append(entry.levels, b.gadgetKeyLevel(l, sk, tauS, rng))
+			levels = append(levels, b.gadgetKeyLevel(l, sk, tauS, rng))
 		}
-		key.entries[gal] = entry
-	}
-	return key
+		return levels
+	})
 }
 
-// RotateSlotsCtx rotates both slot rows left by steps, one key-switch hop
-// per set bit of the rotation. Like the oracle's MulCt, every hop crosses
-// to coefficient form and runs the automorphism on positional
-// coefficients — an independent check of the RNS backend's
+// galoisCtx runs the oracle's hop sequence. Like the oracle's multiply,
+// every hop crosses to coefficient form and runs the automorphism on
+// positional coefficients — an independent check of the RNS backend's
 // evaluation-domain permutation — and allocates freely; the RNS backend
 // is the performance configuration.
-func (b *ringBackend) RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
-	key, err := b.checkGaloisCall(dst, ct, gk)
-	if err != nil {
-		return err
-	}
-	rows := b.p.N / 2
-	steps = ((steps % rows) + rows) % rows
-	return b.galoisChain(ctx, dst, ct, key, steps, false)
-}
-
-// ConjugateCtx applies the row-swap automorphism with the same contract
-// as RotateSlotsCtx.
-func (b *ringBackend) ConjugateCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error {
-	key, err := b.checkGaloisCall(dst, ct, gk)
-	if err != nil {
-		return err
-	}
-	return b.galoisChain(ctx, dst, ct, key, 0, true)
-}
-
-func (b *ringBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) (*ringGaloisKey, error) {
-	key, ok := gk.(*ringGaloisKey)
-	if !ok {
-		return nil, fmt.Errorf("fhe: foreign galois key %T on the %s backend", gk, b.Name())
-	}
-	if key.n != b.p.N {
-		return nil, fmt.Errorf("fhe: galois key built for degree %d, want %d", key.n, b.p.N)
-	}
-	if err := checkRotateLevels(len(b.levels), dst, ct); err != nil {
-		return nil, err
-	}
-	var src [2][]u128.U128
-	for i, op := range []Poly{ct.A, ct.B} {
-		x, ok := op.([]u128.U128)
-		if !ok || len(x) != b.p.N {
-			return nil, fmt.Errorf("fhe: malformed rotate operand %d on the %s backend", i, b.Name())
-		}
-		src[i] = x
-	}
-	for i, op := range []Poly{dst.A, dst.B} {
-		x, ok := op.([]u128.U128)
-		if !ok || len(x) != b.p.N {
-			return nil, fmt.Errorf("fhe: malformed rotate destination %d on the %s backend", i, b.Name())
-		}
-		// Every handle is N long, so same storage is same first element.
-		if &x[0] == &src[0][0] || &x[0] == &src[1][0] {
-			return nil, fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
-		}
-	}
-	return key, nil
-}
-
-// galoisChain runs the oracle's hop sequence: entries for the set bits of
-// steps (lowest first), then the conjugation when asked.
-func (b *ringBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, key *ringGaloisKey, steps int, conj bool) error {
+func (b *ringBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, hops galoisHops, gk BackendGaloisKey) error {
 	n := b.p.N
 	lv := b.levels[ct.Level]
-	var hops []*ringGaloisEntry
-	g := uint64(ring.SlotGenerator)
-	twoN := uint64(2 * n)
-	for s := steps; s != 0; s >>= 1 {
-		if s&1 == 1 {
-			e := key.entries[g]
-			if e == nil {
-				return fmt.Errorf("fhe: galois key missing rotation element %d", g)
-			}
-			hops = append(hops, e)
-		}
-		g = g * g % twoN
+	var steps [maxGaloisHops]galoisStep[ringLevelKey]
+	if err := resolveGalois(gk, b, &hops, ct.Level, &steps); err != nil {
+		return err
 	}
-	if conj {
-		e := key.entries[ring.ConjugationElement(n)]
-		if e == nil {
-			return fmt.Errorf("fhe: galois key missing the conjugation element")
+	for _, st := range steps[:hops.n] {
+		if err := lv.checkKey("galois", st.key, n); err != nil {
+			return err
 		}
-		hops = append(hops, e)
 	}
 	srcA, srcB := ct.A.([]u128.U128), ct.B.([]u128.U128)
-	dstA, dstB := dst.A.([]u128.U128), dst.B.([]u128.U128)
-	if len(hops) == 0 {
+	dstA, dstB, err := b.dstRows(dst)
+	if err != nil {
+		return err
+	}
+	// Every handle is N long, so same storage is same first element.
+	for _, d := range [2]*u128.U128{&dstA[0], &dstB[0]} {
+		if d == &srcA[0] || d == &srcB[0] {
+			return fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
+		}
+	}
+	if hops.n == 0 {
 		copy(dstA, srcA)
 		copy(dstB, srcB)
 		return nil
 	}
-	for _, e := range hops {
-		if _, err := lv.keyAt("galois", e.levels, ct.Level, n); err != nil {
-			return err
-		}
-	}
 	hopA, hopB := srcA, srcB
-	for h, e := range hops {
+	for h, st := range steps[:hops.n] {
 		if err := phaseGate(ctx, faultinject.SiteRotate); err != nil {
 			return err
 		}
 		outA, outB := dstA, dstB
-		if h != len(hops)-1 {
+		if h != hops.n-1 {
 			outA = make([]u128.U128, n)
 			outB = make([]u128.U128, n)
 		}
-		b.galoisHop(lv, &e.levels[ct.Level], e.tab, outA, outB, hopA, hopB)
+		b.galoisHop(lv, st.key, st.tab, outA, outB, hopA, hopB)
 		hopA, hopB = outA, outB
 	}
 	return nil
@@ -750,15 +637,16 @@ func (b *ringBackend) galoisHop(lv *ringLevel, lkey *ringLevelKey, tab *ring.Gal
 	}
 }
 
-// ModSwitchCtx is the oracle's exact modulus switch: every coefficient
+// modSwitchCtx is the oracle's exact modulus switch: every coefficient
 // moves from level l to l+1 as the big-integer round(c * q_{l+1} / q_l) of
 // its centered value — the bit-exactness ground truth the RNS Rescaler
 // path is differentially tested against. Each component crosses to
 // coefficient form for the big-integer rescale and back under the NEW
 // level's plan (the twiddle tower changes with q). ctx is observed before
 // the switch starts and between the two components.
-func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if err := checkSwitchLevels(len(b.levels), dst, ct); err != nil {
+func (b *ringBackend) modSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
+	dstA, dstB, err := b.dstRows(dst)
+	if err != nil {
 		return err
 	}
 	if err := phaseGate(ctx, faultinject.SiteModSwitch); err != nil {
@@ -766,20 +654,13 @@ func (b *ringBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, 
 	}
 	from, to := b.levels[ct.Level], b.levels[ct.Level+1]
 	coef := make([]u128.U128, b.p.N)
-	for i, pair := range [2][2]Poly{{ct.A, dst.A}, {ct.B, dst.B}} {
+	for i, pair := range [2][2][]u128.U128{{ct.A.([]u128.U128), dstA}, {ct.B.([]u128.U128), dstB}} {
 		if i > 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		src, ok := pair[0].([]u128.U128)
-		if !ok || len(src) != b.p.N {
-			return fmt.Errorf("fhe: malformed ModSwitch operand %d on the %s backend", i, b.Name())
-		}
-		out, ok := pair[1].([]u128.U128)
-		if !ok || len(out) != b.p.N {
-			return fmt.Errorf("fhe: malformed ModSwitch destination %d on the %s backend", i, b.Name())
-		}
+		src, out := pair[0], pair[1]
 		from.plan.Generic().NegacyclicInverseInto(coef, src)
 		v := new(big.Int)
 		t := new(big.Int)

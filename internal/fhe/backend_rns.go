@@ -38,9 +38,9 @@ import (
 // returns to base Q_l through the exact Shenoy-Kumaresan conversion
 // (rns.SKConverter). Relinearization and Galois keys are stored per level
 // in that level's NTT domain, so no multiply or rotation transforms a key
-// row. All evaluation state is pooled per level; steady-state MulCtCtx,
-// RotateSlotsCtx and ModSwitchCtx allocate nothing at dispatch width 1
-// (wider dispatch pays the ring worker pool's per-call bookkeeping).
+// row. All evaluation state is pooled per level; steady-state mulCtx,
+// galoisCtx and modSwitchCtx allocate nothing at dispatch width 1 (wider
+// dispatch pays the ring worker pool's per-call bookkeeping).
 //
 // Ciphertexts live in the twisted-evaluation (double-CRT) domain — the
 // only form a BackendCiphertext takes — and there is ONE multiply
@@ -406,7 +406,6 @@ func (b *rnsBackend) Name() string {
 func (b *rnsBackend) N() int                   { return b.levels[0].c.N }
 func (b *rnsBackend) PlainModulus() uint64     { return b.t }
 func (b *rnsBackend) Levels() int              { return len(b.levels) }
-func (b *rnsBackend) NewPoly() Poly            { return b.levels[0].c.NewPoly() }
 func (b *rnsBackend) NewPolyAt(level int) Poly { return b.levels[level].c.NewPoly() }
 
 func (b *rnsBackend) Copy(a Poly) Poly {
@@ -418,9 +417,9 @@ func (b *rnsBackend) Copy(a Poly) Poly {
 	return out
 }
 
-// checkPolyAt validates one handle: backend type, the level's tower
-// shape, and residues reduced below each tower prime.
-func (b *rnsBackend) checkPolyAt(level int, a Poly) error {
+// CheckPoly validates one handle: backend type, the level's tower shape,
+// and residues reduced below each tower prime.
+func (b *rnsBackend) CheckPoly(level int, a Poly) error {
 	x, ok := a.(rns.Poly)
 	if !ok {
 		return fmt.Errorf("fhe: foreign polynomial handle %T on the %s backend", a, b.Name())
@@ -443,25 +442,30 @@ func (b *rnsBackend) checkPolyAt(level int, a Poly) error {
 	return nil
 }
 
-func (b *rnsBackend) CheckPoly(level int, a Poly) error {
-	if level < 0 || level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", level, len(b.levels))
+// dstRows unpacks the destination an evaluation writes: this backend's
+// handles with dst.Level's tower shape. Its residues are about to be
+// overwritten, so they are not scanned.
+func (b *rnsBackend) dstRows(dst *BackendCiphertext) (dstA, dstB rns.Poly, err error) {
+	dstA, okA := dst.A.(rns.Poly)
+	dstB, okB := dst.B.(rns.Poly)
+	c := b.levels[dst.Level].c
+	if !okA || !okB || !shapedFor(dstA, c) || !shapedFor(dstB, c) {
+		return rns.Poly{}, rns.Poly{}, fmt.Errorf("fhe: destination not shaped for level %d on the %s backend", dst.Level, b.Name())
 	}
-	return b.checkPolyAt(level, a)
+	return dstA, dstB, nil
 }
 
-//mqx:validator
-func (b *rnsBackend) CheckCiphertext(ct BackendCiphertext) error {
-	if ct.Level < 0 || ct.Level >= len(b.levels) {
-		return fmt.Errorf("fhe: level %d outside the %d-level chain", ct.Level, len(b.levels))
+// shapedFor reports whether p has c's tower count and row length.
+func shapedFor(p rns.Poly, c *rns.Context) bool {
+	if len(p.Res) != c.Channels() {
+		return false
 	}
-	if ct.A == nil || ct.B == nil {
-		return fmt.Errorf("fhe: malformed ciphertext (nil component)")
+	for _, row := range p.Res {
+		if len(row) != c.N {
+			return false
+		}
 	}
-	if err := b.checkPolyAt(ct.Level, ct.A); err != nil {
-		return err
-	}
-	return b.checkPolyAt(ct.Level, ct.B)
+	return true
 }
 
 // must panics on shape errors: backend handles reaching these internal
@@ -571,15 +575,10 @@ func (b *rnsBackend) NoiseBits(level int, a Poly, msg []uint64) int {
 	return maxBits
 }
 
-// rnsRelinKey holds the RNS-gadget relinearization key, one set per
-// ladder level: for each tower i of level l, an encryption
-// (a_i, a_i*s + e_i + (Q_l/q_i)*s^2) under that level's basis.
-type rnsRelinKey struct {
-	levels []rnsLevelRelin
-}
-
 // rnsLevelRelin is one level's gadget key-switch key — the relin key's
-// and every Galois entry's layout alike. Both components are stored per
+// and every Galois entry's layout alike: for each tower i of level l, an
+// encryption (a_i, a_i*s + e_i + (Q_l/q_i)*target) under that level's
+// basis. Both components are stored per
 // tower in the twisted-evaluation domain, so a key switch pays one forward
 // transform per digit-tower pair and the key-side transforms are all at
 // keygen.
@@ -670,164 +669,61 @@ func (b *rnsBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
 	sk0 := s.(rns.Poly)
 	s2 := b.levels[0].c.NewPoly()
 	must(b.levels[0].c.MulAll(s2, sk0, sk0, 1))
-	key := &rnsRelinKey{}
+	key := &relinKey[rnsLevelRelin]{}
 	for l := range b.levels {
 		key.levels = append(key.levels, b.gadgetKeyLevel(l, s, s2, rng))
 	}
 	return key
 }
 
-// rnsGaloisKey is the Galois key set: one CRT-gadget key-switch key per
-// automorphism element, covering the power-of-two rotation elements
-// 3^(2^j) mod 2n plus the conjugation element 2n-1 — O(log n) keys
-// decompose every rotation amount. Each entry mirrors the relin key's
-// per-level NTT-domain layout exactly (same gadget, same lazy Shoup
-// precomputations), encrypting tau_g(s) instead of s^2.
-type rnsGaloisKey struct {
-	n       int
-	entries map[uint64]*rnsGaloisEntry
-}
-
-type rnsGaloisEntry struct {
-	g      uint64
-	tab    *ring.GaloisTables // resolved once at keygen: rotation never hits the cache
-	levels []rnsLevelRelin
-}
-
-// galoisKeyElements lists the automorphism elements GaloisKeyGen covers:
-// the binary ladder of rotation elements plus the conjugation.
-func galoisKeyElements(n int) []uint64 {
-	twoN := uint64(2 * n)
-	var gs []uint64
-	g := uint64(ring.SlotGenerator)
-	for m := 1; m < n/2; m *= 2 {
-		gs = append(gs, g)
-		g = g * g % twoN
-	}
-	return append(gs, ring.ConjugationElement(n))
-}
-
 // GaloisKeyGen builds the per-level Galois key-switch keys: RelinKeyGen
-// with tau_g(s) in place of s^2 for each covered element g. tau_g(s) is
-// computed once per g at level 0 in the coefficient domain.
+// with tau_g(s) in place of s^2 for each covered element g (same gadget,
+// same lazy Shoup precomputations). tau_g(s) is computed once per g at
+// level 0 in the coefficient domain.
 func (b *rnsBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 	sk0 := s.(rns.Poly)
-	n := b.N()
 	c0 := b.levels[0].c
 	tauS := c0.NewPoly()
-	key := &rnsGaloisKey{n: n, entries: make(map[uint64]*rnsGaloisEntry)}
-	for _, g := range galoisKeyElements(n) {
-		tab, err := ring.GaloisTablesFor(n, g)
-		must(err)
+	return newGaloisKey(b.N(), func(tab *ring.GaloisTables) []rnsLevelRelin {
 		for tau := range c0.Mods {
 			c0.Plans[tau].Generic().AutomorphismCoeffInto(tab, tauS.Res[tau], sk0.Res[tau])
 		}
-		entry := &rnsGaloisEntry{g: g, tab: tab}
+		var levels []rnsLevelRelin
 		for l := range b.levels {
-			entry.levels = append(entry.levels, b.gadgetKeyLevel(l, s, tauS, rng))
+			levels = append(levels, b.gadgetKeyLevel(l, s, tauS, rng))
 		}
-		key.entries[g] = entry
-	}
-	return key
+		return levels
+	})
 }
 
-// RotateSlotsCtx rotates both slot rows left by steps via the binary
-// decomposition of the rotation: one Galois key-switch hop per set bit,
-// each hop a permutation + CRT-gadget key switch on the multiply's pooled
-// frame and key-switch accumulate. ctx is observed before every hop. dst
-// must not alias ct (checked: the permutation writes tau(B) straight into
-// dst).
-func (b *rnsBackend) RotateSlotsCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, steps int, gk BackendGaloisKey) error {
-	key, err := b.checkGaloisCall(dst, ct, gk)
-	if err != nil {
-		return err
-	}
-	rows := b.N() / 2
-	steps = ((steps % rows) + rows) % rows
-	return b.galoisChain(ctx, dst, ct, key, steps, false)
-}
-
-// ConjugateCtx applies the row-swap automorphism (Galois element 2n-1)
-// with the same contract as RotateSlotsCtx.
-func (b *rnsBackend) ConjugateCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) error {
-	key, err := b.checkGaloisCall(dst, ct, gk)
-	if err != nil {
-		return err
-	}
-	return b.galoisChain(ctx, dst, ct, key, 0, true)
-}
-
-// checkGaloisCall validates the rotate/conjugate arguments the way
-// MulCtCtx validates its own: key provenance first, then level agreement,
-// then handle types, destination shape and aliasing.
-func (b *rnsBackend) checkGaloisCall(dst *BackendCiphertext, ct BackendCiphertext, gk BackendGaloisKey) (*rnsGaloisKey, error) {
-	key, ok := gk.(*rnsGaloisKey)
-	if !ok {
-		return nil, fmt.Errorf("fhe: foreign galois key %T on the %s backend", gk, b.Name())
-	}
-	if key.n != b.N() {
-		return nil, fmt.Errorf("fhe: galois key built for degree %d, want %d", key.n, b.N())
-	}
-	if err := checkRotateLevels(len(b.levels), dst, ct); err != nil {
-		return nil, err
-	}
-	c := b.levels[ct.Level].c
-	k := c.Channels()
-	srcA, ok1 := ct.A.(rns.Poly)
-	srcB, ok2 := ct.B.(rns.Poly)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("fhe: foreign ciphertext handle on the %s backend", b.Name())
-	}
-	dstA, okA := dst.A.(rns.Poly)
-	dstB, okB := dst.B.(rns.Poly)
-	if !okA || !okB {
-		return nil, fmt.Errorf("fhe: foreign destination handle on the %s backend", b.Name())
-	}
-	if len(srcA.Res) != k || len(srcB.Res) != k || len(dstA.Res) != k || len(dstB.Res) != k ||
-		len(dstA.Res[0]) != c.N || len(dstB.Res[0]) != c.N {
-		return nil, fmt.Errorf("fhe: rotate operands not shaped for level %d", ct.Level)
-	}
-	if sameRows(dstA, srcA) || sameRows(dstA, srcB) || sameRows(dstB, srcA) || sameRows(dstB, srcB) {
-		return nil, fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
-	}
-	return key, nil
-}
-
-// galoisChain runs the hop sequence for one rotation: the entries for the
-// set bits of steps (lowest first), then the conjugation when asked.
-// Intermediate hops alternate through the scratch frame's operand
+// galoisCtx runs a Galois evaluation's hops in order, each a permutation
+// + CRT-gadget key switch on the multiply's pooled frame and key-switch
+// accumulate. Intermediate hops alternate through the frame's operand
 // buffers, arranged so the final hop lands in dst and no hop ever reads
-// the rows it is writing.
-func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, key *rnsGaloisKey, steps int, conj bool) error {
+// the rows it is writing; dst must not alias ct (checked: the permutation
+// writes tau(B) straight into dst).
+func (b *rnsBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext, hops galoisHops, gk BackendGaloisKey) error {
 	n := b.N()
 	lv := b.levels[ct.Level]
 	k := lv.c.Channels()
-	var hops [65]*rnsGaloisEntry
-	nh := 0
-	g := uint64(ring.SlotGenerator)
-	twoN := uint64(2 * n)
-	for s := steps; s != 0; s >>= 1 {
-		if s&1 == 1 {
-			e := key.entries[g]
-			if e == nil {
-				return fmt.Errorf("fhe: galois key missing rotation element %d", g)
-			}
-			hops[nh] = e
-			nh++
-		}
-		g = g * g % twoN
+	var steps [maxGaloisHops]galoisStep[rnsLevelRelin]
+	if err := resolveGalois(gk, b, &hops, ct.Level, &steps); err != nil {
+		return err
 	}
-	if conj {
-		e := key.entries[ring.ConjugationElement(n)]
-		if e == nil {
-			return fmt.Errorf("fhe: galois key missing the conjugation element")
+	for _, st := range steps[:hops.n] {
+		if err := st.key.check("galois", k, n); err != nil {
+			return err
 		}
-		hops[nh] = e
-		nh++
 	}
 	srcA, srcB := ct.A.(rns.Poly), ct.B.(rns.Poly)
-	dstA, dstB := dst.A.(rns.Poly), dst.B.(rns.Poly)
-	if nh == 0 {
+	dstA, dstB, err := b.dstRows(dst)
+	if err != nil {
+		return err
+	}
+	if sameRows(dstA, srcA) || sameRows(dstA, srcB) || sameRows(dstB, srcA) || sameRows(dstB, srcB) {
+		return fmt.Errorf("fhe: rotate destination aliases the source ciphertext")
+	}
+	if hops.n == 0 {
 		// The identity rotation is a plain copy.
 		for i := 0; i < k; i++ {
 			copy(dstA.Res[i], srcA.Res[i])
@@ -835,29 +731,20 @@ func (b *rnsBackend) galoisChain(ctx context.Context, dst *BackendCiphertext, ct
 		}
 		return nil
 	}
-	// Validate every hop's per-level shape before any hop indexes into it.
-	for h := 0; h < nh; h++ {
-		if ct.Level >= len(hops[h].levels) {
-			return fmt.Errorf("fhe: galois key covers %d levels, ciphertext at level %d", len(hops[h].levels), ct.Level)
-		}
-		if err := hops[h].levels[ct.Level].check("galois", k, n); err != nil {
-			return err
-		}
-	}
 	sc := lv.mulPool.Get().(*rnsMulScratch)
 	defer sc.release()
 	sc.lv = lv
 	sc.in[0], sc.in[1] = srcA, srcB
-	for h := 0; h < nh; h++ {
+	for h, st := range steps[:hops.n] {
 		if err := phaseGate(ctx, faultinject.SiteRotate); err != nil {
 			return err
 		}
 		sc.outA, sc.outB = dstA, dstB
-		if h != nh-1 {
+		if h != hops.n-1 {
 			sc.outA, sc.outB = sc.opQ[2*(h%2)], sc.opQ[2*(h%2)+1]
 		}
-		sc.lkey = &hops[h].levels[ct.Level]
-		sc.gtab = hops[h].tab
+		sc.lkey = st.key
+		sc.gtab = st.tab
 		b.galoisHop(sc)
 		sc.in[0], sc.in[1] = sc.outA, sc.outB
 	}
@@ -952,7 +839,7 @@ func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
 	must(lv.skConv.ConvertInto(cQ, cE))
 }
 
-// MulCtCtx is the BEHZ homomorphic multiply in the operands' level basis:
+// mulCtx is the BEHZ homomorphic multiply in the operands' level basis:
 // m~-corrected base extension (no operand overshoot), tensor,
 // divide-and-round by Q_l/T, exact return to base Q_l, and CRT-gadget
 // relinearization with the level's keys — residues end to end, no big
@@ -964,40 +851,21 @@ func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
 // The pooled frame goes back to the pool on every ordinary exit,
 // including cancellation; a PANIC unwinding through the multiply
 // quarantines it instead (rnsMulScratch.release).
-func (b *rnsBackend) MulCtCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
-	key, ok := rlk.(*rnsRelinKey)
-	if !ok {
-		return fmt.Errorf("fhe: foreign relinearization key %T on the %s backend", rlk, b.Name())
-	}
-	if err := checkMulLevels(len(b.levels), dst, ct1, ct2); err != nil {
-		return err
-	}
+func (b *rnsBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	lv := b.levels[ct1.Level]
-	c := lv.c
-	k := c.Channels()
-	if ct1.Level >= len(key.levels) {
-		return fmt.Errorf("fhe: relin key covers %d levels, ciphertext at level %d", len(key.levels), ct1.Level)
-	}
-	lkey := &key.levels[ct1.Level]
-	if err := lkey.check("relin", k, c.N); err != nil {
+	lkey, err := relinKeyAt[rnsLevelRelin](rlk, b, ct1.Level)
+	if err != nil {
 		return err
 	}
-	a1, ok1 := ct1.A.(rns.Poly)
-	b1, ok2 := ct1.B.(rns.Poly)
-	a2, ok3 := ct2.A.(rns.Poly)
-	b2, ok4 := ct2.B.(rns.Poly)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return fmt.Errorf("fhe: foreign ciphertext handle on the %s backend", b.Name())
+	if err := lkey.check("relin", lv.c.Channels(), lv.c.N); err != nil {
+		return err
 	}
-	dstA, okA := dst.A.(rns.Poly)
-	dstB, okB := dst.B.(rns.Poly)
-	if !okA || !okB {
-		return fmt.Errorf("fhe: foreign destination handle on the %s backend", b.Name())
+	dstA, dstB, err := b.dstRows(dst)
+	if err != nil {
+		return err
 	}
-	if len(dstA.Res) != k || len(dstB.Res) != k ||
-		len(dstA.Res[0]) != c.N || len(dstB.Res[0]) != c.N {
-		return fmt.Errorf("fhe: MulCt destination not shaped for level %d", ct1.Level)
-	}
+	a1, b1 := ct1.A.(rns.Poly), ct1.B.(rns.Poly)
+	a2, b2 := ct2.A.(rns.Poly), ct2.B.(rns.Poly)
 	sc := lv.mulPool.Get().(*rnsMulScratch)
 	defer sc.release()
 	sc.lv = lv
@@ -1221,38 +1089,29 @@ func reduceAddRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	}
 }
 
-// ModSwitchCtx drops one tower: dst = round(ct / q_{k-1-l}) via the
+// modSwitchCtx drops one tower: dst = round(ct / q_{k-1-l}) via the
 // Rescaler's evaluation-domain rescale, residues only, allocation-free in
 // steady state — the RNS half of the ladder the oracle's big-integer
 // switch ground-truths. Only the dropped tower crosses to coefficient
 // form (one inverse transform), plus k-1 forward transforms of the
 // correction term. ctx is observed before the rescale starts and between
 // the two components.
-func (b *rnsBackend) ModSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
-	if err := checkSwitchLevels(len(b.levels), dst, ct); err != nil {
+func (b *rnsBackend) modSwitchCtx(ctx context.Context, dst *BackendCiphertext, ct BackendCiphertext) error {
+	dstA, dstB, err := b.dstRows(dst)
+	if err != nil {
 		return err
-	}
-	srcA, ok1 := ct.A.(rns.Poly)
-	srcB, ok2 := ct.B.(rns.Poly)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("fhe: foreign ciphertext handle on the %s backend", b.Name())
-	}
-	dstA, ok3 := dst.A.(rns.Poly)
-	dstB, ok4 := dst.B.(rns.Poly)
-	if !ok3 || !ok4 {
-		return fmt.Errorf("fhe: foreign destination handle on the %s backend", b.Name())
 	}
 	if err := phaseGate(ctx, faultinject.SiteModSwitch); err != nil {
 		return err
 	}
 	r := b.levels[ct.Level].rescale
-	if err := r.RescaleNTTInto(dstA, srcA, b.workers); err != nil {
+	if err := r.RescaleNTTInto(dstA, ct.A.(rns.Poly), b.workers); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return r.RescaleNTTInto(dstB, srcB, b.workers)
+	return r.RescaleNTTInto(dstB, ct.B.(rns.Poly), b.workers)
 }
 
 // MulNoiseModel exposes the MulNoiseBoundBits parameters of the RNS

@@ -1,6 +1,7 @@
 package fhe
 
 import (
+	"context"
 	"testing"
 
 	"mqxgo/internal/modmath"
@@ -18,6 +19,12 @@ func mustCT(ct BackendCiphertext, err error) BackendCiphertext {
 		panic(err)
 	}
 	return ct
+}
+
+// conjugate is ConjugateInto into a fresh ciphertext at ct's level.
+func conjugate(ctx context.Context, s *BackendScheme, ct BackendCiphertext, gk BackendGaloisKey) (BackendCiphertext, error) {
+	out := BackendCiphertext{A: s.B.NewPolyAt(ct.Level), B: s.B.NewPolyAt(ct.Level), Level: ct.Level}
+	return out, s.ConjugateInto(ctx, &out, ct, gk)
 }
 
 func testBackends(t *testing.T, n int) []Backend {
@@ -128,7 +135,7 @@ func TestBackendSchemeMulPlainMonomialBothBackends(t *testing.T) {
 			// The monomial x as a backend polynomial.
 			mono := make([]int64, n)
 			mono[1] = 1
-			x := b.NewPoly()
+			x := b.NewPolyAt(0)
 			b.SetSigned(x, mono)
 			got, err := s.Decrypt(sk, mustCT(s.MulPlain(ct, x)))
 			if err != nil {

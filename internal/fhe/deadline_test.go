@@ -210,9 +210,9 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	b, rlk, _, c1, c2 := allocFixture(t, 2)
-	dst := BackendCiphertext{A: b.NewPoly(), B: b.NewPoly()}
-	if err := b.MulCtCtx(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the scratch pool
+	s, rlk, _, c1, c2 := allocFixture(t, 2)
+	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}
 	before := QuarantinedScratch()
@@ -220,8 +220,9 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	totalPhases := 4
 	for i := 0; i < 1000; i++ {
 		cc.calls = 0
-		cc.fireAt = 1 + i%totalPhases // rotate the abort across every phase
-		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); !errors.Is(err, context.DeadlineExceeded) {
+		// Check 1 is the scheme's entry check; 2..5 are the four phases.
+		cc.fireAt = 2 + i%totalPhases // rotate the abort across every phase
+		if err := s.MulCiphertextsInto(cc, &dst, c1, c2, rlk); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("cancelled request %d: got err %v", i, err)
 		}
 	}
@@ -230,21 +231,21 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		cc.calls = 0
-		cc.fireAt = 2
-		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); err == nil {
+		cc.fireAt = 3
+		if err := s.MulCiphertextsInto(cc, &dst, c1, c2, rlk); err == nil {
 			t.Fatal("countdown context did not fire")
 		}
 	}); got != 0 {
-		t.Errorf("cancelled MulCtCtx allocates %.1f per run, want 0", got)
+		t.Errorf("cancelled MulCiphertextsInto allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		cc.calls = 0
 		cc.fireAt = 0
-		if err := b.MulCtCtx(cc, &dst, c1, c2, rlk); err != nil {
+		if err := s.MulCiphertextsInto(cc, &dst, c1, c2, rlk); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
-		t.Errorf("post-cancellation MulCtCtx allocates %.1f per run, want 0 (pool leaked)", got)
+		t.Errorf("post-cancellation MulCiphertextsInto allocates %.1f per run, want 0 (pool leaked)", got)
 	}
 }
 

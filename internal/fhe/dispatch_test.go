@@ -60,7 +60,7 @@ func TestTowerDispatchWidthIsInvisible(t *testing.T) {
 				"mulcopy":   mustCT(s.MulCiphertextsCtx(ctx, x, xCopy, rlk)),
 				"rotate1":   mustCT(s.RotateSlotsCtx(ctx, x, 1, gk)),
 				"rotate5":   mustCT(s.RotateSlotsCtx(ctx, x, 5, gk)),
-				"conjugate": mustCT(s.ConjugateCtx(ctx, x, gk)),
+				"conjugate": mustCT(conjugate(ctx, s, x, gk)),
 			} {
 				if ct.Level != level {
 					t.Fatalf("%s at level %d came back at level %d", name, level, ct.Level)

@@ -5,9 +5,12 @@
 // pipeline runs on either of the paper's two hardware philosophies: the
 // 128-bit double-word ring (NewRingBackend) or a basis of 64-bit RNS
 // towers (NewRNSBackend). Both backends carry a modulus-switching ladder
-// (BackendScheme.ModSwitchCtx) that trades ciphertext width for per-level
+// (BackendScheme.ModSwitchInto) that trades ciphertext width for per-level
 // cost down a depth-L circuit, and every evaluation call takes a context
-// that is observed at the pipeline's phase boundaries.
+// that is observed at the pipeline's phase boundaries. BackendScheme is
+// the one validation perimeter: each evaluation op is one checked
+// in-place call (…Into) with an allocating form (…Ctx) on top, and the
+// backends only compute.
 //
 // This is an educational scheme: parameters are chosen for correctness
 // demonstrations, not for standardized security levels.

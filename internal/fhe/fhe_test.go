@@ -113,7 +113,7 @@ func TestMulScalar(t *testing.T) {
 		const k = 7
 		kc := make([]int64, 16)
 		kc[0] = k
-		kp := s.B.NewPoly()
+		kp := s.B.NewPolyAt(0)
 		s.B.SetSigned(kp, kc)
 		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(m), s.B.SecretAt(1, kp))), func(i int) uint64 { return (m[i] * k) % T })
 	})
@@ -130,7 +130,7 @@ func TestMulPlainByMonomial(t *testing.T) {
 		}
 		mono := make([]int64, 16)
 		mono[1] = 1
-		x := s.B.NewPoly()
+		x := s.B.NewPolyAt(0)
 		s.B.SetSigned(x, mono)
 		x = s.B.SecretAt(1, x) // shaped for the ciphertext's level
 		// (x * m)(x): coefficient j of the product is m[j-1]; coefficient

@@ -23,7 +23,7 @@ import (
 
 type modSwitchFix struct {
 	c        *rns.Context
-	b        Backend
+	s        *BackendScheme
 	prefixes []*rns.Context // prefix context per switchable level
 }
 
@@ -43,7 +43,7 @@ func modSwitchFixture() *modSwitchFix {
 		if err != nil {
 			panic(err)
 		}
-		msFix = modSwitchFix{c: c, b: b}
+		msFix = modSwitchFix{c: c, s: NewBackendScheme(b, 0)}
 		primes := make([]uint64, 4)
 		for i, mod := range c.Mods {
 			primes[i] = mod.Q
@@ -62,7 +62,7 @@ func modSwitchFixture() *modSwitchFix {
 func checkModSwitch(t *testing.T, seed int64, pattern, levelByte byte) {
 	t.Helper()
 	f := modSwitchFixture()
-	b := f.b
+	b := f.s.B
 	level := int(levelByte) % (b.Levels() - 1)
 	ct := BackendCiphertext{A: b.NewPolyAt(level), B: b.NewPolyAt(level), Level: level}
 	rng := rand.New(rand.NewSource(seed))
@@ -99,7 +99,7 @@ func checkModSwitch(t *testing.T, seed int64, pattern, levelByte byte) {
 		b.ToNTT(level, h, h)
 	}
 	dst := BackendCiphertext{A: b.NewPolyAt(level + 1), B: b.NewPolyAt(level + 1), Level: level + 1}
-	if err := b.ModSwitchCtx(context.Background(), &dst, ct); err != nil {
+	if err := f.s.ModSwitchInto(context.Background(), &dst, ct); err != nil {
 		t.Fatal(err)
 	}
 	qk := new(big.Int).SetUint64(f.c.Mods[towers-1].Q)

@@ -59,19 +59,17 @@ func (s *BackendScheme) PredictModSwitchNoiseBits(level, opNoiseBits int) int {
 // PredictRotateNoiseBits bounds the noise of a RotateSlots result at the
 // given level whose input carries at most opNoiseBits. A rotation is a
 // chain of key-switch hops, one per set bit of the (row-normalized) step
-// count; each hop permutes the existing noise unchanged and adds the
+// count (rotationHops); each hop permutes the existing noise unchanged and adds the
 // key-switch term sum_i d_i*e_i, bounded by digits * n * 2^digitBits *
 // noiseBound — the relin term of MulNoiseBoundBits with the same gadget.
 func (s *BackendScheme) PredictRotateNoiseBits(level, opNoiseBits, steps int) int {
-	rows := s.B.N() / 2
-	steps = ((steps % rows) + rows) % rows
-	return s.predictHopChainNoiseBits(level, opNoiseBits, bits.OnesCount(uint(steps)))
+	return s.predictHopChainNoiseBits(level, opNoiseBits, s.rotationHops(steps).n)
 }
 
 // PredictConjugateNoiseBits is PredictRotateNoiseBits for the row-swap
 // automorphism: always exactly one key-switch hop.
 func (s *BackendScheme) PredictConjugateNoiseBits(level, opNoiseBits int) int {
-	return s.predictHopChainNoiseBits(level, opNoiseBits, 1)
+	return s.predictHopChainNoiseBits(level, opNoiseBits, s.conjugationHops().n)
 }
 
 func (s *BackendScheme) predictHopChainNoiseBits(level, opNoiseBits, hops int) int {

@@ -177,15 +177,15 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				_, err := s.MulPlain(ok, foreign.A)
 				return err
 			})
-			// Backend seam: a destination whose level tag disagrees with
-			// the operands is refused before any component is unpacked.
+			// In-place calls: a destination whose level tag disagrees
+			// with the result is refused before any component is unpacked.
 			errNotPanic(t, "MulCt/dstLevelMismatch", func() error {
 				dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
-				return s.B.MulCtCtx(context.Background(), &dst, ok, ok, rlk)
+				return s.MulCiphertextsInto(context.Background(), &dst, ok, ok, rlk)
 			})
 			errNotPanic(t, "ModSwitch/dstLevelMismatch", func() error {
-				dst := BackendCiphertext{A: s.B.NewPoly(), B: s.B.NewPoly()}
-				return s.B.ModSwitchCtx(context.Background(), &dst, ok)
+				dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+				return s.ModSwitchInto(context.Background(), &dst, ok)
 			})
 		})
 	}
@@ -269,7 +269,7 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 				return err
 			})
 			errNotPanic(t, "Conjugate/nilKey", func() error {
-				_, err := s.ConjugateCtx(context.Background(), ok, nil)
+				_, err := conjugate(context.Background(), s, ok, nil)
 				return err
 			})
 			// A key of the RIGHT type from a backend with a different ring
@@ -310,26 +310,27 @@ func TestGaloisCallsRejectMalformedInput(t *testing.T) {
 				return err
 			})
 
-			// Backend seam: destination tags that disagree with the source.
+			// In-place calls: destination tags that disagree with the
+			// source.
 			b := s.B
 			errNotPanic(t, "RotateSlots/dstLevelMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
-				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
+				return s.RotateSlotsInto(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "Conjugate/dstLevelMismatch", func() error {
 				dst := BackendCiphertext{A: b.NewPolyAt(1), B: b.NewPolyAt(1), Level: 1}
-				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
+				return s.ConjugateInto(context.Background(), &dst, ok, gk)
 			})
 			// The permutation writes tau(B) straight into dst: a destination
 			// sharing storage with the source — whole, or one component
 			// crossed onto the other — would come back silently wrong.
 			errNotPanic(t, "RotateSlots/dstAliasesSource", func() error {
 				dst := ok
-				return b.RotateSlotsCtx(context.Background(), &dst, ok, 1, gk)
+				return s.RotateSlotsInto(context.Background(), &dst, ok, 1, gk)
 			})
 			errNotPanic(t, "Conjugate/dstComponentAliasesSource", func() error {
-				dst := BackendCiphertext{A: b.NewPoly(), B: ok.A}
-				return b.ConjugateCtx(context.Background(), &dst, ok, gk)
+				dst := BackendCiphertext{A: b.NewPolyAt(0), B: ok.A}
+				return s.ConjugateInto(context.Background(), &dst, ok, gk)
 			})
 		})
 	}

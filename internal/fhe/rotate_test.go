@@ -224,7 +224,7 @@ func TestRotateSlotsAllAmountsCrossBackend(t *testing.T) {
 				}
 			}
 			// Conjugation and negative steps on every backend.
-			conj, err := s.ConjugateCtx(context.Background(), ct, gk)
+			conj, err := conjugate(context.Background(), s, ct, gk)
 			if err != nil {
 				t.Fatal(err)
 			}

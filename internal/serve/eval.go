@@ -80,12 +80,48 @@ func ctxErr(s *Server, err error) *apiError {
 	return errf(http.StatusInternalServerError, CodeInternal, "evaluation failed: %v", err)
 }
 
-// dropOut forgets the in-place destination out after its backend call
-// failed: the Backend contract leaves dst unspecified on error, so the
-// handle would otherwise decrypt to garbage. Caller holds t.mu.
-func (t *tenant) dropOut(s *Server, out string, err error) *apiError {
-	delete(t.cts, out)
-	return ctxErr(s, err)
+// evalDst is where one evaluation lands: the tenant's entry named by out
+// when reusableDst accepts it for in-place overwrite, else a fresh
+// ciphertext (e nil) stored once the evaluation succeeds.
+type evalDst struct {
+	ct  *fhe.BackendCiphertext
+	out string
+	e   *entry
+}
+
+// dstFor picks the destination of an evaluation whose result sits at
+// level. Caller holds t.mu.
+func (s *Server) dstFor(t *tenant, out string, level int, arg1, arg2 string) evalDst {
+	if e := s.reusableDst(t, out, level, arg1, arg2); e != nil {
+		return evalDst{ct: &e.ct, out: out, e: e}
+	}
+	b := s.cfg.Scheme.B
+	return evalDst{ct: &fhe.BackendCiphertext{A: b.NewPolyAt(level), B: b.NewPolyAt(level), Level: level}}
+}
+
+// land finishes an evaluation that ran into d with result err and
+// tracked noise bound noise. On failure an in-place destination is
+// forgotten: the scheme leaves it unspecified on error, so the handle
+// would otherwise decrypt to garbage. On success the in-place entry takes
+// the new bound, or the fresh result is stored. Caller holds t.mu.
+func (t *tenant) land(s *Server, d evalDst, err error, noise int) (evalResponse, *apiError) {
+	if err != nil {
+		if d.e != nil {
+			delete(t.cts, d.out)
+		}
+		return evalResponse{}, ctxErr(s, err)
+	}
+	h := d.out
+	if d.e != nil {
+		d.e.noiseBits = noise
+	} else {
+		var apiErr *apiError
+		if h, apiErr = t.store(s, *d.ct, noise); apiErr != nil {
+			return evalResponse{}, apiErr
+		}
+	}
+	level := d.ct.Level
+	return evalResponse{Handle: h, Level: level, NoiseBits: noise, BudgetBits: s.cfg.Scheme.PredictedBudgetBits(level, noise)}, nil
 }
 
 // guardMul enforces the budget floor for a multiply at level with the
@@ -157,26 +193,11 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		if apiErr != nil {
 			return evalResponse{}, apiErr
 		}
-		// In-place fast path: overwrite an existing destination handle
-		// whose buffers already have the right shape. This is the
-		// steady-state serving loop — no allocation beyond the backend's
-		// pooled scratch.
-		if dst := s.reusableDst(t, req.Out, level, h1, h2); dst != nil {
-			if err := sch.B.MulCtCtx(ctx, &dst.ct, e1.ct, e2.ct, t.rlk); err != nil {
-				return evalResponse{}, t.dropOut(s, req.Out, err)
-			}
-			dst.noiseBits = pred
-			return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
-		}
-		out, err := sch.MulCiphertextsCtx(ctx, e1.ct, e2.ct, t.rlk)
-		if err != nil {
-			return evalResponse{}, ctxErr(s, err)
-		}
-		h, apiErr := t.store(s, out, pred)
-		if apiErr != nil {
-			return evalResponse{}, apiErr
-		}
-		return evalResponse{Handle: h, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
+		// Overwriting an existing destination handle whose buffers already
+		// have the right shape is the steady-state serving loop: no
+		// allocation beyond the backend's pooled scratch.
+		dst := s.dstFor(t, req.Out, level, h1, h2)
+		return t.land(s, dst, sch.MulCiphertextsInto(ctx, dst.ct, e1.ct, e2.ct, t.rlk), pred)
 
 	case "modswitch":
 		if len(req.Args) != 1 {
@@ -197,22 +218,8 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
 				"modswitch to level %d would leave %d budget bits (floor %d)", level+1, budget, s.cfg.BudgetFloorBits)
 		}
-		if dst := s.reusableDst(t, req.Out, level+1, req.Args[0], ""); dst != nil {
-			if err := sch.B.ModSwitchCtx(ctx, &dst.ct, e.ct); err != nil {
-				return evalResponse{}, t.dropOut(s, req.Out, err)
-			}
-			dst.noiseBits = pred
-			return evalResponse{Handle: req.Out, Level: level + 1, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level+1, pred)}, nil
-		}
-		out, err := sch.ModSwitchCtx(ctx, e.ct)
-		if err != nil {
-			return evalResponse{}, ctxErr(s, err)
-		}
-		h, apiErr := t.store(s, out, pred)
-		if apiErr != nil {
-			return evalResponse{}, apiErr
-		}
-		return evalResponse{Handle: h, Level: level + 1, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level+1, pred)}, nil
+		dst := s.dstFor(t, req.Out, level+1, req.Args[0], "")
+		return t.land(s, dst, sch.ModSwitchInto(ctx, dst.ct, e.ct), pred)
 
 	case "rotate", "conjugate":
 		if len(req.Args) != 1 {
@@ -234,37 +241,14 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
 				"%s at level %d would leave %d budget bits (floor %d)", req.Op, level, budget, s.cfg.BudgetFloorBits)
 		}
-		// In-place fast path, same shape as mul: a rotation lands in an
-		// existing same-level destination with zero allocation beyond the
-		// backend's pooled scratch.
-		if dst := s.reusableDst(t, req.Out, level, req.Args[0], ""); dst != nil {
-			var err error
-			if req.Op == "rotate" {
-				err = sch.B.RotateSlotsCtx(ctx, &dst.ct, e.ct, req.Steps, t.gk)
-			} else {
-				err = sch.B.ConjugateCtx(ctx, &dst.ct, e.ct, t.gk)
-			}
-			if err != nil {
-				return evalResponse{}, t.dropOut(s, req.Out, err)
-			}
-			dst.noiseBits = pred
-			return evalResponse{Handle: req.Out, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
-		}
-		var out fhe.BackendCiphertext
+		dst := s.dstFor(t, req.Out, level, req.Args[0], "")
 		var err error
 		if req.Op == "rotate" {
-			out, err = sch.RotateSlotsCtx(ctx, e.ct, req.Steps, t.gk)
+			err = sch.RotateSlotsInto(ctx, dst.ct, e.ct, req.Steps, t.gk)
 		} else {
-			out, err = sch.ConjugateCtx(ctx, e.ct, t.gk)
+			err = sch.ConjugateInto(ctx, dst.ct, e.ct, t.gk)
 		}
-		if err != nil {
-			return evalResponse{}, ctxErr(s, err)
-		}
-		h, apiErr := t.store(s, out, pred)
-		if apiErr != nil {
-			return evalResponse{}, apiErr
-		}
-		return evalResponse{Handle: h, Level: level, NoiseBits: pred, BudgetBits: sch.PredictedBudgetBits(level, pred)}, nil
+		return t.land(s, dst, err, pred)
 
 	case "encode", "decode":
 		// Plaintext slot transforms: encode maps n slot values to the

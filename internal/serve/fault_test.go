@@ -136,6 +136,73 @@ func TestBitFlipNeverDecryptsWrong(t *testing.T) {
 	}
 }
 
+// TestInPlaceEvalRefusesCorruptOperand corrupts an operand's stored
+// residues past every tower prime (bit 62 of each component's first
+// residue) and sends each evaluation op twice: once into a fresh result
+// and once into a reused out handle. Both must be refused with the same
+// typed error: the in-place path validates its operands exactly like the
+// fresh one, and never answers 200 with a result computed from unreduced
+// residues.
+func TestInPlaceEvalRefusesCorruptOperand(t *testing.T) {
+	_, ts := faultServer(t, nil)
+	post(t, ts, "/v1/keygen", map[string]string{"tenant": "a"})
+	seed := 50
+	encrypt := func(count int) []string {
+		t.Helper()
+		var hs []string
+		for i := 0; i < count; i++ {
+			seed++
+			code, enc := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": testMsg(seed)})
+			if code != http.StatusOK {
+				t.Fatalf("encrypt: %d %v", code, enc)
+			}
+			hs = append(hs, enc["handle"].(string))
+		}
+		return hs
+	}
+	eval := func(op string, args []string, out string) (int, map[string]any) {
+		t.Helper()
+		body := map[string]any{"tenant": "a", "op": op, "args": args, "steps": 1}
+		if out != "" {
+			body["out"] = out
+		}
+		return post(t, ts, "/v1/eval", body)
+	}
+	for _, tc := range []struct {
+		op    string
+		nargs int
+	}{{"square", 1}, {"mul", 2}, {"modswitch", 1}, {"rotate", 1}, {"conjugate", 1}} {
+		// run sends op on fresh operands, the first one corrupted: the eval
+		// request's own body decode takes the first probe at this site, and
+		// the flip then hits both of the operand's components.
+		run := func(inPlace bool) (int, map[string]any) {
+			t.Helper()
+			out := ""
+			if inPlace {
+				code, r := eval(tc.op, encrypt(tc.nargs), "")
+				if code != http.StatusOK {
+					t.Fatalf("%s: building the out handle: %d %v", tc.op, code, r)
+				}
+				out = r["handle"].(string)
+			}
+			args := encrypt(tc.nargs)
+			arm(t, ts, "serve.decode:bitflip:after=1:count=2:mask=4000000000000000")
+			return eval(tc.op, args, out)
+		}
+		freshCode, freshBody := run(false)
+		if freshCode == http.StatusOK {
+			t.Fatalf("%s: fresh eval on a corrupt operand answered 200 %v", tc.op, freshBody)
+		}
+		code, body := run(true)
+		if code == http.StatusOK {
+			t.Fatalf("%s: in-place eval on a corrupt operand answered 200 %v", tc.op, body)
+		}
+		if code != freshCode || errCode(t, body) != errCode(t, freshBody) {
+			t.Fatalf("%s: in-place eval got %d %v, fresh eval %d %v", tc.op, code, body, freshCode, freshBody)
+		}
+	}
+}
+
 // TestInjectedLatencyTripsDeadline arms a handler latency fault larger
 // than the request timeout and asserts the request surfaces the typed
 // 504 instead of hanging.

@@ -174,9 +174,9 @@ func TestServeRotateEncodeErrors(t *testing.T) {
 }
 
 // TestServeRotateEncodeSteadyStateAllocs extends the serving layer's
-// zero-allocation bar to the new ops: an in-place rotation through the
-// deadline backend and the in-place encode/decode slot transforms
-// allocate nothing once warm.
+// zero-allocation bar to the packed ops: an in-place rotation and
+// conjugation through the scheme and the in-place encode/decode slot
+// transforms allocate nothing once warm.
 func TestServeRotateEncodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -206,6 +206,17 @@ func TestServeRotateEncodeSteadyStateAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("steady-state serve rotate allocates %.1f per run, want 0", got)
+	}
+	conjReq := evalRequest{Tenant: "alloc", Op: "conjugate", Args: []string{src.Handle}, Out: dst.Handle}
+	if _, apiErr := s.applyEval(ctx, ten, conjReq); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if _, apiErr := s.applyEval(ctx, ten, conjReq); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	}); got != 0 {
+		t.Errorf("steady-state serve conjugate allocates %.1f per run, want 0", got)
 	}
 
 	encReq := evalRequest{Tenant: "alloc", Op: "encode", Values: testSlots(23)}
