@@ -1,8 +1,8 @@
 // Batchntt: the "towards realizing SOL performance" experiment of
 // Section 6. Real FHE workloads batch many independent NTTs; this example
 // runs a batch of forward transforms through the library's persistent
-// worker pool (BatchForwardInto: chunked dispatch, pooled per-chunk
-// scratch, zero steady-state allocation), measures the parallel scaling
+// worker pool (BatchForwardInto: one ring.Fanout range per worker, one
+// pooled scratch set per range), measures the parallel scaling
 // efficiency, and compares it with the ideal linear scaling the
 // speed-of-light model assumes.
 package main

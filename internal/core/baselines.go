@@ -50,12 +50,13 @@ type BigPlan struct {
 
 // NewBigPlan converts a plan's twiddle tables to big integers.
 func NewBigPlan(p *ntt.Plan) *BigPlan {
-	bp := &BigPlan{Q: p.Mod.Q.ToBig(), N: p.N, M: p.M}
+	bp := &BigPlan{Q: p.R.M.Q.ToBig(), N: p.N, M: p.M}
 	bp.tw = make([][]*big.Int, p.M)
 	for s := 0; s < p.M; s++ {
-		row := make([]*big.Int, p.N/2)
+		w, _ := p.FwdStage(s)
+		row := make([]*big.Int, len(w))
 		for i := range row {
-			row[i] = p.FwdTw[s].At(i).ToBig()
+			row[i] = w[i].ToBig()
 		}
 		bp.tw[s] = row
 	}
@@ -120,7 +121,7 @@ func MeasureNTTBaselineRatios(mod *modmath.Modulus128, n int) (perfmodel.Baselin
 	// ratio reflects transform cost, not the allocator.
 	dst := make([]u128.U128, n)
 	native := perfmodel.MeasureProtocol(20, 10, func() { p.ForwardInto(dst, x) })
-	generic := perfmodel.MeasureProtocol(6, 3, func() { p.ForwardWith(g, x) })
+	generic := perfmodel.MeasureProtocol(6, 3, func() { ntt.ForwardWith(p, g, x) })
 	bignum := perfmodel.MeasureProtocol(6, 3, func() { bp.Forward(xb) })
 	return perfmodel.BaselineRatios{
 		GenericOverNative: generic / native,

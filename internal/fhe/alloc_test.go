@@ -7,18 +7,18 @@ import (
 	"mqxgo/internal/rns"
 )
 
-// allocFixture builds a scheme on a width-1 RNS backend (the
-// zero-allocation configuration: the tower dispatch runs on the caller, no
-// pool submission) with two encryptions of the same message and relin and
-// Galois keys.
-func allocFixture(t *testing.T, levels int) (*BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
+// allocFixture builds a scheme on an RNS backend of the given tower
+// dispatch width (1 runs every step on the caller, wider widths go
+// through the ring worker pool) with two encryptions of the same message
+// and relin and Galois keys.
+func allocFixture(t *testing.T, levels, workers int) (*BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
 	t.Helper()
 	const n, T = 256, 257
 	c, err := rns.NewContext(59, levels, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRNSBackendWorkers(c, T, 1)
+	b, err := NewRNSBackendWorkers(c, T, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, _, c1, c2 := allocFixture(t, 2)
+	s, rlk, _, c1, c2 := allocFixture(t, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, _, c1, _ := allocFixture(t, 2)
+	s, rlk, _, c1, _ := allocFixture(t, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c1, rlk); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, _, _, ct, _ := allocFixture(t, 3)
+	s, _, _, ct, _ := allocFixture(t, 3, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
 	if err := s.ModSwitchInto(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, _, gk, c1, _ := allocFixture(t, 2)
+	s, _, gk, c1, _ := allocFixture(t, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.RotateSlotsInto(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
 		t.Fatal(err)
@@ -146,6 +146,38 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("RNS Conjugate allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestRNSEvalWidth2DoesNotAllocate holds the tower-parallel
+// configuration to the gates above: at dispatch width 2 every step of
+// every evaluation op fans its towers out through the pooled frame's
+// ring.Fanout, which must allocate nothing either.
+func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s, rlk, gk, c1, c2 := allocFixture(t, 3, 2)
+	ctx := context.Background()
+	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+	down := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+	for name, op := range map[string]func() error{
+		"mul":       func() error { return s.MulCiphertextsInto(ctx, &dst, c1, c2, rlk) },
+		"square":    func() error { return s.MulCiphertextsInto(ctx, &dst, c1, c1, rlk) },
+		"rotate":    func() error { return s.RotateSlotsInto(ctx, &dst, c1, 3, gk) },
+		"conjugate": func() error { return s.ConjugateInto(ctx, &dst, c1, gk) },
+		"modswitch": func() error { return s.ModSwitchInto(ctx, &down, c1) },
+	} {
+		if err := op(); err != nil { // warm the frame, scratch and worker pools
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s at width 2 allocates %.1f per run, want 0", name, got)
+		}
 	}
 }
 

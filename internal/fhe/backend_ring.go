@@ -187,15 +187,15 @@ func (b *ringBackend) MulNegacyclic(level int, dst, a, c Poly) {
 }
 
 func (b *ringBackend) ToNTT(level int, dst, a Poly) {
-	b.levels[level].plan.Generic().NegacyclicForwardInto(dst.([]u128.U128), a.([]u128.U128))
+	b.levels[level].plan.NegacyclicForwardInto(dst.([]u128.U128), a.([]u128.U128))
 }
 
 func (b *ringBackend) ToCoeff(level int, dst, a Poly) {
-	b.levels[level].plan.Generic().NegacyclicInverseInto(dst.([]u128.U128), a.([]u128.U128))
+	b.levels[level].plan.NegacyclicInverseInto(dst.([]u128.U128), a.([]u128.U128))
 }
 
 func (b *ringBackend) PMul(level int, dst, a, c Poly) {
-	b.levels[level].plan.Generic().PointwiseMulInto(dst.([]u128.U128), a.([]u128.U128), c.([]u128.U128))
+	b.levels[level].plan.PointwiseMulInto(dst.([]u128.U128), a.([]u128.U128), c.([]u128.U128))
 }
 
 func (b *ringBackend) SampleUniform(dst Poly, rng *rand.Rand) {
@@ -231,7 +231,7 @@ func (b *ringBackend) SecretAt(level int, s Poly) Poly {
 // on the level plan's scale-accumulate kernel.
 func (b *ringBackend) AddDeltaMsg(level int, dst, a Poly, msg []uint64) {
 	lv := b.levels[level]
-	lv.plan.Generic().ScaleAddInto(dst.([]u128.U128), a.([]u128.U128), msg, lv.delta)
+	lv.plan.ScaleAddInto(dst.([]u128.U128), a.([]u128.U128), msg, lv.delta)
 }
 
 func (b *ringBackend) RoundToPlain(level int, a Poly) []uint64 {
@@ -304,7 +304,6 @@ func (lv *ringLevel) checkKey(what string, lk *ringLevelKey, n int) error {
 // sum_d NTT(z_d) ∘ bhat_d in the level's evaluation domain.
 func (lk *ringLevelKey) accumulate(lv *ringLevel, z []u128.U128) (accA, accB []u128.U128) {
 	n := len(z)
-	g := lv.plan.Generic()
 	mod := lv.mod
 	accA = make([]u128.U128, n)
 	accB = make([]u128.U128, n)
@@ -316,12 +315,12 @@ func (lk *ringLevelKey) accumulate(lv *ringLevel, z []u128.U128) (accA, accB []u
 		for j := range zd {
 			zd[j] = u128.From64(z[j].Rsh(shift).Lo & (1<<oracleDigitBits - 1))
 		}
-		g.NegacyclicForwardInto(zhat, zd)
-		g.PointwiseMulInto(prod, zhat, lk.ahat[d])
+		lv.plan.NegacyclicForwardInto(zhat, zd)
+		lv.plan.PointwiseMulInto(prod, zhat, lk.ahat[d])
 		for j := range accA {
 			accA[j] = mod.Add(accA[j], prod[j])
 		}
-		g.PointwiseMulInto(prod, zhat, lk.bhat[d])
+		lv.plan.PointwiseMulInto(prod, zhat, lk.bhat[d])
 		for j := range accB {
 			accB[j] = mod.Add(accB[j], prod[j])
 		}
@@ -355,7 +354,6 @@ func (b *ringBackend) wideCtx() *rns.Context {
 // draws a_d, then e_d — the order every seeded key depends on.
 func (b *ringBackend) gadgetKeyLevel(level int, sk, target []u128.U128, rng *rand.Rand) ringLevelKey {
 	lv := b.levels[level]
-	g := lv.plan.Generic()
 	n := b.p.N
 	noise := make([]int64, n)
 	e := make([]u128.U128, n)
@@ -371,10 +369,10 @@ func (b *ringBackend) gadgetKeyLevel(level int, sk, target []u128.U128, rng *ran
 		bb := make([]u128.U128, n)
 		lv.plan.PolyMulNegacyclicInto(bb, a, sk) // a_d * s
 		b.Add(level, bb, bb, e)                  // + e_d
-		g.ScalarMulInto(tmp, target, u128.One.Lsh(uint(oracleDigitBits*d)).Mod(lv.mod.Q))
+		lv.plan.ScalarMulInto(tmp, target, u128.One.Lsh(uint(oracleDigitBits*d)).Mod(lv.mod.Q))
 		b.Add(level, bb, bb, tmp) // + 2^(31d) * target
-		g.NegacyclicForwardInto(a, a)
-		g.NegacyclicForwardInto(bb, bb)
+		lv.plan.NegacyclicForwardInto(a, a)
+		lv.plan.NegacyclicForwardInto(bb, bb)
 		lk.ahat = append(lk.ahat, a)
 		lk.bhat = append(lk.bhat, bb)
 	}
@@ -478,7 +476,6 @@ func (b *ringBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, c
 		return err
 	}
 	w := b.wideCtx()
-	g := lv.plan.Generic()
 
 	// Cross each component to coefficient form, lift it, and decompose it
 	// into the wide basis.
@@ -490,7 +487,7 @@ func (b *ringBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, c
 	coef := make([]u128.U128, n)
 	var wp [4]rns.Poly
 	for i, op := range [4]Poly{ct1.A, ct1.B, ct2.A, ct2.B} {
-		g.NegacyclicInverseInto(coef, op.([]u128.U128))
+		lv.plan.NegacyclicInverseInto(coef, op.([]u128.U128))
 		liftInto(coeffs, coef, t)
 		wp[i] = w.NewPoly()
 		must(w.DecomposeInto(wp[i], coeffs))
@@ -534,8 +531,8 @@ func (b *ringBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, c
 	accA, accB := lkey.accumulate(lv, r2)
 	// The rescaled components cross back and join the accumulators in the
 	// evaluation domain: NTT(INTT(acc) + r) = acc + NTT(r) exactly.
-	g.NegacyclicForwardInto(dstA, r1)
-	g.NegacyclicForwardInto(dstB, r0)
+	lv.plan.NegacyclicForwardInto(dstA, r1)
+	lv.plan.NegacyclicForwardInto(dstB, r0)
 	for j := range dstA {
 		dstA[j] = lv.mod.Add(accA[j], dstA[j])
 		dstB[j] = lv.mod.Add(accB[j], dstB[j])
@@ -556,7 +553,7 @@ func (b *ringBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 		for l, lv := range b.levels {
 			sk := b.SecretAt(l, s).([]u128.U128)
 			tauS := make([]u128.U128, n)
-			lv.plan.Generic().AutomorphismCoeffInto(tab, tauS, sk)
+			lv.plan.AutomorphismCoeffInto(tab, tauS, sk)
 			levels = append(levels, b.gadgetKeyLevel(l, sk, tauS, rng))
 		}
 		return levels
@@ -619,19 +616,18 @@ func (b *ringBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct 
 // B' - A'*s = tau(B) - tau(A)*tau(s) plus the digit noise.
 func (b *ringBackend) galoisHop(lv *ringLevel, lkey *ringLevelKey, tab *ring.GaloisTables, outA, outB, srcA, srcB []u128.U128) {
 	n := b.p.N
-	g := lv.plan.Generic()
 	coef := make([]u128.U128, n)
 	tauA := make([]u128.U128, n)
 	tauB := make([]u128.U128, n)
-	g.NegacyclicInverseInto(coef, srcA)
-	g.AutomorphismCoeffInto(tab, tauA, coef)
-	g.NegacyclicInverseInto(coef, srcB)
-	g.AutomorphismCoeffInto(tab, tauB, coef)
+	lv.plan.NegacyclicInverseInto(coef, srcA)
+	lv.plan.AutomorphismCoeffInto(tab, tauA, coef)
+	lv.plan.NegacyclicInverseInto(coef, srcB)
+	lv.plan.AutomorphismCoeffInto(tab, tauB, coef)
 	accA, accB := lkey.accumulate(lv, tauA)
 	for j := range outA {
 		outA[j] = lv.mod.Neg(accA[j])
 	}
-	g.NegacyclicForwardInto(outB, tauB)
+	lv.plan.NegacyclicForwardInto(outB, tauB)
 	for j := range outB {
 		outB[j] = lv.mod.Sub(outB[j], accB[j])
 	}
@@ -661,7 +657,7 @@ func (b *ringBackend) modSwitchCtx(ctx context.Context, dst *BackendCiphertext, 
 			}
 		}
 		src, out := pair[0], pair[1]
-		from.plan.Generic().NegacyclicInverseInto(coef, src)
+		from.plan.NegacyclicInverseInto(coef, src)
 		v := new(big.Int)
 		t := new(big.Int)
 		for j := range coef {
@@ -679,7 +675,7 @@ func (b *ringBackend) modSwitchCtx(ctx context.Context, dst *BackendCiphertext, 
 			}
 			out[j] = x
 		}
-		to.plan.Generic().NegacyclicForwardInto(out, out)
+		to.plan.NegacyclicForwardInto(out, out)
 	}
 	return nil
 }

@@ -38,9 +38,9 @@ import (
 // returns to base Q_l through the exact Shenoy-Kumaresan conversion
 // (rns.SKConverter). Relinearization and Galois keys are stored per level
 // in that level's NTT domain, so no multiply or rotation transforms a key
-// row. All evaluation state is pooled per level; steady-state mulCtx,
-// galoisCtx and modSwitchCtx allocate nothing at dispatch width 1 (wider
-// dispatch pays the ring worker pool's per-call bookkeeping).
+// row. All evaluation state is pooled per level, the tower fan-out frame
+// included; steady-state mulCtx, galoisCtx and modSwitchCtx allocate
+// nothing at any dispatch width.
 //
 // Ciphertexts live in the twisted-evaluation (double-CRT) domain — the
 // only form a BackendCiphertext takes — and there is ONE multiply
@@ -122,10 +122,10 @@ type rnsLevel struct {
 // rows.
 //
 // The struct doubles as the call frame of the steps: the operand,
-// destination and key fields are set at the top of the call, and the one
-// dispatch closure (chunk, built with the frame in the pool's New)
-// captures the frame itself and reads the current step from body — so a
-// step costs no closure of its own, whatever the dispatch width.
+// destination and key fields are set at the top of the call, and the
+// frame is itself the ring.Ranger its ring.Fanout runs, reading the
+// current step from body — so a dispatch allocates nothing, whatever its
+// width.
 type rnsMulScratch struct {
 	opE           [4]rns.Poly // operands extended to the ext base
 	evE           [5]rns.Poly // per-tower evaluation-domain rows (ext-base shaped)
@@ -146,19 +146,26 @@ type rnsMulScratch struct {
 	squaring   bool               // operand rows of ct1 and ct2 are identical slices
 	gtab       *ring.GaloisTables // the galois hop's index maps (rotation path)
 
-	body  func(sc *rnsMulScratch, i int) // the step towers is dispatching
-	chunk func(start, end int)           // runs body over [start, end)
+	body func(sc *rnsMulScratch, i int) // the step towers is dispatching
+	fan  ring.Fanout
 }
 
 // towers is the one tower dispatch: body runs for every i in [0, n), on
 // at most b.workers goroutines of the shared ring worker pool. Width 1 is
-// a plain loop on the caller (the pool's dispatch degenerates to
-// chunk(0, n)), so sequential versus tower-parallel is this argument and
-// not a code path. Steps of one call are issued one after another, each
-// dispatch a barrier, so a step may read anything an earlier step wrote.
+// a plain loop on the caller, so sequential versus tower-parallel is this
+// argument and not a code path. Steps of one call are issued one after
+// another, each dispatch a barrier, so a step may read anything an
+// earlier step wrote.
 func (b *rnsBackend) towers(sc *rnsMulScratch, n int, body func(sc *rnsMulScratch, i int)) {
 	sc.body = body
-	ring.ParallelChunks(n, b.workers, sc.chunk)
+	sc.fan.Run(n, b.workers, sc)
+}
+
+// RunRange runs the current step over towers [start, end).
+func (sc *rnsMulScratch) RunRange(start, end int) {
+	for i := start; i < end; i++ {
+		sc.body(sc, i)
+	}
 }
 
 // release returns a frame to its level's pool — or, when a panic is
@@ -388,11 +395,6 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 			// Ext-base shaped (the wider base), so the same rows serve both
 			// bases' per-tower steps: m >= k and every row is length N.
 			sc.evE[i] = ext.NewPoly()
-		}
-		sc.chunk = func(start, end int) {
-			for i := start; i < end; i++ {
-				sc.body(sc, i)
-			}
 		}
 		return sc
 	}

@@ -20,7 +20,7 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 		x := randPoly(r, mod, n)
 		got := make([]u128.U128, n)
 		p.ForwardInto(got, x)
-		want := Reference(mod, p.Generic().Omega, x)
+		want := Reference(mod, p.Omega, x)
 		for i := 0; i < n; i++ {
 			if !got[i].Equal(want[bitReverse(i, p.M)]) {
 				t.Fatalf("n=%d: output %d = %s, want %s", n, i, got[i], want[bitReverse(i, p.M)])
@@ -274,7 +274,7 @@ func TestCachedPlanReturnsSharedInstance(t *testing.T) {
 	if pk == p1 {
 		t.Error("CachedPlan shared a plan across multiplication algorithms")
 	}
-	if pk.Mod.Alg != modmath.Karatsuba {
+	if pk.R.M.Alg != modmath.Karatsuba {
 		t.Error("Karatsuba-keyed plan lost its algorithm")
 	}
 

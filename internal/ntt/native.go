@@ -13,28 +13,25 @@ type Arith interface {
 	Mul(a, b u128.U128) u128.U128
 }
 
-// ForwardWith computes the forward NTT using the supplied arithmetic
-// backend instead of the plan's Barrett context. Twiddle tables are shared
-// with the optimized path (they are plain residues).
-func (p *Plan) ForwardWith(ar Arith, x []u128.U128) []u128.U128 {
-	p.checkLen(len(x))
+// ForwardWith computes the forward NTT of x on p's dataflow using the
+// supplied arithmetic backend instead of the plan's Barrett span kernels.
+// Twiddle tables are shared with the optimized path (they are plain
+// residues).
+func ForwardWith(p *Plan, ar Arith, x []u128.U128) []u128.U128 {
+	if len(x) != p.N {
+		panic("ntt: input length does not match plan size")
+	}
 	half := p.N / 2
 	src := append([]u128.U128(nil), x...)
 	dst := make([]u128.U128, p.N)
 	for s := 0; s < p.M; s++ {
-		tw := p.FwdTw[s]
+		tw, _ := p.FwdStage(s)
 		for i := 0; i < half; i++ {
 			a, b := src[i], src[i+half]
 			dst[2*i] = ar.Add(a, b)
-			dst[2*i+1] = ar.Mul(ar.Sub(a, b), tw.At(i))
+			dst[2*i+1] = ar.Mul(ar.Sub(a, b), tw[i])
 		}
 		src, dst = dst, src
 	}
 	return src
-}
-
-func (p *Plan) checkLen(n int) {
-	if n != p.N {
-		panic("ntt: input length does not match plan size")
-	}
 }

@@ -71,7 +71,7 @@ func TestForwardNativeMatchesReference(t *testing.T) {
 		p := mustPlan(t, mod, n)
 		x := randPoly(r, mod, n)
 		got := forward(p, x)
-		want := Reference(mod, p.Generic().Omega, x)
+		want := Reference(mod, p.Omega, x)
 		for i := 0; i < n; i++ {
 			if !got[i].Equal(want[bitReverse(i, p.M)]) {
 				t.Fatalf("n=%d: output %d = %s, want %s", n, i, got[i], want[bitReverse(i, p.M)])
@@ -140,15 +140,15 @@ func vmForward(t *testing.T, level isa.Level, p *Plan, x []u128.U128) []u128.U12
 	var err error
 	switch level {
 	case isa.LevelScalar:
-		d := kernels.NewDW[vm.S, vm.F](kernels.NewBScalar(m), p.Mod)
+		d := kernels.NewDW[vm.S, vm.F](kernels.NewBScalar(m), p.R.M)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	case isa.LevelAVX2:
-		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), p.Mod)
+		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), p.R.M)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	default:
-		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), p.Mod)
+		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), p.R.M)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	}

@@ -31,7 +31,8 @@ func ForwardVM[W, C any](d *kernels.DW[W, C], p *Plan, x blas.Vector) (blas.Vect
 	copy(src.Lo, x.Lo)
 	dst := blas.NewVector(p.N)
 	for s := 0; s < p.M; s++ {
-		tw := p.FwdTw[s]
+		w, _ := p.FwdStage(s)
+		tw := blas.FromSlice(w) // the SoA layout the vector loads read
 		for i := 0; i < half; i += lanes {
 			a := kernels.DWPair[W]{Hi: o.Load(src.Hi, i), Lo: o.Load(src.Lo, i)}
 			b := kernels.DWPair[W]{Hi: o.Load(src.Hi, i+half), Lo: o.Load(src.Lo, i+half)}

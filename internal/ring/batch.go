@@ -3,6 +3,7 @@ package ring
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Batched transforms. Real FHE workloads process many independent
@@ -12,10 +13,10 @@ import (
 // model assumes.
 //
 // Dispatch goes through a persistent, lazily-started worker pool shared
-// by every plan (and by RNS tower dispatch via ParallelChunks): a batch
-// is split into at most `workers` contiguous index ranges — one channel
-// send per range, with the caller running the final range itself — and
-// each range reuses a single scratch set across all of its transforms.
+// by every plan and every RNS tower step: a Fanout splits [0, n) into at
+// most `workers` contiguous index ranges — one channel send per range,
+// with the caller running the final range itself — and each range reuses
+// a single scratch set across all of its transforms.
 
 // workerPool is the process-wide transform pool. Workers are started
 // lazily and live for the life of the process; GOMAXPROCS goroutines are
@@ -25,123 +26,136 @@ import (
 var workerPool struct {
 	mu      sync.Mutex
 	started int
-	jobs    chan func()
+	jobs    chan fanJob
 }
 
-// submitJob hands f to the pool, starting workers as needed. Each submit
+// submitJob hands j to the pool, starting workers as needed. Each submit
 // starts AT MOST ONE new worker: a submit enqueues exactly one job, so one
 // extra goroutine is all that's needed to keep the batch fully parallel (a
-// w-chunk batch makes w-1 submits and therefore guarantees w-1 pool
+// w-range fan-out makes w-1 submits and therefore guarantees w-1 pool
 // workers), while a small batch — k=2 tower dispatch — no longer wakes
 // GOMAXPROCS idle workers it can never feed. The GOMAXPROCS cap is still
 // re-checked on every submit, so a raise after first use grows the pool
 // on demand instead of capping all future batches at the initial size.
-// Jobs must not themselves submit to the pool (chunks never do), so the
+// Jobs must not themselves submit to the pool (ranges never do), so the
 // pool cannot deadlock.
-func submitJob(f func()) {
+func submitJob(j fanJob) {
 	workerPool.mu.Lock()
 	if workerPool.jobs == nil {
-		workerPool.jobs = make(chan func(), 256)
+		workerPool.jobs = make(chan fanJob, 256)
 	}
 	if workerPool.started < runtime.GOMAXPROCS(0) {
 		go func() {
-			for job := range workerPool.jobs {
-				job()
+			for j := range workerPool.jobs {
+				j.run()
 			}
 		}()
 		workerPool.started++
 	}
 	workerPool.mu.Unlock()
-	workerPool.jobs <- f
+	workerPool.jobs <- j
 }
 
-// ParallelChunks covers [0, n) with at most `workers` contiguous ranges
-// (0 means GOMAXPROCS) and runs chunk on each, the last on the calling
-// goroutine and the rest on the persistent pool. chunk must be safe for
-// concurrent invocation on disjoint ranges. This is the batch dispatch
-// primitive shared by Plan batches and RNS tower fan-out.
+// Ranger is the body of a fan-out: RunRange runs indices [start, end).
+// It must be safe for concurrent invocation on disjoint ranges.
+type Ranger interface{ RunRange(start, end int) }
+
+// rangeFunc adapts a closure to Ranger, for dispatches that allocate anyway.
+type rangeFunc func(start, end int)
+
+func (f rangeFunc) RunRange(start, end int) { f(start, end) }
+
+// Fanout is the one reusable dispatch frame: everything a fan-out needs
+// while its ranges run — the body, the barrier and the panic slot —
+// lives here, and each pool job is a value naming the frame and its
+// range, so no per-call closure exists. A caller that keeps its Fanout in
+// scratch it already pools dispatches at any width without allocating.
+// The zero value is ready to use; a Fanout runs one dispatch at a time.
+type Fanout struct {
+	r        Ranger
+	wg       sync.WaitGroup
+	panicked atomic.Pointer[any] // the first pool-range panic
+}
+
+// fanJob is one pool range of a Fanout, sent to the pool by value.
+type fanJob struct {
+	f          *Fanout
+	start, end int
+}
+
+// run executes the job's range on a pool worker, parking a panic in the
+// frame's slot so the worker survives.
+func (j fanJob) run() {
+	defer j.f.wg.Done()
+	defer func() {
+		if rec := recover(); rec != nil {
+			boxed := rec // boxed only on a panic
+			j.f.panicked.CompareAndSwap(nil, &boxed)
+		}
+	}()
+	j.f.r.RunRange(j.start, j.end)
+}
+
+// Run covers [0, n) with at most `workers` contiguous ranges (0 means
+// GOMAXPROCS) and runs r on each, the last on the calling goroutine and
+// the rest on the persistent pool. Width 1 is a plain r.RunRange(0, n).
 //
-// A panic inside chunk — on the pool or on the calling goroutine — is
-// re-raised on the calling goroutine after every other chunk has finished,
-// so a recover() around the dispatch observes it and the pool workers
-// survive for the next batch. Without this a chunk panic on a pool
-// goroutine would kill the whole process, which no serving layer can
-// tolerate.
-func ParallelChunks(n, workers int, chunk func(start, end int)) {
-	if n <= 0 {
-		return
-	}
+// A panic inside r — on the pool or on the calling goroutine — is
+// re-raised on the calling goroutine after every other range has
+// finished, so a recover() around the dispatch observes it and the pool
+// workers survive for the next batch. Without this a range panic on a
+// pool goroutine would kill the whole process, which no serving layer
+// can tolerate.
+func (f *Fanout) Run(n, workers int, r Ranger) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		chunk(0, n)
+	if workers = min(workers, n); workers <= 1 {
+		if n > 0 {
+			r.RunRange(0, n)
+		}
 		return
 	}
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-		hasPanic bool
-	)
+	f.r = r
+	f.panicked.Store(nil)
 	base, rem := n/workers, n%workers
 	start := 0
-	callerStart, callerEnd := 0, 0
-	for w := 0; w < workers; w++ {
-		size := base
+	for w := range workers - 1 {
+		j := fanJob{f, start, start + base}
 		if w < rem {
-			size++
+			j.end++
 		}
-		s, e := start, start+size
-		start = e
-		if w == workers-1 {
-			callerStart, callerEnd = s, e
-			break
-		}
-		wg.Add(1)
-		submitJob(func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if !hasPanic {
-						hasPanic, panicked = true, r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			chunk(s, e)
-		})
+		start = j.end
+		f.wg.Add(1)
+		submitJob(j)
 	}
 	// Run the caller's own range under a deferred Wait so that even if it
-	// panics, the pool chunks finish before the stack unwinds — their
-	// closures reference the caller's buffers.
+	// panics, the pool ranges finish before the stack unwinds — they read
+	// the caller's buffers.
 	func() {
-		defer wg.Wait()
-		chunk(callerStart, callerEnd)
+		defer f.wg.Wait()
+		r.RunRange(start, n)
 	}()
-	if hasPanic {
-		panic(panicked)
+	if p := f.panicked.Load(); p != nil {
+		panic(*p)
 	}
 }
 
 // BatchForwardInto runs the forward transform of every input, in
-// parallel across at most workers chunks (0 means GOMAXPROCS): dst[i]
+// parallel across at most workers ranges (0 means GOMAXPROCS): dst[i]
 // receives the transform of inputs[i]; inputs are not modified. Beyond
-// the fixed dispatch cost (one closure and one scratch checkout per
-// chunk) it allocates nothing.
+// one dispatch frame per call and one scratch checkout per range it
+// allocates nothing.
 func (p *Plan[T, R]) BatchForwardInto(dst, inputs [][]T, workers int) {
 	p.checkBatch(dst, inputs)
-	ParallelChunks(len(inputs), workers, func(start, end int) {
+	var f Fanout
+	f.Run(len(inputs), workers, rangeFunc(func(start, end int) {
 		sc := p.getScratch()
 		for i := start; i < end; i++ {
 			p.forwardStages(dst[i], inputs[i], sc)
 		}
 		p.putScratch(sc)
-	})
+	}))
 }
 
 // AllocBatch allocates count rows of length n in one backing array (one

@@ -8,19 +8,20 @@ import (
 	"mqxgo/internal/modmath"
 )
 
-// TestParallelChunksPanicPropagates pins the serving-layer contract: a
-// panic inside a chunk running on a pool goroutine reaches the CALLING
-// goroutine, where recover() can see it, and the pool keeps working for
-// subsequent batches.
-func TestParallelChunksPanicPropagates(t *testing.T) {
+// TestFanoutPanicPropagates pins the serving-layer contract: a panic
+// inside a range running on a pool goroutine reaches the CALLING
+// goroutine, where recover() can see it, and the pool — and the frame —
+// keep working for subsequent dispatches.
+func TestFanoutPanicPropagates(t *testing.T) {
 	const n, workers = 64, 4
+	var f Fanout
 	caught := func() (r any) {
 		defer func() { r = recover() }()
-		ParallelChunks(n, workers, func(start, end int) {
+		f.Run(n, workers, rangeFunc(func(start, end int) {
 			if start == 0 { // first range runs on a pool worker
 				panic("chunk boom")
 			}
-		})
+		}))
 		return nil
 	}()
 	if caught != "chunk boom" {
@@ -29,32 +30,33 @@ func TestParallelChunksPanicPropagates(t *testing.T) {
 
 	// The pool must survive: a follow-up dispatch covers every index.
 	var covered atomic.Int64
-	ParallelChunks(n, workers, func(start, end int) {
+	f.Run(n, workers, rangeFunc(func(start, end int) {
 		covered.Add(int64(end - start))
-	})
+	}))
 	if covered.Load() != n {
 		t.Fatalf("post-panic dispatch covered %d of %d indices", covered.Load(), n)
 	}
 }
 
-// TestParallelChunksCallerPanicWaitsForPool proves the caller's own chunk
-// panicking does not unwind past in-flight pool chunks (their closures
-// reference the caller's buffers).
-func TestParallelChunksCallerPanicWaitsForPool(t *testing.T) {
+// TestFanoutCallerPanicWaitsForPool proves the caller's own range
+// panicking does not unwind past in-flight pool ranges (they read the
+// caller's buffers).
+func TestFanoutCallerPanicWaitsForPool(t *testing.T) {
 	const n, workers = 64, 4
 	var poolDone atomic.Int64
 	var mu sync.Mutex
 	lastRange := n * (workers - 1) / workers // caller runs the final range
 	caught := func() (r any) {
 		defer func() { r = recover() }()
-		ParallelChunks(n, workers, func(start, end int) {
+		var f Fanout
+		f.Run(n, workers, rangeFunc(func(start, end int) {
 			if start >= lastRange {
 				panic("caller boom")
 			}
 			mu.Lock()
 			poolDone.Add(int64(end - start))
 			mu.Unlock()
-		})
+		}))
 		return nil
 	}()
 	if caught != "caller boom" {

@@ -21,13 +21,13 @@ type planKey struct {
 	n  int
 }
 
-var planCache sync.Map // planKey -> cached value (plan or wrapper)
+var planCache sync.Map // planKey -> cached plan (or plan handle)
 
 // CacheLoadOrBuild is the cache primitive: it returns the cached value
-// for (fp, n), calling build exactly when no entry exists yet. Wrapper
-// packages (internal/ntt) use it with their own fingerprint tags to cache
-// their plan types without duplicating the cache machinery. Concurrent
-// first-use may build twice; one winner is kept.
+// for (fp, n), calling build exactly when no entry exists yet.
+// internal/ntt uses it with its own fingerprint tags to cache its plans
+// without duplicating the cache machinery. Concurrent first-use may build
+// twice; one winner is kept.
 func CacheLoadOrBuild(fp Fingerprint, n int, build func() (any, error)) (any, error) {
 	k := planKey{fp: fp, n: n}
 	if v, ok := planCache.Load(k); ok {
@@ -41,7 +41,7 @@ func CacheLoadOrBuild(fp Fingerprint, n int, build func() (any, error)) (any, er
 	return got, nil
 }
 
-// ResetPlanCache drops every cached plan (and wrapper), releasing their
+// ResetPlanCache drops every cached plan (and plan handle), releasing their
 // twiddle tables to the garbage collector. Plans already held by callers
 // stay valid.
 func ResetPlanCache() {

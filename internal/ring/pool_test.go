@@ -24,7 +24,9 @@ func TestWorkerPoolGrowsAfterGOMAXPROCSRaise(t *testing.T) {
 
 	// Warm the pool at the current size (any prior test may already have).
 	var ran atomic.Int64
-	ParallelChunks(4, 2, func(start, end int) { ran.Add(int64(end - start)) })
+	count := rangeFunc(func(start, end int) { ran.Add(int64(end - start)) })
+	var f Fanout
+	f.Run(4, 2, count)
 	if got := poolStarted(); got < 1 {
 		t.Fatalf("pool did not start any workers after a submit: %d", got)
 	}
@@ -34,7 +36,7 @@ func TestWorkerPoolGrowsAfterGOMAXPROCSRaise(t *testing.T) {
 	target := old + 2
 	runtime.GOMAXPROCS(target)
 	ran.Store(0)
-	ParallelChunks(2*target, target, func(start, end int) { ran.Add(int64(end - start)) })
+	f.Run(2*target, target, count)
 	if got := int(ran.Load()); got != 2*target {
 		t.Fatalf("chunks covered %d indices, want %d", got, 2*target)
 	}
@@ -56,8 +58,9 @@ func TestSmallBatchDoesNotOversubscribePool(t *testing.T) {
 
 	before := poolStarted()
 	var ran atomic.Int64
-	// Two chunks: one runs on the caller, exactly one job is submitted.
-	ParallelChunks(2, 2, func(start, end int) { ran.Add(int64(end - start)) })
+	// Two ranges: one runs on the caller, exactly one job is submitted.
+	var f Fanout
+	f.Run(2, 2, rangeFunc(func(start, end int) { ran.Add(int64(end - start)) }))
 	if got := int(ran.Load()); got != 2 {
 		t.Fatalf("chunks covered %d indices, want 2", got)
 	}
@@ -66,12 +69,64 @@ func TestSmallBatchDoesNotOversubscribePool(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelChunksSmallBatch measures the fixed dispatch cost of a
-// two-chunk batch — the k=2 RNS tower fan-out shape the oversubscription
-// fix targets.
-func BenchmarkParallelChunksSmallBatch(b *testing.B) {
+// BenchmarkFanoutSmallBatch measures the fixed dispatch cost of a
+// two-range fan-out — the k=2 RNS tower shape the oversubscription fix
+// targets — on one reused frame.
+func BenchmarkFanoutSmallBatch(b *testing.B) {
 	var sink atomic.Int64
+	var f Fanout
+	body := rangeFunc(func(start, end int) { sink.Add(int64(end - start)) })
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ParallelChunks(2, 2, func(start, end int) { sink.Add(int64(end - start)) })
+		f.Run(2, 2, body)
+	}
+}
+
+// TestFanoutReuseCoversEveryIndexOnce runs one frame many times at widths
+// 1–5 (and the GOMAXPROCS default) over uneven n: every dispatch must
+// visit each index exactly once, whatever the previous dispatch's width.
+func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
+	var f Fanout
+	hits := make([]atomic.Int32, 64)
+	body := rangeFunc(func(start, end int) {
+		for i := start; i < end; i++ {
+			hits[i].Add(1)
+		}
+	})
+	for round := 0; round < 3; round++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 13, 31, 64} {
+			for workers := 0; workers <= 5; workers++ {
+				for i := range hits {
+					hits[i].Store(0)
+				}
+				f.Run(n, workers, body)
+				for i := range hits {
+					want := int32(0)
+					if i < n {
+						want = 1
+					}
+					if got := hits[i].Load(); got != want {
+						t.Fatalf("round %d, n=%d, workers=%d: index %d ran %d times, want %d", round, n, workers, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFanoutReusedFrameDoesNotAlloc pins the frame's purpose: a reused
+// Fanout dispatches at width 1 and 2 without allocating.
+func TestFanoutReusedFrameDoesNotAlloc(t *testing.T) {
+	if raceEnabledInternal {
+		t.Skip("race instrumentation allocates")
+	}
+	var sink atomic.Int64
+	var f Fanout
+	body := rangeFunc(func(start, end int) { sink.Add(int64(end - start)) })
+	for _, workers := range []int{1, 2} {
+		f.Run(8, workers, body) // start the pool worker
+		if got := testing.AllocsPerRun(50, func() { f.Run(8, workers, body) }); got != 0 {
+			t.Errorf("width %d: reused Fanout allocates %.1f per run, want 0", workers, got)
+		}
 	}
 }

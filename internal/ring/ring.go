@@ -4,16 +4,16 @@
 // (Sections 1 and 8) — previously lived as two copy-pasted NTT stacks;
 // here the Pease constant-geometry stage loops, pooled ping-pong scratch,
 // negacyclic twist/untwist, folded 1/N scaling, the process-wide plan
-// cache, and the chunk-dispatch batch worker pool are each implemented
-// exactly once, generically over the element type.
+// cache, and the batch worker pool with its one dispatch frame (Fanout)
+// are each implemented exactly once, generically over the element type.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings)
 // plus the element arithmetic and number-theoretic setup table building
 // needs. Plan[T, R] does everything else. The stack runs exactly
-// two rings: Barrett128 under internal/ntt's Plan, and Shoup64 under the
-// RNS towers (internal/ntt's Plan64 is a cached handle to a
-// Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
+// two rings: Barrett128, whose Plan[u128.U128, Barrett128] is
+// internal/ntt's Plan, and Shoup64 under the RNS towers (internal/ntt's
+// Plan64 is a cached handle to a Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
 // …Into call that writes into a buffer the caller passes.
 package ring
 

@@ -11,11 +11,8 @@ import (
 // PR 1 discipline on the NTT engine: DecomposeInto runs on the
 // precomputed Barrett limb tables, the negacyclic transforms and MulAll
 // draw pooled per-plan scratch, so with reused destination buffers none
-// of them may allocate.
-// The sequential dispatch path (workers == 1) is the zero-alloc
-// guarantee; parallel dispatch pays the worker pool's fixed per-chunk
-// closure cost by design.
-
+// of them may allocate. TestTowerDispatchWidth2DoesNotAllocate holds
+// tower-parallel dispatch to the same bar.
 func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -77,6 +74,39 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("MulAll allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestTowerDispatchWidth2DoesNotAllocate holds the tower-parallel
+// dispatch to the same bar: at width 2 every per-tower call runs through
+// one pooled ring.Fanout frame, so with the pools warm MulAll, both
+// transforms and the resident rescale allocate nothing.
+func TestTowerDispatchWidth2DoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const workers = 2
+	f := convFix(t)
+	a, b, dst := f.q.NewPoly(), f.q.NewPoly(), f.q.NewPoly()
+	fillResidues(a, f.q.Mods, 4244, 0)
+	fillResidues(b, f.q.Mods, 4245, 0)
+	dstSub := f.sub.NewPoly()
+	for name, call := range map[string]func() error{
+		"MulAll":            func() error { return f.q.MulAll(dst, a, b, workers) },
+		"NegacyclicNTTAll":  func() error { return f.q.NegacyclicNTTAll(dst, a, workers) },
+		"NegacyclicINTTAll": func() error { return f.q.NegacyclicINTTAll(dst, a, workers) },
+		"RescaleNTTInto":    func() error { return f.rs.RescaleNTTInto(dstSub, a, workers) },
+	} {
+		if err := call(); err != nil { // warm the frame, scratch and worker pools
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s at width %d allocates %.1f per run, want 0", name, workers, got)
+		}
 	}
 }
 

@@ -498,10 +498,10 @@ func (r *Rescaler) RescaleInto(dst, a Poly) error {
 // correction polynomial w_i = (h - u) * q_k^-1 mod q_i, forward-transforms
 // it, and lands dst_i = a_i * q_k^-1 + NTT(w_i) — bit-identical to
 // RescaleInto composed with transforms, by NTT linearity. The per-tower
-// work (one transform between two span passes) dispatches through
-// ring.ParallelChunks; workers follows the batch convention (0 means
-// GOMAXPROCS, 1 is the sequential zero-alloc path). dst rows may alias a's
-// prefix rows. Input rows may be lazy ([0, 2q)); dst is canonical.
+// work (one transform between two span passes) is one tower dispatch
+// (runTowers): workers 0 means GOMAXPROCS, 1 runs on the caller. dst
+// rows may alias a's prefix rows. Input rows may be lazy ([0, 2q)); dst
+// is canonical.
 func (r *Rescaler) RescaleNTTInto(dst, a Poly, workers int) error {
 	if err := r.from.checkPoly(a); err != nil {
 		return err
@@ -514,32 +514,19 @@ func (r *Rescaler) RescaleNTTInto(dst, a Poly, workers int) error {
 	kq := r.from.Channels() - 1
 	r.from.Plans[kq].Generic().NegacyclicInverseInto(u, a.Res[kq])
 	r.remainderInto(u, u)
-	towers := r.to.Channels()
-	// Named method, not a closure: a closure shared with the parallel
-	// branch would escape and put an allocation on the workers==1 path.
-	if workers == 1 || towers <= 1 {
-		for i := 0; i < towers; i++ {
-			r.rescaleNTTTower(sc, dst, a, i)
-		}
-	} else {
-		ring.ParallelChunks(towers, workers, func(start, end int) {
-			for i := start; i < end; i++ {
-				r.rescaleNTTTower(sc, dst, a, i)
-			}
-		})
-	}
+	runTowers(workers, towerOp{step: rescaleNTTTower, c: r.to, r: r, sc: sc, dst: dst, a: a})
 	r.scratch.Put(sc)
 	return nil
 }
 
 // rescaleNTTTower finishes one prefix tower of a resident rescale from the
 // shared remainder row.
-func (r *Rescaler) rescaleNTTTower(sc *convScratch, dst, a Poly, i int) {
-	plan := r.to.Plans[i].Generic()
-	w := sc.extra[1+i]
-	ring.AffineRows(plan, w, r.corr[i], sc.extra[:1])
+func rescaleNTTTower(t *towerOp, i int) {
+	plan := t.c.Plans[i].Generic()
+	w := t.sc.extra[1+i]
+	ring.AffineRows(plan, w, t.r.corr[i], t.sc.extra[:1])
 	plan.NegacyclicForwardInto(w, w)
 	// w is canonical; the scale-accumulate's Shoup product is exact for any
 	// 64-bit multiplicand, so a_i may be lazy.
-	plan.ScaleAddInto(dst.Res[i], w, a.Res[i], r.inv[i])
+	plan.ScaleAddInto(t.dst.Res[i], w, t.a.Res[i], t.r.inv[i])
 }

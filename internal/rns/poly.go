@@ -127,18 +127,52 @@ func (c *Context) ReconstructInto(dst []*big.Int, p Poly) error {
 	return nil
 }
 
-// Tower dispatch convention for MulAll, NegacyclicNTTAll and
-// NegacyclicINTTAll: workers follows the batch convention of
-// internal/ring — 0 means GOMAXPROCS, and all k towers go through the
-// shared worker pool as one batch. workers == 1 (or a single tower) takes
-// a direct sequential loop that allocates nothing; parallel dispatch pays
-// the pool's fixed per-chunk closure cost. The sequential loops are
-// written out (not routed through a shared higher-order helper) precisely
-// so escape analysis keeps them allocation-free.
+// towerOp is one tower dispatch: step runs tower i on the operands.
+type towerOp struct {
+	step      func(t *towerOp, i int)
+	c         *Context
+	r         *Rescaler
+	sc        *convScratch
+	dst, a, b Poly
+}
 
-// seqTowers reports whether the sequential zero-alloc path applies.
-func (c *Context) seqTowers(workers int) bool {
-	return workers == 1 || c.Channels() <= 1
+// towerCall is the pooled frame of one tower dispatch.
+type towerCall struct {
+	fan ring.Fanout
+	towerOp
+}
+
+var towerCalls = sync.Pool{New: func() any { return new(towerCall) }}
+
+func (t *towerCall) RunRange(start, end int) {
+	for i := start; i < end; i++ {
+		t.step(&t.towerOp, i)
+	}
+}
+
+// runTowers is the tower dispatch of MulAll, NegacyclicNTTAll,
+// NegacyclicINTTAll and Rescaler.RescaleNTTInto: op.step runs for every
+// tower of op.c on at most workers goroutines (0 means GOMAXPROCS, 1 runs
+// every tower on the caller), through one pooled frame whose ring.Fanout
+// allocates nothing at any width.
+func runTowers(workers int, op towerOp) {
+	t := towerCalls.Get().(*towerCall)
+	t.towerOp = op
+	t.fan.Run(op.c.Channels(), workers, t)
+	t.towerOp = towerOp{}
+	towerCalls.Put(t)
+}
+
+func mulTower(t *towerOp, i int) {
+	t.c.Plans[i].Generic().PolyMulNegacyclicInto(t.dst.Res[i], t.a.Res[i], t.b.Res[i])
+}
+
+func forwardTower(t *towerOp, i int) {
+	t.c.Plans[i].Generic().NegacyclicForwardInto(t.dst.Res[i], t.a.Res[i])
+}
+
+func inverseTower(t *towerOp, i int) {
+	t.c.Plans[i].Generic().NegacyclicInverseInto(t.dst.Res[i], t.a.Res[i])
 }
 
 // MulAll computes the negacyclic product dst = a*b in Z_Q[x]/(x^n + 1),
@@ -148,17 +182,7 @@ func (c *Context) MulAll(dst, a, b Poly, workers int) error {
 	if err := c.checkPoly(dst, a, b); err != nil {
 		return err
 	}
-	if c.seqTowers(workers) {
-		for i, p := range c.Plans {
-			p.Generic().PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
-		}
-		return nil
-	}
-	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			c.Plans[i].Generic().PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
-		}
-	})
+	runTowers(workers, towerOp{step: mulTower, c: c, dst: dst, a: a, b: b})
 	return nil
 }
 
@@ -170,17 +194,7 @@ func (c *Context) NegacyclicNTTAll(dst, a Poly, workers int) error {
 	if err := c.checkPoly(dst, a); err != nil {
 		return err
 	}
-	if c.seqTowers(workers) {
-		for i, p := range c.Plans {
-			p.Generic().NegacyclicForwardInto(dst.Res[i], a.Res[i])
-		}
-		return nil
-	}
-	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			c.Plans[i].Generic().NegacyclicForwardInto(dst.Res[i], a.Res[i])
-		}
-	})
+	runTowers(workers, towerOp{step: forwardTower, c: c, dst: dst, a: a})
 	return nil
 }
 
@@ -191,17 +205,7 @@ func (c *Context) NegacyclicINTTAll(dst, a Poly, workers int) error {
 	if err := c.checkPoly(dst, a); err != nil {
 		return err
 	}
-	if c.seqTowers(workers) {
-		for i, p := range c.Plans {
-			p.Generic().NegacyclicInverseInto(dst.Res[i], a.Res[i])
-		}
-		return nil
-	}
-	ring.ParallelChunks(c.Channels(), workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			c.Plans[i].Generic().NegacyclicInverseInto(dst.Res[i], a.Res[i])
-		}
-	})
+	runTowers(workers, towerOp{step: inverseTower, c: c, dst: dst, a: a})
 	return nil
 }
 

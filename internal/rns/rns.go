@@ -11,7 +11,8 @@
 // tables instead of per-coefficient big.Int arithmetic (zero steady-state
 // allocations), and the tower-parallel MulAll and
 // NegacyclicNTTAll/NegacyclicINTTAll dispatch all k towers through the
-// shared internal/ring worker pool as one batch. Every operation writes
+// shared internal/ring worker pool as one batch, on a pooled ring.Fanout
+// frame that allocates nothing at any width. Every operation writes
 // into a destination Poly the caller passes.
 package rns
 

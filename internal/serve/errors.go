@@ -20,6 +20,7 @@ const (
 	CodeUnknownTenant   = "unknown_tenant"     // 404
 	CodeUnknownHandle   = "unknown_handle"     // 404
 	CodeBadRequest      = "bad_request"        // 400
+	CodeBodyTooLarge    = "body_too_large"     // 413: request body past the cap sized from the scheme's N
 	CodeTooManyHandles  = "too_many_handles"   // 409: per-tenant ciphertext store is full
 	CodeInternal        = "internal"           // 500: request panicked; scratch quarantined
 	CodeNotCompiled     = "fault_not_compiled" // 501: fault endpoint on a production build

@@ -124,15 +124,15 @@ func (t *tenant) land(s *Server, d evalDst, err error, noise int) (evalResponse,
 	return evalResponse{Handle: h, Level: level, NoiseBits: noise, BudgetBits: s.cfg.Scheme.PredictedBudgetBits(level, noise)}, nil
 }
 
-// guardMul enforces the budget floor for a multiply at level with the
-// given operand noise bound, returning the predicted result noise.
-func (s *Server) guardMul(level, opNoise int) (int, *apiError) {
-	pred := s.predictMul(level, opNoise)
+// guardBudget enforces the budget floor: op, landing at level with
+// predicted noise bound pred, is refused when its predicted budget falls
+// below the configured floor.
+func (s *Server) guardBudget(op string, level, pred int) *apiError {
 	if budget := s.cfg.Scheme.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
-		return 0, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
-			"multiply at level %d would leave %d budget bits (floor %d)", level, budget, s.cfg.BudgetFloorBits)
+		return errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
+			"%s landing at level %d would leave %d budget bits (floor %d)", op, level, budget, s.cfg.BudgetFloorBits)
 	}
-	return pred, nil
+	return nil
 }
 
 // applyEval executes one evaluation op against a tenant's store under
@@ -181,16 +181,11 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 			if err != nil {
 				return evalResponse{}, errBadRequest("add: %v", err)
 			}
-			noise := opNoise + 1
-			h, apiErr := t.store(s, out, noise)
-			if apiErr != nil {
-				return evalResponse{}, apiErr
-			}
-			return evalResponse{Handle: h, Level: out.Level, NoiseBits: noise, BudgetBits: sch.PredictedBudgetBits(out.Level, noise)}, nil
+			return t.land(s, evalDst{ct: &out}, nil, opNoise+1)
 		}
 
-		pred, apiErr := s.guardMul(level, opNoise)
-		if apiErr != nil {
+		pred := s.predictMul(level, opNoise)
+		if apiErr := s.guardBudget(req.Op, level, pred); apiErr != nil {
 			return evalResponse{}, apiErr
 		}
 		// Overwriting an existing destination handle whose buffers already
@@ -214,9 +209,8 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 				"ciphertext already at bottom level %d", level)
 		}
 		pred := sch.PredictModSwitchNoiseBits(level, e.noiseBits)
-		if budget := sch.PredictedBudgetBits(level+1, pred); budget < s.cfg.BudgetFloorBits {
-			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
-				"modswitch to level %d would leave %d budget bits (floor %d)", level+1, budget, s.cfg.BudgetFloorBits)
+		if apiErr := s.guardBudget(req.Op, level+1, pred); apiErr != nil {
+			return evalResponse{}, apiErr
 		}
 		dst := s.dstFor(t, req.Out, level+1, req.Args[0], "")
 		return t.land(s, dst, sch.ModSwitchInto(ctx, dst.ct, e.ct), pred)
@@ -237,9 +231,8 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 		} else {
 			pred = sch.PredictConjugateNoiseBits(level, e.noiseBits)
 		}
-		if budget := sch.PredictedBudgetBits(level, pred); budget < s.cfg.BudgetFloorBits {
-			return evalResponse{}, errf(http.StatusUnprocessableEntity, CodeBudgetExhausted,
-				"%s at level %d would leave %d budget bits (floor %d)", req.Op, level, budget, s.cfg.BudgetFloorBits)
+		if apiErr := s.guardBudget(req.Op, level, pred); apiErr != nil {
+			return evalResponse{}, apiErr
 		}
 		dst := s.dstFor(t, req.Out, level, req.Args[0], "")
 		var err error

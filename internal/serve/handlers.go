@@ -3,14 +3,22 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
 	"mqxgo/internal/faultinject"
 )
 
-// Handler returns the server's HTTP mux.
+// bodyEnvelope is the room a request body gets beyond its values: the
+// tenant, op, handle and option fields and the JSON punctuation.
+const bodyEnvelope = 64 << 10
+
+// Handler returns the server's HTTP mux. Every request body is capped at
+// room for N 20-digit values (the widest encrypt or encode array) plus
+// bodyEnvelope; decode answers 413 as soon as a body reads past the cap.
 func (s *Server) Handler() http.Handler {
+	limit := 21*int64(s.cfg.Scheme.B.N()) + bodyEnvelope
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
@@ -19,7 +27,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/eval", s.evalClass("", s.doEval))
 	mux.HandleFunc("/v1/decrypt", s.evalClass("decrypt", s.doDecrypt))
 	mux.HandleFunc("/v1/fault", s.handleFault)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -51,6 +62,10 @@ func decode[T any](r *http.Request, into *T) *apiError {
 		return errBadRequest("decode: %v", err)
 	}
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		}
 		return errBadRequest("decode: %v", err)
 	}
 	return nil

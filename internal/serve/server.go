@@ -3,9 +3,10 @@
 // with the failure-handling a real deployment needs and a library bench
 // harness never exercises.
 //
-//   - Admission control: a bounded queue in front of a bounded worker
-//     pool. At capacity the server sheds load with 429 + Retry-After
-//     instead of letting latency collapse.
+//   - Admission control: every request body is capped at a size derived
+//     from the scheme's N (413 past it), and a bounded queue sits in
+//     front of a bounded worker pool. At capacity the server sheds load
+//     with 429 + Retry-After instead of letting latency collapse.
 //   - Deadlines: every evaluation runs under a context deadline threaded
 //     through the backend's tower-phase boundaries; an expired request
 //     aborts mid-pipeline with 504, never a partial ciphertext.

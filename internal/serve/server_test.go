@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -235,6 +236,36 @@ func TestLadderFloor(t *testing.T) {
 	code, body := post(t, ts, "/v1/eval", map[string]any{"tenant": "a", "op": "modswitch", "args": []string{h}})
 	if code != http.StatusUnprocessableEntity || errCode(t, body) != CodeLevelFloor {
 		t.Fatalf("bottom-level modswitch: got %d %v, want 422 %s", code, body, CodeLevelFloor)
+	}
+}
+
+// TestOversizedBodyRefusedWith413 pins the body cap: a /v1/encrypt body
+// far past room for N values is refused with a typed 413 once decoding
+// reads past the cap — not decoded in full and then refused as a
+// malformed 400 — while the widest legal array, N 20-digit values, stays
+// inside the cap and reaches the scheme's own validation.
+func TestOversizedBodyRefusedWith413(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(t, ts, "/v1/keygen", map[string]string{"tenant": "a"})
+	widest := func(count int) []uint64 {
+		v := make([]uint64, count)
+		for i := range v {
+			v[i] = math.MaxUint64
+		}
+		return v
+	}
+	code, body := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": widest(40 * testN)})
+	if code != http.StatusRequestEntityTooLarge || errCode(t, body) != CodeBodyTooLarge {
+		t.Fatalf("oversized encrypt: got %d %v, want 413 %s", code, body, CodeBodyTooLarge)
+	}
+	code, body = post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": widest(testN)})
+	if code != http.StatusBadRequest || errCode(t, body) != CodeBadRequest {
+		t.Fatalf("N unreduced values: got %d %v, want 400 %s from the scheme", code, body, CodeBadRequest)
+	}
+	if code, body := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": testMsg(1)}); code != http.StatusOK {
+		t.Fatalf("encrypt after a refused body: %d %v", code, body)
 	}
 }
 
