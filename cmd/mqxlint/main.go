@@ -1,15 +1,12 @@
-// Command mqxlint runs the repo's five invariant analyzers — hotalloc,
-// scratchescape, lazyrange, ctxphase, validatefirst — over the named
-// packages and exits non-zero if any finding survives //mqx:allow
-// filtering. It is the local mirror of the CI gate:
+// Command mqxlint runs the repo's invariant analyzer, scratchescape,
+// over the named packages and exits non-zero on any finding. It is the
+// local mirror of the CI gate:
 //
 //	go run ./cmd/mqxlint ./...
-//	go run ./cmd/mqxlint -tags faultinject ./internal/fhe/...
-//	go run ./cmd/mqxlint -goarch amd64 ./internal/ring/...
+//	go run ./cmd/mqxlint -tags faultinject ./...
+//	go run ./cmd/mqxlint -goarch arm64 ./...
 //
-// Findings print as file:line:col: [analyzer] message. Suppress a
-// deliberate violation with //mqx:allow <analyzer> <reason> on (or
-// immediately above) the offending line; the reason is mandatory.
+// Findings print as file:line:col: [analyzer] message.
 package main
 
 import (
@@ -25,9 +22,8 @@ import (
 func main() {
 	tags := flag.String("tags", "", "comma-separated build tags, as for go build")
 	goarch := flag.String("goarch", "", "target GOARCH for type-checking (default: host)")
-	only := flag.String("only", "", "comma-separated subset of analyzers to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mqxlint [-tags list] [-goarch arch] [-only names] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: mqxlint [-tags list] [-goarch arch] [packages]\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "\nanalyzers:\n")
 		for _, a := range analyzers.All {
@@ -39,25 +35,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	suite := analyzers.All
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		suite = nil
-		for _, a := range analyzers.All {
-			if want[a.Name] {
-				suite = append(suite, a)
-				delete(want, a.Name)
-			}
-		}
-		for n := range want {
-			fmt.Fprintf(os.Stderr, "mqxlint: unknown analyzer %q\n", n)
-			os.Exit(2)
-		}
 	}
 
 	var tagList []string
@@ -81,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, err := mqx.Run(prog, suite)
+	diags, err := mqx.Run(prog, analyzers.All)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mqxlint: %v\n", err)
 		os.Exit(2)

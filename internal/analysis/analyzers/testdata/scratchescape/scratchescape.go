@@ -84,14 +84,4 @@ func deferredPut(dst []uint64) {
 	copy(dst, (*bp)[:len(dst)])
 }
 
-// allowedAfterPut is useAfterPut consciously accepted, with the reason
-// recorded next to the code it excuses.
-func (p *plan) allowedAfterPut(dst []uint64) {
-	bp := p.getScratch()
-	src := (*bp)[:len(dst)]
-	p.putScratch(bp)
-	//mqx:allow scratchescape fixture demonstrates an audited post-Put read
-	copy(dst, src)
-}
-
-var _ = []any{(*plan).useAfterPut, (*plan).window, storeEscape, globalEscape, leak, copyOut, deferredPut, (*plan).allowedAfterPut}
+var _ = []any{(*plan).useAfterPut, (*plan).window, storeEscape, globalEscape, leak, copyOut, deferredPut}

@@ -1,10 +1,7 @@
-// Package analyzers holds the five mqxlint analyzers. Each one encodes a
-// convention the repo's hot paths rely on but that only runtime tests
-// defended before: allocation-free //mqx:hotpath call graphs (hotalloc),
-// pool-scoped scratch lifetimes (scratchescape), machine-checked lazy
-// reduction headroom (lazyrange), context threading at BEHZ phase
-// boundaries (ctxphase), and validation before ciphertext component
-// access (validatefirst).
+// Package analyzers holds the mqxlint suite: scratchescape, which
+// keeps pooled scratch inside its Get/Put window — the one pooling
+// convention no runtime test reliably observes, since a use-after-Put
+// only misbehaves when another goroutine reuses the buffer in between.
 package analyzers
 
 import (
@@ -15,13 +12,7 @@ import (
 )
 
 // All is the mqxlint suite in reporting order.
-var All = []*mqx.Analyzer{
-	HotAlloc,
-	ScratchEscape,
-	LazyRange,
-	CtxPhase,
-	ValidateFirst,
-}
+var All = []*mqx.Analyzer{ScratchEscape}
 
 func unparen(e ast.Expr) ast.Expr {
 	for {
@@ -70,22 +61,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isBuiltin reports whether the call invokes the named builtin.
-func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
-}
-
-// isConversion reports whether the call expression is a type conversion.
-func isConversion(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	return ok && tv.IsType()
 }
 
 // namedIn reports whether t (after pointer dereference) is the named

@@ -3,14 +3,14 @@
 // repository needs, rebuilt on the mqx loader. A fixture directory under
 // testdata/ is type-checked as one synthetic package against the live
 // module (so fixtures may import mqxgo packages), the analyzers under
-// test run through mqx.Run — meaning //mqx:allow suppression is part of
-// what fixtures exercise — and the resulting diagnostics are matched
-// against `// want "regexp"` comments in the fixture sources.
+// test run through mqx.Run, exactly as in mqxlint, and the resulting
+// diagnostics are matched against `// want "regexp"` comments in the
+// fixture sources.
 //
 // Expectation grammar, per analysistest convention:
 //
-//	x := make([]uint64, n) // want "heap allocation"
-//	go f()                 // want "go statement" "function value"
+//	copy(dst, src) // want `use of pooled scratch src after Put`
+//	sink = *bp     // want "package-level variable sink"
 //
 // Each quoted string is an RE2 regexp matched against the diagnostic
 // message; expectations bind to the line the comment sits on, and every
@@ -41,16 +41,6 @@ type expectation struct {
 // expectations as test errors.
 func Run(t *testing.T, dir string, analyzers ...*mqx.Analyzer) {
 	t.Helper()
-	check(t, Diags(t, dir, analyzers...))
-}
-
-// Diags loads the fixture directory and returns the raw diagnostic set
-// (post allow-filtering), with the expectations it would be checked
-// against left alone — for tests that need to assert on diagnostics a
-// `// want` comment cannot reach, like malformed-allow findings reported
-// at the allow comment itself.
-func Diags(t *testing.T, dir string, analyzers ...*mqx.Analyzer) *Result {
-	t.Helper()
 	loader, err := mqx.NewLoader("", nil, "")
 	if err != nil {
 		t.Fatalf("building loader: %v", err)
@@ -63,29 +53,16 @@ func Diags(t *testing.T, dir string, analyzers ...*mqx.Analyzer) *Result {
 	if err != nil {
 		t.Fatalf("running analyzers over %s: %v", dir, err)
 	}
-	return &Result{Prog: prog, Diagnostics: diags, wants: collectWants(t, prog)}
-}
-
-// Result pairs a fixture program with the diagnostics its analyzers
-// produced.
-type Result struct {
-	Prog        *mqx.Program
-	Diagnostics []mqx.Diagnostic
-
-	wants []*expectation
-}
-
-func check(t *testing.T, res *Result) {
-	t.Helper()
-	for _, d := range res.Diagnostics {
-		pos := res.Prog.Position(d.Pos)
-		if w := matchWant(res.wants, pos.Filename, pos.Line, d.Message); w != nil {
+	wants := collectWants(t, prog)
+	for _, d := range diags {
+		pos := prog.Position(d.Pos)
+		if w := matchWant(wants, pos.Filename, pos.Line, d.Message); w != nil {
 			w.matched = true
 			continue
 		}
 		t.Errorf("%s:%d: unexpected diagnostic: [%s] %s", pos.Filename, pos.Line, d.Analyzer, d.Message)
 	}
-	for _, w := range res.wants {
+	for _, w := range wants {
 		if !w.matched {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.raw)
 		}

@@ -7,15 +7,10 @@
 // verbatim once the x/tools dependency is available; until then nothing
 // outside the toolchain is required to build or run the linters.
 //
-// Two repo-specific mechanisms live here rather than in the analyzers:
-//
-//   - Annotations (annot.go): `//mqx:` directive comments on functions
-//     and packages (hotpath, lazy-domain contracts, domain-check and
-//     scratch-pool markers) that the analyzers read as machine-checked
-//     API documentation.
-//   - Suppressions (allow.go): `//mqx:allow <analyzer> <reason>` filters
-//     findings the repo has consciously accepted, with the reason kept
-//     next to the code it excuses.
+// The one repo-specific mechanism living here rather than in the
+// analyzers is the annotation grammar (annot.go): `//mqx:` directive
+// comments on functions that the analyzers read as machine-checked API
+// documentation.
 package mqx
 
 import (
@@ -23,9 +18,9 @@ import (
 	"go/token"
 )
 
-// Analyzer describes one static check: a name (used in diagnostics and
-// in //mqx:allow suppressions), one-paragraph documentation, and the Run
-// function invoked once per analyzed package.
+// Analyzer describes one static check: a name (used in diagnostics),
+// one-paragraph documentation, and the Run function invoked once per
+// analyzed package.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -33,9 +28,7 @@ type Analyzer struct {
 }
 
 // Diagnostic is one finding, attributed to the analyzer that produced
-// it. Pos resolves through the Program's shared FileSet, so findings may
-// point into a dependency package (hotalloc reports allocation sites in
-// callees reached from another package's hot root).
+// it. Pos resolves through the Program's shared FileSet.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
@@ -44,7 +37,7 @@ type Diagnostic struct {
 
 // Pass carries everything one analyzer invocation may inspect: the
 // package under analysis plus the whole loaded Program for cross-package
-// queries (call graphs, annotations on callees in other packages).
+// queries (annotations on callees in other packages).
 type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
@@ -54,8 +47,8 @@ type Pass struct {
 }
 
 // Reportf records a finding at pos. Duplicate (position, message) pairs
-// for the same analyzer are collapsed by the runner, so analyzers that
-// reach one site from several roots need not dedupe themselves.
+// for the same analyzer are collapsed by the runner, so an analyzer that
+// visits one site twice need not dedupe itself.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      pos,

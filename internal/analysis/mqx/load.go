@@ -23,8 +23,6 @@ import (
 // only as a dependency.
 type Package struct {
 	Path   string
-	Name   string
-	Dir    string
 	Files  []*ast.File
 	Types  *types.Package
 	Info   *types.Info
@@ -60,8 +58,7 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // load order: dependencies before dependents
 
-	byPath map[string]*Package
-	funcs  map[*types.Func]*FuncInfo
+	funcs map[*types.Func]*FuncInfo
 }
 
 // FuncInfo resolves fn to its declaration if fn is declared in any
@@ -74,14 +71,6 @@ func (prog *Program) FuncInfo(fn *types.Func) *FuncInfo {
 		return fi
 	}
 	return prog.funcs[fn.Origin()]
-}
-
-// PackageFor returns the loaded package for a types.Package, or nil.
-func (prog *Program) PackageFor(tp *types.Package) *Package {
-	if tp == nil {
-		return nil
-	}
-	return prog.byPath[tp.Path()]
 }
 
 // Targets returns the packages named by the load patterns, in load order.
@@ -265,11 +254,9 @@ func (l *Loader) program() *Program {
 	prog := &Program{
 		Fset:     l.fset,
 		Packages: l.order,
-		byPath:   make(map[string]*Package, len(l.order)),
 		funcs:    make(map[*types.Func]*FuncInfo),
 	}
 	for _, p := range l.order {
-		prog.byPath[p.Path] = p
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -339,7 +326,6 @@ func (l *Loader) check(lp listedPackage) (*Package, error) {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	goarch := l.GOARCH
 	if goarch == "" {
@@ -360,8 +346,6 @@ func (l *Loader) check(lp listedPackage) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  lp.ImportPath,
-		Name:  tpkg.Name(),
-		Dir:   lp.Dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,

@@ -6,11 +6,8 @@ import (
 )
 
 // Run invokes each analyzer over every target package of the program,
-// filters suppressed findings through the //mqx:allow index, dedupes,
-// and returns the remaining diagnostics in file/position order.
-// Malformed //mqx:allow comments are themselves reported.
+// dedupes, and returns the diagnostics in file/position order.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	idx := buildAllowIndex(prog.Fset, prog.Packages)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		for _, pkg := range prog.Targets() {
@@ -20,14 +17,10 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	diags = append(diags, idx.malformed...)
 
 	kept := diags[:0]
 	seen := make(map[string]bool)
 	for _, d := range diags {
-		if d.Analyzer != "mqxallow" && idx.allowed(d) {
-			continue
-		}
 		pos := prog.Position(d.Pos)
 		key := fmt.Sprintf("%s:%d:%d:%s:%s", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
 		if seen[key] {

@@ -249,8 +249,6 @@ func (s *BackendScheme) checkMsg(msg []uint64) error {
 // reduced residues — and that they all sit at one level: the hardening
 // gate every public entry point passes malformed inputs through instead
 // of panicking.
-//
-//mqx:validator
 func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 	for i, ct := range cts {
 		if ct.Level < 0 || ct.Level >= s.B.Levels() {
@@ -376,8 +374,6 @@ func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, err
 // tagged with the result level, drop levels below the operands' and on
 // the chain. Only then may the backend run; it checks dst's handles
 // itself, without scanning residues it is about to overwrite.
-//
-//mqx:validator
 func (s *BackendScheme) checkEval(ctx context.Context, dst *BackendCiphertext, drop int, cts ...BackendCiphertext) error {
 	if err := ctx.Err(); err != nil {
 		return err

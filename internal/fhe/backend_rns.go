@@ -1081,8 +1081,6 @@ func relinTower(sc *rnsMulScratch, tau int) {
 // reduceAddRow lands an accumulator row on a canonical row:
 // dst[j] = dst[j] + acc[j] mod q, one Barrett reduction per element for
 // the whole deferred inner product.
-//
-//mqx:hotpath
 func reduceAddRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	q, mu, nb := mod.Q, mod.Mu, mod.N
 	acc = acc[:len(dst)]
@@ -1136,7 +1134,6 @@ func clearRow(row []uint64) {
 	}
 }
 
-//mqx:hotpath
 func addRow(dst, src []uint64, mod *modmath.Modulus64) {
 	for j := range dst {
 		dst[j] = mod.Add(dst[j], src[j])

@@ -199,6 +199,13 @@ func TestDeadlineErrorIdentity(t *testing.T) {
 	if _, err := f.s.ModSwitchCtx(cancelled, f.c1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled modswitch: got %v, want context.Canceled", err)
 	}
+	gk, err := f.s.GaloisKeyGen(f.sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.s.RotateSlotsCtx(cancelled, f.c1, 1, gk); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled rotate: got %v, want context.Canceled", err)
+	}
 }
 
 // TestCancelledMulLeaksNoPooledBuffers is the serving-layer leak gate: a

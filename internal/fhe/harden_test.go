@@ -173,10 +173,29 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				return err
 			})
 			// Foreign plaintext polynomial.
-			errNotPanic(t, "MulPlain/foreign", func() error {
+			errNotPanic(t, "MulPlain/foreignPlain", func() error {
 				_, err := s.MulPlain(ok, foreign.A)
 				return err
 			})
+			// The plaintext and diagnostic calls validate their ciphertext
+			// operand like the evaluation calls do.
+			truncated, unreduced := corrupted(s, ok)
+			for kind, bad := range map[string]BackendCiphertext{
+				"foreign": foreign, "truncated": truncated, "unreduced": unreduced,
+			} {
+				errNotPanic(t, "MulPlain/"+kind, func() error {
+					_, err := s.MulPlain(bad, s.B.NewPolyAt(0))
+					return err
+				})
+				errNotPanic(t, "AddPlain/"+kind, func() error {
+					_, err := s.AddPlain(bad, msg)
+					return err
+				})
+				errNotPanic(t, "NoiseBits/"+kind, func() error {
+					_, err := s.NoiseBits(sk, bad, msg)
+					return err
+				})
+			}
 			// In-place calls: a destination whose level tag disagrees
 			// with the result is refused before any component is unpacked.
 			errNotPanic(t, "MulCt/dstLevelMismatch", func() error {
@@ -209,6 +228,26 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 			return err
 		})
 	})
+}
+
+// corrupted returns two malformed copies of ct in its backend's handle
+// type: one with the A component a coefficient short, one with A's first
+// residue set to the modulus.
+func corrupted(s *BackendScheme, ct BackendCiphertext) (truncated, unreduced BackendCiphertext) {
+	truncated, unreduced = ct, ct
+	unreduced.A = s.B.Copy(ct.A)
+	switch b := s.B.(type) {
+	case *ringBackend:
+		a := ct.A.([]u128.U128)
+		truncated.A = a[:len(a)-1]
+		unreduced.A.([]u128.U128)[0] = b.levels[ct.Level].mod.Q
+	case *rnsBackend:
+		res := append([][]uint64(nil), ct.A.(rns.Poly).Res...)
+		res[0] = res[0][:len(res[0])-1]
+		truncated.A = rns.Poly{Res: res}
+		unreduced.A.(rns.Poly).Res[0][0] = b.levels[ct.Level].c.Mods[0].Q
+	}
+	return truncated, unreduced
 }
 
 // TestGaloisCallsRejectMalformedInput extends the hardening gate to the

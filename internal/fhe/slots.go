@@ -74,8 +74,6 @@ func NewSlotEncoder(n int, t uint64) (*SlotEncoder, error) {
 // msg may be exactly the slots slice (the transform stages through
 // internal scratch), but partial overlap is not allowed. Steady-state it
 // allocates nothing.
-//
-//mqx:hotpath
 func (e *SlotEncoder) EncodeInto(msg, slots []uint64) error {
 	if len(msg) != e.n || len(slots) != e.n {
 		return fmt.Errorf("fhe: encode needs %d slots and %d coefficients, got %d and %d", e.n, e.n, len(slots), len(msg))
@@ -94,8 +92,6 @@ func (e *SlotEncoder) EncodeInto(msg, slots []uint64) error {
 // slots. msg must hold canonical residues in [0, T) — exactly what
 // Decrypt returns. slots may be exactly the msg slice, but partial
 // overlap is not allowed. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (e *SlotEncoder) DecodeInto(slots, msg []uint64) error {
 	if len(msg) != e.n || len(slots) != e.n {
 		return fmt.Errorf("fhe: decode needs %d coefficients and %d slots, got %d and %d", e.n, e.n, len(msg), len(slots))

@@ -46,8 +46,6 @@ func MustModulus64(q uint64) *Modulus64 {
 }
 
 // Add returns a + b mod q for reduced inputs.
-//
-//mqx:hotpath
 func (m *Modulus64) Add(a, b uint64) uint64 {
 	s := a + b
 	if s >= m.Q {
@@ -57,8 +55,6 @@ func (m *Modulus64) Add(a, b uint64) uint64 {
 }
 
 // Sub returns a - b mod q for reduced inputs.
-//
-//mqx:hotpath
 func (m *Modulus64) Sub(a, b uint64) uint64 {
 	if a < b {
 		return a + m.Q - b
@@ -75,8 +71,6 @@ func (m *Modulus64) Neg(a uint64) uint64 {
 }
 
 // Mul returns a * b mod q via Barrett reduction for reduced inputs.
-//
-//mqx:hotpath
 func (m *Modulus64) Mul(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	return m.reduce(hi, lo)
@@ -89,8 +83,6 @@ func (m *Modulus64) Mul(a, b uint64) uint64 {
 // copy of the single-word reduction: Modulus64.Mul reaches it through
 // reduce, and internal/ring's fused Shoup64.MulSpan kernel calls it
 // directly with constants hoisted out of its loop.
-//
-//mqx:hotpath
 func Barrett64Reduce(hi, lo, q, mu uint64, n uint) uint64 {
 	// t1 = floor(t / 2^(n-1)), at most n+1 bits.
 	t1 := lo>>(n-1) | hi<<(65-n)
@@ -134,8 +126,6 @@ func (m *Modulus64) ShoupPrecompute(w uint64) uint64 {
 // MulShoup returns a * w mod q using the Shoup trick: one high multiply and
 // one low multiply with a single conditional correction. w must be reduced
 // and wPrecon must come from ShoupPrecompute(w).
-//
-//mqx:hotpath
 func (m *Modulus64) MulShoup(a, w, wPrecon uint64) uint64 {
 	qhat, _ := bits.Mul64(a, wPrecon)
 	r := a*w - qhat*m.Q

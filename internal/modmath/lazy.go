@@ -41,13 +41,6 @@ import "math/bits"
 // and the value is trivially >= 0. Since 2q < 2^63 < β, computing the
 // two products modulo β (as the machine does) loses nothing: the low 64
 // bits of a·w - qhat·q are the exact result.
-//
-// The contract in the prose above is machine-checked by mqxlint's
-// lazyrange analyzer through the directive below: `wide=a` is the "ANY
-// 64-bit a" clause, `returns` is the [0, 2q) bound.
-//
-//mqx:hotpath
-//mqx:lazy returns wide=a
 func (m *Modulus64) MulShoupLazy(a, w, wPrecon uint64) uint64 {
 	qhat, _ := bits.Mul64(a, wPrecon)
 	return a*w - qhat*m.Q
@@ -55,9 +48,6 @@ func (m *Modulus64) MulShoupLazy(a, w, wPrecon uint64) uint64 {
 
 // ReduceLazy normalizes a relaxed residue r in [0, 2q) to canonical
 // [0, q): the single conditional subtraction the lazy pipeline deferred.
-//
-//mqx:hotpath
-//mqx:lazy params=r strict
 func (m *Modulus64) ReduceLazy(r uint64) uint64 {
 	if r >= m.Q {
 		r -= m.Q

@@ -73,4 +73,14 @@ func TestMulShoupLazyRandom(t *testing.T) {
 			}
 		}
 	}
+	// The three are the scalar forms of the span kernels' inner loop:
+	// they must not allocate.
+	m := MustModulus64(primes[0])
+	pre := m.ShoupPrecompute(5)
+	var acc uint64
+	if got := testing.AllocsPerRun(20, func() {
+		acc = m.MulShoup(m.ReduceLazy(m.MulShoupLazy(acc+1, 5, pre)), 5, pre)
+	}); got != 0 {
+		t.Errorf("MulShoupLazy/ReduceLazy/MulShoup: %v allocs/op, want 0", got)
+	}
 }

@@ -48,8 +48,6 @@ func NewAffine(m *modmath.Modulus64, c0 uint64, w ...uint64) Affine {
 // dst and every row have the plan's length; dst may alias any row
 // (element i of every row is read before dst[i] is written). Steady
 // state it allocates nothing.
-//
-//mqx:hotpath
 func AffineRows(p *Plan[uint64, Shoup64], dst []uint64, a Affine, rows [][]uint64) {
 	p.checkLen(len(dst))
 	for _, row := range rows {
@@ -63,9 +61,6 @@ func AffineRows(p *Plan[uint64, Shoup64], dst []uint64, a Affine, rows [][]uint6
 
 // AffineRowsSpan is the scalar tier's affine-rows body (see
 // shoup64Kernels).
-//
-//mqx:hotpath
-//mqx:lazy params=c0 wide=rows
 func (r Shoup64) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64) {
 	affineRowsSpanScalar(r.M.Q, dst, c0, rows, w, pre, 0)
 }
@@ -74,9 +69,6 @@ func (r Shoup64) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre
 // differential-tested against, and the tail loop behind their full
 // vectors: it fills dst[from:]. Row entries are unconstrained 64-bit
 // words; c0 may be relaxed.
-//
-//mqx:hotpath
-//mqx:lazy params=c0 wide=rows
 func affineRowsSpanScalar(q uint64, dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64, from int) {
 	twoQ := 2 * q
 	w, pre = w[:len(rows)], pre[:len(rows)]

@@ -72,14 +72,13 @@ func nttModulus(t testing.TB, primeBits int, order uint64) *modmath.Modulus64 {
 }
 
 // AffineRows carries every BEHZ conversion: it must hold the transform
-// paths' 0 allocs/op.
+// paths' 0 allocs/op at every tier the host runs.
 func TestAffineRowsDoesNotAllocate(t *testing.T) {
 	if raceEnabledInternal {
 		t.Skip("race instrumentation allocates")
 	}
 	m := simdMod(t)
 	const n = 256
-	p := MustPlan[uint64, Shoup64](NewShoup64(m), n)
 	rng := rand.New(rand.NewSource(6))
 	rows := make([][]uint64, 5)
 	for r := range rows {
@@ -88,10 +87,16 @@ func TestAffineRowsDoesNotAllocate(t *testing.T) {
 	}
 	a := NewAffine(m, 1, 2, 3, 5, 7, 11)
 	dst := make([]uint64, n)
-	f := func() { AffineRows(p, dst, a, rows) }
-	f()
-	if got := testing.AllocsPerRun(20, f); got != 0 {
-		t.Errorf("AffineRows: %v allocs/op, want 0", got)
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
+		if tier != TierScalar && DetectKernelTier() < tier {
+			continue
+		}
+		p := MustPlan[uint64, Shoup64](NewShoup64Tier(m, tier), n)
+		f := func() { AffineRows(p, dst, a, rows) }
+		f()
+		if got := testing.AllocsPerRun(20, f); got != 0 {
+			t.Errorf("%s: AffineRows: %v allocs/op, want 0", tier, got)
+		}
 	}
 }
 

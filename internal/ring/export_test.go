@@ -9,3 +9,6 @@ func MustPlan[T any, R Ring[T]](r R, n int) *Plan[T, R] {
 	}
 	return p
 }
+
+// NTTModulus is nttModulus for the external tests.
+var NTTModulus = nttModulus

@@ -28,8 +28,6 @@ import "math/bits"
 // unique value the fused final-stage kernels write.
 //
 // Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB, preB []uint64) {
 	p.checkLen(len(accA))
 	p.checkLen(len(accB))
@@ -67,9 +65,6 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 
 // MACFinal2Span is the scalar tier's fused final stage (see
 // shoup64Kernels).
-//
-//mqx:hotpath
-//mqx:lazy params=lo,hi wide=accA,accB
 func (r Shoup64) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64) {
 	macFinal2SpanScalar(r.M.Q, accA, accB, lo, hi, wA, preA, wB, preB)
 }
@@ -80,9 +75,6 @@ func (r Shoup64) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64) 
 // in (0, 4q), and two conditional subtracts land each on its canonical
 // residue. The Shoup MAC summand d*w - qhat*q is then the same value an
 // unfused lazy MAC over the NegacyclicForwardInto output folds in.
-//
-//mqx:hotpath
-//mqx:lazy params=lo,hi wide=accA,accB
 func macFinal2SpanScalar(q uint64, accA, accB, lo, hi, wA, preA, wB, preB []uint64) {
 	twoQ := 2 * q
 	for i := range lo {

@@ -64,7 +64,7 @@ func TestNegacyclicForwardMAC2BitIdentity(t *testing.T) {
 }
 
 // The fused MAC is a hot ladder-path call: it must hold the transform
-// paths' 0 allocs/op.
+// paths' 0 allocs/op at every tier the host runs.
 func TestNegacyclicForwardMAC2DoesNotAllocate(t *testing.T) {
 	if raceEnabledInternal {
 		t.Skip("race instrumentation allocates")
@@ -75,7 +75,6 @@ func TestNegacyclicForwardMAC2DoesNotAllocate(t *testing.T) {
 	}
 	m := modmath.MustModulus64(ps[0])
 	const n = 256
-	p := MustPlan[uint64, Shoup64](NewShoup64(m), n)
 	rng := rand.New(rand.NewSource(5))
 	x := make([]uint64, n)
 	wA := make([]uint64, n)
@@ -87,9 +86,15 @@ func TestNegacyclicForwardMAC2DoesNotAllocate(t *testing.T) {
 	fillTwiddles(rng, m, wB, preB)
 	accA := make([]uint64, n)
 	accB := make([]uint64, n)
-	f := func() { NegacyclicForwardMAC2(p, accA, accB, x, wA, preA, wB, preB) }
-	f()
-	if got := testing.AllocsPerRun(20, f); got != 0 {
-		t.Errorf("NegacyclicForwardMAC2: %v allocs/op, want 0", got)
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
+		if tier != TierScalar && DetectKernelTier() < tier {
+			continue
+		}
+		p := MustPlan[uint64, Shoup64](NewShoup64Tier(m, tier), n)
+		f := func() { NegacyclicForwardMAC2(p, accA, accB, x, wA, preA, wB, preB) }
+		f()
+		if got := testing.AllocsPerRun(20, f); got != 0 {
+			t.Errorf("%s: NegacyclicForwardMAC2: %v allocs/op, want 0", tier, got)
+		}
 	}
 }

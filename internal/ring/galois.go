@@ -107,8 +107,6 @@ func buildGaloisTables(n int, g uint64) *GaloisTables {
 // dst[p] = ±src[coeffSrc[p]]. src must hold canonical residues (the
 // negation is single-correction) and dst must not alias src — the map is
 // a full permutation. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) AutomorphismCoeffInto(t *GaloisTables, dst, src []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(src))
@@ -128,8 +126,6 @@ func (p *Plan[T, R]) AutomorphismCoeffInto(t *GaloisTables, dst, src []T) {
 // NTT, bit-reversed order) polynomial: dst[p] = src[evalPerm[p]]. A pure
 // permutation — correct for relaxed residues too. dst must not alias src.
 // Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) AutomorphismEvalInto(t *GaloisTables, dst, src []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(src))

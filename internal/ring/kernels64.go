@@ -48,9 +48,6 @@ type shoup64Kernels interface {
 }
 
 // CTSpan: one non-final forward stage, relaxed in, relaxed out.
-//
-//mqx:hotpath
-//mqx:lazy params=lo,hi slices=out
 func (r Shoup64) CTSpan(out, lo, hi, w []uint64, pre []uint64) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -71,11 +68,7 @@ func (r Shoup64) CTSpan(out, lo, hi, w []uint64, pre []uint64) {
 }
 
 // CTSpanLast: the final forward stage; accepts relaxed inputs and lands
-// the deferred normalization, producing canonical outputs (no slices=
-// directive: lazyrange proves every store into out is in [0, q)).
-//
-//mqx:hotpath
-//mqx:lazy params=lo,hi
+// the deferred normalization, producing canonical outputs.
 func (r Shoup64) CTSpanLast(out, lo, hi, w []uint64, pre []uint64) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -103,9 +96,6 @@ func (r Shoup64) CTSpanLast(out, lo, hi, w []uint64, pre []uint64) {
 }
 
 // GSSpan: one non-final inverse stage, relaxed in, relaxed out.
-//
-//mqx:hotpath
-//mqx:lazy params=in slices=oLo,oHi
 func (r Shoup64) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -131,9 +121,6 @@ func (r Shoup64) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 
 // GSSpanLastScaled: the final inverse stage with 1/N folded into the
 // twiddle table and applied to the even lane; relaxed in, canonical out.
-//
-//mqx:hotpath
-//mqx:lazy params=in
 func (r Shoup64) GSSpanLastScaled(oLo, oHi, in, w []uint64, pre []uint64, nInv uint64, nInvPre uint64) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -169,8 +156,6 @@ func (r Shoup64) GSSpanLastScaled(oLo, oHi, in, w []uint64, pre []uint64, nInv u
 // in, relaxed out. One (w, pre) entry covers each contiguous blk-run of
 // butterflies; the unit twiddle of the top stages degenerates to a pure
 // add/sub pass.
-//
-//mqx:hotpath
 func (r Shoup64) CTSpanBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -212,8 +197,6 @@ func (r Shoup64) CTSpanBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 
 // CTSpanLastBlk: the final forward stage over compact twiddles; relaxed
 // in, canonical out.
-//
-//mqx:hotpath
 func (r Shoup64) CTSpanLastBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -268,8 +251,6 @@ func (r Shoup64) CTSpanLastBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 
 // GSSpanBlk: one non-final inverse stage over compact twiddles, relaxed
 // in, relaxed out.
-//
-//mqx:hotpath
 func (r Shoup64) GSSpanBlk(oLo, oHi, in, w []uint64, pre []uint64, blk int) {
 	q := r.M.Q
 	twoQ := 2 * q
@@ -316,8 +297,6 @@ func (r Shoup64) GSSpanBlk(oLo, oHi, in, w []uint64, pre []uint64, blk int) {
 // MulSpan: canonical pointwise Barrett product via the one shared copy of
 // the single-word reduction (modmath.Barrett64Reduce — the same sequence
 // Modulus64.Mul runs), with the constants hoisted out of the loop.
-//
-//mqx:hotpath
 func (r Shoup64) MulSpan(dst, a, b []uint64) {
 	m := r.M
 	q, mu, nb := m.Q, m.Mu, m.N
@@ -330,9 +309,6 @@ func (r Shoup64) MulSpan(dst, a, b []uint64) {
 }
 
 // MulPreSpan: the twist pass dst[i] = a[i]·w[i], canonical in, relaxed out.
-//
-//mqx:hotpath
-//mqx:lazy slices=dst
 func (r Shoup64) MulPreSpan(dst, a, w []uint64, pre []uint64) {
 	q := r.M.Q
 	n := len(dst)
@@ -345,9 +321,6 @@ func (r Shoup64) MulPreSpan(dst, a, w []uint64, pre []uint64) {
 
 // MulPreNormSpan: the untwist pass; relaxed in, canonical out (this is
 // where a negacyclic product's deferred normalization lands).
-//
-//mqx:hotpath
-//mqx:lazy params=a
 func (r Shoup64) MulPreNormSpan(dst, a, w []uint64, pre []uint64) {
 	q := r.M.Q
 	n := len(dst)

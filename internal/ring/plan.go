@@ -241,8 +241,6 @@ func (p *Plan[T, R]) checkLen(n int) {
 // ForwardInto computes the forward NTT of x (natural order) into dst
 // (bit-reversed order). dst and x must both have length N; dst may alias
 // x for an in-place transform. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(x))
@@ -254,8 +252,6 @@ func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 // InverseInto computes the inverse NTT of y (bit-reversed order) into dst
 // (natural order), with the 1/N scale folded into the final stage. dst
 // may alias y. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) InverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
@@ -266,8 +262,6 @@ func (p *Plan[T, R]) InverseInto(dst, y []T) {
 
 // PolyMulNegacyclicInto computes dst = a*b in Z_q[x]/(x^n + 1) via the
 // twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
@@ -286,8 +280,6 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 // many products over few operands (ciphertext tensor products) transform
 // each operand once. Outputs are canonical; dst may alias a. Steady-state
 // it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
@@ -302,8 +294,6 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 // PolyMulNegacyclicInto, so NegacyclicForwardInto on two operands, a
 // pointwise product, and this call compose to the same bits as the fused
 // path. dst may alias y. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
@@ -317,8 +307,6 @@ func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 // PointwiseMulInto computes the coefficient-wise product dst[i] = a[i]·b[i]
 // (the evaluation-domain Hadamard product). dst may alias a or b; it
 // allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) PointwiseMulInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
@@ -329,8 +317,6 @@ func (p *Plan[T, R]) PointwiseMulInto(dst, a, b []T) {
 // ScalarMulInto computes dst[i] = a[i]·w for one reduced scalar w,
 // precomputing the ring's per-multiplicand constant once for the whole
 // span. dst may alias a; it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) ScalarMulInto(dst, a []T, w T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
@@ -340,8 +326,6 @@ func (p *Plan[T, R]) ScalarMulInto(dst, a []T, w T) {
 // ScaleAddInto is the scale-accumulate entry point dst[i] = a[i] + m[i]·w
 // for small already-reduced integers m[i] (the encrypt-side Δ·message fold
 // of the fhe backends). dst may alias a; it allocates nothing.
-//
-//mqx:hotpath
 func (p *Plan[T, R]) ScaleAddInto(dst, a []T, m []uint64, w T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))

@@ -122,8 +122,6 @@ func (bc *BaseConverter) accumulateInto(dst, z Poly) {
 // where x in [0, Q) is the value src represents and k is the source tower
 // count. src rows may carry lazy [0, 2q) residues; dst is canonical.
 // Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 	if err := bc.from.checkPoly(src); err != nil {
 		return err
@@ -147,8 +145,6 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 // pass (the BEHZ divide-and-round folds T, the rounding offset, and the
 // digit constant into one kernel call per tower); the accumulation is
 // unchanged. dst is canonical; allocates nothing.
-//
-//mqx:hotpath
 func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 	if err := bc.from.checkPoly(z); err != nil {
 		return err
@@ -250,8 +246,6 @@ func NewMontBaseConverter(from, to *Context, mtilde uint64) (*MontBaseConverter,
 // y = x + gamma*Q with gamma in {-1, 0} (so |y| < Q — no k*Q overshoot).
 // src rows may carry lazy [0, 2q) residues; dst is canonical. Steady-state
 // it allocates nothing.
-//
-//mqx:hotpath
 func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 	if err := bc.from.checkPoly(src); err != nil {
 		return err
@@ -369,8 +363,6 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 // centered value y with |y| < P/2; dst receives y mod q_j exactly —
 // negative y wrap to q_j - |y| as ordinary signed residues do. src rows
 // may carry lazy [0, 2q) residues. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 	if err := sk.from.checkPoly(src); err != nil {
 		return err
@@ -468,8 +460,6 @@ func (r *Rescaler) remainderInto(u, last []uint64) {
 // with h = floor(q_{k-1}/2), the divide-and-round that drops the last
 // tower. Input rows may be lazy ([0, 2q)); dst is canonical. dst rows may
 // alias a's prefix rows. Steady-state it allocates nothing.
-//
-//mqx:hotpath
 func (r *Rescaler) RescaleInto(dst, a Poly) error {
 	if err := r.from.checkPoly(a); err != nil {
 		return err

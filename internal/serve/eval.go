@@ -281,8 +281,6 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 // reusableDst returns the entry named by out when it can be overwritten
 // in place: it exists, is not an operand of the current op, and its
 // buffers match the result's level. Caller holds t.mu.
-//
-//mqx:hotpath
 func (s *Server) reusableDst(t *tenant, out string, level int, arg1, arg2 string) *entry {
 	if out == "" || out == arg1 || out == arg2 {
 		return nil
