@@ -167,6 +167,7 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 		"rotate":    func() error { return s.RotateSlotsInto(ctx, &dst, c1, 3, gk) },
 		"conjugate": func() error { return s.ConjugateInto(ctx, &dst, c1, gk) },
 		"modswitch": func() error { return s.ModSwitchInto(ctx, &down, c1) },
+		"add":       func() error { return s.AddCiphertextsInto(ctx, &dst, c1, c2) },
 	} {
 		if err := op(); err != nil { // warm the frame, scratch and worker pools
 			t.Fatal(err)
@@ -177,6 +178,62 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%s at width 2 allocates %.1f per run, want 0", name, got)
+		}
+	}
+}
+
+// TestRNSDecryptAllocs pins the ciphertext edges. Decrypt rounds the phase
+// in residues, in a pooled polynomial, so it allocates the plaintext it
+// returns and nothing per coefficient; Encrypt allocates its fresh
+// ciphertext and noise, within a bound of 11; and an in-place add
+// allocates nothing.
+func TestRNSDecryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n, T = 256, 257
+	c, err := rns.NewContext(59, 3, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRNSBackendWorkers(c, T, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewBackendScheme(b, 99)
+	sk := s.KeyGen()
+	msg := make([]uint64, n)
+	for i := range msg {
+		msg[i] = uint64(5*i+2) % T
+	}
+	ct, err := s.Encrypt(sk, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := s.ModSwitchCtx(context.Background(), ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := BackendCiphertext{A: b.NewPolyAt(0), B: b.NewPolyAt(0)}
+	for _, gate := range []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"Decrypt", 2, func() error { _, err := s.Decrypt(sk, ct); return err }},
+		{"Decrypt/level1", 2, func() error { _, err := s.Decrypt(sk, down); return err }},
+		{"Encrypt", 11, func() error { _, err := s.Encrypt(sk, msg); return err }},
+		{"AddCiphertextsInto", 0, func() error { return s.AddCiphertextsInto(context.Background(), &dst, ct, ct) }},
+	} {
+		if err := gate.op(); err != nil { // warm the scratch pools
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			if err := gate.op(); err != nil {
+				t.Fatal(err)
+			}
+		}); got > gate.max {
+			t.Errorf("%s allocates %.1f per run, want at most %.0f", gate.name, got, gate.max)
 		}
 	}
 }

@@ -56,13 +56,14 @@ type Backend interface {
 	// one) fails here with an error instead of crashing deeper in the
 	// pipeline.
 	CheckPoly(level int, a Poly) error
+	// checkDst validates the destination an in-place evaluation writes:
+	// this backend's handles shaped for dst.Level. Its residues are about
+	// to be overwritten, so they are not scanned.
+	checkDst(dst *BackendCiphertext) error
 	// Add computes dst = a + b at the given level; dst may alias a or b.
 	Add(level int, dst, a, b Poly)
 	// Sub computes dst = a - b at the given level; dst may alias a or b.
 	Sub(level int, dst, a, b Poly)
-	// MulNegacyclic computes dst = a*b in Z_{Q_l}[x]/(x^N + 1), both
-	// operands in coefficient form.
-	MulNegacyclic(level int, dst, a, b Poly)
 	// ToNTT moves a (coefficient form at the given level) into the
 	// twisted-evaluation domain: every tower/limb forward-transformed.
 	// dst may alias a.
@@ -77,7 +78,8 @@ type Backend interface {
 	// ring element.
 	SampleUniform(dst Poly, rng *rand.Rand)
 	// SetSigned overwrites dst (a level-0 polynomial) with small signed
-	// coefficients (secret keys, noise). len(coeffs) must equal N.
+	// coefficients (secret keys, noise), each of magnitude below every
+	// level-0 modulus. len(coeffs) must equal N.
 	SetSigned(dst Poly, coeffs []int64)
 	// SecretAt returns the level-0 secret (or any small signed
 	// polynomial set by SetSigned) re-encoded at the given level. The
@@ -86,7 +88,11 @@ type Backend interface {
 	// AddDeltaMsg computes dst = a + Delta_l*msg for msg coefficients in
 	// [0, T); dst may alias a.
 	AddDeltaMsg(level int, dst, a Poly, msg []uint64)
-	// RoundToPlain recovers round(a / Delta_l) mod T per coefficient.
+	// RoundToPlain recovers the plaintext of a phase a (coefficient form
+	// at the given level) per coefficient: the oracle rounds a / Delta_l,
+	// the RNS backend a * T / Q_l, both mod T. The two differ only near
+	// half-integers; a phase Delta_l*m + e with |e| a hair below
+	// Delta_l/2 - T (see rnsBackend.RoundToPlain) rounds to m on both.
 	RoundToPlain(level int, a Poly) []uint64
 	// DeltaBits is the bit length of Delta_l (the noise budget ceiling
 	// at that level).
@@ -144,9 +150,16 @@ type BackendRelinKey any
 // BackendGaloisKey is an opaque backend-owned slot-rotation key handle.
 type BackendGaloisKey any
 
-// BackendSecretKey is a small ternary secret polynomial (level 0).
+// BackendSecretKey is a small ternary secret polynomial S (level 0, in
+// coefficient form), together with its evaluation form at every level of
+// the chain. KeyGen builds both; a key without the evaluation form is
+// refused.
 type BackendSecretKey struct {
 	S Poly
+
+	// sHat[l] = ToNTT(l, SecretAt(l, S)): the key product of Encrypt and
+	// of the decryption phase is one pointwise product against it.
+	sHat []Poly
 }
 
 // BackendCiphertext is an RLWE pair (A, B) with B = A*S + E + Delta*M,
@@ -156,10 +169,10 @@ type BackendSecretKey struct {
 // on pointwise products and never on convolutions. Encrypt produces that
 // form at level 0, every evaluation op consumes and produces it, and
 // ModSwitch increments Level. Coefficient form exists only inside an
-// operation that needs positional coefficients — Encrypt, Decrypt, the
-// noise diagnostics, the plaintext operands of MulPlain and AddPlain, the
-// BEHZ conversions, the oracle backend's exact arithmetic — and never in
-// a handle.
+// operation that needs positional coefficients — the samples Encrypt
+// draws, the phase Decrypt rounds and the noise diagnostics measure, the
+// plaintext operands of MulPlain and AddPlain, the BEHZ conversions, the
+// oracle backend's exact arithmetic — and never in a handle.
 type BackendCiphertext struct {
 	A, B  Poly
 	Level int
@@ -186,17 +199,33 @@ type BackendScheme struct {
 	slotOnce sync.Once
 	slotEnc  *SlotEncoder
 	slotErr  error
+
+	// scratch[l] pools level-l polynomials: the phase Decrypt and
+	// NoiseBits round, and the noise-plus-message term of Encrypt.
+	scratch []sync.Pool
 }
 
 // NewBackendScheme builds a scheme on b with the given seed.
 func NewBackendScheme(b Backend, seed int64) *BackendScheme {
-	return &BackendScheme{B: b, rng: rand.New(rand.NewSource(seed))}
+	s := &BackendScheme{B: b, rng: rand.New(rand.NewSource(seed))}
+	s.scratch = make([]sync.Pool, b.Levels())
+	for l := range s.scratch {
+		s.scratch[l].New = func() any { return b.NewPolyAt(l) }
+	}
+	return s
 }
+
+// scratchAt takes a level-l polynomial from the pool, its contents
+// unspecified; putScratch returns it.
+func (s *BackendScheme) scratchAt(level int) Poly { return s.scratch[level].Get() }
+
+func (s *BackendScheme) putScratch(level int, p Poly) { s.scratch[level].Put(p) }
 
 // noiseBound bounds the centered error magnitude of fresh encryptions.
 const noiseBound = 8
 
-// KeyGen samples a ternary secret s with coefficients in {-1, 0, 1}.
+// KeyGen samples a ternary secret s with coefficients in {-1, 0, 1} and
+// derives its evaluation form at every level.
 func (s *BackendScheme) KeyGen() BackendSecretKey {
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
@@ -212,21 +241,35 @@ func (s *BackendScheme) KeyGen() BackendSecretKey {
 			coeffs[i] = -1
 		}
 	}
-	sk := s.B.NewPolyAt(0)
-	s.B.SetSigned(sk, coeffs)
-	return BackendSecretKey{S: sk}
+	sk := BackendSecretKey{S: s.B.NewPolyAt(0)}
+	s.B.SetSigned(sk.S, coeffs)
+	for l := 0; l < s.B.Levels(); l++ {
+		sh := s.B.NewPolyAt(l)
+		s.B.ToNTT(l, sh, s.B.SecretAt(l, sk.S))
+		sk.sHat = append(sk.sHat, sh)
+	}
+	return sk
 }
 
 // checkSecret validates a secret-key handle's provenance before it is
-// handed to backend internals that index into it. A key from another
-// backend (or a zero-value BackendSecretKey) fails here with an error
-// instead of panicking in SecretAt's type assertion.
-func (s *BackendScheme) checkSecret(sk BackendSecretKey) error {
+// handed to backend internals that index into it: S, and the evaluation
+// form at level, the one the caller reads. A key from another backend (or
+// a zero-value BackendSecretKey, or one missing its evaluation form)
+// fails here with an error instead of panicking in a type assertion.
+// level must be on the chain.
+func (s *BackendScheme) checkSecret(sk BackendSecretKey, level int) error {
 	if sk.S == nil {
 		return fmt.Errorf("fhe: nil secret key handle")
 	}
 	if err := s.B.CheckPoly(0, sk.S); err != nil {
 		return fmt.Errorf("fhe: bad secret key: %w", err)
+	}
+	if len(sk.sHat) != s.B.Levels() {
+		return fmt.Errorf("fhe: secret key carries %d evaluation-form levels, want %d (keys come from KeyGen)",
+			len(sk.sHat), s.B.Levels())
+	}
+	if err := s.B.CheckPoly(level, sk.sHat[level]); err != nil {
+		return fmt.Errorf("fhe: bad secret key evaluation form: %w", err)
 	}
 	return nil
 }
@@ -269,20 +312,22 @@ func (s *BackendScheme) checkCts(cts ...BackendCiphertext) error {
 }
 
 // Encrypt encrypts a plaintext polynomial with coefficients in [0, T) at
-// level 0, the top of the modulus chain. Sampling, key product, and
-// message embedding happen in coefficient form, then both components
-// forward-transform once into the evaluation form every ciphertext takes
-// — the last mandatory transform until Decrypt, as far as the linear ops,
-// the multiply and the modulus switch are concerned.
+// level 0, the top of the modulus chain, straight into the evaluation form
+// every ciphertext takes: A = NTT(a) for a uniform a, and B = A∘ŝ +
+// NTT(e + Delta*M), the key product one pointwise product against the
+// key's cached evaluation form. By the transform's linearity that is
+// NTT(a*s + e + Delta*M) residue for residue, at two transforms per tower.
+// The generator draws a, then e — the order every seeded ciphertext
+// depends on.
 func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphertext, error) {
-	if err := s.checkSecret(sk); err != nil {
+	if err := s.checkSecret(sk, 0); err != nil {
 		return BackendCiphertext{}, err
 	}
 	if err := s.checkMsg(msg); err != nil {
 		return BackendCiphertext{}, err
 	}
 	b := s.B
-	a := b.NewPolyAt(0)
+	a, bb := b.NewPolyAt(0), b.NewPolyAt(0)
 	noise := make([]int64, b.N())
 	s.rngMu.Lock()
 	b.SampleUniform(a, s.rng)
@@ -290,56 +335,68 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 		noise[i] = int64(s.rng.Intn(2*noiseBound+1) - noiseBound)
 	}
 	s.rngMu.Unlock()
-	e := b.NewPolyAt(0)
-	b.SetSigned(e, noise)
-	bb := b.NewPolyAt(0)
-	b.MulNegacyclic(0, bb, a, sk.S) // A*S
-	b.Add(0, bb, bb, e)             // + E
-	b.AddDeltaMsg(0, bb, bb, msg)   // + Delta*M
-	b.ToNTT(0, a, a)
-	b.ToNTT(0, bb, bb)
+	e := s.scratchAt(0)
+	defer s.putScratch(0, e)
+	b.SetSigned(e, noise)        // E
+	b.AddDeltaMsg(0, e, e, msg)  // + Delta*M
+	b.ToNTT(0, e, e)             // NTT(E + Delta*M)
+	b.ToNTT(0, a, a)             // A
+	b.PMul(0, bb, a, sk.sHat[0]) // A∘ŝ
+	b.Add(0, bb, bb, e)
 	return BackendCiphertext{A: a, B: bb}, nil
 }
 
 // phase returns B - A*S = Delta_l*M + E in coefficient form at ct's
 // level: the value decryption rounds and the noise diagnostics measure.
-// The components cross to coefficient form in scratch copies (rounding
-// needs positional coefficients); ct is never mutated.
+// It is B - A∘ŝ_l in the evaluation domain, then one inverse transform per
+// tower, all in one polynomial taken from the level's scratch pool, which
+// the caller returns with putScratch; ct is never mutated.
 func (s *BackendScheme) phase(sk BackendSecretKey, ct BackendCiphertext) Poly {
 	b, l := s.B, ct.Level
-	ca, cb := b.Copy(ct.A), b.Copy(ct.B)
-	b.ToCoeff(l, ca, ca)
-	b.ToCoeff(l, cb, cb)
-	noisy := b.NewPolyAt(l)
-	b.MulNegacyclic(l, noisy, ca, b.SecretAt(l, sk.S))
-	b.Sub(l, noisy, cb, noisy)
-	return noisy
+	p := s.scratchAt(l)
+	b.PMul(l, p, ct.A, sk.sHat[l])
+	b.Sub(l, p, ct.B, p)
+	b.ToCoeff(l, p, p)
+	return p
 }
 
 // Decrypt recovers the plaintext at the ciphertext's level:
 // round((B - A*S) * T / Q_l) mod T.
 func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]uint64, error) {
-	if err := s.checkSecret(sk); err != nil {
-		return nil, err
-	}
 	if err := s.checkCts(ct); err != nil {
 		return nil, err
 	}
-	return s.B.RoundToPlain(ct.Level, s.phase(sk, ct)), nil
+	if err := s.checkSecret(sk, ct.Level); err != nil {
+		return nil, err
+	}
+	p := s.phase(sk, ct)
+	defer s.putScratch(ct.Level, p)
+	return s.B.RoundToPlain(ct.Level, p), nil
 }
 
-// AddCiphertexts is homomorphic addition: decrypts to the coefficient-wise
-// sum of the plaintexts mod T (noise permitting). The operands must share
-// a level.
-func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
-	if err := s.checkCts(c1, c2); err != nil {
-		return BackendCiphertext{}, err
+// AddCiphertextsInto is homomorphic addition into dst, shaped for and
+// tagged with the operands' shared level: the result decrypts to the
+// coefficient-wise sum of the plaintexts mod T, noise permitting. dst may
+// be either operand. It shares MulCiphertextsInto's in-place contract.
+func (s *BackendScheme) AddCiphertextsInto(ctx context.Context, dst *BackendCiphertext, c1, c2 BackendCiphertext) error {
+	if err := s.checkEval(ctx, dst, 0, c1, c2); err != nil {
+		return err
 	}
-	l := c1.Level
-	out := BackendCiphertext{A: s.B.NewPolyAt(l), B: s.B.NewPolyAt(l), Level: l}
-	s.B.Add(l, out.A, c1.A, c2.A)
-	s.B.Add(l, out.B, c1.B, c2.B)
-	return out, nil
+	if err := s.B.checkDst(dst); err != nil {
+		return err
+	}
+	s.B.Add(dst.Level, dst.A, c1.A, c2.A)
+	s.B.Add(dst.Level, dst.B, c1.B, c2.B)
+	return nil
+}
+
+// AddCiphertexts is AddCiphertextsInto into a fresh ciphertext.
+func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphertext, error) {
+	out, err := s.newResult(c1.Level)
+	if err == nil {
+		err = s.AddCiphertextsInto(context.Background(), &out, c1, c2)
+	}
+	return resultOf(out, err)
 }
 
 // RelinKeyGen samples a relinearization key for sk, required by the
@@ -348,7 +405,7 @@ func (s *BackendScheme) AddCiphertexts(c1, c2 BackendCiphertext) (BackendCiphert
 // rejected here — key generation indexes deep into the handle and must
 // never see a foreign one.
 func (s *BackendScheme) RelinKeyGen(sk BackendSecretKey) (BackendRelinKey, error) {
-	if err := s.checkSecret(sk); err != nil {
+	if err := s.checkSecret(sk, 0); err != nil {
 		return nil, err
 	}
 	s.rngMu.Lock()
@@ -361,7 +418,7 @@ func (s *BackendScheme) RelinKeyGen(sk BackendSecretKey) (BackendRelinKey, error
 // every level of the chain (power-of-two hops compose). Foreign secret
 // keys are rejected, as in RelinKeyGen.
 func (s *BackendScheme) GaloisKeyGen(sk BackendSecretKey) (BackendGaloisKey, error) {
-	if err := s.checkSecret(sk); err != nil {
+	if err := s.checkSecret(sk, 0); err != nil {
 		return nil, err
 	}
 	s.rngMu.Lock()
@@ -606,16 +663,18 @@ func NegacyclicProductModT(m1, m2 []uint64, t uint64) []uint64 {
 // the coefficients. Diagnostic only (requires the secret key); the
 // property tests compare it against MulNoiseBoundBits.
 func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg []uint64) (int, error) {
-	if err := s.checkSecret(sk); err != nil {
+	if err := s.checkCts(ct); err != nil {
 		return 0, err
 	}
-	if err := s.checkCts(ct); err != nil {
+	if err := s.checkSecret(sk, ct.Level); err != nil {
 		return 0, err
 	}
 	if len(msg) != s.B.N() {
 		return 0, fmt.Errorf("fhe: message length mismatch")
 	}
-	return s.B.NoiseBits(ct.Level, s.phase(sk, ct), msg), nil
+	p := s.phase(sk, ct)
+	defer s.putScratch(ct.Level, p)
+	return s.B.NoiseBits(ct.Level, p, msg), nil
 }
 
 // NoiseBudgetBits estimates the remaining noise budget of a ciphertext in

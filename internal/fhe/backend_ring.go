@@ -154,6 +154,11 @@ func (b *ringBackend) CheckPoly(level int, a Poly) error {
 	return nil
 }
 
+func (b *ringBackend) checkDst(dst *BackendCiphertext) error {
+	_, _, err := b.dstRows(dst)
+	return err
+}
+
 // dstRows unpacks the destination an evaluation writes: this backend's
 // handles, N long. Its residues are about to be overwritten, so they are
 // not scanned.
@@ -180,10 +185,6 @@ func (b *ringBackend) Sub(level int, dst, a, c Poly) {
 	for i := range d {
 		d[i] = mod.Sub(x[i], y[i])
 	}
-}
-
-func (b *ringBackend) MulNegacyclic(level int, dst, a, c Poly) {
-	b.levels[level].plan.PolyMulNegacyclicInto(dst.([]u128.U128), a.([]u128.U128), c.([]u128.U128))
 }
 
 func (b *ringBackend) ToNTT(level int, dst, a Poly) {

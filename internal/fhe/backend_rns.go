@@ -18,8 +18,9 @@ import (
 // rnsBackend runs the identical scheme on a basis of 64-bit RNS towers —
 // the conventional-hardware philosophy the paper contrasts with double-word
 // residues. Ciphertext polynomials stay decomposed (rns.Poly) through
-// every homomorphic operation; the CRT is only applied at decryption
-// rounding and noise diagnostics, where the full-width value is needed.
+// every homomorphic operation. Decryption rounds in residues too
+// (rnsLevel.round); only the noise diagnostic applies the CRT, where the
+// full-width value is needed.
 //
 // The modulus ladder is where the RNS philosophy pays off structurally: a
 // level is just a PREFIX of the tower basis (Q_l = q_0 * ... * q_{k-1-l}),
@@ -83,9 +84,11 @@ type rnsLevel struct {
 
 	delta     *big.Int // floor(Q_l / T), the plaintext scaling factor
 	deltaResT []uint64 // deltaResT[i] = Delta_l mod q_i
-	halfDelta *big.Int
 	halfQ     *big.Int
 	deltaBits int
+
+	// round holds RoundToPlain's scale-and-round constants, one per tower.
+	round []roundTower
 
 	// BEHZ multiply machinery. ext is the extension base: k_l+1 towers
 	// whose product P gives the tensor headroom, plus the redundant
@@ -114,6 +117,19 @@ type rnsLevel struct {
 
 	rescale *rns.Rescaler // Q_l -> Q_{l+1} (nil at the bottom rung)
 	mulPool sync.Pool
+}
+
+// roundTower is one tower's share of the RNS scale-and-round of
+// Halevi-Polyakov-Shoup ("An Improved RNS Variant of the BFV Homomorphic
+// Encryption Scheme", CT-RSA 2019). With q~_i = (Q_l/q_i)^-1 mod q_i and
+// y_i = [x_i*q~_i]_{q_i}, x = sum_i y_i*(Q_l/q_i) - v*Q_l for an integer v,
+// so t*x/Q_l = sum_i y_i*(t/q_i) - v*t: the tower terms sum to the scaled
+// phase modulo t, and its rounding modulo t is the plaintext.
+type roundTower struct {
+	qTilde, qTildePre uint64 // q~_i and its Shoup precomputation
+	// fracHi:fracLo = floor(t * 2^128 / q_i), t/q_i (below 1, as t < q_i)
+	// as a 128-bit fraction.
+	fracHi, fracLo uint64
 }
 
 // rnsMulScratch is the pooled working set of one evaluation call (a
@@ -297,13 +313,21 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	lv := &rnsLevel{
 		c:         c,
 		delta:     delta,
-		halfDelta: new(big.Int).Rsh(delta, 1),
 		halfQ:     new(big.Int).Rsh(c.Q, 1),
 		deltaBits: delta.BitLen(),
 	}
-	qb := new(big.Int)
-	for _, mod := range c.Mods {
-		lv.deltaResT = append(lv.deltaResT, qb.Mod(delta, new(big.Int).SetUint64(mod.Q)).Uint64())
+	qb, frac, lo := new(big.Int), new(big.Int), new(big.Int)
+	word := new(big.Int).SetUint64(^uint64(0))
+	for i, mod := range c.Mods {
+		qb.SetUint64(mod.Q)
+		lv.deltaResT = append(lv.deltaResT, new(big.Int).Mod(delta, qb).Uint64())
+		frac.SetUint64(b.t).Lsh(frac, 128).Div(frac, qb)
+		fracLo := lo.And(frac, word).Uint64()
+		qTilde := c.QiInv(i)
+		lv.round = append(lv.round, roundTower{
+			qTilde: qTilde, qTildePre: mod.ShoupPrecompute(qTilde),
+			fracHi: frac.Rsh(frac, 64).Uint64(), fracLo: fracLo,
+		})
 	}
 	ext, err := rns.NewContextForPrimes(extPrimes, c.N)
 	if err != nil {
@@ -444,6 +468,11 @@ func (b *rnsBackend) CheckPoly(level int, a Poly) error {
 	return nil
 }
 
+func (b *rnsBackend) checkDst(dst *BackendCiphertext) error {
+	_, _, err := b.dstRows(dst)
+	return err
+}
+
 // dstRows unpacks the destination an evaluation writes: this backend's
 // handles with dst.Level's tower shape. Its residues are about to be
 // overwritten, so they are not scanned.
@@ -485,10 +514,6 @@ func (b *rnsBackend) Add(level int, dst, a, c Poly) {
 
 func (b *rnsBackend) Sub(level int, dst, a, c Poly) {
 	must(b.levels[level].c.SubInto(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly)))
-}
-
-func (b *rnsBackend) MulNegacyclic(level int, dst, a, c Poly) {
-	must(b.levels[level].c.MulAll(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly), b.workers))
 }
 
 func (b *rnsBackend) ToNTT(level int, dst, a Poly) {
@@ -540,15 +565,46 @@ func (b *rnsBackend) AddDeltaMsg(level int, dst, a Poly, msg []uint64) {
 	}
 }
 
+// RoundToPlain rounds in residues, with no big integers: per coefficient
+// it sums the tower terms y_i * (t/q_i) of roundTower, the integer parts
+// exactly modulo t and the fractions in 128-bit fixed point, and rounds
+// the fraction. Each truncated t/q_i is low by under 2^-128 and y_i is
+// below 2^64, so the sum is low by under k*2^-64: the result is exactly
+// round(t*x/Q_l) mod t unless t*x/Q_l lies within k*2^-64 above a
+// half-integer. That rounding and round(x/Delta_l) differ only within
+// (t+1)/Delta_l of a half-integer. A phase Delta_l*m + e with |e| below
+// Delta_l/2 - t - k*Delta_l/2^64 is farther than both from every
+// half-integer, so it decrypts to m, exactly as round(x/Delta_l) does.
 func (b *rnsBackend) RoundToPlain(level int, a Poly) []uint64 {
 	lv := b.levels[level]
-	coeffs := make([]*big.Int, lv.c.N)
-	must(lv.c.ReconstructInto(coeffs, a.(rns.Poly)))
+	x := a.(rns.Poly)
+	t := b.t
 	out := make([]uint64, lv.c.N)
-	for i, x := range coeffs {
-		// Round to the nearest multiple of Delta_l.
-		x.Add(x, lv.halfDelta).Div(x, lv.delta)
-		out[i] = x.Uint64() % b.t
+	for j := range out {
+		var whole, fhi, flo uint64 // whole < t; fhi:flo the running fraction
+		for i, r := range lv.round {
+			q := lv.c.Mods[i].Q
+			y := x.Res[i][j]
+			hi, _ := bits.Mul64(y, r.qTildePre)
+			if y = y*r.qTilde - hi*q; y >= q { // Shoup: y = [x_i * q~_i]_{q_i}
+				y -= q
+			}
+			// y * fracHi:fracLo = p2:p1:p0 in 64-bit words; p2 < t is the
+			// term's integer part, p1:p0 its fraction.
+			h1, p0 := bits.Mul64(y, r.fracLo)
+			p2, l2 := bits.Mul64(y, r.fracHi)
+			p1, c := bits.Add64(h1, l2, 0)
+			p2 += c
+			flo, c = bits.Add64(flo, p0, 0)
+			fhi, c = bits.Add64(fhi, p1, c)
+			if whole += p2 + c; whole >= t {
+				whole -= t
+			}
+		}
+		if whole += fhi >> 63; whole >= t { // round half up
+			whole -= t
+		}
+		out[j] = whole
 	}
 	return out
 }
@@ -807,15 +863,14 @@ func reduceSubRow(dst, acc []uint64, mod *modmath.Modulus64) {
 	}
 }
 
+// setSignedCtx writes coeffs, each of magnitude below every tower
+// modulus, into every tower of dst: its two's-complement bits, plus q
+// when negative.
 func (b *rnsBackend) setSignedCtx(c *rns.Context, dst rns.Poly, coeffs []int64) {
 	for i, mod := range c.Mods {
-		row := dst.Res[i]
+		row, q := dst.Res[i], mod.Q
 		for j, e := range coeffs {
-			if e >= 0 {
-				row[j] = uint64(e) % mod.Q
-			} else {
-				row[j] = mod.Neg(uint64(-e) % mod.Q)
-			}
+			row[j] = uint64(e) + q&uint64(e>>63)
 		}
 	}
 }

@@ -159,7 +159,8 @@ func testGuardrailConservative(t *testing.T, T uint64) {
 }
 
 // TestSecretKeyHandleValidation: every scheme entry point taking a secret
-// key must reject nil and foreign handles with an error — a serving
+// key must reject nil and foreign handles, and keys missing their
+// evaluation form, with an error — a serving
 // process holding many tenants' keys cannot afford a panic (or worse, a
 // silent wrong answer) when a handle is routed to the wrong backend.
 func TestSecretKeyHandleValidation(t *testing.T) {
@@ -190,6 +191,8 @@ func TestSecretKeyHandleValidation(t *testing.T) {
 	for name, bad := range map[string]BackendSecretKey{
 		"nil":     {},
 		"foreign": foreign,
+		// S alone, without the evaluation form KeyGen derives from it.
+		"noEvalForm": {S: sk.S},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := s.Encrypt(bad, msg); err == nil {

@@ -206,6 +206,20 @@ func TestSchemeLayerRejectsMalformedInput(t *testing.T) {
 				dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 				return s.ModSwitchInto(context.Background(), &dst, ok)
 			})
+			errNotPanic(t, "AddCt/dstLevelMismatch", func() error {
+				dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
+				return s.AddCiphertextsInto(context.Background(), &dst, ok, ok)
+			})
+			// A destination of another backend's handles, tagged with the
+			// right level, is refused by the backend's own check.
+			errNotPanic(t, "AddCt/foreignDst", func() error {
+				dst := BackendCiphertext{A: foreign.A, B: foreign.B}
+				return s.AddCiphertextsInto(context.Background(), &dst, ok, ok)
+			})
+			errNotPanic(t, "AddCt/foreignOperand", func() error {
+				dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
+				return s.AddCiphertextsInto(context.Background(), &dst, ok, foreign)
+			})
 		})
 	}
 

@@ -46,20 +46,20 @@ func MustModulus64(q uint64) *Modulus64 {
 }
 
 // Add returns a + b mod q for reduced inputs.
+//
+// Add and Sub correct without a branch: a sum of random residues is as
+// likely above q as below it, so a conditional subtraction mispredicts
+// every other element. Because q < 2^62, the sign bit of a+b-q (or of
+// a-b) is set exactly when q must be added back.
 func (m *Modulus64) Add(a, b uint64) uint64 {
-	s := a + b
-	if s >= m.Q {
-		s -= m.Q
-	}
-	return s
+	s := a + b - m.Q
+	return s + m.Q&uint64(int64(s)>>63)
 }
 
 // Sub returns a - b mod q for reduced inputs.
 func (m *Modulus64) Sub(a, b uint64) uint64 {
-	if a < b {
-		return a + m.Q - b
-	}
-	return a - b
+	d := a - b
+	return d + m.Q&uint64(int64(d)>>63)
 }
 
 // Neg returns -a mod q for reduced a.

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"sync"
 
-	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
 )
 
@@ -211,12 +210,32 @@ func (c *Context) NegacyclicINTTAll(dst, a Poly, workers int) error {
 
 // AddInto computes dst = a + b tower-wise. dst may alias a or b.
 func (c *Context) AddInto(dst, a, b Poly) error {
-	return c.ewiseInto(dst, a, b, func(m *modmath.Modulus64, x, y uint64) uint64 { return m.Add(x, y) })
+	if err := c.checkPoly(dst, a, b); err != nil {
+		return err
+	}
+	for i, mod := range c.Mods {
+		dr := dst.Res[i]
+		ar, br := a.Res[i][:len(dr)], b.Res[i][:len(dr)]
+		for j := range dr {
+			dr[j] = mod.Add(ar[j], br[j])
+		}
+	}
+	return nil
 }
 
 // SubInto computes dst = a - b tower-wise. dst may alias a or b.
 func (c *Context) SubInto(dst, a, b Poly) error {
-	return c.ewiseInto(dst, a, b, func(m *modmath.Modulus64, x, y uint64) uint64 { return m.Sub(x, y) })
+	if err := c.checkPoly(dst, a, b); err != nil {
+		return err
+	}
+	for i, mod := range c.Mods {
+		dr := dst.Res[i]
+		ar, br := a.Res[i][:len(dr)], b.Res[i][:len(dr)]
+		for j := range dr {
+			dr[j] = mod.Sub(ar[j], br[j])
+		}
+	}
+	return nil
 }
 
 // PMulInto computes the coefficient-wise (evaluation-form) product
@@ -228,19 +247,6 @@ func (c *Context) PMulInto(dst, a, b Poly) error {
 	}
 	for i, p := range c.Plans {
 		p.Generic().PointwiseMulInto(dst.Res[i], a.Res[i], b.Res[i])
-	}
-	return nil
-}
-
-func (c *Context) ewiseInto(dst, a, b Poly, f func(m *modmath.Modulus64, x, y uint64) uint64) error {
-	if err := c.checkPoly(dst, a, b); err != nil {
-		return err
-	}
-	for i, mod := range c.Mods {
-		dr, ar, br := dst.Res[i], a.Res[i], b.Res[i]
-		for j := 0; j < c.N; j++ {
-			dr[j] = f(mod, ar[j], br[j])
-		}
 	}
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 // destination handle reused via the in-place path (the steady-state
 // serving loop), applyEval — handle lookups, guardrail prediction, the
 // backend multiply through its pooled scratch, bound update — allocates
-// nothing. JSON transport is excluded by design: encoding/json allocates
-// and is measured by the load driver instead.
+// nothing, and so do the in-place add and modswitch. JSON transport is
+// excluded by design: encoding/json allocates and is measured by the load
+// driver instead.
 func TestServeEvalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -45,6 +46,24 @@ func TestServeEvalSteadyStateAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("steady-state serve mul allocates %.1f per run, want 0", got)
+	}
+
+	// The add in-place path holds the same bar.
+	addReq := evalRequest{Tenant: "alloc", Op: "add", Args: []string{enc1.Handle, enc2.Handle}}
+	sum, apiErr := s.applyEval(ctx, ten, addReq)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	addReq.Out = sum.Handle
+	if _, apiErr := s.applyEval(ctx, ten, addReq); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if _, apiErr := s.applyEval(ctx, ten, addReq); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	}); got != 0 {
+		t.Errorf("steady-state serve add allocates %.1f per run, want 0", got)
 	}
 
 	// The modswitch in-place path holds the same bar.

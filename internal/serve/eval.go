@@ -175,22 +175,24 @@ func (s *Server) applyEval(ctx context.Context, t *tenant, req evalRequest) (eva
 			opNoise = e2.noiseBits
 		}
 		level := e1.ct.Level
+		// Operands at different levels are a malformed request: refuse it
+		// before a destination is picked, so no out handle is touched.
+		if e2.ct.Level != level {
+			return evalResponse{}, errBadRequest("op %q: operands at levels %d and %d", req.Op, level, e2.ct.Level)
+		}
 
+		// Overwriting an existing destination handle whose buffers already
+		// have the right shape is the steady-state serving loop: no
+		// allocation beyond the backend's pooled scratch.
 		if req.Op == "add" {
-			out, err := sch.AddCiphertexts(e1.ct, e2.ct)
-			if err != nil {
-				return evalResponse{}, errBadRequest("add: %v", err)
-			}
-			return t.land(s, evalDst{ct: &out}, nil, opNoise+1)
+			dst := s.dstFor(t, req.Out, level, h1, h2)
+			return t.land(s, dst, sch.AddCiphertextsInto(ctx, dst.ct, e1.ct, e2.ct), opNoise+1)
 		}
 
 		pred := s.predictMul(level, opNoise)
 		if apiErr := s.guardBudget(req.Op, level, pred); apiErr != nil {
 			return evalResponse{}, apiErr
 		}
-		// Overwriting an existing destination handle whose buffers already
-		// have the right shape is the steady-state serving loop: no
-		// allocation beyond the backend's pooled scratch.
 		dst := s.dstFor(t, req.Out, level, h1, h2)
 		return t.land(s, dst, sch.MulCiphertextsInto(ctx, dst.ct, e1.ct, e2.ct, t.rlk), pred)
 

@@ -171,7 +171,7 @@ func TestInPlaceEvalRefusesCorruptOperand(t *testing.T) {
 	for _, tc := range []struct {
 		op    string
 		nargs int
-	}{{"square", 1}, {"mul", 2}, {"modswitch", 1}, {"rotate", 1}, {"conjugate", 1}} {
+	}{{"square", 1}, {"mul", 2}, {"add", 2}, {"modswitch", 1}, {"rotate", 1}, {"conjugate", 1}} {
 		// run sends op on fresh operands, the first one corrupted: the eval
 		// request's own body decode takes the first probe at this site, and
 		// the flip then hits both of the operand's components.

@@ -239,6 +239,67 @@ func TestLadderFloor(t *testing.T) {
 	}
 }
 
+// TestMixedLevelOperandsRefused pins that a two-operand op on handles at
+// different levels is a 400 bad_request, and that an out handle at the
+// first operand's level survives the refusal and still decrypts.
+func TestMixedLevelOperandsRefused(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(t, ts, "/v1/keygen", map[string]string{"tenant": "a"})
+	encrypt := func(seed int) string {
+		code, r := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": testMsg(seed)})
+		if code != http.StatusOK {
+			t.Fatalf("encrypt: %d %v", code, r)
+		}
+		return r["handle"].(string)
+	}
+	modswitch := func(h string) string {
+		code, r := post(t, ts, "/v1/eval", map[string]any{"tenant": "a", "op": "modswitch", "args": []string{h}})
+		if code != http.StatusOK {
+			t.Fatalf("modswitch: %d %v", code, r)
+		}
+		return r["handle"].(string)
+	}
+	x0 := encrypt(1)
+	x1 := modswitch(x0)
+	out0 := encrypt(2)            // at x0's level
+	out1 := modswitch(encrypt(3)) // at x1's level
+	outs := map[string]int{out0: 2, out1: 3}
+
+	for _, op := range []string{"add", "mul"} {
+		for _, c := range []struct {
+			args []string
+			out  string
+		}{
+			{[]string{x0, x1}, ""},
+			{[]string{x0, x1}, out0},
+			{[]string{x1, x0}, out1},
+		} {
+			body := map[string]any{"tenant": "a", "op": op, "args": c.args}
+			if c.out != "" {
+				body["out"] = c.out
+			}
+			code, r := post(t, ts, "/v1/eval", body)
+			if code != http.StatusBadRequest || errCode(t, r) != CodeBadRequest {
+				t.Fatalf("%s %v out=%q: got %d %v, want 400 %s", op, c.args, c.out, code, r, CodeBadRequest)
+			}
+		}
+	}
+	for h, seed := range outs {
+		code, dec := post(t, ts, "/v1/decrypt", map[string]any{"tenant": "a", "handle": h})
+		if code != http.StatusOK {
+			t.Fatalf("out handle %s lost after refusal: %d %v", h, code, dec)
+		}
+		got, want := decodeValues(t, dec), testMsg(seed)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("out handle %s mutated by refused eval at coeff %d", h, i)
+			}
+		}
+	}
+}
+
 // TestOversizedBodyRefusedWith413 pins the body cap: a /v1/encrypt body
 // far past room for N values is refused with a typed 413 once decoding
 // reads past the cap — not decoded in full and then refused as a
