@@ -7,8 +7,8 @@
 //     workload runs, and a math/big point-wise multiply standing in for
 //     GMP, timed beside it.
 //   - Vector and Broadcast128 (this file): the SoA operand layout and the
-//     double-word broadcast the trace-machine dataflows (ntt.ForwardVM,
-//     perfmodel's bodies) load from. Figure 4's modeled per-element times
+//     double-word broadcast the trace-machine dataflows (perfmodel's
+//     ForwardVM and bodies) load from. Figure 4's modeled per-element times
 //     come from perfmodel.BLASBody, not from this package; Op only names
 //     the four kernels of that figure.
 //

@@ -53,7 +53,7 @@ func NewBigPlan(p *ntt.Plan) *BigPlan {
 	bp := &BigPlan{Q: p.R.M.Q.ToBig(), N: p.N, M: p.M}
 	bp.tw = make([][]*big.Int, p.M)
 	for s := 0; s < p.M; s++ {
-		w, _ := p.FwdStage(s)
+		w := p.FwdStage(s)
 		row := make([]*big.Int, len(w))
 		for i := range row {
 			row[i] = w[i].ToBig()

@@ -8,6 +8,7 @@ import (
 	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ntt"
+	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/u128"
 	"mqxgo/internal/vm"
 )
@@ -40,17 +41,17 @@ func VerifyAllTiers(mod *modmath.Modulus128, n int) error {
 			b := kernels.NewBScalar(m)
 			d := kernels.NewDW[vm.S, vm.F](b, mod)
 			m.BeginLoop()
-			got, err = ntt.ForwardVM(d, plan, xv)
+			got, err = perfmodel.ForwardVM(d, plan, xv)
 		case isa.LevelAVX2:
 			b := kernels.NewB256(m)
 			d := kernels.NewDW[vm.V4, vm.V4](b, mod)
 			m.BeginLoop()
-			got, err = ntt.ForwardVM(d, plan, xv)
+			got, err = perfmodel.ForwardVM(d, plan, xv)
 		default:
 			b := kernels.NewB512(m, level)
 			d := kernels.NewDW[vm.V, vm.M](b, mod)
 			m.BeginLoop()
-			got, err = ntt.ForwardVM(d, plan, xv)
+			got, err = perfmodel.ForwardVM(d, plan, xv)
 		}
 		if err != nil {
 			return fmt.Errorf("core: %v tier failed: %w", level, err)

@@ -303,3 +303,96 @@ func noiseBitsOf(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct Backend
 	}
 	return nb
 }
+
+// TestCanonicalKeySwitchOnWideTowers drives keySwitchAccumulate's
+// canonical branch: five 61-bit towers leave no room for five lazy
+// Shoup products (each < 2q) in a 64-bit accumulator, so level 0 turns
+// relinLazy off. A level-0 multiply must still decrypt to the
+// negacyclic product mod t, and a level-0 rotation and conjugation to
+// the rotated and row-swapped slot vectors.
+func TestCanonicalKeySwitchOnWideTowers(t *testing.T) {
+	const n, pt = 64, 257
+	c, err := rns.NewContext(61, 5, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRNSBackend(c, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.(*rnsBackend).levels[0].relinLazy {
+		t.Fatal("level 0 of five 61-bit towers takes the lazy key-switch path")
+	}
+	s := NewBackendScheme(b, 61)
+	sk := s.KeyGen()
+	rlk, err := s.RelinKeyGen(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, err := s.GaloisKeyGen(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	m1, m2 := make([]uint64, n), make([]uint64, n)
+	for i := range m1 {
+		m1[i], m2[i] = rng.Uint64()%pt, rng.Uint64()%pt
+	}
+	c1, err := s.Encrypt(sk, m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := s.Encrypt(sk, m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Decrypt(sk, mustCT(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range NegacyclicProductModT(m1, m2, pt) {
+		if got[i] != want {
+			t.Fatalf("multiply: coeff %d = %d, want %d", i, got[i], want)
+		}
+	}
+
+	slots := make([]uint64, n)
+	for i := range slots {
+		slots[i] = rng.Uint64() % pt
+	}
+	msg, err := s.EncodeSlots(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := s.Encrypt(sk, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := s.RotateSlotsCtx(context.Background(), ct, 3, gk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conj, err := conjugate(context.Background(), s, ct, gk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ct   BackendCiphertext
+		want []uint64
+	}{{"rotate 3", rot, rotatedModel(slots, 3)}, {"conjugate", conj, conjugatedModel(slots)}} {
+		dec, err := s.Decrypt(sk, tc.ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.DecodeSlots(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: slot %d = %d, want %d", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}

@@ -3,8 +3,8 @@
 // instruction streams on the internal/vm machine, once per ISA tier: scalar
 // x86-64, AVX2, AVX-512 and MQX (including the Figure 6 sensitivity
 // variants). perfmodel records their loop bodies for the modeled tables and
-// figures, and ntt.ForwardVM runs a whole forward transform on them, which
-// core.VerifyAllTiers checks against the native engine.
+// figures, and perfmodel.ForwardVM runs a whole forward transform on them,
+// which core.VerifyAllTiers checks against the native engine.
 //
 // The algorithms are written once against the Ops interface; each backend
 // lowers the primitive operations to its ISA's best sequence. A backend with

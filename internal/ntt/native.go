@@ -25,7 +25,7 @@ func ForwardWith(p *Plan, ar Arith, x []u128.U128) []u128.U128 {
 	src := append([]u128.U128(nil), x...)
 	dst := make([]u128.U128, p.N)
 	for s := 0; s < p.M; s++ {
-		tw, _ := p.FwdStage(s)
+		tw := p.FwdStage(s)
 		for i := 0; i < half; i++ {
 			a, b := src[i], src[i+half]
 			dst[2*i] = ar.Add(a, b)

@@ -14,13 +14,14 @@
 //     InverseInto, PolyMulNegacyclicInto and BatchForwardInto directly.
 //   - Plan64 (ntt64.go): a cached handle to the 64-bit engine plan; every
 //     caller transforms through Generic().
-//   - ForwardVM (vmntt.go): generic over a kernels backend, producing the
-//     scalar/AVX2/AVX-512/MQX instruction stream of the forward transform
-//     on the trace machine, which core.VerifyAllTiers checks against the
-//     native engine; ForwardWith (native.go) runs the same dataflow on a
-//     baseline arithmetic backend.
+//   - ForwardWith (native.go): the same dataflow on a baseline arithmetic
+//     backend, reading the plan's stage twiddles through FwdStage (the
+//     trace-machine twin, perfmodel.ForwardVM, reads them the same way).
 //   - Reference / SchoolbookNegacyclic (reference.go): the O(n^2)
 //     definitions, used as ground truth.
+//
+// The package imports only modmath, ring and u128, so the runtime layers
+// above it (rns, fhe, serve) link none of the trace-machine packages.
 //
 // A Plan is safe for concurrent use once built: the twiddle tables are
 // read-only after NewPlan and all mutable transform state lives in pooled

@@ -32,11 +32,11 @@ func forwardVMCounts(t *testing.T, level isa.Level, mod *modmath.Modulus128, pla
 	if level == isa.LevelAVX2 {
 		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), mod)
 		m.BeginLoop()
-		_, err = ntt.ForwardVM(d, plan, x)
+		_, err = ForwardVM(d, plan, x)
 	} else {
 		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), mod)
 		m.BeginLoop()
-		_, err = ntt.ForwardVM(d, plan, x)
+		_, err = ForwardVM(d, plan, x)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,9 @@
 // cycles x iterations + a cache-capacity memory model (model.go) -> ns at
 // the machine's frequency. Arbitrary-precision and division-based baseline
 // backends are *measured*, not modeled (measure.go), and anchored to the
-// modeled scalar tier when composing the paper's figures.
+// modeled scalar tier when composing the paper's figures. ForwardVM
+// (vmntt.go) runs a whole forward transform on the trace machine, the
+// functional check of the instruction streams the bodies record.
 package perfmodel
 
 import "mqxgo/internal/isa"

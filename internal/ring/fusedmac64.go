@@ -42,7 +42,7 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 
 	// Twist, exactly as NegacyclicForwardInto: relaxed outputs feed the
 	// stage loops directly.
-	p.kern.MulPreSpan(work, x, p.twist.w[:p.N], p.twist.pre[:p.N])
+	p.kern.MulPreSpan(work, x, p.twist.w, p.twist.pre)
 
 	// Stages 0..M-2 through the normal dispatch (scalar or vector tier),
 	// leaving relaxed residues in sc.b. The partial transform cannot run

@@ -63,17 +63,18 @@ type SpanKernels[T any] interface {
 // BlockedSpanKernels is the optional blocked extension of SpanKernels.
 // In the constant-geometry dataflow, stage s applies the same twiddle to
 // every butterfly of a contiguous 2^s-run (stageExp clears the low s
-// bits), so the dense N/2-entry stage table is 1<<s-fold redundant.
-// Implementations of this interface accept the COMPACT table — one
+// bits), so a dense N/2-entry stage table would be 1<<s-fold redundant.
+// Implementations of this interface read the COMPACT table — one
 // (w, pre) entry per run — and hoist the twiddle load out of the run
-// loop. On a k-tower ladder the dense tables are the dominant share of
-// transform memory traffic (2 streamed arrays per stage per direction per
-// tower); compacting them is a pure-bandwidth win with bit-identical
-// outputs, since the hoisted scalar is exactly the value the dense table
-// repeats. The residue-domain contract matches the dense counterparts:
-// CTSpanBlk/GSSpanBlk relaxed, CTSpanLastBlk canonical.
+// loop. A plan whose kernels have these spans stores only the compact
+// table for every stage they run, which on a k-tower ladder removes the
+// dominant share of transform memory traffic (2 streamed arrays per
+// stage per direction per tower) and of plan memory, with bit-identical
+// outputs, since the hoisted scalar is exactly the value a dense table
+// would repeat. The residue-domain contract matches the dense
+// counterparts: CTSpanBlk/GSSpanBlk relaxed, CTSpanLastBlk canonical.
 //
-// Plans only dispatch blocked spans for blk >= 8 (below that the per-run
+// Plans only store compact tables for blk >= 8 (below that the per-run
 // overhead cancels the load savings), so implementations may assume
 // blk is a power of two >= 8 dividing the span length.
 type BlockedSpanKernels[T any] interface {

@@ -6,11 +6,12 @@ import (
 )
 
 // Plan holds the precomputed tables for size-n negacyclic-capable
-// transforms over a Ring[T]: per-stage constant-geometry twiddle tables
-// for the forward and inverse Pease dataflows [Pease 1968], the stage-0
-// inverse table with 1/N folded in, and the negacyclic twist/untwist
-// tables. Every table carries the ring's per-multiplicand precomputation
-// alongside the twiddle values, the constant the span kernels read.
+// transforms over a Ring[T]: one constant-geometry twiddle table per stage
+// and direction for the forward and inverse Pease dataflows [Pease 1968],
+// the stage-0 inverse table with 1/N folded in, and the negacyclic
+// twist/untwist tables. Each table is stored in the one form the plan's
+// span kernels read: Shoup64 tables carry the Shoup word of every twiddle
+// beside it, Barrett128 tables carry the twiddles alone.
 //
 // A Plan is safe for concurrent use once built: tables are read-only
 // after NewPlan and all mutable transform state lives in pooled scratch
@@ -25,18 +26,13 @@ type Plan[T any, R Ring[T]] struct {
 	NInv     T // N^-1 mod q
 	Psi      T // primitive 2N-th root with Psi^2 = Omega
 
-	// fwdTw[s] and invTw[s] hold the N/2 stage-s twiddles.
+	// fwdTw[s] and invTw[s] are stage s's twiddle tables. Stage s repeats
+	// its twiddle across each contiguous 2^s-run of butterflies, so when
+	// the kernels have blocked spans and 2^s >= blockedMinBlk the table is
+	// compact (N/2^(s+1) entries, blk = 2^s); otherwise it is dense (N/2
+	// entries, blk = 1). The stage loops dispatch on blk.
 	fwdTw []table[T]
 	invTw []table[T]
-
-	// fwdTwC[s] and invTwC[s] are the compact stage tables: stage s
-	// repeats its twiddle across each contiguous 2^s-run of butterflies,
-	// so one entry per run carries the same information in 1/2^s the
-	// memory. Blocked kernels (BlockedSpanKernels) stream these instead
-	// of the dense tables; rings without blocked kernels never touch
-	// them.
-	fwdTwC []table[T]
-	invTwC []table[T]
 
 	// invTw0Scaled is invTw[0] with N^-1 folded in, so InverseInto can
 	// apply the 1/N scale inside its final stage instead of a separate
@@ -67,15 +63,19 @@ type Plan[T any, R Ring[T]] struct {
 	kernTier string
 }
 
-// blockedMinBlk is the smallest twiddle-run length the stage loops hand
-// to a blocked kernel: below 8 the per-run slicing overhead eats the
-// hoisted-load savings, and the dense kernels are already optimal.
+// blockedMinBlk is the smallest twiddle-run length the plan stores
+// compactly for a blocked kernel: below 8 the per-run slicing overhead
+// eats the hoisted-load savings, and the dense kernels are already
+// optimal.
 const blockedMinBlk = 8
 
-// table is one twiddle table: the values and their Precompute constants.
+// table is one twiddle table: the values, their Precompute constants (nil
+// when the ring's kernels read none), and the number of consecutive
+// butterflies each entry covers (1 for a dense table).
 type table[T any] struct {
 	w   []T
 	pre []uint64
+	blk int
 }
 
 // scratchPair is one ping-pong buffer pair, pooled per plan.
@@ -108,22 +108,24 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 		NInv:     r.Inv(r.FromUint64(uint64(n))),
 		Psi:      psi,
 	}
-	p.buildStageTables()
-	p.buildTwistTables()
-	p.scratch.New = func() any {
-		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
-	}
-	// The kernel seam, resolved once here: Shoup64 swaps in its tier's
-	// kernel set (CPU detection + forcing knobs); any other ring is its
-	// own kernel set. The blocked extension rides along when the set has
-	// one.
+	// The kernel seam, resolved once here, before the tables it shapes:
+	// Shoup64 swaps in its tier's kernel set (CPU detection + forcing
+	// knobs) and is the one ring whose kernels read a Precompute word per
+	// twiddle; any other ring is its own kernel set. The blocked extension
+	// rides along when the set has one.
 	var kern any = r
 	p.kernTier = TierScalar.String()
+	withPre := false
 	if s, ok := kern.(Shoup64); ok {
 		kern, p.kernTier = s.selectKernels()
+		withPre = true
 	}
 	p.kern = kern.(SpanKernels[T])
 	p.blk, _ = kern.(BlockedSpanKernels[T])
+	p.buildTables(withPre)
+	p.scratch.New = func() any {
+		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
+	}
 	return p, nil
 }
 
@@ -132,13 +134,17 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 // trajectories stay attributable across hosts.
 func (p *Plan[T, R]) KernelTier() string { return p.kernTier }
 
-func (p *Plan[T, R]) newTable(n int) table[T] {
-	return table[T]{w: make([]T, n), pre: make([]uint64, n)}
-}
-
-func (p *Plan[T, R]) setTable(t table[T], i int, w T) {
-	t.w[i] = w
-	t.pre[i] = p.R.Precompute(w)
+// newTable wraps the twiddles ws, each entry covering blk butterflies,
+// with their Precompute words when withPre.
+func (p *Plan[T, R]) newTable(ws []T, blk int, withPre bool) table[T] {
+	t := table[T]{w: ws, blk: blk}
+	if withPre {
+		t.pre = make([]uint64, len(ws))
+		for i, w := range ws {
+			t.pre[i] = p.R.Precompute(w)
+		}
+	}
+	return t
 }
 
 // stageExp returns the twiddle exponent for butterfly i of stage s in the
@@ -150,75 +156,67 @@ func stageExp(s, i int) uint64 {
 	return (uint64(i) >> uint(s)) << uint(s)
 }
 
-func (p *Plan[T, R]) buildStageTables() {
+// buildTables fills the stage, scaled stage-0 and twist tables.
+func (p *Plan[T, R]) buildTables(withPre bool) {
 	r := p.R
 	half := p.N / 2
 	// Power tables for omega and omega^-1, built by repeated
-	// multiplication (exponents in stageExp are < n).
-	pow := make([]T, p.N)
-	powInv := make([]T, p.N)
+	// multiplication (exponents in stageExp are < n/2).
+	pow := make([]T, half)
+	powInv := make([]T, half)
 	pow[0], powInv[0] = r.FromUint64(1), r.FromUint64(1)
-	for j := 1; j < p.N; j++ {
+	for j := 1; j < half; j++ {
 		pow[j] = r.Mul(pow[j-1], p.Omega)
 		powInv[j] = r.Mul(powInv[j-1], p.OmegaInv)
 	}
 	p.fwdTw = make([]table[T], p.M)
 	p.invTw = make([]table[T], p.M)
-	p.fwdTwC = make([]table[T], p.M)
-	p.invTwC = make([]table[T], p.M)
 	for s := 0; s < p.M; s++ {
-		fw := p.newTable(half)
-		iv := p.newTable(half)
-		for i := 0; i < half; i++ {
-			e := stageExp(s, i)
-			p.setTable(fw, i, pow[e])
-			p.setTable(iv, i, powInv[e])
+		// stageExp is constant on each 2^s-run, so a compact entry b
+		// holds the twiddle of butterfly b*blk.
+		blk := 1
+		if p.blk != nil && 1<<s >= blockedMinBlk {
+			blk = 1 << s
 		}
-		p.fwdTw[s] = fw
-		p.invTw[s] = iv
-		// Compact form: one entry per 2^s-run (stageExp is constant on
-		// each run), indexed by run number b with exponent b<<s.
-		runs := half >> s
-		fwc := p.newTable(runs)
-		ivc := p.newTable(runs)
-		for b := 0; b < runs; b++ {
-			e := stageExp(s, b<<s)
-			p.setTable(fwc, b, pow[e])
-			p.setTable(ivc, b, powInv[e])
+		fw, iv := make([]T, half/blk), make([]T, half/blk)
+		for b := range fw {
+			e := stageExp(s, b*blk)
+			fw[b], iv[b] = pow[e], powInv[e]
 		}
-		p.fwdTwC[s] = fwc
-		p.invTwC[s] = ivc
+		p.fwdTw[s] = p.newTable(fw, blk, withPre)
+		p.invTw[s] = p.newTable(iv, blk, withPre)
 	}
-	scaled := p.newTable(half)
-	for i := 0; i < half; i++ {
-		p.setTable(scaled, i, r.Mul(p.invTw[0].w[i], p.NInv))
+	// Stage 0 is always dense (blockedMinBlk > 1).
+	scaled := make([]T, half)
+	for i, w := range p.invTw[0].w {
+		scaled[i] = r.Mul(w, p.NInv)
 	}
-	p.invTw0Scaled = scaled
+	p.invTw0Scaled = p.newTable(scaled, 1, withPre)
 	p.nInvPre = r.Precompute(p.NInv)
-}
 
-func (p *Plan[T, R]) buildTwistTables() {
-	r := p.R
 	psiInv := r.Inv(p.Psi)
-	tw := p.newTable(p.N)
-	utw := p.newTable(p.N)
-	cur := r.FromUint64(1)
-	curInv := p.NInv
-	for j := 0; j < p.N; j++ {
-		p.setTable(tw, j, cur)
-		p.setTable(utw, j, curInv)
+	tw, utw := make([]T, p.N), make([]T, p.N)
+	cur, curInv := r.FromUint64(1), p.NInv
+	for j := range tw {
+		tw[j], utw[j] = cur, curInv
 		cur = r.Mul(cur, p.Psi)
 		curInv = r.Mul(curInv, psiInv)
 	}
-	p.twist = tw
-	p.untwist = utw
+	p.twist = p.newTable(tw, 1, withPre)
+	p.untwist = p.newTable(utw, 1, withPre)
 }
 
-// FwdStage returns stage s's forward twiddles and their precomputations.
-// The slices are live views of the plan's tables; callers must not
-// modify them.
-func (p *Plan[T, R]) FwdStage(s int) (w []T, pre []uint64) {
-	return p.fwdTw[s].w, p.fwdTw[s].pre
+// FwdStage returns stage s's N/2 forward twiddles, butterfly i
+// multiplying by w[i]. Only dense stages can be read this way: it panics
+// on a compact stage, so it serves plans without blocked spans (every
+// Barrett128 plan). The slice is a live view of the plan's table; callers
+// must not modify it.
+func (p *Plan[T, R]) FwdStage(s int) []T {
+	t := p.fwdTw[s]
+	if t.blk != 1 {
+		panic("ring: FwdStage on a compact stage table")
+	}
+	return t.w
 }
 
 // getScratch checks a ping/pong buffer pair out of the plan pool; the
@@ -284,7 +282,7 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	sc := p.getScratch()
-	p.kern.MulPreSpan(dst, a, p.twist.w[:p.N], p.twist.pre[:p.N])
+	p.kern.MulPreSpan(dst, a, p.twist.w, p.twist.pre)
 	p.forwardStages(dst, dst, sc)
 	p.putScratch(sc)
 }
@@ -300,7 +298,7 @@ func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	sc := p.getScratch()
 	p.inverseStages(dst, y, sc, false)
 	// psi^-j * N^-1, landing the deferred normalization.
-	p.kern.MulPreNormSpan(dst, dst, p.untwist.w[:p.N], p.untwist.pre[:p.N])
+	p.kern.MulPreNormSpan(dst, dst, p.untwist.w, p.untwist.pre)
 	p.putScratch(sc)
 }
 
@@ -360,21 +358,19 @@ func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 		} else if s&1 == 1 {
 			out = sc.b
 		}
-		w := p.fwdTw[s].w[:half]
-		pre := p.fwdTw[s].pre[:half]
+		tw := p.fwdTw[s]
 		lo := src[:half]
 		hi := src[half:p.N]
 		o := out[:p.N]
-		blk := 1 << s
 		switch {
-		case p.blk != nil && blk >= blockedMinBlk && s == p.M-1:
-			p.blk.CTSpanLastBlk(o, lo, hi, p.fwdTwC[s].w, p.fwdTwC[s].pre, blk)
-		case p.blk != nil && blk >= blockedMinBlk:
-			p.blk.CTSpanBlk(o, lo, hi, p.fwdTwC[s].w, p.fwdTwC[s].pre, blk)
+		case tw.blk > 1 && s == p.M-1:
+			p.blk.CTSpanLastBlk(o, lo, hi, tw.w, tw.pre, tw.blk)
+		case tw.blk > 1:
+			p.blk.CTSpanBlk(o, lo, hi, tw.w, tw.pre, tw.blk)
 		case s == p.M-1:
-			k.CTSpanLast(o, lo, hi, w, pre)
+			k.CTSpanLast(o, lo, hi, tw.w, tw.pre)
 		default:
-			k.CTSpan(o, lo, hi, w, pre)
+			k.CTSpan(o, lo, hi, tw.w, tw.pre)
 		}
 		src = out
 	}
@@ -399,27 +395,20 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 			out = sc.b
 		}
 		tw := p.invTw[s]
-		if s == 0 && scale {
-			tw = p.invTw0Scaled
-		}
-		w := tw.w[:half]
-		pre := tw.pre[:half]
 		in := src[:p.N]
 		oLo := out[:half]
 		oHi := out[half:p.N]
-		blk := 1 << s
 		switch {
 		case s == 0 && scale:
-			kern.GSSpanLastScaled(oLo, oHi, in, w, pre, p.NInv, p.nInvPre)
-		case p.blk != nil && blk >= blockedMinBlk:
-			// Non-final inverse stages (and the s>0 stages of an unscaled
-			// inverse) carry block-constant twiddles: stream the compact
-			// table. The s == 0 && scale case above never reaches here.
-			p.blk.GSSpanBlk(oLo, oHi, in, p.invTwC[s].w, p.invTwC[s].pre, blk)
+			kern.GSSpanLastScaled(oLo, oHi, in, p.invTw0Scaled.w, p.invTw0Scaled.pre, p.NInv, p.nInvPre)
+		case tw.blk > 1:
+			// Compact stages are never stage 0, so the scaled case above
+			// never reaches here.
+			p.blk.GSSpanBlk(oLo, oHi, in, tw.w, tw.pre, tw.blk)
 		default:
 			// When scale is false the final pass stays relaxed: the
 			// caller's untwist (MulPreNormSpan) lands the normalization.
-			kern.GSSpan(oLo, oHi, in, w, pre)
+			kern.GSSpan(oLo, oHi, in, tw.w, tw.pre)
 		}
 		src = out
 		k++
@@ -435,13 +424,11 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratchPair[T]) {
 	k := p.kern
 	at, bt := poly.a, poly.b
-	tw := p.twist.w[:p.N]
-	tp := p.twist.pre[:p.N]
-	k.MulPreSpan(at, a, tw, tp)
-	k.MulPreSpan(bt, b, tw, tp)
+	k.MulPreSpan(at, a, p.twist.w, p.twist.pre)
+	k.MulPreSpan(bt, b, p.twist.w, p.twist.pre)
 	p.forwardStages(at, at, ping)
 	p.forwardStages(bt, bt, ping)
 	k.MulSpan(at, at, bt)
 	p.inverseStages(at, at, ping, false)
-	k.MulPreNormSpan(dst, at, p.untwist.w[:p.N], p.untwist.pre[:p.N]) // psi^-j * N^-1
+	k.MulPreNormSpan(dst, at, p.untwist.w, p.untwist.pre) // psi^-j * N^-1
 }

@@ -10,10 +10,14 @@
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings)
 // plus the element arithmetic and number-theoretic setup table building
-// needs. Plan[T, R] does everything else. The stack runs exactly
-// two rings: Barrett128, whose Plan[u128.U128, Barrett128] is
-// internal/ntt's Plan, and Shoup64 under the RNS towers (internal/ntt's
-// Plan64 is a cached handle to a Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
+// needs. Plan[T, R] does everything else, and stores each twiddle table
+// once, in the form its kernels read: one table per stage and direction,
+// compact (one entry per run of equal twiddles) where the kernels have
+// blocked spans, dense elsewhere, with Shoup words only on Shoup64
+// plans. The stack runs exactly two rings: Barrett128, whose
+// Plan[u128.U128, Barrett128] is internal/ntt's Plan, and Shoup64 under
+// the RNS towers (internal/ntt's Plan64 is a cached handle to a
+// Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
 // …Into call that writes into a buffer the caller passes.
 package ring
 
@@ -36,7 +40,7 @@ type Ring[T any] interface {
 	// Precompute returns the per-multiplicand constant the span kernels
 	// read alongside each fixed multiplicand w (the Shoup word
 	// floor(w * 2^64 / q) for single-word rings; 0 for Barrett rings,
-	// whose kernels ignore it).
+	// whose kernels ignore it and whose plan tables store none).
 	Precompute(w T) uint64
 	// Inv returns the multiplicative inverse of a mod q (q prime).
 	Inv(a T) T
