@@ -184,7 +184,10 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 
 // TestRNSDecryptAllocs pins the ciphertext edges. Decrypt rounds the phase
 // in residues, in a pooled polynomial, so it allocates the plaintext it
-// returns and nothing per coefficient; Encrypt allocates its fresh
+// returns and nothing per coefficient; DecryptWithBudget measures the
+// noise of that phase in fixed-width words and allocates no more (the
+// big-integer measurement it replaced made one big.Int per coefficient);
+// Encrypt allocates its fresh
 // ciphertext and noise, within a bound of 11; and an in-place add
 // allocates nothing.
 func TestRNSDecryptAllocs(t *testing.T) {
@@ -222,6 +225,8 @@ func TestRNSDecryptAllocs(t *testing.T) {
 	}{
 		{"Decrypt", 2, func() error { _, err := s.Decrypt(sk, ct); return err }},
 		{"Decrypt/level1", 2, func() error { _, err := s.Decrypt(sk, down); return err }},
+		{"DecryptWithBudget", 2, func() error { _, _, err := s.DecryptWithBudget(sk, ct); return err }},
+		{"DecryptWithBudget/level1", 2, func() error { _, _, err := s.DecryptWithBudget(sk, down); return err }},
 		{"Encrypt", 11, func() error { _, err := s.Encrypt(sk, msg); return err }},
 		{"AddCiphertextsInto", 0, func() error { return s.AddCiphertextsInto(context.Background(), &dst, ct, ct) }},
 	} {

@@ -98,7 +98,8 @@ type Backend interface {
 	// at that level).
 	DeltaBits(level int) int
 	// NoiseBits returns the bit length of the largest centered noise
-	// magnitude of a - Delta_l*msg, or 0 when the noise is exactly zero.
+	// magnitude of a - Delta_l*msg modulo Q_l, or 0 when the noise is
+	// exactly zero; msg entries are read mod T. It builds no big integer.
 	NoiseBits(level int, a Poly, msg []uint64) int
 	// RelinKeyGen builds a relinearization key for the secret s: at
 	// every level of the chain, gadget encryptions of s^2 (stored in the
@@ -200,8 +201,9 @@ type BackendScheme struct {
 	slotEnc  *SlotEncoder
 	slotErr  error
 
-	// scratch[l] pools level-l polynomials: the phase Decrypt and
-	// NoiseBits round, and the noise-plus-message term of Encrypt.
+	// scratch[l] pools level-l polynomials: the phase Decrypt,
+	// DecryptWithBudget and NoiseBits read, and the noise-plus-message
+	// term of Encrypt.
 	scratch []sync.Pool
 }
 
@@ -372,6 +374,24 @@ func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]ui
 	p := s.phase(sk, ct)
 	defer s.putScratch(ct.Level, p)
 	return s.B.RoundToPlain(ct.Level, p), nil
+}
+
+// DecryptWithBudget is Decrypt plus NoiseBudgetBits against the decrypted
+// values, from one phase: it rounds the phase to the plaintext and
+// measures that same phase's noise against it. A budget of 0 means the
+// noise has reached Delta_l/2, where the rounded plaintext can no longer
+// be told from garbage.
+func (s *BackendScheme) DecryptWithBudget(sk BackendSecretKey, ct BackendCiphertext) (values []uint64, budgetBits int, err error) {
+	if err := s.checkCts(ct); err != nil {
+		return nil, 0, err
+	}
+	if err := s.checkSecret(sk, ct.Level); err != nil {
+		return nil, 0, err
+	}
+	p := s.phase(sk, ct)
+	defer s.putScratch(ct.Level, p)
+	values = s.B.RoundToPlain(ct.Level, p)
+	return values, s.budgetBits(ct.Level, s.B.NoiseBits(ct.Level, p, values)), nil
 }
 
 // AddCiphertextsInto is homomorphic addition into dst, shaped for and
@@ -660,7 +680,9 @@ func NegacyclicProductModT(m1, m2 []uint64, t uint64) []uint64 {
 
 // NoiseBits measures a ciphertext's noise magnitude in bits against the
 // expected plaintext: the bit length of max |B - A*S - Delta_l*msg| over
-// the coefficients. Diagnostic only (requires the secret key); the
+// the coefficients, centred modulo Q_l. The RNS backend measures it in
+// residues and fixed-width words, the oracle backend in 128-bit words;
+// neither builds a big integer. Diagnostic (requires the secret key); the
 // property tests compare it against MulNoiseBoundBits.
 func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg []uint64) (int, error) {
 	if err := s.checkCts(ct); err != nil {
@@ -679,19 +701,25 @@ func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg
 
 // NoiseBudgetBits estimates the remaining noise budget of a ciphertext in
 // bits at its level: log2(Delta_l / (2*|noise|)) where noise =
-// B - A*S - Delta_l*m. When it reaches zero, decryption starts failing.
-// ModSwitch approximately preserves the budget (both Delta and the noise
-// shrink by the dropped factor, up to a small additive rounding floor) —
-// what it buys is cheaper arithmetic, not headroom. Diagnostic only
-// (requires the secret key).
+// B - A*S - Delta_l*m, measured by the same pass as NoiseBits. When it
+// reaches zero, decryption starts failing. ModSwitch approximately
+// preserves the budget (both Delta and the noise shrink by the dropped
+// factor, up to a small additive rounding floor) — what it buys is
+// cheaper arithmetic, not headroom. Diagnostic (requires the secret key);
+// DecryptWithBudget measures it against the decrypted values.
 func (s *BackendScheme) NoiseBudgetBits(sk BackendSecretKey, ct BackendCiphertext, msg []uint64) (int, error) {
 	nb, err := s.NoiseBits(sk, ct, msg)
 	if err != nil {
 		return 0, err
 	}
-	db := s.B.DeltaBits(ct.Level)
+	return s.budgetBits(ct.Level, nb), nil
+}
+
+// budgetBits is the budget left at level by noise of nb bits.
+func (s *BackendScheme) budgetBits(level, nb int) int {
+	db := s.B.DeltaBits(level)
 	if nb == 0 {
-		return db, nil
+		return db
 	}
-	return max(db-nb-1, 0), nil
+	return max(db-nb-1, 0)
 }

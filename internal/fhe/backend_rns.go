@@ -2,6 +2,7 @@ package fhe
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -19,8 +20,8 @@ import (
 // the conventional-hardware philosophy the paper contrasts with double-word
 // residues. Ciphertext polynomials stay decomposed (rns.Poly) through
 // every homomorphic operation. Decryption rounds in residues too
-// (rnsLevel.round); only the noise diagnostic applies the CRT, where the
-// full-width value is needed.
+// (rnsLevel.round), and the noise measurement applies the CRT in fixed
+// k-word integers (rnsLevel.qHatWords), never in big integers.
 //
 // The modulus ladder is where the RNS philosophy pays off structurally: a
 // level is just a PREFIX of the tower basis (Q_l = q_0 * ... * q_{k-1-l}),
@@ -82,13 +83,16 @@ const mtilde = 1 << 16
 type rnsLevel struct {
 	c *rns.Context
 
-	delta     *big.Int // floor(Q_l / T), the plaintext scaling factor
-	deltaResT []uint64 // deltaResT[i] = Delta_l mod q_i
-	halfQ     *big.Int
+	deltaResT []uint64 // deltaResT[i] = Delta_l mod q_i, Delta_l = floor(Q_l / T)
 	deltaBits int
 
 	// round holds RoundToPlain's scale-and-round constants, one per tower.
 	round []roundTower
+
+	// NoiseBits's centred CRT in 64-bit words, least significant first:
+	// qHatWords[i*h:(i+1)*h] is Q_l/q_i in h = max(k-1, 1) words; qWords
+	// is Q_l and halfQWords floor(Q_l/2), k words each.
+	qHatWords, qWords, halfQWords []uint64
 
 	// BEHZ multiply machinery. ext is the extension base: k_l+1 towers
 	// whose product P gives the tensor headroom, plus the redundant
@@ -127,6 +131,7 @@ type rnsLevel struct {
 // phase modulo t, and its rounding modulo t is the plaintext.
 type roundTower struct {
 	qTilde, qTildePre uint64 // q~_i and its Shoup precomputation
+	deltaPre          uint64 // Shoup precomputation of Delta_l mod q_i (NoiseBits)
 	// fracHi:fracLo = floor(t * 2^128 / q_i), t/q_i (below 1, as t < q_i)
 	// as a 128-bit fraction.
 	fracHi, fracLo uint64
@@ -310,12 +315,8 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	if delta.Sign() == 0 {
 		return nil, fmt.Errorf("fhe: plaintext modulus %d too large for Q", b.t)
 	}
-	lv := &rnsLevel{
-		c:         c,
-		delta:     delta,
-		halfQ:     new(big.Int).Rsh(c.Q, 1),
-		deltaBits: delta.BitLen(),
-	}
+	halfQ := new(big.Int).Rsh(c.Q, 1)
+	lv := &rnsLevel{c: c, deltaBits: delta.BitLen()}
 	qb, frac, lo := new(big.Int), new(big.Int), new(big.Int)
 	word := new(big.Int).SetUint64(^uint64(0))
 	for i, mod := range c.Mods {
@@ -326,9 +327,12 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		qTilde := c.QiInv(i)
 		lv.round = append(lv.round, roundTower{
 			qTilde: qTilde, qTildePre: mod.ShoupPrecompute(qTilde),
-			fracHi: frac.Rsh(frac, 64).Uint64(), fracLo: fracLo,
+			deltaPre: mod.ShoupPrecompute(lv.deltaResT[i]),
+			fracHi:   frac.Rsh(frac, 64).Uint64(), fracLo: fracLo,
 		})
+		lv.qHatWords = append(lv.qHatWords, words(c.QiBig(i), max(k-1, 1))...)
 	}
+	lv.qWords, lv.halfQWords = words(c.Q, k), words(halfQ, k)
 	ext, err := rns.NewContextForPrimes(extPrimes, c.N)
 	if err != nil {
 		return nil, err
@@ -356,7 +360,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	vMax := new(big.Int).Mul(c.Q, c.Q)
 	vMax.Mul(vMax, n).Lsh(vMax, 1) // 2n*Q^2
 	wMax := new(big.Int).Mul(vMax, new(big.Int).SetUint64(b.t))
-	wMax.Add(wMax, lv.halfQ)
+	wMax.Add(wMax, halfQ)
 	full := new(big.Int).Mul(c.Q, ext.Q)
 	if wMax.Cmp(new(big.Int).Rsh(full, 1)) >= 0 {
 		return nil, fmt.Errorf("fhe: tensor product overflows base Q*E for T=%d", b.t)
@@ -373,7 +377,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		qb := new(big.Int).SetUint64(mod.Q)
 		qiInv := c.QiInv(i)
 		lv.digit = append(lv.digit, ring.NewAffine(mod,
-			mod.Mul(t.Mod(lv.halfQ, qb).Uint64(), qiInv), mod.Mul(b.t%mod.Q, qiInv)))
+			mod.Mul(t.Mod(halfQ, qb).Uint64(), qiInv), mod.Mul(b.t%mod.Q, qiInv)))
 		row := make([]uint64, k)
 		qi := c.QiBig(i)
 		for tau, modT := range c.Mods {
@@ -385,7 +389,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		qb := new(big.Int).SetUint64(mod.Q)
 		qInv := mod.Inv(t.Mod(c.Q, qb).Uint64())
 		lv.extRound = append(lv.extRound, ring.NewAffine(mod,
-			mod.Mul(t.Mod(lv.halfQ, qb).Uint64(), qInv),
+			mod.Mul(t.Mod(halfQ, qb).Uint64(), qInv),
 			mod.Mul(b.t%mod.Q, qInv), mod.Neg(qInv)))
 	}
 	maxQ, minQ := c.Mods[0].Q, c.Mods[0].Q
@@ -611,26 +615,108 @@ func (b *rnsBackend) RoundToPlain(level int, a Poly) []uint64 {
 
 func (b *rnsBackend) DeltaBits(level int) int { return b.levels[level].deltaBits }
 
+// NoiseBits measures the noise of the phase a against msg in residues,
+// with a centred CRT in fixed-width words and no big integers. Per
+// coefficient, with m = msg mod t: r_i = [x_i - Delta_l*m]_{q_i} and
+// y_i = [r_i*q~_i]_{q_i} (the Shoup pair of roundTower); the sum
+// S = sum_i y_i*(Q_l/q_i) is below k*Q_l, and S minus Q_l until it is
+// below Q_l is the noise x - Delta_l*m mod Q_l. Every q_i is below 2^62
+// (modmath.NewModulus64), so k*Q_l < k*2^(62k) < 2^(64k): S fits k words,
+// and each Q_l/q_i < 2^(62(k-1)) fits k-1.
+// Above floor(Q_l/2) it is centred to Q_l - S. The result is the largest
+// bit length over the coefficients, the same number the big-integer
+// reconstruction gives.
 func (b *rnsBackend) NoiseBits(level int, a Poly, msg []uint64) int {
 	lv := b.levels[level]
-	coeffs := make([]*big.Int, lv.c.N)
-	must(lv.c.ReconstructInto(coeffs, a.(rns.Poly)))
-	noise := new(big.Int)
+	x := a.(rns.Poly)
+	k := len(lv.round)
+	var stack [8]uint64 // the accumulator, off the heap up to k = 8
+	acc := stack[:]
+	if k > len(acc) {
+		acc = make([]uint64, k)
+	}
+	acc = acc[:k]
+	hw := len(lv.qHatWords) / k
 	maxBits := 0
-	for i, x := range coeffs {
-		noise.SetUint64(msg[i] % b.t)
-		noise.Mul(noise, lv.delta)
-		noise.Sub(x, noise)
-		noise.Mod(noise, lv.c.Q)
-		// Centered magnitude.
-		if noise.Cmp(lv.halfQ) > 0 {
-			noise.Sub(lv.c.Q, noise)
+	for j, m := range msg {
+		if m >= b.t {
+			m %= b.t
 		}
-		if bl := noise.BitLen(); bl > maxBits {
+		clear(acc)
+		for i := range lv.round {
+			r, q := &lv.round[i], lv.c.Mods[i].Q
+			// [Delta_l*m]_{q_i} lazily, in [0, 2q_i): x_i + 2q_i minus it is
+			// r_i plus a multiple of q_i below 2^64, which the Shoup product
+			// by q~_i reduces.
+			hi, _ := bits.Mul64(m, r.deltaPre)
+			ri := x.Res[i][j] + 2*q - (m*lv.deltaResT[i] - hi*q)
+			hi, _ = bits.Mul64(ri, r.qTildePre)
+			y := ri*r.qTilde - hi*q
+			if y >= q {
+				y -= q
+			}
+			var carry uint64
+			for w, h := range lv.qHatWords[i*hw : (i+1)*hw] {
+				hi, lo := bits.Mul64(y, h)
+				lo, c := bits.Add64(lo, carry, 0)
+				hi += c
+				acc[w], c = bits.Add64(acc[w], lo, 0)
+				carry = hi + c
+			}
+			if hw < k { // the partial sums are below S < 2^(64k): no carry out
+				acc[hw] += carry
+			}
+		}
+		for !wordsLess(acc, lv.qWords) {
+			wordsSub(acc, acc, lv.qWords)
+		}
+		if wordsLess(lv.halfQWords, acc) {
+			wordsSub(acc, lv.qWords, acc)
+		}
+		if bl := wordsBitLen(acc); bl > maxBits {
 			maxBits = bl
 		}
 	}
 	return maxBits
+}
+
+// words returns x as n 64-bit words, least significant first; x must fit.
+func words(x *big.Int, n int) []uint64 {
+	buf := x.FillBytes(make([]byte, 8*n))
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(buf[8*(n-1-i):])
+	}
+	return out
+}
+
+// wordsLess reports a < b for little-endian words of equal length.
+func wordsLess(a, b []uint64) bool {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+// wordsSub sets dst = a - b for a >= b, all of equal length; dst may
+// alias either.
+func wordsSub(dst, a, b []uint64) {
+	var borrow uint64
+	for i := range dst {
+		dst[i], borrow = bits.Sub64(a[i], b[i], borrow)
+	}
+}
+
+// wordsBitLen is the bit length of the little-endian words a.
+func wordsBitLen(a []uint64) int {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != 0 {
+			return 64*i + bits.Len64(a[i])
+		}
+	}
+	return 0
 }
 
 // rnsLevelRelin is one level's gadget key-switch key — the relin key's

@@ -2,6 +2,7 @@ package fhe
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"mqxgo/internal/modmath"
@@ -184,6 +185,18 @@ func TestBackendSchemeNoiseBudgetBothBackends(t *testing.T) {
 			}
 			if after > fresh {
 				t.Fatalf("budget grew after additions: %d > %d", after, fresh)
+			}
+			// DecryptWithBudget is Decrypt and NoiseBudgetBits from one phase.
+			for _, c := range []BackendCiphertext{ct, acc} {
+				vals, budget, err := s.DecryptWithBudget(sk, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := s.Decrypt(sk, c)
+				wantBudget, _ := s.NoiseBudgetBits(sk, c, want)
+				if !slices.Equal(vals, want) || budget != wantBudget {
+					t.Fatalf("DecryptWithBudget = %v, %d; Decrypt, NoiseBudgetBits = %v, %d", vals, budget, want, wantBudget)
+				}
 			}
 			if _, err := s.NoiseBudgetBits(sk, ct, make([]uint64, 5)); err == nil {
 				t.Error("expected message length error")

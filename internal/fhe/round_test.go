@@ -29,6 +29,11 @@ import (
 // the narrow levels is wider than 2^-60: there the result must equal the
 // exact round(t*x/Q_l), and the check counts it as a convention case.
 
+// levelDelta is Delta_l = floor(Q_l / t), the plaintext scale of a level.
+func levelDelta(b *rnsBackend, level int) *big.Int {
+	return new(big.Int).Div(b.levels[level].c.Q, new(big.Int).SetUint64(b.t))
+}
+
 type roundFix struct {
 	schemes []*BackendScheme // one per plaintext modulus in roundTs
 }
@@ -74,6 +79,7 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 	lv := b.levels[level]
 	c, T := lv.c, b.t
 	tBig := new(big.Int).SetUint64(T)
+	delta := levelDelta(b, level)
 	rng := rand.New(rand.NewSource(seed))
 
 	// The phase residues, and the planted message of each coefficient.
@@ -84,9 +90,9 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 		// e ranges over [-eMax, eMax], eMax the largest integer below
 		// Delta_l/2 - t - k*Delta_l/2^64; the pattern's low bits steer it
 		// to 0, to the extremes, or to small values.
-		eMax := new(big.Int).Rsh(lv.delta, 1)
+		eMax := new(big.Int).Rsh(delta, 1)
 		eMax.Sub(eMax, tBig)
-		slack := new(big.Int).Mul(lv.delta, big.NewInt(int64(len(c.Mods))))
+		slack := new(big.Int).Mul(delta, big.NewInt(int64(len(c.Mods))))
 		eMax.Sub(eMax, slack.Rsh(slack, 64)).Sub(eMax, big.NewInt(1))
 		span := new(big.Int).Lsh(eMax, 1)
 		span.Add(span, big.NewInt(1))
@@ -109,7 +115,7 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 				e.Sub(e, eMax)
 			}
 			x.SetUint64(msg[j])
-			x.Mul(x, lv.delta).Add(x, e)
+			x.Mul(x, delta).Add(x, e)
 			coeffs[j] = new(big.Int).Mod(x, c.Q)
 		}
 		if err := c.DecomposeInto(ph, coeffs); err != nil {
@@ -138,7 +144,7 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 	if err := c.ReconstructInto(xs, ph); err != nil {
 		t.Fatal(err)
 	}
-	halfDelta := new(big.Int).Rsh(lv.delta, 1)
+	halfDelta := new(big.Int).Rsh(delta, 1)
 	twoQ := new(big.Int).Lsh(c.Q, 1)
 	qOver2to59 := new(big.Int).Rsh(c.Q, 59)
 	convWindow := new(big.Int).Mul(twoQ, new(big.Int).SetUint64(T+1))
@@ -147,7 +153,7 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 	for j, x := range xs {
 		st.coeffs++
 		// The reference: round(x / Delta_l) mod t, rounding half up.
-		ref.Add(x, halfDelta).Div(ref, lv.delta).Mod(ref, tBig)
+		ref.Add(x, halfDelta).Div(ref, delta).Mod(ref, tBig)
 		want := ref.Uint64()
 		if planted {
 			if want != msg[j] || got[j] != msg[j] {
@@ -170,7 +176,7 @@ func checkRoundToPlain(t *testing.T, seed int64, pattern, levelByte, tByte byte)
 		}
 		// Outside the skip window the residue rounding is exact.
 		exact := tx.Lsh(tx, 1).Add(tx, c.Q).Div(tx, twoQ).Mod(tx, tBig).Uint64()
-		bound.Mul(dist, lv.delta)
+		bound.Mul(dist, delta)
 		if got[j] == exact && bound.Cmp(convWindow) < 0 { // dist/(2Q) < (t+1)/Delta_l
 			st.convention++
 			continue

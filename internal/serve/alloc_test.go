@@ -10,9 +10,8 @@ import (
 // destination handle reused via the in-place path (the steady-state
 // serving loop), applyEval — handle lookups, guardrail prediction, the
 // backend multiply through its pooled scratch, bound update — allocates
-// nothing, and so do the in-place add and modswitch. JSON transport is
-// excluded by design: encoding/json allocates and is measured by the load
-// driver instead.
+// nothing, and so do the in-place add and modswitch. The JSON transport
+// around it is pinned by TestEvalBodyDecodeAllocs.
 func TestServeEvalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -82,5 +81,34 @@ func TestServeEvalSteadyStateAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("steady-state serve modswitch allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestServeDecryptAllocs pins the decrypt integrity check: applyDecrypt
+// decrypts and measures the budget from one phase, in residues, so it
+// allocates only the plaintext it returns — where the big-integer budget
+// measurement alone once made one big.Int per coefficient.
+func TestServeDecryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := newTestServer(t, nil)
+	ten, apiErr := s.reg.create("alloc", s.cfg.Scheme)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	enc, apiErr := s.applyEncrypt(ten, testMsg(22))
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if _, apiErr := s.applyDecrypt(ten, enc.Handle); apiErr != nil { // warm the scratch pool
+		t.Fatal(apiErr)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if _, apiErr := s.applyDecrypt(ten, enc.Handle); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	}); got > 2 {
+		t.Errorf("applyDecrypt allocates %.1f per run, want at most 2", got)
 	}
 }

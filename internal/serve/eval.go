@@ -19,7 +19,7 @@ type evalRequest struct {
 	Out       string   `json:"out,omitempty"`        // optional: overwrite this handle in place
 	Steps     int      `json:"steps,omitempty"`      // rotate: slot rotation amount (may be negative)
 	TimeoutMS int      `json:"timeout_ms,omitempty"` // optional: tighter than the server cap
-	Values    []uint64 `json:"values,omitempty"`     // encrypt / encode / decode
+	Values    values   `json:"values,omitempty"`     // encrypt / encode / decode
 	Handle    string   `json:"handle,omitempty"`     // decrypt / free
 }
 
@@ -312,12 +312,13 @@ func (s *Server) applyEncrypt(t *tenant, values []uint64) (evalResponse, *apiErr
 }
 
 // applyDecrypt decrypts a handle and measures its remaining budget with
-// the secret key. A result whose measured budget is zero is withheld:
-// the plaintext cannot be distinguished from rounding garbage, which is
-// exactly what a bit-flip fault produces — the integrity check turns
-// silent corruption into a typed 500.
+// the secret key, both from one phase (fhe.DecryptWithBudget: the budget
+// is measured in residues, against the decrypted values). A result whose
+// measured budget is zero is withheld: the plaintext cannot be
+// distinguished from rounding garbage, which is exactly what a bit-flip
+// fault produces — the integrity check turns silent corruption into a
+// typed 500.
 func (s *Server) applyDecrypt(t *tenant, handle string) (evalResponse, *apiError) {
-	sch := s.cfg.Scheme
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, apiErr := t.lookup(handle)
@@ -325,17 +326,13 @@ func (s *Server) applyDecrypt(t *tenant, handle string) (evalResponse, *apiError
 		return evalResponse{}, apiErr
 	}
 	injectFlip(e.ct)
-	values, err := sch.Decrypt(t.sk, e.ct)
+	vals, budget, err := s.cfg.Scheme.DecryptWithBudget(t.sk, e.ct)
 	if err != nil {
 		return evalResponse{}, errBadRequest("decrypt: %v", err)
-	}
-	budget, err := sch.NoiseBudgetBits(t.sk, e.ct, values)
-	if err != nil {
-		return evalResponse{}, errf(http.StatusInternalServerError, CodeInternal, "budget measurement: %v", err)
 	}
 	if budget <= 0 {
 		return evalResponse{}, errf(http.StatusInternalServerError, CodeCorrupt,
 			"handle %q failed the decrypt integrity check (0 budget bits); plaintext withheld", handle)
 	}
-	return evalResponse{Handle: handle, Level: e.ct.Level, NoiseBits: e.noiseBits, BudgetBits: budget, Values: values}, nil
+	return evalResponse{Handle: handle, Level: e.ct.Level, NoiseBits: e.noiseBits, BudgetBits: budget, Values: vals}, nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -16,7 +15,8 @@ const bodyEnvelope = 64 << 10
 
 // Handler returns the server's HTTP mux. Every request body is capped at
 // room for N 20-digit values (the widest encrypt or encode array) plus
-// bodyEnvelope; decode answers 413 as soon as a body reads past the cap.
+// bodyEnvelope; reqBuf.decode answers 413 as soon as a body reads past the
+// cap.
 func (s *Server) Handler() http.Handler {
 	limit := 21*int64(s.cfg.Scheme.B.N()) + bodyEnvelope
 	mux := http.NewServeMux()
@@ -54,23 +54,6 @@ func (s *Server) writeErr(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.Status, map[string]*apiError{"error": e})
 }
 
-func decode[T any](r *http.Request, into *T) *apiError {
-	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, CodeBadRequest, "use POST")
-	}
-	if err := faultinject.Err(faultinject.SiteServeDecode); err != nil {
-		return errBadRequest("decode: %v", err)
-	}
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return errBadRequest("decode: %v", err)
-	}
-	return nil
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -87,7 +70,9 @@ func (s *Server) handleKeygen(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant string `json:"tenant"`
 	}
-	if apiErr := decode(r, &req); apiErr != nil {
+	rb := getReqBuf()
+	defer putReqBuf(rb)
+	if apiErr := rb.decode(r, &req); apiErr != nil {
 		s.writeErr(w, apiErr)
 		return
 	}
@@ -120,48 +105,63 @@ func tighten(ctx context.Context, timeoutMS int) (context.Context, context.Cance
 	return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 }
 
-// evalClass wraps an evaluation-class endpoint with the full hardened
-// request path: admission, deadline, panic recovery, latency metrics.
-// opName labels the latency histogram; when empty the decoded op field
-// is used.
-func (s *Server) evalClass(opName string, op func(ctx context.Context, r *http.Request) (evalResponse, string, *apiError)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if faultinject.Exhausted(faultinject.SiteServePool) {
-			s.writeErr(w, errf(http.StatusServiceUnavailable, CodePoolExhausted, "scratch pool exhausted"))
-			return
-		}
-		// The per-request deadline covers the whole stay in the server:
-		// time spent queued counts against it, so a saturated queue turns
-		// into fast 504s instead of unbounded client-side hangs.
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		release, apiErr := s.admit(ctx)
-		if apiErr != nil {
-			s.writeErr(w, apiErr)
-			return
-		}
-		defer release()
-		start := time.Now()
-		resp, label, apiErr := s.recoverEval(ctx, op, r)
-		if opName != "" {
-			label = opName
-		}
-		if apiErr != nil {
-			s.writeErr(w, apiErr)
-			return
-		}
-		s.m.completed.Add(1)
-		s.m.observe(label, time.Since(start))
-		writeJSON(w, http.StatusOK, resp)
-	}
+// evalOp is an evaluation-class endpoint's work on its decoded request.
+type evalOp func(ctx context.Context, req *evalRequest) (evalResponse, *apiError)
+
+// evalClass wraps an evaluation-class endpoint in serveEval.
+func (s *Server) evalClass(opName string, op evalOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.serveEval(w, r, opName, op) }
 }
 
-// recoverEval runs an evaluation op with panic containment: a panic —
-// organic or injected — is recovered here, counted, and surfaced as a
-// typed 500. The fhe layer has already quarantined any pooled scratch
-// the panic unwound through, so the next request starts from clean
-// buffers.
-func (s *Server) recoverEval(ctx context.Context, op func(ctx context.Context, r *http.Request) (evalResponse, string, *apiError), r *http.Request) (resp evalResponse, label string, apiErr *apiError) {
+// serveEval is the full hardened request path of an evaluation-class
+// endpoint: admission, deadline, panic recovery, pooled transport, latency
+// metrics. opName labels the latency histogram; when empty the decoded op
+// field is used.
+func (s *Server) serveEval(w http.ResponseWriter, r *http.Request, opName string, op evalOp) {
+	if faultinject.Exhausted(faultinject.SiteServePool) {
+		s.writeErr(w, errf(http.StatusServiceUnavailable, CodePoolExhausted, "scratch pool exhausted"))
+		return
+	}
+	// The per-request deadline covers the whole stay in the server:
+	// time spent queued counts against it, so a saturated queue turns
+	// into fast 504s instead of unbounded client-side hangs.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	release, apiErr := s.admit(ctx)
+	if apiErr != nil {
+		s.writeErr(w, apiErr)
+		return
+	}
+	defer release()
+	rb := getReqBuf()
+	defer putReqBuf(rb) // after the response is written: it may print rb's values
+	start := time.Now()
+	resp, apiErr := s.recoverEval(ctx, op, r, rb)
+	if apiErr != nil {
+		s.writeErr(w, apiErr)
+		return
+	}
+	label := opName
+	if label == "" {
+		label = rb.req.Op
+	}
+	s.m.completed.Add(1)
+	s.m.observe(label, time.Since(start))
+
+	start = time.Now()
+	rb.out = appendEvalResponse(rb.out[:0], &resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(rb.out)
+	s.m.encodeBody.observe(time.Since(start))
+}
+
+// recoverEval decodes the request body into rb and runs op on it, with
+// panic containment: a panic — organic or injected — is recovered here,
+// counted, and surfaced as a typed 500. The fhe layer has already
+// quarantined any pooled scratch the panic unwound through, so the next
+// request starts from clean buffers.
+func (s *Server) recoverEval(ctx context.Context, op evalOp, r *http.Request, rb *reqBuf) (resp evalResponse, apiErr *apiError) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.m.panics.Add(1)
@@ -170,48 +170,39 @@ func (s *Server) recoverEval(ctx context.Context, op func(ctx context.Context, r
 		}
 	}()
 	faultinject.Hit(faultinject.SiteServeHandler)
-	return op(ctx, r)
+	start := time.Now()
+	apiErr = rb.decodeEval(r)
+	s.m.decodeBody.observe(time.Since(start))
+	if apiErr != nil {
+		return evalResponse{}, apiErr
+	}
+	return op(ctx, &rb.req)
 }
 
-func (s *Server) doEncrypt(_ context.Context, r *http.Request) (evalResponse, string, *apiError) {
-	var req evalRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		return evalResponse{}, "encrypt", apiErr
-	}
+func (s *Server) doEncrypt(_ context.Context, req *evalRequest) (evalResponse, *apiError) {
 	t, apiErr := s.reg.get(req.Tenant)
 	if apiErr != nil {
-		return evalResponse{}, "encrypt", apiErr
+		return evalResponse{}, apiErr
 	}
-	resp, apiErr := s.applyEncrypt(t, req.Values)
-	return resp, "encrypt", apiErr
+	return s.applyEncrypt(t, req.Values)
 }
 
-func (s *Server) doEval(ctx context.Context, r *http.Request) (evalResponse, string, *apiError) {
-	var req evalRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		return evalResponse{}, "eval", apiErr
-	}
+func (s *Server) doEval(ctx context.Context, req *evalRequest) (evalResponse, *apiError) {
 	t, apiErr := s.reg.get(req.Tenant)
 	if apiErr != nil {
-		return evalResponse{}, req.Op, apiErr
+		return evalResponse{}, apiErr
 	}
 	evalCtx, cancel := tighten(ctx, req.TimeoutMS)
 	defer cancel()
-	resp, apiErr := s.applyEval(evalCtx, t, req)
-	return resp, req.Op, apiErr
+	return s.applyEval(evalCtx, t, *req)
 }
 
-func (s *Server) doDecrypt(_ context.Context, r *http.Request) (evalResponse, string, *apiError) {
-	var req evalRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		return evalResponse{}, "decrypt", apiErr
-	}
+func (s *Server) doDecrypt(_ context.Context, req *evalRequest) (evalResponse, *apiError) {
 	t, apiErr := s.reg.get(req.Tenant)
 	if apiErr != nil {
-		return evalResponse{}, "decrypt", apiErr
+		return evalResponse{}, apiErr
 	}
-	resp, apiErr := s.applyDecrypt(t, req.Handle)
-	return resp, "decrypt", apiErr
+	return s.applyDecrypt(t, req.Handle)
 }
 
 // handleFault is the test-only fault administration endpoint. On
@@ -223,7 +214,9 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		Disarm string `json:"disarm,omitempty"`
 		Reset  bool   `json:"reset,omitempty"`
 	}
-	if apiErr := decode(r, &req); apiErr != nil {
+	rb := getReqBuf()
+	defer putReqBuf(rb)
+	if apiErr := rb.decode(r, &req); apiErr != nil {
 		s.writeErr(w, apiErr)
 		return
 	}

@@ -72,6 +72,11 @@ type metrics struct {
 	panics    atomic.Uint64 // requests that panicked and were recovered
 
 	perOp map[string]*histogram // fixed key set, created once; values are atomic
+
+	// The JSON transport of evaluation-class requests: reading and
+	// decoding a body (every admitted request that gets that far),
+	// printing and writing a success response.
+	decodeBody, encodeBody histogram
 }
 
 // observedOps is every label evalClass can hand observe: the encrypt and
@@ -100,9 +105,14 @@ type OpLatency struct {
 	P99US uint64 `json:"p99_us"`
 }
 
+func (h *histogram) summary() OpLatency {
+	return OpLatency{Count: h.count.Load(), P50US: h.quantileUS(0.50), P99US: h.quantileUS(0.99)}
+}
+
 // Snapshot is the /v1/metrics payload: admission counters, the two live
 // gauges, the process-wide scratch quarantine count from the fhe layer,
-// and per-op latency summaries.
+// per-op latency summaries, and the transport's decode_body and
+// encode_body summaries.
 type Snapshot struct {
 	Admitted    uint64 `json:"admitted"`
 	Shed        uint64 `json:"shed"`
@@ -119,6 +129,7 @@ type Snapshot struct {
 
 	FaultsArmed []string             `json:"faults_armed,omitempty"`
 	PerOp       map[string]OpLatency `json:"per_op"`
+	Transport   map[string]OpLatency `json:"transport"`
 }
 
 func (s *Server) snapshot() Snapshot {
@@ -136,13 +147,13 @@ func (s *Server) snapshot() Snapshot {
 		InFlight:    len(s.workSlots),
 		Draining:    s.draining.Load(),
 		PerOp:       make(map[string]OpLatency, len(s.m.perOp)),
+		Transport: map[string]OpLatency{
+			"decode_body": s.m.decodeBody.summary(),
+			"encode_body": s.m.encodeBody.summary(),
+		},
 	}
 	for op, h := range s.m.perOp {
-		snap.PerOp[op] = OpLatency{
-			Count: h.count.Load(),
-			P50US: h.quantileUS(0.50),
-			P99US: h.quantileUS(0.99),
-		}
+		snap.PerOp[op] = h.summary()
 	}
 	if faultinject.Enabled {
 		for _, spec := range faultinject.Armed() {
