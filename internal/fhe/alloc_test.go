@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/rns"
+	"mqxgo/internal/scratch"
 )
 
 // allocFixture builds a scheme on an RNS backend of the given tower
@@ -55,7 +56,7 @@ func allocFixture(t *testing.T, levels, workers int) (*BackendScheme, BackendRel
 // evaluation-domain return — must allocate nothing. (The 128-bit oracle backend is exempt by
 // design: it trades allocation discipline for exact big-int arithmetic.)
 func TestRNSMulCtDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, rlk, _, c1, c2 := allocFixture(t, 2, 1)
@@ -77,7 +78,7 @@ func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 // the same zero-allocation bar — it is the ladder benchmark's exact
 // workload.
 func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, rlk, _, c1, _ := allocFixture(t, 2, 1)
@@ -98,7 +99,7 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 // primitive: with the Rescaler's scratch pool warmed and a reused
 // destination ciphertext, dropping a level allocates nothing.
 func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, _, _, ct, _ := allocFixture(t, 3, 1)
@@ -122,7 +123,7 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 // Rotation is plain ring arithmetic mod Q, so the gate runs on the
 // standard fixture regardless of the plaintext modulus.
 func TestRNSRotateDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, _, gk, c1, _ := allocFixture(t, 2, 1)
@@ -154,7 +155,7 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 // every evaluation op fans its towers out through the pooled frame's
 // ring.Fanout, which must allocate nothing either.
 func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, rlk, gk, c1, c2 := allocFixture(t, 3, 2)
@@ -191,7 +192,7 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 // ciphertext and noise, within a bound of 11; and an in-place add
 // allocates nothing.
 func TestRNSDecryptAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n, T = 256, 257
@@ -248,7 +249,7 @@ func TestRNSDecryptAllocs(t *testing.T) {
 // nothing — they are the per-request core of the serve layer's
 // encode/decode ops.
 func TestSlotEncoderDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n, T = 256, 40961

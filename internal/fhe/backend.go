@@ -7,6 +7,10 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+
+	"mqxgo/internal/rns"
+	"mqxgo/internal/scratch"
+	"mqxgo/internal/u128"
 )
 
 // Poly is an opaque backend-owned polynomial handle: []u128.U128 for the
@@ -185,7 +189,7 @@ type BackendCiphertext struct {
 //
 // A BackendScheme is safe for concurrent use: the evaluation entry points
 // share no mutable state (the backends keep per-call scratch in
-// sync.Pools), and the sampling entry points — KeyGen, Encrypt,
+// scratch.Pools), and the sampling entry points — KeyGen, Encrypt,
 // RelinKeyGen — serialize on an internal mutex because rand.Rand is not
 // goroutine-safe.
 type BackendScheme struct {
@@ -201,27 +205,36 @@ type BackendScheme struct {
 	slotEnc  *SlotEncoder
 	slotErr  error
 
-	// scratch[l] pools level-l polynomials: the phase Decrypt,
-	// DecryptWithBudget and NoiseBits read, and the noise-plus-message
-	// term of Encrypt.
-	scratch []sync.Pool
+	// scratch[l] pools level-l polynomials, contents unspecified: the
+	// phase Decrypt, DecryptWithBudget and NoiseBits read, and the
+	// noise-plus-message term of Encrypt.
+	scratch []scratch.Pool[Poly]
 }
 
 // NewBackendScheme builds a scheme on b with the given seed.
 func NewBackendScheme(b Backend, seed int64) *BackendScheme {
 	s := &BackendScheme{B: b, rng: rand.New(rand.NewSource(seed))}
-	s.scratch = make([]sync.Pool, b.Levels())
+	s.scratch = make([]scratch.Pool[Poly], b.Levels())
 	for l := range s.scratch {
-		s.scratch[l].New = func() any { return b.NewPolyAt(l) }
+		s.scratch[l].New = func() *Poly {
+			p := b.NewPolyAt(l)
+			return &p
+		}
+		s.scratch[l].Poison = poisonPoly
 	}
 	return s
 }
 
-// scratchAt takes a level-l polynomial from the pool, its contents
-// unspecified; putScratch returns it.
-func (s *BackendScheme) scratchAt(level int) Poly { return s.scratch[level].Get() }
-
-func (s *BackendScheme) putScratch(level int, p Poly) { s.scratch[level].Put(p) }
+// poisonPoly overwrites a pooled polynomial's coefficients with a
+// non-residue (race builds only; see scratch.Pool).
+func poisonPoly(p *Poly) {
+	switch x := (*p).(type) {
+	case rns.Poly:
+		scratch.FillRows(x.Res)
+	case []u128.U128:
+		scratch.Fill(x)
+	}
+}
 
 // noiseBound bounds the centered error magnitude of fresh encryptions.
 const noiseBound = 8
@@ -337,8 +350,9 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 		noise[i] = int64(s.rng.Intn(2*noiseBound+1) - noiseBound)
 	}
 	s.rngMu.Unlock()
-	e := s.scratchAt(0)
-	defer s.putScratch(0, e)
+	ep := s.scratch[0].Get()
+	defer s.scratch[0].Put(ep)
+	e := *ep
 	b.SetSigned(e, noise)        // E
 	b.AddDeltaMsg(0, e, e, msg)  // + Delta*M
 	b.ToNTT(0, e, e)             // NTT(E + Delta*M)
@@ -352,14 +366,15 @@ func (s *BackendScheme) Encrypt(sk BackendSecretKey, msg []uint64) (BackendCiphe
 // level: the value decryption rounds and the noise diagnostics measure.
 // It is B - A∘ŝ_l in the evaluation domain, then one inverse transform per
 // tower, all in one polynomial taken from the level's scratch pool, which
-// the caller returns with putScratch; ct is never mutated.
-func (s *BackendScheme) phase(sk BackendSecretKey, ct BackendCiphertext) Poly {
+// the caller Puts back; ct is never mutated.
+func (s *BackendScheme) phase(sk BackendSecretKey, ct BackendCiphertext) *Poly {
 	b, l := s.B, ct.Level
-	p := s.scratchAt(l)
+	pp := s.scratch[l].Get()
+	p := *pp
 	b.PMul(l, p, ct.A, sk.sHat[l])
 	b.Sub(l, p, ct.B, p)
 	b.ToCoeff(l, p, p)
-	return p
+	return pp
 }
 
 // Decrypt recovers the plaintext at the ciphertext's level:
@@ -372,8 +387,8 @@ func (s *BackendScheme) Decrypt(sk BackendSecretKey, ct BackendCiphertext) ([]ui
 		return nil, err
 	}
 	p := s.phase(sk, ct)
-	defer s.putScratch(ct.Level, p)
-	return s.B.RoundToPlain(ct.Level, p), nil
+	defer s.scratch[ct.Level].Put(p)
+	return s.B.RoundToPlain(ct.Level, *p), nil
 }
 
 // DecryptWithBudget is Decrypt plus NoiseBudgetBits against the decrypted
@@ -389,9 +404,9 @@ func (s *BackendScheme) DecryptWithBudget(sk BackendSecretKey, ct BackendCiphert
 		return nil, 0, err
 	}
 	p := s.phase(sk, ct)
-	defer s.putScratch(ct.Level, p)
-	values = s.B.RoundToPlain(ct.Level, p)
-	return values, s.budgetBits(ct.Level, s.B.NoiseBits(ct.Level, p, values)), nil
+	defer s.scratch[ct.Level].Put(p)
+	values = s.B.RoundToPlain(ct.Level, *p)
+	return values, s.budgetBits(ct.Level, s.B.NoiseBits(ct.Level, *p, values)), nil
 }
 
 // AddCiphertextsInto is homomorphic addition into dst, shaped for and
@@ -695,8 +710,8 @@ func (s *BackendScheme) NoiseBits(sk BackendSecretKey, ct BackendCiphertext, msg
 		return 0, fmt.Errorf("fhe: message length mismatch")
 	}
 	p := s.phase(sk, ct)
-	defer s.putScratch(ct.Level, p)
-	return s.B.NoiseBits(ct.Level, p, msg), nil
+	defer s.scratch[ct.Level].Put(p)
+	return s.B.NoiseBits(ct.Level, *p, msg), nil
 }
 
 // NoiseBudgetBits estimates the remaining noise budget of a ciphertext in

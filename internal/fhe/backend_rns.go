@@ -8,12 +8,12 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"mqxgo/internal/faultinject"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
 	"mqxgo/internal/rns"
+	"mqxgo/internal/scratch"
 )
 
 // rnsBackend runs the identical scheme on a basis of 64-bit RNS towers —
@@ -120,7 +120,7 @@ type rnsLevel struct {
 	relinLazy bool
 
 	rescale *rns.Rescaler // Q_l -> Q_{l+1} (nil at the bottom rung)
-	mulPool sync.Pool
+	mulPool scratch.Pool[rnsMulScratch]
 }
 
 // roundTower is one tower's share of the RNS scale-and-round of
@@ -207,6 +207,20 @@ func (sc *rnsMulScratch) release() {
 	sc.in = [4]rns.Poly{}
 	sc.outA, sc.outB = rns.Poly{}, rns.Poly{}
 	lv.mulPool.Put(sc)
+}
+
+// poison overwrites the frame's own rows (race builds only; see
+// scratch.Pool). The call frame and extRows, which point at rows the
+// frame does not own, are left alone.
+func (sc *rnsMulScratch) poison() {
+	for _, p := range [...]rns.Poly{sc.zQ, sc.c0Q, sc.c1Q, sc.c2Q, sc.c0E, sc.c1E, sc.c2E, sc.convE, sc.accA, sc.accB, sc.liftQ, sc.prodQ} {
+		scratch.FillRows(p.Res)
+	}
+	for _, ps := range [...][]rns.Poly{sc.opE[:], sc.evE[:], sc.opQ[:]} {
+		for _, p := range ps {
+			scratch.FillRows(p.Res)
+		}
+	}
 }
 
 // NewRNSBackend wraps an RNS context and plaintext modulus t as a
@@ -405,7 +419,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	// the 64-bit accumulator, and the final Barrett64Reduce(0, acc) needs
 	// acc < q^2, i.e. q > 2^32 so that q^2 covers the whole accumulator.
 	lv.relinLazy = uint64(k) <= ^uint64(0)/(2*maxQ) && minQ > 1<<32
-	lv.mulPool.New = func() any {
+	lv.mulPool.New = func() *rnsMulScratch {
 		sc := &rnsMulScratch{
 			c0Q: c.NewPoly(), c1Q: c.NewPoly(), c2Q: c.NewPoly(),
 			c0E: ext.NewPoly(), c1E: ext.NewPoly(), c2E: ext.NewPoly(),
@@ -426,6 +440,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 		}
 		return sc
 	}
+	lv.mulPool.Poison = (*rnsMulScratch).poison
 	return lv, nil
 }
 
@@ -875,7 +890,7 @@ func (b *rnsBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct B
 		}
 		return nil
 	}
-	sc := lv.mulPool.Get().(*rnsMulScratch)
+	sc := lv.mulPool.Get()
 	defer sc.release()
 	sc.lv = lv
 	sc.in[0], sc.in[1] = srcA, srcB
@@ -1009,7 +1024,7 @@ func (b *rnsBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct
 	}
 	a1, b1 := ct1.A.(rns.Poly), ct1.B.(rns.Poly)
 	a2, b2 := ct2.A.(rns.Poly), ct2.B.(rns.Poly)
-	sc := lv.mulPool.Get().(*rnsMulScratch)
+	sc := lv.mulPool.Get()
 	defer sc.release()
 	sc.lv = lv
 	sc.in = [4]rns.Poly{a1, b1, a2, b2}

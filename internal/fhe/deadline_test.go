@@ -10,6 +10,7 @@ import (
 	"mqxgo/internal/faultinject"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/rns"
+	"mqxgo/internal/scratch"
 )
 
 // countdownCtx is a deterministic context whose Err() starts returning
@@ -214,7 +215,7 @@ func TestDeadlineErrorIdentity(t *testing.T) {
 // a long run of cancelled evaluations allocates nothing and leaves the
 // warmed pool intact for the next successful multiply.
 func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s, rlk, _, c1, c2 := allocFixture(t, 2, 1)

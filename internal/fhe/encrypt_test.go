@@ -69,7 +69,8 @@ func TestEncryptAndPhaseMatchCoefficientForm(t *testing.T) {
 
 			for cur := ct; ; {
 				l := cur.Level
-				got := s.phase(sk, cur)
+				gp := s.phase(sk, cur)
+				got := *gp
 				ca, cb := b.Copy(cur.A), b.Copy(cur.B)
 				b.ToCoeff(l, ca, ca)
 				b.ToCoeff(l, cb, cb)
@@ -79,7 +80,7 @@ func TestEncryptAndPhaseMatchCoefficientForm(t *testing.T) {
 				if !reflect.DeepEqual(got, old) {
 					t.Fatalf("level %d: phase differs from INTT(B) - INTT(A)*S", l)
 				}
-				s.putScratch(l, got)
+				s.scratch[l].Put(gp)
 				if l == b.Levels()-1 {
 					break
 				}

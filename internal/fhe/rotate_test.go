@@ -2,7 +2,10 @@ package fhe
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mqxgo/internal/modmath"
@@ -124,6 +127,48 @@ func TestSlotEncoderRoundTripAndSemantics(t *testing.T) {
 		if n > 64 {
 			break // the schoolbook check is O(n^2); once past 64 is enough
 		}
+	}
+}
+
+// TestSlotEncoderConcurrentUse shares one encoder between goroutines,
+// each round-tripping its own slots through EncodeInto and DecodeInto.
+// Under -race a pooled row used past its Put, or kept in a field or
+// global across calls, is touched by two goroutines without ordering and
+// is reported as a data race.
+func TestSlotEncoderConcurrentUse(t *testing.T) {
+	const n, goroutines, iters = 256, 6, 40
+	enc, err := NewSlotEncoder(n, packedT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slots := randomSlots(n, int64(g))
+			msg, back := make([]uint64, n), make([]uint64, n)
+			for it := 0; it < iters; it++ {
+				if err := enc.EncodeInto(msg, slots); err != nil {
+					errs <- err
+					return
+				}
+				if err := enc.DecodeInto(back, msg); err != nil {
+					errs <- err
+					return
+				}
+				if !slices.Equal(back, slots) {
+					errs <- fmt.Errorf("goroutine %d, call %d: slots do not round-trip", g, it)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -2,11 +2,11 @@ package fhe
 
 import (
 	"fmt"
-	"sync"
 
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ntt"
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 )
 
 // Slot packing: the plaintext CRT. When the plaintext modulus T is an
@@ -31,7 +31,7 @@ type SlotEncoder struct {
 	plan *ring.Plan[uint64, ring.Shoup64]
 	pos  []int32 // slot index -> evaluation-order position
 
-	scratch sync.Pool // *[]uint64 of length n
+	scratch scratch.Pool[[]uint64] // rows of length n
 }
 
 // NewSlotEncoder builds the plaintext-CRT encoder for degree n and
@@ -62,10 +62,11 @@ func NewSlotEncoder(n int, t uint64) (*SlotEncoder, error) {
 		return nil, err
 	}
 	e := &SlotEncoder{n: n, t: t, plan: plan.Generic(), pos: pos}
-	e.scratch.New = func() any {
+	e.scratch.New = func() *[]uint64 {
 		s := make([]uint64, n)
 		return &s
 	}
+	e.scratch.Poison = func(s *[]uint64) { scratch.Fill(*s) }
 	return e, nil
 }
 
@@ -78,7 +79,7 @@ func (e *SlotEncoder) EncodeInto(msg, slots []uint64) error {
 	if len(msg) != e.n || len(slots) != e.n {
 		return fmt.Errorf("fhe: encode needs %d slots and %d coefficients, got %d and %d", e.n, e.n, len(slots), len(msg))
 	}
-	bp := e.scratch.Get().(*[]uint64)
+	bp := e.scratch.Get()
 	tmp := *bp
 	for j, p := range e.pos {
 		tmp[p] = slots[j] % e.t
@@ -96,7 +97,7 @@ func (e *SlotEncoder) DecodeInto(slots, msg []uint64) error {
 	if len(msg) != e.n || len(slots) != e.n {
 		return fmt.Errorf("fhe: decode needs %d coefficients and %d slots, got %d and %d", e.n, e.n, len(msg), len(slots))
 	}
-	bp := e.scratch.Get().(*[]uint64)
+	bp := e.scratch.Get()
 	tmp := *bp
 	e.plan.NegacyclicForwardInto(tmp, msg)
 	for j, p := range e.pos {

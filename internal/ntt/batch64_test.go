@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 )
 
 // 64-bit batch regression tests on Plan64.Generic(), mirroring the
 // 128-bit suite in engine_test.go so the 64-bit path is exercised under
-// -race too (the raceEnabled gate in race_on_test.go / race_off_test.go
+// -race too (the scratch.Race gate in race_on_test.go / race_off_test.go
 // skips only the allocation assertions, which race instrumentation breaks
 // by design).
 
@@ -72,7 +73,7 @@ func TestBatch64IntoMatchesBatch(t *testing.T) {
 // 64-bit batch dispatch must stay at a handful of fixed allocations per
 // call, not O(batch) buffers.
 func TestBatch64IntoAllocsBounded(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n, batch = 1 << 8, 32

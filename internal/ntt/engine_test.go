@@ -7,6 +7,7 @@ import (
 
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 	"mqxgo/internal/u128"
 )
 
@@ -132,7 +133,7 @@ func TestPlan64IntoMatchesWrappers(t *testing.T) {
 // --- Allocation regression (the PR's acceptance criterion) ---
 
 func TestIntoAPIsDoNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	mod := testMod(t)
@@ -159,7 +160,7 @@ func TestIntoAPIsDoNotAllocate(t *testing.T) {
 }
 
 func TestPlan64IntoAPIsDoNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 1 << 10
@@ -195,7 +196,7 @@ func TestPlan64IntoAPIsDoNotAllocate(t *testing.T) {
 // handful of fixed allocations (closures and WaitGroup bookkeeping), not
 // O(batch) buffers.
 func TestBatchIntoAllocsBounded(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	mod := testMod(t)

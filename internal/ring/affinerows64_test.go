@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/scratch"
 )
 
 // TestAffineRowsMatchesBigInt pins the entry point to its integer
@@ -74,7 +75,7 @@ func nttModulus(t testing.TB, primeBits int, order uint64) *modmath.Modulus64 {
 // AffineRows carries every BEHZ conversion: it must hold the transform
 // paths' 0 allocs/op at every tier the host runs.
 func TestAffineRowsDoesNotAllocate(t *testing.T) {
-	if raceEnabledInternal {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	m := simdMod(t)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 )
 
 // Steady-state allocation regression for the span-kernel dispatch: it
@@ -30,7 +31,7 @@ func TestVectorKernelPathsDoNotAllocate(t *testing.T) {
 // per tier the host supports. Both sizes run: at n=8 every stage takes
 // the dense span kernels, at n=256 the top stages take the blocked ones.
 func checkKernelPathsDoNotAllocate(t *testing.T, tiers ...ring.KernelTier) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 1 << 8

@@ -150,11 +150,11 @@ func (p *Plan[T, R]) BatchForwardInto(dst, inputs [][]T, workers int) {
 	p.checkBatch(dst, inputs)
 	var f Fanout
 	f.Run(len(inputs), workers, rangeFunc(func(start, end int) {
-		sc := p.getScratch()
+		sc := p.scratch.Get()
 		for i := start; i < end; i++ {
 			p.forwardStages(dst[i], inputs[i], sc)
 		}
-		p.putScratch(sc)
+		p.scratch.Put(sc)
 	}))
 }
 

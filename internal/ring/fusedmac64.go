@@ -36,8 +36,8 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 	p.checkLen(len(preA))
 	p.checkLen(len(wB))
 	p.checkLen(len(preB))
-	sc := p.getScratch()
-	ping := p.getScratch()
+	sc := p.scratch.Get()
+	ping := p.scratch.Get()
 	work := sc.a[:p.N]
 
 	// Twist, exactly as NegacyclicForwardInto: relaxed outputs feed the
@@ -59,8 +59,8 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 	// Fused final stage on the plan's kernel tier.
 	half := p.N >> 1
 	p.kern.(shoup64Kernels).MACFinal2Span(accA, accB, src[:half], src[half:p.N], wA, preA, wB, preB)
-	p.putScratch(ping)
-	p.putScratch(sc)
+	p.scratch.Put(ping)
+	p.scratch.Put(sc)
 }
 
 // MACFinal2Span is the scalar tier's fused final stage (see

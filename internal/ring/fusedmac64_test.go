@@ -3,9 +3,11 @@ package ring
 import (
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/scratch"
 )
 
 // TestNegacyclicForwardMAC2BitIdentity gates the fused
@@ -56,7 +58,7 @@ func TestNegacyclicForwardMAC2BitIdentity(t *testing.T) {
 			}
 
 			NegacyclicForwardMAC2(p, accA, accB, x, wA, preA, wB, preB)
-			name := tier.String() + "/" + string(rune('0'+n%10))
+			name := tier.String() + "/" + strconv.Itoa(n)
 			diffU64(t, name+" accA", accA, refA)
 			diffU64(t, name+" accB", accB, refB)
 		}
@@ -66,7 +68,7 @@ func TestNegacyclicForwardMAC2BitIdentity(t *testing.T) {
 // The fused MAC is a hot ladder-path call: it must hold the transform
 // paths' 0 allocs/op at every tier the host runs.
 func TestNegacyclicForwardMAC2DoesNotAllocate(t *testing.T) {
-	if raceEnabledInternal {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	ps, err := modmath.FindNTTPrimes64(59, 512, 1)

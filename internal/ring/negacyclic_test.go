@@ -6,6 +6,7 @@ import (
 
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 	"mqxgo/internal/u128"
 )
 
@@ -78,7 +79,7 @@ func TestNegacyclicSplitMatchesFused(t *testing.T) {
 // The split entry points join the zero-allocation contract of the other
 // *Into transforms.
 func TestNegacyclicSplitDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	mod := testPrime64(t, 1<<8)

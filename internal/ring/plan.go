@@ -2,7 +2,8 @@ package ring
 
 import (
 	"fmt"
-	"sync"
+
+	"mqxgo/internal/scratch"
 )
 
 // Plan holds the precomputed tables for size-n negacyclic-capable
@@ -45,8 +46,8 @@ type Plan[T any, R Ring[T]] struct {
 	untwist table[T]
 
 	// scratch pools ping-pong buffer pairs so steady-state transforms
-	// allocate nothing.
-	scratch sync.Pool
+	// allocate nothing; a pair is valid only until it is Put back.
+	scratch scratch.Pool[scratchPair[T]]
 
 	// kern is the span-kernel set every operation runs, bound once at
 	// plan build: a Shoup64 ring hands over the kernel set of its
@@ -123,8 +124,12 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 	p.kern = kern.(SpanKernels[T])
 	p.blk, _ = kern.(BlockedSpanKernels[T])
 	p.buildTables(withPre)
-	p.scratch.New = func() any {
+	p.scratch.New = func() *scratchPair[T] {
 		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
+	}
+	p.scratch.Poison = func(s *scratchPair[T]) {
+		scratch.Fill(s.a)
+		scratch.Fill(s.b)
 	}
 	return p, nil
 }
@@ -219,17 +224,6 @@ func (p *Plan[T, R]) FwdStage(s int) []T {
 	return t.w
 }
 
-// getScratch checks a ping/pong buffer pair out of the plan pool; the
-// value is only valid until the matching putScratch.
-//
-//mqx:scratch
-func (p *Plan[T, R]) getScratch() *scratchPair[T] { return p.scratch.Get().(*scratchPair[T]) }
-
-// putScratch recycles a pair checked out by getScratch.
-//
-//mqx:scratchput
-func (p *Plan[T, R]) putScratch(s *scratchPair[T]) { p.scratch.Put(s) }
-
 func (p *Plan[T, R]) checkLen(n int) {
 	if n != p.N {
 		panic("ring: input length does not match plan size")
@@ -242,9 +236,9 @@ func (p *Plan[T, R]) checkLen(n int) {
 func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(x))
-	sc := p.getScratch()
+	sc := p.scratch.Get()
 	p.forwardStages(dst, x, sc)
-	p.putScratch(sc)
+	p.scratch.Put(sc)
 }
 
 // InverseInto computes the inverse NTT of y (bit-reversed order) into dst
@@ -253,9 +247,9 @@ func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 func (p *Plan[T, R]) InverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
-	sc := p.getScratch()
+	sc := p.scratch.Get()
 	p.inverseStages(dst, y, sc, true)
-	p.putScratch(sc)
+	p.scratch.Put(sc)
 }
 
 // PolyMulNegacyclicInto computes dst = a*b in Z_q[x]/(x^n + 1) via the
@@ -264,11 +258,11 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	p.checkLen(len(b))
-	poly := p.getScratch()
-	ping := p.getScratch()
+	poly := p.scratch.Get()
+	ping := p.scratch.Get()
 	p.polyMulNegacyclicScratch(dst, a, b, poly, ping)
-	p.putScratch(ping)
-	p.putScratch(poly)
+	p.scratch.Put(ping)
+	p.scratch.Put(poly)
 }
 
 // NegacyclicForwardInto computes the forward half of a negacyclic product:
@@ -281,10 +275,10 @@ func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
-	sc := p.getScratch()
+	sc := p.scratch.Get()
 	p.kern.MulPreSpan(dst, a, p.twist.w, p.twist.pre)
 	p.forwardStages(dst, dst, sc)
-	p.putScratch(sc)
+	p.scratch.Put(sc)
 }
 
 // NegacyclicInverseInto is the inverse half: dst = psi^-j ∘ INTT(y), with
@@ -295,11 +289,11 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
-	sc := p.getScratch()
+	sc := p.scratch.Get()
 	p.inverseStages(dst, y, sc, false)
 	// psi^-j * N^-1, landing the deferred normalization.
 	p.kern.MulPreNormSpan(dst, dst, p.untwist.w, p.untwist.pre)
-	p.putScratch(sc)
+	p.scratch.Put(sc)
 }
 
 // PointwiseMulInto computes the coefficient-wise product dst[i] = a[i]·b[i]

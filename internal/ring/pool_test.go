@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"mqxgo/internal/scratch"
 )
 
 // poolStarted reads the worker pool size under its lock (safe under -race).
@@ -117,7 +119,7 @@ func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
 // TestFanoutReusedFrameDoesNotAlloc pins the frame's purpose: a reused
 // Fanout dispatches at width 1 and 2 without allocating.
 func TestFanoutReusedFrameDoesNotAlloc(t *testing.T) {
-	if raceEnabledInternal {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	var sink atomic.Int64

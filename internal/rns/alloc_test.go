@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"mqxgo/internal/scratch"
 )
 
 // Steady-state allocation regression for the Poly hot paths, matching the
@@ -14,7 +16,7 @@ import (
 // of them may allocate. TestTowerDispatchWidth2DoesNotAllocate holds
 // tower-parallel dispatch to the same bar.
 func TestPolyHotPathsDoNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 1 << 8
@@ -82,7 +84,7 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 // one pooled ring.Fanout frame, so with the pools warm MulAll, both
 // transforms and the resident rescale allocate nothing.
 func TestTowerDispatchWidth2DoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const workers = 2
@@ -116,7 +118,7 @@ func TestTowerDispatchWidth2DoesNotAllocate(t *testing.T) {
 // tables and pooled digit scratch, so with reused destinations none may
 // allocate.
 func TestBaseConversionHotPathsDoNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	f := convFix(t)
@@ -173,7 +175,7 @@ func TestBaseConversionHotPathsDoNotAllocate(t *testing.T) {
 // first call has grown the destination big.Ints to capacity, repeated
 // reconstruction into the same buffers allocates nothing.
 func TestReconstructIntoSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const n = 1 << 6

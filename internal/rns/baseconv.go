@@ -3,9 +3,9 @@ package rns
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 )
 
 // This file implements the RNS base-management trio that a BFV-style
@@ -64,12 +64,20 @@ type convScratch struct {
 	list  [][]uint64
 }
 
-func newConvScratch(n, digits, extra int) *convScratch {
-	rows := ring.AllocBatch[uint64](n, digits+extra)
-	return &convScratch{
-		z:     Poly{Res: rows[:digits:digits]},
-		extra: rows[digits:],
-		list:  append([][]uint64(nil), rows...),
+// initConvPool sets p to hand out frames of digits+extra rows of n words.
+// Only the rows are poisoned: list may hold a caller's row after a call.
+func initConvPool(p *scratch.Pool[convScratch], n, digits, extra int) {
+	p.New = func() *convScratch {
+		rows := ring.AllocBatch[uint64](n, digits+extra)
+		return &convScratch{
+			z:     Poly{Res: rows[:digits:digits]},
+			extra: rows[digits:],
+			list:  append([][]uint64(nil), rows...),
+		}
+	}
+	p.Poison = func(sc *convScratch) {
+		scratch.FillRows(sc.z.Res)
+		scratch.FillRows(sc.extra)
 	}
 }
 
@@ -92,7 +100,7 @@ type BaseConverter struct {
 	// sum[j] weighs the digit rows into tower j: (Q/q_i) mod p_j.
 	sum []ring.Affine
 
-	scratch sync.Pool
+	scratch scratch.Pool[convScratch]
 }
 
 // NewBaseConverter precomputes the conversion tables between two contexts
@@ -105,7 +113,7 @@ func NewBaseConverter(from, to *Context) (*BaseConverter, error) {
 	for _, mod := range to.Mods {
 		bc.sum = append(bc.sum, ring.NewAffine(mod, 0, crtWeights(from, mod.Q)...))
 	}
-	bc.scratch.New = func() any { return newConvScratch(from.N, from.Channels(), 0) }
+	initConvPool(&bc.scratch, from.N, from.Channels(), 0)
 	return bc, nil
 }
 
@@ -129,7 +137,7 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 	if err := bc.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := bc.scratch.Get().(*convScratch)
+	sc := bc.scratch.Get()
 	// Digits z_i = x_i * (Q/q_i)^-1 mod q_i, canonical.
 	for i, plan := range bc.from.Plans {
 		plan.Generic().ScalarMulInto(sc.z.Res[i], src.Res[i], bc.from.qiInv[i])
@@ -195,7 +203,7 @@ type MontBaseConverter struct {
 	// (Q/q_i)*m~^-1, Q*m~^-1, -Q, all mod p_j.
 	sum []ring.Affine
 
-	scratch sync.Pool
+	scratch scratch.Pool[convScratch]
 }
 
 // NewMontBaseConverter precomputes the m-tilde-corrected conversion tables.
@@ -237,7 +245,7 @@ func NewMontBaseConverter(from, to *Context, mtilde uint64) (*MontBaseConverter,
 		w = append(w, mod.Mul(qModP, inv), mod.Neg(qModP))
 		bc.sum = append(bc.sum, ring.NewAffine(mod, 0, w...))
 	}
-	bc.scratch.New = func() any { return newConvScratch(from.N, from.Channels(), 2) }
+	initConvPool(&bc.scratch, from.N, from.Channels(), 2)
 	return bc, nil
 }
 
@@ -253,7 +261,7 @@ func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 	if err := bc.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := bc.scratch.Get().(*convScratch)
+	sc := bc.scratch.Get()
 	z, r, center := sc.z, sc.extra[0], sc.extra[1]
 	mask := bc.mt - 1
 	// Digits of X = [m~ x]_Q, one fused scalar multiply per tower.
@@ -305,7 +313,7 @@ type SKConverter struct {
 	gamma ring.Affine
 	sum   []ring.Affine
 
-	scratch sync.Pool
+	scratch scratch.Pool[convScratch]
 }
 
 // NewSKConverter precomputes the exact-conversion tables. The from context
@@ -354,7 +362,7 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 		w[l] = mod.Neg(w[l])
 		sk.sum = append(sk.sum, ring.NewAffine(mod, 0, w...))
 	}
-	sk.scratch.New = func() any { return newConvScratch(from.N, l, 1) }
+	initConvPool(&sk.scratch, from.N, l, 1)
 	return sk, nil
 }
 
@@ -370,7 +378,7 @@ func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 	if err := sk.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := sk.scratch.Get().(*convScratch)
+	sc := sk.scratch.Get()
 	// Digits over base P only.
 	for i := 0; i < sk.l; i++ {
 		sk.from.Plans[i].Generic().ScalarMulInto(sc.z.Res[i], src.Res[i], sk.piInv[i])
@@ -405,7 +413,7 @@ type Rescaler struct {
 	inv        []uint64
 	coef, corr []ring.Affine
 
-	scratch sync.Pool
+	scratch scratch.Pool[convScratch]
 }
 
 // NewRescaler validates that to is the prefix of from with the last tower
@@ -432,7 +440,7 @@ func NewRescaler(from, to *Context) (*Rescaler, error) {
 		r.corr = append(r.corr, ring.NewAffine(mod, hInv, negInv))
 	}
 	// extra[0] is the remainder row u, extra[1+i] tower i's correction row.
-	r.scratch.New = func() any { return newConvScratch(from.N, 0, 1+to.Channels()) }
+	initConvPool(&r.scratch, from.N, 0, 1+to.Channels())
 	return r, nil
 }
 
@@ -467,7 +475,7 @@ func (r *Rescaler) RescaleInto(dst, a Poly) error {
 	if err := r.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := r.scratch.Get().(*convScratch)
+	sc := r.scratch.Get()
 	u := sc.extra[0]
 	r.remainderInto(u, a.Res[r.from.Channels()-1])
 	rows := sc.list[:2]
@@ -499,7 +507,7 @@ func (r *Rescaler) RescaleNTTInto(dst, a Poly, workers int) error {
 	if err := r.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := r.scratch.Get().(*convScratch)
+	sc := r.scratch.Get()
 	u := sc.extra[0]
 	kq := r.from.Channels() - 1
 	r.from.Plans[kq].Generic().NegacyclicInverseInto(u, a.Res[kq])

@@ -3,9 +3,9 @@ package rns
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"mqxgo/internal/ring"
+	"mqxgo/internal/scratch"
 )
 
 // Poly is a polynomial in RNS form: Res[i][j] is coefficient j modulo
@@ -48,7 +48,13 @@ type decScratch struct {
 	t, term big.Int
 }
 
-var decPool = sync.Pool{New: func() any { return new(decScratch) }}
+var decPool = scratch.Pool[decScratch]{
+	New: func() *decScratch { return new(decScratch) },
+	Poison: func(sc *decScratch) {
+		scratch.Fill(sc.t.Bits())
+		scratch.Fill(sc.term.Bits())
+	},
+}
 
 // DecomposeInto writes the RNS decomposition of coeffs into dst.
 // Coefficients whose magnitude is below 2^(64*limbs(Q)) take the fast
@@ -66,7 +72,7 @@ func (c *Context) DecomposeInto(dst Poly, coeffs []*big.Int) error {
 	if err := c.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := decPool.Get().(*decScratch)
+	sc := decPool.Get()
 	for i, mod := range c.Mods {
 		pw := c.pow32[i]
 		row := dst.Res[i]
@@ -104,7 +110,7 @@ func (c *Context) ReconstructInto(dst []*big.Int, p Poly) error {
 	if err := c.checkPoly(p); err != nil {
 		return err
 	}
-	sc := decPool.Get().(*decScratch)
+	sc := decPool.Get()
 	for j := 0; j < c.N; j++ {
 		acc := dst[j]
 		if acc == nil {
@@ -141,7 +147,8 @@ type towerCall struct {
 	towerOp
 }
 
-var towerCalls = sync.Pool{New: func() any { return new(towerCall) }}
+// towerCalls holds no data buffers, so it has no poison.
+var towerCalls = scratch.Pool[towerCall]{New: func() *towerCall { return new(towerCall) }}
 
 func (t *towerCall) RunRange(start, end int) {
 	for i := start; i < end; i++ {
@@ -155,7 +162,7 @@ func (t *towerCall) RunRange(start, end int) {
 // every tower on the caller), through one pooled frame whose ring.Fanout
 // allocates nothing at any width.
 func runTowers(workers int, op towerOp) {
-	t := towerCalls.Get().(*towerCall)
+	t := towerCalls.Get()
 	t.towerOp = op
 	t.fan.Run(op.c.Channels(), workers, t)
 	t.towerOp = towerOp{}

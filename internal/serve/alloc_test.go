@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"testing"
+
+	"mqxgo/internal/scratch"
 )
 
 // TestServeEvalSteadyStateAllocs extends the repo's zero-allocation
@@ -13,7 +15,7 @@ import (
 // nothing, and so do the in-place add and modswitch. The JSON transport
 // around it is pinned by TestEvalBodyDecodeAllocs.
 func TestServeEvalSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s := newTestServer(t, nil)
@@ -89,7 +91,7 @@ func TestServeEvalSteadyStateAllocs(t *testing.T) {
 // allocates only the plaintext it returns — where the big-integer budget
 // measurement alone once made one big.Int per coefficient.
 func TestServeDecryptAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s := newTestServer(t, nil)

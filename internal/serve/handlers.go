@@ -70,8 +70,8 @@ func (s *Server) handleKeygen(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Tenant string `json:"tenant"`
 	}
-	rb := getReqBuf()
-	defer putReqBuf(rb)
+	rb := reqBufs.Get()
+	defer reqBufs.Put(rb)
 	if apiErr := rb.decode(r, &req); apiErr != nil {
 		s.writeErr(w, apiErr)
 		return
@@ -133,8 +133,8 @@ func (s *Server) serveEval(w http.ResponseWriter, r *http.Request, opName string
 		return
 	}
 	defer release()
-	rb := getReqBuf()
-	defer putReqBuf(rb) // after the response is written: it may print rb's values
+	rb := reqBufs.Get()
+	defer reqBufs.Put(rb) // after the response is written: it may print rb's values
 	start := time.Now()
 	resp, apiErr := s.recoverEval(ctx, op, r, rb)
 	if apiErr != nil {
@@ -214,8 +214,8 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		Disarm string `json:"disarm,omitempty"`
 		Reset  bool   `json:"reset,omitempty"`
 	}
-	rb := getReqBuf()
-	defer putReqBuf(rb)
+	rb := reqBufs.Get()
+	defer reqBufs.Put(rb)
 	if apiErr := rb.decode(r, &req); apiErr != nil {
 		s.writeErr(w, apiErr)
 		return

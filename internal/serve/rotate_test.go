@@ -9,6 +9,7 @@ import (
 
 	"mqxgo/internal/fhe"
 	"mqxgo/internal/rns"
+	"mqxgo/internal/scratch"
 )
 
 // testSlots builds a packed slot vector, and rotatedSlots/conjugatedSlots
@@ -178,7 +179,7 @@ func TestServeRotateEncodeErrors(t *testing.T) {
 // conjugation through the scheme and the in-place encode/decode slot
 // transforms allocate nothing once warm.
 func TestServeRotateEncodeSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	s := newTestServer(t, nil)

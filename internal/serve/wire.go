@@ -6,9 +6,9 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"mqxgo/internal/faultinject"
+	"mqxgo/internal/scratch"
 )
 
 // The JSON wire without reflection on the value arrays. A request body is
@@ -104,15 +104,15 @@ type reqBuf struct {
 	out  []byte
 }
 
-var reqBufs = sync.Pool{New: func() any { return new(reqBuf) }}
-
-// getReqBuf takes a reqBuf from the pool; putReqBuf returns it.
-//
-//mqx:scratch
-func getReqBuf() *reqBuf { return reqBufs.Get().(*reqBuf) }
-
-//mqx:scratchput
-func putReqBuf(rb *reqBuf) { reqBufs.Put(rb) }
+var reqBufs = scratch.Pool[reqBuf]{
+	New: func() *reqBuf { return new(reqBuf) },
+	Poison: func(rb *reqBuf) {
+		b := rb.body.Bytes()
+		scratch.Fill(b[:cap(b)])
+		scratch.Fill(rb.vals[:cap(rb.vals)])
+		scratch.Fill(rb.out[:cap(rb.out)])
+	},
+}
 
 // decode reads a POST body whole into rb and decodes it into into with
 // json.Unmarshal: a body past the MaxBytesReader cap is a 413, any other

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"mqxgo/internal/scratch"
 )
 
 // mirrorRequest is evalRequest with a plain []uint64 values field: the
@@ -179,7 +181,7 @@ func TestEvalResponsePrinterMatchesEncoder(t *testing.T) {
 // allocations left are encoding/json's decoder state and the strings of
 // the other fields.
 func TestEvalBodyDecodeAllocs(t *testing.T) {
-	if raceEnabled {
+	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	vals := make([]uint64, 4096)
