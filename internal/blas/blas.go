@@ -2,10 +2,10 @@
 // 128-bit coefficients (Section 2.3): vector addition, vector subtraction,
 // point-wise vector multiplication, and axpy (y = a*x + y).
 //
-//   - Native kernels (native.go): the optimized fixed-width scalar backend
-//     (Barrett reduction on u128 words), which the benchmark's kernels128
-//     workload runs, and a math/big point-wise multiply standing in for
-//     GMP, timed beside it.
+//   - Native kernels (native.go): the optimized fixed-width backend, ring's
+//     Barrett128 span kernels at the selected tier (scalar or AVX-512),
+//     which the benchmark's kernels128 workload runs, and a math/big
+//     point-wise multiply standing in for GMP, timed beside it.
 //   - Vector and Broadcast128 (this file): the SoA operand layout and the
 //     double-word broadcast the trace-machine dataflows (perfmodel's
 //     ForwardVM and bodies) load from. Figure 4's modeled per-element times

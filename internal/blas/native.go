@@ -4,45 +4,44 @@ import (
 	"math/big"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/ring"
 	"mqxgo/internal/u128"
 )
 
-// Native is the optimized fixed-width scalar backend: Barrett reduction on
-// u128 words, the Go analogue of the paper's optimized scalar C
-// implementation. It is benchmarked natively with testing.B.
+// Native is the optimized fixed-width backend: Barrett reduction on u128
+// words, the Go analogue of the paper's optimized C implementation. Every
+// kernel runs the Barrett128 span kernels of the selected tier, the same
+// ones the 128-bit transforms run (the AVX-512 bodies on a capable host).
+// It is benchmarked natively with testing.B.
 type Native struct {
 	Mod *modmath.Modulus128
 }
 
+// axpyChunk is the length of Axpy's stack buffer: a·x lands there one
+// chunk at a time before the add folds it into y.
+const axpyChunk = 128
+
+func (n Native) ring() ring.Barrett128 { return ring.NewBarrett128(n.Mod) }
+
 // VecAddMod computes dst = a + b mod q element-wise.
-func (n Native) VecAddMod(dst, a, b []u128.U128) {
-	m := n.Mod
-	for i := range dst {
-		dst[i] = m.Add(a[i], b[i])
-	}
-}
+func (n Native) VecAddMod(dst, a, b []u128.U128) { n.ring().AddSpan(dst, a, b) }
 
 // VecSubMod computes dst = a - b mod q element-wise.
-func (n Native) VecSubMod(dst, a, b []u128.U128) {
-	m := n.Mod
-	for i := range dst {
-		dst[i] = m.Sub(a[i], b[i])
-	}
-}
+func (n Native) VecSubMod(dst, a, b []u128.U128) { n.ring().SubSpan(dst, a, b) }
 
 // VecPMulMod computes dst = a .* b mod q element-wise.
-func (n Native) VecPMulMod(dst, a, b []u128.U128) {
-	m := n.Mod
-	for i := range dst {
-		dst[i] = m.Mul(a[i], b[i])
-	}
-}
+func (n Native) VecPMulMod(dst, a, b []u128.U128) { n.ring().MulSpan(dst, a, b) }
 
 // Axpy computes y = a*x + y mod q for scalar a.
 func (n Native) Axpy(a u128.U128, x, y []u128.U128) {
-	m := n.Mod
-	for i := range y {
-		y[i] = m.Add(m.Mul(a, x[i]), y[i])
+	r := n.ring()
+	var ax [axpyChunk]u128.U128
+	x = x[:len(y)]
+	for len(y) > 0 {
+		k := min(len(y), axpyChunk)
+		r.ScalarMulSpan(ax[:k], x[:k], a, 0)
+		r.AddSpan(y[:k], ax[:k], y[:k])
+		x, y = x[k:], y[k:]
 	}
 }
 

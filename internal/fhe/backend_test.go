@@ -14,12 +14,16 @@ import (
 // 128-bit double-word ring and a basis of 64-bit RNS towers.
 
 // mustCT unwraps an error-returning scheme entry point in tests where the
-// inputs are well-formed by construction.
-func mustCT(ct BackendCiphertext, err error) BackendCiphertext {
-	if err != nil {
-		panic(err)
+// inputs are well-formed by construction: mustCT(t)(s.Encrypt(sk, m)).
+// An error fails the calling test, not the package run.
+func mustCT(t testing.TB) func(BackendCiphertext, error) BackendCiphertext {
+	return func(ct BackendCiphertext, err error) BackendCiphertext {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
-	return ct
 }
 
 // conjugate is ConjugateInto into a fresh ciphertext at ct's level.
@@ -94,7 +98,7 @@ func TestBackendSchemeHomomorphicOpsBothBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sum, err := s.Decrypt(sk, mustCT(s.AddCiphertexts(c1, c2)))
+			sum, err := s.Decrypt(sk, mustCT(t)(s.AddCiphertexts(c1, c2)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +142,7 @@ func TestBackendSchemeMulPlainMonomialBothBackends(t *testing.T) {
 			mono[1] = 1
 			x := b.NewPolyAt(0)
 			b.SetSigned(x, mono)
-			got, err := s.Decrypt(sk, mustCT(s.MulPlain(ct, x)))
+			got, err := s.Decrypt(sk, mustCT(t)(s.MulPlain(ct, x)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +181,7 @@ func TestBackendSchemeNoiseBudgetBothBackends(t *testing.T) {
 			// Repeated additions grow the noise and must not grow the budget.
 			acc := ct
 			for i := 0; i < 8; i++ {
-				acc = mustCT(s.AddCiphertexts(acc, ct))
+				acc = mustCT(t)(s.AddCiphertexts(acc, ct))
 			}
 			after, err := s.NoiseBudgetBits(sk, acc, m)
 			if err != nil {

@@ -45,22 +45,22 @@ func TestTowerDispatchWidthIsInvisible(t *testing.T) {
 		for i := range msg {
 			msg[i] = uint64(11*i+3) % T
 		}
-		x := mustCT(s.Encrypt(sk, msg))
-		y := mustCT(s.Encrypt(sk, msg))
+		x := mustCT(t)(s.Encrypt(sk, msg))
+		y := mustCT(t)(s.Encrypt(sk, msg))
 		out := map[string][][]uint64{}
 		for level := 0; level < b.Levels(); level++ {
 			if level > 0 {
-				x = mustCT(s.ModSwitchCtx(ctx, x))
-				y = mustCT(s.ModSwitchCtx(ctx, y))
+				x = mustCT(t)(s.ModSwitchCtx(ctx, x))
+				y = mustCT(t)(s.ModSwitchCtx(ctx, y))
 			}
 			xCopy := BackendCiphertext{A: b.Copy(x.A), B: b.Copy(x.B), Level: x.Level}
 			for name, ct := range map[string]BackendCiphertext{
-				"mul":       mustCT(s.MulCiphertextsCtx(ctx, x, y, rlk)),
-				"square":    mustCT(s.MulCiphertextsCtx(ctx, x, x, rlk)),
-				"mulcopy":   mustCT(s.MulCiphertextsCtx(ctx, x, xCopy, rlk)),
-				"rotate1":   mustCT(s.RotateSlotsCtx(ctx, x, 1, gk)),
-				"rotate5":   mustCT(s.RotateSlotsCtx(ctx, x, 5, gk)),
-				"conjugate": mustCT(conjugate(ctx, s, x, gk)),
+				"mul":       mustCT(t)(s.MulCiphertextsCtx(ctx, x, y, rlk)),
+				"square":    mustCT(t)(s.MulCiphertextsCtx(ctx, x, x, rlk)),
+				"mulcopy":   mustCT(t)(s.MulCiphertextsCtx(ctx, x, xCopy, rlk)),
+				"rotate1":   mustCT(t)(s.RotateSlotsCtx(ctx, x, 1, gk)),
+				"rotate5":   mustCT(t)(s.RotateSlotsCtx(ctx, x, 5, gk)),
+				"conjugate": mustCT(t)(conjugate(ctx, s, x, gk)),
 			} {
 				if ct.Level != level {
 					t.Fatalf("%s at level %d came back at level %d", name, level, ct.Level)

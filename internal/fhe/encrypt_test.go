@@ -43,7 +43,7 @@ func TestEncryptAndPhaseMatchCoefficientForm(t *testing.T) {
 			for i := range msg {
 				msg[i] = uint64(11*i+3) % b.PlainModulus()
 			}
-			ct := mustCT(s.Encrypt(sk, msg))
+			ct := mustCT(t)(s.Encrypt(sk, msg))
 
 			// Replay the generator: KeyGen's n draws, then a, then e.
 			rng := rand.New(rand.NewSource(seed))

@@ -28,7 +28,7 @@ func eachBackendLevel1(t *testing.T, n int, f func(t *testing.T, s *BackendSchem
 				if err != nil {
 					t.Fatal(err)
 				}
-				return mustCT(s.ModSwitchCtx(context.Background(), ct))
+				return mustCT(t)(s.ModSwitchCtx(context.Background(), ct))
 			})
 		})
 	}
@@ -70,7 +70,7 @@ func TestHomomorphicAddition(t *testing.T) {
 			m1[i] = uint64(i) % T
 			m2[i] = uint64(3*i+1) % T
 		}
-		sum := mustCT(s.AddCiphertexts(enc(m1), enc(m2)))
+		sum := mustCT(t)(s.AddCiphertexts(enc(m1), enc(m2)))
 		wantDecrypt(t, s, sk, sum, func(i int) uint64 { return (m1[i] + m2[i]) % T })
 	})
 }
@@ -115,7 +115,7 @@ func TestMulScalar(t *testing.T) {
 		kc[0] = k
 		kp := s.B.NewPolyAt(0)
 		s.B.SetSigned(kp, kc)
-		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(m), s.B.SecretAt(1, kp))), func(i int) uint64 { return (m[i] * k) % T })
+		wantDecrypt(t, s, sk, mustCT(t)(s.MulPlain(enc(m), s.B.SecretAt(1, kp))), func(i int) uint64 { return (m[i] * k) % T })
 	})
 }
 
@@ -135,7 +135,7 @@ func TestMulPlainByMonomial(t *testing.T) {
 		x = s.B.SecretAt(1, x) // shaped for the ciphertext's level
 		// (x * m)(x): coefficient j of the product is m[j-1]; coefficient
 		// 0 is -m[15] mod T.
-		wantDecrypt(t, s, sk, mustCT(s.MulPlain(enc(msg), x)), func(j int) uint64 {
+		wantDecrypt(t, s, sk, mustCT(t)(s.MulPlain(enc(msg), x)), func(j int) uint64 {
 			if j == 0 {
 				return (T - msg[15]) % T
 			}
@@ -154,7 +154,7 @@ func TestAddPlain(t *testing.T) {
 			pt[i] = uint64(i*11) % T
 		}
 		ct := enc(m)
-		wantDecrypt(t, s, sk, mustCT(s.AddPlain(ct, pt)), func(i int) uint64 { return (m[i] + pt[i]) % T })
+		wantDecrypt(t, s, sk, mustCT(t)(s.AddPlain(ct, pt)), func(i int) uint64 { return (m[i] + pt[i]) % T })
 		if _, err := s.AddPlain(ct, make([]uint64, 3)); err == nil {
 			t.Error("expected length error")
 		}
@@ -178,7 +178,7 @@ func TestNoiseBudget(t *testing.T) {
 		// Repeated additions consume budget monotonically (or keep it equal).
 		acc := ct
 		for i := 0; i < 8; i++ {
-			acc = mustCT(s.AddCiphertexts(acc, ct))
+			acc = mustCT(t)(s.AddCiphertexts(acc, ct))
 		}
 		after, err := s.NoiseBudgetBits(sk, acc, m)
 		if err != nil {

@@ -104,12 +104,12 @@ func TestLadderDifferentialAcrossBackends(t *testing.T) {
 				expected := append([]uint64(nil), msg...)
 				for level := 0; level < depth; level++ {
 					for _, ch := range chains {
-						ch.ct = mustCT(ch.s.MulCiphertextsCtx(context.Background(), ch.ct, ch.ct, ch.rlk))
+						ch.ct = mustCT(t)(ch.s.MulCiphertextsCtx(context.Background(), ch.ct, ch.ct, ch.rlk))
 					}
 					expected = NegacyclicProductModT(expected, expected, T)
 					compare(fmt.Sprintf("after mul at level %d", level), expected)
 					for _, ch := range chains {
-						ch.ct = mustCT(ch.s.ModSwitchCtx(context.Background(), ch.ct))
+						ch.ct = mustCT(t)(ch.s.ModSwitchCtx(context.Background(), ch.ct))
 						if ch.ct.Level != level+1 {
 							t.Fatalf("ModSwitch left %s at level %d, want %d",
 								ch.s.B.Name(), ch.ct.Level, level+1)
@@ -195,9 +195,9 @@ func TestLadderDepth3BudgetProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d := 0; d < depth; d++ {
-			ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
+			ct = mustCT(t)(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 			if switching && d < depth-1 {
-				ct = mustCT(s.ModSwitchCtx(context.Background(), ct))
+				ct = mustCT(t)(s.ModSwitchCtx(context.Background(), ct))
 			}
 		}
 		return ct, s, sk

@@ -60,7 +60,7 @@ func mulTrace(t *testing.T, b Backend, seed int64, m1, m2 []uint64) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Decrypt(sk, mustCT(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
+	got, err := s.Decrypt(sk, mustCT(t)(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMulCtNoiseBudgetProperty(t *testing.T) {
 
 			// Depth 1: full-amplitude messages must round-trip, and the
 			// measured noise must respect the documented bound.
-			ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
+			ct = mustCT(t)(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 			expected = NegacyclicProductModT(expected, expected, T)
 			got, err := s.Decrypt(sk, ct)
 			if err != nil {
@@ -206,7 +206,7 @@ func TestMulCtNoiseBudgetProperty(t *testing.T) {
 			// a few levels, with the budget reading zero when it does.
 			failed := false
 			for depth := 2; depth <= 6; depth++ {
-				ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
+				ct = mustCT(t)(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 				expected = NegacyclicProductModT(expected, expected, T)
 				got, err := s.Decrypt(sk, ct)
 				if err != nil {
@@ -275,10 +275,10 @@ func TestMtildeReclaimsNoiseBoundBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	expected := append([]uint64(nil), msg...)
-	ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
+	ct = mustCT(t)(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 	expected = NegacyclicProductModT(expected, expected, T)
 	depth1Noise := noiseBitsOf(t, s, sk, ct, expected)
-	ct = mustCT(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
+	ct = mustCT(t)(s.MulCiphertextsCtx(context.Background(), ct, ct, rlk))
 	expected = NegacyclicProductModT(expected, expected, T)
 	depth2Noise := noiseBitsOf(t, s, sk, ct, expected)
 
@@ -346,7 +346,7 @@ func TestCanonicalKeySwitchOnWideTowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Decrypt(sk, mustCT(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
+	got, err := s.Decrypt(sk, mustCT(t)(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
 	if err != nil {
 		t.Fatal(err)
 	}

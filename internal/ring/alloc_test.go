@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
 	"mqxgo/internal/scratch"
+	"mqxgo/internal/u128"
 )
 
 // Steady-state allocation regression for the span-kernel dispatch: it
@@ -17,6 +19,7 @@ import (
 // so only the scalar tier runs every scalar body over whole spans.
 func TestKernelPathsDoNotAllocate(t *testing.T) {
 	checkKernelPathsDoNotAllocate(t, ring.TierScalar)
+	checkBarrett128PathsDoNotAllocate(t, ring.TierScalar)
 }
 
 // The vector kernel tiers ride the same span seam and the same bound
@@ -25,6 +28,7 @@ func TestKernelPathsDoNotAllocate(t *testing.T) {
 // place.
 func TestVectorKernelPathsDoNotAllocate(t *testing.T) {
 	checkKernelPathsDoNotAllocate(t, ring.TierAVX2, ring.TierAVX512)
+	checkBarrett128PathsDoNotAllocate(t, ring.TierAVX512)
 }
 
 // checkKernelPathsDoNotAllocate runs every *Into case as one subtest
@@ -76,6 +80,57 @@ func checkKernelPathsDoNotAllocate(t *testing.T, tiers ...ring.KernelTier) {
 					if got := testing.AllocsPerRun(20, f); got != 0 {
 						t.Errorf("n=%d %s: %v allocs/op, want 0", size, name, got)
 					}
+				}
+			}
+		})
+	}
+}
+
+// checkBarrett128PathsDoNotAllocate is the same gate for 128-bit plans
+// and the element-wise spans the BLAS layer runs: the span methods pass
+// their stack register file to the assembly by pointer, which must not
+// escape.
+func checkBarrett128PathsDoNotAllocate(t *testing.T, tiers ...ring.KernelTier) {
+	if scratch.Race {
+		t.Skip("race instrumentation allocates")
+	}
+	const n = 1 << 8
+	mod := modmath.DefaultModulus128()
+	rng := rand.New(rand.NewSource(92))
+	a, b, dst := make([]u128.U128, n), make([]u128.U128, n), make([]u128.U128, n)
+	m := make([]uint64, n)
+	for i := range a {
+		a[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
+		b[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
+		m[i] = rng.Uint64() % 65537
+	}
+	w := a[1]
+	for _, tier := range tiers {
+		if tier != ring.TierScalar && ring.DetectKernelTier() < tier {
+			continue
+		}
+		t.Run("barrett128/"+tier.String(), func(t *testing.T) {
+			r := ring.NewBarrett128Tier(mod, tier)
+			p := ring.MustPlan[u128.U128](r, n)
+			if got := p.KernelTier(); got != tier.String() {
+				t.Fatalf("plan tier = %s, want %s", got, tier)
+			}
+			cases := map[string]func(){
+				"ForwardInto":           func() { p.ForwardInto(dst, a) },
+				"InverseInto":           func() { p.InverseInto(dst, a) },
+				"PolyMulNegacyclicInto": func() { p.PolyMulNegacyclicInto(dst, a, b) },
+				"NegacyclicForwardInto": func() { p.NegacyclicForwardInto(dst, a) },
+				"NegacyclicInverseInto": func() { p.NegacyclicInverseInto(dst, a) },
+				"PointwiseMulInto":      func() { p.PointwiseMulInto(dst, a, b) },
+				"ScalarMulInto":         func() { p.ScalarMulInto(dst, a, w) },
+				"ScaleAddInto":          func() { p.ScaleAddInto(dst, a, m, w) },
+				"AddSpan":               func() { r.AddSpan(dst, a, b) },
+				"SubSpan":               func() { r.SubSpan(dst, a, b) },
+			}
+			for name, f := range cases {
+				f() // warm the scratch pool
+				if got := testing.AllocsPerRun(20, f); got != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", name, got)
 				}
 			}
 		})

@@ -29,9 +29,21 @@ import (
 // The span loops hardwire the flattened schoolbook multiply whatever the
 // modulus's MulAlgorithm: a Karatsuba-configured modulus gets the same
 // residues, and only its table building runs Karatsuba.
+//
+// The vector tier: on an AVX-512 host every span below but ScaleAddSpan
+// hands its full-vector prefix (8 lanes) to an assembly body
+// (kernels128_avx512_amd64.s) and finishes the tail with its own scalar
+// loop, as shoup64SIMD does. Each lane computes the exact Barrett quotient
+// and the same two branchless corrections, so the vector tier returns the
+// unique canonical residue the scalar loop returns. The bodies read the
+// shift amounts as n-1 = 64 + b and n+1 = 64 + b', one word select and a
+// sub-word shift, so they serve moduli of 65 to 124 bits; below that the
+// scalar loop runs whole spans. There is no AVX2 Barrett128 body.
 
 // barrett128Consts is the per-span register file: every word the inner
-// loop needs, hoisted out of the Modulus128 once.
+// loop needs, hoisted out of the Modulus128 once. The assembly bodies read
+// it through a pointer at fixed offsets (qHi 0, qLo 8, muHi 16, muLo 24,
+// nm1 32, np1 40; pinned by TestBarrett128ConstsLayout).
 type barrett128Consts struct {
 	qHi, qLo, muHi, muLo uint64
 	nm1, np1             uint // the shift amounts n-1 and n+1, both in [1, 125]
@@ -77,6 +89,34 @@ func (c *barrett128Consts) mul(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
 		c.qHi, c.qLo, c.muHi, c.muLo, c.nm1, c.np1)
 }
 
+// resolvedTier is the tier r's spans run: TierAVX512 when the request
+// resolves to it and the modulus has 65 to 124 bits, TierScalar otherwise
+// (an AVX2 request included).
+func (r Barrett128) resolvedTier() KernelTier {
+	if r.M.N > 64 && resolveKernelTier(r.tier) == TierAVX512 {
+		return TierAVX512
+	}
+	return TierScalar
+}
+
+// vecLen is the full-vector prefix of an n-element span that r hands to
+// its assembly bodies: n rounded down to 8 lanes at the AVX-512 tier, 0 at
+// the scalar tier. The span's scalar loop finishes the rest.
+func (r Barrett128) vecLen(n int) int {
+	if r.resolvedTier() != TierAVX512 {
+		return 0
+	}
+	return n &^ 7
+}
+
+// selectKernels binds the plan to r at its resolved tier. Barrett128 is
+// its own kernel set at every tier (the spans dispatch on the tier), and
+// its tables carry no Precompute words.
+func (r Barrett128) selectKernels() (SpanKernels[u128.U128], KernelTier, bool) {
+	r.tier = r.resolvedTier()
+	return r, r.tier, false
+}
+
 // CTSpan: one forward stage. Strict ring, so relaxed == canonical and the
 // final stage is the same loop.
 func (r Barrett128) CTSpan(out, lo, hi, w []u128.U128, pre []uint64) {
@@ -84,7 +124,11 @@ func (r Barrett128) CTSpan(out, lo, hi, w []u128.U128, pre []uint64) {
 	n := len(w)
 	lo, hi = lo[:n], hi[:n]
 	out = out[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		ctSpan128AVX512(&c, &out[0], &lo[0], &hi[0], &w[0], i)
+	}
+	for ; i < n; i++ {
 		a, b := lo[i], hi[i]
 		sHi, sLo := c.add(a.Hi, a.Lo, b.Hi, b.Lo)
 		dHi, dLo := c.sub(a.Hi, a.Lo, b.Hi, b.Lo)
@@ -105,7 +149,11 @@ func (r Barrett128) GSSpan(oLo, oHi, in, w []u128.U128, pre []uint64) {
 	n := len(w)
 	oLo, oHi = oLo[:n], oHi[:n]
 	in = in[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		gsSpan128AVX512(&c, &oLo[0], &oHi[0], &in[0], &w[0], i)
+	}
+	for ; i < n; i++ {
 		e, o := in[2*i], in[2*i+1]
 		tHi, tLo := c.mul(o.Hi, o.Lo, w[i].Hi, w[i].Lo)
 		loHi, loLo := c.add(e.Hi, e.Lo, tHi, tLo)
@@ -122,7 +170,11 @@ func (r Barrett128) GSSpanLastScaled(oLo, oHi, in, w []u128.U128, pre []uint64, 
 	n := len(w)
 	oLo, oHi = oLo[:n], oHi[:n]
 	in = in[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		gsSpanLastScaled128AVX512(&c, &oLo[0], &oHi[0], &in[0], &w[0], i, &nInv)
+	}
+	for ; i < n; i++ {
 		e, o := in[2*i], in[2*i+1]
 		tHi, tLo := c.mul(o.Hi, o.Lo, w[i].Hi, w[i].Lo)
 		esHi, esLo := c.mul(e.Hi, e.Lo, nInv.Hi, nInv.Lo)
@@ -138,7 +190,11 @@ func (r Barrett128) MulSpan(dst, a, b []u128.U128) {
 	c := r.consts()
 	n := len(dst)
 	a, b = a[:n], b[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		mulSpan128AVX512(&c, &dst[0], &a[0], &b[0], i)
+	}
+	for ; i < n; i++ {
 		hi, lo := c.mul(a[i].Hi, a[i].Lo, b[i].Hi, b[i].Lo)
 		dst[i] = u128.U128{Hi: hi, Lo: lo}
 	}
@@ -159,7 +215,11 @@ func (r Barrett128) ScalarMulSpan(dst, a []u128.U128, w u128.U128, pre uint64) {
 	c := r.consts()
 	n := len(dst)
 	a = a[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		scalarMulSpan128AVX512(&c, &dst[0], &a[0], i, &w)
+	}
+	for ; i < n; i++ {
 		hi, lo := c.mul(a[i].Hi, a[i].Lo, w.Hi, w.Lo)
 		dst[i] = u128.U128{Hi: hi, Lo: lo}
 	}
@@ -173,6 +233,38 @@ func (r Barrett128) ScaleAddSpan(dst, a []u128.U128, m []uint64, w u128.U128, pr
 	for i := 0; i < n; i++ {
 		tHi, tLo := c.mul(0, m[i], w.Hi, w.Lo)
 		hi, lo := c.add(a[i].Hi, a[i].Lo, tHi, tLo)
+		dst[i] = u128.U128{Hi: hi, Lo: lo}
+	}
+}
+
+// AddSpan computes dst[i] = a[i] + b[i] mod q for canonical inputs, the
+// element-wise add of the BLAS layer. dst may alias a or b.
+func (r Barrett128) AddSpan(dst, a, b []u128.U128) {
+	c := r.consts()
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := r.vecLen(n)
+	if i > 0 {
+		addSpan128AVX512(&c, &dst[0], &a[0], &b[0], i)
+	}
+	for ; i < n; i++ {
+		hi, lo := c.add(a[i].Hi, a[i].Lo, b[i].Hi, b[i].Lo)
+		dst[i] = u128.U128{Hi: hi, Lo: lo}
+	}
+}
+
+// SubSpan computes dst[i] = a[i] - b[i] mod q for canonical inputs. dst
+// may alias a or b.
+func (r Barrett128) SubSpan(dst, a, b []u128.U128) {
+	c := r.consts()
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := r.vecLen(n)
+	if i > 0 {
+		subSpan128AVX512(&c, &dst[0], &a[0], &b[0], i)
+	}
+	for ; i < n; i++ {
+		hi, lo := c.sub(a[i].Hi, a[i].Lo, b[i].Hi, b[i].Lo)
 		dst[i] = u128.U128{Hi: hi, Lo: lo}
 	}
 }

@@ -100,15 +100,14 @@ func macFinal2SpanAVX2(q uint64, accA, accB, lo, hi, wA, preA, wB, preB *uint64,
 func affineRowsSpanAVX2(q uint64, dst *uint64, c0 uint64, rows *[]uint64, w, pre *uint64, nrows, n int)
 
 // selectKernels resolves the requested tier against the environment knob
-// and the CPU's ceiling and returns the matching kernel set with its tier
-// name. The resolved tier also rides the ring's Fingerprint so plan-cache
-// entries never cross tiers.
-func (r Shoup64) selectKernels() (shoup64Kernels, string) {
+// and the CPU's ceiling and returns the matching kernel set with its tier.
+// Every Shoup64 tier reads a Shoup word beside each twiddle.
+func (r Shoup64) selectKernels() (SpanKernels[uint64], KernelTier, bool) {
 	switch t := resolveKernelTier(r.tier); t {
 	case TierAVX2, TierAVX512:
-		return shoup64SIMD{r, t == TierAVX512}, t.String()
+		return shoup64SIMD{r, t == TierAVX512}, t, true
 	}
-	return r, TierScalar.String()
+	return r, TierScalar, true
 }
 
 // Barrett shift amounts for MulSpan, hoisted per call (they depend only

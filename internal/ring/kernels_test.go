@@ -197,13 +197,30 @@ func TestKernelsMatchDefinitionShoup64(t *testing.T) {
 	}
 }
 
+// The Barrett128 kernels run at every tier the host has (an avx2 request
+// runs the scalar spans; avx512 runs the vector bodies), over the default
+// 124-bit prime and a 65-bit NTT prime, the two ends of the vector tier's
+// range.
 func TestKernelsMatchDefinitionBarrett128(t *testing.T) {
-	for _, n := range []int{2, 8, 64, 1024} {
-		r := testRing128(t)
-		q := r.M.Q
-		checkDefinitions[u128.U128](t, r, arith128(r.M), n,
-			func(rng *rand.Rand) u128.U128 { return u128.New(rng.Uint64(), rng.Uint64()).Mod(q) },
-			[]u128.U128{u128.Zero, u128.One, q.Sub64(1)}, ^uint64(0))
+	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512} {
+		if tier != ring.TierScalar && ring.DetectKernelTier() < tier {
+			continue
+		}
+		t.Run(tier.String(), func(t *testing.T) {
+			for _, n := range []int{2, 8, 64, 1024} {
+				q65, err := modmath.FindNTTPrime128(65, uint64(2*n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range []*modmath.Modulus128{modmath.DefaultModulus128(), modmath.MustModulus128(q65)} {
+					r := ring.NewBarrett128Tier(m, tier)
+					q := m.Q
+					checkDefinitions[u128.U128](t, r, arith128(m), n,
+						func(rng *rand.Rand) u128.U128 { return u128.New(rng.Uint64(), rng.Uint64()).Mod(q) },
+						[]u128.U128{u128.Zero, u128.One, q.Sub64(1)}, ^uint64(0))
+				}
+			}
+		})
 	}
 }
 

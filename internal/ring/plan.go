@@ -50,18 +50,17 @@ type Plan[T any, R Ring[T]] struct {
 	scratch scratch.Pool[scratchPair[T]]
 
 	// kern is the span-kernel set every operation runs, bound once at
-	// plan build: a Shoup64 ring hands over the kernel set of its
-	// resolved tier (selectKernels); any other ring is its own kernel set.
+	// plan build: the ring hands over the kernel set of its resolved tier
+	// (selectKernels).
 	kern SpanKernels[T]
 
 	// blk is the blocked-kernel extension of kern, asserted from the same
 	// value (nil when the kernels don't provide the compact-table spans).
 	blk BlockedSpanKernels[T]
 
-	// kernTier names the span-kernel implementation the plan dispatches
-	// to: "scalar" (the fused Go loops) or a vector tier ("avx2",
-	// "avx512").
-	kernTier string
+	// tier is the span-kernel implementation the plan dispatches to: the
+	// scalar Go loops or a vector tier, resolved by selectKernels.
+	tier KernelTier
 }
 
 // blockedMinBlk is the smallest twiddle-run length the plan stores
@@ -110,18 +109,11 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 		Psi:      psi,
 	}
 	// The kernel seam, resolved once here, before the tables it shapes:
-	// Shoup64 swaps in its tier's kernel set (CPU detection + forcing
-	// knobs) and is the one ring whose kernels read a Precompute word per
-	// twiddle; any other ring is its own kernel set. The blocked extension
-	// rides along when the set has one.
-	var kern any = r
-	p.kernTier = TierScalar.String()
-	withPre := false
-	if s, ok := kern.(Shoup64); ok {
-		kern, p.kernTier = s.selectKernels()
-		withPre = true
-	}
-	p.kern = kern.(SpanKernels[T])
+	// the ring hands over its tier's kernel set and says whether that set
+	// reads a Precompute word per twiddle. The blocked extension rides
+	// along when the set has one.
+	kern, tier, withPre := r.selectKernels()
+	p.kern, p.tier = kern, tier
 	p.blk, _ = kern.(BlockedSpanKernels[T])
 	p.buildTables(withPre)
 	p.scratch.New = func() *scratchPair[T] {
@@ -137,7 +129,7 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 // KernelTier names the span-kernel implementation the plan dispatches to:
 // "scalar", "avx2" or "avx512". Benchmark reports record it so measured
 // trajectories stay attributable across hosts.
-func (p *Plan[T, R]) KernelTier() string { return p.kernTier }
+func (p *Plan[T, R]) KernelTier() string { return p.tier.String() }
 
 // newTable wraps the twiddles ws, each entry covering blk butterflies,
 // with their Precompute words when withPre.

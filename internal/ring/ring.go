@@ -49,6 +49,13 @@ type Ring[T any] interface {
 	// PrimitiveRootOfUnity returns an element of order exactly n, where
 	// n is a power of two dividing q-1.
 	PrimitiveRootOfUnity(n uint64) (T, error)
+
+	// selectKernels is the plan's one kernel-selection seam, called once
+	// at plan build: it resolves the ring's tier request against the
+	// environment knob, the CPU's ceiling and the ring's own limits, and
+	// returns the span-kernel set of that tier, the tier, and whether the
+	// set reads a Precompute word beside every table twiddle.
+	selectKernels() (kern SpanKernels[T], tier KernelTier, withPre bool)
 }
 
 // Fingerprint keys the process-wide plan cache: the modulus words plus a
@@ -64,10 +71,26 @@ type Fingerprint struct {
 // primary configuration.
 type Barrett128 struct {
 	M *modmath.Modulus128
+
+	// tier requests a span-kernel implementation level; the zero value
+	// (TierAuto) resolves to the best the host supports. Unlike Shoup64,
+	// the span methods themselves dispatch on it (see vecLen), so a
+	// Barrett128 runs its tier with or without a plan.
+	tier KernelTier
 }
 
-// NewBarrett128 wraps a 128-bit Barrett modulus as a Ring.
+// NewBarrett128 wraps a 128-bit Barrett modulus as a Ring. Its span
+// kernels run the best supported tier: the AVX-512 bodies for moduli of
+// 65 to 124 bits on a capable host, the scalar Go loops otherwise.
 func NewBarrett128(m *modmath.Modulus128) Barrett128 { return Barrett128{M: m} }
+
+// NewBarrett128Tier wraps a 128-bit modulus with an explicit kernel-tier
+// request, clamped to what the host CPU supports. Forcing TierScalar pins
+// the scalar Go loops (the differential ground truth); there is no AVX2
+// Barrett128 body, so TierAVX2 also runs them.
+func NewBarrett128Tier(m *modmath.Modulus128, tier KernelTier) Barrett128 {
+	return Barrett128{M: m, tier: tier}
+}
 
 func (r Barrett128) Neg(a u128.U128) u128.U128    { return r.M.Neg(a) }
 func (r Barrett128) Mul(a, b u128.U128) u128.U128 { return r.M.Mul(a, b) }

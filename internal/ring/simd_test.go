@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/modmath"
+	"mqxgo/internal/u128"
 )
 
 // Differential suite for the vector kernel tier: every assembly span
@@ -249,6 +250,40 @@ func TestKernelTierSelection(t *testing.T) {
 		}
 		if any(p.blk) != any(p.kern) {
 			t.Errorf("%s: blocked kernels %#v differ from span kernels %#v", tier, p.blk, p.kern)
+		}
+	}
+	checkBarrett128TierSelection(t)
+}
+
+// checkBarrett128TierSelection: a Barrett128 plan is its own kernel set,
+// bound at its resolved tier. avx512 serves moduli of 65 to 124 bits;
+// an avx2 request and any modulus below 2^64 run (and report) scalar.
+func checkBarrett128TierSelection(t *testing.T) {
+	q62, err := modmath.FindNTTPrime128(62, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, narrow := modmath.DefaultModulus128(), modmath.MustModulus128(q62)
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
+		if DetectKernelTier() < tier {
+			continue
+		}
+		for _, m := range []*modmath.Modulus128{wide, narrow} {
+			want := TierScalar
+			if tier == TierAVX512 && m == wide {
+				want = TierAVX512
+			}
+			p := MustPlan[u128.U128](NewBarrett128Tier(m, tier), 16)
+			if got := p.KernelTier(); got != want.String() {
+				t.Errorf("Barrett128 %s, %d-bit modulus: KernelTier() = %s, want %s", tier, m.N, got, want)
+			}
+			k, ok := p.kern.(Barrett128)
+			if !ok || k.tier != want || (k.vecLen(8) == 8) != (want == TierAVX512) {
+				t.Errorf("Barrett128 %s, %d-bit modulus: plan holds %#v, want a Barrett128 at %s", tier, m.N, p.kern, want)
+			}
+			if p.blk != nil {
+				t.Errorf("Barrett128 %s: plan has blocked kernels %#v", tier, p.blk)
+			}
 		}
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// KernelTier names one implementation level of the Shoup64 span kernels:
-// the always-on scalar Go loops (PR 3), or one of the vector tiers below
-// them. The tier is selected exactly once, at plan build, by clamping the
-// requested tier to what the host CPU supports; the scalar kernels remain
-// the ground truth every vector tier is differential-tested against.
+// KernelTier names one implementation level of the span kernels: the
+// always-on scalar Go loops, or one of the vector tiers below them (AVX2
+// and AVX-512 for Shoup64; AVX-512 for Barrett128). The tier is resolved
+// by clamping the requested tier to what the host CPU supports; the
+// scalar kernels remain the ground truth every vector tier is
+// differential-tested against.
 type KernelTier uint8
 
 const (

@@ -52,6 +52,28 @@ func evalOK(t *testing.T, ts *httptest.Server, body map[string]any) map[string]a
 	return resp
 }
 
+// postHandle posts body to path and returns the handle of the response,
+// failing the test on a non-200 status or a response without a handle.
+func postHandle(t *testing.T, ts *httptest.Server, path string, body any) string {
+	t.Helper()
+	code, r := post(t, ts, path, body)
+	if code != http.StatusOK {
+		t.Fatalf("%s: %d %v", path, code, r)
+	}
+	return handleOf(t, r)
+}
+
+// handleOf returns the handle of a response, failing the test when it
+// carries none.
+func handleOf(t *testing.T, r map[string]any) string {
+	t.Helper()
+	h, ok := r["handle"].(string)
+	if !ok || h == "" {
+		t.Fatalf("response carries no handle: %v", r)
+	}
+	return h
+}
+
 // TestServerPackedRoundTrip drives the packed SIMD workflow end-to-end
 // over HTTP: encode slot vectors, encrypt, slot-wise multiply, rotate
 // (multi-hop, negative, in-place) and conjugate, then decrypt + decode
@@ -60,14 +82,15 @@ func TestServerPackedRoundTrip(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	post(t, ts, "/v1/keygen", map[string]string{"tenant": "pack"})
+	if code, r := post(t, ts, "/v1/keygen", map[string]string{"tenant": "pack"}); code != http.StatusOK {
+		t.Fatalf("keygen: %d %v", code, r)
+	}
 
 	slots1, slots2 := testSlots(1), testSlots(2)
 	enc1 := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "encode", "values": slots1})
 	enc2 := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "encode", "values": slots2})
-	_, r1 := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "pack", "values": decodeValues(t, enc1)})
-	_, r2 := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "pack", "values": decodeValues(t, enc2)})
-	h1, h2 := r1["handle"].(string), r2["handle"].(string)
+	h1 := postHandle(t, ts, "/v1/encrypt", map[string]any{"tenant": "pack", "values": decodeValues(t, enc1)})
+	h2 := postHandle(t, ts, "/v1/encrypt", map[string]any{"tenant": "pack", "values": decodeValues(t, enc2)})
 
 	// Slot-wise product: the plaintext CRT turns the negacyclic product
 	// into a pointwise one.
@@ -76,7 +99,7 @@ func TestServerPackedRoundTrip(t *testing.T) {
 		prodSlots[i] = slots1[i] * slots2[i] % testT
 	}
 	prod := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "mul", "args": []string{h1, h2}})
-	hp := prod["handle"].(string)
+	hp := handleOf(t, prod)
 
 	const steps = 3 // two key-switch hops
 	rot := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "rotate", "args": []string{hp}, "steps": steps})
@@ -97,19 +120,19 @@ func TestServerPackedRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	checkSlots(rot["handle"].(string), rotatedSlots(prodSlots, steps), "rotated product")
+	checkSlots(handleOf(t, rot), rotatedSlots(prodSlots, steps), "rotated product")
 
 	// Negative steps normalize mod the row length.
 	neg := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "rotate", "args": []string{h1}, "steps": -2})
-	checkSlots(neg["handle"].(string), rotatedSlots(slots1, testN/2-2), "negative rotation")
+	checkSlots(handleOf(t, neg), rotatedSlots(slots1, testN/2-2), "negative rotation")
 
 	conj := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "conjugate", "args": []string{h1}})
-	checkSlots(conj["handle"].(string), conjugatedSlots(slots1), "conjugate")
+	checkSlots(handleOf(t, conj), conjugatedSlots(slots1), "conjugate")
 
 	// In-place: rotate h2 into the existing negative-rotation handle.
-	dst := neg["handle"].(string)
+	dst := handleOf(t, neg)
 	inp := evalOK(t, ts, map[string]any{"tenant": "pack", "op": "rotate", "args": []string{h2}, "steps": 5, "out": dst})
-	if inp["handle"].(string) != dst {
+	if handleOf(t, inp) != dst {
 		t.Fatalf("in-place rotate returned handle %v, want %s", inp["handle"], dst)
 	}
 	checkSlots(dst, rotatedSlots(slots2, 5), "in-place rotation")
