@@ -69,17 +69,6 @@ func BenchmarkModMul128Schoolbook(b *testing.B) {
 	sinkU128 = acc
 }
 
-func BenchmarkModMul128Karatsuba(b *testing.B) {
-	mod := modmath.DefaultModulus128().WithAlgorithm(modmath.Karatsuba)
-	xs := randResidues(3, mod, 1024)
-	b.ResetTimer()
-	acc := u128.One
-	for i := 0; i < b.N; i++ {
-		acc = mod.Mul(acc, xs[i%1024])
-	}
-	sinkU128 = acc
-}
-
 func BenchmarkModMul64Shoup(b *testing.B) {
 	ps, err := modmath.FindNTTPrimes64(60, 1<<10, 1)
 	if err != nil {
@@ -341,7 +330,7 @@ func BenchmarkFigure5NTTGeneric4096(b *testing.B) {
 	x := randResidues(11, mod, 1<<12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ntt.ForwardWith(p, g, x)
+		g.Forward(p, x)
 	}
 	butterflies := float64(1<<11) * float64(p.M)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/butterflies, "ns/butterfly")

@@ -27,7 +27,7 @@ func TestGenericArithAndBigPlanAgreeWithNative(t *testing.T) {
 	want := make([]u128.U128, n)
 	p.ForwardInto(want, x)
 
-	got := ntt.ForwardWith(p, GenericArith{Q: mod.Q}, x)
+	got := GenericArith{Q: mod.Q}.Forward(p, x)
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("generic NTT differs at %d", i)

@@ -14,6 +14,7 @@ import (
 	"mqxgo/internal/blas"
 	"mqxgo/internal/extdata"
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/pisa"
@@ -41,7 +42,7 @@ func Figure5(mach *perfmodel.Machine, mod *modmath.Modulus128, ratios perfmodel.
 	levels := []isa.Level{isa.LevelScalar, isa.LevelAVX2, isa.LevelAVX512, isa.LevelMQX}
 	perLevel := map[isa.Level][]float64{}
 	for _, level := range levels {
-		body := perfmodel.ButterflyBody(level, mod)
+		body := perfmodel.ButterflyBody(level, mod, kernels.Schoolbook)
 		k := perfmodel.NewKernelModel(mach, body)
 		var vals []float64
 		for _, n := range fig.Sizes {
@@ -126,7 +127,7 @@ func Figure6(mod *modmath.Modulus128) []SensitivityRow {
 		isa.LevelMQXPredicated: "+M,C,P",
 	}
 	mean := func(level isa.Level) float64 {
-		body := perfmodel.ButterflyBody(level, mod)
+		body := perfmodel.ButterflyBody(level, mod, kernels.Schoolbook)
 		k := perfmodel.NewKernelModel(mach, body)
 		sum := 0.0
 		for _, n := range roofline.StandardSizes {
@@ -156,15 +157,19 @@ type KaratsubaRow struct {
 	Speedup      float64 // karatsuba / schoolbook (>1 means schoolbook wins)
 }
 
-// KaratsubaComparison runs the Section 5.5 analysis at NTT size 2^14.
+// KaratsubaComparison runs the Section 5.5 analysis at NTT size 2^14:
+// the modeled butterfly with each widening product.
 func KaratsubaComparison(mod *modmath.Modulus128) []KaratsubaRow {
 	const n = 1 << 14
+	project := func(mach *perfmodel.Machine, level isa.Level, alg kernels.MulAlgorithm) float64 {
+		body := perfmodel.ButterflyBody(level, mod, alg)
+		return perfmodel.NewNTTModel(perfmodel.NewKernelModel(mach, body), n).NsPerButterfly()
+	}
 	var rows []KaratsubaRow
-	kar := mod.WithAlgorithm(modmath.Karatsuba)
 	for _, mach := range perfmodel.MeasurementMachines {
 		for _, level := range isa.AllLevels {
-			s := perfmodel.ProjectNTT(mach, level, mod, n).NsPerButterfly()
-			k := perfmodel.ProjectNTT(mach, level, kar, n).NsPerButterfly()
+			s := project(mach, level, kernels.Schoolbook)
+			k := project(mach, level, kernels.Karatsuba)
 			rows = append(rows, KaratsubaRow{
 				Machine:      mach.Name,
 				Level:        level,

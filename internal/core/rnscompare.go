@@ -2,6 +2,7 @@ package core
 
 import (
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/perfmodel"
 )
@@ -41,7 +42,7 @@ func CompareRNS(mod *modmath.Modulus128, n int) ([]RNSCompareRow, error) {
 	for _, mach := range perfmodel.MeasurementMachines {
 		for _, level := range isa.AllLevels {
 			dw := perfmodel.NewNTTModel(
-				perfmodel.NewKernelModel(mach, perfmodel.ButterflyBody(level, mod)), n)
+				perfmodel.NewKernelModel(mach, perfmodel.ButterflyBody(level, mod, kernels.Schoolbook)), n)
 			sw := perfmodel.NewNTTModel(
 				perfmodel.NewKernelModel(mach, perfmodel.SWButterflyBody(level, mod64)), n)
 			dwNs := dw.NsPerButterfly()

@@ -39,17 +39,17 @@ func VerifyAllTiers(mod *modmath.Modulus128, n int) error {
 		switch level {
 		case isa.LevelScalar:
 			b := kernels.NewBScalar(m)
-			d := kernels.NewDW[vm.S, vm.F](b, mod)
+			d := kernels.NewDW[vm.S, vm.F](b, mod, kernels.Schoolbook)
 			m.BeginLoop()
 			got, err = perfmodel.ForwardVM(d, plan, xv)
 		case isa.LevelAVX2:
 			b := kernels.NewB256(m)
-			d := kernels.NewDW[vm.V4, vm.V4](b, mod)
+			d := kernels.NewDW[vm.V4, vm.V4](b, mod, kernels.Schoolbook)
 			m.BeginLoop()
 			got, err = perfmodel.ForwardVM(d, plan, xv)
 		default:
 			b := kernels.NewB512(m, level)
-			d := kernels.NewDW[vm.V, vm.M](b, mod)
+			d := kernels.NewDW[vm.V, vm.M](b, mod, kernels.Schoolbook)
 			m.BeginLoop()
 			got, err = perfmodel.ForwardVM(d, plan, xv)
 		}

@@ -8,14 +8,14 @@ import (
 	"mqxgo/internal/scratch"
 )
 
-// allocFixture builds a scheme on an RNS backend of the given tower
-// dispatch width (1 runs every step on the caller, wider widths go
-// through the ring worker pool) with two encryptions of the same message
-// and relin and Galois keys.
-func allocFixture(t *testing.T, levels, workers int) (*BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
+// allocFixture builds a scheme on an RNS backend of levels towers of
+// primeBits-bit primes at the given tower dispatch width (1 runs every
+// step on the caller, wider widths go through the ring worker pool) with
+// two encryptions of the same message and relin and Galois keys.
+func allocFixture(t *testing.T, primeBits, levels, workers int) (*BackendScheme, BackendRelinKey, BackendGaloisKey, BackendCiphertext, BackendCiphertext) {
 	t.Helper()
 	const n, T = 256, 257
-	c, err := rns.NewContext(59, levels, n)
+	c, err := rns.NewContext(primeBits, levels, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRNSMulCtDoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, _, c1, c2 := allocFixture(t, 2, 1)
+	s, rlk, _, c1, c2 := allocFixture(t, 59, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the multiply and transform pools
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestRNSMulCtSquaringDoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, _, c1, _ := allocFixture(t, 2, 1)
+	s, rlk, _, c1, _ := allocFixture(t, 59, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c1, rlk); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRNSModSwitchDoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, _, _, ct, _ := allocFixture(t, 3, 1)
+	s, _, _, ct, _ := allocFixture(t, 59, 3, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
 	if err := s.ModSwitchInto(context.Background(), &dst, ct); err != nil { // warm the rescale scratch pool
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestRNSRotateDoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, _, gk, c1, _ := allocFixture(t, 2, 1)
+	s, _, gk, c1, _ := allocFixture(t, 59, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.RotateSlotsInto(context.Background(), &dst, c1, 3, gk); err != nil { // 2 hops; warms the pools
 		t.Fatal(err)
@@ -158,7 +158,30 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, gk, c1, c2 := allocFixture(t, 3, 2)
+	s, rlk, gk, c1, c2 := allocFixture(t, 59, 3, 2)
+	assertEvalOpsDoNotAllocate(t, "width 2", s, rlk, gk, c1, c2)
+}
+
+// TestRNSKeySwitchLandingDoesNotAllocate holds the key switch's in-place
+// landings to the same bar: five 61-bit towers take fewer lazy products
+// per accumulator row than they have digits, so every level-0 key switch
+// lands its rows between digits, at width 1.
+func TestRNSKeySwitchLandingDoesNotAllocate(t *testing.T) {
+	if scratch.Race {
+		t.Skip("race instrumentation allocates")
+	}
+	s, rlk, gk, c1, c2 := allocFixture(t, 61, 5, 1)
+	if L := s.B.(*rnsBackend).levels[0].landEvery; L >= 5 {
+		t.Fatalf("level 0 lands every %d digits, want fewer than 5", L)
+	}
+	assertEvalOpsDoNotAllocate(t, "61x5 width 1", s, rlk, gk, c1, c2)
+}
+
+// assertEvalOpsDoNotAllocate runs every in-place evaluation op at level 0
+// of the fixture once to warm the frame, scratch and worker pools, then
+// requires 0 allocs/op of each.
+func assertEvalOpsDoNotAllocate(t *testing.T, label string, s *BackendScheme, rlk BackendRelinKey, gk BackendGaloisKey, c1, c2 BackendCiphertext) {
+	t.Helper()
 	ctx := context.Background()
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	down := BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
@@ -170,7 +193,7 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 		"modswitch": func() error { return s.ModSwitchInto(ctx, &down, c1) },
 		"add":       func() error { return s.AddCiphertextsInto(ctx, &dst, c1, c2) },
 	} {
-		if err := op(); err != nil { // warm the frame, scratch and worker pools
+		if err := op(); err != nil {
 			t.Fatal(err)
 		}
 		if got := testing.AllocsPerRun(10, func() {
@@ -178,7 +201,7 @@ func TestRNSEvalWidth2DoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); got != 0 {
-			t.Errorf("%s at width 2 allocates %.1f per run, want 0", name, got)
+			t.Errorf("%s at %s allocates %.1f per run, want 0", name, label, got)
 		}
 	}
 }

@@ -113,11 +113,12 @@ type rnsLevel struct {
 	digit    []ring.Affine
 	extRound []ring.Affine
 
-	// relinLazy reports that k lazy Shoup products (each < 2q) fit a
-	// 64-bit accumulator for every tower of this level, enabling the
-	// deferred-reduction relin accumulation (one Barrett per element at
-	// the end instead of a canonical multiply-add per digit).
-	relinLazy bool
+	// landEvery is L, the key-switch digits an accumulator row takes
+	// between landings (keySwitchAccumulate): a landed row is canonical
+	// (< q) and each lazy Shoup product adds less than 2q, so L digits
+	// keep it below q + L*2q, which landBound holds under
+	// 2^min(64, 2*bitlen(q)) for every tower of the level.
+	landEvery uint64
 
 	rescale *rns.Rescaler // Q_l -> Q_{l+1} (nil at the bottom rung)
 	mulPool scratch.Pool[rnsMulScratch]
@@ -157,7 +158,6 @@ type rnsMulScratch struct {
 	convE         rns.Poly    // FastBConv([w]_Q) landing buffer
 	extRows       [][]uint64  // row list of the divide-and-round's extension step
 	accA, accB    rns.Poly    // key-switch evaluation-domain accumulators
-	liftQ, prodQ  rns.Poly    // key-switch rows of the unfused accumulate
 
 	// Call frame for the dispatched steps.
 	lv         *rnsLevel
@@ -213,7 +213,7 @@ func (sc *rnsMulScratch) release() {
 // scratch.Pool). The call frame and extRows, which point at rows the
 // frame does not own, are left alone.
 func (sc *rnsMulScratch) poison() {
-	for _, p := range [...]rns.Poly{sc.zQ, sc.c0Q, sc.c1Q, sc.c2Q, sc.c0E, sc.c1E, sc.c2E, sc.convE, sc.accA, sc.accB, sc.liftQ, sc.prodQ} {
+	for _, p := range [...]rns.Poly{sc.zQ, sc.c0Q, sc.c1Q, sc.c2Q, sc.c0E, sc.c1E, sc.c2E, sc.convE, sc.accA, sc.accB} {
 		scratch.FillRows(p.Res)
 	}
 	for _, ps := range [...][]rns.Poly{sc.opE[:], sc.evE[:], sc.opQ[:]} {
@@ -406,26 +406,16 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 			mod.Mul(t.Mod(halfQ, qb).Uint64(), qInv),
 			mod.Mul(b.t%mod.Q, qInv), mod.Neg(qInv)))
 	}
-	maxQ, minQ := c.Mods[0].Q, c.Mods[0].Q
+	lv.landEvery = landBound(c.Mods[0].Q)
 	for _, mod := range c.Mods[1:] {
-		if mod.Q > maxQ {
-			maxQ = mod.Q
-		}
-		if mod.Q < minQ {
-			minQ = mod.Q
-		}
+		lv.landEvery = min(lv.landEvery, landBound(mod.Q))
 	}
-	// Both halves of the lazy contract: k summands < 2*maxQ may not wrap
-	// the 64-bit accumulator, and the final Barrett64Reduce(0, acc) needs
-	// acc < q^2, i.e. q > 2^32 so that q^2 covers the whole accumulator.
-	lv.relinLazy = uint64(k) <= ^uint64(0)/(2*maxQ) && minQ > 1<<32
 	lv.mulPool.New = func() *rnsMulScratch {
 		sc := &rnsMulScratch{
 			c0Q: c.NewPoly(), c1Q: c.NewPoly(), c2Q: c.NewPoly(),
 			c0E: ext.NewPoly(), c1E: ext.NewPoly(), c2E: ext.NewPoly(),
 			convE: ext.NewPoly(), extRows: make([][]uint64, 2),
-			zQ: c.NewPoly(), liftQ: c.NewPoly(), prodQ: c.NewPoly(),
-			accA: c.NewPoly(), accB: c.NewPoly(),
+			zQ: c.NewPoly(), accA: c.NewPoly(), accB: c.NewPoly(),
 		}
 		for i := range sc.opE {
 			sc.opE[i] = ext.NewPoly()
@@ -1175,49 +1165,56 @@ func relinDigitRow(sc *rnsMulScratch, i int) {
 
 // keySwitchAccumulate is the inner product every key switch shares: the
 // k gadget digit rows in zQ, each forward-transformed into tower tau,
-// against that tower of the framed key's a and b rows. It returns the two
-// accumulator rows holding 64-bit sums congruent to the inner products
-// mod q_tau — lazy on the fused path, canonical on the fallback — which
-// the landings (relinTower, galoisTower) reduce once per element; Barrett
-// of a canonical value is the value, so one landing serves both. The
-// digit rows are canonical mod q_i with q_i < 2*q_tau, and the twist
-// pass's Shoup multiply is exact for any 64-bit input, so they feed the
-// forward transform directly.
+// against that tower of the framed key's a and b rows. The key rows are
+// fixed, so each digit contributes one lazy Shoup product (< 2q) folded
+// in with a plain integer add, and the digit transform and both key-row
+// MACs run as one fused pass (NegacyclicForwardMAC2): the final NTT
+// stage's outputs are accumulated as they are produced instead of being
+// written out and streamed back twice per digit. Every landEvery digits
+// the rows land in place on their canonical residues, so the 64-bit sums
+// never wrap and stay inside Barrett's window. It returns the two
+// accumulator rows, congruent to the inner products mod q_tau, which the
+// landings (relinTower, galoisTower) reduce once per element. The digit
+// rows are canonical mod q_i, and the twist pass's Shoup multiply is
+// exact for any 64-bit input, so they feed the forward transform directly.
 func keySwitchAccumulate(sc *rnsMulScratch, tau int) (accA, accB []uint64) {
 	lv := sc.lv
 	c := lv.c
-	k := c.Channels()
 	plan := c.Plans[tau].Generic()
+	mod := c.Mods[tau]
 	accA, accB = sc.accA.Res[tau], sc.accB.Res[tau]
 	clearRow(accA)
 	clearRow(accB)
-	if lv.relinLazy {
-		// Deferred-reduction inner product: the key rows are fixed, so
-		// each digit contributes one lazy Shoup product (< 2q) folded in
-		// with a plain integer add — relinLazy guarantees k of them fit
-		// the 64-bit accumulator. The digit transform and both key-row
-		// MACs run as one fused pass (NegacyclicForwardMAC2): the final
-		// NTT stage's outputs are accumulated as they are produced
-		// instead of being written out and streamed back twice per digit.
-		for i := 0; i < k; i++ {
-			ring.NegacyclicForwardMAC2(plan, accA, accB, sc.zQ.Res[i],
-				sc.lkey.a[i].Res[tau], sc.lkey.aPre[i].Res[tau],
-				sc.lkey.b[i].Res[tau], sc.lkey.bPre[i].Res[tau])
+	for i := 0; i < c.Channels(); i++ {
+		if i > 0 && uint64(i)%lv.landEvery == 0 {
+			landRow(accA, mod)
+			landRow(accB, mod)
 		}
-		return accA, accB
-	}
-	// Bases where k lazy summands would wrap (or Barrett's q^2 window is
-	// too small): the canonical multiply-add chain, digit by digit.
-	mod := c.Mods[tau]
-	lift, prod := sc.liftQ.Res[tau], sc.prodQ.Res[tau]
-	for i := 0; i < k; i++ {
-		plan.NegacyclicForwardInto(lift, sc.zQ.Res[i])
-		plan.PointwiseMulInto(prod, lift, sc.lkey.a[i].Res[tau])
-		addRow(accA, prod, mod)
-		plan.PointwiseMulInto(prod, lift, sc.lkey.b[i].Res[tau])
-		addRow(accB, prod, mod)
+		ring.NegacyclicForwardMAC2(plan, accA, accB, sc.zQ.Res[i],
+			sc.lkey.a[i].Res[tau], sc.lkey.aPre[i].Res[tau],
+			sc.lkey.b[i].Res[tau], sc.lkey.bPre[i].Res[tau])
 	}
 	return accA, accB
+}
+
+// landBound returns the largest L with q + L*2q < 2^min(64, 2*bitlen(q)):
+// a canonical accumulator plus L lazy products neither wraps 64 bits nor
+// leaves the range Barrett64Reduce(0, acc) reduces exactly. It is at
+// least 1 for every modulus NewModulus64 accepts.
+func landBound(q uint64) uint64 {
+	room := ^uint64(0)
+	if nb := bits.Len64(q); nb < 32 {
+		room = 1<<(2*nb) - 1
+	}
+	return (room - q) / (2 * q)
+}
+
+// landRow reduces an accumulator row in place to canonical residues.
+func landRow(acc []uint64, mod *modmath.Modulus64) {
+	q, mu, nb := mod.Q, mod.Mu, mod.N
+	for j, v := range acc {
+		acc[j] = modmath.Barrett64Reduce(0, v, q, mu, nb)
+	}
 }
 
 // relinTower accumulates all k gadget digits into one tower of the

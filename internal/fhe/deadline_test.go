@@ -218,7 +218,7 @@ func TestCancelledMulLeaksNoPooledBuffers(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
-	s, rlk, _, c1, c2 := allocFixture(t, 2, 1)
+	s, rlk, _, c1, c2 := allocFixture(t, 59, 2, 1)
 	dst := BackendCiphertext{A: s.B.NewPolyAt(0), B: s.B.NewPolyAt(0)}
 	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm the scratch pool
 		t.Fatal(err)

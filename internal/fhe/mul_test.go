@@ -3,6 +3,7 @@ package fhe
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -304,94 +305,126 @@ func noiseBitsOf(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct Backend
 	return nb
 }
 
-// TestCanonicalKeySwitchOnWideTowers drives keySwitchAccumulate's
-// canonical branch: five 61-bit towers leave no room for five lazy
-// Shoup products (each < 2q) in a 64-bit accumulator, so level 0 turns
-// relinLazy off. A level-0 multiply must still decrypt to the
-// negacyclic product mod t, and a level-0 rotation and conjugation to
-// the rotated and row-swapped slot vectors.
-func TestCanonicalKeySwitchOnWideTowers(t *testing.T) {
+// TestKeySwitchLandingOnEveryBasis drives keySwitchAccumulate on the
+// bases whose towers bound the lazy accumulate: five 61-bit towers leave
+// room for fewer than five lazy Shoup products (each < 2q) in a 64-bit
+// accumulator, so level 0 lands the rows between digits; 30- and 32-bit
+// towers keep every product inside Barrett's 2^(2*bitlen q) window. At
+// every level above the bottom rung a multiply must decrypt to the
+// negacyclic product mod t, and a rotation and conjugation to the rotated
+// and row-swapped slot vectors. The bottom rung's one gadget digit is as
+// wide as Q itself, so its key-switch noise exceeds Delta by design (the
+// guardrail refuses key switches there) and it is not checked.
+func TestKeySwitchLandingOnEveryBasis(t *testing.T) {
 	const n, pt = 64, 257
-	c, err := rns.NewContext(61, 5, n)
-	if err != nil {
-		t.Fatal(err)
+	for _, base := range []struct {
+		bits, k int
+		land    bool // level 0 lands between digits
+	}{{61, 5, true}, {30, 3, false}, {32, 3, false}} {
+		t.Run(fmt.Sprintf("%dx%d", base.bits, base.k), func(t *testing.T) {
+			c, err := rns.NewContext(base.bits, base.k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewRNSBackend(c, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if L := b.(*rnsBackend).levels[0].landEvery; (L < uint64(base.k)) != base.land {
+				t.Fatalf("level 0 lands every %d of %d digits, want landing %v", L, base.k, base.land)
+			}
+			s := NewBackendScheme(b, int64(base.bits))
+			sk := s.KeyGen()
+			rlk, err := s.RelinKeyGen(sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gk, err := s.GaloisKeyGen(sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			m1, m2, slots := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+			for i := range m1 {
+				m1[i], m2[i], slots[i] = rng.Uint64()%pt, rng.Uint64()%pt, rng.Uint64()%pt
+			}
+			msg, err := s.EncodeSlots(slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			c1, c2, ct := mustCT(t)(s.Encrypt(sk, m1)), mustCT(t)(s.Encrypt(sk, m2)), mustCT(t)(s.Encrypt(sk, msg))
+			for l := 0; l < b.Levels()-1; l++ {
+				if l > 0 {
+					c1 = mustCT(t)(s.ModSwitchCtx(ctx, c1))
+					c2 = mustCT(t)(s.ModSwitchCtx(ctx, c2))
+					ct = mustCT(t)(s.ModSwitchCtx(ctx, ct))
+				}
+				got, err := s.Decrypt(sk, mustCT(t)(s.MulCiphertextsCtx(ctx, c1, c2, rlk)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range NegacyclicProductModT(m1, m2, pt) {
+					if got[i] != want {
+						t.Fatalf("level %d multiply: coeff %d = %d, want %d", l, i, got[i], want)
+					}
+				}
+				rot := mustCT(t)(s.RotateSlotsCtx(ctx, ct, 3, gk))
+				conj := mustCT(t)(conjugate(ctx, s, ct, gk))
+				for _, tc := range []struct {
+					name string
+					ct   BackendCiphertext
+					want []uint64
+				}{{"rotate 3", rot, rotatedModel(slots, 3)}, {"conjugate", conj, conjugatedModel(slots)}} {
+					dec, err := s.Decrypt(sk, tc.ct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.DecodeSlots(dec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						if got[i] != tc.want[i] {
+							t.Fatalf("level %d %s: slot %d = %d, want %d", l, tc.name, i, got[i], tc.want[i])
+						}
+					}
+				}
+			}
+		})
 	}
-	b, err := NewRNSBackend(c, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.(*rnsBackend).levels[0].relinLazy {
-		t.Fatal("level 0 of five 61-bit towers takes the lazy key-switch path")
-	}
-	s := NewBackendScheme(b, 61)
-	sk := s.KeyGen()
-	rlk, err := s.RelinKeyGen(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gk, err := s.GaloisKeyGen(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	m1, m2 := make([]uint64, n), make([]uint64, n)
-	for i := range m1 {
-		m1[i], m2[i] = rng.Uint64()%pt, rng.Uint64()%pt
-	}
-	c1, err := s.Encrypt(sk, m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := s.Encrypt(sk, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Decrypt(sk, mustCT(t)(s.MulCiphertextsCtx(context.Background(), c1, c2, rlk)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range NegacyclicProductModT(m1, m2, pt) {
-		if got[i] != want {
-			t.Fatalf("multiply: coeff %d = %d, want %d", i, got[i], want)
-		}
-	}
+}
 
-	slots := make([]uint64, n)
-	for i := range slots {
-		slots[i] = rng.Uint64() % pt
-	}
-	msg, err := s.EncodeSlots(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := s.Encrypt(sk, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rot, err := s.RotateSlotsCtx(context.Background(), ct, 3, gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conj, err := conjugate(context.Background(), s, ct, gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		ct   BackendCiphertext
-		want []uint64
-	}{{"rotate 3", rot, rotatedModel(slots, 3)}, {"conjugate", conj, conjugatedModel(slots)}} {
-		dec, err := s.Decrypt(sk, tc.ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.DecodeSlots(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("%s: slot %d = %d, want %d", tc.name, i, got[i], tc.want[i])
+// TestLandBound pins the key switch's landing bound against math/big:
+// for moduli of every width NewModulus64 accepts, L = landBound(q) is at
+// least 1, a landed row (< q) plus L lazy products (each < 2q) stays
+// below 2^min(64, 2*bitlen q), one more product would not, and
+// Barrett64Reduce(0, acc) is exact at the largest such accumulator.
+func TestLandBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for nb := 2; nb <= 62; nb++ {
+		lo := uint64(1) << (nb - 1)
+		for _, q := range []uint64{lo, lo + 1, lo + rng.Uint64()%lo, 2*lo - 1} {
+			if q < 2 {
+				continue
+			}
+			mod := modmath.MustModulus64(q)
+			L := landBound(q)
+			if L < 1 {
+				t.Fatalf("q=%d: landBound %d", q, L)
+			}
+			limit := new(big.Int).Lsh(big.NewInt(1), uint(min(64, 2*nb)))
+			bq := new(big.Int).SetUint64(q)
+			span := func(l uint64) *big.Int { // q + l*2q
+				return new(big.Int).Mul(bq, new(big.Int).SetUint64(2*l+1))
+			}
+			if span(L).Cmp(limit) >= 0 || span(L+1).Cmp(limit) < 0 {
+				t.Fatalf("q=%d (%d bits): landBound %d is not the largest L with q+L*2q < 2^%d", q, nb, L, limit.BitLen()-1)
+			}
+			acc := (q - 1) + L*(2*q-1)
+			want := new(big.Int).Mod(new(big.Int).SetUint64(acc), bq).Uint64()
+			if got := modmath.Barrett64Reduce(0, acc, q, mod.Mu, mod.N); got != want {
+				t.Fatalf("q=%d: Barrett64Reduce(0, %d) = %d, want %d", q, acc, got, want)
 			}
 		}
 	}

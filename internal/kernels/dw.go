@@ -12,6 +12,20 @@ type DWPair[W any] struct {
 	Hi, Lo W
 }
 
+// MulAlgorithm selects the 128x128 widening product inside DW.MulMod.
+type MulAlgorithm int
+
+const (
+	// Schoolbook uses four 64x64 multiplications (Eq. 8). The paper finds
+	// it faster than Karatsuba on CPUs in nearly every configuration
+	// (Section 5.5), and it is the product every runtime path computes
+	// (modmath.Modulus128.Mul, the ring's Barrett128 spans).
+	Schoolbook MulAlgorithm = iota
+	// Karatsuba uses three 64x64 multiplications plus extra additions
+	// (Eq. 9). Only the modeled Section 5.5 comparison records it.
+	Karatsuba
+)
+
 // DW provides double-word modular arithmetic over a backend, holding the
 // broadcast modulus and Barrett constants. Construct before BeginLoop.
 type DW[W, C any] struct {
@@ -22,11 +36,12 @@ type DW[W, C any] struct {
 	MuHi, MuLo W
 	zeroW      W
 	n          uint
-	alg        modmath.MulAlgorithm
+	alg        MulAlgorithm
 }
 
-// NewDW broadcasts the modulus and Barrett constants for the backend.
-func NewDW[W, C any](o Ops[W, C], mod *modmath.Modulus128) *DW[W, C] {
+// NewDW broadcasts the modulus and Barrett constants for the backend;
+// alg selects MulMod's widening product.
+func NewDW[W, C any](o Ops[W, C], mod *modmath.Modulus128, alg MulAlgorithm) *DW[W, C] {
 	return &DW[W, C]{
 		O:     o,
 		Mod:   mod,
@@ -36,7 +51,7 @@ func NewDW[W, C any](o Ops[W, C], mod *modmath.Modulus128) *DW[W, C] {
 		MuLo:  o.Broadcast(mod.Mu.Lo),
 		zeroW: o.Broadcast(0),
 		n:     mod.N,
-		alg:   mod.Alg,
+		alg:   alg,
 	}
 }
 
@@ -97,12 +112,12 @@ func (d *DW[W, C]) SubMod(a, b DWPair[W]) DWPair[W] {
 type quad[W any] struct{ w0, w1, w2, w3 W }
 
 // MulMod computes (a * b) mod q via Barrett reduction (Eq. 4), with the
-// 128x128 widening product chosen by the modulus's multiplication
-// algorithm (schoolbook Eq. 8 or Karatsuba Eq. 9).
+// 128x128 widening product chosen by the DW's multiplication algorithm
+// (schoolbook Eq. 8 or Karatsuba Eq. 9).
 func (d *DW[W, C]) MulMod(a, b DWPair[W]) DWPair[W] {
 	o := d.O
 	var t quad[W]
-	if d.alg == modmath.Karatsuba {
+	if d.alg == Karatsuba {
 		t = d.mul128Karatsuba(a, b)
 	} else {
 		t = d.mul128Schoolbook(a, b)
@@ -113,7 +128,7 @@ func (d *DW[W, C]) MulMod(a, b DWPair[W]) DWPair[W] {
 
 	// v = u * mu, then qhat = (v >> (n+1)) low 128 bits.
 	var v quad[W]
-	if d.alg == modmath.Karatsuba {
+	if d.alg == Karatsuba {
 		v = d.mul128Karatsuba(u, DWPair[W]{Hi: d.MuHi, Lo: d.MuLo})
 	} else {
 		v = d.mul128Schoolbook(u, DWPair[W]{Hi: d.MuHi, Lo: d.MuLo})

@@ -16,13 +16,13 @@ var vecLevels = []isa.Level{
 	isa.LevelMQXCarryOnly, isa.LevelMQXMulHi, isa.LevelMQXPredicated,
 }
 
-func testModulus(t *testing.T, bits int, alg modmath.MulAlgorithm) *modmath.Modulus128 {
+func testModulus(t *testing.T, bits int) *modmath.Modulus128 {
 	t.Helper()
 	q, err := modmath.FindNTTPrime128(bits, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return modmath.MustModulus128(q).WithAlgorithm(alg)
+	return modmath.MustModulus128(q)
 }
 
 func randReduced(r *rand.Rand, mod *modmath.Modulus128) u128.U128 {
@@ -39,14 +39,14 @@ func edgeInputs(mod *modmath.Modulus128) []u128.U128 {
 
 // checkVec512 runs op over 8-lane inputs on a 512-bit backend and compares
 // each lane against the modmath reference.
-func checkVec512(t *testing.T, level isa.Level, mod *modmath.Modulus128,
+func checkVec512(t *testing.T, level isa.Level, mod *modmath.Modulus128, alg MulAlgorithm,
 	as, bs []u128.U128,
 	op func(d *DW[vm.V, vm.M], a, b DWPair[vm.V]) DWPair[vm.V],
 	ref func(a, b u128.U128) u128.U128) {
 	t.Helper()
 	m := vm.New(vm.TraceOff)
 	b512 := NewB512(m, level)
-	d := NewDW[vm.V, vm.M](b512, mod)
+	d := NewDW[vm.V, vm.M](b512, mod, alg)
 	m.BeginLoop()
 	for i := 0; i+8 <= len(as); i += 8 {
 		var ahi, alo, bhi, blo vm.Vec
@@ -98,17 +98,17 @@ func buildOperandSet(t *testing.T, mod *modmath.Modulus128, n int, seed int64) (
 
 func TestVec512AddSubMulModAllLevels(t *testing.T) {
 	for _, bits := range []int{64, 100, 124} {
-		for _, alg := range []modmath.MulAlgorithm{modmath.Schoolbook, modmath.Karatsuba} {
-			mod := testModulus(t, bits, alg)
+		for _, alg := range []MulAlgorithm{Schoolbook, Karatsuba} {
+			mod := testModulus(t, bits)
 			as, bs := buildOperandSet(t, mod, 256, int64(bits)*7+int64(alg))
 			for _, level := range vecLevels {
-				checkVec512(t, level, mod, as, bs,
+				checkVec512(t, level, mod, alg, as, bs,
 					func(d *DW[vm.V, vm.M], a, b DWPair[vm.V]) DWPair[vm.V] { return d.AddMod(a, b) },
 					mod.Add)
-				checkVec512(t, level, mod, as, bs,
+				checkVec512(t, level, mod, alg, as, bs,
 					func(d *DW[vm.V, vm.M], a, b DWPair[vm.V]) DWPair[vm.V] { return d.SubMod(a, b) },
 					mod.Sub)
-				checkVec512(t, level, mod, as, bs,
+				checkVec512(t, level, mod, alg, as, bs,
 					func(d *DW[vm.V, vm.M], a, b DWPair[vm.V]) DWPair[vm.V] { return d.MulMod(a, b) },
 					mod.Mul)
 			}
@@ -118,12 +118,12 @@ func TestVec512AddSubMulModAllLevels(t *testing.T) {
 
 func TestAVX2AddSubMulMod(t *testing.T) {
 	for _, bits := range []int{64, 113, 124} {
-		for _, alg := range []modmath.MulAlgorithm{modmath.Schoolbook, modmath.Karatsuba} {
-			mod := testModulus(t, bits, alg)
+		for _, alg := range []MulAlgorithm{Schoolbook, Karatsuba} {
+			mod := testModulus(t, bits)
 			as, bs := buildOperandSet(t, mod, 128, int64(bits)*13+int64(alg))
 			m := vm.New(vm.TraceOff)
 			b256 := NewB256(m)
-			d := NewDW[vm.V4, vm.V4](b256, mod)
+			d := NewDW[vm.V4, vm.V4](b256, mod, alg)
 			m.BeginLoop()
 			type refFn func(a, b u128.U128) u128.U128
 			cases := []struct {
@@ -160,12 +160,12 @@ func TestAVX2AddSubMulMod(t *testing.T) {
 
 func TestScalarAddSubMulMod(t *testing.T) {
 	for _, bits := range []int{64, 90, 124} {
-		for _, alg := range []modmath.MulAlgorithm{modmath.Schoolbook, modmath.Karatsuba} {
-			mod := testModulus(t, bits, alg)
+		for _, alg := range []MulAlgorithm{Schoolbook, Karatsuba} {
+			mod := testModulus(t, bits)
 			as, bs := buildOperandSet(t, mod, 128, int64(bits)*17+int64(alg))
 			m := vm.New(vm.TraceOff)
 			bs1 := NewBScalar(m)
-			d := NewDW[vm.S, vm.F](bs1, mod)
+			d := NewDW[vm.S, vm.F](bs1, mod, alg)
 			m.BeginLoop()
 			for i := range as {
 				mk := func(x u128.U128) DWPair[vm.S] {
@@ -195,11 +195,11 @@ func TestScalarAddSubMulMod(t *testing.T) {
 }
 
 func TestButterflyMatchesReference(t *testing.T) {
-	mod := testModulus(t, 124, modmath.Schoolbook)
+	mod := testModulus(t, 124)
 	r := rand.New(rand.NewSource(99))
 	m := vm.New(vm.TraceOff)
 	b512 := NewB512(m, isa.LevelMQX)
-	d := NewDW[vm.V, vm.M](b512, mod)
+	d := NewDW[vm.V, vm.M](b512, mod, Schoolbook)
 	m.BeginLoop()
 	for iter := 0; iter < 50; iter++ {
 		var ahi, alo, bhi, blo, whi, wlo vm.Vec
@@ -237,11 +237,11 @@ func TestButterflyMatchesReference(t *testing.T) {
 // collapses the emulation sequences, so the per-butterfly instruction count
 // strictly drops from AVX2 (most), AVX-512, down to MQX (fewest).
 func TestInstructionCountOrdering(t *testing.T) {
-	mod := testModulus(t, 124, modmath.Schoolbook)
+	mod := testModulus(t, 124)
 	count512 := func(level isa.Level) int64 {
 		m := vm.New(vm.TraceCounts)
 		b := NewB512(m, level)
-		d := NewDW[vm.V, vm.M](b, mod)
+		d := NewDW[vm.V, vm.M](b, mod, Schoolbook)
 		m.BeginLoop()
 		x := DWPair[vm.V]{Hi: b.Broadcast(1), Lo: b.Broadcast(2)}
 		d.Butterfly(x, x, x)
@@ -266,7 +266,7 @@ func TestInstructionCountOrdering(t *testing.T) {
 	// AVX2 processes 4 lanes per instruction; normalize to per-lane work.
 	m2 := vm.New(vm.TraceCounts)
 	b2 := NewB256(m2)
-	d2 := NewDW[vm.V4, vm.V4](b2, mod)
+	d2 := NewDW[vm.V4, vm.V4](b2, mod, Schoolbook)
 	m2.BeginLoop()
 	x2 := DWPair[vm.V4]{Hi: b2.Broadcast(1), Lo: b2.Broadcast(2)}
 	d2.Butterfly(x2, x2, x2)
@@ -282,7 +282,7 @@ func TestInstructionCountOrdering(t *testing.T) {
 	// element than AVX-512 per vector, but no lane parallelism.
 	ms := vm.New(vm.TraceCounts)
 	bsc := NewBScalar(ms)
-	ds := NewDW[vm.S, vm.F](bsc, mod)
+	ds := NewDW[vm.S, vm.F](bsc, mod, Schoolbook)
 	ms.BeginLoop()
 	xs := DWPair[vm.S]{Hi: bsc.Broadcast(1), Lo: bsc.Broadcast(2)}
 	ds.Butterfly(xs, xs, xs)
@@ -293,11 +293,11 @@ func TestInstructionCountOrdering(t *testing.T) {
 }
 
 func TestPredicatedVariantSavesBlends(t *testing.T) {
-	mod := testModulus(t, 124, modmath.Schoolbook)
+	mod := testModulus(t, 124)
 	count := func(level isa.Level) int64 {
 		m := vm.New(vm.TraceCounts)
 		b := NewB512(m, level)
-		d := NewDW[vm.V, vm.M](b, mod)
+		d := NewDW[vm.V, vm.M](b, mod, Schoolbook)
 		m.BeginLoop()
 		x := DWPair[vm.V]{Hi: b.Broadcast(1), Lo: b.Broadcast(2)}
 		d.AddMod(x, x)

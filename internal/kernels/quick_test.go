@@ -26,7 +26,7 @@ func run512(level isa.Level, mod *modmath.Modulus128,
 	a, b u128.U128) u128.U128 {
 	m := vm.New(vm.TraceOff)
 	bk := NewB512(m, level)
-	d := NewDW[vm.V, vm.M](bk, mod)
+	d := NewDW[vm.V, vm.M](bk, mod, Schoolbook)
 	m.BeginLoop()
 	av := DWPair[vm.V]{Hi: bk.Broadcast(a.Hi), Lo: bk.Broadcast(a.Lo)}
 	bv := DWPair[vm.V]{Hi: bk.Broadcast(b.Hi), Lo: bk.Broadcast(b.Lo)}
@@ -39,7 +39,7 @@ func runScalar(mod *modmath.Modulus128,
 	a, b u128.U128) u128.U128 {
 	m := vm.New(vm.TraceOff)
 	bk := NewBScalar(m)
-	d := NewDW[vm.S, vm.F](bk, mod)
+	d := NewDW[vm.S, vm.F](bk, mod, Schoolbook)
 	m.BeginLoop()
 	av := DWPair[vm.S]{Hi: bk.Broadcast(a.Hi), Lo: bk.Broadcast(a.Lo)}
 	bv := DWPair[vm.S]{Hi: bk.Broadcast(b.Hi), Lo: bk.Broadcast(b.Lo)}
@@ -52,7 +52,7 @@ func runAVX2(mod *modmath.Modulus128,
 	a, b u128.U128) u128.U128 {
 	m := vm.New(vm.TraceOff)
 	bk := NewB256(m)
-	d := NewDW[vm.V4, vm.V4](bk, mod)
+	d := NewDW[vm.V4, vm.V4](bk, mod, Schoolbook)
 	m.BeginLoop()
 	av := DWPair[vm.V4]{Hi: bk.Broadcast(a.Hi), Lo: bk.Broadcast(a.Lo)}
 	bv := DWPair[vm.V4]{Hi: bk.Broadcast(b.Hi), Lo: bk.Broadcast(b.Lo)}
@@ -150,7 +150,7 @@ func TestQuickButterflyInvertible(t *testing.T) {
 		}
 		m := vm.New(vm.TraceOff)
 		bk := NewB512(m, isa.LevelMQX)
-		d := NewDW[vm.V, vm.M](bk, mod)
+		d := NewDW[vm.V, vm.M](bk, mod, Schoolbook)
 		m.BeginLoop()
 		av := DWPair[vm.V]{Hi: bk.Broadcast(a.Hi), Lo: bk.Broadcast(a.Lo)}
 		bv := DWPair[vm.V]{Hi: bk.Broadcast(b.Hi), Lo: bk.Broadcast(b.Lo)}

@@ -142,7 +142,7 @@ func TestRNSLaneVsDoubleWordInstructionCounts(t *testing.T) {
 	countDW := func(level isa.Level) int64 {
 		m := vm.New(vm.TraceCounts)
 		b := NewB512(m, level)
-		d := NewDW[vm.V, vm.M](b, mod128)
+		d := NewDW[vm.V, vm.M](b, mod128, Schoolbook)
 		m.BeginLoop()
 		x := DWPair[vm.V]{Hi: b.Broadcast(3), Lo: b.Broadcast(4)}
 		d.MulMod(x, x)

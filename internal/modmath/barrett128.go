@@ -1,10 +1,12 @@
 // Package modmath implements the double-word (128-bit) and single-word
 // (64-bit) modular arithmetic the paper's cryptographic kernels are built
 // from: conditional-subtract modular addition and subtraction (Eqs. 2-3)
-// and Barrett-reduced modular multiplication (Eq. 4) in both schoolbook
-// (Eq. 8) and Karatsuba (Eq. 9) flavors, plus the number-theoretic
-// utilities (primality, NTT-friendly prime search, roots of unity) needed
-// to parameterize NTTs.
+// and Barrett-reduced modular multiplication (Eq. 4) over the schoolbook
+// widening product (Eq. 8), plus the number-theoretic utilities
+// (primality, NTT-friendly prime search, roots of unity) needed to
+// parameterize NTTs. The paper finds schoolbook faster than Karatsuba
+// (Eq. 9) on CPUs (Section 5.5), so Karatsuba is only modeled, on the
+// trace machine (kernels.DW).
 package modmath
 
 import (
@@ -19,35 +21,12 @@ import (
 // that the precomputed mu fits in l bits (Section 2.1).
 const MaxModulusBits = 124
 
-// MulAlgorithm selects the widening multiplication used inside ModMul.
-type MulAlgorithm int
-
-const (
-	// Schoolbook uses four 64x64 multiplications (Eq. 8). The paper finds
-	// it faster than Karatsuba on CPUs in nearly every configuration
-	// (Section 5.5), so it is the default.
-	Schoolbook MulAlgorithm = iota
-	// Karatsuba uses three 64x64 multiplications plus extra additions (Eq. 9).
-	Karatsuba
-)
-
-func (a MulAlgorithm) String() string {
-	switch a {
-	case Schoolbook:
-		return "schoolbook"
-	case Karatsuba:
-		return "karatsuba"
-	}
-	return fmt.Sprintf("MulAlgorithm(%d)", int(a))
-}
-
 // Modulus128 holds a modulus q <= 124 bits together with its Barrett
 // precomputation mu = floor(2^(2n) / q), where n = bitlen(q).
 type Modulus128 struct {
-	Q   u128.U128 // the modulus
-	Mu  u128.U128 // Barrett constant, floor(2^(2n)/q); fits in n+1 <= 125 bits
-	N   uint      // bit length of Q
-	Alg MulAlgorithm
+	Q  u128.U128 // the modulus
+	Mu u128.U128 // Barrett constant, floor(2^(2n)/q); fits in n+1 <= 125 bits
+	N  uint      // bit length of Q
 }
 
 // NewModulus128 validates q and performs the Barrett precomputation.
@@ -67,7 +46,7 @@ func NewModulus128(q u128.U128) (*Modulus128, error) {
 	if muWide.Hi128() != u128.Zero {
 		return nil, fmt.Errorf("modmath: internal error: mu does not fit in 128 bits")
 	}
-	return &Modulus128{Q: q, Mu: muWide.Lo128(), N: n, Alg: Schoolbook}, nil
+	return &Modulus128{Q: q, Mu: muWide.Lo128(), N: n}, nil
 }
 
 // MustModulus128 is NewModulus128 but panics on error.
@@ -77,13 +56,6 @@ func MustModulus128(q u128.U128) *Modulus128 {
 		panic(err)
 	}
 	return m
-}
-
-// WithAlgorithm returns a copy of m using the given multiplication algorithm.
-func (m *Modulus128) WithAlgorithm(alg MulAlgorithm) *Modulus128 {
-	c := *m
-	c.Alg = alg
-	return &c
 }
 
 // Add returns a + b mod q using the conditional-subtract algorithm (Eq. 2).
@@ -114,8 +86,9 @@ func (m *Modulus128) Neg(a u128.U128) u128.U128 {
 	return m.Q.Sub(a)
 }
 
-// Mul returns a * b mod q via Barrett reduction (Eq. 4). Inputs must be
-// reduced; the result is reduced.
+// Mul returns a * b mod q via Barrett reduction (Eq. 4) over the
+// schoolbook product (Eq. 8). Inputs must be reduced; the result is
+// reduced.
 //
 // With n = bitlen(q), the quotient estimate is
 //
@@ -123,36 +96,12 @@ func (m *Modulus128) Neg(a u128.U128) u128.U128 {
 //
 // which is within 2 of the true quotient, so at most two corrective
 // subtractions follow. All intermediates fit in 256 bits because
-// ab < 2^(2n) <= 2^248 and mu < 2^(n+1).
+// ab < 2^(2n) <= 2^248 and mu < 2^(n+1). The arithmetic runs flattened to
+// machine words in MulBarrett128Words (barrett128_hot.go).
 func (m *Modulus128) Mul(a, b u128.U128) u128.U128 {
-	if m.Alg == Karatsuba {
-		return m.Reduce(u256.MulKaratsuba(a, b))
-	}
-	// Schoolbook takes the flattened word-level path (barrett128_hot.go);
-	// identical results, far less interpreter overhead.
-	return m.mulBarrettFlat(a, b)
-}
-
-// Reduce reduces a 256-bit product t = a*b (with a, b < q) modulo q.
-func (m *Modulus128) Reduce(t u256.U256) u128.U128 {
-	// t1 = floor(t / 2^(n-1)); t < 2^(2n) so t1 < 2^(n+1) fits in 128 bits.
-	t1 := t.Rsh(m.N - 1).Lo128()
-	// t2 = t1 * mu < 2^(2n+2) <= 2^250.
-	var t2 u256.U256
-	if m.Alg == Karatsuba {
-		t2 = u256.MulKaratsuba(t1, m.Mu)
-	} else {
-		t2 = u256.MulSchoolbook(t1, m.Mu)
-	}
-	qhat := t2.Rsh(m.N + 1).Lo128()
-	// r = t - qhat*q computed modulo 2^128; the true remainder is < 3q < 2^126
-	// so the low 128 bits are exact.
-	qq := u256.MulSchoolbook(qhat, m.Q).Lo128()
-	r := t.Lo128().Sub(qq)
-	for m.Q.LessEq(r) {
-		r = r.Sub(m.Q)
-	}
-	return r
+	hi, lo := MulBarrett128Words(a.Hi, a.Lo, b.Hi, b.Lo,
+		m.Q.Hi, m.Q.Lo, m.Mu.Hi, m.Mu.Lo, m.N-1, m.N+1)
+	return u128.U128{Hi: hi, Lo: lo}
 }
 
 // Pow returns base^exp mod q by square-and-multiply. base must be reduced.

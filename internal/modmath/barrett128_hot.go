@@ -1,20 +1,12 @@
 package modmath
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"mqxgo/internal/u128"
-)
-
-// Flattened Barrett multiplication: the same algorithm as Mul+Reduce
-// (Eqs. 4 and 8) with every intermediate kept in machine words instead of
-// u256 values. The generic path spends a quarter of NTT butterfly time in
-// U256.Rsh alone (variable word/bit shift loops) and shuffles 32-byte
-// structs through non-inlined calls; here the two shift amounts n-1 and
-// n+1 are decomposed once per call into a word select plus a sub-word
+// Flattened Barrett multiplication (Eqs. 4 and 8) with every intermediate
+// kept in machine words instead of u256 values: the two shift amounts n-1
+// and n+1 are decomposed once per call into a word select plus a sub-word
 // shift, and the final qhat*q product computes only the low 128 bits it
-// needs. Exact same results as the generic path — cross-checked against
-// math/big in TestMulFlatMatchesBig.
+// needs. Cross-checked against math/big in TestMulFlatMatchesBig.
 
 // rsh256lo returns the low 128 bits (as two words) of the 256-bit value
 // w3:w2:w1:w0 shifted right by s, for 1 <= s < 128.
@@ -39,9 +31,9 @@ func rsh256lo(w0, w1, w2, w3 uint64, s uint) (lo, hi uint64) {
 // modulus, muHi:muLo its Barrett constant, and nm1/np1 the shift amounts
 // n-1 and n+1, which must lie in [1, 125] (guaranteed for any modulus
 // NewModulus128 accepts). This is the one shared copy of the flattened
-// carry-chain arithmetic: Modulus128.Mul reaches it through
-// mulBarrettFlat, and internal/ring's fused Barrett128 span kernels call
-// it directly with constants hoisted out of their loops.
+// carry-chain arithmetic: Modulus128.Mul binds it to its modulus, and
+// internal/ring's fused Barrett128 span kernels call it directly with
+// constants hoisted out of their loops.
 func MulBarrett128Words(aHi, aLo, bHi, bLo, qHi, qLo, muHi, muLo uint64, nm1, np1 uint) (rHi, rLo uint64) {
 	// t = a*b: four 64x64 word products (Eq. 8).
 	llHi, llLo := bits.Mul64(aLo, bLo)
@@ -92,11 +84,4 @@ func MulBarrett128Words(aHi, aLo, bHi, bLo, qHi, qLo, muHi, muLo uint64, nm1, np
 		rLo ^= (rLo ^ sLo) & mask
 	}
 	return rHi, rLo
-}
-
-// mulBarrettFlat is MulBarrett128Words bound to this modulus.
-func (m *Modulus128) mulBarrettFlat(a, b u128.U128) u128.U128 {
-	hi, lo := MulBarrett128Words(a.Hi, a.Lo, b.Hi, b.Lo,
-		m.Q.Hi, m.Q.Lo, m.Mu.Hi, m.Mu.Lo, m.N-1, m.N+1)
-	return u128.U128{Hi: hi, Lo: lo}
 }

@@ -7,9 +7,7 @@ import (
 
 // Process-wide plan caching. The cache itself — one sync.Map keyed by
 // (modulus fingerprint, n) — lives in internal/ring; this file only
-// supplies the fingerprint tags that keep the two plan widths apart. The
-// 128-bit tag folds in the modulus's multiplication algorithm, so a
-// Karatsuba-configured modulus keeps its own cache entry.
+// supplies the fingerprint tags that keep the two plan widths apart.
 
 const (
 	tagPlan128 = 0
@@ -19,11 +17,7 @@ const (
 // CachedPlan returns the process-wide shared plan for (mod.Q, n), building
 // it on first use.
 func CachedPlan(mod *modmath.Modulus128, n int) (*Plan, error) {
-	fp := ring.Fingerprint{
-		QHi: mod.Q.Hi,
-		QLo: mod.Q.Lo,
-		Tag: tagPlan128 | uint32(mod.Alg)<<16,
-	}
+	fp := ring.Fingerprint{QHi: mod.Q.Hi, QLo: mod.Q.Lo, Tag: tagPlan128}
 	v, err := ring.CacheLoadOrBuild(fp, n, func() (any, error) { return NewPlan(mod, n) })
 	if err != nil {
 		return nil, err

@@ -268,17 +268,6 @@ func TestCachedPlanReturnsSharedInstance(t *testing.T) {
 	if p3 == p1 {
 		t.Error("CachedPlan shared a plan across sizes")
 	}
-	pk, err := CachedPlan(mod.WithAlgorithm(modmath.Karatsuba), 1<<6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pk == p1 {
-		t.Error("CachedPlan shared a plan across multiplication algorithms")
-	}
-	if pk.R.M.Alg != modmath.Karatsuba {
-		t.Error("Karatsuba-keyed plan lost its algorithm")
-	}
-
 	ps, err := modmath.FindNTTPrimes64(60, 1<<7, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,6 @@
 //     InverseInto, PolyMulNegacyclicInto and BatchForwardInto directly.
 //   - Plan64 (ntt64.go): a cached handle to the 64-bit engine plan; every
 //     caller transforms through Generic().
-//   - ForwardWith (native.go): the same dataflow on a baseline arithmetic
-//     backend, reading the plan's stage twiddles through FwdStage (the
-//     trace-machine twin, perfmodel.ForwardVM, reads them the same way).
 //   - Reference / SchoolbookNegacyclic (reference.go): the O(n^2)
 //     definitions, used as ground truth.
 //

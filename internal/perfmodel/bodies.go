@@ -20,14 +20,15 @@ type Body struct {
 // ButterflyBody records one forward-NTT stage iteration (Section 3.2):
 // three double-word loads (inputs and twiddle), the butterfly, the output
 // interleave, and the interleaved stores. This is the unit the paper
-// reports as "runtime per butterfly".
-func ButterflyBody(level isa.Level, mod *modmath.Modulus128) *Body {
-	return record(level, mod, true, func(o dwAny) { o.butterflyIter() })
+// reports as "runtime per butterfly". alg selects the butterfly's
+// widening product: Section 5.5 compares the two.
+func ButterflyBody(level isa.Level, mod *modmath.Modulus128, alg kernels.MulAlgorithm) *Body {
+	return record(level, mod, alg, true, func(o dwAny) { o.butterflyIter() })
 }
 
 // BLASBody records one iteration of a Figure 4 BLAS kernel.
 func BLASBody(level isa.Level, mod *modmath.Modulus128, op blas.Op) *Body {
-	return record(level, mod, true, func(o dwAny) { o.blasIter(op) })
+	return record(level, mod, kernels.Schoolbook, true, func(o dwAny) { o.blasIter(op) })
 }
 
 // ModOp selects a bare double-word modular operation for ModOpBody.
@@ -59,7 +60,7 @@ func (op ModOp) String() string {
 // unit the paper's Listing 4 analyzes with LLVM-MCA. No loads or stores
 // are included.
 func ModOpBody(level isa.Level, mod *modmath.Modulus128, op ModOp) *Body {
-	return record(level, mod, false, func(o dwAny) { o.modOp(op) })
+	return record(level, mod, kernels.Schoolbook, false, func(o dwAny) { o.modOp(op) })
 }
 
 // dwAny adapts the three generic backend instantiations to one interface
@@ -80,8 +81,8 @@ type dwRunner[W, C any] struct {
 	ra, rb, rw kernels.DWPair[W]
 }
 
-func newRunner[W, C any](o kernels.Ops[W, C], mod *modmath.Modulus128) *dwRunner[W, C] {
-	d := kernels.NewDW[W, C](o, mod)
+func newRunner[W, C any](o kernels.Ops[W, C], mod *modmath.Modulus128, alg kernels.MulAlgorithm) *dwRunner[W, C] {
+	d := kernels.NewDW[W, C](o, mod, alg)
 	// Scratch data: reduced values so kernels stay in-range.
 	n := 4 * o.Lanes()
 	buf := blas.NewVector(n)
@@ -153,48 +154,7 @@ func (r *dwRunner[W, C]) blasIter(op blas.Op) {
 // the 64-bit butterfly, interleave and stores. Used for the
 // RNS-vs-double-word comparison (Section 1).
 func SWButterflyBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
-	m := vm.New(vm.TraceFull)
-	lanes := level.Lanes()
-	buf := make([]uint64, 8*lanes)
-	for i := range buf {
-		buf[i] = uint64(i+1) % mod64.Q
-	}
-	switch level {
-	case isa.LevelScalar:
-		b := kernels.NewBScalar(m)
-		s := kernels.NewSW[vm.S, vm.F](b, mod64)
-		m.BeginLoop()
-		swIter(m, s, buf, lanes)
-	case isa.LevelAVX2:
-		b := kernels.NewB256(m)
-		s := kernels.NewSW[vm.V4, vm.V4](b, mod64)
-		m.BeginLoop()
-		swIter(m, s, buf, lanes)
-	default:
-		b := kernels.NewB512(m, level)
-		s := kernels.NewSW[vm.V, vm.M](b, mod64)
-		m.BeginLoop()
-		swIter(m, s, buf, lanes)
-	}
-	loopOverhead(m)
-	return &Body{
-		Level:  level,
-		Lanes:  lanes,
-		Instrs: m.Body(),
-		Bytes:  m.BytesLoaded() + m.BytesStored(),
-	}
-}
-
-func swIter[W, C any](m *vm.Machine, s *kernels.SW[W, C], buf []uint64, lanes int) {
-	o := s.O
-	a := o.Load(buf, 0)
-	b := o.Load(buf, lanes)
-	w := o.Load(buf, 2*lanes)
-	wp := o.Load(buf, 3*lanes)
-	even, odd := s.Butterfly(a, b, w, wp)
-	r0, r1 := o.Interleave(even, odd)
-	o.Store(buf, 4*lanes, r0)
-	o.Store(buf, 5*lanes, r1)
+	return recordSW(level, mod64, func(m *vm.Machine, r swAny) { r.strictIter() })
 }
 
 // LazySWButterflyBody records one steady-state iteration of the PR 3
@@ -236,6 +196,7 @@ func AffineRowsBody(level isa.Level, mod64 *modmath.Modulus64, rows int) *Body {
 // swAny adapts the per-tier SW runners for body recording, like dwAny for
 // the double-word bodies.
 type swAny interface {
+	strictIter()
 	lazyIter()
 	lazyBlkIter()
 	affineRowsIter(rows int)
@@ -262,14 +223,20 @@ func newSWRunner[W, C any](o kernels.Ops[W, C], mod64 *modmath.Modulus64) *swRun
 	}
 }
 
-func (r *swRunner[W, C]) lazyIter() {
+func (r *swRunner[W, C]) strictIter() { r.denseIter(r.s.Butterfly) }
+
+func (r *swRunner[W, C]) lazyIter() { r.denseIter(r.s.LazyButterfly) }
+
+// denseIter streams both inputs and the dense twiddle pair through one
+// butterfly, then interleaves and stores its outputs.
+func (r *swRunner[W, C]) denseIter(butterfly func(a, b, w, wPre W) (even, odd W)) {
 	o := r.s.O
 	L := o.Lanes()
 	a := o.Load(r.buf, 0)
 	b := o.Load(r.buf, L)
 	w := o.Load(r.buf, 2*L)
 	wp := o.Load(r.buf, 3*L)
-	even, odd := r.s.LazyButterfly(a, b, w, wp)
+	even, odd := butterfly(a, b, w, wp)
 	r0, r1 := o.Interleave(even, odd)
 	o.Store(r.buf, 4*L, r0)
 	o.Store(r.buf, 5*L, r1)
@@ -299,39 +266,35 @@ func (r *swRunner[W, C]) affineRowsIter(rows int) {
 func recordSW(level isa.Level, mod64 *modmath.Modulus64, run func(*vm.Machine, swAny)) *Body {
 	m := vm.New(vm.TraceFull)
 	var runner swAny
-	var lanes int
 	switch level {
 	case isa.LevelScalar:
 		runner = newSWRunner[vm.S, vm.F](kernels.NewBScalar(m), mod64)
-		lanes = 1
 	case isa.LevelAVX2:
 		runner = newSWRunner[vm.V4, vm.V4](kernels.NewB256(m), mod64)
-		lanes = 4
 	default:
 		runner = newSWRunner[vm.V, vm.M](kernels.NewB512(m, level), mod64)
-		lanes = 8
 	}
 	m.BeginLoop()
 	run(m, runner)
 	loopOverhead(m)
 	return &Body{
 		Level:  level,
-		Lanes:  lanes,
+		Lanes:  level.Lanes(),
 		Instrs: m.Body(),
 		Bytes:  m.BytesLoaded() + m.BytesStored(),
 	}
 }
 
-func record(level isa.Level, mod *modmath.Modulus128, withLoop bool, run func(o dwAny)) *Body {
+func record(level isa.Level, mod *modmath.Modulus128, alg kernels.MulAlgorithm, withLoop bool, run func(o dwAny)) *Body {
 	m := vm.New(vm.TraceFull)
 	var runner dwAny
 	switch level {
 	case isa.LevelScalar:
-		runner = newRunner[vm.S, vm.F](kernels.NewBScalar(m), mod)
+		runner = newRunner[vm.S, vm.F](kernels.NewBScalar(m), mod, alg)
 	case isa.LevelAVX2:
-		runner = newRunner[vm.V4, vm.V4](kernels.NewB256(m), mod)
+		runner = newRunner[vm.V4, vm.V4](kernels.NewB256(m), mod, alg)
 	default:
-		runner = newRunner[vm.V, vm.M](kernels.NewB512(m, level), mod)
+		runner = newRunner[vm.V, vm.M](kernels.NewB512(m, level), mod, alg)
 	}
 	m.BeginLoop()
 	run(runner)

@@ -30,11 +30,11 @@ func forwardVMCounts(t *testing.T, level isa.Level, mod *modmath.Modulus128, pla
 	m := vm.New(vm.TraceCounts)
 	var err error
 	if level == isa.LevelAVX2 {
-		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), mod)
+		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), mod, kernels.Schoolbook)
 		m.BeginLoop()
 		_, err = ForwardVM(d, plan, x)
 	} else {
-		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), mod)
+		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), mod, kernels.Schoolbook)
 		m.BeginLoop()
 		_, err = ForwardVM(d, plan, x)
 	}
@@ -64,7 +64,7 @@ func TestModelMatchesFullTrace(t *testing.T) {
 		// Per-iteration op counts from the model's body (vector ops only;
 		// the body also carries modeled scalar loop overhead that the
 		// functional emulation does not execute).
-		body := ButterflyBody(level, mod)
+		body := ButterflyBody(level, mod, kernels.Schoolbook)
 		perIter := map[isa.Op]int64{}
 		for _, in := range body.Instrs {
 			if in.Op >= 100 { // vector ops

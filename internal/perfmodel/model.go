@@ -5,6 +5,7 @@ import (
 
 	"mqxgo/internal/blas"
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/sched"
 )
@@ -145,7 +146,7 @@ func (m *BLASModel) NsPerElement() float64 {
 // ProjectNTT is the one-call helper: model an n-point NTT for a level on a
 // machine with the given modulus.
 func ProjectNTT(mach *Machine, level isa.Level, mod *modmath.Modulus128, n int) *NTTModel {
-	body := ButterflyBody(level, mod)
+	body := ButterflyBody(level, mod, kernels.Schoolbook)
 	return NewNTTModel(NewKernelModel(mach, body), n)
 }
 

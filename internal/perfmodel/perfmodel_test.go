@@ -5,6 +5,7 @@ import (
 
 	"mqxgo/internal/blas"
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 )
 
@@ -27,7 +28,7 @@ func TestMachineLookupAndBW(t *testing.T) {
 func TestBodiesNonEmpty(t *testing.T) {
 	mod := modmath.DefaultModulus128()
 	for _, level := range []isa.Level{isa.LevelScalar, isa.LevelAVX2, isa.LevelAVX512, isa.LevelMQX} {
-		b := ButterflyBody(level, mod)
+		b := ButterflyBody(level, mod, kernels.Schoolbook)
 		if len(b.Instrs) == 0 || b.Bytes == 0 {
 			t.Fatalf("%v: empty butterfly body", level)
 		}
@@ -91,8 +92,8 @@ func memoryBound(m *NTTModel) bool {
 // (size 2^16), while AVX-512 remains compute-bound there.
 func TestL2KneeIntelMQX(t *testing.T) {
 	mod := modmath.DefaultModulus128()
-	kMQX := NewKernelModel(IntelXeon8352Y, ButterflyBody(isa.LevelMQX, mod))
-	kAVX := NewKernelModel(IntelXeon8352Y, ButterflyBody(isa.LevelAVX512, mod))
+	kMQX := NewKernelModel(IntelXeon8352Y, ButterflyBody(isa.LevelMQX, mod, kernels.Schoolbook))
+	kAVX := NewKernelModel(IntelXeon8352Y, ButterflyBody(isa.LevelAVX512, mod, kernels.Schoolbook))
 
 	small := NewNTTModel(kMQX, 1<<14)
 	big := NewNTTModel(kMQX, 1<<16)

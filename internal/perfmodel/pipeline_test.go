@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 )
 
@@ -204,7 +205,7 @@ func TestSWButterflyBody(t *testing.T) {
 			t.Fatalf("%v: lanes = %d", level, b.Lanes)
 		}
 		// The 64-bit butterfly must be much smaller than the 128-bit one.
-		dw := ButterflyBody(level, modmath.DefaultModulus128())
+		dw := ButterflyBody(level, modmath.DefaultModulus128(), kernels.Schoolbook)
 		if 2*len(b.Instrs) >= len(dw.Instrs) {
 			t.Errorf("%v: single-word body (%d instrs) should be <1/2 of double-word (%d)",
 				level, len(b.Instrs), len(dw.Instrs))

@@ -21,15 +21,15 @@ func vmForward(t *testing.T, level isa.Level, p *ntt.Plan, x []u128.U128) []u128
 	var err error
 	switch level {
 	case isa.LevelScalar:
-		d := kernels.NewDW[vm.S, vm.F](kernels.NewBScalar(m), p.R.M)
+		d := kernels.NewDW[vm.S, vm.F](kernels.NewBScalar(m), p.R.M, kernels.Schoolbook)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	case isa.LevelAVX2:
-		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), p.R.M)
+		d := kernels.NewDW[vm.V4, vm.V4](kernels.NewB256(m), p.R.M, kernels.Schoolbook)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	default:
-		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), p.R.M)
+		d := kernels.NewDW[vm.V, vm.M](kernels.NewB512(m, level), p.R.M, kernels.Schoolbook)
 		m.BeginLoop()
 		out, err = ForwardVM(d, p, xv)
 	}
@@ -75,7 +75,7 @@ func TestVMInputLengthErrors(t *testing.T) {
 	p := mustPlan(t, mod, 16)
 	m := vm.New(vm.TraceOff)
 	b := kernels.NewB512(m, isa.LevelAVX512)
-	d := kernels.NewDW[vm.V, vm.M](b, mod)
+	d := kernels.NewDW[vm.V, vm.M](b, mod, kernels.Schoolbook)
 	m.BeginLoop()
 	if _, err := ForwardVM(d, p, blas.NewVector(8)); err == nil {
 		t.Error("expected length error")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/perfmodel"
 	"mqxgo/internal/vm"
@@ -93,7 +94,7 @@ func Validate(mach *perfmodel.Machine, mod *modmath.Modulus128) ([]ValidationRes
 		if err != nil {
 			return nil, err
 		}
-		body := perfmodel.ButterflyBody(level, mod)
+		body := perfmodel.ButterflyBody(level, mod, kernels.Schoolbook)
 		tTarget := perfmodel.NewNTTModel(perfmodel.NewKernelModel(mach, body), ValidationSize).TimeNs()
 
 		proxyBody := &perfmodel.Body{

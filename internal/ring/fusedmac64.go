@@ -20,8 +20,8 @@ import "math/bits"
 //
 // Each accumulator summand is in [0, 2q) and congruent to y[j]*w[j] mod
 // q for any 64-bit y[j]; callers guarantee the no-wrap headroom for the
-// number of accumulated rows (the fhe backend's relinLazy gate) and land
-// the deferred reduction themselves. Bit-identical to
+// number of accumulated rows (the fhe backend lands its rows every L
+// digits, landBound) and land the deferred reduction themselves. Bit-identical to
 // NegacyclicForwardInto followed by two separate MAC passes: stages 0
 // through M-2 run the same kernel dispatch, and the final stage's
 // conditional-subtract ladder produces the canonical residue — the same

@@ -26,10 +26,6 @@ import (
 //	               128 bits, and two conditional subtractions suffice
 //	               (quotient estimate within 2 for canonical inputs).
 //
-// The span loops hardwire the flattened schoolbook multiply whatever the
-// modulus's MulAlgorithm: a Karatsuba-configured modulus gets the same
-// residues, and only its table building runs Karatsuba.
-//
 // The vector tier: on an AVX-512 host every span below but ScaleAddSpan
 // hands its full-vector prefix (8 lanes) to an assembly body
 // (kernels128_avx512_amd64.s) and finishes the tail with its own scalar

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"mqxgo/internal/isa"
+	"mqxgo/internal/kernels"
 	"mqxgo/internal/modmath"
 	"mqxgo/internal/perfmodel"
 )
@@ -51,7 +52,7 @@ var StandardSizes = []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 
 // SingleCoreSeries models the single-core NTT runtime of a level across
 // sizes on a measurement machine.
 func SingleCoreSeries(mach *perfmodel.Machine, level isa.Level, mod *modmath.Modulus128, sizes []int) Series {
-	body := perfmodel.ButterflyBody(level, mod)
+	body := perfmodel.ButterflyBody(level, mod, kernels.Schoolbook)
 	k := perfmodel.NewKernelModel(mach, body)
 	s := Series{Name: level.String() + " (1 core, " + mach.Name + ")"}
 	for _, n := range sizes {

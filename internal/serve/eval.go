@@ -43,10 +43,10 @@ func (t *tenant) lookup(handle string) (*entry, *apiError) {
 
 // store inserts a fresh entry, enforcing the per-tenant cap. Caller
 // holds t.mu.
-func (t *tenant) store(s *Server, ct fhe.BackendCiphertext, noiseBits int) (string, *apiError) {
-	if len(t.cts) >= s.cfg.MaxHandles {
+func (t *tenant) store(ct fhe.BackendCiphertext, noiseBits int) (string, *apiError) {
+	if len(t.cts) >= maxHandles {
 		return "", errf(http.StatusConflict, CodeTooManyHandles,
-			"tenant holds %d ciphertexts (cap %d); free some handles", len(t.cts), s.cfg.MaxHandles)
+			"tenant holds %d ciphertexts (cap %d); free some handles", len(t.cts), maxHandles)
 	}
 	h := t.newHandle()
 	t.cts[h] = &entry{ct: ct, noiseBits: noiseBits}
@@ -116,7 +116,7 @@ func (t *tenant) land(s *Server, d evalDst, err error, noise int) (evalResponse,
 		d.e.noiseBits = noise
 	} else {
 		var apiErr *apiError
-		if h, apiErr = t.store(s, *d.ct, noise); apiErr != nil {
+		if h, apiErr = t.store(*d.ct, noise); apiErr != nil {
 			return evalResponse{}, apiErr
 		}
 	}
@@ -303,7 +303,7 @@ func (s *Server) applyEncrypt(t *tenant, values []uint64) (evalResponse, *apiErr
 	if err != nil {
 		return evalResponse{}, errBadRequest("encrypt: %v", err)
 	}
-	h, apiErr := t.store(s, ct, fhe.FreshNoiseBits)
+	h, apiErr := t.store(ct, fhe.FreshNoiseBits)
 	if apiErr != nil {
 		return evalResponse{}, apiErr
 	}

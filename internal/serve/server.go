@@ -46,9 +46,10 @@ type Config struct {
 	// BudgetFloorBits is the guardrail floor: an evaluation whose
 	// predicted post-op budget falls below it is refused (default 2).
 	BudgetFloorBits int
-	// MaxHandles bounds each tenant's ciphertext store (default 4096).
-	MaxHandles int
 }
+
+// maxHandles bounds each tenant's ciphertext store.
+const maxHandles = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -62,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BudgetFloorBits <= 0 {
 		c.BudgetFloorBits = 2
-	}
-	if c.MaxHandles <= 0 {
-		c.MaxHandles = 4096
 	}
 	return c
 }

@@ -2,9 +2,9 @@
 // intermediate representation for 128-bit Barrett reduction (internal/modmath)
 // and for the division-based "generic" baseline backend.
 //
-// A U256 is four 64-bit words in little-endian word order. The two widening
-// 128x128->256 multiplications mirror the paper's Eq. 8 (schoolbook, four
-// word multiplications) and Eq. 9 (Karatsuba, three word multiplications).
+// A U256 is four 64-bit words in little-endian word order. The widening
+// 128x128->256 multiplication is the paper's Eq. 8 (schoolbook, four word
+// multiplications).
 package u256
 
 import (
@@ -124,51 +124,5 @@ func MulSchoolbook(a, b u128.U128) U256 {
 	z.W[1], c = bits.Add64(z.W[1], hl.Lo, 0)
 	z.W[2], c = bits.Add64(z.W[2], hl.Hi, c)
 	z.W[3] += c
-	return z
-}
-
-// MulKaratsuba returns the full 256-bit product of two 128-bit integers
-// using the Karatsuba method (Eq. 9): three 64x64->128 multiplications at
-// the cost of extra additions and carry handling.
-func MulKaratsuba(a, b u128.U128) U256 {
-	ll := u128.Mul64(a.Lo, b.Lo) // a1*b1
-	hh := u128.Mul64(a.Hi, b.Hi) // a0*b0
-
-	// (a0+a1) and (b0+b1) may carry into bit 64; track the carries so the
-	// middle product stays exact: (2^64*ca + sa) * (2^64*cb + sb).
-	sa, ca := bits.Add64(a.Hi, a.Lo, 0)
-	sb, cb := bits.Add64(b.Hi, b.Lo, 0)
-	mid := u128.Mul64(sa, sb) // sa*sb, 128 bits
-
-	// middle = sa*sb + ca*sb*2^64 + cb*sa*2^64 + ca*cb*2^128, up to 130 bits.
-	var m [3]uint64 // little-endian 192-bit accumulator
-	m[0] = mid.Lo
-	m[1] = mid.Hi
-	var c uint64
-	if ca != 0 {
-		m[1], c = bits.Add64(m[1], sb, 0)
-		m[2] += c
-	}
-	if cb != 0 {
-		m[1], c = bits.Add64(m[1], sa, 0)
-		m[2] += c
-	}
-	m[2] += ca * cb
-
-	// middle -= a0*b0 + a1*b1 (never underflows: middle = a0*b1 + a1*b0 + them).
-	var b0 uint64
-	m[0], b0 = bits.Sub64(m[0], ll.Lo, 0)
-	m[1], b0 = bits.Sub64(m[1], ll.Hi, b0)
-	m[2] -= b0
-	m[0], b0 = bits.Sub64(m[0], hh.Lo, 0)
-	m[1], b0 = bits.Sub64(m[1], hh.Hi, b0)
-	m[2] -= b0
-
-	// z = hh*2^128 + middle*2^64 + ll.
-	var z U256
-	z.W[0] = ll.Lo
-	z.W[1], c = bits.Add64(ll.Hi, m[0], 0)
-	z.W[2], c = bits.Add64(hh.Lo, m[1], c)
-	z.W[3] = hh.Hi + m[2] + c
 	return z
 }
