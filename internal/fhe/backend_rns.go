@@ -58,14 +58,14 @@ import (
 // pipeline over the same frame and the same key-switch accumulate.
 //
 // Each pipeline is a straight-line list of steps under its phaseGate
-// sites. A step is either a per-tower body — dispatched by the one helper,
-// rnsBackend.towers, whose width (b.workers) is the only difference
-// between the sequential and the tower-parallel configuration — or a
-// per-coefficient BEHZ conversion run inline on the calling goroutine:
-// the operand extension, the divide-and-round (rnsLevel.scaleRound), the
-// exact return and the ladder's rescale each hand rows and precomputed
-// weights to ring.AffineRows on the plan's kernel tier; see
-// rns/baseconv.go for the row and weight table.
+// sites, every step dispatched by the one helper, rnsBackend.towers,
+// whose width (b.workers) is the only difference between the sequential
+// and the tower-parallel configuration. A step's index is a tower, an
+// (operand, tower) cell, an operand (the m~-corrected extension) or a
+// tensor component (the divide-and-round, rnsLevel.scaleRound, with its
+// exact return). The BEHZ conversions and the ladder's rescale hand rows
+// and precomputed weights to ring.AffineRows on the plan's kernel tier;
+// see rns/baseconv.go for the row and weight table.
 type rnsBackend struct {
 	t       uint64
 	k       int // towers at level 0
@@ -98,7 +98,6 @@ type rnsLevel struct {
 	// whose product P gives the tensor headroom, plus the redundant
 	// Shenoy-Kumaresan modulus m_sk as the last tower.
 	ext    *rns.Context
-	conv   *rns.BaseConverter     // Q_l -> ext, plain FastBConv for the divide-by-Q step
 	mconv  *rns.MontBaseConverter // Q_l -> ext, m~-corrected operand extension
 	skConv *rns.SKConverter       // ext -> Q_l, exact
 	gadget [][]uint64             // gadget[i][tau] = (Q_l/q_i) mod q_tau, the relin gadget
@@ -106,10 +105,11 @@ type rnsLevel struct {
 	// Divide-and-round constants, one ring.AffineRows call per tower.
 	// With w = T*v + h, h = floor(Q_l/2): digit[i] weighs the Q-base tensor
 	// row (v_i) into w's FastBConv digit z_i = v_i*T*(Q_l/q_i)^-1 +
-	// h*(Q_l/q_i)^-1 mod q_i, feeding rns.BaseConverter.ConvertDigitsInto;
-	// extRound[j] weighs the extension-base tensor row and the converted
-	// remainder (v_j, [w]_Q) into (w - [w]_Q)/Q_l = v_j*T*Q_l^-1 -
-	// [w]_Q*Q_l^-1 + h*Q_l^-1 mod e_j.
+	// h*(Q_l/q_i)^-1 mod q_i; extRound[j] weighs the extension-base tensor
+	// row and the digits (v_j, z_0..z_{k-1}) into (w - [w]_Q)/Q_l =
+	// v_j*T*Q_l^-1 - [w]_Q*Q_l^-1 + h*Q_l^-1 mod e_j, with the FastBConv
+	// [w]_Q = sum_i z_i*(Q_l/q_i) folded into the digit weights, so the
+	// conversion and the division are one pass with no landing row.
 	digit    []ring.Affine
 	extRound []ring.Affine
 
@@ -140,8 +140,8 @@ type roundTower struct {
 
 // rnsMulScratch is the pooled working set of one evaluation call (a
 // multiply or a rotation chain) at one level. Every member is shaped per
-// tower, so the dispatched steps run towers concurrently without sharing
-// rows.
+// tower, operand or tensor component, so the dispatched steps run their
+// indices concurrently without sharing rows.
 //
 // The struct doubles as the call frame of the steps: the operand,
 // destination and key fields are set at the top of the call, and the
@@ -149,15 +149,14 @@ type roundTower struct {
 // current step from body — so a dispatch allocates nothing, whatever its
 // width.
 type rnsMulScratch struct {
-	opE           [4]rns.Poly // operands extended to the ext base
-	evE           [5]rns.Poly // per-tower evaluation-domain rows (ext-base shaped)
-	opQ           [4]rns.Poly // operand coefficient forms in Q_l; a rotation chain's hop buffers
-	zQ            rns.Poly    // divide-and-round digits, then key-switch digit rows
-	c0Q, c1Q, c2Q rns.Poly    // tensor, then scaled ciphertext, in Q_l
-	c0E, c1E, c2E rns.Poly    // tensor in the ext base
-	convE         rns.Poly    // FastBConv([w]_Q) landing buffer
-	extRows       [][]uint64  // row list of the divide-and-round's extension step
-	accA, accB    rns.Poly    // key-switch evaluation-domain accumulators
+	opE        [4]rns.Poly   // operands extended to the ext base
+	evE        [5]rns.Poly   // per-tower evaluation-domain rows (ext-base shaped)
+	opQ        [4]rns.Poly   // operand coefficient forms in Q_l; then divide-and-round digits; a rotation chain's hop buffers
+	zQ         rns.Poly      // key-switch digit rows
+	cQ         [3]rns.Poly   // tensor components c0, c1, c2, then the scaled ciphertext, in Q_l
+	cE         [3]rns.Poly   // tensor components in the ext base
+	extRows    [3][][]uint64 // per component, the row list of the divide-and-round's extension step
+	accA, accB rns.Poly      // key-switch evaluation-domain accumulators
 
 	// Call frame for the dispatched steps.
 	lv         *rnsLevel
@@ -171,12 +170,16 @@ type rnsMulScratch struct {
 	fan  ring.Fanout
 }
 
-// towers is the one tower dispatch: body runs for every i in [0, n), on
-// at most b.workers goroutines of the shared ring worker pool. Width 1 is
-// a plain loop on the caller, so sequential versus tower-parallel is this
-// argument and not a code path. Steps of one call are issued one after
-// another, each dispatch a barrier, so a step may read anything an
-// earlier step wrote.
+// towers is the one step dispatch: body runs for every i in [0, n) — a
+// tower, a cell, an operand or a tensor component — on at most b.workers
+// goroutines of the shared ring worker pool. Width 1 is a plain loop on
+// the caller, so sequential versus tower-parallel is this argument and
+// not a code path. Steps of one call are issued one after another, each
+// dispatch a barrier, so a step may read anything an earlier step wrote;
+// bodies are top-level funcs reading the frame, so a dispatch allocates
+// nothing. A dispatch costs a few microseconds (ring.Fanout.Run starts
+// its pool range at once), so a step of three or four indices each tens
+// of microseconds long still gains from the fan-out.
 func (b *rnsBackend) towers(sc *rnsMulScratch, n int, body func(sc *rnsMulScratch, i int)) {
 	sc.body = body
 	sc.fan.Run(n, b.workers, sc)
@@ -213,10 +216,10 @@ func (sc *rnsMulScratch) release() {
 // scratch.Pool). The call frame and extRows, which point at rows the
 // frame does not own, are left alone.
 func (sc *rnsMulScratch) poison() {
-	for _, p := range [...]rns.Poly{sc.zQ, sc.c0Q, sc.c1Q, sc.c2Q, sc.c0E, sc.c1E, sc.c2E, sc.convE, sc.accA, sc.accB} {
+	for _, p := range [...]rns.Poly{sc.zQ, sc.accA, sc.accB} {
 		scratch.FillRows(p.Res)
 	}
-	for _, ps := range [...][]rns.Poly{sc.opE[:], sc.evE[:], sc.opQ[:]} {
+	for _, ps := range [...][]rns.Poly{sc.opE[:], sc.evE[:], sc.opQ[:], sc.cQ[:], sc.cE[:]} {
 		for _, p := range ps {
 			scratch.FillRows(p.Res)
 		}
@@ -351,10 +354,6 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	if err != nil {
 		return nil, err
 	}
-	conv, err := rns.NewBaseConverter(c, ext)
-	if err != nil {
-		return nil, err
-	}
 	mconv, err := rns.NewMontBaseConverter(c, ext, mtilde)
 	if err != nil {
 		return nil, err
@@ -363,7 +362,7 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	if err != nil {
 		return nil, err
 	}
-	lv.ext, lv.conv, lv.mconv, lv.skConv = ext, conv, mconv, skConv
+	lv.ext, lv.mconv, lv.skConv = ext, mconv, skConv
 
 	// Exact headroom validation. The m~-corrected extension bounds every
 	// operand by |y| < Q (gamma in {-1, 0} — no k*Q overshoot), so tensor
@@ -402,20 +401,22 @@ func (b *rnsBackend) buildLevel(c *rns.Context, extPrimes []uint64) (*rnsLevel, 
 	for _, mod := range ext.Mods {
 		qb := new(big.Int).SetUint64(mod.Q)
 		qInv := mod.Inv(t.Mod(c.Q, qb).Uint64())
+		w := []uint64{mod.Mul(b.t%mod.Q, qInv)}
+		for i := range c.Mods {
+			w = append(w, mod.Mul(t.Mod(c.QiBig(i), qb).Uint64(), mod.Neg(qInv)))
+		}
 		lv.extRound = append(lv.extRound, ring.NewAffine(mod,
-			mod.Mul(t.Mod(halfQ, qb).Uint64(), qInv),
-			mod.Mul(b.t%mod.Q, qInv), mod.Neg(qInv)))
+			mod.Mul(t.Mod(halfQ, qb).Uint64(), qInv), w...))
 	}
 	lv.landEvery = landBound(c.Mods[0].Q)
 	for _, mod := range c.Mods[1:] {
 		lv.landEvery = min(lv.landEvery, landBound(mod.Q))
 	}
 	lv.mulPool.New = func() *rnsMulScratch {
-		sc := &rnsMulScratch{
-			c0Q: c.NewPoly(), c1Q: c.NewPoly(), c2Q: c.NewPoly(),
-			c0E: ext.NewPoly(), c1E: ext.NewPoly(), c2E: ext.NewPoly(),
-			convE: ext.NewPoly(), extRows: make([][]uint64, 2),
-			zQ: c.NewPoly(), accA: c.NewPoly(), accB: c.NewPoly(),
+		sc := &rnsMulScratch{zQ: c.NewPoly(), accA: c.NewPoly(), accB: c.NewPoly()}
+		for j := range sc.cQ {
+			sc.cQ[j], sc.cE[j] = c.NewPoly(), ext.NewPoly()
+			sc.extRows[j] = make([][]uint64, 1+k)
 		}
 		for i := range sc.opE {
 			sc.opE[i] = ext.NewPoly()
@@ -845,6 +846,18 @@ func (b *rnsBackend) GaloisKeyGen(s Poly, rng *rand.Rand) BackendGaloisKey {
 	})
 }
 
+// checkKeySwitch refuses a key switch at a one-tower level (the bottom
+// rung). There the CRT gadget has one digit as wide as Q_l, so the
+// key-switch noise, about n*noiseBound*q, exceeds Delta_l = Q_l/t and the
+// result would decrypt wrong; the guardrail's predicted budget there is
+// 0 for the same reason.
+func (lv *rnsLevel) checkKeySwitch(level int) error {
+	if lv.c.Channels() < 2 {
+		return fmt.Errorf("fhe: level %d has one tower: its key switch noise exceeds Delta, so multiply and Galois ops are refused there", level)
+	}
+	return nil
+}
+
 // galoisCtx runs a Galois evaluation's hops in order, each a permutation
 // + CRT-gadget key switch on the multiply's pooled frame and key-switch
 // accumulate. Intermediate hops alternate through the frame's operand
@@ -880,6 +893,9 @@ func (b *rnsBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct B
 		}
 		return nil
 	}
+	if err := lv.checkKeySwitch(ct.Level); err != nil {
+		return err
+	}
 	sc := lv.mulPool.Get()
 	defer sc.release()
 	sc.lv = lv
@@ -901,25 +917,26 @@ func (b *rnsBackend) galoisCtx(ctx context.Context, dst *BackendCiphertext, ct B
 }
 
 // galoisHop applies one automorphism + key switch to the frame's operand
-// pair (in[0], in[1]): permute both components, scale tau(A) into its gadget
-// digit rows (the relin digit map verbatim), then accumulate the key
-// inner product per tower and land the hop.
+// pair (in[0], in[1]): permute both components and scale tau(A) into its
+// gadget digit rows, then accumulate the key inner product per tower and
+// land the hop.
 func (b *rnsBackend) galoisHop(sc *rnsMulScratch) {
 	k := sc.lv.c.Channels()
 	b.towers(sc, k, galoisPermuteTower)
-	b.towers(sc, k, relinDigitRow)
 	b.towers(sc, k, galoisTower)
 }
 
 // galoisPermuteTower permutes one tower of both ciphertext components in
 // the evaluation domain — a pure index map. tau(A) then crosses to
-// COEFFICIENT form in c2Q (the gadget decomposition needs positional
-// digits); tau(B) lands directly in the hop's output rows.
+// COEFFICIENT form in c2 (the gadget decomposition needs positional
+// digits) and scales into its gadget digit row, which needs no other
+// tower; tau(B) lands directly in the hop's output rows.
 func galoisPermuteTower(sc *rnsMulScratch, tau int) {
 	plan := sc.lv.c.Plans[tau].Generic()
 	tmp := sc.evE[0].Res[tau]
 	plan.AutomorphismEvalInto(sc.gtab, tmp, sc.in[0].Res[tau])
-	plan.NegacyclicInverseInto(sc.c2Q.Res[tau], tmp)
+	plan.NegacyclicInverseInto(sc.cQ[2].Res[tau], tmp)
+	relinDigitRow(sc, tau)
 	plan.AutomorphismEvalInto(sc.gtab, sc.outB.Res[tau], sc.in[1].Res[tau])
 }
 
@@ -969,20 +986,21 @@ func (b *rnsBackend) setSignedCtx(c *rns.Context, dst rns.Poly, coeffs []int64) 
 // scaleRound turns one tensor component held in (cQ, cE) into the scaled
 // ciphertext component round(T*v/Q_l) mod Q_l, written back into cQ:
 // with w = T*v + floor(Q_l/2), the FastBConv digits of w's Q-remainder
-// (one kernel call per Q tower), their conversion into the extension
-// base, y = (w - [w]_Q)/Q_l there (one kernel call per extension tower),
-// and the exact Shenoy-Kumaresan conversion back to Q_l. The FastBConv
+// (one kernel call per Q tower, into the Q-shaped zQ), y = (w - [w]_Q)/Q_l
+// in the extension base with [w]_Q's conversion folded in (one kernel
+// call per extension tower, over the row list rows of k+1 entries), and
+// the exact Shenoy-Kumaresan conversion back to Q_l. The FastBConv
 // overshoot divides down to an additive error below k+1 — noise, not
-// wrongness. Each step is tens of microseconds on the vector tier, so it
-// runs inline on the calling goroutine whatever the worker count.
-func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
+// wrongness. Calls with their own zQ and rows may run concurrently: the
+// converter takes pooled scratch.
+func (lv *rnsLevel) scaleRound(cQ, cE, zQ rns.Poly, rows [][]uint64) {
 	for i, plan := range lv.c.Plans {
-		ring.AffineRows(plan.Generic(), sc.zQ.Res[i], lv.digit[i], cQ.Res[i:i+1])
+		ring.AffineRows(plan.Generic(), zQ.Res[i], lv.digit[i], cQ.Res[i:i+1])
 	}
-	must(lv.conv.ConvertDigitsInto(sc.convE, sc.zQ))
+	copy(rows[1:], zQ.Res)
 	for j, plan := range lv.ext.Plans {
-		sc.extRows[0], sc.extRows[1] = cE.Res[j], sc.convE.Res[j]
-		ring.AffineRows(plan.Generic(), cE.Res[j], lv.extRound[j], sc.extRows)
+		rows[0] = cE.Res[j]
+		ring.AffineRows(plan.Generic(), cE.Res[j], lv.extRound[j], rows)
 	}
 	must(lv.skConv.ConvertInto(cQ, cE))
 }
@@ -1001,6 +1019,9 @@ func (lv *rnsLevel) scaleRound(sc *rnsMulScratch, cQ, cE rns.Poly) {
 // quarantines it instead (rnsMulScratch.release).
 func (b *rnsBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, ct2 BackendCiphertext, rlk BackendRelinKey) error {
 	lv := b.levels[ct1.Level]
+	if err := lv.checkKeySwitch(ct1.Level); err != nil {
+		return err
+	}
 	lkey, err := relinKeyAt[rnsLevelRelin](rlk, b, ct1.Level)
 	if err != nil {
 		return err
@@ -1066,9 +1087,7 @@ func (b *rnsBackend) mulResident(ctx context.Context, sc *rnsMulScratch) error {
 		return err
 	}
 	b.towers(sc, nops*k, residentOpINTT)
-	for i := 0; i < nops; i++ {
-		must(lv.mconv.ConvertInto(sc.opE[i], sc.opQ[i]))
-	}
+	b.towers(sc, nops, residentOpExtend)
 
 	// 2. Tensor product. Q base: the operands are already evaluation
 	// rows, so each tower is three pointwise products and three inverse
@@ -1080,23 +1099,20 @@ func (b *rnsBackend) mulResident(ctx context.Context, sc *rnsMulScratch) error {
 	b.towers(sc, k, residentTensorQ)
 	b.towers(sc, m, residentTensorExt)
 
-	// 3. Divide-and-round each component by Q_l/T; results land in the
-	// c*Q polys as the degree-2 scaled ciphertext.
+	// 3. Divide-and-round each component by Q_l/T, one component per
+	// dispatched index; results land in the cQ polys as the degree-2
+	// scaled ciphertext, and c2 in its gadget digit rows.
 	if err := phaseGate(ctx, faultinject.SiteMulScale); err != nil {
 		return err
 	}
-	lv.scaleRound(sc, sc.c0Q, sc.c0E)
-	lv.scaleRound(sc, sc.c1Q, sc.c1E)
-	lv.scaleRound(sc, sc.c2Q, sc.c2E)
+	b.towers(sc, len(sc.cQ), residentScale)
 
-	// 4. Relinearize and return resident: the towers of c2 are the gadget
-	// digits; each tower accumulates its k digit transforms and adds
-	// NTT(c1/c0) to the evaluation-domain accumulators instead of leaving
-	// the domain.
+	// 4. Relinearize and return resident: each tower accumulates its k
+	// digit transforms and adds NTT(c1/c0) to the evaluation-domain
+	// accumulators instead of leaving the domain.
 	if err := phaseGate(ctx, faultinject.SiteMulRelin); err != nil {
 		return err
 	}
-	b.towers(sc, k, relinDigitRow)
 	b.towers(sc, k, relinTower)
 	return nil
 }
@@ -1107,6 +1123,27 @@ func residentOpINTT(sc *rnsMulScratch, u int) {
 	k := sc.lv.c.Channels()
 	idx, tau := u/k, u%k
 	sc.lv.c.Plans[tau].Generic().NegacyclicInverseInto(sc.opQ[idx].Res[tau], sc.in[idx].Res[tau])
+}
+
+// residentOpExtend base-extends one operand's coefficient rows with the
+// m~ correction.
+func residentOpExtend(sc *rnsMulScratch, idx int) {
+	must(sc.lv.mconv.ConvertInto(sc.opE[idx], sc.opQ[idx]))
+}
+
+// residentScale divides-and-rounds tensor component j. The operand rows
+// opQ[j], dead once the tensor is formed, hold its digits, so the three
+// components run concurrently on rows the frame already has. Component 2 then scales
+// every tower of c2 into its gadget digit row, which saves the relin
+// step a dispatch and gives the most work to the index a width-2
+// dispatch runs alone.
+func residentScale(sc *rnsMulScratch, j int) {
+	sc.lv.scaleRound(sc.cQ[j], sc.cE[j], sc.opQ[j], sc.extRows[j])
+	if j == 2 {
+		for i := range sc.lv.c.Mods {
+			relinDigitRow(sc, i)
+		}
+	}
 }
 
 // tensorEval computes one tower's share of the ciphertext tensor product
@@ -1136,7 +1173,7 @@ func residentTensorQ(sc *rnsMulScratch, tau int) {
 	lv := sc.lv
 	tensorEval(lv.c.Plans[tau].Generic(), lv.c.Mods[tau], sc.squaring,
 		sc.in[0].Res[tau], sc.in[1].Res[tau], sc.in[2].Res[tau], sc.in[3].Res[tau],
-		sc.evE[0].Res[tau], sc.evE[1].Res[tau], sc.c0Q.Res[tau], sc.c1Q.Res[tau], sc.c2Q.Res[tau])
+		sc.evE[0].Res[tau], sc.evE[1].Res[tau], sc.cQ[0].Res[tau], sc.cQ[1].Res[tau], sc.cQ[2].Res[tau])
 }
 
 // residentTensorExt is one extension-base tower of the resident tensor:
@@ -1154,13 +1191,13 @@ func residentTensorExt(sc *rnsMulScratch, tau int) {
 		a2, b2 = ev(2), ev(3)
 	}
 	tensorEval(plan, lv.ext.Mods[tau], sc.squaring, ev(0), ev(1), a2, b2,
-		ev(4), ev(0), sc.c0E.Res[tau], sc.c1E.Res[tau], sc.c2E.Res[tau])
+		ev(4), ev(0), sc.cE[0].Res[tau], sc.cE[1].Res[tau], sc.cE[2].Res[tau])
 }
 
 // relinDigitRow scales one tower of c2 into its CRT gadget digit row.
 func relinDigitRow(sc *rnsMulScratch, i int) {
 	c := sc.lv.c
-	c.Plans[i].Generic().ScalarMulInto(sc.zQ.Res[i], sc.c2Q.Res[i], c.QiInv(i))
+	c.Plans[i].Generic().ScalarMulInto(sc.zQ.Res[i], sc.cQ[2].Res[i], c.QiInv(i))
 }
 
 // keySwitchAccumulate is the inner product every key switch shares: the
@@ -1225,9 +1262,9 @@ func relinTower(sc *rnsMulScratch, tau int) {
 	plan := sc.lv.c.Plans[tau].Generic()
 	mod := sc.lv.c.Mods[tau]
 	accA, accB := keySwitchAccumulate(sc, tau)
-	plan.NegacyclicForwardInto(sc.outA.Res[tau], sc.c1Q.Res[tau])
+	plan.NegacyclicForwardInto(sc.outA.Res[tau], sc.cQ[1].Res[tau])
 	reduceAddRow(sc.outA.Res[tau], accA, mod)
-	plan.NegacyclicForwardInto(sc.outB.Res[tau], sc.c0Q.Res[tau])
+	plan.NegacyclicForwardInto(sc.outB.Res[tau], sc.cQ[0].Res[tau])
 	reduceAddRow(sc.outB.Res[tau], accB, mod)
 }
 

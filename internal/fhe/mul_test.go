@@ -313,8 +313,8 @@ func noiseBitsOf(t *testing.T, s *BackendScheme, sk BackendSecretKey, ct Backend
 // every level above the bottom rung a multiply must decrypt to the
 // negacyclic product mod t, and a rotation and conjugation to the rotated
 // and row-swapped slot vectors. The bottom rung's one gadget digit is as
-// wide as Q itself, so its key-switch noise exceeds Delta by design (the
-// guardrail refuses key switches there) and it is not checked.
+// wide as Q itself, so its key-switch noise would exceed Delta: there all
+// three calls must return an error instead of a ciphertext.
 func TestKeySwitchLandingOnEveryBasis(t *testing.T) {
 	const n, pt = 64, 257
 	for _, base := range []struct {
@@ -389,6 +389,17 @@ func TestKeySwitchLandingOnEveryBasis(t *testing.T) {
 							t.Fatalf("level %d %s: slot %d = %d, want %d", l, tc.name, i, got[i], tc.want[i])
 						}
 					}
+				}
+			}
+			c1, ct = mustCT(t)(s.ModSwitchCtx(ctx, c1)), mustCT(t)(s.ModSwitchCtx(ctx, ct))
+			bottom := BackendCiphertext{A: b.NewPolyAt(c1.Level), B: b.NewPolyAt(c1.Level), Level: c1.Level}
+			for name, op := range map[string]func() error{
+				"multiply":  func() error { return s.MulCiphertextsInto(ctx, &bottom, c1, c1, rlk) },
+				"rotate 3":  func() error { return s.RotateSlotsInto(ctx, &bottom, ct, 3, gk) },
+				"conjugate": func() error { return s.ConjugateInto(ctx, &bottom, ct, gk) },
+			} {
+				if err := op(); err == nil {
+					t.Errorf("level %d (one tower) %s returned no error", c1.Level, name)
 				}
 			}
 		})

@@ -75,9 +75,10 @@ func (m *BEHZResidentModel) TransformNs() float64 {
 // the BENCH series and the benchmark's transform share define it.
 //
 //	operand extension, x nops:  K digit passes, E sums of K+2 rows
-//	divide-and-round, x 3:      K digit passes, E sums of K rows,
-//	                            E two-row roundings, K+1 SK digit passes,
-//	                            the K+2-row overshoot count, K sums of K+2 rows
+//	divide-and-round, x 3:      K digit passes, E roundings of K+1 rows
+//	                            (the tensor row and the FastBConv digits),
+//	                            K+1 SK digit passes, the K+2-row overshoot
+//	                            count, K sums of K+2 rows
 //
 // The m~ remainder of the operand extension (K+1 masked scalar passes) is
 // not a kernel call and is not counted.
@@ -85,8 +86,7 @@ func (m *BEHZResidentModel) conversionCalls() map[int]int {
 	k, e, nops := m.K, m.K+2, m.nops()
 	calls := map[int]int{}
 	calls[1] += nops*k + 3*(k+k+1)
-	calls[k] += 3 * e
-	calls[2] += 3 * e
+	calls[k+1] += 3 * e
 	calls[k+2] += nops*e + 3*(1+k)
 	return calls
 }

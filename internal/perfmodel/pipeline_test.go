@@ -154,7 +154,7 @@ func TestBEHZConversionCensusAndDriftBound(t *testing.T) {
 	mod := lazyTestMod64(t)
 	a := BenchPR12Anchor
 	ntt := ProjectLazyNTT64(CIBenchHost, isa.LevelAVX512, mod, a.N, false)
-	for squaring, want := range map[bool]int{true: 305, false: 385} {
+	for squaring, want := range map[bool]int{true: 287, false: 367} {
 		if got := NewBEHZResidentModel(ntt, a.K, squaring).ConversionTerms(); got != want {
 			t.Errorf("k=%d squaring=%v conversion census = %d element-terms, want %d", a.K, squaring, got, want)
 		}

@@ -38,7 +38,9 @@ var workerPool struct {
 // re-checked on every submit, so a raise after first use grows the pool
 // on demand instead of capping all future batches at the initial size.
 // Jobs must not themselves submit to the pool (ranges never do), so the
-// pool cannot deadlock.
+// pool cannot deadlock. The send readies a parked worker into the
+// submitting goroutine's own P, not an idle one; Fanout.Run yields after
+// its last submit so that worker starts at once (see there).
 func submitJob(j fanJob) {
 	workerPool.mu.Lock()
 	if workerPool.jobs == nil {
@@ -100,6 +102,17 @@ func (j fanJob) run() {
 // GOMAXPROCS) and runs r on each, the last on the calling goroutine and
 // the rest on the persistent pool. Width 1 is a plain r.RunRange(0, n).
 //
+// The caller yields once after its last submit, before running its own
+// range. A channel send readies the parked worker into the sender's P as
+// its next goroutine, and an idle P may steal that goroutine only after
+// a usleep(3), which the kernel's timer slack (50 µs by default on
+// Linux) stretches to tens of microseconds; meanwhile the caller would
+// run its own range and the pool range would start only when that
+// steal lands. Yielding lets the worker run on the caller's P at once,
+// while the caller, now on the global run queue, is picked up by an
+// idle P (or, with no idle P, resumes after the worker's range; the
+// yield returns either way, so GOMAXPROCS=1 cannot livelock).
+//
 // A panic inside r — on the pool or on the calling goroutine — is
 // re-raised on the calling goroutine after every other range has
 // finished, so a recover() around the dispatch observes it and the pool
@@ -129,6 +142,7 @@ func (f *Fanout) Run(n, workers int, r Ranger) {
 		f.wg.Add(1)
 		submitJob(j)
 	}
+	runtime.Gosched()
 	// Run the caller's own range under a deferred Wait so that even if it
 	// panics, the pool ranges finish before the stack unwinds — they read
 	// the caller's buffers.

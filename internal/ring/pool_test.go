@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mqxgo/internal/scratch"
 )
@@ -84,10 +85,41 @@ func BenchmarkFanoutSmallBatch(b *testing.B) {
 	}
 }
 
+// spinFor busy-waits for d on the calling goroutine: work of fixed wall
+// time that never parks, as a transform does.
+func spinFor(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// BenchmarkFanoutBalanced measures how late a pool range starts: each
+// dispatch runs two ranges of ~100 µs fixed work after a 50 µs gap of
+// caller work (long enough for the pool worker to park), and the
+// reported us/dispatch-over-body is the dispatch's wall time minus the
+// body's 100 µs, the delay before the later range began plus the join.
+func BenchmarkFanoutBalanced(b *testing.B) {
+	const body, gap = 100 * time.Microsecond, 50 * time.Microsecond
+	var f Fanout
+	work := rangeFunc(func(start, end int) { spinFor(body) })
+	f.Run(2, 2, work) // start the pool worker
+	var over time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spinFor(gap)
+		start := time.Now()
+		f.Run(2, 2, work)
+		over += time.Since(start) - body
+	}
+	b.ReportMetric(float64(over.Microseconds())/float64(b.N), "us/dispatch-over-body")
+}
+
 // TestFanoutReuseCoversEveryIndexOnce runs one frame many times at widths
 // 1–5 (and the GOMAXPROCS default) over uneven n: every dispatch must
 // visit each index exactly once, whatever the previous dispatch's width.
+// The last rounds run with a single P, where the caller's yield must
+// return and the pool ranges run with no second P to steal them.
 func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var f Fanout
 	hits := make([]atomic.Int32, 64)
 	body := rangeFunc(func(start, end int) {
@@ -95,7 +127,10 @@ func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
 			hits[i].Add(1)
 		}
 	})
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 6; round++ {
+		if round == 3 {
+			runtime.GOMAXPROCS(1)
+		}
 		for _, n := range []int{0, 1, 2, 3, 7, 13, 31, 64} {
 			for workers := 0; workers <= 5; workers++ {
 				for i := range hits {

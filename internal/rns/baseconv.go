@@ -117,14 +117,6 @@ func NewBaseConverter(from, to *Context) (*BaseConverter, error) {
 	return bc, nil
 }
 
-// accumulateInto folds the digit rows z into every tower of dst:
-// dst_j = sum_i z_i * (Q/q_i) mod p_j, one kernel call per tower.
-func (bc *BaseConverter) accumulateInto(dst, z Poly) {
-	for j, plan := range bc.to.Plans {
-		ring.AffineRows(plan.Generic(), dst.Res[j], bc.sum[j], z.Res)
-	}
-}
-
 // ConvertInto writes the fast base conversion of src (in the from base)
 // into dst (in the to base): residues of x + alpha*Q with 0 <= alpha < k,
 // where x in [0, Q) is the value src represents and k is the source tower
@@ -142,25 +134,11 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 	for i, plan := range bc.from.Plans {
 		plan.Generic().ScalarMulInto(sc.z.Res[i], src.Res[i], bc.from.qiInv[i])
 	}
-	bc.accumulateInto(dst, sc.z)
+	// dst_j = sum_i z_i * (Q/q_i) mod p_j, one kernel call per tower.
+	for j, plan := range bc.to.Plans {
+		ring.AffineRows(plan.Generic(), dst.Res[j], bc.sum[j], sc.z.Res)
+	}
 	bc.scratch.Put(sc)
-	return nil
-}
-
-// ConvertDigitsInto is ConvertInto with CALLER-COMPUTED digits: z_i must
-// already hold the fast-base-conversion digits [x_i * (Q/q_i)^-1]_{q_i}.
-// It exists for callers that can fuse the digit scalar into an adjacent
-// pass (the BEHZ divide-and-round folds T, the rounding offset, and the
-// digit constant into one kernel call per tower); the accumulation is
-// unchanged. dst is canonical; allocates nothing.
-func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
-	if err := bc.from.checkPoly(z); err != nil {
-		return err
-	}
-	if err := bc.to.checkPoly(dst); err != nil {
-		return err
-	}
-	bc.accumulateInto(dst, z)
 	return nil
 }
 
