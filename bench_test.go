@@ -1,13 +1,14 @@
-// Package benches is the paper-reproduction benchmark harness: one bench
-// per table and figure of the evaluation (`go run ./cmd/report` prints the
-// tables and figures themselves).
+// Package benches holds the Go benchmarks that no ./benchmark probe
+// already times at their shape. `go run ./benchmark -trace 1` prints the
+// probes (the modmath chains, the 128-bit transforms at 4,096 and 16,384
+// points, the BEHZ conversions, the scheme calls); `go run ./cmd/report`
+// prints the paper's tables and figures.
 //
 // Two kinds of benchmarks coexist:
 //
-//   - Native measurements (Benchmark*Native / *Generic / *Bignum): real
-//     wall-clock time of the plain-Go scalar tier and the two baseline
-//     backends on the host CPU. These validate the baseline gaps the
-//     figure generators anchor to.
+//   - Native measurements (Benchmark*Native / *Generic, the batch, RNS and
+//     MulCt benchmarks): real wall-clock time on the host CPU, at sizes and
+//     operands the probes do not run.
 //   - Model projections (BenchmarkFigure* / BenchmarkTable6): the port-model
 //     pipeline that produces the paper's figures; projected metrics are
 //     attached with b.ReportMetric (e.g. model-ns/butterfly).
@@ -20,7 +21,6 @@ package benches
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -58,37 +58,7 @@ func BenchmarkModAdd128Native(b *testing.B) {
 	sinkU128 = acc
 }
 
-func BenchmarkModMul128Schoolbook(b *testing.B) {
-	mod := modmath.DefaultModulus128()
-	xs := randResidues(2, mod, 1024)
-	b.ResetTimer()
-	acc := u128.One
-	for i := 0; i < b.N; i++ {
-		acc = mod.Mul(acc, xs[i%1024])
-	}
-	sinkU128 = acc
-}
-
-func BenchmarkModMul64Shoup(b *testing.B) {
-	ps, err := modmath.FindNTTPrimes64(60, 1<<10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod := modmath.MustModulus64(ps[0])
-	w := ps[0] / 3
-	pre := mod.ShoupPrecompute(w)
-	b.ResetTimer()
-	acc := uint64(1)
-	for i := 0; i < b.N; i++ {
-		acc = mod.MulShoup(acc, w, pre)
-	}
-	sinkU64 = acc
-}
-
-var (
-	sinkU128 u128.U128
-	sinkU64  uint64
-)
+var sinkU128 u128.U128
 
 func BenchmarkNTT64Native4096(b *testing.B) {
 	ps, err := modmath.FindNTTPrimes64(60, 1<<13, 1)
@@ -116,23 +86,6 @@ func BenchmarkNTT64Native4096(b *testing.B) {
 }
 
 // --- Zero-allocation engine (PR 1): Into variants and batch pool ---
-
-func BenchmarkNTTForwardNativeInto4096(b *testing.B) {
-	mod := modmath.DefaultModulus128()
-	p, err := ntt.CachedPlan(mod, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randResidues(71, mod, 1<<12)
-	dst := make([]u128.U128, 1<<12)
-	p.ForwardInto(dst, x) // warm the scratch pool
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForwardInto(dst, x)
-	}
-	butterflies := float64(1<<11) * 12
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/butterflies, "ns/butterfly")
-}
 
 func BenchmarkNTTInverseNativeInto4096(b *testing.B) {
 	mod := modmath.DefaultModulus128()
@@ -258,20 +211,6 @@ func BenchmarkFigure4VecPMulGeneric(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
 }
 
-func BenchmarkFigure4VecPMulBignum(b *testing.B) {
-	mod := modmath.DefaultModulus128()
-	big := blas.NewBignum(mod.Q)
-	n := core.BLASVectorLength
-	x := blas.ToBigVector(randResidues(8, mod, n))
-	y := blas.ToBigVector(randResidues(9, mod, n))
-	dst := blas.BigVector(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		big.VecPMulMod(dst, x, y)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
-}
-
 // BenchmarkFigure4Model projects the full Figure 4 grid and reports the
 // modeled per-element times of the AVX-512 and MQX tiers on both machines.
 func BenchmarkFigure4Model(b *testing.B) {
@@ -316,8 +255,6 @@ func benchNTTNative(b *testing.B, n int) {
 }
 
 func BenchmarkFigure5NTTNative1024(b *testing.B)  { benchNTTNative(b, 1<<10) }
-func BenchmarkFigure5NTTNative4096(b *testing.B)  { benchNTTNative(b, 1<<12) }
-func BenchmarkFigure5NTTNative16384(b *testing.B) { benchNTTNative(b, 1<<14) }
 func BenchmarkFigure5NTTNative65536(b *testing.B) { benchNTTNative(b, 1<<16) }
 
 func BenchmarkFigure5NTTGeneric4096(b *testing.B) {
@@ -331,26 +268,6 @@ func BenchmarkFigure5NTTGeneric4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Forward(p, x)
-	}
-	butterflies := float64(1<<11) * float64(p.M)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/butterflies, "ns/butterfly")
-}
-
-func BenchmarkFigure5NTTBignum4096(b *testing.B) {
-	mod := modmath.DefaultModulus128()
-	p, err := ntt.CachedPlan(mod, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bp := core.NewBigPlan(p)
-	xs := randResidues(12, mod, 1<<12)
-	x := make([]*big.Int, len(xs))
-	for i := range x {
-		x[i] = xs[i].ToBig()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bp.Forward(x)
 	}
 	butterflies := float64(1<<11) * float64(p.M)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/butterflies, "ns/butterfly")
@@ -525,8 +442,9 @@ func BenchmarkRNSMulAllParK4N4096(b *testing.B) {
 // --- PR 4: homomorphic multiply on the Backend seam ---
 
 // benchMulCtFixture prepares a scheme on one backend with a
-// ready-to-multiply ciphertext pair, relin key, and reusable destination.
-func benchMulCtFixture(b *testing.B, backend fhe.Backend) (*fhe.BackendScheme, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
+// ready-to-multiply ciphertext pair switched down to the given level, a
+// relin key, and a reusable destination.
+func benchMulCtFixture(b *testing.B, backend fhe.Backend, level int) (*fhe.BackendScheme, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
 	b.Helper()
 	s := fhe.NewBackendScheme(backend, 77)
 	sk := s.KeyGen()
@@ -535,86 +453,6 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (*fhe.BackendScheme, f
 		b.Fatal(rlkErr)
 	}
 	n := backend.N()
-	msg := make([]uint64, n)
-	for i := range msg {
-		msg[i] = uint64(i*13+5) % backend.PlainModulus()
-	}
-	c1, err := s.Encrypt(sk, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c2, err := s.Encrypt(sk, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(0), B: backend.NewPolyAt(0)}
-	if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil { // warm every pool
-		b.Fatal(err)
-	}
-	return s, c1, c2, dst, rlk
-}
-
-// BenchmarkMulCtRNSK2N4096 is the BEHZ pipeline at the paper's sweet
-// spot (two towers): base-extend, tensor, divide-and-round, exact
-// Shenoy-Kumaresan return, CRT-gadget relin — 0 allocs/op steady state.
-func BenchmarkMulCtRNSK2N4096(b *testing.B) {
-	c, err := rns.NewContext(59, 2, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	backend, err := fhe.NewRNSBackend(c, 257)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, c1, c2, dst, rlk := benchMulCtFixture(b, backend)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMulCtOracleN4096 is the 128-bit oracle multiply: exact
-// integer tensor via the wide CRT basis and exact big-int rescale — the
-// correctness reference the RNS pipeline is differentially tested
-// against, and the wall-clock bar it must beat.
-func BenchmarkMulCtOracleN4096(b *testing.B) {
-	params, err := fhe.NewParams(modmath.DefaultModulus128(), 1<<12, 257)
-	if err != nil {
-		b.Fatal(err)
-	}
-	backend := fhe.NewRingBackend(params)
-	s, c1, c2, dst, rlk := benchMulCtFixture(b, backend)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- PR 5: the modulus ladder ---
-
-// ladderFixture prepares a scheme on a k-tower RNS backend with a
-// ciphertext pair switched down to the requested level, ready to multiply
-// there.
-func ladderFixture(b *testing.B, towers, level, n int) (*fhe.BackendScheme, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendCiphertext, fhe.BackendRelinKey) {
-	b.Helper()
-	c, err := rns.NewContext(59, towers, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	backend, err := fhe.NewRNSBackend(c, 257)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := fhe.NewBackendScheme(backend, 77)
-	sk := s.KeyGen()
-	rlk, rlkErr := s.RelinKeyGen(sk)
-	if rlkErr != nil {
-		b.Fatal(rlkErr)
-	}
 	msg := make([]uint64, n)
 	for i := range msg {
 		msg[i] = uint64(i*13+5) % backend.PlainModulus()
@@ -642,14 +480,46 @@ func ladderFixture(b *testing.B, towers, level, n int) (*fhe.BackendScheme, fhe.
 	return s, c1, c2, dst, rlk
 }
 
-// BenchmarkMulCtLadderK4N4096 measures the per-level multiply cost down a
-// k=4 ladder: the BEHZ pipeline shrinks by one tower per DropLevel, so
-// wall-clock must fall strictly with the level — the reason the ladder
-// exists.
+// BenchmarkMulCtRNSK2N4096 is the BEHZ pipeline at the paper's sweet
+// spot (two towers): base-extend, tensor, divide-and-round, exact
+// Shenoy-Kumaresan return, CRT-gadget relin — 0 allocs/op steady state.
+func BenchmarkMulCtRNSK2N4096(b *testing.B) {
+	c, err := rns.NewContext(59, 2, 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	backend, err := fhe.NewRNSBackend(c, 257)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, c1, c2, dst, rlk := benchMulCtFixture(b, backend, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// --- PR 5: the modulus ladder ---
+
+// BenchmarkMulCtLadderK4N4096 measures the general product of two
+// distinct ciphertexts at levels 1 and 2 of a k=4 ladder: the BEHZ
+// pipeline shrinks by one tower per level. The benchmark's probes cover
+// the rest of the ladder (fhe.mulct_l0_us is this product at level 0;
+// fhe.mulct_l1_us and fhe.mulct_l2_us time the cheaper squaring).
 func BenchmarkMulCtLadderK4N4096(b *testing.B) {
-	for level := 0; level <= 2; level++ {
+	c, err := rns.NewContext(59, 4, 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	backend, err := fhe.NewRNSBackend(c, 257)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for level := 1; level <= 2; level++ {
 		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			s, c1, c2, dst, rlk := ladderFixture(b, 4, level, 1<<12)
+			s, c1, c2, dst, rlk := benchMulCtFixture(b, backend, level)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := s.MulCiphertextsInto(context.Background(), &dst, c1, c2, rlk); err != nil {
@@ -658,104 +528,4 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkModSwitchRNSK4N4096 is the ladder step itself: the Rescaler's
-// divide-and-round of both ciphertext components, residues only, 0
-// allocs/op steady state.
-func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
-	s, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
-	dst := fhe.BackendCiphertext{A: s.B.NewPolyAt(1), B: s.B.NewPolyAt(1), Level: 1}
-	if err := s.ModSwitchInto(context.Background(), &dst, c1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.ModSwitchInto(context.Background(), &dst, c1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- PR 12: BEHZ base conversion on the affine-rows kernel ---
-
-// benchConvFixture builds the level-0 conversion shape of a k=4 multiply
-// at n=4096: base Q (4 towers), the extension base (5 towers plus m_sk),
-// the three converters, and seeded canonical operands in each base.
-func benchConvFixture(b *testing.B) (conv *rns.BaseConverter, mconv *rns.MontBaseConverter, sk *rns.SKConverter, q, e rns.Poly) {
-	b.Helper()
-	const k, n = 4, 1 << 12
-	primes, err := modmath.FindNTTPrimes64(59, 2*n, 2*k+2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qc, err := rns.NewContextForPrimes(primes[:k], n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ec, err := rns.NewContextForPrimes(primes[k:], n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if conv, err = rns.NewBaseConverter(qc, ec); err != nil {
-		b.Fatal(err)
-	}
-	if mconv, err = rns.NewMontBaseConverter(qc, ec, 1<<16); err != nil {
-		b.Fatal(err)
-	}
-	if sk, err = rns.NewSKConverter(ec, qc); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	q, e = qc.NewPoly(), ec.NewPoly()
-	for i, mod := range qc.Mods {
-		for j := range q.Res[i] {
-			q.Res[i][j] = rng.Uint64() % mod.Q
-		}
-	}
-	// A small value's residues are consistent across every extension
-	// tower, inside the Shenoy-Kumaresan window.
-	for j := 0; j < n; j++ {
-		v := rng.Uint64() >> 8
-		for i := range ec.Mods {
-			e.Res[i][j] = v
-		}
-	}
-	return conv, mconv, sk, q, e
-}
-
-// benchConvert times one conversion per iteration, errors checked.
-func benchConvert(b *testing.B, convert func() error) {
-	b.Helper()
-	if err := convert(); err != nil { // warm the scratch pool
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := convert(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBaseConvK4N4096 is the plain FastBConv of the divide-by-Q
-// step: 6 output towers, each one 4-row affine-rows call.
-func BenchmarkBaseConvK4N4096(b *testing.B) {
-	conv, _, _, q, e := benchConvFixture(b)
-	benchConvert(b, func() error { return conv.ConvertInto(e, q) })
-}
-
-// BenchmarkMontBaseConvK4N4096 is the m~-corrected operand extension: 6
-// output towers of 6 rows (digits, r, centering).
-func BenchmarkMontBaseConvK4N4096(b *testing.B) {
-	_, mconv, _, q, e := benchConvFixture(b)
-	benchConvert(b, func() error { return mconv.ConvertInto(e, q) })
-}
-
-// BenchmarkSKReturnK4N4096 is the exact Shenoy-Kumaresan return: the
-// 6-row overshoot count, then 4 output towers of 6 rows.
-func BenchmarkSKReturnK4N4096(b *testing.B) {
-	_, _, sk, q, e := benchConvFixture(b)
-	benchConvert(b, func() error { return sk.ConvertInto(q, e) })
 }

@@ -2,6 +2,9 @@ package fhe
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mqxgo/internal/rns"
@@ -201,8 +204,68 @@ func assertEvalOpsDoNotAllocate(t *testing.T, label string, s *BackendScheme, rl
 				t.Fatal(err)
 			}
 		}); got != 0 {
+			logAllocStacks(t, 10, func() { _ = op() })
 			t.Errorf("%s at %s allocates %.1f per run, want 0", name, label, got)
 		}
+	}
+}
+
+// logAllocStacks re-runs op under runtime.MemProfileRate = 1 and logs
+// the stack of every allocation the process made meanwhile, on any
+// goroutine, so a gate that reads nonzero names its cause. It restores
+// the rate before returning.
+func logAllocStacks(t *testing.T, runs int, op func()) {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocSites()
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	after := allocSites()
+	var b strings.Builder
+	for stk, n := range after {
+		if n -= before[stk]; n <= 0 {
+			continue
+		}
+		var frames strings.Builder
+		own := false
+		for fs, more := runtime.CallersFrames((&runtime.MemProfileRecord{Stack0: stk}).Stack()), true; more; {
+			var f runtime.Frame
+			f, more = fs.Next()
+			own = own || strings.HasSuffix(f.Function, ".allocSites")
+			fmt.Fprintf(&frames, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+		}
+		if !own {
+			fmt.Fprintf(&b, "%d allocations in %d runs at\n%s", n, runs, frames.String())
+		}
+	}
+	if b.Len() == 0 {
+		t.Logf("re-run of %d under MemProfileRate=1 recorded no allocation", runs)
+		return
+	}
+	t.Logf("re-run of %d under MemProfileRate=1:\n%s", runs, b.String())
+}
+
+// allocSites returns the allocation count of every profiled stack, after
+// two collections so that the profile includes every allocation made
+// before the call.
+func allocSites() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs := make([]runtime.MemProfileRecord, n+64)
+		m, ok := runtime.MemProfile(recs, true)
+		if !ok {
+			n = m
+			continue
+		}
+		sites := make(map[[32]uintptr]int64, m)
+		for _, r := range recs[:m] {
+			sites[r.Stack0] += r.AllocObjects
+		}
+		return sites
 	}
 }
 

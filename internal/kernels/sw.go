@@ -103,18 +103,6 @@ func (s *SW[W, C]) condSub2Q(x W) W {
 	return o.Select(keep, d, x)
 }
 
-// condSubQLazy is condSub2Q with modulus q: the deferred-normalization
-// fold of the final stage.
-func (s *SW[W, C]) condSubQLazy(x W) W {
-	o := s.O
-	d := o.Sub(x, s.q)
-	if s.minU != nil {
-		return s.minU.MinU(x, d)
-	}
-	keep := o.CmpLt(x, s.q)
-	return o.Select(keep, d, x)
-}
-
 // AddLazy returns a + b reduced into [0, 2q), for relaxed inputs (< 2q
 // each; the sum < 4q never wraps since q < 2^62).
 func (s *SW[W, C]) AddLazy(a, b W) W {
@@ -136,18 +124,6 @@ func (s *SW[W, C]) MulShoupLazy(a, w, wPre W) W {
 	qhat, _ := o.MulWide(a, wPre) // high part only is needed
 	return o.Sub(o.MulLo(a, w), o.MulLo(qhat, s.q))
 }
-
-// AffineTerm folds one row term into the ring.AffineRows accumulator:
-// acc + x*w via the lazy Shoup multiply (acc, t < 2q, so the sum < 4q
-// never wraps), back under 2q with one conditional subtract. x is any
-// 64-bit value.
-func (s *SW[W, C]) AffineTerm(acc, x, w, wPre W) W {
-	return s.condSub2Q(s.O.Add(acc, s.MulShoupLazy(x, w, wPre)))
-}
-
-// AffineLand lands the ring.AffineRows accumulator on its canonical
-// residue.
-func (s *SW[W, C]) AffineLand(acc W) W { return s.condSubQLazy(acc) }
 
 // LazyButterfly is the relaxed-domain CT butterfly (ring.Shoup64.CTSpan's
 // body): even = (a+b) mod 2q, odd = (a + 2q - b)·w via the lazy Shoup

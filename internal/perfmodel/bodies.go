@@ -154,7 +154,7 @@ func (r *dwRunner[W, C]) blasIter(op blas.Op) {
 // the 64-bit butterfly, interleave and stores. Used for the
 // RNS-vs-double-word comparison (Section 1).
 func SWButterflyBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
-	return recordSW(level, mod64, func(m *vm.Machine, r swAny) { r.strictIter() })
+	return recordSW(level, mod64, swAny.strictIter)
 }
 
 // LazySWButterflyBody records one steady-state iteration of the PR 3
@@ -164,7 +164,7 @@ func SWButterflyBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
 // body the vector span kernels implement, costed in the VM before the
 // assembly is written.
 func LazySWButterflyBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
-	return recordSW(level, mod64, func(m *vm.Machine, r swAny) { r.lazyIter() })
+	return recordSW(level, mod64, swAny.lazyIter)
 }
 
 // LazySWButterflyBlkBody is the blocked-kernel variant
@@ -173,24 +173,7 @@ func LazySWButterflyBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
 // state streams only the two data inputs — half the loads of the dense
 // body. This is the body the n=4096 hot stages (blk >= 8) execute.
 func LazySWButterflyBlkBody(level isa.Level, mod64 *modmath.Modulus64) *Body {
-	return recordSW(level, mod64, func(m *vm.Machine, r swAny) { r.lazyBlkIter() })
-}
-
-// AffineRowsBody records one steady-state output iteration of
-// ring.AffineRows (the affineRowsSpan* bodies) over the given row count:
-// per row one streamed load, the lazy Shoup multiply against a broadcast
-// weight pair, the accumulate and its conditional subtract by 2q; then
-// the canonical landing and one store. The weight pair is modeled
-// register-resident: the assembly re-broadcasts it from memory per term,
-// which costs a load-port slot and no vector-port work. The unused low
-// half of the Shoup quotient's widening multiply is pruned, as in the
-// assembly; the butterfly bodies above keep it because CIBenchHost's
-// calibration was fitted with it.
-func AffineRowsBody(level isa.Level, mod64 *modmath.Modulus64, rows int) *Body {
-	return recordSW(level, mod64, func(m *vm.Machine, r swAny) {
-		r.affineRowsIter(rows)
-		m.PruneDead()
-	})
+	return recordSW(level, mod64, swAny.lazyBlkIter)
 }
 
 // swAny adapts the per-tier SW runners for body recording, like dwAny for
@@ -199,7 +182,6 @@ type swAny interface {
 	strictIter()
 	lazyIter()
 	lazyBlkIter()
-	affineRowsIter(rows int)
 }
 
 type swRunner[W, C any] struct {
@@ -253,17 +235,7 @@ func (r *swRunner[W, C]) lazyBlkIter() {
 	o.Store(r.buf, 5*L, r1)
 }
 
-func (r *swRunner[W, C]) affineRowsIter(rows int) {
-	o := r.s.O
-	L := o.Lanes()
-	acc := r.wp // any register-resident value stands in for broadcast c0
-	for k := 0; k < rows; k++ {
-		acc = r.s.AffineTerm(acc, o.Load(r.buf, (k%4)*L), r.w, r.wp)
-	}
-	o.Store(r.buf, 4*L, r.s.AffineLand(acc))
-}
-
-func recordSW(level isa.Level, mod64 *modmath.Modulus64, run func(*vm.Machine, swAny)) *Body {
+func recordSW(level isa.Level, mod64 *modmath.Modulus64, run func(swAny)) *Body {
 	m := vm.New(vm.TraceFull)
 	var runner swAny
 	switch level {
@@ -275,7 +247,7 @@ func recordSW(level isa.Level, mod64 *modmath.Modulus64, run func(*vm.Machine, s
 		runner = newSWRunner[vm.V, vm.M](kernels.NewB512(m, level), mod64)
 	}
 	m.BeginLoop()
-	run(m, runner)
+	run(runner)
 	loopOverhead(m)
 	return &Body{
 		Level:  level,

@@ -144,24 +144,6 @@ var BenchPR7Anchor = struct {
 	ScalarNs, AVX2Ns, AVX512Ns float64
 }{N: 4096, ScalarNs: 93307, AVX2Ns: 46125, AVX512Ns: 23332}
 
-// BenchPR12Anchor freezes the measured k=4, n=4096 BEHZ conversions from
-// the bench host: the rns.baseconv_k4_us, rns.mont_baseconv_k4_us and
-// rns.sk_return_k4_us probes of `go run ./benchmark -workload mulchain
-// -trace 1` (base Q of 4 towers, extension base of 6), ns per conversion
-// per forced kernel tier. The scalar and avx512 values are medians of the
-// ten runs in BENCH_PR12.json's first campaign, the avx2 values one run.
-// The conversion drift-bound test replays them against the affine-rows
-// body's projection.
-var BenchPR12Anchor = struct {
-	N, K                        int
-	BaseConvNs, MontNs, SKRetNs map[string]float64
-}{
-	N: 4096, K: 4,
-	BaseConvNs: map[string]float64{"scalar": 216823, "avx2": 168371, "avx512": 85881},
-	MontNs:     map[string]float64{"scalar": 327584, "avx2": 247947, "avx512": 135809},
-	SKRetNs:    map[string]float64{"scalar": 269462, "avx2": 208667, "avx512": 101772},
-}
-
 // MeasurementMachines are the Table 4 CPUs.
 var MeasurementMachines = []*Machine{IntelXeon8352Y, AMDEPYC9654}
 

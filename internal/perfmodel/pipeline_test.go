@@ -129,64 +129,13 @@ func TestCIBenchHostDriftBound(t *testing.T) {
 // mandatory transforms of a k=4 resident squaring (the ladder workload)
 // and 87 for a general product.
 func TestBEHZResidentCensus(t *testing.T) {
-	mod := lazyTestMod64(t)
-	ntt := ProjectLazyNTT64(IntelXeon8352Y, isa.LevelScalar, mod, 4096, true)
-	sq := NewBEHZResidentModel(ntt, 4, true)
+	sq := NewBEHZResidentModel(nil, 4, true)
 	if got := sq.Transforms(); got != 69 {
 		t.Errorf("k=4 squaring census = %d transforms, want 69", got)
 	}
-	gen := NewBEHZResidentModel(ntt, 4, false)
+	gen := NewBEHZResidentModel(nil, 4, false)
 	if got := gen.Transforms(); got != 87 {
 		t.Errorf("k=4 general census = %d transforms, want 87", got)
-	}
-	if sq.TransformNs() <= 0 {
-		t.Errorf("TransformNs not positive")
-	}
-}
-
-// The conversion census beside the transform census: element-terms per
-// coefficient of one k=4 resident multiply, and the calibrated bench
-// host's projection of the three converters within the drift bound of
-// their measured probes on the assembly tiers. The scalar tier is
-// reported, not bounded: ScalarSchedFactor was fitted on the compiled
-// butterfly loop and overestimates this tighter loop by 17-30%.
-func TestBEHZConversionCensusAndDriftBound(t *testing.T) {
-	mod := lazyTestMod64(t)
-	a := BenchPR12Anchor
-	ntt := ProjectLazyNTT64(CIBenchHost, isa.LevelAVX512, mod, a.N, false)
-	for squaring, want := range map[bool]int{true: 287, false: 367} {
-		if got := NewBEHZResidentModel(ntt, a.K, squaring).ConversionTerms(); got != want {
-			t.Errorf("k=%d squaring=%v conversion census = %d element-terms, want %d", a.K, squaring, got, want)
-		}
-	}
-	sq := NewBEHZResidentModel(ntt, a.K, true)
-	conv, xform := sq.ConversionNs(mod), sq.TransformNs()
-	if conv <= 0 || conv >= xform {
-		t.Errorf("avx512 k=4 squaring: conversions %.0f ns against transforms %.0f ns; want 0 < conversions < transforms", conv, xform)
-	}
-	t.Logf("avx512 k=4 squaring: conversions %.0f us, transforms %.0f us, conversion share of the two %.2f",
-		conv/1e3, xform/1e3, conv/(conv+xform))
-
-	const maxDrift = 0.30
-	k, e := a.K, a.K+2
-	for _, lv := range []isa.Level{isa.LevelScalar, isa.LevelAVX2, isa.LevelAVX512} {
-		rows := func(r int) float64 { return ProjectAffineRows(CIBenchHost, lv, mod, a.N, r).TimeNs() }
-		tier := lv.String()
-		for _, c := range []struct {
-			name            string
-			pred, measuredN float64
-		}{
-			{"FastBConv", float64(k)*rows(1) + float64(e)*rows(k), a.BaseConvNs[tier]},
-			{"m~-corrected", float64(k)*rows(1) + float64(e)*rows(k+2), a.MontNs[tier]},
-			{"Shenoy-Kumaresan", float64(k+1)*rows(1) + float64(k+1)*rows(k+2), a.SKRetNs[tier]},
-		} {
-			drift := c.pred/c.measuredN - 1
-			t.Logf("%s %s: predicted %.0f us, measured %.0f us (drift %+.0f%%)", tier, c.name, c.pred/1e3, c.measuredN/1e3, 100*drift)
-			if lv != isa.LevelScalar && (drift < -maxDrift || drift > maxDrift) {
-				t.Errorf("%s %s conversion: predicted %.0f ns vs measured %.0f (drift %+.0f%%, bound ±%.0f%%)",
-					tier, c.name, c.pred, c.measuredN, 100*drift, 100*maxDrift)
-			}
-		}
 	}
 }
 

@@ -46,12 +46,22 @@ func Fill[T any](s []T) {
 	if len(s) == 0 {
 		return
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-	// Doubling copies: a handful of memmoves instead of one store per byte,
-	// which the race detector would instrument one by one.
-	b[0] = 0xFF
-	for i := 1; i < len(b); i *= 2 {
-		copy(b[i:], b[:i])
+	fillOnes(unsafe.Pointer(&s[0]), uintptr(len(s))*unsafe.Sizeof(s[0]))
+}
+
+// fillOnes stores all-ones over the n bytes at p, a word at a time, then
+// the byte tail. The stores are hidden from the race detector, whose
+// per-store bookkeeping would otherwise dominate a race build's run time;
+// a reader of a recycled buffer still reads the all-ones poison.
+//
+//go:norace
+func fillOnes(p unsafe.Pointer, n uintptr) {
+	words := unsafe.Slice((*uint64)(p), n/8)
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	for i := n &^ 7; i < n; i++ {
+		*(*byte)(unsafe.Add(p, i)) = 0xFF
 	}
 }
 

@@ -104,32 +104,6 @@ func (m *Machine) BeginLoop() { m.inPreamble = false }
 // InLoop reports whether BeginLoop has been called.
 func (m *Machine) InLoop() bool { return !m.inPreamble }
 
-// PruneDead drops the body instructions whose results nothing later in
-// the body consumes; instructions without results (stores) always stay.
-// It is the dead-code elimination a hand-written kernel gets for free:
-// a backend's MulWide emits both halves of the product, and a Shoup
-// quotient reads only the high one.
-func (m *Machine) PruneDead() {
-	used := make(map[int32]bool)
-	kept := len(m.body)
-	for i := len(m.body) - 1; i >= 0; i-- {
-		in := m.body[i]
-		live := in.Out[0] == noID && in.Out[1] == noID
-		for _, o := range in.Out {
-			live = live || (o != noID && used[o])
-		}
-		if !live {
-			continue
-		}
-		for _, id := range in.In {
-			used[id] = true
-		}
-		kept--
-		m.body[kept] = in
-	}
-	m.body = append(m.body[:0], m.body[kept:]...)
-}
-
 // Body returns the recorded steady-state instructions.
 func (m *Machine) Body() []Instr { return m.body }
 
