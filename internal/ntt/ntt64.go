@@ -10,7 +10,7 @@ import (
 // residues that the paper discusses in Sections 1 and 8. It is a handle to
 // the generic engine in internal/ring instantiated over uint64 with Shoup
 // one-correction twiddle multiplication, so it shares the Pease stage
-// loops, pooled scratch, folded 1/N scaling, and the batch worker pool
+// loops, pooled scratch, the 1/N landing pass, and the batch worker pool
 // with the 128-bit Plan. Every transform runs through Generic(); the
 // handle is the value CachedPlan64 shares and rns.Context.Plans holds. A
 // Plan64 is safe for concurrent use once built.

@@ -6,9 +6,9 @@
 //
 // Both run on the generic engine in internal/ring, which implements the
 // Pease constant-geometry stage loops, pooled ping-pong scratch,
-// negacyclic twist/untwist, folded 1/N scaling, the process-wide plan
-// cache, and the Fanout batch worker pool exactly once. This
-// package adds the width-specific pieces:
+// negacyclic twist/untwist, the 1/N landing pass after the inverse
+// stages, the process-wide plan cache, and the Fanout batch worker pool
+// exactly once. This package adds the width-specific pieces:
 //   - Plan (plan.go): the 128-bit engine plan itself, ring.Plan over
 //     Barrett128 — callers transform through its ForwardInto,
 //     InverseInto, PolyMulNegacyclicInto and BatchForwardInto directly.

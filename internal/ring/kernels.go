@@ -14,9 +14,11 @@ package ring
 //   - transform-level inputs are canonical ([0, q)); every butterfly span
 //     must also accept the implementation's own relaxed outputs, because
 //     stages chain and the negacyclic twist (MulPreSpan) feeds stage 0;
-//   - CTSpanLast, GSSpanLastScaled, MulPreNormSpan, MulSpan, ScalarMulSpan
-//     and ScaleAddSpan produce canonical outputs — they are the transform
-//     boundaries where the deferred normalization is folded in;
+//   - CTSpanLast, MulPreNormSpan, MulSpan, ScalarMulSpan and ScaleAddSpan
+//     produce canonical outputs — they are the transform boundaries where
+//     the deferred normalization is folded in; MulPreNormSpan and
+//     ScalarMulSpan also accept relaxed inputs, because each lands an
+//     inverse transform's 1/N on the last GS stage's output;
 //   - CTSpan, GSSpan and MulPreSpan may produce relaxed outputs, which the
 //     plan only ever routes back into the same implementation's spans.
 //
@@ -36,10 +38,6 @@ type SpanKernels[T any] interface {
 	// GSSpan runs one non-final inverse stage: for each i,
 	// e, o := in[2i], in[2i+1]; t := o·w[i]; oLo[i] = e+t; oHi[i] = e-t.
 	GSSpan(oLo, oHi, in, w []T, pre []uint64)
-	// GSSpanLastScaled is the final inverse stage with 1/N folded in: w is
-	// the pre-scaled stage-0 table (twiddle·N⁻¹) and the even lane is
-	// multiplied by nInv directly. Outputs are canonical.
-	GSSpanLastScaled(oLo, oHi, in, w []T, pre []uint64, nInv T, nInvPre uint64)
 	// MulSpan is the pointwise product dst[i] = a[i]·b[i] for canonical
 	// inputs, canonical outputs (the evaluation-domain Hadamard step).
 	MulSpan(dst, a, b []T)
@@ -52,7 +50,9 @@ type SpanKernels[T any] interface {
 	// product).
 	MulPreNormSpan(dst, a, w []T, pre []uint64)
 	// ScalarMulSpan computes dst[i] = a[i]·w for one fixed canonical
-	// scalar w with pre = Precompute(w). Canonical in and out.
+	// scalar w with pre = Precompute(w). Inputs may be relaxed (the last
+	// GS stage's output, rns's lazy [0, 2q) conversion rows); outputs are
+	// canonical.
 	ScalarMulSpan(dst, a []T, w T, pre uint64)
 	// ScaleAddSpan is the scale-accumulate kernel dst[i] = a[i] + m[i]·w
 	// for small already-reduced integers m[i] < q (the encrypt-side

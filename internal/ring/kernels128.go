@@ -159,28 +159,6 @@ func (r Barrett128) GSSpan(oLo, oHi, in, w []u128.U128, pre []uint64) {
 	}
 }
 
-// GSSpanLastScaled: the final inverse stage with 1/N folded into the
-// twiddle table and applied to the even lane.
-func (r Barrett128) GSSpanLastScaled(oLo, oHi, in, w []u128.U128, pre []uint64, nInv u128.U128, nInvPre uint64) {
-	c := r.consts()
-	n := len(w)
-	oLo, oHi = oLo[:n], oHi[:n]
-	in = in[:2*n]
-	i := r.vecLen(n)
-	if i > 0 {
-		gsSpanLastScaled128AVX512(&c, &oLo[0], &oHi[0], &in[0], &w[0], i, &nInv)
-	}
-	for ; i < n; i++ {
-		e, o := in[2*i], in[2*i+1]
-		tHi, tLo := c.mul(o.Hi, o.Lo, w[i].Hi, w[i].Lo)
-		esHi, esLo := c.mul(e.Hi, e.Lo, nInv.Hi, nInv.Lo)
-		loHi, loLo := c.add(esHi, esLo, tHi, tLo)
-		hiHi, hiLo := c.sub(esHi, esLo, tHi, tLo)
-		oLo[i] = u128.U128{Hi: loHi, Lo: loLo}
-		oHi[i] = u128.U128{Hi: hiHi, Lo: hiLo}
-	}
-}
-
 // MulSpan: pointwise product with hoisted constants.
 func (r Barrett128) MulSpan(dst, a, b []u128.U128) {
 	c := r.consts()

@@ -27,9 +27,7 @@
 //
 //	Z0-Z12   scratch; MULMOD takes a in Z0 (hi), Z1 (lo), returns in Z0, Z1
 //	Z14-Z17  the second operand b and its high dwords (bHi, bLo, bHi>>32, bLo>>32)
-//	Z18-Z19  the butterfly value held across a multiply (Z13:Z18 in
-//	         gsSpanLastScaled128AVX512, whose second multiply's input
-//	         arrives in Z18:Z19)
+//	Z18-Z19  the butterfly value held across a multiply
 //	X20-X23  shift counts 64-b', b', 64-b, b (n-1 = 64+b, n+1 = 64+b')
 //	Z24      broadcast 1
 //	Z25-Z27  muHi>>32, muLo>>32, qLo>>32
@@ -321,41 +319,6 @@ gs128loop:
 	ADDQ $128, SI
 	SUBQ $8, CX
 	JNZ  gs128loop
-	VZEROUPPER
-	RET
-
-// func gsSpanLastScaled128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int, nInv *u128.U128)
-// t = in[2i+1]·w[i], es = in[2i]·nInv; oLo[i] = es + t, oHi[i] = es - t.
-TEXT ·gsSpanLastScaled128AVX512(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), R10
-	MOVQ oLo+8(FP), DI
-	MOVQ oHi+16(FP), SI
-	MOVQ in+24(FP), DX
-	MOVQ w+32(FP), R8
-	MOVQ n+40(FP), CX
-	MOVQ nInv+48(FP), R11
-	B128SETUP(R10)
-
-gsl128loop:
-	LOADPAIRS(DX)                            // e = Z18:Z19, o = Z0:Z1
-	LOADB(R8)
-	MULMOD(Z14, Z15, Z16, Z17)               // t = o·w
-	VMOVDQA64 Z0, Z13                        // swap: t held in Z13:Z18, e to Z0:Z1
-	VMOVDQA64 Z18, Z0
-	VMOVDQA64 Z1, Z18
-	VMOVDQA64 Z19, Z1
-	BROADCASTB(R11)
-	MULMOD(Z14, Z15, Z16, Z17)               // es = e·nInv
-	ADDMOD(Z0, Z1, Z13, Z18, Z2, Z3, Z4, Z5)
-	STORE128(DI, Z2, Z3, Z4)
-	SUBMOD(Z0, Z1, Z13, Z18, Z0, Z1)
-	STORE128(SI, Z0, Z1, Z4)
-	ADDQ $256, DX
-	ADDQ $128, R8
-	ADDQ $128, DI
-	ADDQ $128, SI
-	SUBQ $8, CX
-	JNZ  gsl128loop
 	VZEROUPPER
 	RET
 

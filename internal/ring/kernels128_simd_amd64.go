@@ -15,9 +15,6 @@ func ctSpan128AVX512(c *barrett128Consts, out, lo, hi, w *u128.U128, n int)
 func gsSpan128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int)
 
 //go:noescape
-func gsSpanLastScaled128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int, nInv *u128.U128)
-
-//go:noescape
 func mulSpan128AVX512(c *barrett128Consts, dst, a, b *u128.U128, n int)
 
 //go:noescape

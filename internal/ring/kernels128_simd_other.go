@@ -14,10 +14,6 @@ func ctSpan128AVX512(c *barrett128Consts, out, lo, hi, w *u128.U128, n int) { pa
 
 func gsSpan128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int) { panic(noVectorBody) }
 
-func gsSpanLastScaled128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int, nInv *u128.U128) {
-	panic(noVectorBody)
-}
-
 func mulSpan128AVX512(c *barrett128Consts, dst, a, b *u128.U128, n int) { panic(noVectorBody) }
 
 func scalarMulSpan128AVX512(c *barrett128Consts, dst, a *u128.U128, n int, w *u128.U128) {

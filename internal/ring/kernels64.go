@@ -8,12 +8,13 @@ import (
 
 // Fused span kernels for the single-word Shoup ring, with lazy reduction:
 // residues travel between Pease stages in the relaxed domain [0, 2q) and
-// the deferred normalization is folded into the final stage (alongside the
-// already-folded 1/N on the inverse). Per butterfly this drops the
-// conditional subtraction at the tail of the Shoup multiply and replaces
-// the branchy canonical subtract with a branchless a + 2q - b, which is
-// the software analogue of the paper's pipelined modular stages keeping
-// intermediates unnormalized between pipeline registers.
+// the deferred normalization is folded into the final pass (the last
+// forward stage, or the pass landing 1/N after the inverse stages). Per
+// butterfly this drops the conditional subtraction at the tail of the
+// Shoup multiply and replaces the branchy canonical subtract with a
+// branchless a + 2q - b, which is the software analogue of the paper's
+// pipelined modular stages keeping intermediates unnormalized between
+// pipeline registers.
 //
 // Headroom (q < 2^62, enforced by modmath.NewModulus64):
 //
@@ -113,39 +114,6 @@ func (r Shoup64) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 		hi := e + twoQ - t // ∈ (0, 4q)
 		if hi >= twoQ {
 			hi -= twoQ
-		}
-		oLo[i] = lo
-		oHi[i] = hi
-	}
-}
-
-// GSSpanLastScaled: the final inverse stage with 1/N folded into the
-// twiddle table and applied to the even lane; relaxed in, canonical out.
-func (r Shoup64) GSSpanLastScaled(oLo, oHi, in, w []uint64, pre []uint64, nInv uint64, nInvPre uint64) {
-	q := r.M.Q
-	twoQ := 2 * q
-	n := len(w)
-	oLo, oHi, pre = oLo[:n], oHi[:n], pre[:n]
-	in = in[:2*n]
-	for i := 0; i < n; i++ {
-		e, o := in[2*i], in[2*i+1]
-		qhat, _ := bits.Mul64(o, pre[i])
-		t := o*w[i] - qhat*q // twiddle·N⁻¹ folded, ∈ [0, 2q)
-		qhat, _ = bits.Mul64(e, nInvPre)
-		es := e*nInv - qhat*q // ∈ [0, 2q)
-		lo := es + t          // < 4q
-		if lo >= twoQ {
-			lo -= twoQ
-		}
-		if lo >= q {
-			lo -= q
-		}
-		hi := es + twoQ - t // ∈ (0, 4q)
-		if hi >= twoQ {
-			hi -= twoQ
-		}
-		if hi >= q {
-			hi -= q
 		}
 		oLo[i] = lo
 		oHi[i] = hi
@@ -335,7 +303,9 @@ func (r Shoup64) MulPreNormSpan(dst, a, w []uint64, pre []uint64) {
 	}
 }
 
-// ScalarMulSpan: dst[i] = a[i]·w for one fixed scalar, canonical in/out.
+// ScalarMulSpan: dst[i] = a[i]·w for one fixed scalar; any 64-bit a[i]
+// in (the Shoup product is in [0, 2q) for every multiplicand, as in
+// MulPreNormSpan), canonical out.
 func (r Shoup64) ScalarMulSpan(dst, a []uint64, w uint64, pre uint64) {
 	q := r.M.Q
 	n := len(dst)

@@ -144,54 +144,6 @@ gsloop:
 	VZEROUPPER
 	RET
 
-// func gsSpanLastScaledAVX2(q uint64, oLo, oHi, in, w, pre *uint64, n int, nInv, nInvPre uint64)
-TEXT ·gsSpanLastScaledAVX2(SB), NOSPLIT, $0-72
-	MOVQ q+0(FP), AX
-	MOVQ oLo+8(FP), DI
-	MOVQ oHi+16(FP), SI
-	MOVQ in+24(FP), DX
-	MOVQ w+32(FP), R8
-	MOVQ pre+40(FP), R9
-	MOVQ n+48(FP), CX
-	LAZYCONSTS
-	MOVQ AX, BX
-	MOVQ $0x8000000000000000, R13
-	XORQ R13, BX                  // qF = q^2^63
-	MOVQ BX, X11
-	VPBROADCASTQ X11, Y11
-	VPBROADCASTQ nInv+56(FP), Y10
-	VPBROADCASTQ nInvPre+64(FP), Y9
-
-gslloop:
-	VMOVDQU (DX), Y0
-	VMOVDQU 32(DX), Y1
-	VPUNPCKLQDQ Y1, Y0, Y2
-	VPERMQ  $0xD8, Y2, Y2         // e
-	VPUNPCKHQDQ Y1, Y0, Y3
-	VPERMQ  $0xD8, Y3, Y3         // o
-	VMOVDQU (R8), Y0              // w
-	VMOVDQU (R9), Y1              // pre
-	SHOUPMUL(Y3, Y0, Y1, Y4, Y5, Y6, Y7, Y8)  // t = o*w' in [0, 2q)
-	SHOUPMUL(Y2, Y10, Y9, Y0, Y5, Y6, Y7, Y8) // es = e/N in [0, 2q)
-	VPADDQ  Y4, Y0, Y1            // lo = es + t
-	CONDSUB(Y1, Y14, Y13, Y5, Y6)
-	CONDSUB(Y1, Y12, Y11, Y5, Y6)
-	VPADDQ  Y14, Y0, Y2
-	VPSUBQ  Y4, Y2, Y2            // hi = es + 2q - t
-	CONDSUB(Y2, Y14, Y13, Y5, Y6)
-	CONDSUB(Y2, Y12, Y11, Y5, Y6)
-	VMOVDQU Y1, (DI)
-	VMOVDQU Y2, (SI)
-	ADDQ    $64, DX
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	SUBQ    $4, CX
-	JNZ     gslloop
-	VZEROUPPER
-	RET
-
 // func mulSpanAVX2(q, mu uint64, dst, a, b *uint64, n int, s1, s2, s3, s4 uint64)
 // Barrett: t1 = lo>>s1 | hi<<s2; qhat = (t1*mu).lo>>s3 | (t1*mu).hi<<s4;
 // r = lo - qhat*q, then two condsubs (r < 3q). Constants: Y15 = 2^63,

@@ -164,51 +164,6 @@ gsloop:
 	VZEROUPPER
 	RET
 
-// func gsSpanLastScaledAVX512(q uint64, oLo, oHi, in, w, pre *uint64, n int, nInv, nInvPre uint64)
-TEXT ·gsSpanLastScaledAVX512(SB), NOSPLIT, $0-72
-	MOVQ q+0(FP), AX
-	MOVQ oLo+8(FP), DI
-	MOVQ oHi+16(FP), SI
-	MOVQ in+24(FP), DX
-	MOVQ w+32(FP), R8
-	MOVQ pre+40(FP), R9
-	MOVQ n+48(FP), CX
-	VPBROADCASTQ AX, Z31
-	VPADDQ       Z31, Z31, Z30
-	VMOVDQU64    ·nttDeEven(SB), Z29
-	VMOVDQU64    ·nttDeOdd(SB), Z28
-	VPBROADCASTQ nInv+56(FP), Z27
-	VPBROADCASTQ nInvPre+64(FP), Z26
-
-gslloop:
-	VMOVDQU64 (DX), Z0
-	VMOVDQU64 64(DX), Z1
-	VMOVDQA64 Z0, Z2
-	VPERMT2Q  Z1, Z29, Z2         // e
-	VPERMT2Q  Z1, Z28, Z0         // o
-	VMOVDQU64 (R8), Z3
-	VMOVDQU64 (R9), Z4
-	SHOUPMUL(Z0, Z3, Z4, Z5, Z6, Z7, Z8, Z9)   // t = o*w' in [0, 2q)
-	SHOUPMUL(Z2, Z27, Z26, Z6, Z7, Z8, Z9, Z10) // es = e/N in [0, 2q)
-	VPADDQ    Z5, Z6, Z7          // lo = es + t
-	CONDSUB(Z7, Z30, Z8)
-	CONDSUB(Z7, Z31, Z8)
-	VPADDQ    Z30, Z6, Z8
-	VPSUBQ    Z5, Z8, Z8          // hi = es + 2q - t
-	CONDSUB(Z8, Z30, Z9)
-	CONDSUB(Z8, Z31, Z9)
-	VMOVDQU64 Z7, (DI)
-	VMOVDQU64 Z8, (SI)
-	ADDQ      $128, DX
-	ADDQ      $64, DI
-	ADDQ      $64, SI
-	ADDQ      $64, R8
-	ADDQ      $64, R9
-	SUBQ      $8, CX
-	JNZ       gslloop
-	VZEROUPPER
-	RET
-
 // func mulSpanAVX512(q, mu uint64, dst, a, b *uint64, n int, s1, s2, s3, s4 uint64)
 // Barrett: t1 = lo>>s1 | hi<<s2; qhat = l2>>s3 | h2<<s4 with
 // (h2, l2) = t1*mu; r = lo - qhat*q, then two condsubs (r < 3q).

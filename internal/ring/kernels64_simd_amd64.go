@@ -13,10 +13,12 @@ package ring
 // scalar loops do: the relaxed [0, 2q) kernels produce identical
 // unnormalized words (same adds, same Shoup quotient, same wrapping
 // arithmetic mod 2^64), and the canonical kernels produce the unique
-// canonical residue. The final-stage kernels decompose as relaxed kernel
-// + a conditional-subtract normalization pass (CTSpanLast = CTSpan then
-// x -= q if x >= q), which commutes elementwise with the scalar fused
-// form.
+// canonical residue. CTSpanLast, CTSpanLastBlk and MulPreNormSpan
+// decompose as their relaxed kernel + a conditional-subtract
+// normalization pass (x -= q if x >= q), which commutes elementwise with
+// the scalar fused form. The inverse has no final-stage body: every
+// inverse stage is GSSpan or GSSpanBlk, and the pass after them
+// (ScalarMulSpan's 1/N, the untwist) lands the normalization.
 //
 // The wrappers call the assembly directly, one call site per tier:
 // //go:noescape only covers direct calls, so dispatching through func
@@ -30,9 +32,6 @@ func ctSpanAVX512(q uint64, out, lo, hi, w, pre *uint64, n int)
 
 //go:noescape
 func gsSpanAVX512(q uint64, oLo, oHi, in, w, pre *uint64, n int)
-
-//go:noescape
-func gsSpanLastScaledAVX512(q uint64, oLo, oHi, in, w, pre *uint64, n int, nInv, nInvPre uint64)
 
 //go:noescape
 func mulSpanAVX512(q, mu uint64, dst, a, b *uint64, n int, s1, s2, s3, s4 uint64)
@@ -68,9 +67,6 @@ func ctSpanAVX2(q uint64, out, lo, hi, w, pre *uint64, n int)
 
 //go:noescape
 func gsSpanAVX2(q uint64, oLo, oHi, in, w, pre *uint64, n int)
-
-//go:noescape
-func gsSpanLastScaledAVX2(q uint64, oLo, oHi, in, w, pre *uint64, n int, nInv, nInvPre uint64)
 
 //go:noescape
 func mulSpanAVX2(q, mu uint64, dst, a, b *uint64, n int, s1, s2, s3, s4 uint64)
@@ -167,20 +163,6 @@ func (r shoup64SIMD) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 	}
 	if nv < n {
 		r.Shoup64.GSSpan(oLo[nv:], oHi[nv:], in[2*nv:], w[nv:], pre[nv:])
-	}
-}
-
-func (r shoup64SIMD) GSSpanLastScaled(oLo, oHi, in, w []uint64, pre []uint64, nInv uint64, nInvPre uint64) {
-	n := len(w)
-	nv := r.vecLen(n)
-	switch {
-	case nv > 0 && r.wide:
-		gsSpanLastScaledAVX512(r.M.Q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], nv, nInv, nInvPre)
-	case nv > 0:
-		gsSpanLastScaledAVX2(r.M.Q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], nv, nInv, nInvPre)
-	}
-	if nv < n {
-		r.Shoup64.GSSpanLastScaled(oLo[nv:], oHi[nv:], in[2*nv:], w[nv:], pre[nv:], nInv, nInvPre)
 	}
 }
 

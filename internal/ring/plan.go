@@ -8,11 +8,11 @@ import (
 
 // Plan holds the precomputed tables for size-n negacyclic-capable
 // transforms over a Ring[T]: one constant-geometry twiddle table per stage
-// and direction for the forward and inverse Pease dataflows [Pease 1968],
-// the stage-0 inverse table with 1/N folded in, and the negacyclic
-// twist/untwist tables. Each table is stored in the one form the plan's
-// span kernels read: Shoup64 tables carry the Shoup word of every twiddle
-// beside it, Barrett128 tables carry the twiddles alone.
+// and direction for the forward and inverse Pease dataflows [Pease 1968]
+// and the negacyclic twist/untwist tables. Each table is stored in the
+// one form the plan's span kernels read: Shoup64 tables carry the Shoup
+// word of every twiddle beside it, Barrett128 tables carry the twiddles
+// alone.
 //
 // A Plan is safe for concurrent use once built: tables are read-only
 // after NewPlan and all mutable transform state lives in pooled scratch
@@ -34,12 +34,6 @@ type Plan[T any, R Ring[T]] struct {
 	// entries, blk = 1). The stage loops dispatch on blk.
 	fwdTw []table[T]
 	invTw []table[T]
-
-	// invTw0Scaled is invTw[0] with N^-1 folded in, so InverseInto can
-	// apply the 1/N scale inside its final stage instead of a separate
-	// pass; nInvPre is N^-1's own precomputation for the even lane.
-	invTw0Scaled table[T]
-	nInvPre      uint64
 
 	// Negacyclic twist tables: twist[j] = Psi^j, untwist[j] = Psi^-j * N^-1.
 	twist   table[T]
@@ -153,7 +147,7 @@ func stageExp(s, i int) uint64 {
 	return (uint64(i) >> uint(s)) << uint(s)
 }
 
-// buildTables fills the stage, scaled stage-0 and twist tables.
+// buildTables fills the stage and twist tables.
 func (p *Plan[T, R]) buildTables(withPre bool) {
 	r := p.R
 	half := p.N / 2
@@ -183,14 +177,6 @@ func (p *Plan[T, R]) buildTables(withPre bool) {
 		p.fwdTw[s] = p.newTable(fw, blk, withPre)
 		p.invTw[s] = p.newTable(iv, blk, withPre)
 	}
-	// Stage 0 is always dense (blockedMinBlk > 1).
-	scaled := make([]T, half)
-	for i, w := range p.invTw[0].w {
-		scaled[i] = r.Mul(w, p.NInv)
-	}
-	p.invTw0Scaled = p.newTable(scaled, 1, withPre)
-	p.nInvPre = r.Precompute(p.NInv)
-
 	psiInv := r.Inv(p.Psi)
 	tw, utw := make([]T, p.N), make([]T, p.N)
 	cur, curInv := r.FromUint64(1), p.NInv
@@ -234,13 +220,16 @@ func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 }
 
 // InverseInto computes the inverse NTT of y (bit-reversed order) into dst
-// (natural order), with the 1/N scale folded into the final stage. dst
-// may alias y. Steady-state it allocates nothing.
+// (natural order). The 1/N scale lands in one ScalarMulSpan pass after
+// the stages, as NegacyclicInverseInto lands it in the untwist, and that
+// pass also lands the deferred normalization. dst may alias y. Steady-state it
+// allocates nothing.
 func (p *Plan[T, R]) InverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
 	sc := p.scratch.Get()
-	p.inverseStages(dst, y, sc, true)
+	p.inverseStages(dst, y, sc)
+	p.kern.ScalarMulSpan(dst, dst, p.NInv, p.R.Precompute(p.NInv))
 	p.scratch.Put(sc)
 }
 
@@ -282,7 +271,7 @@ func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
 	sc := p.scratch.Get()
-	p.inverseStages(dst, y, sc, false)
+	p.inverseStages(dst, y, sc)
 	// psi^-j * N^-1, landing the deferred normalization.
 	p.kern.MulPreNormSpan(dst, dst, p.untwist.w, p.untwist.pre)
 	p.scratch.Put(sc)
@@ -300,7 +289,9 @@ func (p *Plan[T, R]) PointwiseMulInto(dst, a, b []T) {
 
 // ScalarMulInto computes dst[i] = a[i]·w for one reduced scalar w,
 // precomputing the ring's per-multiplicand constant once for the whole
-// span. dst may alias a; it allocates nothing.
+// span. a may be in the kernels' relaxed domain (rns's lazy [0, 2q)
+// conversion rows); dst is canonical. dst may alias a; it allocates
+// nothing.
 func (p *Plan[T, R]) ScalarMulInto(dst, a []T, w T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
@@ -362,13 +353,12 @@ func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 	}
 }
 
-// inverseStages runs the inverse dataflow (stages M-1 down to 0). When
-// scale is true the 1/N factor is folded into stage 0: that stage uses
-// the pre-scaled twiddle table and multiplies the even input by N^-1,
-// saving the separate N-element scaling pass. When scale is false the
-// caller folds 1/N elsewhere (the negacyclic untwist table already
-// carries it).
-func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
+// inverseStages runs the unscaled inverse dataflow (stages M-1 down to
+// 0). Every stage, the last included, may leave residues in the kernels'
+// relaxed domain: the caller's next pass lands 1/N and the deferred
+// normalization together (InverseInto's scalar pass, the negacyclic
+// untwist).
+func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T]) {
 	kern := p.kern
 	half := p.N >> 1
 	src := y
@@ -384,16 +374,9 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], scale bool) {
 		in := src[:p.N]
 		oLo := out[:half]
 		oHi := out[half:p.N]
-		switch {
-		case s == 0 && scale:
-			kern.GSSpanLastScaled(oLo, oHi, in, p.invTw0Scaled.w, p.invTw0Scaled.pre, p.NInv, p.nInvPre)
-		case tw.blk > 1:
-			// Compact stages are never stage 0, so the scaled case above
-			// never reaches here.
+		if tw.blk > 1 {
 			p.blk.GSSpanBlk(oLo, oHi, in, tw.w, tw.pre, tw.blk)
-		default:
-			// When scale is false the final pass stays relaxed: the
-			// caller's untwist (MulPreNormSpan) lands the normalization.
+		} else {
 			kern.GSSpan(oLo, oHi, in, tw.w, tw.pre)
 		}
 		src = out
@@ -415,6 +398,6 @@ func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratch
 	p.forwardStages(at, at, ping)
 	p.forwardStages(bt, bt, ping)
 	k.MulSpan(at, at, bt)
-	p.inverseStages(at, at, ping, false)
+	p.inverseStages(at, at, ping)
 	k.MulPreNormSpan(dst, at, p.untwist.w, p.untwist.pre) // psi^-j * N^-1
 }

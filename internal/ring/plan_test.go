@@ -65,7 +65,7 @@ func checkPlanTables[T any, R Ring[T]](t *testing.T, name string, p *Plan[T, R],
 			t.Errorf("%s n=%d stage %d: FwdStage gave %d twiddles, want %d (-1: panics)", name, p.N, s, got, want)
 		}
 	}
-	for what, tb := range map[string]table[T]{"invTw0Scaled": p.invTw0Scaled, "twist": p.twist, "untwist": p.untwist} {
+	for what, tb := range map[string]table[T]{"twist": p.twist, "untwist": p.untwist} {
 		if tb.blk != 1 {
 			t.Errorf("%s n=%d %s: blk %d, want 1", name, p.N, what, tb.blk)
 		}

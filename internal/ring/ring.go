@@ -3,9 +3,10 @@
 // double-word 128-bit residues versus conventional 64-bit RNS towers
 // (Sections 1 and 8) — previously lived as two copy-pasted NTT stacks;
 // here the Pease constant-geometry stage loops, pooled ping-pong scratch,
-// negacyclic twist/untwist, folded 1/N scaling, the process-wide plan
-// cache, and the batch worker pool with its one dispatch frame (Fanout)
-// are each implemented exactly once, generically over the element type.
+// negacyclic twist/untwist, the 1/N landing pass after the inverse
+// stages, the process-wide plan cache, and the batch worker pool with its
+// one dispatch frame (Fanout) are each implemented exactly once,
+// generically over the element type.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings)

@@ -66,6 +66,14 @@ func TestGenericRoundTripBothWidths(t *testing.T) {
 				t.Fatalf("uint64 n=%d: round trip failed at %d", n, i)
 			}
 		}
+		buf64 := append([]uint64(nil), y...)
+		p64.ForwardInto(buf64, buf64)
+		p64.InverseInto(buf64, buf64)
+		for i := range y {
+			if buf64[i] != y[i] {
+				t.Fatalf("uint64 n=%d: in-place round trip failed at %d", n, i)
+			}
+		}
 	}
 }
 

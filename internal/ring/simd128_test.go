@@ -125,7 +125,6 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 				return x
 			}
 			lo, hi, w, in := mk(n), mk(n), mk(n), mk(2*n)
-			nInv := mk(1)[0]
 			outS, outV := make([]u128.U128, 2*n), make([]u128.U128, 2*n)
 			loS, loV := make([]u128.U128, n), make([]u128.U128, n)
 			hiS, hiV := make([]u128.U128, n), make([]u128.U128, n)
@@ -140,11 +139,6 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 			vec.GSSpan(loV, hiV, in, w, nil)
 			diff128(t, "GSSpan lo", loV, loS)
 			diff128(t, "GSSpan hi", hiV, hiS)
-
-			scalar.GSSpanLastScaled(loS, hiS, in, w, nil, nInv, 0)
-			vec.GSSpanLastScaled(loV, hiV, in, w, nil, nInv, 0)
-			diff128(t, "GSSpanLastScaled lo", loV, loS)
-			diff128(t, "GSSpanLastScaled hi", hiV, hiS)
 
 			for i := range lo {
 				seen[barrettCorrections(m, lo[i], hi[i])]++
@@ -170,10 +164,11 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 			diff128(t, "SubSpan", outV[:n], outS[:n])
 
 			// The aliasing the plan uses: elementwise spans in place (the
-			// pointwise product, the untwist, ScalarMulInto, the BLAS
-			// accumulations), and a butterfly whose out covers lo and hi
-			// (the single-stage N = 2 plan, where ForwardInto and
-			// InverseInto run in place).
+			// pointwise product, the untwist, InverseInto's 1/N pass and
+			// ScalarMulInto, the BLAS accumulations), and butterflies whose
+			// outputs cover their inputs (the single-stage N = 2 plan,
+			// where ForwardInto runs CTSpan and InverseInto GSSpan in
+			// place).
 			alias := func(name string, want []u128.U128, run func(dst []u128.U128)) {
 				t.Helper()
 				dst := make([]u128.U128, len(want))
@@ -199,10 +194,10 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 		got := append([]u128.U128(nil), pair...)
 		vec.CTSpan(got, got[:1], got[1:], pair[:1], nil)
 		diff128(t, "CTSpan out=lo|hi", got, want)
-		scalar.GSSpanLastScaled(want[:1], want[1:], pair, pair[1:], nil, pair[0], 0)
+		scalar.GSSpan(want[:1], want[1:], pair, pair[1:], nil)
 		got = append(got[:0], pair...)
-		vec.GSSpanLastScaled(got[:1], got[1:], got, pair[1:], nil, pair[0], 0)
-		diff128(t, "GSSpanLastScaled oLo|oHi=in", got, want)
+		vec.GSSpan(got[:1], got[1:], got, pair[1:], nil)
+		diff128(t, "GSSpan oLo|oHi=in", got, want)
 
 		if mi%2 == 0 && (seen[0] == 0 || seen[1] == 0 || seen[2] == 0) {
 			t.Errorf("%d-bit modulus %v: MulSpan inputs needed %v corrections (0, 1, 2); want every count", m.N, m.Q, seen)
@@ -245,10 +240,6 @@ func FuzzSIMDSpans128(f *testing.F) {
 		vec.GSSpan(loV, hiV, in, w, nil)
 		diff128(t, "GSSpan lo", loV, loS)
 		diff128(t, "GSSpan hi", hiV, hiS)
-		scalar.GSSpanLastScaled(loS, hiS, in, w, nil, a, 0)
-		vec.GSSpanLastScaled(loV, hiV, in, w, nil, a, 0)
-		diff128(t, "GSSpanLastScaled lo", loV, loS)
-		diff128(t, "GSSpanLastScaled hi", hiV, hiS)
 		scalar.MulSpan(outS[:n], lo, hi)
 		vec.MulSpan(outV[:n], lo, hi)
 		diff128(t, "MulSpan", outV[:n], outS[:n])
@@ -267,7 +258,7 @@ func FuzzSIMDSpans128(f *testing.F) {
 // TestSIMDPlanDifferential128 runs whole 128-bit transforms through plans
 // at the scalar and avx512 tiers, in place as ntt callers run them, and
 // requires bit identity: twist, every stage, the pointwise product, the
-// scaled last inverse stage and the untwist.
+// 1/N landing pass and the untwist.
 func TestSIMDPlanDifferential128(t *testing.T) {
 	requireAVX512(t)
 	for _, bits := range []int{65, 124} {
