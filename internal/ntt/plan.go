@@ -8,7 +8,11 @@
 // Pease constant-geometry stage loops, pooled ping-pong scratch,
 // negacyclic twist/untwist, the 1/N landing pass after the inverse
 // stages, the process-wide plan cache, and the Fanout batch worker pool
-// exactly once. This package adds the width-specific pieces:
+// exactly once. From ring's split floor (4096 points for 128-bit
+// elements, 16384 for 64-bit) the negacyclic product runs its two
+// forward transforms and its pointwise product on min(2, GOMAXPROCS)
+// goroutines, nested safely inside any other dispatch. This package
+// adds the width-specific pieces:
 //   - Plan (plan.go): the 128-bit engine plan itself, ring.Plan over
 //     Barrett128 — callers transform through its ForwardInto,
 //     InverseInto, PolyMulNegacyclicInto and BatchForwardInto directly.

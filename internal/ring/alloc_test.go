@@ -1,7 +1,9 @@
 package ring_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mqxgo/internal/modmath"
@@ -29,6 +31,67 @@ func TestKernelPathsDoNotAllocate(t *testing.T) {
 func TestVectorKernelPathsDoNotAllocate(t *testing.T) {
 	checkKernelPathsDoNotAllocate(t, ring.TierAVX2, ring.TierAVX512)
 	checkBarrett128PathsDoNotAllocate(t, ring.TierAVX512)
+}
+
+// TestSplitPolyMulDoesNotAllocate holds the product at each ring's
+// split floor to the same 0 allocs/op at GOMAXPROCS 2, where its
+// dispatch frame fans the forward pair and the pointwise halves out to
+// the pool, on every tier of both rings.
+func TestSplitPolyMulDoesNotAllocate(t *testing.T) {
+	if scratch.Race {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	n64, n128 := ring.PolyMulSplitMinN[uint64](), ring.PolyMulSplitMinN[u128.U128]()
+	rng := rand.New(rand.NewSource(93))
+	r64 := testRing64(t, n64)
+	a, b, dst := make([]uint64, n64), make([]uint64, n64), make([]uint64, n64)
+	for i := range a {
+		a[i], b[i] = rng.Uint64()%r64.M.Q, rng.Uint64()%r64.M.Q
+	}
+	mod := modmath.DefaultModulus128()
+	a128, b128, dst128 := make([]u128.U128, n128), make([]u128.U128, n128), make([]u128.U128, n128)
+	for i := range a128 {
+		a128[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
+		b128[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
+	}
+	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512} {
+		if tier != ring.TierScalar && ring.DetectKernelTier() < tier {
+			continue
+		}
+		p64 := ring.MustPlan[uint64](ring.NewShoup64Tier(r64.M, tier), n64)
+		if got := mallocsPerRun(20, func() { p64.PolyMulNegacyclicInto(dst, a, b) }); got != 0 {
+			t.Errorf("shoup64/%s n=%d: PolyMulNegacyclicInto allocates %v per run, want 0", tier, n64, got)
+		}
+		p128 := ring.MustPlan[u128.U128](ring.NewBarrett128Tier(mod, tier), n128)
+		if got := mallocsPerRun(20, func() { p128.PolyMulNegacyclicInto(dst128, a128, b128) }); got != 0 {
+			t.Errorf("barrett128/%s n=%d: PolyMulNegacyclicInto allocates %v per run, want 0", tier, n128, got)
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): it
+// counts every allocation in the process per call of f at the caller's
+// GOMAXPROCS, so a dispatch that fans out is measured as it runs. With
+// goroutines moving between Ps the runtime's own caches (sync.Pool's
+// per-P slots and chains, blocked goroutines' sudogs) allocate now and
+// then, so it warms up over runs calls and reports the least of five
+// windows of runs calls: an allocation on every call shows in all five.
+func mallocsPerRun(runs int, f func()) uint64 {
+	for range runs {
+		f()
+	}
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return least
 }
 
 // checkKernelPathsDoNotAllocate runs every *Into case as one subtest

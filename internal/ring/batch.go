@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,10 @@ import (
 //
 // Dispatch goes through a persistent, lazily-started worker pool shared
 // by every plan and every RNS tower step: a Fanout splits [0, n) into at
-// most `workers` contiguous index ranges — one channel send per range,
-// with the caller running the final range itself — and each range reuses
-// a single scratch set across all of its transforms.
+// most `workers` contiguous index ranges — one channel send per range
+// beyond the first, with the caller claiming ranges beside the pool —
+// and each range reuses a single scratch set across all of its
+// transforms.
 
 // workerPool is the process-wide transform pool. Workers are started
 // lazily and live for the life of the process; GOMAXPROCS goroutines are
@@ -37,13 +39,18 @@ var workerPool struct {
 // GOMAXPROCS idle workers it can never feed. The GOMAXPROCS cap is still
 // re-checked on every submit, so a raise after first use grows the pool
 // on demand instead of capping all future batches at the initial size.
-// Jobs must not themselves submit to the pool (ranges never do), so the
-// pool cannot deadlock. The send readies a parked worker into the
-// submitting goroutine's own P, not an idle one; Fanout.Run yields after
-// its last submit so that worker starts at once (see there).
+//
+// A range may itself dispatch, so a pool job may submit. The send never
+// blocks: with the queue full the job is dropped, which costs nothing
+// but parallelism because a job only helps claim its dispatch's ranges
+// (see Fanout). The send readies a parked worker into the submitting
+// goroutine's own P, not an idle one; Fanout.Run yields after its last
+// submit so that worker starts at once (see there).
 func submitJob(j fanJob) {
 	workerPool.mu.Lock()
 	if workerPool.jobs == nil {
+		// Room for every job of many concurrent dispatches; past it a
+		// job is dropped, not waited for.
 		workerPool.jobs = make(chan fanJob, 256)
 	}
 	if workerPool.started < runtime.GOMAXPROCS(0) {
@@ -55,11 +62,15 @@ func submitJob(j fanJob) {
 		workerPool.started++
 	}
 	workerPool.mu.Unlock()
-	workerPool.jobs <- j
+	select {
+	case workerPool.jobs <- j:
+	default:
+	}
 }
 
 // Ranger is the body of a fan-out: RunRange runs indices [start, end).
-// It must be safe for concurrent invocation on disjoint ranges.
+// It must be safe for concurrent invocation on disjoint ranges, and it
+// may dispatch a fan-out of its own on another frame.
 type Ranger interface{ RunRange(start, end int) }
 
 // rangeFunc adapts a closure to Ranger, for dispatches that allocate anyway.
@@ -68,91 +79,153 @@ type rangeFunc func(start, end int)
 func (f rangeFunc) RunRange(start, end int) { f(start, end) }
 
 // Fanout is the one reusable dispatch frame: everything a fan-out needs
-// while its ranges run — the body, the barrier and the panic slot —
-// lives here, and each pool job is a value naming the frame and its
-// range, so no per-call closure exists. A caller that keeps its Fanout in
-// scratch it already pools dispatches at any width without allocating.
-// The zero value is ready to use; a Fanout runs one dispatch at a time.
+// while its ranges run — the body, the range split, the claim word, the
+// barrier and the panic slot — lives here, and each pool job is a value
+// naming the frame and its dispatch, so no per-call closure exists. A
+// caller that keeps its Fanout in scratch it already pools dispatches at
+// any width without allocating. The zero value is ready to use; a Fanout
+// runs one dispatch at a time.
+//
+// Ranges are claimed, not assigned: the pool jobs and the caller each
+// take the next unclaimed range until none is left, so whichever
+// goroutine is free runs the work, and the caller waits only for ranges
+// another goroutine has claimed, which are running. A Run nested inside
+// a range, at any depth and beside any number of concurrent callers,
+// therefore cannot deadlock; with no worker free it runs inline.
 type Fanout struct {
-	r        Ranger
-	wg       sync.WaitGroup
+	r         Ranger
+	n, ranges int
+	// claim packs the dispatch epoch (high 32 bits) with the count of
+	// ranges still unclaimed (low 32 bits): the next range to claim is
+	// ranges minus that count. A job carries its dispatch's epoch, so one
+	// dequeued after its dispatch ended claims nothing. (An epoch that
+	// wrapped would let a job claim a range of the live dispatch, which
+	// it then runs like any job of that dispatch.)
+	claim    atomic.Uint64
+	wg       sync.WaitGroup      // one count per range, done once it has run or been retired
 	panicked atomic.Pointer[any] // the first pool-range panic
 }
 
-// fanJob is one pool range of a Fanout, sent to the pool by value.
+// fanJob is one pool helper of a Fanout dispatch, sent to the pool by
+// value.
 type fanJob struct {
-	f          *Fanout
-	start, end int
+	f     *Fanout
+	epoch uint32
 }
 
-// run executes the job's range on a pool worker, parking a panic in the
-// frame's slot so the worker survives.
+// run claims and runs the job's dispatch's ranges until none is left,
+// parking a panic in the frame's slot so the worker survives.
 func (j fanJob) run() {
-	defer j.f.wg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			boxed := rec // boxed only on a panic
-			j.f.panicked.CompareAndSwap(nil, &boxed)
+	for i := j.f.next(j.epoch); i >= 0; i = j.f.next(j.epoch) {
+		j.f.runClaimed(i, true)
+	}
+}
+
+// next claims the next unclaimed range of dispatch epoch and returns its
+// index, or -1 once every range is claimed or the dispatch is over. Only
+// a successful claim reads the frame beyond its claim word: the dispatch
+// cannot end before the claimed range is done.
+func (f *Fanout) next(epoch uint32) int {
+	for {
+		c := f.claim.Load()
+		left := uint32(c)
+		if uint32(c>>32) != epoch || left == 0 {
+			return -1
 		}
-	}()
-	j.f.r.RunRange(j.start, j.end)
+		if f.claim.CompareAndSwap(c, c-1) {
+			return f.ranges - int(left)
+		}
+	}
+}
+
+// runClaimed runs claimed range i and counts it done however it exits.
+// A pool job (park) parks a panic in the frame's slot first; the caller's
+// own panic unwinds into Run.
+func (f *Fanout) runClaimed(i int, park bool) {
+	defer f.wg.Done()
+	if park {
+		defer f.park()
+	}
+	base, extra := f.n/f.ranges, f.n%f.ranges
+	start := i*base + min(i, extra)
+	end := start + base
+	if i < extra {
+		end++
+	}
+	f.r.RunRange(start, end)
+}
+
+// park records the first pool-range panic.
+func (f *Fanout) park() {
+	if rec := recover(); rec != nil {
+		boxed := rec // boxed only on a panic
+		f.panicked.CompareAndSwap(nil, &boxed)
+	}
 }
 
 // Run covers [0, n) with at most `workers` contiguous ranges (0 means
-// GOMAXPROCS) and runs r on each, the last on the calling goroutine and
-// the rest on the persistent pool. Width 1 is a plain r.RunRange(0, n).
+// GOMAXPROCS) and runs r on each: it submits one pool job per range
+// beyond the first, then claims and runs ranges itself beside them.
+// Width 1 is a plain r.RunRange(0, n). Ranges are claimed in index
+// order, so once a range is claimed every range before it is.
 //
-// The caller yields once after its last submit, before running its own
-// range. A channel send readies the parked worker into the sender's P as
-// its next goroutine, and an idle P may steal that goroutine only after
-// a usleep(3), which the kernel's timer slack (50 µs by default on
-// Linux) stretches to tens of microseconds; meanwhile the caller would
-// run its own range and the pool range would start only when that
-// steal lands. Yielding lets the worker run on the caller's P at once,
-// while the caller, now on the global run queue, is picked up by an
-// idle P (or, with no idle P, resumes after the worker's range; the
+// The caller yields once after its last submit, before claiming. A
+// channel send readies the parked worker into the sender's P as its next
+// goroutine, and an idle P may steal that goroutine only after a
+// usleep(3), which the kernel's timer slack (50 µs by default on Linux)
+// stretches to tens of microseconds; meanwhile the caller would claim
+// every range itself. Yielding lets the worker run on the caller's P at
+// once, while the caller, now on the global run queue, is picked up by
+// an idle P (or, with no idle P, resumes after the worker's ranges; the
 // yield returns either way, so GOMAXPROCS=1 cannot livelock).
 //
 // A panic inside r — on the pool or on the calling goroutine — is
-// re-raised on the calling goroutine after every other range has
+// re-raised on the calling goroutine after every claimed range has
 // finished, so a recover() around the dispatch observes it and the pool
-// workers survive for the next batch. Without this a range panic on a
-// pool goroutine would kill the whole process, which no serving layer
-// can tolerate.
+// workers survive for the next batch. A caller whose own range panics
+// first claims, and retires unrun, every range still unclaimed. Without
+// this a range panic on a pool goroutine would kill the whole process,
+// which no serving layer can tolerate.
 func (f *Fanout) Run(n, workers int, r Ranger) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers = min(workers, n); workers <= 1 {
+	if workers = min(workers, n, math.MaxInt32); workers <= 1 {
 		if n > 0 {
 			r.RunRange(0, n)
 		}
 		return
 	}
-	f.r = r
+	f.r, f.n, f.ranges = r, n, workers
 	f.panicked.Store(nil)
-	base, rem := n/workers, n%workers
-	start := 0
-	for w := range workers - 1 {
-		j := fanJob{f, start, start + base}
-		if w < rem {
-			j.end++
-		}
-		start = j.end
-		f.wg.Add(1)
-		submitJob(j)
+	f.wg.Add(workers)
+	epoch := uint32(f.claim.Load()>>32) + 1
+	f.claim.Store(uint64(epoch)<<32 | uint64(workers))
+	for range workers - 1 {
+		submitJob(fanJob{f, epoch})
 	}
 	runtime.Gosched()
-	// Run the caller's own range under a deferred Wait so that even if it
-	// panics, the pool ranges finish before the stack unwinds — they read
-	// the caller's buffers.
+	// Claim under a deferred finish so that even if a range panics here,
+	// the claimed ranges finish before the stack unwinds — they read the
+	// caller's buffers.
 	func() {
-		defer f.wg.Wait()
-		r.RunRange(start, n)
+		defer f.finish(epoch)
+		for i := f.next(epoch); i >= 0; i = f.next(epoch) {
+			f.runClaimed(i, false)
+		}
 	}()
 	if p := f.panicked.Load(); p != nil {
 		panic(*p)
 	}
+}
+
+// finish retires every range still unclaimed (none, unless the caller's
+// range panicked) and waits for the claimed ones.
+func (f *Fanout) finish(epoch uint32) {
+	for f.next(epoch) >= 0 {
+		f.wg.Done()
+	}
+	f.wg.Wait()
 }
 
 // BatchForwardInto runs the forward transform of every input, in

@@ -1,12 +1,38 @@
 package ring
 
 import (
-	"sync"
+	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mqxgo/internal/modmath"
 )
+
+// onPool reports whether the calling range runs on a pool worker rather
+// than on the goroutine that called Run.
+func onPool() bool {
+	buf := make([]byte, 1<<12)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("ring.fanJob.run"))
+}
+
+// runPair runs a width-2 dispatch whose two ranges each wait until both
+// have started, so the caller runs one range and a pool worker the
+// other, whichever claims first; then each range calls body, telling it
+// which side it runs on.
+func runPair(f *Fanout, body func(pool bool)) {
+	var started atomic.Int32
+	f.Run(2, 2, rangeFunc(func(start, end int) {
+		started.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); started.Load() < 2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				panic("no pool worker ran the second range")
+			}
+		}
+		body(onPool())
+	}))
+}
 
 // TestFanoutPanicPropagates pins the serving-layer contract: a panic
 // inside a range running on a pool goroutine reaches the CALLING
@@ -17,11 +43,11 @@ func TestFanoutPanicPropagates(t *testing.T) {
 	var f Fanout
 	caught := func() (r any) {
 		defer func() { r = recover() }()
-		f.Run(n, workers, rangeFunc(func(start, end int) {
-			if start == 0 { // first range runs on a pool worker
+		runPair(&f, func(pool bool) {
+			if pool {
 				panic("chunk boom")
 			}
-		}))
+		})
 		return nil
 	}()
 	if caught != "chunk boom" {
@@ -39,31 +65,78 @@ func TestFanoutPanicPropagates(t *testing.T) {
 }
 
 // TestFanoutCallerPanicWaitsForPool proves the caller's own range
-// panicking does not unwind past in-flight pool ranges (they read the
-// caller's buffers).
+// panicking does not unwind past an in-flight pool range (it reads the
+// caller's buffers): the pool range starts its last 20 ms only once the
+// caller's range is about to panic, and must have finished when the
+// panic reaches the caller.
 func TestFanoutCallerPanicWaitsForPool(t *testing.T) {
-	const n, workers = 64, 4
-	var poolDone atomic.Int64
-	var mu sync.Mutex
-	lastRange := n * (workers - 1) / workers // caller runs the final range
+	var callerPanics, poolDone atomic.Bool
 	caught := func() (r any) {
 		defer func() { r = recover() }()
 		var f Fanout
-		f.Run(n, workers, rangeFunc(func(start, end int) {
-			if start >= lastRange {
+		runPair(&f, func(pool bool) {
+			if !pool {
+				callerPanics.Store(true)
 				panic("caller boom")
 			}
-			mu.Lock()
-			poolDone.Add(int64(end - start))
-			mu.Unlock()
-		}))
+			for !callerPanics.Load() {
+				runtime.Gosched()
+			}
+			time.Sleep(20 * time.Millisecond)
+			poolDone.Store(true)
+		})
 		return nil
 	}()
 	if caught != "caller boom" {
 		t.Fatalf("recovered %v, want \"caller boom\"", caught)
 	}
-	if got := poolDone.Load(); got != int64(lastRange) {
-		t.Fatalf("pool chunks completed %d indices before unwind, want %d", got, lastRange)
+	if !poolDone.Load() {
+		t.Fatal("the caller unwound before its in-flight pool range finished")
+	}
+}
+
+// TestFanoutCallerPanicRetiresUnclaimedRanges reaches the retire path
+// for certain: with every pool worker held, the dispatch's jobs stay
+// queued and the caller claims range 0, which panics. The panic must
+// reach the caller with no later range run; once the pool is released
+// the queued jobs must claim nothing, and the frame then serves the
+// next dispatch in full.
+func TestFanoutCallerPanicRetiresUnclaimedRanges(t *testing.T) {
+	const n, workers = 8, 4
+	var hits [n]atomic.Int32
+	count := rangeFunc(func(start, end int) {
+		for i := start; i < end; i++ {
+			hits[i].Add(1)
+		}
+	})
+	var f Fanout
+	release := holdPool(t)
+	caught := func() (r any) {
+		defer func() { r = recover() }()
+		f.Run(n, workers, rangeFunc(func(start, end int) {
+			if start == 0 {
+				panic("retire boom")
+			}
+			count(start, end)
+		}))
+		return nil
+	}()
+	release()
+	// Every worker held again means every job queued before has run.
+	holdPool(t)()
+	if caught != "retire boom" {
+		t.Fatalf("recovered %v, want \"retire boom\"", caught)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 0 {
+			t.Errorf("index %d ran %d times after range 0 panicked, want 0", i, got)
+		}
+	}
+	f.Run(n, workers, count)
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Errorf("next dispatch: index %d ran %d times, want 1", i, got)
+		}
 	}
 }
 

@@ -12,3 +12,6 @@ func MustPlan[T any, R Ring[T]](r R, n int) *Plan[T, R] {
 
 // NTTModulus is nttModulus for the external tests.
 var NTTModulus = nttModulus
+
+// PolyMulSplitMinN is polyMulSplitMinN for the external tests.
+func PolyMulSplitMinN[T any]() int { return polyMulSplitMinN[T]() }

@@ -2,6 +2,7 @@ package ring_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mqxgo/internal/modmath"
@@ -74,6 +75,58 @@ func TestNegacyclicSplitMatchesFused(t *testing.T) {
 			return u128.New(r.Uint64(), r.Uint64()).Mod(mod128.Q)
 		})
 	}
+}
+
+// checkPolyMulWidths runs one product above the split floor at
+// GOMAXPROCS 1 (every step on the caller) and 2 (the forward pair and
+// the pointwise halves on two goroutines), out of place and in place:
+// every output must carry the same bits, and match the split entry
+// points' composition.
+func checkPolyMulWidths[T comparable, R ring.Ring[T]](t *testing.T, r R, n int, randElem func(*rand.Rand) T) {
+	t.Helper()
+	if floor := ring.PolyMulSplitMinN[T](); n < floor {
+		t.Fatalf("n=%d is below the split floor %d", n, floor)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := ring.MustPlan[T, R](r, n)
+	rng := rand.New(rand.NewSource(int64(n) * 37))
+	a, b := make([]T, n), make([]T, n)
+	for i := range a {
+		a[i], b[i] = randElem(rng), randElem(rng)
+	}
+	want := make([]T, n)
+	ahat, bhat := make([]T, n), make([]T, n)
+	p.NegacyclicForwardInto(ahat, a)
+	p.NegacyclicForwardInto(bhat, b)
+	p.PointwiseMulInto(want, ahat, bhat)
+	p.NegacyclicInverseInto(want, want)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		got := make([]T, n)
+		p.PolyMulNegacyclicInto(got, a, b)
+		inPlace := append([]T(nil), a...)
+		p.PolyMulNegacyclicInto(inPlace, inPlace, b)
+		for i := range want {
+			if got[i] != want[i] || inPlace[i] != want[i] {
+				t.Fatalf("GOMAXPROCS %d, n=%d, coeff %d: product %v, in place %v, want %v", procs, n, i, got[i], inPlace[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPolyMulSplitIsBitIdentical pins the split product to the
+// sequential one on both widths: Shoup64 at its floor, Barrett128 at
+// the kernels128 size.
+func TestPolyMulSplitIsBitIdentical(t *testing.T) {
+	n64 := ring.PolyMulSplitMinN[uint64]()
+	mod64 := testPrime64(t, uint64(2*n64))
+	checkPolyMulWidths(t, ring.NewShoup64(mod64), n64, func(r *rand.Rand) uint64 {
+		return r.Uint64() % mod64.Q
+	})
+	mod128 := modmath.DefaultModulus128()
+	checkPolyMulWidths(t, ring.NewBarrett128(mod128), 1<<14, func(r *rand.Rand) u128.U128 {
+		return u128.New(r.Uint64(), r.Uint64()).Mod(mod128.Q)
+	})
 }
 
 // The split entry points join the zero-allocation contract of the other

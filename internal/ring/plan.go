@@ -2,6 +2,8 @@ package ring
 
 import (
 	"fmt"
+	"runtime"
+	"unsafe"
 
 	"mqxgo/internal/scratch"
 )
@@ -42,6 +44,9 @@ type Plan[T any, R Ring[T]] struct {
 	// scratch pools ping-pong buffer pairs so steady-state transforms
 	// allocate nothing; a pair is valid only until it is Put back.
 	scratch scratch.Pool[scratchPair[T]]
+
+	// mulFrames pools PolyMulNegacyclicInto's dispatch frames.
+	mulFrames scratch.Pool[mulFrame[T, R]]
 
 	// kern is the span-kernel set every operation runs, bound once at
 	// plan build: the ring hands over the kernel set of its resolved tier
@@ -117,6 +122,7 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 		scratch.Fill(s.a)
 		scratch.Fill(s.b)
 	}
+	p.mulFrames.New = func() *mulFrame[T, R] { return &mulFrame[T, R]{p: p} }
 	return p, nil
 }
 
@@ -235,15 +241,110 @@ func (p *Plan[T, R]) InverseInto(dst, y []T) {
 
 // PolyMulNegacyclicInto computes dst = a*b in Z_q[x]/(x^n + 1) via the
 // twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
+//
+// From polyMulSplitMinN points up (4096 for Barrett128, 16384 for
+// Shoup64) it runs on min(2, GOMAXPROCS)
+// goroutines: the two operands' twists and forward transforms as one
+// width-2 dispatch, then the pointwise product by coefficient halves;
+// the inverse transform and the untwist run on the caller. Every span
+// covers the same data either way, so the output is bit-identical at
+// any width. The dispatches may nest inside a pool range (an RNS tower
+// step); with no worker free they run inline.
 func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	p.checkLen(len(b))
-	poly := p.scratch.Get()
-	ping := p.scratch.Get()
-	p.polyMulNegacyclicScratch(dst, a, b, poly, ping)
-	p.scratch.Put(ping)
-	p.scratch.Put(poly)
+	width := 1
+	if p.N >= polyMulSplitMinN[T]() {
+		width = min(2, runtime.GOMAXPROCS(0))
+	}
+	m := p.mulFrames.Get()
+	m.dst, m.a, m.b = dst, a, b
+	m.poly = p.scratch.Get()
+	m.ping[0] = p.scratch.Get()
+	m.ping[1] = m.ping[0]
+	if width > 1 {
+		m.ping[1] = p.scratch.Get() // each forward transform its own pair
+	}
+	m.step = mulForward
+	m.fan.Run(2, width, m)
+	m.step = mulPointwise
+	m.fan.Run(p.N, width, m)
+	at := m.poly.a
+	p.inverseStages(at, at, m.ping[0])
+	p.kern.MulPreNormSpan(dst, at, p.untwist.w, p.untwist.pre) // psi^-j * N^-1
+	if width > 1 {
+		p.scratch.Put(m.ping[1])
+	}
+	p.scratch.Put(m.ping[0])
+	p.scratch.Put(m.poly)
+	// Drop the references, not the Fanout: a stale pool job may still
+	// read its claim word.
+	m.dst, m.a, m.b, m.poly, m.ping = nil, nil, nil, nil, [2]*scratchPair[T]{}
+	p.mulFrames.Put(m)
+}
+
+// polyMulSplitWork sets the smallest product that runs on two
+// goroutines, in points times the element's squared width in 64-bit
+// words (a double-word product is four single-word ones). A width-2
+// dispatch costs ≈ 15 µs over its body (BenchmarkFanoutBalanced, 2-vCPU
+// AVX-512 host) and the product makes two, so the split pays once half
+// the product is several dispatches long. Measured there, a Barrett128
+// product gains from 1024 points, and a Shoup64 product reads mixed at
+// 4096, slower at 8192 and faster from 16384: the floor is 4096 points for
+// Barrett128, which keeps the tests' small products sequential and
+// splits every 128-bit product the benchmark times, and 16384 for
+// Shoup64, above every tower product the benchmark times.
+const polyMulSplitWork = 1 << 14
+
+// polyMulSplitMinN is the smallest product size over elements of T that
+// runs on two goroutines.
+func polyMulSplitMinN[T any]() int {
+	w := int(unsafe.Sizeof(*new(T))) / 8
+	return polyMulSplitWork / (w * w)
+}
+
+// mulStep names the part of a product a mulFrame's ranges run.
+type mulStep int
+
+const (
+	mulForward   mulStep = iota // range r: twist and forward-transform operand r
+	mulPointwise                // a coefficient range of the pointwise product
+)
+
+// mulFrame is the pooled dispatch frame of one PolyMulNegacyclicInto and
+// the Ranger its dispatches run: poly holds the twisted operands, ping[r]
+// operand r's transform ping-pong buffers (one pair at width 1). The
+// twist may leave residues relaxed (the stage loops accept them), the
+// transforms hand back canonical values for the pointwise product, the
+// unscaled inverse stays relaxed, and the untwist lands the deferred
+// normalization with 1/N. It holds no data of its own, so it has no
+// poison.
+type mulFrame[T any, R Ring[T]] struct {
+	fan       Fanout
+	p         *Plan[T, R]
+	step      mulStep
+	dst, a, b []T
+	poly      *scratchPair[T]
+	ping      [2]*scratchPair[T]
+}
+
+func (m *mulFrame[T, R]) RunRange(start, end int) {
+	p, k := m.p, m.p.kern
+	at, bt := m.poly.a, m.poly.b
+	switch m.step {
+	case mulForward:
+		for r := start; r < end; r++ {
+			src, t := m.a, at
+			if r == 1 {
+				src, t = m.b, bt
+			}
+			k.MulPreSpan(t, src, p.twist.w, p.twist.pre)
+			p.forwardStages(t, t, m.ping[r])
+		}
+	case mulPointwise:
+		k.MulSpan(at[start:end], at[start:end], bt[start:end])
+	}
 }
 
 // NegacyclicForwardInto computes the forward half of a negacyclic product:
@@ -382,22 +483,4 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T]) {
 		src = out
 		k++
 	}
-}
-
-// polyMulNegacyclicScratch is the body of PolyMulNegacyclicInto over two
-// checked-out scratch pairs: poly holds the twisted operands; ping holds
-// the transform ping-pong buffers. The twist may leave residues relaxed
-// (the stage loops accept them), the transforms hand back canonical
-// values for the pointwise product, the unscaled inverse stays relaxed,
-// and the untwist lands the deferred normalization with 1/N.
-func (p *Plan[T, R]) polyMulNegacyclicScratch(dst, a, b []T, poly, ping *scratchPair[T]) {
-	k := p.kern
-	at, bt := poly.a, poly.b
-	k.MulPreSpan(at, a, p.twist.w, p.twist.pre)
-	k.MulPreSpan(bt, b, p.twist.w, p.twist.pre)
-	p.forwardStages(at, at, ping)
-	p.forwardStages(bt, bt, ping)
-	k.MulSpan(at, at, bt)
-	p.inverseStages(at, at, ping)
-	k.MulPreNormSpan(dst, at, p.untwist.w, p.untwist.pre) // psi^-j * N^-1
 }

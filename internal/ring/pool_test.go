@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,7 +119,11 @@ func BenchmarkFanoutBalanced(b *testing.B) {
 // 1–5 (and the GOMAXPROCS default) over uneven n: every dispatch must
 // visit each index exactly once, whatever the previous dispatch's width.
 // The last rounds run with a single P, where the caller's yield must
-// return and the pool ranges run with no second P to steal them.
+// return and the pool ranges run with no second P to steal them. Rounds
+// 2 and 5 start with every pool worker held busy, so each dispatch's
+// jobs are still queued when the frame is dispatched again; halfway
+// through the round the pool is released and those stale jobs drain
+// while later dispatches run.
 func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var f Fanout
@@ -131,7 +137,14 @@ func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
 		if round == 3 {
 			runtime.GOMAXPROCS(1)
 		}
+		release := func() {}
+		if round%3 == 2 {
+			release = holdPool(t)
+		}
 		for _, n := range []int{0, 1, 2, 3, 7, 13, 31, 64} {
+			if n == 13 {
+				release()
+			}
 			for workers := 0; workers <= 5; workers++ {
 				for i := range hits {
 					hits[i].Store(0)
@@ -148,6 +161,144 @@ func TestFanoutReuseCoversEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// holdPool occupies every pool worker with a range that blocks until
+// the returned release is called, so jobs submitted meanwhile queue
+// behind a busy pool. It returns once every worker is held. Its own
+// dispatch submits one job per worker the pool has or may grow to.
+func holdPool(t *testing.T) (release func()) {
+	t.Helper()
+	workers := max(poolStarted(), runtime.GOMAXPROCS(0))
+	gate, done := make(chan struct{}), make(chan struct{})
+	held := make(chan struct{}, workers+1) // one per range, never blocks
+	go func() {
+		defer close(done)
+		var f Fanout
+		f.Run(workers+1, workers+1, rangeFunc(func(start, end int) {
+			held <- struct{}{}
+			<-gate
+		}))
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := range workers + 1 {
+		select {
+		case <-held:
+		case <-timeout:
+			close(gate)
+			t.Fatalf("held %d of %d ranges: the pool did not take every job", i, workers+1)
+		}
+	}
+	return func() {
+		close(gate)
+		<-done
+	}
+}
+
+// TestFanoutNestedDoesNotDeadlock runs dispatches inside dispatches: 1–4
+// concurrent outer callers each run a width-(2+c) Run over 7 indices, and
+// every index runs an inner width-2 Run on a frame of its own, at
+// GOMAXPROCS 1, 2 and 4. Every index at both depths must run exactly
+// once. A panic raised in one inner range must reach its outer caller,
+// and the pool must still serve the next dispatch: a two-range
+// rendezvous that only completes if a pool worker runs one range while
+// the caller runs the other. A deadlock fails the test at its deadline
+// instead of hanging it.
+func TestFanoutNestedDoesNotDeadlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const outerN, innerN = 7, 2
+	errs := make(chan string, 64)
+	failf := func(format string, args ...any) {
+		select {
+		case errs <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}
+	// nested runs callers concurrent outer dispatches; with boom set,
+	// caller 0's inner range 1 of outer index 3 panics, and that caller
+	// must recover the panic instead of checking coverage.
+	nested := func(callers int, boom bool) {
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var hits [outerN][innerN]atomic.Int32
+				var inner [outerN]Fanout
+				var outer Fanout
+				rec := func() (r any) {
+					defer func() { r = recover() }()
+					outer.Run(outerN, 2+c, rangeFunc(func(start, end int) {
+						for i := start; i < end; i++ {
+							inner[i].Run(innerN, 2, rangeFunc(func(s, e int) {
+								for j := s; j < e; j++ {
+									if boom && c == 0 && i == 3 && j == 1 {
+										panic("inner boom")
+									}
+									hits[i][j].Add(1)
+								}
+							}))
+						}
+					}))
+					return nil
+				}()
+				switch {
+				case boom && c == 0:
+					if rec != "inner boom" {
+						failf("caller 0 recovered %v, want \"inner boom\"", rec)
+					}
+					return
+				case rec != nil:
+					failf("caller %d recovered %v, want no panic", c, rec)
+					return
+				}
+				for i := range hits {
+					for j := range hits[i] {
+						if got := hits[i][j].Load(); got != 1 {
+							failf("caller %d: index (%d, %d) ran %d times, want 1", c, i, j, got)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// rendezvous completes only if two goroutines run its two ranges.
+	rendezvous := func() {
+		var f Fanout
+		var arrived atomic.Int32
+		f.Run(2, 2, rangeFunc(func(start, end int) {
+			arrived.Add(1)
+			for deadline := time.Now().Add(10 * time.Second); arrived.Load() < 2; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					failf("rendezvous: no pool worker ran the second range")
+					return
+				}
+			}
+		}))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for callers := 1; callers <= 4; callers++ {
+				nested(callers, false)
+			}
+			nested(3, true)
+			rendezvous()
+			nested(2, false)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("nested dispatch did not finish within 60 s: deadlock")
+	}
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

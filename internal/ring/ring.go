@@ -6,7 +6,11 @@
 // negacyclic twist/untwist, the 1/N landing pass after the inverse
 // stages, the process-wide plan cache, and the batch worker pool with its
 // one dispatch frame (Fanout) are each implemented exactly once,
-// generically over the element type.
+// generically over the element type. A Fanout's ranges are claimed by
+// whichever goroutine is free, so a range may dispatch again: a large
+// negacyclic product (4096 points for Barrett128, 16384 for Shoup64)
+// splits its forward transforms and pointwise product across two
+// goroutines, also from inside an RNS tower range.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings)

@@ -25,7 +25,13 @@ func testRing128(t *testing.T) ring.Barrett128 {
 
 // TestGenericRoundTripBothWidths drives the one shared stage-loop
 // implementation at both instantiations and checks forward+inverse is the
-// identity, including in place.
+// identity, including in place. It is also InverseInto's canonicity
+// check: the last inverse stage leaves residues in [0, 2q), and only the
+// 1/N pass's final correction brings them below q, so every output of 16
+// random inputs and of the boundary input (1, q-1, 1, q-1, …) must be
+// below q. At n = 2 that boundary input sums to exactly q in the last
+// stage, which the correction must fold to 0; at n = 64 some of the
+// random inputs reach the Shoup64 correction too.
 func TestGenericRoundTripBothWidths(t *testing.T) {
 	r := rand.New(rand.NewSource(201))
 	for _, n := range []int{2, 8, 64, 512} {
@@ -51,6 +57,25 @@ func TestGenericRoundTripBothWidths(t *testing.T) {
 				t.Fatalf("u128 n=%d: in-place round trip failed at %d", n, i)
 			}
 		}
+		q128 := r128.M.Q
+		for v := range 17 {
+			for i := range x {
+				switch {
+				case v < 16:
+					x[i] = u128.New(r.Uint64(), r.Uint64()).Mod(q128)
+				case i%2 == 0:
+					x[i] = u128.One
+				default:
+					x[i] = q128.Sub(u128.One)
+				}
+			}
+			p128.InverseInto(back, x)
+			for i, c := range back {
+				if !c.Less(q128) {
+					t.Fatalf("u128 n=%d, input %d: InverseInto output %d is %v, not below q", n, v, i, c)
+				}
+			}
+		}
 
 		r64 := testRing64(t, n)
 		p64 := ring.MustPlan[uint64, ring.Shoup64](r64, n)
@@ -72,6 +97,25 @@ func TestGenericRoundTripBothWidths(t *testing.T) {
 		for i := range y {
 			if buf64[i] != y[i] {
 				t.Fatalf("uint64 n=%d: in-place round trip failed at %d", n, i)
+			}
+		}
+		q64 := r64.M.Q
+		for v := range 17 {
+			for i := range y {
+				switch {
+				case v < 16:
+					y[i] = r.Uint64() % q64
+				case i%2 == 0:
+					y[i] = 1
+				default:
+					y[i] = q64 - 1
+				}
+			}
+			p64.InverseInto(back64, y)
+			for i, c := range back64 {
+				if c >= q64 {
+					t.Fatalf("uint64 n=%d, input %d: InverseInto output %d is %d, not below q", n, v, i, c)
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -92,5 +93,44 @@ func TestConcurrentCallsShareNoScratch(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// splitContext is a five-tower context at 16384 points, the size from
+// which ring splits each 64-bit tower's product across two goroutines.
+func splitContext(t *testing.T) *Context {
+	t.Helper()
+	c, err := NewContext(59, 5, 1<<14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestMulAllWidthsAreBitIdentical runs MulAll at widths 2, 3 and 5 at
+// GOMAXPROCS 2 and 4, where every tower's product dispatches again from
+// inside its tower range, against width 1 at GOMAXPROCS 1, where nothing
+// fans out: the products must carry the same bits.
+func TestMulAllWidthsAreBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := splitContext(t)
+	a, b := c.NewPoly(), c.NewPoly()
+	fillResidues(a, c.Mods, 71, 0)
+	fillResidues(b, c.Mods, 72, 0)
+	want := c.NewPoly()
+	if err := c.MulAll(want, a, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{2, 3, 5} {
+			got := c.NewPoly()
+			if err := c.MulAll(got, a, b, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("GOMAXPROCS %d, width %d: MulAll differs from width 1", procs, workers)
+			}
+		}
 	}
 }
