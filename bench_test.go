@@ -409,30 +409,12 @@ func benchRNSContext(b *testing.B, k, n int) (*rns.Context, rns.Poly, rns.Poly, 
 // loop: the baseline the parallel dispatch is judged against.
 func BenchmarkRNSMulAllSeqK4N4096(b *testing.B) {
 	c, ra, rb, dst := benchRNSContext(b, 4, 1<<12)
-	if err := c.MulAll(dst, ra, rb, 1); err != nil {
+	if err := c.MulAll(dst, ra, rb); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.MulAll(dst, ra, rb, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4, "ns/tower")
-}
-
-// BenchmarkRNSMulAllParK4N4096 dispatches all four towers through the
-// shared worker pool as one batch (the PR 2 acceptance configuration:
-// within 10% of 4x the single-tower baseline on one core, faster on
-// many).
-func BenchmarkRNSMulAllParK4N4096(b *testing.B) {
-	c, ra, rb, dst := benchRNSContext(b, 4, 1<<12)
-	if err := c.MulAll(dst, ra, rb, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.MulAll(dst, ra, rb, 0); err != nil {
+		if err := c.MulAll(dst, ra, rb); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func main() {
 	if err := rc.DecomposeInto(rb, bb); err != nil {
 		log.Fatal(err)
 	}
-	if err := rc.MulAll(rprod, ra, rb, 1); err != nil {
+	if err := rc.MulAll(rprod, ra, rb); err != nil {
 		log.Fatal(err)
 	}
 	got := make([]*big.Int, n)

@@ -501,11 +501,11 @@ func (b *ringBackend) mulCtx(ctx context.Context, dst *BackendCiphertext, ct1, c
 		return err
 	}
 	c0, c1, c2, tmp := w.NewPoly(), w.NewPoly(), w.NewPoly(), w.NewPoly()
-	must(w.MulAll(c0, b1, b2, 1))
-	must(w.MulAll(c1, a1, b2, 1))
-	must(w.MulAll(tmp, a2, b1, 1))
+	must(w.MulAll(c0, b1, b2))
+	must(w.MulAll(c1, a1, b2))
+	must(w.MulAll(tmp, a2, b1))
 	must(w.AddInto(c1, c1, tmp))
-	must(w.MulAll(c2, a1, a2, 1))
+	must(w.MulAll(c2, a1, a2))
 
 	if err := phaseGate(ctx, faultinject.SiteMulScale); err != nil {
 		return err

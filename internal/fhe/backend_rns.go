@@ -782,8 +782,8 @@ func (b *rnsBackend) gadgetKeyLevel(level int, s Poly, target rns.Poly, rng *ran
 		}
 		b.setSignedCtx(c, e, noise)
 		bb := c.NewPoly()
-		must(c.MulAll(bb, a, sk, 1)) // a_i * s
-		must(c.AddInto(bb, bb, e))   // + e_i
+		must(c.MulAll(bb, a, sk))  // a_i * s
+		must(c.AddInto(bb, bb, e)) // + e_i
 		aPre, bPre := c.NewPoly(), c.NewPoly()
 		for tau := 0; tau < k; tau++ {
 			plan := c.Plans[tau].Generic()
@@ -818,7 +818,7 @@ func (b *rnsBackend) RelinKeyGen(s Poly, rng *rand.Rand) BackendRelinKey {
 	// stands alone), so compute it once at level 0.
 	sk0 := s.(rns.Poly)
 	s2 := b.levels[0].c.NewPoly()
-	must(b.levels[0].c.MulAll(s2, sk0, sk0, 1))
+	must(b.levels[0].c.MulAll(s2, sk0, sk0))
 	key := &relinKey[rnsLevelRelin]{}
 	for l := range b.levels {
 		key.levels = append(key.levels, b.gadgetKeyLevel(l, s, s2, rng))

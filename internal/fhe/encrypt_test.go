@@ -17,7 +17,7 @@ func coeffMul(t *testing.T, b Backend, level int, dst, a, c Poly) {
 	t.Helper()
 	switch b := b.(type) {
 	case *rnsBackend:
-		if err := b.levels[level].c.MulAll(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly), 1); err != nil {
+		if err := b.levels[level].c.MulAll(dst.(rns.Poly), a.(rns.Poly), c.(rns.Poly)); err != nil {
 			t.Fatal(err)
 		}
 	case *ringBackend:

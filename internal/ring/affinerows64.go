@@ -56,13 +56,26 @@ func AffineRows(p *Plan[uint64, Shoup64], dst []uint64, a Affine, rows [][]uint6
 	if len(a.w) != len(rows) {
 		panic("ring: AffineRows needs one weight per row")
 	}
-	p.kern.(shoup64Kernels).AffineRowsSpan(dst, a.c0, rows, a.w, a.pre)
+	p.R.AffineRowsSpan(dst, a.c0, rows, a.w, a.pre)
 }
 
-// AffineRowsSpan is the scalar tier's affine-rows body (see
-// shoup64Kernels).
+// AffineRowsSpan is the body behind AffineRows. On the vector prefix the
+// row loop runs inside r's tier's assembly body with the accumulator in a
+// register, so each output element is written once however many rows
+// feed it.
 func (r Shoup64) AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64) {
-	affineRowsSpanScalar(r.M.Q, dst, c0, rows, w, pre, 0)
+	q := r.M.Q
+	nv := r.vecLen(len(dst))
+	if len(rows) == 0 {
+		nv = 0
+	}
+	switch {
+	case nv > 0 && r.tier == TierAVX512:
+		affineRowsSpanAVX512(q, &dst[0], c0, &rows[0], &w[0], &pre[0], len(rows), nv)
+	case nv > 0:
+		affineRowsSpanAVX2(q, &dst[0], c0, &rows[0], &w[0], &pre[0], len(rows), nv)
+	}
+	affineRowsSpanScalar(q, dst, c0, rows, w, pre, nv)
 }
 
 // affineRowsSpanScalar is the ground-truth body the vector tiers are

@@ -102,22 +102,21 @@ type Fanout struct {
 	// wrapped would let a job claim a range of the live dispatch, which
 	// it then runs like any job of that dispatch.)
 	claim    atomic.Uint64
-	wg       sync.WaitGroup      // one count per range, done once it has run or been retired
-	panicked atomic.Pointer[any] // the first pool-range panic
+	wg       sync.WaitGroup      // one count per range, done once it has run
+	panicked atomic.Pointer[any] // the first range panic
 }
 
-// fanJob is one pool helper of a Fanout dispatch, sent to the pool by
-// value.
+// fanJob is one claimer of a Fanout dispatch: a pool job, sent to the
+// pool by value, or the caller itself.
 type fanJob struct {
 	f     *Fanout
 	epoch uint32
 }
 
-// run claims and runs the job's dispatch's ranges until none is left,
-// parking a panic in the frame's slot so the worker survives.
+// run claims and runs the job's dispatch's ranges until none is left.
 func (j fanJob) run() {
 	for i := j.f.next(j.epoch); i >= 0; i = j.f.next(j.epoch) {
-		j.f.runClaimed(i, true)
+		j.f.runClaimed(i)
 	}
 }
 
@@ -138,14 +137,12 @@ func (f *Fanout) next(epoch uint32) int {
 	}
 }
 
-// runClaimed runs claimed range i and counts it done however it exits.
-// A pool job (park) parks a panic in the frame's slot first; the caller's
-// own panic unwinds into Run.
-func (f *Fanout) runClaimed(i int, park bool) {
+// runClaimed runs claimed range i and counts it done however it exits,
+// parking a panic in the frame's slot first so the goroutine that ran it
+// (a pool worker or the caller) goes on claiming.
+func (f *Fanout) runClaimed(i int) {
 	defer f.wg.Done()
-	if park {
-		defer f.park()
-	}
+	defer f.park()
 	base, extra := f.n/f.ranges, f.n%f.ranges
 	start := i*base + min(i, extra)
 	end := start + base
@@ -155,7 +152,7 @@ func (f *Fanout) runClaimed(i int, park bool) {
 	f.r.RunRange(start, end)
 }
 
-// park records the first pool-range panic.
+// park records the first range panic.
 func (f *Fanout) park() {
 	if rec := recover(); rec != nil {
 		boxed := rec // boxed only on a panic
@@ -179,13 +176,12 @@ func (f *Fanout) park() {
 // an idle P (or, with no idle P, resumes after the worker's ranges; the
 // yield returns either way, so GOMAXPROCS=1 cannot livelock).
 //
-// A panic inside r — on the pool or on the calling goroutine — is
-// re-raised on the calling goroutine after every claimed range has
-// finished, so a recover() around the dispatch observes it and the pool
-// workers survive for the next batch. A caller whose own range panics
-// first claims, and retires unrun, every range still unclaimed. Without
-// this a range panic on a pool goroutine would kill the whole process,
-// which no serving layer can tolerate.
+// A panic inside r — on the pool or on the calling goroutine — is parked
+// and re-raised on the calling goroutine after every range has run, so a
+// recover() around the dispatch observes it, no range still reading the
+// caller's buffers outlives the unwind, and the pool workers survive for
+// the next batch. Without this a range panic on a pool goroutine would
+// kill the whole process, which no serving layer can tolerate.
 func (f *Fanout) Run(n, workers int, r Ranger) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -205,27 +201,11 @@ func (f *Fanout) Run(n, workers int, r Ranger) {
 		submitJob(fanJob{f, epoch})
 	}
 	runtime.Gosched()
-	// Claim under a deferred finish so that even if a range panics here,
-	// the claimed ranges finish before the stack unwinds — they read the
-	// caller's buffers.
-	func() {
-		defer f.finish(epoch)
-		for i := f.next(epoch); i >= 0; i = f.next(epoch) {
-			f.runClaimed(i, false)
-		}
-	}()
+	fanJob{f, epoch}.run()
+	f.wg.Wait()
 	if p := f.panicked.Load(); p != nil {
 		panic(*p)
 	}
-}
-
-// finish retires every range still unclaimed (none, unless the caller's
-// range panicked) and waits for the claimed ones.
-func (f *Fanout) finish(epoch uint32) {
-	for f.next(epoch) >= 0 {
-		f.wg.Done()
-	}
-	f.wg.Wait()
 }
 
 // BatchForwardInto runs the forward transform of every input, in

@@ -10,11 +10,11 @@ import (
 	"mqxgo/internal/modmath"
 )
 
-// onPool reports whether the calling range runs on a pool worker rather
-// than on the goroutine that called Run.
-func onPool() bool {
-	buf := make([]byte, 1<<12)
-	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("ring.fanJob.run"))
+// goid returns the calling goroutine's ID, the number after "goroutine"
+// in its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }
 
 // runPair runs a width-2 dispatch whose two ranges each wait until both
@@ -22,6 +22,7 @@ func onPool() bool {
 // other, whichever claims first; then each range calls body, telling it
 // which side it runs on.
 func runPair(f *Fanout, body func(pool bool)) {
+	caller := goid()
 	var started atomic.Int32
 	f.Run(2, 2, rangeFunc(func(start, end int) {
 		started.Add(1)
@@ -30,7 +31,7 @@ func runPair(f *Fanout, body func(pool bool)) {
 				panic("no pool worker ran the second range")
 			}
 		}
-		body(onPool())
+		body(goid() != caller)
 	}))
 }
 
@@ -95,13 +96,12 @@ func TestFanoutCallerPanicWaitsForPool(t *testing.T) {
 	}
 }
 
-// TestFanoutCallerPanicRetiresUnclaimedRanges reaches the retire path
-// for certain: with every pool worker held, the dispatch's jobs stay
-// queued and the caller claims range 0, which panics. The panic must
-// reach the caller with no later range run; once the pool is released
-// the queued jobs must claim nothing, and the frame then serves the
-// next dispatch in full.
-func TestFanoutCallerPanicRetiresUnclaimedRanges(t *testing.T) {
+// TestFanoutCallerPanicRunsEveryRange holds every pool worker, so the
+// dispatch's jobs stay queued and the caller claims every range itself;
+// range 0 panics. The panic is parked like a pool-side one: every other
+// range still runs exactly once, the panic then reaches the caller, and
+// once the pool is released the frame serves the next dispatch in full.
+func TestFanoutCallerPanicRunsEveryRange(t *testing.T) {
 	const n, workers = 8, 4
 	var hits [n]atomic.Int32
 	count := rangeFunc(func(start, end int) {
@@ -115,22 +115,25 @@ func TestFanoutCallerPanicRetiresUnclaimedRanges(t *testing.T) {
 		defer func() { r = recover() }()
 		f.Run(n, workers, rangeFunc(func(start, end int) {
 			if start == 0 {
-				panic("retire boom")
+				panic("caller boom")
 			}
 			count(start, end)
 		}))
 		return nil
 	}()
 	release()
-	// Every worker held again means every job queued before has run.
-	holdPool(t)()
-	if caught != "retire boom" {
-		t.Fatalf("recovered %v, want \"retire boom\"", caught)
+	if caught != "caller boom" {
+		t.Fatalf("recovered %v, want \"caller boom\"", caught)
 	}
 	for i := range hits {
-		if got := hits[i].Load(); got != 0 {
-			t.Errorf("index %d ran %d times after range 0 panicked, want 0", i, got)
+		want := int32(1)
+		if i < n/workers { // range 0
+			want = 0
 		}
+		if got := hits[i].Load(); got != want {
+			t.Errorf("index %d ran %d times beside the panicking range 0, want %d", i, got, want)
+		}
+		hits[i].Store(0)
 	}
 	f.Run(n, workers, count)
 	for i := range hits {

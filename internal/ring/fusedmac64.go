@@ -58,15 +58,29 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 
 	// Fused final stage on the plan's kernel tier.
 	half := p.N >> 1
-	p.kern.(shoup64Kernels).MACFinal2Span(accA, accB, src[:half], src[half:p.N], wA, preA, wB, preB)
+	p.R.MACFinal2Span(accA, accB, src[:half], src[half:p.N], wA, preA, wB, preB)
 	p.scratch.Put(ping)
 	p.scratch.Put(sc)
 }
 
-// MACFinal2Span is the scalar tier's fused final stage (see
-// shoup64Kernels).
+// MACFinal2Span is the fused final stage behind NegacyclicForwardMAC2:
+// given the penultimate stage's relaxed outputs split into lo/hi halves
+// of h butterflies, it produces the canonical final-stage outputs (s, d
+// interleaved, exactly CTSpanLast at unit twiddle) and folds the two-row
+// lazy Shoup MAC into accA/accB (each of length 2h) without materializing
+// the transform. The vector prefix runs r's tier's assembly body, the
+// final stage's add/sub pass interleaved in registers with the MAC.
 func (r Shoup64) MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64) {
-	macFinal2SpanScalar(r.M.Q, accA, accB, lo, hi, wA, preA, wB, preB)
+	q := r.M.Q
+	nv := r.vecLen(len(lo))
+	switch {
+	case nv > 0 && r.tier == TierAVX512:
+		macFinal2SpanAVX512(q, &accA[0], &accB[0], &lo[0], &hi[0], &wA[0], &preA[0], &wB[0], &preB[0], nv)
+	case nv > 0:
+		macFinal2SpanAVX2(q, &accA[0], &accB[0], &lo[0], &hi[0], &wA[0], &preA[0], &wB[0], &preB[0], nv)
+	}
+	macFinal2SpanScalar(q, accA[2*nv:], accB[2*nv:], lo[nv:], hi[nv:],
+		wA[2*nv:], preA[2*nv:], wB[2*nv:], preB[2*nv:])
 }
 
 // macFinal2SpanScalar is the ground-truth final-stage body the vector

@@ -1,9 +1,8 @@
 package ring
 
 // SpanKernels is the fused-kernel half of Ring[T]: the whole-span loops
-// every Plan operation runs. A Plan binds its ring (for Shoup64, the
-// kernel set of the ring's resolved tier) exactly once at build time; the
-// stage loops, the twist/pointwise/untwist passes, the elementwise entry
+// every Plan operation runs, at the kernel tier the ring was built with.
+// A Plan binds its ring exactly once at build time; the stage loops, the twist/pointwise/untwist passes, the elementwise entry
 // points and (through them) the batch path then dispatch one interface
 // call per span.
 //

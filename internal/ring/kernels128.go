@@ -26,15 +26,16 @@ import (
 //	               128 bits, and two conditional subtractions suffice
 //	               (quotient estimate within 2 for canonical inputs).
 //
-// The vector tier: on an AVX-512 host every span below but ScaleAddSpan
-// hands its full-vector prefix (8 lanes) to an assembly body
-// (kernels128_avx512_amd64.s) and finishes the tail with its own scalar
-// loop, as shoup64SIMD does. Each lane computes the exact Barrett quotient
-// and the same two branchless corrections, so the vector tier returns the
-// unique canonical residue the scalar loop returns. The bodies read the
-// shift amounts as n-1 = 64 + b and n+1 = 64 + b', one word select and a
-// sub-word shift, so they serve moduli of 65 to 124 bits; below that the
-// scalar loop runs whole spans. There is no AVX2 Barrett128 body.
+// The vector tier: at the AVX-512 tier (resolved by NewBarrett128Tier)
+// every span below but ScaleAddSpan hands its full-vector prefix (8
+// lanes) to an assembly body (kernels128_avx512_amd64.s) and finishes the
+// tail with its own scalar loop, as the Shoup64 spans do. Each lane
+// computes the exact Barrett quotient and the same two branchless
+// corrections, so the vector tier returns the unique canonical residue
+// the scalar loop returns. The bodies read the shift amounts as
+// n-1 = 64 + b and n+1 = 64 + b', one word select and a sub-word shift,
+// so they serve moduli of 65 to 124 bits; a Barrett128 over any other
+// modulus is built at the scalar tier. There is no AVX2 Barrett128 body.
 
 // barrett128Consts is the per-span register file: every word the inner
 // loop needs, hoisted out of the Modulus128 once. The assembly bodies read
@@ -85,32 +86,14 @@ func (c *barrett128Consts) mul(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
 		c.qHi, c.qLo, c.muHi, c.muLo, c.nm1, c.np1)
 }
 
-// resolvedTier is the tier r's spans run: TierAVX512 when the request
-// resolves to it and the modulus has 65 to 124 bits, TierScalar otherwise
-// (an AVX2 request included).
-func (r Barrett128) resolvedTier() KernelTier {
-	if r.M.N > 64 && resolveKernelTier(r.tier) == TierAVX512 {
-		return TierAVX512
-	}
-	return TierScalar
-}
-
 // vecLen is the full-vector prefix of an n-element span that r hands to
 // its assembly bodies: n rounded down to 8 lanes at the AVX-512 tier, 0 at
 // the scalar tier. The span's scalar loop finishes the rest.
 func (r Barrett128) vecLen(n int) int {
-	if r.resolvedTier() != TierAVX512 {
+	if r.tier != TierAVX512 {
 		return 0
 	}
 	return n &^ 7
-}
-
-// selectKernels binds the plan to r at its resolved tier. Barrett128 is
-// its own kernel set at every tier (the spans dispatch on the tier), and
-// its tables carry no Precompute words.
-func (r Barrett128) selectKernels() (SpanKernels[u128.U128], KernelTier, bool) {
-	r.tier = r.resolvedTier()
-	return r, r.tier, false
 }
 
 // CTSpan: one forward stage. Strict ring, so relaxed == canonical and the

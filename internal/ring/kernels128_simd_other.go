@@ -8,7 +8,7 @@ import "mqxgo/internal/u128"
 // it, so Barrett128.vecLen is always 0 and these bodies are never called.
 // They exist so the span methods compile on every architecture.
 
-const noVectorBody = "ring: no AVX-512 Barrett128 body off amd64"
+const noVectorBody = "ring: no vector kernel body off amd64"
 
 func ctSpan128AVX512(c *barrett128Consts, out, lo, hi, w *u128.U128, n int) { panic(noVectorBody) }
 

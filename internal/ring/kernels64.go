@@ -28,24 +28,50 @@ import (
 // The loops below inline that multiply rather than call it so the modulus
 // words stay in registers across the span.
 
-// shoup64Kernels is the kernel set a Plan[uint64, Shoup64] dispatches to:
-// the span and blocked kernels plus the two Shoup64-only fused bodies.
-// Shoup64 itself is the scalar implementation and the ground truth;
-// shoup64SIMD (amd64) is the vector one. selectKernels picks between them
-// once, at plan build, so a Shoup64 plan's kern is never nil.
-//
-// MACFinal2Span is the fused final stage behind NegacyclicForwardMAC2:
-// given the penultimate stage's relaxed outputs split into lo/hi halves
-// of h butterflies, it produces the canonical final-stage outputs (s, d
-// interleaved, exactly CTSpanLast at unit twiddle) and folds the two-row
-// lazy Shoup MAC into accA/accB (each of length 2h) without materializing
-// the transform. AffineRowsSpan is the body behind AffineRows. Both are
-// bit-identical across tiers on arbitrary 64-bit lane values.
-type shoup64Kernels interface {
-	SpanKernels[uint64]
-	BlockedSpanKernels[uint64]
-	MACFinal2Span(accA, accB, lo, hi, wA, preA, wB, preB []uint64)
-	AffineRowsSpan(dst []uint64, c0 uint64, rows [][]uint64, w, pre []uint64)
+// The vector tiers: at AVX2 or AVX-512 every span below hands its
+// full-vector prefix (4 or 8 lanes, vecLen) to its tier's assembly body
+// (kernels64_{avx2,avx512}_amd64.s) and finishes the tail with its own
+// scalar loop, as the Barrett128 spans do. Every lane computes the words
+// the scalar loop computes: the relaxed bodies run the same adds, the same
+// Shoup quotient and the same wrapping arithmetic mod 2^64, and the
+// canonical spans (CTSpanLast, CTSpanLastBlk, MulPreNormSpan) run the
+// relaxed body plus normSpan, which commutes elementwise with the fused
+// scalar form. The blocked bodies take the whole span: blk is a power of
+// two >= 8, so it always fills whole vectors.
+
+// vecLen is the full-vector prefix of an n-element span that r hands to
+// its tier's assembly bodies: n rounded down to 8 lanes at AVX-512, to 4
+// at AVX2, and 0 at the scalar tier.
+func (r Shoup64) vecLen(n int) int {
+	switch r.tier {
+	case TierAVX512:
+		n &^= 7
+	case TierAVX2:
+		n &^= 3
+	default:
+		n = 0
+	}
+	// Never negative; saying so lets the compiler prove the scalar loops'
+	// indexes in bounds, which it cannot see through the switch.
+	return max(n, 0)
+}
+
+// normSpan lands the deferred normalization on a vector prefix v (a whole
+// number of vectors at r's vector tier): v[i] -= q where v[i] >= q, for
+// v in [0, 2q).
+func (r Shoup64) normSpan(v []uint64) {
+	if r.tier == TierAVX512 {
+		normSpanAVX512(r.M.Q, &v[0], len(v))
+	} else {
+		normSpanAVX2(r.M.Q, &v[0], len(v))
+	}
+}
+
+// Barrett shift amounts for the MulSpan bodies, hoisted per call (they
+// depend only on the modulus bit length nb): t1 = lo>>s1 | hi<<s2, qhat =
+// l2>>s3 | h2<<s4 — exactly modmath.Barrett64Reduce's splits.
+func barrettShifts(nb uint) (s1, s2, s3, s4 uint64) {
+	return uint64(nb - 1), uint64(65 - nb), uint64(nb + 1), uint64(63 - nb)
 }
 
 // CTSpan: one non-final forward stage, relaxed in, relaxed out.
@@ -55,7 +81,14 @@ func (r Shoup64) CTSpan(out, lo, hi, w []uint64, pre []uint64) {
 	n := len(w)
 	lo, hi, pre = lo[:n], hi[:n], pre[:n]
 	out = out[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	switch {
+	case i > 0 && r.tier == TierAVX512:
+		ctSpanAVX512(q, &out[0], &lo[0], &hi[0], &w[0], &pre[0], i)
+	case i > 0:
+		ctSpanAVX2(q, &out[0], &lo[0], &hi[0], &w[0], &pre[0], i)
+	}
+	for ; i < n; i++ {
 		a, b := lo[i], hi[i]
 		s := a + b
 		if s >= twoQ {
@@ -76,7 +109,12 @@ func (r Shoup64) CTSpanLast(out, lo, hi, w []uint64, pre []uint64) {
 	n := len(w)
 	lo, hi, pre = lo[:n], hi[:n], pre[:n]
 	out = out[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		r.CTSpan(out[:2*i], lo[:i], hi[:i], w[:i], pre[:i])
+		r.normSpan(out[:2*i])
+	}
+	for ; i < n; i++ {
 		a, b := lo[i], hi[i]
 		s := a + b // < 4q
 		if s >= twoQ {
@@ -103,7 +141,14 @@ func (r Shoup64) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 	n := len(w)
 	oLo, oHi, pre = oLo[:n], oHi[:n], pre[:n]
 	in = in[:2*n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	switch {
+	case i > 0 && r.tier == TierAVX512:
+		gsSpanAVX512(q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], i)
+	case i > 0:
+		gsSpanAVX2(q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], i)
+	}
+	for ; i < n; i++ {
 		e, o := in[2*i], in[2*i+1]
 		qhat, _ := bits.Mul64(o, pre[i])
 		t := o*w[i] - qhat*q // ∈ [0, 2q)
@@ -126,6 +171,14 @@ func (r Shoup64) GSSpan(oLo, oHi, in, w []uint64, pre []uint64) {
 // add/sub pass.
 func (r Shoup64) CTSpanBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 	q := r.M.Q
+	switch {
+	case len(w) > 0 && r.tier == TierAVX512:
+		ctSpanBlkAVX512(q, &out[0], &lo[0], &hi[0], &w[0], &pre[0], len(w), blk)
+		return
+	case len(w) > 0 && r.tier == TierAVX2:
+		ctSpanBlkAVX2(q, &out[0], &lo[0], &hi[0], &w[0], &pre[0], len(w), blk)
+		return
+	}
 	twoQ := 2 * q
 	for b := range w {
 		base := b * blk
@@ -166,6 +219,11 @@ func (r Shoup64) CTSpanBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 // CTSpanLastBlk: the final forward stage over compact twiddles; relaxed
 // in, canonical out.
 func (r Shoup64) CTSpanLastBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
+	if len(w) > 0 && r.vecLen(blk) > 0 {
+		r.CTSpanBlk(out, lo, hi, w, pre, blk)
+		r.normSpan(out[:2*len(w)*blk])
+		return
+	}
 	q := r.M.Q
 	twoQ := 2 * q
 	for b := range w {
@@ -221,6 +279,14 @@ func (r Shoup64) CTSpanLastBlk(out, lo, hi, w []uint64, pre []uint64, blk int) {
 // in, relaxed out.
 func (r Shoup64) GSSpanBlk(oLo, oHi, in, w []uint64, pre []uint64, blk int) {
 	q := r.M.Q
+	switch {
+	case len(w) > 0 && r.tier == TierAVX512:
+		gsSpanBlkAVX512(q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], len(w), blk)
+		return
+	case len(w) > 0 && r.tier == TierAVX2:
+		gsSpanBlkAVX2(q, &oLo[0], &oHi[0], &in[0], &w[0], &pre[0], len(w), blk)
+		return
+	}
 	twoQ := 2 * q
 	for b := range w {
 		base := b * blk
@@ -270,7 +336,16 @@ func (r Shoup64) MulSpan(dst, a, b []uint64) {
 	q, mu, nb := m.Q, m.Mu, m.N
 	n := len(dst)
 	a, b = a[:n], b[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		s1, s2, s3, s4 := barrettShifts(nb)
+		if r.tier == TierAVX512 {
+			mulSpanAVX512(q, mu, &dst[0], &a[0], &b[0], i, s1, s2, s3, s4)
+		} else {
+			mulSpanAVX2(q, mu, &dst[0], &a[0], &b[0], i, s1, s2, s3, s4)
+		}
+	}
+	for ; i < n; i++ {
 		hi, lo := bits.Mul64(a[i], b[i])
 		dst[i] = modmath.Barrett64Reduce(hi, lo, q, mu, nb)
 	}
@@ -281,7 +356,14 @@ func (r Shoup64) MulPreSpan(dst, a, w []uint64, pre []uint64) {
 	q := r.M.Q
 	n := len(dst)
 	a, w, pre = a[:n], w[:n], pre[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	switch {
+	case i > 0 && r.tier == TierAVX512:
+		mulPreSpanAVX512(q, &dst[0], &a[0], &w[0], &pre[0], i)
+	case i > 0:
+		mulPreSpanAVX2(q, &dst[0], &a[0], &w[0], &pre[0], i)
+	}
+	for ; i < n; i++ {
 		qhat, _ := bits.Mul64(a[i], pre[i])
 		dst[i] = a[i]*w[i] - qhat*q
 	}
@@ -293,7 +375,12 @@ func (r Shoup64) MulPreNormSpan(dst, a, w []uint64, pre []uint64) {
 	q := r.M.Q
 	n := len(dst)
 	a, w, pre = a[:n], w[:n], pre[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	if i > 0 {
+		r.MulPreSpan(dst[:i], a[:i], w[:i], pre[:i])
+		r.normSpan(dst[:i])
+	}
+	for ; i < n; i++ {
 		qhat, _ := bits.Mul64(a[i], pre[i])
 		t := a[i]*w[i] - qhat*q
 		if t >= q {
@@ -310,7 +397,14 @@ func (r Shoup64) ScalarMulSpan(dst, a []uint64, w uint64, pre uint64) {
 	q := r.M.Q
 	n := len(dst)
 	a = a[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	switch {
+	case i > 0 && r.tier == TierAVX512:
+		scalarMulSpanAVX512(q, &dst[0], &a[0], i, w, pre)
+	case i > 0:
+		scalarMulSpanAVX2(q, &dst[0], &a[0], i, w, pre)
+	}
+	for ; i < n; i++ {
 		qhat, _ := bits.Mul64(a[i], pre)
 		t := a[i]*w - qhat*q
 		if t >= q {
@@ -325,7 +419,14 @@ func (r Shoup64) ScaleAddSpan(dst, a []uint64, m []uint64, w uint64, pre uint64)
 	q := r.M.Q
 	n := len(dst)
 	a, m = a[:n], m[:n]
-	for i := 0; i < n; i++ {
+	i := r.vecLen(n)
+	switch {
+	case i > 0 && r.tier == TierAVX512:
+		scaleAddSpanAVX512(q, &dst[0], &a[0], &m[0], i, w, pre)
+	case i > 0:
+		scaleAddSpanAVX2(q, &dst[0], &a[0], &m[0], i, w, pre)
+	}
+	for ; i < n; i++ {
 		qhat, _ := bits.Mul64(m[i], pre)
 		t := m[i]*w - qhat*q
 		if t >= q {

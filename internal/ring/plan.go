@@ -48,18 +48,13 @@ type Plan[T any, R Ring[T]] struct {
 	// mulFrames pools PolyMulNegacyclicInto's dispatch frames.
 	mulFrames scratch.Pool[mulFrame[T, R]]
 
-	// kern is the span-kernel set every operation runs, bound once at
-	// plan build: the ring hands over the kernel set of its resolved tier
-	// (selectKernels).
+	// kern is R bound once at plan build as the span-kernel set every
+	// operation runs; its spans run the tier R was built with.
 	kern SpanKernels[T]
 
 	// blk is the blocked-kernel extension of kern, asserted from the same
 	// value (nil when the kernels don't provide the compact-table spans).
 	blk BlockedSpanKernels[T]
-
-	// tier is the span-kernel implementation the plan dispatches to: the
-	// scalar Go loops or a vector tier, resolved by selectKernels.
-	tier KernelTier
 }
 
 // blockedMinBlk is the smallest twiddle-run length the plan stores
@@ -107,13 +102,12 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 		NInv:     r.Inv(r.FromUint64(uint64(n))),
 		Psi:      psi,
 	}
-	// The kernel seam, resolved once here, before the tables it shapes:
-	// the ring hands over its tier's kernel set and says whether that set
-	// reads a Precompute word per twiddle. The blocked extension rides
-	// along when the set has one.
-	kern, tier, withPre := r.selectKernels()
-	p.kern, p.tier = kern, tier
-	p.blk, _ = kern.(BlockedSpanKernels[T])
+	// Bind the ring before building the tables it shapes: the blocked
+	// extension decides compact stages, and the ring says whether its
+	// spans read a Precompute word per twiddle.
+	p.kern = r
+	p.blk, _ = p.kern.(BlockedSpanKernels[T])
+	_, withPre := r.kernelTier()
 	p.buildTables(withPre)
 	p.scratch.New = func() *scratchPair[T] {
 		return &scratchPair[T]{a: make([]T, n), b: make([]T, n)}
@@ -129,7 +123,10 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 // KernelTier names the span-kernel implementation the plan dispatches to:
 // "scalar", "avx2" or "avx512". Benchmark reports record it so measured
 // trajectories stay attributable across hosts.
-func (p *Plan[T, R]) KernelTier() string { return p.tier.String() }
+func (p *Plan[T, R]) KernelTier() string {
+	t, _ := p.R.kernelTier()
+	return t.String()
+}
 
 // newTable wraps the twiddles ws, each entry covering blk butterflies,
 // with their Precompute words when withPre.

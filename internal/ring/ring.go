@@ -13,9 +13,10 @@
 // goroutines, also from inside an RNS tower range.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
-// Shoup spans for single-word rings, Barrett spans for double-word rings)
-// plus the element arithmetic and number-theoretic setup table building
-// needs. Plan[T, R] does everything else, and stores each twiddle table
+// Shoup spans for single-word rings, Barrett spans for double-word rings),
+// each at the kernel tier the ring value was built with, plus the
+// element arithmetic and number-theoretic setup table building needs.
+// Plan[T, R] does everything else, and stores each twiddle table
 // once, in the form its kernels read: one table per stage and direction,
 // compact (one entry per run of equal twiddles) where the kernels have
 // blocked spans, dense elsewhere, with Shoup words only on Shoup64
@@ -55,12 +56,10 @@ type Ring[T any] interface {
 	// n is a power of two dividing q-1.
 	PrimitiveRootOfUnity(n uint64) (T, error)
 
-	// selectKernels is the plan's one kernel-selection seam, called once
-	// at plan build: it resolves the ring's tier request against the
-	// environment knob, the CPU's ceiling and the ring's own limits, and
-	// returns the span-kernel set of that tier, the tier, and whether the
-	// set reads a Precompute word beside every table twiddle.
-	selectKernels() (kern SpanKernels[T], tier KernelTier, withPre bool)
+	// kernelTier reports the tier r's spans run (resolved when r was
+	// built) and whether they read a Precompute word beside every table
+	// twiddle.
+	kernelTier() (tier KernelTier, withPre bool)
 }
 
 // Fingerprint keys the process-wide plan cache: the modulus words plus a
@@ -77,25 +76,29 @@ type Fingerprint struct {
 type Barrett128 struct {
 	M *modmath.Modulus128
 
-	// tier requests a span-kernel implementation level; the zero value
-	// (TierAuto) resolves to the best the host supports. Unlike Shoup64,
-	// the span methods themselves dispatch on it (see vecLen), so a
-	// Barrett128 runs its tier with or without a plan.
+	// tier is the kernel tier r's spans run, resolved by
+	// NewBarrett128Tier: TierAVX512 or TierScalar (see vecLen).
 	tier KernelTier
 }
 
 // NewBarrett128 wraps a 128-bit Barrett modulus as a Ring. Its span
 // kernels run the best supported tier: the AVX-512 bodies for moduli of
 // 65 to 124 bits on a capable host, the scalar Go loops otherwise.
-func NewBarrett128(m *modmath.Modulus128) Barrett128 { return Barrett128{M: m} }
+func NewBarrett128(m *modmath.Modulus128) Barrett128 { return NewBarrett128Tier(m, TierAuto) }
 
-// NewBarrett128Tier wraps a 128-bit modulus with an explicit kernel-tier
-// request, clamped to what the host CPU supports. Forcing TierScalar pins
-// the scalar Go loops (the differential ground truth); there is no AVX2
-// Barrett128 body, so TierAVX2 also runs them.
+// NewBarrett128Tier wraps a 128-bit modulus with a kernel-tier request,
+// resolved once here (see resolveKernelTier). The AVX-512 bodies serve
+// moduli of 65 to 124 bits; any other modulus, and an AVX2 request (there
+// is no AVX2 Barrett128 body), runs the scalar Go loops. Forcing
+// TierScalar pins them as the differential ground truth.
 func NewBarrett128Tier(m *modmath.Modulus128, tier KernelTier) Barrett128 {
-	return Barrett128{M: m, tier: tier}
+	if m.N <= 64 || resolveKernelTier(tier) != TierAVX512 {
+		return Barrett128{M: m, tier: TierScalar}
+	}
+	return Barrett128{M: m, tier: TierAVX512}
 }
+
+func (r Barrett128) kernelTier() (KernelTier, bool) { return r.tier, false }
 
 func (r Barrett128) Neg(a u128.U128) u128.U128    { return r.M.Neg(a) }
 func (r Barrett128) Mul(a, b u128.U128) u128.U128 { return r.M.Mul(a, b) }
@@ -115,24 +118,25 @@ func (r Barrett128) PrimitiveRootOfUnity(n uint64) (u128.U128, error) {
 type Shoup64 struct {
 	M *modmath.Modulus64
 
-	// tier requests a span-kernel implementation level; the zero value
-	// (TierAuto) resolves to the best the host supports at plan build.
-	// See selectKernels (kernels64_simd_*.go) and resolveKernelTier.
+	// tier is the kernel tier r's spans run, resolved by NewShoup64Tier:
+	// TierScalar, TierAVX2 or TierAVX512 (see vecLen).
 	tier KernelTier
 }
 
-// NewShoup64 wraps a 64-bit modulus as a Ring. Plans built over it pick
-// the best supported kernel tier (scalar, AVX2 or AVX-512) automatically.
-func NewShoup64(m *modmath.Modulus64) Shoup64 { return Shoup64{M: m} }
+// NewShoup64 wraps a 64-bit modulus as a Ring whose span kernels run the
+// best supported tier (scalar, AVX2 or AVX-512).
+func NewShoup64(m *modmath.Modulus64) Shoup64 { return NewShoup64Tier(m, TierAuto) }
 
-// NewShoup64Tier wraps a 64-bit modulus with an explicit kernel-tier
-// request, clamped at plan build to what the host CPU supports. Forcing
-// TierScalar pins the fused scalar Go kernels (the differential ground
-// truth); tests and CI use this to push every tier through the same
-// gates.
+// NewShoup64Tier wraps a 64-bit modulus with a kernel-tier request,
+// resolved once here (see resolveKernelTier). Forcing TierScalar pins the
+// fused scalar Go kernels (the differential ground truth); tests and CI
+// use this to push every tier through the same gates.
 func NewShoup64Tier(m *modmath.Modulus64, tier KernelTier) Shoup64 {
-	return Shoup64{M: m, tier: tier}
+	return Shoup64{M: m, tier: resolveKernelTier(tier)}
 }
+
+// Every Shoup64 tier reads a Shoup word beside each twiddle.
+func (r Shoup64) kernelTier() (KernelTier, bool) { return r.tier, true }
 
 func (r Shoup64) Neg(a uint64) uint64    { return r.M.Neg(a) }
 func (r Shoup64) Mul(a, b uint64) uint64 { return r.M.Mul(a, b) }

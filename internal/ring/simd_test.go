@@ -21,14 +21,13 @@ import (
 // contract): its scalar tail is a data-dependent subtract loop whose
 // 2-iteration Barrett bound needs in-range products.
 
-// simdTiers returns the vector kernel sets the host can run, keyed by
-// tier name.
-func simdTiers(t testing.TB, m *modmath.Modulus64) map[string]shoup64SIMD {
-	r := NewShoup64(m)
-	tiers := make(map[string]shoup64SIMD)
+// simdTiers returns the rings at each vector tier the host can run, keyed
+// by tier name.
+func simdTiers(t testing.TB, m *modmath.Modulus64) map[string]Shoup64 {
+	tiers := make(map[string]Shoup64)
 	for _, tier := range []KernelTier{TierAVX2, TierAVX512} {
 		if DetectKernelTier() >= tier {
-			tiers[tier.String()] = shoup64SIMD{r, tier == TierAVX512}
+			tiers[tier.String()] = NewShoup64Tier(m, tier)
 		}
 	}
 	if len(tiers) == 0 {
@@ -41,7 +40,7 @@ var simdSpanLens = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 64, 100}
 
 func TestSIMDSpanBitIdentity(t *testing.T) {
 	m := simdMod(t)
-	scalar := NewShoup64(m)
+	scalar := NewShoup64Tier(m, TierScalar)
 	q := m.Q
 	for tier, vec := range simdTiers(t, m) {
 		t.Run(tier, func(t *testing.T) {
@@ -179,7 +178,7 @@ func TestSIMDAffineRowsBitIdentity(t *testing.T) {
 
 func TestSIMDBlockedBitIdentity(t *testing.T) {
 	m := simdMod(t)
-	scalar := NewShoup64(m)
+	scalar := NewShoup64Tier(m, TierScalar)
 	q := m.Q
 	for tier, vec := range simdTiers(t, m) {
 		t.Run(tier, func(t *testing.T) {
@@ -221,47 +220,16 @@ func TestSIMDBlockedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestKernelTierSelection pins plan-build tier selection: a plan forced
-// to a tier holds exactly that tier's kernel set, for both its span and
-// blocked kernels. Bit identity alone cannot catch a mix-up, since every
-// tier computes the same bits: a plan forced to avx2 that ran the
-// AVX-512 bodies would pass every differential test.
+// TestKernelTierSelection pins tier resolution for both rings: a plan
+// over a ring built at a requested tier holds that ring at the tier the
+// request clamps to, as both its span and its blocked kernels. Bit
+// identity alone cannot catch a mix-up, since every tier computes the
+// same bits: a ring forced to avx2 that ran the AVX-512 bodies would pass
+// every differential test. Barrett128 runs avx512 for moduli of 65 to 124
+// bits; an avx2 request and any modulus below 2^64 run (and report)
+// scalar, and a Barrett128 plan has no blocked kernels.
 func TestKernelTierSelection(t *testing.T) {
 	m := simdMod(t)
-	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
-		if DetectKernelTier() < tier {
-			continue
-		}
-		p, err := NewPlan[uint64, Shoup64](NewShoup64Tier(m, tier), 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.KernelTier(); got != tier.String() {
-			t.Errorf("%s: KernelTier() = %s", tier, got)
-		}
-		switch k := p.kern.(type) {
-		case Shoup64:
-			if tier != TierScalar {
-				t.Errorf("%s: plan holds the scalar kernels", tier)
-			}
-		case shoup64SIMD:
-			if tier == TierScalar || k.wide != (tier == TierAVX512) {
-				t.Errorf("%s: plan holds shoup64SIMD{wide: %v}", tier, k.wide)
-			}
-		default:
-			t.Errorf("%s: plan holds kernels of type %T", tier, k)
-		}
-		if any(p.blk) != any(p.kern) {
-			t.Errorf("%s: blocked kernels %#v differ from span kernels %#v", tier, p.blk, p.kern)
-		}
-	}
-	checkBarrett128TierSelection(t)
-}
-
-// checkBarrett128TierSelection: a Barrett128 plan is its own kernel set,
-// bound at its resolved tier. avx512 serves moduli of 65 to 124 bits;
-// an avx2 request and any modulus below 2^64 run (and report) scalar.
-func checkBarrett128TierSelection(t *testing.T) {
 	q62, err := modmath.FindNTTPrime128(62, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -271,23 +239,34 @@ func checkBarrett128TierSelection(t *testing.T) {
 		if DetectKernelTier() < tier {
 			continue
 		}
+		p := MustPlan[uint64](NewShoup64Tier(m, tier), 16)
+		checkPlanRing(t, p, Shoup64{M: m, tier: tier}, tier)
+		if any(p.blk) != any(p.kern) {
+			t.Errorf("Shoup64 %s: blocked kernels %#v differ from span kernels %#v", tier, p.blk, p.kern)
+		}
 		for _, m := range []*modmath.Modulus128{wide, narrow} {
 			want := TierScalar
 			if tier == TierAVX512 && m == wide {
 				want = TierAVX512
 			}
 			p := MustPlan[u128.U128](NewBarrett128Tier(m, tier), 16)
-			if got := p.KernelTier(); got != want.String() {
-				t.Errorf("Barrett128 %s, %d-bit modulus: KernelTier() = %s, want %s", tier, m.N, got, want)
-			}
-			k, ok := p.kern.(Barrett128)
-			if !ok || k.tier != want || (k.vecLen(8) == 8) != (want == TierAVX512) {
-				t.Errorf("Barrett128 %s, %d-bit modulus: plan holds %#v, want a Barrett128 at %s", tier, m.N, p.kern, want)
-			}
+			checkPlanRing(t, p, Barrett128{M: m, tier: want}, want)
 			if p.blk != nil {
 				t.Errorf("Barrett128 %s: plan has blocked kernels %#v", tier, p.blk)
 			}
 		}
+	}
+}
+
+// checkPlanRing checks that p's kernels are the ring want and that p
+// reports tier.
+func checkPlanRing[T any, R Ring[T]](t *testing.T, p *Plan[T, R], want R, tier KernelTier) {
+	t.Helper()
+	if got := p.KernelTier(); got != tier.String() {
+		t.Errorf("%T: KernelTier() = %s, want %s", want, got, tier)
+	}
+	if any(p.kern) != any(want) {
+		t.Errorf("plan holds kernels %#v, want %#v", p.kern, want)
 	}
 }
 
@@ -337,14 +316,15 @@ func TestSIMDPlanDifferential(t *testing.T) {
 
 // FuzzSIMDSpans drives the hot asm kernels against the scalar kernels
 // with fuzzer-chosen lane values planted at the span head, where both
-// the vector body and (for short n) the scalar tail see them.
+// the vector body and (for short n) the scalar tail see them, and as
+// the fused MAC's starting accumulators.
 func FuzzSIMDSpans(f *testing.F) {
 	m := simdMod(f)
 	q := m.Q
 	f.Add(int64(1), uint64(0), uint64(0), uint(8))
 	f.Add(int64(2), q, 2*q-1, uint(12))
 	f.Add(int64(3), ^uint64(0), uint64(1)<<63, uint(5))
-	scalar := NewShoup64(m)
+	scalar := NewShoup64Tier(m, TierScalar)
 	tiers := simdTiers(f, m)
 	f.Fuzz(func(t *testing.T, seed int64, x, y uint64, nRaw uint) {
 		n := int(nRaw%32) + 1
@@ -359,9 +339,15 @@ func FuzzSIMDSpans(f *testing.F) {
 		fillBoundary(rng, in, q)
 		fillTwiddles(rng, m, w, pre)
 		lo[0], hi[0], in[0], in[n] = x, y, y, x
+		wA, preA := make([]uint64, 2*n), make([]uint64, 2*n)
+		wB, preB := make([]uint64, 2*n), make([]uint64, 2*n)
+		fillTwiddles(rng, m, wA, preA)
+		fillTwiddles(rng, m, wB, preB)
 		outS, outV := make([]uint64, 2*n), make([]uint64, 2*n)
 		loS, loV := make([]uint64, n), make([]uint64, n)
 		hiS, hiV := make([]uint64, n), make([]uint64, n)
+		accAS, accBS := make([]uint64, 2*n), make([]uint64, 2*n)
+		accAV, accBV := make([]uint64, 2*n), make([]uint64, 2*n)
 		for tier, vec := range tiers {
 			scalar.CTSpan(outS, lo, hi, w, pre)
 			vec.CTSpan(outV, lo, hi, w, pre)
@@ -380,6 +366,16 @@ func FuzzSIMDSpans(f *testing.F) {
 			affineRowsSpanScalar(q, outS[:n], x%q, rows, w, pre, 0)
 			vec.AffineRowsSpan(outV[:n], x%q, rows, w[:len(rows)], pre[:len(rows)])
 			diffU64(t, tier+" AffineRowsSpan", outV[:n], outS[:n])
+
+			for i := range accAS {
+				accAS[i], accBS[i] = x, y
+			}
+			copy(accAV, accAS)
+			copy(accBV, accBS)
+			scalar.MACFinal2Span(accAS, accBS, lo, hi, wA, preA, wB, preB)
+			vec.MACFinal2Span(accAV, accBV, lo, hi, wA, preA, wB, preB)
+			diffU64(t, tier+" MACFinal2Span accA", accAV, accAS)
+			diffU64(t, tier+" MACFinal2Span accB", accBV, accBS)
 		}
 	})
 }

@@ -41,7 +41,7 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 	if err := c.NegacyclicNTTAll(dst, a, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MulAll(dst, a, b, 1); err != nil {
+	if err := c.MulAll(dst, a, b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 		t.Errorf("NegacyclicINTTAll allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if err := c.MulAll(dst, a, b, 1); err != nil {
+		if err := c.MulAll(dst, a, b); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -81,20 +81,18 @@ func TestPolyHotPathsDoNotAllocate(t *testing.T) {
 
 // TestTowerDispatchWidth2DoesNotAllocate holds the tower-parallel
 // dispatch to the same bar: at width 2 every per-tower call runs through
-// one pooled ring.Fanout frame, so with the pools warm MulAll, both
-// transforms and the resident rescale allocate nothing.
+// one pooled ring.Fanout frame, so with the pools warm both transforms
+// and the resident rescale allocate nothing.
 func TestTowerDispatchWidth2DoesNotAllocate(t *testing.T) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	const workers = 2
 	f := convFix(t)
-	a, b, dst := f.q.NewPoly(), f.q.NewPoly(), f.q.NewPoly()
+	a, dst := f.q.NewPoly(), f.q.NewPoly()
 	fillResidues(a, f.q.Mods, 4244, 0)
-	fillResidues(b, f.q.Mods, 4245, 0)
 	dstSub := f.sub.NewPoly()
 	for name, call := range map[string]func() error{
-		"MulAll":            func() error { return f.q.MulAll(dst, a, b, workers) },
 		"NegacyclicNTTAll":  func() error { return f.q.NegacyclicNTTAll(dst, a, workers) },
 		"NegacyclicINTTAll": func() error { return f.q.NegacyclicINTTAll(dst, a, workers) },
 		"RescaleNTTInto":    func() error { return f.rs.RescaleNTTInto(dstSub, a, workers) },

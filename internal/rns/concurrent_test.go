@@ -5,13 +5,12 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentCallsShareNoScratch runs every pooled entry point of one
-// shared fixture — the tower dispatch (MulAll, RescaleNTTInto), the
+// shared fixture — MulAll, the tower dispatch (RescaleNTTInto), the
 // big-integer DecomposeInto/ReconstructInto and the four converters — from
 // several goroutines at once, each call checked against a sequential run.
 // Under -race a pooled frame or row used past its Put, or kept in a field
@@ -33,7 +32,7 @@ func TestConcurrentCallsShareNoScratch(t *testing.T) {
 		rec                                                []*big.Int
 	}
 	run := func(workers int, out *results) error {
-		if err := q.MulAll(out.mul, a, b, workers); err != nil {
+		if err := q.MulAll(out.mul, a, b); err != nil {
 			return err
 		}
 		if err := f.conv.ConvertInto(out.conv, a); err != nil {
@@ -93,44 +92,5 @@ func TestConcurrentCallsShareNoScratch(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// splitContext is a five-tower context at 16384 points, the size from
-// which ring splits each 64-bit tower's product across two goroutines.
-func splitContext(t *testing.T) *Context {
-	t.Helper()
-	c, err := NewContext(59, 5, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestMulAllWidthsAreBitIdentical runs MulAll at widths 2, 3 and 5 at
-// GOMAXPROCS 2 and 4, where every tower's product dispatches again from
-// inside its tower range, against width 1 at GOMAXPROCS 1, where nothing
-// fans out: the products must carry the same bits.
-func TestMulAllWidthsAreBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := splitContext(t)
-	a, b := c.NewPoly(), c.NewPoly()
-	fillResidues(a, c.Mods, 71, 0)
-	fillResidues(b, c.Mods, 72, 0)
-	want := c.NewPoly()
-	if err := c.MulAll(want, a, b, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{2, 3, 5} {
-			got := c.NewPoly()
-			if err := c.MulAll(got, a, b, workers); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("GOMAXPROCS %d, width %d: MulAll differs from width 1", procs, workers)
-			}
-		}
 	}
 }

@@ -49,10 +49,10 @@ func TestCrossWidthNegacyclicOracle(t *testing.T) {
 			bBig[i] = new(big.Int).SetUint64(bw[i])
 		}
 
-		// RNS side: decompose, tower-parallel negacyclic multiply,
+		// RNS side: decompose, tower-wise negacyclic multiply,
 		// CRT-recombine, and lift to the exact signed integer product.
 		prod := c.NewPoly()
-		if err := c.MulAll(prod, decompose(t, c, aBig), decompose(t, c, bBig), 0); err != nil {
+		if err := c.MulAll(prod, decompose(t, c, aBig), decompose(t, c, bBig)); err != nil {
 			t.Fatal(err)
 		}
 		rec := reconstruct(t, c, prod)

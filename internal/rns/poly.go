@@ -134,11 +134,11 @@ func (c *Context) ReconstructInto(dst []*big.Int, p Poly) error {
 
 // towerOp is one tower dispatch: step runs tower i on the operands.
 type towerOp struct {
-	step      func(t *towerOp, i int)
-	c         *Context
-	r         *Rescaler
-	sc        *convScratch
-	dst, a, b Poly
+	step   func(t *towerOp, i int)
+	c      *Context
+	r      *Rescaler
+	sc     *convScratch
+	dst, a Poly
 }
 
 // towerCall is the pooled frame of one tower dispatch.
@@ -156,21 +156,17 @@ func (t *towerCall) RunRange(start, end int) {
 	}
 }
 
-// runTowers is the tower dispatch of MulAll, NegacyclicNTTAll,
-// NegacyclicINTTAll and Rescaler.RescaleNTTInto: op.step runs for every
-// tower of op.c on at most workers goroutines (0 means GOMAXPROCS, 1 runs
-// every tower on the caller), through one pooled frame whose ring.Fanout
-// allocates nothing at any width.
+// runTowers is the tower dispatch of NegacyclicNTTAll, NegacyclicINTTAll
+// and Rescaler.RescaleNTTInto: op.step runs for every tower of op.c on at
+// most workers goroutines (0 means GOMAXPROCS, 1 runs every tower on the
+// caller), through one pooled frame whose ring.Fanout allocates nothing
+// at any width.
 func runTowers(workers int, op towerOp) {
 	t := towerCalls.Get()
 	t.towerOp = op
 	t.fan.Run(op.c.Channels(), workers, t)
 	t.towerOp = towerOp{}
 	towerCalls.Put(t)
-}
-
-func mulTower(t *towerOp, i int) {
-	t.c.Plans[i].Generic().PolyMulNegacyclicInto(t.dst.Res[i], t.a.Res[i], t.b.Res[i])
 }
 
 func forwardTower(t *towerOp, i int) {
@@ -182,13 +178,15 @@ func inverseTower(t *towerOp, i int) {
 }
 
 // MulAll computes the negacyclic product dst = a*b in Z_Q[x]/(x^n + 1),
-// every tower running its twisted-NTT convolution independently. dst may
-// alias a or b.
-func (c *Context) MulAll(dst, a, b Poly, workers int) error {
+// one tower after another, each running its twisted-NTT convolution.
+// dst may alias a or b.
+func (c *Context) MulAll(dst, a, b Poly) error {
 	if err := c.checkPoly(dst, a, b); err != nil {
 		return err
 	}
-	runTowers(workers, towerOp{step: mulTower, c: c, dst: dst, a: a, b: b})
+	for i, p := range c.Plans {
+		p.Generic().PolyMulNegacyclicInto(dst.Res[i], a.Res[i], b.Res[i])
+	}
 	return nil
 }
 

@@ -9,11 +9,11 @@
 // NewPoly holds its k tower rows in one contiguous backing array, the hot
 // conversions DecomposeInto/ReconstructInto run on precomputed Barrett limb
 // tables instead of per-coefficient big.Int arithmetic (zero steady-state
-// allocations), and the tower-parallel MulAll and
-// NegacyclicNTTAll/NegacyclicINTTAll dispatch all k towers through the
-// shared internal/ring worker pool as one batch, on a pooled ring.Fanout
-// frame that allocates nothing at any width. Every operation writes
-// into a destination Poly the caller passes.
+// allocations), NegacyclicNTTAll/NegacyclicINTTAll dispatch all k towers
+// through the shared internal/ring worker pool as one batch, on a pooled
+// ring.Fanout frame that allocates nothing at any width, and MulAll runs
+// its towers' products in turn. Every operation writes into a
+// destination Poly the caller passes.
 package rns
 
 import (

@@ -63,7 +63,7 @@ func TestRNSPolyMulMatchesBigIntSchoolbook(t *testing.T) {
 	b := randCoeffs(r, c.Q, n)
 
 	rc := c.NewPoly()
-	if err := c.MulAll(rc, decompose(t, c, a), decompose(t, c, b), 1); err != nil {
+	if err := c.MulAll(rc, decompose(t, c, a), decompose(t, c, b)); err != nil {
 		t.Fatal(err)
 	}
 	got := reconstruct(t, c, rc)
@@ -136,7 +136,7 @@ func TestContextValidation(t *testing.T) {
 	if err := c.AddInto(c.NewPoly(), Poly{}, Poly{}); err == nil {
 		t.Error("expected channel error")
 	}
-	if err := c.MulAll(c.NewPoly(), Poly{}, Poly{}, 1); err == nil {
+	if err := c.MulAll(c.NewPoly(), Poly{}, Poly{}); err == nil {
 		t.Error("expected channel error")
 	}
 }
