@@ -38,12 +38,25 @@ func TestVectorKernelPathsDoNotAllocate(t *testing.T) {
 // dispatch frame fans the forward pair and the pointwise halves out to
 // the pool, on every tier of both rings.
 func TestSplitPolyMulDoesNotAllocate(t *testing.T) {
+	checkSplitDoesNotAllocate(t, ring.PolyMulSplitMinN[uint64](), ring.PolyMulSplitMinN[u128.U128](), 93, false)
+}
+
+// TestSplitInverseDoesNotAllocate is the same gate at each ring's
+// inverse split floor, where InverseInto, NegacyclicInverseInto and the
+// product's inverse split.
+func TestSplitInverseDoesNotAllocate(t *testing.T) {
+	checkSplitDoesNotAllocate(t, ring.InverseSplitMinN[uint64](), ring.InverseSplitMinN[u128.U128](), 94, true)
+}
+
+// checkSplitDoesNotAllocate counts the product, and both inverses when
+// inverses is set, at GOMAXPROCS 2 on plans of n64 Shoup64 and n128
+// Barrett128 points, at every tier the host runs.
+func checkSplitDoesNotAllocate(t *testing.T, n64, n128 int, seed int64, inverses bool) {
 	if scratch.Race {
 		t.Skip("race instrumentation allocates")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	n64, n128 := ring.PolyMulSplitMinN[uint64](), ring.PolyMulSplitMinN[u128.U128]()
-	rng := rand.New(rand.NewSource(93))
+	rng := rand.New(rand.NewSource(seed))
 	r64 := testRing64(t, n64)
 	a, b, dst := make([]uint64, n64), make([]uint64, n64), make([]uint64, n64)
 	for i := range a {
@@ -60,12 +73,27 @@ func TestSplitPolyMulDoesNotAllocate(t *testing.T) {
 			continue
 		}
 		p64 := ring.MustPlan[uint64](ring.NewShoup64Tier(r64.M, tier), n64)
-		if got := mallocsPerRun(20, func() { p64.PolyMulNegacyclicInto(dst, a, b) }); got != 0 {
-			t.Errorf("shoup64/%s n=%d: PolyMulNegacyclicInto allocates %v per run, want 0", tier, n64, got)
-		}
 		p128 := ring.MustPlan[u128.U128](ring.NewBarrett128Tier(mod, tier), n128)
-		if got := mallocsPerRun(20, func() { p128.PolyMulNegacyclicInto(dst128, a128, b128) }); got != 0 {
-			t.Errorf("barrett128/%s n=%d: PolyMulNegacyclicInto allocates %v per run, want 0", tier, n128, got)
+		type op struct {
+			name string
+			f    func()
+		}
+		cases := []op{
+			{"shoup64/PolyMulNegacyclicInto", func() { p64.PolyMulNegacyclicInto(dst, a, b) }},
+			{"barrett128/PolyMulNegacyclicInto", func() { p128.PolyMulNegacyclicInto(dst128, a128, b128) }},
+		}
+		if inverses {
+			cases = append(cases,
+				op{"shoup64/InverseInto", func() { p64.InverseInto(dst, a) }},
+				op{"shoup64/NegacyclicInverseInto", func() { p64.NegacyclicInverseInto(dst, a) }},
+				op{"barrett128/InverseInto", func() { p128.InverseInto(dst128, a128) }},
+				op{"barrett128/NegacyclicInverseInto", func() { p128.NegacyclicInverseInto(dst128, a128) }},
+			)
+		}
+		for _, c := range cases {
+			if got := mallocsPerRun(20, c.f); got != 0 {
+				t.Errorf("%s/%s: allocates %v per run, want 0", c.name, tier, got)
+			}
 		}
 	}
 }

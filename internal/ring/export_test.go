@@ -15,3 +15,6 @@ var NTTModulus = nttModulus
 
 // PolyMulSplitMinN is polyMulSplitMinN for the external tests.
 func PolyMulSplitMinN[T any]() int { return polyMulSplitMinN[T]() }
+
+// InverseSplitMinN is inverseSplitMinN for the external tests.
+func InverseSplitMinN[T any]() int { return inverseSplitMinN[T]() }

@@ -129,6 +129,64 @@ func TestPolyMulSplitIsBitIdentical(t *testing.T) {
 	})
 }
 
+// checkInverseWidths runs InverseInto and NegacyclicInverseInto on one
+// input at GOMAXPROCS 1 (the width-1 stages on the caller), 2 and 3 (the
+// split inverse at width 2), out of place and in place: every output
+// must carry the width-1 bits.
+func checkInverseWidths[T comparable, R ring.Ring[T]](t *testing.T, r R, n int, randElem func(*rand.Rand) T) {
+	t.Helper()
+	if floor := ring.InverseSplitMinN[T](); n < floor {
+		t.Fatalf("n=%d is below the inverse split floor %d", n, floor)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := ring.MustPlan[T, R](r, n)
+	rng := rand.New(rand.NewSource(int64(n) * 41))
+	y := make([]T, n)
+	for i := range y {
+		y[i] = randElem(rng)
+	}
+	inverses := []struct {
+		name string
+		f    func(dst, y []T)
+	}{{"InverseInto", p.InverseInto}, {"NegacyclicInverseInto", p.NegacyclicInverseInto}}
+	for _, inv := range inverses {
+		var want []T
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			got := make([]T, n)
+			inv.f(got, y)
+			inPlace := append([]T(nil), y...)
+			inv.f(inPlace, inPlace)
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if got[i] != want[i] || inPlace[i] != want[i] {
+					t.Fatalf("%s n=%d GOMAXPROCS %d, coeff %d: %v, in place %v, want %v", inv.name, n, procs, i, got[i], inPlace[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestInverseSplitIsBitIdentical pins the split inverse to the
+// sequential one on both rings, at each ring's inverse split floor and
+// at twice it.
+func TestInverseSplitIsBitIdentical(t *testing.T) {
+	n64 := ring.InverseSplitMinN[uint64]()
+	mod64 := testPrime64(t, uint64(4*n64))
+	mod128 := modmath.DefaultModulus128()
+	n128 := ring.InverseSplitMinN[u128.U128]()
+	for _, k := range []int{1, 2} {
+		checkInverseWidths(t, ring.NewShoup64(mod64), k*n64, func(r *rand.Rand) uint64 {
+			return r.Uint64() % mod64.Q
+		})
+		checkInverseWidths(t, ring.NewBarrett128(mod128), k*n128, func(r *rand.Rand) u128.U128 {
+			return u128.New(r.Uint64(), r.Uint64()).Mod(mod128.Q)
+		})
+	}
+}
+
 // The split entry points join the zero-allocation contract of the other
 // *Into transforms.
 func TestNegacyclicSplitDoesNotAllocate(t *testing.T) {

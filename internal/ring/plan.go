@@ -45,7 +45,8 @@ type Plan[T any, R Ring[T]] struct {
 	// allocate nothing; a pair is valid only until it is Put back.
 	scratch scratch.Pool[scratchPair[T]]
 
-	// mulFrames pools PolyMulNegacyclicInto's dispatch frames.
+	// mulFrames pools the dispatch frames of the product and the split
+	// inverse.
 	mulFrames scratch.Pool[mulFrame[T, R]]
 
 	// kern is R bound once at plan build as the span-kernel set every
@@ -70,6 +71,15 @@ type table[T any] struct {
 	w   []T
 	pre []uint64
 	blk int
+}
+
+// span returns entries [lo, hi) of the table and of its Precompute words
+// (nil when it carries none).
+func (t table[T]) span(lo, hi int) ([]T, []uint64) {
+	if t.pre == nil {
+		return t.w[lo:hi], nil
+	}
+	return t.w[lo:hi], t.pre[lo:hi]
 }
 
 // scratchPair is one ping-pong buffer pair, pooled per plan.
@@ -223,75 +233,57 @@ func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 }
 
 // InverseInto computes the inverse NTT of y (bit-reversed order) into dst
-// (natural order). The 1/N scale lands in one ScalarMulSpan pass after
-// the stages, as NegacyclicInverseInto lands it in the untwist, and that
-// pass also lands the deferred normalization. dst may alias y. Steady-state it
-// allocates nothing.
+// (natural order). The 1/N scale lands in a ScalarMulSpan pass over the
+// last stage's output, as NegacyclicInverseInto lands it in the untwist,
+// and that pass also lands the deferred normalization. From
+// inverseSplitMinN points up it runs on min(2, GOMAXPROCS) goroutines
+// (see inverse). dst may alias y. Steady-state it allocates nothing.
 func (p *Plan[T, R]) InverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
-	sc := p.scratch.Get()
-	p.inverseStages(dst, y, sc)
-	p.kern.ScalarMulSpan(dst, dst, p.NInv, p.R.Precompute(p.NInv))
-	p.scratch.Put(sc)
+	p.inverseInto(dst, y, landScale)
 }
 
 // PolyMulNegacyclicInto computes dst = a*b in Z_q[x]/(x^n + 1) via the
 // twisted NTT. dst may alias a or b. Steady-state it allocates nothing.
 //
 // From polyMulSplitMinN points up (4096 for Barrett128, 16384 for
-// Shoup64) it runs on min(2, GOMAXPROCS)
-// goroutines: the two operands' twists and forward transforms as one
-// width-2 dispatch, then the pointwise product by coefficient halves;
-// the inverse transform and the untwist run on the caller. Every span
-// covers the same data either way, so the output is bit-identical at
-// any width. The dispatches may nest inside a pool range (an RNS tower
-// step); with no worker free they run inline.
+// Shoup64) it runs on min(2, GOMAXPROCS) goroutines: the two operands'
+// twists and forward transforms as one width-2 dispatch, then the
+// pointwise product by coefficient halves. From inverseSplitMinN points
+// up (4096 for Barrett128, 65536 for Shoup64) the inverse transform
+// splits too (see inverse), and its last stage's ranges land the
+// untwist on their halves, so no full pass stays on the caller. Every
+// span covers the same data either way, so the output is bit-identical
+// at any width. The dispatches may nest inside a pool range (an RNS
+// tower step); with no worker free they run inline.
 func (p *Plan[T, R]) PolyMulNegacyclicInto(dst, a, b []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(a))
 	p.checkLen(len(b))
-	width := 1
-	if p.N >= polyMulSplitMinN[T]() {
-		width = min(2, runtime.GOMAXPROCS(0))
-	}
-	m := p.mulFrames.Get()
-	m.dst, m.a, m.b = dst, a, b
-	m.poly = p.scratch.Get()
-	m.ping[0] = p.scratch.Get()
-	m.ping[1] = m.ping[0]
-	if width > 1 {
-		m.ping[1] = p.scratch.Get() // each forward transform its own pair
-	}
+	width, invWidth := p.splitWidth(polyMulSplitMinN[T]()), p.splitWidth(inverseSplitMinN[T]())
+	m := p.frame(max(width, invWidth))
+	m.a, m.b = a, b
 	m.step = mulForward
 	m.fan.Run(2, width, m)
 	m.step = mulPointwise
 	m.fan.Run(p.N, width, m)
-	at := m.poly.a
-	p.inverseStages(at, at, m.ping[0])
-	p.kern.MulPreNormSpan(dst, at, p.untwist.w, p.untwist.pre) // psi^-j * N^-1
-	if width > 1 {
-		p.scratch.Put(m.ping[1])
-	}
-	p.scratch.Put(m.ping[0])
-	p.scratch.Put(m.poly)
-	// Drop the references, not the Fanout: a stale pool job may still
-	// read its claim word.
-	m.dst, m.a, m.b, m.poly, m.ping = nil, nil, nil, nil, [2]*scratchPair[T]{}
-	p.mulFrames.Put(m)
+	m.inverse(dst, m.poly.a, invWidth, landUntwist)
+	p.release(m)
 }
 
 // polyMulSplitWork sets the smallest product that runs on two
 // goroutines, in points times the element's squared width in 64-bit
 // words (a double-word product is four single-word ones). A width-2
 // dispatch costs ≈ 15 µs over its body (BenchmarkFanoutBalanced, 2-vCPU
-// AVX-512 host) and the product makes two, so the split pays once half
-// the product is several dispatches long. Measured there, a Barrett128
-// product gains from 1024 points, and a Shoup64 product reads mixed at
-// 4096, slower at 8192 and faster from 16384: the floor is 4096 points for
-// Barrett128, which keeps the tests' small products sequential and
-// splits every 128-bit product the benchmark times, and 16384 for
-// Shoup64, above every tower product the benchmark times.
+// AVX-512 host) and the forward pair and the pointwise product make
+// two, so the split pays once half the product is several dispatches
+// long. Measured there, a Barrett128 product gains from 1024 points,
+// and a Shoup64 product reads mixed at 4096, slower at 8192 and faster
+// from 16384: the floor is 4096 points for Barrett128, which keeps the
+// tests' small products sequential and splits every 128-bit product the
+// benchmark times, and 16384 for Shoup64, above every tower product the
+// benchmark times. The inverse has floors of its own, inverseSplitMinN.
 const polyMulSplitWork = 1 << 14
 
 // polyMulSplitMinN is the smallest product size over elements of T that
@@ -301,29 +293,85 @@ func polyMulSplitMinN[T any]() int {
 	return polyMulSplitWork / (w * w)
 }
 
-// mulStep names the part of a product a mulFrame's ranges run.
+// splitWidth is the width an operation whose split floor is minN points
+// runs at on this plan: min(2, GOMAXPROCS) from the floor up, 1 below.
+func (p *Plan[T, R]) splitWidth(minN int) int {
+	if p.N < minN {
+		return 1
+	}
+	return min(2, runtime.GOMAXPROCS(0))
+}
+
+// mulStep names the part of a transform a mulFrame's ranges run.
 type mulStep int
 
 const (
 	mulForward   mulStep = iota // range r: twist and forward-transform operand r
 	mulPointwise                // a coefficient range of the pointwise product
+	invHalf                     // range r: the split inverse's phase 1 for label r
+	invStage                    // a butterfly range of inverse stage s (phase 2)
 )
 
-// mulFrame is the pooled dispatch frame of one PolyMulNegacyclicInto and
-// the Ranger its dispatches run: poly holds the twisted operands, ping[r]
-// operand r's transform ping-pong buffers (one pair at width 1). The
-// twist may leave residues relaxed (the stage loops accept them), the
-// transforms hand back canonical values for the pointwise product, the
-// unscaled inverse stays relaxed, and the untwist lands the deferred
-// normalization with 1/N. It holds no data of its own, so it has no
-// poison.
+// landing names the pass that lands an inverse transform's 1/N and its
+// deferred normalization.
+type landing int
+
+const (
+	landScale   landing = iota // InverseInto: dst[j] = x[j]·N^-1
+	landUntwist                // negacyclic: dst[j] = x[j]·psi^-j·N^-1
+)
+
+// mulFrame is the pooled dispatch frame of one product or split inverse
+// and the Ranger its dispatches run: poly holds the twisted operands
+// (the product) and the split inverse's phase-1 output and phase-2
+// ping-pong buffers, ping[r] range r's ping-pong pair (operand r's
+// forward transform, label r's half of the inverse's phase 1; one pair
+// shared by both ranges at width 1). The twist may leave residues
+// relaxed (the stage loops accept them), the transforms hand back
+// canonical values for the pointwise product, the unscaled inverse
+// stays relaxed, and the landing pass lands the deferred normalization
+// with 1/N. It holds no data of its own, so it has no poison.
 type mulFrame[T any, R Ring[T]] struct {
-	fan       Fanout
-	p         *Plan[T, R]
-	step      mulStep
-	dst, a, b []T
-	poly      *scratchPair[T]
-	ping      [2]*scratchPair[T]
+	fan  Fanout
+	p    *Plan[T, R]
+	step mulStep
+	a, b []T
+	poly *scratchPair[T]
+	ping [2]*scratchPair[T]
+
+	// The split inverse's state: y its input, land its landing pass, s
+	// the phase-2 stage the next invStage dispatch runs from src into
+	// out.
+	y, src, out []T
+	s           int
+	land        landing
+}
+
+// frame checks out a dispatch frame with poly and ping[0], and a second
+// ping-pong pair when width > 1.
+func (p *Plan[T, R]) frame(width int) *mulFrame[T, R] {
+	m := p.mulFrames.Get()
+	m.poly = p.scratch.Get()
+	m.ping[0] = p.scratch.Get()
+	m.ping[1] = m.ping[0]
+	if width > 1 {
+		m.ping[1] = p.scratch.Get()
+	}
+	return m
+}
+
+// release returns m's scratch and m itself to their pools.
+func (p *Plan[T, R]) release(m *mulFrame[T, R]) {
+	if m.ping[1] != m.ping[0] {
+		p.scratch.Put(m.ping[1])
+	}
+	p.scratch.Put(m.ping[0])
+	p.scratch.Put(m.poly)
+	// Drop the references, not the Fanout: a stale pool job may still
+	// read its claim word.
+	m.a, m.b, m.y, m.src, m.out = nil, nil, nil, nil, nil
+	m.poly, m.ping = nil, [2]*scratchPair[T]{}
+	p.mulFrames.Put(m)
 }
 
 func (m *mulFrame[T, R]) RunRange(start, end int) {
@@ -341,6 +389,17 @@ func (m *mulFrame[T, R]) RunRange(start, end int) {
 		}
 	case mulPointwise:
 		k.MulSpan(at[start:end], at[start:end], bt[start:end])
+	case invHalf:
+		for r := start; r < end; r++ {
+			m.inverseHalf(r)
+		}
+	case invStage:
+		p.gsRun(m.out, m.src, p.invTw[m.s], start, end)
+		if m.s == 0 {
+			half := p.N >> 1
+			p.landRun(m.out, start, end, m.land)
+			p.landRun(m.out, half+start, half+end, m.land)
+		}
 	}
 }
 
@@ -364,15 +423,28 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 // the 1/N scale riding the untwist table exactly as in
 // PolyMulNegacyclicInto, so NegacyclicForwardInto on two operands, a
 // pointwise product, and this call compose to the same bits as the fused
-// path. dst may alias y. Steady-state it allocates nothing.
+// path. From inverseSplitMinN points up it runs on min(2, GOMAXPROCS)
+// goroutines (see inverse). dst may alias y. Steady-state it allocates
+// nothing.
 func (p *Plan[T, R]) NegacyclicInverseInto(dst, y []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(y))
-	sc := p.scratch.Get()
-	p.inverseStages(dst, y, sc)
-	// psi^-j * N^-1, landing the deferred normalization.
-	p.kern.MulPreNormSpan(dst, dst, p.untwist.w, p.untwist.pre)
-	p.scratch.Put(sc)
+	p.inverseInto(dst, y, landUntwist)
+}
+
+// inverseInto runs the inverse of y into dst with landing land, at the
+// plan's inverse width.
+func (p *Plan[T, R]) inverseInto(dst, y []T, land landing) {
+	width := p.splitWidth(inverseSplitMinN[T]())
+	if width == 1 {
+		sc := p.scratch.Get()
+		p.inverseStages(dst, y, sc, land)
+		p.scratch.Put(sc)
+		return
+	}
+	m := p.frame(width)
+	m.inverse(dst, y, width, land)
+	p.release(m)
 }
 
 // PointwiseMulInto computes the coefficient-wise product dst[i] = a[i]·b[i]
@@ -451,14 +523,14 @@ func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
 	}
 }
 
-// inverseStages runs the unscaled inverse dataflow (stages M-1 down to
-// 0). Every stage, the last included, may leave residues in the kernels'
-// relaxed domain: the caller's next pass lands 1/N and the deferred
-// normalization together (InverseInto's scalar pass, the negacyclic
-// untwist).
-func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T]) {
-	kern := p.kern
-	half := p.N >> 1
+// inverseStages is the width-1 inverse: the dataflow's stages M-1 down
+// to 0 on the caller, then one landing pass over dst. Every stage, the
+// last included, may leave residues in the kernels' relaxed domain: the
+// landing pass lands 1/N and the deferred normalization together. Stage
+// s reads in[2i], in[2i+1] and writes out[i], out[i+N/2] for each
+// butterfly i; inverse says why its upper stages split into two
+// independent halves.
+func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], land landing) {
 	src := y
 	k := 0 // execution index: stage s runs as the k-th pass
 	for s := p.M - 1; s >= 0; s-- {
@@ -468,16 +540,143 @@ func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T]) {
 		} else if k&1 == 1 {
 			out = sc.b
 		}
-		tw := p.invTw[s]
-		in := src[:p.N]
-		oLo := out[:half]
-		oHi := out[half:p.N]
-		if tw.blk > 1 {
-			p.blk.GSSpanBlk(oLo, oHi, in, tw.w, tw.pre, tw.blk)
-		} else {
-			kern.GSSpan(oLo, oHi, in, tw.w, tw.pre)
-		}
+		p.gsRun(out, src, p.invTw[s], 0, p.N>>1)
 		src = out
 		k++
+	}
+	p.landRun(dst, 0, p.N, land)
+}
+
+// The split inverse's floors, the smallest inverse transform that runs
+// on two goroutines, one per element width. The split makes
+// inverseSplitStage+1 width-2 dispatches at ≈ 15 µs each over their
+// bodies, so it pays once a stage is long. Measured on the 2-vCPU
+// AVX-512 host at S = 7 (the split's time over the sequential one in
+// the same process, medians of three to eight runs per size):
+// Barrett128 1.1–1.3 at 2048 points, 0.86–0.98 at 4096, 0.75 at 8192
+// and ≈ 0.65 at 16384; Shoup64, whose butterflies cost about a quarter
+// as much, 1.3 at 16384, 1.00 at 32768 and 0.89 at 65536. Each floor is
+// the first size that gained.
+const (
+	inverseSplitMin128 = 1 << 12
+	inverseSplitMin64  = 1 << 16
+)
+
+// inverseSplitMinN is the smallest inverse transform over elements of T
+// that runs on two goroutines.
+func inverseSplitMinN[T any]() int {
+	if unsafe.Sizeof(*new(T)) == 8 {
+		return inverseSplitMin64
+	}
+	return inverseSplitMin128
+}
+
+// inverseSplitStage is S, the lowest stage of the split inverse's phase
+// 1. Phase 1 runs label r's butterflies in runs of 2^(s-1), which cost
+// more per butterfly the shorter they are; phase 2 costs one dispatch
+// per stage. Measured on the 2-vCPU host, S from 4 to 9 moved a
+// 16384-point Barrett128 inverse or product by less than the run-to-run
+// spread, and S = 6–8 was fastest for Shoup64 at 32768 points. S >= 4
+// keeps every run a whole number of vector blocks (GSSpanBlk takes runs
+// of 8 or more), and both floors exceed 2^(S+1) points, so phase 1 has
+// a stage to run.
+const inverseSplitStage = 7
+
+// inverse computes dst = land(unscaled INTT(y)) at width. At width 1 it
+// is inverseStages on the caller. At width 2 it runs in two phases,
+// splitting the Pease stages by sub-transform.
+//
+// Stage 0 combines the half-size inverse transforms E (the even
+// positions of its input) and O (the odd ones). Working back from there,
+// butterfly i of stage s >= 1 belongs to the sub-transform named by bit
+// s-1 of i, its label: it reads positions whose bit s equals the label
+// and writes positions whose bit s-1 does (i and i+N/2 agree below bit
+// M-1). So above stage 0 the two labels never read each other's
+// outputs.
+//
+// Phase 1 is one width-2 dispatch: range r runs stages M-1 down to
+// inverseSplitStage over label r's butterflies only, runs of 2^(s-1) at
+// stage s, ping-ponging in its own pair ping[r] (the ranges cannot share
+// one: a range may run stages ahead of the other, and each stage's
+// labelled positions differ), and its last stage writes its positions
+// into poly.b, which neither range reads in phase 1. Phase 2 runs the
+// stages below as one dispatch each, split into butterfly halves,
+// ping-ponging between poly.b and poly.a (y is read only by phase 1,
+// so poly.a may be y); the last stage's ranges run the landing pass on
+// the coefficients they just wrote. Every butterfly runs on the same inputs
+// with the same twiddles as at width 1, so the bits are the same.
+func (m *mulFrame[T, R]) inverse(dst, y []T, width int, land landing) {
+	p := m.p
+	if width == 1 {
+		p.inverseStages(dst, y, m.ping[0], land)
+		return
+	}
+	m.y, m.land = y, land
+	m.step = invHalf
+	m.fan.Run(2, width, m)
+	m.step = invStage
+	m.src = m.poly.b
+	for k, s := 0, inverseSplitStage-1; s >= 0; k, s = k+1, s-1 {
+		switch {
+		case s == 0:
+			m.out = dst
+		case k&1 == 0:
+			m.out = m.poly.a
+		default:
+			m.out = m.poly.b
+		}
+		m.s = s
+		m.fan.Run(p.N>>1, width, m)
+		m.src = m.out
+	}
+}
+
+// inverseHalf runs phase 1 of the split inverse for label r: stages M-1
+// down to inverseSplitStage, butterflies whose bit s-1 is r.
+func (m *mulFrame[T, R]) inverseHalf(r int) {
+	p, sc := m.p, m.ping[r]
+	half := p.N >> 1
+	src := m.y
+	for k, s := 0, p.M-1; s >= inverseSplitStage; k, s = k+1, s-1 {
+		out := sc.a
+		if s == inverseSplitStage {
+			out = m.poly.b
+		} else if k&1 == 1 {
+			out = sc.b
+		}
+		tw := p.invTw[s]
+		run := 1 << (s - 1)
+		for i := r * run; i < half; i += 2 * run {
+			p.gsRun(out, src, tw, i, i+run)
+		}
+		src = out
+	}
+}
+
+// gsRun runs butterflies [lo, hi) of the inverse stage whose table is
+// tw, from src into out. On a compact table the run either spans whole
+// blocks or lies inside one.
+func (p *Plan[T, R]) gsRun(out, src []T, tw table[T], lo, hi int) {
+	half := p.N >> 1
+	oLo, oHi, in := out[lo:hi], out[half+lo:half+hi], src[2*lo:2*hi]
+	if tw.blk == 1 {
+		w, pre := tw.span(lo, hi)
+		p.kern.GSSpan(oLo, oHi, in, w, pre)
+		return
+	}
+	blk := min(tw.blk, hi-lo)
+	w, pre := tw.span(lo/tw.blk, lo/tw.blk+(hi-lo)/blk)
+	p.blk.GSSpanBlk(oLo, oHi, in, w, pre, blk)
+}
+
+// landRun lands an inverse transform's 1/N and deferred normalization on
+// x[lo:hi] in place.
+func (p *Plan[T, R]) landRun(x []T, lo, hi int, land landing) {
+	switch land {
+	case landScale:
+		p.kern.ScalarMulSpan(x[lo:hi], x[lo:hi], p.NInv, p.R.Precompute(p.NInv))
+	case landUntwist:
+		w, pre := p.untwist.span(lo, hi)
+		p.kern.MulPreNormSpan(x[lo:hi], x[lo:hi], w, pre)
 	}
 }

@@ -10,7 +10,8 @@
 // whichever goroutine is free, so a range may dispatch again: a large
 // negacyclic product (4096 points for Barrett128, 16384 for Shoup64)
 // splits its forward transforms and pointwise product across two
-// goroutines, also from inside an RNS tower range.
+// goroutines, also from inside an RNS tower range, and a large inverse
+// (4096 points for Barrett128, 65536 for Shoup64) splits its stages.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings),
