@@ -30,24 +30,6 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 	}
 }
 
-func TestIntoRoundTrip(t *testing.T) {
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(52))
-	for _, n := range []int{2, 8, 32, 128, 1024} {
-		p := mustPlan(t, mod, n)
-		x := randPoly(r, mod, n)
-		f := make([]u128.U128, n)
-		back := make([]u128.U128, n)
-		p.ForwardInto(f, x)
-		p.InverseInto(back, f)
-		for i := range x {
-			if !back[i].Equal(x[i]) {
-				t.Fatalf("n=%d: round trip failed at %d: got %s want %s", n, i, back[i], x[i])
-			}
-		}
-	}
-}
-
 // TestIntoInPlaceAliasing checks that dst may alias the input for every
 // Into API.
 func TestIntoInPlaceAliasing(t *testing.T) {
@@ -233,7 +215,8 @@ func TestBatchMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	for i := range inputs {
 		wantF[i] = forward(p, inputs[i])
 	}
-	for _, workers := range []int{0, 1, 3, runtime.GOMAXPROCS(0)} {
+	// workers = 16 asks for more ranges than a small host has Ps.
+	for _, workers := range []int{0, 1, 3, 16, runtime.GOMAXPROCS(0)} {
 		gotF := ring.AllocBatch[u128.U128](n, batch)
 		p.BatchForwardInto(gotF, inputs, workers)
 		for i := range wantF {

@@ -58,24 +58,6 @@ func polyMul[T any](p intoPlan[T], a, b []T) []T {
 	return out
 }
 
-// TestForwardNativeMatchesReference checks the native (non-VM) forward
-// transform against the O(n^2) definition.
-func TestForwardNativeMatchesReference(t *testing.T) {
-	mod := testMod(t)
-	r := rand.New(rand.NewSource(41))
-	for _, n := range []int{2, 4, 8, 16, 64, 256} {
-		p := mustPlan(t, mod, n)
-		x := randPoly(r, mod, n)
-		got := forward(p, x)
-		want := Reference(mod, p.Omega, x)
-		for i := 0; i < n; i++ {
-			if !got[i].Equal(want[bitReverse(i, p.M)]) {
-				t.Fatalf("n=%d: output %d = %s, want %s", n, i, got[i], want[bitReverse(i, p.M)])
-			}
-		}
-	}
-}
-
 func TestPolyMulNegacyclicMatchesSchoolbook(t *testing.T) {
 	mod := testMod(t)
 	r := rand.New(rand.NewSource(43))

@@ -5,17 +5,13 @@
 // substrate of Sections 1 and 8).
 //
 // Both run on the generic engine in internal/ring, which implements the
-// Pease constant-geometry stage loops, pooled ping-pong scratch,
+// Pease constant-geometry stage loop, pooled ping-pong scratch,
 // negacyclic twist/untwist, the 1/N landing pass after the inverse
 // stages, the process-wide plan cache, and the Fanout batch worker pool
-// exactly once. From ring's split floors the transforms run on min(2,
-// GOMAXPROCS) goroutines, nested safely inside any other dispatch: the
-// negacyclic product (4096 points for 128-bit elements, 16384 for
-// 64-bit) its two forward transforms and its pointwise product, and
-// every inverse transform (4096 points for 128-bit elements, 65536 for
-// 64-bit; InverseInto, NegacyclicInverseInto and the product's inverse)
-// its upper stages as two independent half-transforms and its lower
-// ones by butterfly halves, landing 1/N or the untwist on each half.
+// exactly once. Large products and inverse transforms run on min(2,
+// GOMAXPROCS) goroutines, nested safely inside any other dispatch;
+// internal/ring/plan.go describes the schedule and its split floors
+// (PolyMulNegacyclicInto, mulFrame.inverse).
 // This package adds the width-specific pieces:
 //   - Plan (plan.go): the 128-bit engine plan itself, ring.Plan over
 //     Barrett128 — callers transform through its ForwardInto,

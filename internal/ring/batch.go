@@ -219,7 +219,7 @@ func (p *Plan[T, R]) BatchForwardInto(dst, inputs [][]T, workers int) {
 	f.Run(len(inputs), workers, rangeFunc(func(start, end int) {
 		sc := p.scratch.Get()
 		for i := start; i < end; i++ {
-			p.forwardStages(dst[i], inputs[i], sc)
+			p.stages(dst[i], inputs[i], sc, dirFwd, 0, p.M, allLabels)
 		}
 		p.scratch.Put(sc)
 	}))

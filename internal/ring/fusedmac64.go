@@ -37,29 +37,28 @@ func NegacyclicForwardMAC2(p *Plan[uint64, Shoup64], accA, accB, x, wA, preA, wB
 	p.checkLen(len(wB))
 	p.checkLen(len(preB))
 	sc := p.scratch.Get()
-	ping := p.scratch.Get()
-	work := sc.a[:p.N]
 
-	// Twist, exactly as NegacyclicForwardInto: relaxed outputs feed the
-	// stage loops directly.
-	p.kern.MulPreSpan(work, x, p.twist.w, p.twist.pre)
+	// Twist, exactly as NegacyclicForwardInto, into sc.b: relaxed
+	// outputs feed the stage loop directly.
+	p.kern.MulPreSpan(sc.b, x, p.twist.w, p.twist.pre)
 
-	// Stages 0..M-2 through the normal dispatch (scalar or vector tier),
-	// leaving relaxed residues in sc.b. The partial transform cannot run
-	// in place: when only one stage remains it would read and write the
-	// same spans (full transforms tolerate dst==x only because their
-	// stage 0 always writes scratch). For M == 1 this is a no-op and the
-	// twisted input is the final stage's source.
-	src := work
+	// Stages 0..M-2 through the plan's stage loop (scalar or vector
+	// tier), leaving relaxed residues. Its passes write a, b, a, … from
+	// the twist in b, and the last one, pass M-2, lands in the buffer the
+	// pass before it (or the twist) did not write: a when M-2 is even, b
+	// when it is odd. So no pass runs in place. For M == 1 there is no
+	// pass and the twist is the final stage's source.
+	src := sc.b
 	if m := p.M - 1; m > 0 {
-		p.forwardStagesN(sc.b, work, ping, m)
-		src = sc.b[:p.N]
+		if m&1 == 1 {
+			src = sc.a
+		}
+		p.stages(src, sc.b, sc, dirFwd, 0, m, allLabels)
 	}
 
 	// Fused final stage on the plan's kernel tier.
 	half := p.N >> 1
 	p.R.MACFinal2Span(accA, accB, src[:half], src[half:p.N], wA, preA, wB, preB)
-	p.scratch.Put(ping)
 	p.scratch.Put(sc)
 }
 

@@ -14,11 +14,14 @@ import (
 // transform-and-accumulate against the unfused reference — a full
 // NegacyclicForwardInto followed by two separate lazy MAC passes — at
 // every kernel tier the host can run. Bit identity of the raw 64-bit
-// accumulators, not just congruence.
+// accumulators, not just congruence. The sizes leave an odd number M-1
+// of partial forward passes (4, 16, 64, 4096) and an even one (8, 32,
+// 2048), so the partial forward lands in both buffers of its pair, and
+// none at n = 2.
 func TestNegacyclicForwardMAC2BitIdentity(t *testing.T) {
 	m := simdMod(t)
 	q := m.Q
-	for _, n := range []int{2, 4, 16, 64, 4096} {
+	for _, n := range []int{2, 4, 8, 16, 32, 64, 2048, 4096} {
 		for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
 			if tier != TierScalar && DetectKernelTier() < tier {
 				continue

@@ -2,7 +2,7 @@ package ring
 
 // SpanKernels is the fused-kernel half of Ring[T]: the whole-span loops
 // every Plan operation runs, at the kernel tier the ring was built with.
-// A Plan binds its ring exactly once at build time; the stage loops, the twist/pointwise/untwist passes, the elementwise entry
+// A Plan binds its ring exactly once at build time; the stage loop, the twist/pointwise/untwist passes, the elementwise entry
 // points and (through them) the batch path then dispatch one interface
 // call per span.
 //

@@ -33,7 +33,7 @@ type Plan[T any, R Ring[T]] struct {
 	// its twiddle across each contiguous 2^s-run of butterflies, so when
 	// the kernels have blocked spans and 2^s >= blockedMinBlk the table is
 	// compact (N/2^(s+1) entries, blk = 2^s); otherwise it is dense (N/2
-	// entries, blk = 1). The stage loops dispatch on blk.
+	// entries, blk = 1). stageRun dispatches on blk.
 	fwdTw []table[T]
 	invTw []table[T]
 
@@ -228,7 +228,7 @@ func (p *Plan[T, R]) ForwardInto(dst, x []T) {
 	p.checkLen(len(dst))
 	p.checkLen(len(x))
 	sc := p.scratch.Get()
-	p.forwardStages(dst, x, sc)
+	p.stages(dst, x, sc, dirFwd, 0, p.M, allLabels)
 	p.scratch.Put(sc)
 }
 
@@ -327,7 +327,7 @@ const (
 // ping-pong buffers, ping[r] range r's ping-pong pair (operand r's
 // forward transform, label r's half of the inverse's phase 1; one pair
 // shared by both ranges at width 1). The twist may leave residues
-// relaxed (the stage loops accept them), the transforms hand back
+// relaxed (the stage loop accepts them), the transforms hand back
 // canonical values for the pointwise product, the unscaled inverse
 // stays relaxed, and the landing pass lands the deferred normalization
 // with 1/N. It holds no data of its own, so it has no poison.
@@ -385,16 +385,16 @@ func (m *mulFrame[T, R]) RunRange(start, end int) {
 				src, t = m.b, bt
 			}
 			k.MulPreSpan(t, src, p.twist.w, p.twist.pre)
-			p.forwardStages(t, t, m.ping[r])
+			p.stages(t, t, m.ping[r], dirFwd, 0, p.M, allLabels)
 		}
 	case mulPointwise:
 		k.MulSpan(at[start:end], at[start:end], bt[start:end])
 	case invHalf:
 		for r := start; r < end; r++ {
-			m.inverseHalf(r)
+			p.stages(m.poly.b, m.y, m.ping[r], dirInv, p.M-1, p.M-inverseSplitStage, r)
 		}
 	case invStage:
-		p.gsRun(m.out, m.src, p.invTw[m.s], start, end)
+		p.stageRun(m.out, m.src, dirInv, m.s, start, end)
 		if m.s == 0 {
 			half := p.N >> 1
 			p.landRun(m.out, start, end, m.land)
@@ -415,7 +415,7 @@ func (p *Plan[T, R]) NegacyclicForwardInto(dst, a []T) {
 	p.checkLen(len(a))
 	sc := p.scratch.Get()
 	p.kern.MulPreSpan(dst, a, p.twist.w, p.twist.pre)
-	p.forwardStages(dst, dst, sc)
+	p.stages(dst, dst, sc, dirFwd, 0, p.M, allLabels)
 	p.scratch.Put(sc)
 }
 
@@ -438,7 +438,8 @@ func (p *Plan[T, R]) inverseInto(dst, y []T, land landing) {
 	width := p.splitWidth(inverseSplitMinN[T]())
 	if width == 1 {
 		sc := p.scratch.Get()
-		p.inverseStages(dst, y, sc, land)
+		p.stages(dst, y, sc, dirInv, p.M-1, p.M, allLabels)
+		p.landRun(dst, 0, p.N, land)
 		p.scratch.Put(sc)
 		return
 	}
@@ -478,73 +479,95 @@ func (p *Plan[T, R]) ScaleAddInto(dst, a []T, m []uint64, w T) {
 	p.kern.ScaleAddSpan(dst, a, m, w, p.R.Precompute(w))
 }
 
-// forwardStages runs the constant-geometry forward dataflow: stage 0
-// reads x, intermediate stages ping-pong between the scratch buffers, and
-// the final stage writes dst. Safe for dst aliasing x because x is only
-// read by stage 0 (and the single-stage N=2 case reads both inputs before
-// writing). Intermediate stages may carry residues in the kernels'
-// relaxed domain; the final stage (CTSpanLast) is canonical.
-func (p *Plan[T, R]) forwardStages(dst, x []T, sc *scratchPair[T]) {
-	p.forwardStagesN(dst, x, sc, p.M)
-}
+// dir names a transform direction: the forward dataflow runs its stages
+// ascending through CT butterflies, the inverse descending through GS
+// ones.
+type dir int
 
-// forwardStagesN runs the first m of the M forward stages, writing pass
-// m-1 to dst. With m == p.M this is the full transform (canonical
-// outputs via the final-stage kernels); with m < p.M the outputs stay in
-// the kernel's relaxed domain and a fused consumer (the relinearization
-// MAC) owns the remaining stages. m == 0 is a no-op: callers pass the
-// prepared input as dst.
-func (p *Plan[T, R]) forwardStagesN(dst, x []T, sc *scratchPair[T], m int) {
-	k := p.kern
+const (
+	dirFwd dir = iota
+	dirInv
+)
+
+// allLabels is the label of a pass over every butterfly of its stage.
+const allLabels = -1
+
+// stages is the sequential stage loop of both directions: passes passes
+// from stage first, s ascending forward and descending inverse, from src
+// into dst. With label allLabels a pass covers every butterfly of its
+// stage; with label r it covers only r's runs, 2^(s-1) butterflies from
+// r·2^(s-1), every 2^s (inverse says why those runs are independent).
+// Pass k writes pair.a when k is even and pair.b when it is odd, and the
+// last pass writes dst. dst may alias src when passes > 1, since only
+// pass 0 reads src, and at N = 2, whose one butterfly reads both inputs
+// before writing. Every stage may leave residues in the kernels' relaxed
+// domain except the last forward stage, which is canonical.
+func (p *Plan[T, R]) stages(dst, src []T, pair *scratchPair[T], d dir, first, passes, label int) {
 	half := p.N >> 1
-	src := x
-	for s := 0; s < m; s++ {
-		out := sc.a
-		if s == m-1 {
-			out = dst
-		} else if s&1 == 1 {
-			out = sc.b
+	for k := range passes {
+		s := first + k
+		if d == dirInv {
+			s = first - k
 		}
-		tw := p.fwdTw[s]
-		lo := src[:half]
-		hi := src[half:p.N]
-		o := out[:p.N]
-		switch {
-		case tw.blk > 1 && s == p.M-1:
-			p.blk.CTSpanLastBlk(o, lo, hi, tw.w, tw.pre, tw.blk)
-		case tw.blk > 1:
-			p.blk.CTSpanBlk(o, lo, hi, tw.w, tw.pre, tw.blk)
-		case s == p.M-1:
-			k.CTSpanLast(o, lo, hi, tw.w, tw.pre)
-		default:
-			k.CTSpan(o, lo, hi, tw.w, tw.pre)
+		lo, run, step := 0, half, half
+		if label != allLabels {
+			run = 1 << (s - 1)
+			lo, step = label*run, 2*run
+		}
+		out := pair.pass(k, passes, dst)
+		for i := lo; i < half; i += step {
+			p.stageRun(out, src, d, s, i, i+run)
 		}
 		src = out
 	}
 }
 
-// inverseStages is the width-1 inverse: the dataflow's stages M-1 down
-// to 0 on the caller, then one landing pass over dst. Every stage, the
-// last included, may leave residues in the kernels' relaxed domain: the
-// landing pass lands 1/N and the deferred normalization together. Stage
-// s reads in[2i], in[2i+1] and writes out[i], out[i+N/2] for each
-// butterfly i; inverse says why its upper stages split into two
-// independent halves.
-func (p *Plan[T, R]) inverseStages(dst, y []T, sc *scratchPair[T], land landing) {
-	src := y
-	k := 0 // execution index: stage s runs as the k-th pass
-	for s := p.M - 1; s >= 0; s-- {
-		out := sc.a
-		if k == p.M-1 {
-			out = dst
-		} else if k&1 == 1 {
-			out = sc.b
-		}
-		p.gsRun(out, src, p.invTw[s], 0, p.N>>1)
-		src = out
-		k++
+// pass returns the buffer pass k of passes writes: dst for the last pass,
+// a for an even one and b for an odd one.
+func (sc *scratchPair[T]) pass(k, passes int, dst []T) []T {
+	switch {
+	case k == passes-1:
+		return dst
+	case k&1 == 0:
+		return sc.a
+	default:
+		return sc.b
 	}
-	p.landRun(dst, 0, p.N, land)
+}
+
+// stageRun runs butterflies [lo, hi) of stage s in direction d from src
+// into out: CT butterflies read src[i], src[i+N/2] and write out[2i],
+// out[2i+1], GS butterflies read src[2i], src[2i+1] and write out[i],
+// out[i+N/2]. It picks the span kernel: dense or blocked by the stage
+// table, and the canonical final-stage form on forward stage M-1. On a
+// compact table the range either spans whole blocks or lies inside one.
+func (p *Plan[T, R]) stageRun(out, src []T, d dir, s, lo, hi int) {
+	tw, half := p.fwdTw[s], p.N>>1
+	if d == dirInv {
+		tw = p.invTw[s]
+	}
+	blk := min(tw.blk, hi-lo)
+	w, pre := tw.span(lo/tw.blk, lo/tw.blk+(hi-lo)/blk)
+	if d == dirInv {
+		oLo, oHi, in := out[lo:hi], out[half+lo:half+hi], src[2*lo:2*hi]
+		if tw.blk == 1 {
+			p.kern.GSSpan(oLo, oHi, in, w, pre)
+		} else {
+			p.blk.GSSpanBlk(oLo, oHi, in, w, pre, blk)
+		}
+		return
+	}
+	o, a, b := out[2*lo:2*hi], src[lo:hi], src[half+lo:half+hi]
+	switch last := s == p.M-1; {
+	case tw.blk == 1 && last:
+		p.kern.CTSpanLast(o, a, b, w, pre)
+	case tw.blk == 1:
+		p.kern.CTSpan(o, a, b, w, pre)
+	case last:
+		p.blk.CTSpanLastBlk(o, a, b, w, pre, blk)
+	default:
+		p.blk.CTSpanBlk(o, a, b, w, pre, blk)
+	}
 }
 
 // The split inverse's floors, the smallest inverse transform that runs
@@ -583,8 +606,9 @@ func inverseSplitMinN[T any]() int {
 const inverseSplitStage = 7
 
 // inverse computes dst = land(unscaled INTT(y)) at width. At width 1 it
-// is inverseStages on the caller. At width 2 it runs in two phases,
-// splitting the Pease stages by sub-transform.
+// runs every stage through stages on the caller, then one landing pass.
+// At width 2 it runs in two phases, splitting the Pease stages by
+// sub-transform.
 //
 // Stage 0 combines the half-size inverse transforms E (the even
 // positions of its input) and O (the odd ones). Working back from there,
@@ -595,20 +619,21 @@ const inverseSplitStage = 7
 // outputs.
 //
 // Phase 1 is one width-2 dispatch: range r runs stages M-1 down to
-// inverseSplitStage over label r's butterflies only, runs of 2^(s-1) at
-// stage s, ping-ponging in its own pair ping[r] (the ranges cannot share
-// one: a range may run stages ahead of the other, and each stage's
-// labelled positions differ), and its last stage writes its positions
-// into poly.b, which neither range reads in phase 1. Phase 2 runs the
-// stages below as one dispatch each, split into butterfly halves,
-// ping-ponging between poly.b and poly.a (y is read only by phase 1,
-// so poly.a may be y); the last stage's ranges run the landing pass on
-// the coefficients they just wrote. Every butterfly runs on the same inputs
+// inverseSplitStage through stages with label r, ping-ponging in its own
+// pair ping[r] (the ranges cannot share one: a range may run stages
+// ahead of the other, and each stage's labelled positions differ), and
+// its last stage writes its positions into poly.b, which neither range
+// reads in phase 1. Phase 2 runs the stages below as one dispatch each,
+// whose ranges are butterfly halves through stageRun, ping-ponging in
+// poly by the rule stages follows (y is read only by phase 1, so poly.a
+// may be y); the last stage's ranges run the landing pass on the
+// coefficients they just wrote. Every butterfly runs on the same inputs
 // with the same twiddles as at width 1, so the bits are the same.
 func (m *mulFrame[T, R]) inverse(dst, y []T, width int, land landing) {
 	p := m.p
 	if width == 1 {
-		p.inverseStages(dst, y, m.ping[0], land)
+		p.stages(dst, y, m.ping[0], dirInv, p.M-1, p.M, allLabels)
+		p.landRun(dst, 0, p.N, land)
 		return
 	}
 	m.y, m.land = y, land
@@ -616,57 +641,12 @@ func (m *mulFrame[T, R]) inverse(dst, y []T, width int, land landing) {
 	m.fan.Run(2, width, m)
 	m.step = invStage
 	m.src = m.poly.b
-	for k, s := 0, inverseSplitStage-1; s >= 0; k, s = k+1, s-1 {
-		switch {
-		case s == 0:
-			m.out = dst
-		case k&1 == 0:
-			m.out = m.poly.a
-		default:
-			m.out = m.poly.b
-		}
-		m.s = s
+	for k := range inverseSplitStage {
+		m.s = inverseSplitStage - 1 - k
+		m.out = m.poly.pass(k, inverseSplitStage, dst)
 		m.fan.Run(p.N>>1, width, m)
 		m.src = m.out
 	}
-}
-
-// inverseHalf runs phase 1 of the split inverse for label r: stages M-1
-// down to inverseSplitStage, butterflies whose bit s-1 is r.
-func (m *mulFrame[T, R]) inverseHalf(r int) {
-	p, sc := m.p, m.ping[r]
-	half := p.N >> 1
-	src := m.y
-	for k, s := 0, p.M-1; s >= inverseSplitStage; k, s = k+1, s-1 {
-		out := sc.a
-		if s == inverseSplitStage {
-			out = m.poly.b
-		} else if k&1 == 1 {
-			out = sc.b
-		}
-		tw := p.invTw[s]
-		run := 1 << (s - 1)
-		for i := r * run; i < half; i += 2 * run {
-			p.gsRun(out, src, tw, i, i+run)
-		}
-		src = out
-	}
-}
-
-// gsRun runs butterflies [lo, hi) of the inverse stage whose table is
-// tw, from src into out. On a compact table the run either spans whole
-// blocks or lies inside one.
-func (p *Plan[T, R]) gsRun(out, src []T, tw table[T], lo, hi int) {
-	half := p.N >> 1
-	oLo, oHi, in := out[lo:hi], out[half+lo:half+hi], src[2*lo:2*hi]
-	if tw.blk == 1 {
-		w, pre := tw.span(lo, hi)
-		p.kern.GSSpan(oLo, oHi, in, w, pre)
-		return
-	}
-	blk := min(tw.blk, hi-lo)
-	w, pre := tw.span(lo/tw.blk, lo/tw.blk+(hi-lo)/blk)
-	p.blk.GSSpanBlk(oLo, oHi, in, w, pre, blk)
 }
 
 // landRun lands an inverse transform's 1/N and deferred normalization on

@@ -2,16 +2,16 @@
 // shared by every coefficient width. The paper's central comparison —
 // double-word 128-bit residues versus conventional 64-bit RNS towers
 // (Sections 1 and 8) — previously lived as two copy-pasted NTT stacks;
-// here the Pease constant-geometry stage loops, pooled ping-pong scratch,
-// negacyclic twist/untwist, the 1/N landing pass after the inverse
-// stages, the process-wide plan cache, and the batch worker pool with its
-// one dispatch frame (Fanout) are each implemented exactly once,
-// generically over the element type. A Fanout's ranges are claimed by
-// whichever goroutine is free, so a range may dispatch again: a large
-// negacyclic product (4096 points for Barrett128, 16384 for Shoup64)
-// splits its forward transforms and pointwise product across two
-// goroutines, also from inside an RNS tower range, and a large inverse
-// (4096 points for Barrett128, 65536 for Shoup64) splits its stages.
+// here the Pease constant-geometry stage loop (one for both directions),
+// pooled ping-pong scratch, negacyclic twist/untwist, the 1/N landing
+// pass after the inverse stages, the process-wide plan cache, and the
+// batch worker pool with its one dispatch frame (Fanout) are each
+// implemented exactly once, generically over the element type. A
+// Fanout's ranges are claimed by whichever goroutine is free, so a range
+// may dispatch again: large negacyclic products and inverse transforms
+// split across two goroutines, also from inside an RNS tower range.
+// plan.go describes that schedule and its floors once, at
+// PolyMulNegacyclicInto and mulFrame.inverse.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
 // Shoup spans for single-word rings, Barrett spans for double-word rings),

@@ -97,9 +97,12 @@ func (s *Server) handleKeygen(w http.ResponseWriter, r *http.Request) {
 }
 
 // tighten narrows an already-deadlined request context when the client
-// asked for less time than the server cap.
-func tighten(ctx context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
-	if timeoutMS <= 0 {
+// asked for less time than limit, the server cap. A request for none, or
+// for the cap or more, keeps the request deadline; comparing in whole
+// milliseconds keeps a huge timeoutMS out of the Duration product, which
+// would wrap negative and fire at once.
+func tighten(ctx context.Context, timeoutMS int, limit time.Duration) (context.Context, context.CancelFunc) {
+	if timeoutMS <= 0 || int64(timeoutMS) >= limit.Milliseconds() {
 		return context.WithCancel(ctx)
 	}
 	return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
@@ -192,7 +195,7 @@ func (s *Server) doEval(ctx context.Context, req *evalRequest) (evalResponse, *a
 	if apiErr != nil {
 		return evalResponse{}, apiErr
 	}
-	evalCtx, cancel := tighten(ctx, req.TimeoutMS)
+	evalCtx, cancel := tighten(ctx, req.TimeoutMS, s.cfg.RequestTimeout)
 	defer cancel()
 	return s.applyEval(evalCtx, t, *req)
 }

@@ -418,6 +418,27 @@ func mustJSON(t *testing.T, v any) []byte {
 	return buf
 }
 
+// TestHugeTimeoutKeepsServerCap pins timeout_ms's "never more" rule at
+// the top of its range: 10^13 ms times a millisecond overflows a
+// Duration, and the request must run under the server cap, not fail at
+// once with a 504.
+func TestHugeTimeoutKeepsServerCap(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(t, ts, "/v1/keygen", map[string]string{"tenant": "a"})
+	_, enc := post(t, ts, "/v1/encrypt", map[string]any{"tenant": "a", "values": testMsg(8)})
+	h := enc["handle"].(string)
+	code, body := post(t, ts, "/v1/eval", map[string]any{
+		"tenant": "a", "op": "mul", "args": []string{h, h}, "timeout_ms": int64(10_000_000_000_000)})
+	if code != http.StatusOK {
+		t.Fatalf("mul with timeout_ms 10^13: %d %v, want 200", code, body)
+	}
+	if d := s.snapshot().Deadlines; d != 0 {
+		t.Fatalf("deadline_exceeded = %d, want 0", d)
+	}
+}
+
 // TestQueuedRequestHitsDeadline pins the 504 path for a request whose
 // deadline fires while it is still waiting for a worker.
 func TestQueuedRequestHitsDeadline(t *testing.T) {
