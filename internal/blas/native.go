@@ -35,11 +35,12 @@ func (n Native) VecPMulMod(dst, a, b []u128.U128) { n.ring().MulSpan(dst, a, b) 
 // Axpy computes y = a*x + y mod q for scalar a.
 func (n Native) Axpy(a u128.U128, x, y []u128.U128) {
 	r := n.ring()
+	aPre := r.Precompute(a)
 	var ax [axpyChunk]u128.U128
 	x = x[:len(y)]
 	for len(y) > 0 {
 		k := min(len(y), axpyChunk)
-		r.ScalarMulSpan(ax[:k], x[:k], a, 0)
+		r.ScalarMulSpan(ax[:k], x[:k], a, aPre)
 		r.AddSpan(y[:k], ax[:k], y[:k])
 		x, y = x[k:], y[k:]
 	}

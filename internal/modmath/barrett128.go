@@ -27,6 +27,10 @@ type Modulus128 struct {
 	Q  u128.U128 // the modulus
 	Mu u128.U128 // Barrett constant, floor(2^(2n)/q); fits in n+1 <= 125 bits
 	N  uint      // bit length of Q
+
+	// ShoupPrecompute's constants: 2^128 mod q, and q^-1 mod 2^128 (zero
+	// when q is even and has no inverse).
+	r128, qInv u128.U128
 }
 
 // NewModulus128 validates q and performs the Barrett precomputation.
@@ -46,7 +50,18 @@ func NewModulus128(q u128.U128) (*Modulus128, error) {
 	if muWide.Hi128() != u128.Zero {
 		return nil, fmt.Errorf("modmath: internal error: mu does not fit in 128 bits")
 	}
-	return &Modulus128{Q: q, Mu: muWide.Lo128(), N: n}, nil
+	m := &Modulus128{Q: q, Mu: muWide.Lo128(), N: n}
+	m.r128 = u128.Zero.Sub(q).Mod(q) // (2^128 - q) mod q
+	if q.Lo&1 == 1 {
+		// Newton's iteration x <- x(2 - qx) doubles the bits of q^-1 mod
+		// 2^128 that x holds; x = q holds 3 (q^2 = 1 mod 8 for odd q).
+		x := q
+		for range 6 {
+			x = x.MulLo(u128.From64(2).Sub(q.MulLo(x)))
+		}
+		m.qInv = x
+	}
+	return m, nil
 }
 
 // MustModulus128 is NewModulus128 but panics on error.
@@ -102,6 +117,19 @@ func (m *Modulus128) Mul(a, b u128.U128) u128.U128 {
 	hi, lo := MulBarrett128Words(a.Hi, a.Lo, b.Hi, b.Lo,
 		m.Q.Hi, m.Q.Lo, m.Mu.Hi, m.Mu.Lo, m.N-1, m.N+1)
 	return u128.U128{Hi: hi, Lo: lo}
+}
+
+// ShoupPrecompute returns the Shoup precomputation w' = floor(w * 2^128 / q)
+// for a fixed reduced multiplicand w, which is below 2^128. It divides
+// exactly rather than long: with r = w * 2^128 mod q = w * (2^128 mod q)
+// mod q, w' * q = w * 2^128 - r, so w' = -r * q^-1 mod 2^128 for odd q.
+// An even q takes the 256-by-128-bit division.
+func (m *Modulus128) ShoupPrecompute(w u128.U128) u128.U128 {
+	if m.qInv.IsZero() {
+		wq, _ := u256.FromU128(w).Lsh(128).DivMod128(m.Q)
+		return wq.Lo128()
+	}
+	return u128.Zero.Sub(m.Mul(w, m.r128)).MulLo(m.qInv)
 }
 
 // Pow returns base^exp mod q by square-and-multiply. base must be reduced.

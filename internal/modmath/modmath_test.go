@@ -41,6 +41,27 @@ func TestBarrettPrecomputeMatchesBig(t *testing.T) {
 	}
 }
 
+// TestShoupPrecompute128MatchesBig checks the exact-division Shoup word
+// against math/big's floor(w * 2^128 / q) at the edges and at random w,
+// on the NTT primes and on even moduli (the long-division path).
+func TestShoupPrecompute128MatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(128))
+	mods := append(testModuli(t), MustModulus128(u128.From64(6)), MustModulus128(u128.One.Lsh(100).Add64(2)))
+	for _, m := range mods {
+		ws := []u128.U128{u128.Zero, u128.One, m.Q.Sub64(1)}
+		for range 200 {
+			ws = append(ws, randReduced(r, m))
+		}
+		for _, w := range ws {
+			want := new(big.Int).Lsh(w.ToBig(), 128)
+			want.Div(want, m.Q.ToBig())
+			if got := m.ShoupPrecompute(w); got.ToBig().Cmp(want) != 0 {
+				t.Fatalf("q=%s w=%s: ShoupPrecompute = %s, want %s", m.Q, w, got, want)
+			}
+		}
+	}
+}
+
 func TestAddSubNegMatchBig(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, m := range testModuli(t) {

@@ -30,13 +30,14 @@ func TestKernelPathsDoNotAllocate(t *testing.T) {
 // place.
 func TestVectorKernelPathsDoNotAllocate(t *testing.T) {
 	checkKernelPathsDoNotAllocate(t, ring.TierAVX2, ring.TierAVX512)
-	checkBarrett128PathsDoNotAllocate(t, ring.TierAVX512)
+	checkBarrett128PathsDoNotAllocate(t, ring.TierAVX512, ring.TierAVX512IFMA)
 }
 
 // TestSplitPolyMulDoesNotAllocate holds the product at each ring's
 // split floor to the same 0 allocs/op at GOMAXPROCS 2, where its
 // dispatch frame fans the forward pair and the pointwise halves out to
-// the pool, on every tier of both rings.
+// the pool, on every tier of both rings (Shoup64 runs avx512 at the
+// avx512ifma request).
 func TestSplitPolyMulDoesNotAllocate(t *testing.T) {
 	checkSplitDoesNotAllocate(t, ring.PolyMulSplitMinN[uint64](), ring.PolyMulSplitMinN[u128.U128](), 93, false)
 }
@@ -68,7 +69,7 @@ func checkSplitDoesNotAllocate(t *testing.T, n64, n128 int, seed int64, inverses
 		a128[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
 		b128[i] = u128.New(rng.Uint64(), rng.Uint64()).Mod(mod.Q)
 	}
-	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512} {
+	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512, ring.TierAVX512IFMA} {
 		if tier != ring.TierScalar && ring.DetectKernelTier() < tier {
 			continue
 		}

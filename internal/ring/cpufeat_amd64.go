@@ -5,7 +5,8 @@ package ring
 // enabled the relevant register state via XCR0 (OSXSAVE + XGETBV), and
 // the CPUID feature leaves must advertise the instructions the assembly
 // uses. The AVX-512 tier requires F (foundation: VPMINUQ, VPERMT2Q,
-// EVEX loads) and DQ (VPMULLQ).
+// EVEX loads) and DQ (VPMULLQ); the AVX-512 IFMA tier adds IFMA
+// (VPMADD52LUQ, VPMADD52HUQ).
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -15,9 +16,10 @@ const (
 	cpuidOSXSAVE = 1 << 27
 	cpuidAVX     = 1 << 28
 	// CPUID.7.0:EBX
-	cpuidAVX2     = 1 << 5
-	cpuidAVX512F  = 1 << 16
-	cpuidAVX512DQ = 1 << 17
+	cpuidAVX2       = 1 << 5
+	cpuidAVX512F    = 1 << 16
+	cpuidAVX512DQ   = 1 << 17
+	cpuidAVX512IFMA = 1 << 21
 	// XCR0 state bits
 	xcr0SSE    = 1 << 1
 	xcr0AVX    = 1 << 2
@@ -52,10 +54,13 @@ func detectCPUTier() KernelTier {
 		return TierScalar
 	}
 	const zmmState = xcr0Opmask | xcr0ZMMHi | xcr0HiZMM
-	if ebx7&cpuidAVX512F != 0 && ebx7&cpuidAVX512DQ != 0 && xlo&zmmState == zmmState {
-		return TierAVX512
+	if ebx7&cpuidAVX512F == 0 || ebx7&cpuidAVX512DQ == 0 || xlo&zmmState != zmmState {
+		return TierAVX2
 	}
-	return TierAVX2
+	if ebx7&cpuidAVX512IFMA != 0 {
+		return TierAVX512IFMA
+	}
+	return TierAVX512
 }
 
 // CPUFeatures reports the host's vector capabilities for run reports
@@ -69,6 +74,9 @@ func CPUFeatures() []string {
 	}
 	if t >= TierAVX512 {
 		f = append(f, "avx512f", "avx512dq")
+	}
+	if t >= TierAVX512IFMA {
+		f = append(f, "avx512ifma")
 	}
 	return f
 }

@@ -1,7 +1,8 @@
 // AVX-512 span kernels for Barrett128 (8 lanes per iteration). Requires
 // AVX512F (EVEX, VPCMPUQ, VPERMI2Q/VPERMT2Q, masked adds) + AVX512DQ
-// (VPMULLQ, VPMOVQ2M); Barrett128.vecLen only hands spans over when the
-// resolved tier is avx512 and the modulus has 65 to 124 bits.
+// (VPMULLQ, VPMOVQ2M). Barrett128 runs them at the avx512 tier, and the
+// pointwise MulSpan, AddSpan and SubSpan also at avx512ifma, for moduli of
+// 65 to 124 bits.
 //
 // Every lane runs modmath.MulBarrett128Words step for step, so the result
 // is the canonical residue the scalar loop returns:
@@ -23,7 +24,8 @@
 // its high word: with q <= 2^124 every high word compared stays below
 // 2^62, so a borrow out of the 128-bit difference shows there.
 //
-// Register map (all kernels):
+// Register map (all kernels; the corrections, loads and stores are the
+// macros of kernels128_amd64.h):
 //
 //	Z0-Z12   scratch; MULMOD takes a in Z0 (hi), Z1 (lo), returns in Z0, Z1
 //	Z14-Z17  the second operand b and its high dwords (bHi, bLo, bHi>>32, bLo>>32)
@@ -33,11 +35,9 @@
 //	Z25-Z27  muHi>>32, muLo>>32, qLo>>32
 //	Z28-Z31  muHi, muLo, qHi, qLo
 //	K6, K7   even / odd dword lanes
-//
-// Rows are AoS u128 (Hi, Lo); loads deinterleave and stores interleave
-// with the VPERMI2Q/VPERMT2Q index tables of kernels64_avx512_amd64.s.
 
 #include "textflag.h"
+#include "kernels128_amd64.h"
 
 // B128SETUP loads the register file from the barrett128Consts at c:
 // qHi 0, qLo 8, muHi 16, muLo 24, nm1 32, np1 40. A VPBROADCASTD of a
@@ -112,36 +112,6 @@
 	VPCMPUQ $1, y, x, K1; \
 	VPADDQ  Z24, c, K1, c
 
-// CONDSUBQ hi:lo -= q where hi:lo >= q (hi:lo < 2^126); th, tl scratch.
-#define CONDSUBQ(hi, lo, th, tl) \
-	VPSUBQ    Z31, lo, tl;     \
-	VPCMPUQ   $1, Z31, lo, K1; \
-	VPSUBQ    Z30, hi, th;     \
-	VPSUBQ    Z24, th, K1, th; \
-	VPMOVQ2M  th, K2;          \
-	VPBLENDMQ hi, th, K2, hi;  \
-	VPBLENDMQ lo, tl, K2, lo
-
-// ADDMOD sh:sl = a + b mod q for canonical a, b (both preserved).
-#define ADDMOD(ah, al, bh, bl, sh, sl, th, tl) \
-	VPADDQ  bh, ah, sh;      \
-	VPADDQ  bl, al, sl;      \
-	VPCMPUQ $1, bl, sl, K1;  \
-	VPADDQ  Z24, sh, K1, sh; \
-	CONDSUBQ(sh, sl, th, tl)
-
-// SUBMOD dh:dl = a - b mod q for canonical a, b; dh:dl may alias ah:al.
-#define SUBMOD(ah, al, bh, bl, dh, dl) \
-	VPCMPUQ  $1, bl, al, K1;      \
-	VPSUBQ   bl, al, dl;          \
-	VPSUBQ   bh, ah, dh;          \
-	VPSUBQ   Z24, dh, K1, dh;     \
-	VPMOVQ2M dh, K2;              \
-	VPADDQ   Z31, dl, K2, dl;     \
-	VPCMPUQ  $1, Z31, dl, K2, K1; \
-	VPADDQ   Z30, dh, K2, dh;     \
-	VPADDQ   Z24, dh, K1, dh
-
 // MULMOD Z0:Z1 = (Z0:Z1) * (bHi:bLo) mod q for canonical inputs; bHiH,
 // bLoH hold b's high dwords. b is preserved; Z2-Z12, K1, K2 are clobbered.
 // Steps: t = a*b (t3:t2:t1:t0 = Z6:Z7:Z8:Z9); x = t >> (n-1) in Z0:Z1;
@@ -193,66 +163,6 @@
 	CONDSUBQ(Z0, Z1, Z2, Z3);                      \
 	CONDSUBQ(Z0, Z1, Z2, Z3)
 
-// LOAD128 deinterleaves 8 u128 rows at p into hi, lo words.
-#define LOAD128(p, hi, lo, tmp) \
-	VMOVDQU64 (p), tmp;           \
-	VMOVDQU64 ·nttDeEven(SB), hi; \
-	VPERMI2Q  64(p), tmp, hi;     \
-	VMOVDQU64 ·nttDeOdd(SB), lo;  \
-	VPERMI2Q  64(p), tmp, lo
-
-// STORE128 interleaves hi, lo words into 8 u128 rows at p.
-#define STORE128(p, hi, lo, tmp) \
-	VMOVDQU64 ·nttIlvLo(SB), tmp; \
-	VPERMI2Q  lo, hi, tmp;        \
-	VMOVDQU64 tmp, (p);           \
-	VMOVDQU64 ·nttIlvHi(SB), tmp; \
-	VPERMI2Q  lo, hi, tmp;        \
-	VMOVDQU64 tmp, 64(p)
-
-// LOADPAIRS deinterleaves 16 u128 rows at p, pairs (e_i, o_i), into
-// e = Z18:Z19 and o = Z0:Z1. The first level splits hi from lo words
-// (e_i, o_i stay adjacent), the second splits e from o. Clobbers Z2-Z7.
-#define LOADPAIRS(p) \
-	VMOVDQU64 ·nttDeEven(SB), Z2; \
-	VMOVDQU64 ·nttDeOdd(SB), Z3;  \
-	VMOVDQU64 (p), Z0;            \
-	VMOVDQU64 (p), Z1;            \
-	VPERMT2Q  64(p), Z2, Z0;      \
-	VPERMT2Q  64(p), Z3, Z1;      \
-	VMOVDQU64 128(p), Z6;         \
-	VMOVDQU64 128(p), Z7;         \
-	VPERMT2Q  192(p), Z2, Z6;     \
-	VPERMT2Q  192(p), Z3, Z7;     \
-	VMOVDQA64 Z0, Z18;            \
-	VPERMT2Q  Z6, Z2, Z18;        \
-	VPERMT2Q  Z6, Z3, Z0;         \
-	VMOVDQA64 Z1, Z19;            \
-	VPERMT2Q  Z7, Z2, Z19;        \
-	VPERMT2Q  Z7, Z3, Z1
-
-// STOREPAIRS interleaves s = Z18:Z19 and t = Z0:Z1 into 16 u128 rows at
-// p, pairs (s_i, t_i): the inverse of LOADPAIRS. Clobbers Z2-Z6, Z18, Z19.
-#define STOREPAIRS(p) \
-	VMOVDQU64 ·nttIlvLo(SB), Z2; \
-	VMOVDQU64 ·nttIlvHi(SB), Z3; \
-	VMOVDQA64 Z18, Z4;           \
-	VPERMT2Q  Z0, Z2, Z4;        \
-	VPERMT2Q  Z0, Z3, Z18;       \
-	VMOVDQA64 Z19, Z5;           \
-	VPERMT2Q  Z1, Z2, Z5;        \
-	VPERMT2Q  Z1, Z3, Z19;       \
-	VMOVDQA64 Z4, Z6;            \
-	VPERMT2Q  Z5, Z2, Z6;        \
-	VMOVDQU64 Z6, (p);           \
-	VPERMT2Q  Z5, Z3, Z4;        \
-	VMOVDQU64 Z4, 64(p);         \
-	VMOVDQA64 Z18, Z6;           \
-	VPERMT2Q  Z19, Z2, Z6;       \
-	VMOVDQU64 Z6, 128(p);        \
-	VPERMT2Q  Z19, Z3, Z18;      \
-	VMOVDQU64 Z18, 192(p)
-
 // LOADB loads 8 u128 rows at p as the second operand Z14-Z17.
 #define LOADB(p) \
 	LOAD128(p, Z14, Z15, Z2); \
@@ -266,8 +176,35 @@
 	VPBROADCASTD 4(p), Z16; \
 	VPBROADCASTD 12(p), Z17
 
+// CTSTEP runs 8 CT butterflies with b in Z14-Z17: out[2i] = lo[i] +
+// hi[i], out[2i+1] = (lo[i] - hi[i])·b, advancing SI (lo), DX (hi) and DI
+// (out).
+#define CTSTEP \
+	LOAD128(SI, Z0, Z1, Z2);                  \
+	LOAD128(DX, Z3, Z4, Z2);                  \
+	ADDMOD(Z0, Z1, Z3, Z4, Z18, Z19, Z5, Z6); \
+	SUBMOD(Z0, Z1, Z3, Z4, Z0, Z1);           \
+	MULMOD(Z14, Z15, Z16, Z17);               \
+	STOREPAIRS(DI);                           \
+	ADDQ $128, SI;                            \
+	ADDQ $128, DX;                            \
+	ADDQ $256, DI
+
+// GSSTEP runs 8 GS butterflies with b in Z14-Z17: t = in[2i+1]·b,
+// oLo[i] = in[2i] + t, oHi[i] = in[2i] - t, advancing DX (in), DI (oLo)
+// and SI (oHi).
+#define GSSTEP \
+	LOADPAIRS(DX);                           \
+	MULMOD(Z14, Z15, Z16, Z17);              \
+	ADDMOD(Z18, Z19, Z0, Z1, Z2, Z3, Z4, Z5); \
+	STORE128(DI, Z2, Z3, Z4);                \
+	SUBMOD(Z18, Z19, Z0, Z1, Z18, Z19);      \
+	STORE128(SI, Z18, Z19, Z4);              \
+	ADDQ $256, DX;                           \
+	ADDQ $128, DI;                           \
+	ADDQ $128, SI
+
 // func ctSpan128AVX512(c *barrett128Consts, out, lo, hi, w *u128.U128, n int)
-// out[2i] = lo[i] + hi[i], out[2i+1] = (lo[i] - hi[i])·w[i].
 TEXT ·ctSpan128AVX512(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), R10
 	MOVQ out+8(FP), DI
@@ -278,24 +215,15 @@ TEXT ·ctSpan128AVX512(SB), NOSPLIT, $0-48
 	B128SETUP(R10)
 
 ct128loop:
-	LOAD128(SI, Z0, Z1, Z2)                  // a
-	LOAD128(DX, Z3, Z4, Z2)                  // b
-	ADDMOD(Z0, Z1, Z3, Z4, Z18, Z19, Z5, Z6) // s = a + b
-	SUBMOD(Z0, Z1, Z3, Z4, Z0, Z1)           // d = a - b
 	LOADB(R8)
-	MULMOD(Z14, Z15, Z16, Z17)               // t = d·w
-	STOREPAIRS(DI)
-	ADDQ $128, SI
-	ADDQ $128, DX
+	CTSTEP
 	ADDQ $128, R8
-	ADDQ $256, DI
 	SUBQ $8, CX
 	JNZ  ct128loop
 	VZEROUPPER
 	RET
 
 // func gsSpan128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, n int)
-// t = in[2i+1]·w[i]; oLo[i] = in[2i] + t, oHi[i] = in[2i] - t.
 TEXT ·gsSpan128AVX512(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), R10
 	MOVQ oLo+8(FP), DI
@@ -306,19 +234,62 @@ TEXT ·gsSpan128AVX512(SB), NOSPLIT, $0-48
 	B128SETUP(R10)
 
 gs128loop:
-	LOADPAIRS(DX)                            // e = Z18:Z19, o = Z0:Z1
 	LOADB(R8)
-	MULMOD(Z14, Z15, Z16, Z17)               // t = o·w
-	ADDMOD(Z18, Z19, Z0, Z1, Z2, Z3, Z4, Z5)
-	STORE128(DI, Z2, Z3, Z4)
-	SUBMOD(Z18, Z19, Z0, Z1, Z18, Z19)
-	STORE128(SI, Z18, Z19, Z4)
-	ADDQ $256, DX
+	GSSTEP
 	ADDQ $128, R8
-	ADDQ $128, DI
-	ADDQ $128, SI
 	SUBQ $8, CX
 	JNZ  gs128loop
+	VZEROUPPER
+	RET
+
+// func ctSpanBlk128AVX512(c *barrett128Consts, out, lo, hi, w *u128.U128, nBlocks, blk int)
+// Compact twiddles: w[b] covers the blk butterflies of block b.
+TEXT ·ctSpanBlk128AVX512(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), R10
+	MOVQ out+8(FP), DI
+	MOVQ lo+16(FP), SI
+	MOVQ hi+24(FP), DX
+	MOVQ w+32(FP), R8
+	MOVQ nBlocks+40(FP), CX
+	MOVQ blk+48(FP), R9
+	B128SETUP(R10)
+
+ctb128block:
+	BROADCASTB(R8)
+	MOVQ R9, R11
+
+ctb128loop:
+	CTSTEP
+	SUBQ $8, R11
+	JNZ  ctb128loop
+	ADDQ $16, R8
+	DECQ CX
+	JNZ  ctb128block
+	VZEROUPPER
+	RET
+
+// func gsSpanBlk128AVX512(c *barrett128Consts, oLo, oHi, in, w *u128.U128, nBlocks, blk int)
+TEXT ·gsSpanBlk128AVX512(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), R10
+	MOVQ oLo+8(FP), DI
+	MOVQ oHi+16(FP), SI
+	MOVQ in+24(FP), DX
+	MOVQ w+32(FP), R8
+	MOVQ nBlocks+40(FP), CX
+	MOVQ blk+48(FP), R9
+	B128SETUP(R10)
+
+gsb128block:
+	BROADCASTB(R8)
+	MOVQ R9, R11
+
+gsb128loop:
+	GSSTEP
+	SUBQ $8, R11
+	JNZ  gsb128loop
+	ADDQ $16, R8
+	DECQ CX
+	JNZ  gsb128block
 	VZEROUPPER
 	RET
 

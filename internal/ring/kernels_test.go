@@ -198,11 +198,11 @@ func TestKernelsMatchDefinitionShoup64(t *testing.T) {
 }
 
 // The Barrett128 kernels run at every tier the host has (an avx2 request
-// runs the scalar spans; avx512 runs the vector bodies), over the default
-// 124-bit prime and a 65-bit NTT prime, the two ends of the vector tier's
-// range.
+// runs the scalar spans; avx512 and avx512ifma run the vector bodies),
+// over the default 124-bit prime and a 65-bit NTT prime, the two ends of
+// the vector tiers' range.
 func TestKernelsMatchDefinitionBarrett128(t *testing.T) {
-	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512} {
+	for _, tier := range []ring.KernelTier{ring.TierScalar, ring.TierAVX2, ring.TierAVX512, ring.TierAVX512IFMA} {
 		if tier != ring.TierScalar && ring.DetectKernelTier() < tier {
 			continue
 		}

@@ -12,9 +12,10 @@ import (
 // transforms over a Ring[T]: one constant-geometry twiddle table per stage
 // and direction for the forward and inverse Pease dataflows [Pease 1968]
 // and the negacyclic twist/untwist tables. Each table is stored in the
-// one form the plan's span kernels read: Shoup64 tables carry the Shoup
-// word of every twiddle beside it, Barrett128 tables carry the twiddles
-// alone.
+// one form the plan's span kernels read: the Shoup word of every twiddle
+// rides beside it where the ring's spans read one (Shoup64 at every
+// tier, Barrett128 at avx512ifma), and the twiddles travel alone
+// elsewhere.
 //
 // A Plan is safe for concurrent use once built: tables are read-only
 // after NewPlan and all mutable transform state lives in pooled scratch
@@ -31,9 +32,9 @@ type Plan[T any, R Ring[T]] struct {
 
 	// fwdTw[s] and invTw[s] are stage s's twiddle tables. Stage s repeats
 	// its twiddle across each contiguous 2^s-run of butterflies, so when
-	// the kernels have blocked spans and 2^s >= blockedMinBlk the table is
-	// compact (N/2^(s+1) entries, blk = 2^s); otherwise it is dense (N/2
-	// entries, blk = 1). stageRun dispatches on blk.
+	// 2^s >= blockedMinBlk the table is compact (N/2^(s+1) entries,
+	// blk = 2^s); otherwise it is dense (N/2 entries, blk = 1). stageRun
+	// dispatches on blk.
 	fwdTw []table[T]
 	invTw []table[T]
 
@@ -52,30 +53,24 @@ type Plan[T any, R Ring[T]] struct {
 	// kern is R bound once at plan build as the span-kernel set every
 	// operation runs; its spans run the tier R was built with.
 	kern SpanKernels[T]
-
-	// blk is the blocked-kernel extension of kern, asserted from the same
-	// value (nil when the kernels don't provide the compact-table spans).
-	blk BlockedSpanKernels[T]
 }
 
 // blockedMinBlk is the smallest twiddle-run length the plan stores
-// compactly for a blocked kernel: below 8 the per-run slicing overhead
-// eats the hoisted-load savings, and the dense kernels are already
-// optimal.
+// compactly: below 8 the per-run slicing overhead eats the hoisted-load
+// savings, and the dense kernels are already optimal.
 const blockedMinBlk = 8
 
-// table is one twiddle table: the values, their Precompute constants (nil
+// table is one twiddle table: the values, their Precompute words (nil
 // when the ring's kernels read none), and the number of consecutive
 // butterflies each entry covers (1 for a dense table).
 type table[T any] struct {
-	w   []T
-	pre []uint64
-	blk int
+	w, pre []T
+	blk    int
 }
 
 // span returns entries [lo, hi) of the table and of its Precompute words
 // (nil when it carries none).
-func (t table[T]) span(lo, hi int) ([]T, []uint64) {
+func (t table[T]) span(lo, hi int) ([]T, []T) {
 	if t.pre == nil {
 		return t.w[lo:hi], nil
 	}
@@ -112,11 +107,8 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 		NInv:     r.Inv(r.FromUint64(uint64(n))),
 		Psi:      psi,
 	}
-	// Bind the ring before building the tables it shapes: the blocked
-	// extension decides compact stages, and the ring says whether its
-	// spans read a Precompute word per twiddle.
+	// The ring says whether its spans read a Precompute word per twiddle.
 	p.kern = r
-	p.blk, _ = p.kern.(BlockedSpanKernels[T])
 	_, withPre := r.kernelTier()
 	p.buildTables(withPre)
 	p.scratch.New = func() *scratchPair[T] {
@@ -131,8 +123,8 @@ func NewPlan[T any, R Ring[T]](r R, n int) (*Plan[T, R], error) {
 }
 
 // KernelTier names the span-kernel implementation the plan dispatches to:
-// "scalar", "avx2" or "avx512". Benchmark reports record it so measured
-// trajectories stay attributable across hosts.
+// "scalar", "avx2", "avx512" or "avx512ifma". Benchmark reports record it
+// so measured trajectories stay attributable across hosts.
 func (p *Plan[T, R]) KernelTier() string {
 	t, _ := p.R.kernelTier()
 	return t.String()
@@ -143,7 +135,7 @@ func (p *Plan[T, R]) KernelTier() string {
 func (p *Plan[T, R]) newTable(ws []T, blk int, withPre bool) table[T] {
 	t := table[T]{w: ws, blk: blk}
 	if withPre {
-		t.pre = make([]uint64, len(ws))
+		t.pre = make([]T, len(ws))
 		for i, w := range ws {
 			t.pre[i] = p.R.Precompute(w)
 		}
@@ -179,7 +171,7 @@ func (p *Plan[T, R]) buildTables(withPre bool) {
 		// stageExp is constant on each 2^s-run, so a compact entry b
 		// holds the twiddle of butterfly b*blk.
 		blk := 1
-		if p.blk != nil && 1<<s >= blockedMinBlk {
+		if 1<<s >= blockedMinBlk {
 			blk = 1 << s
 		}
 		fw, iv := make([]T, half/blk), make([]T, half/blk)
@@ -203,16 +195,15 @@ func (p *Plan[T, R]) buildTables(withPre bool) {
 }
 
 // FwdStage returns stage s's N/2 forward twiddles, butterfly i
-// multiplying by w[i]. Only dense stages can be read this way: it panics
-// on a compact stage, so it serves plans without blocked spans (every
-// Barrett128 plan). The slice is a live view of the plan's table; callers
-// must not modify it.
+// multiplying by w[i], in a fresh slice: a compact stage is expanded to
+// the dense form.
 func (p *Plan[T, R]) FwdStage(s int) []T {
 	t := p.fwdTw[s]
-	if t.blk != 1 {
-		panic("ring: FwdStage on a compact stage table")
+	w := make([]T, p.N/2)
+	for i := range w {
+		w[i] = t.w[i/t.blk]
 	}
-	return t.w
+	return w
 }
 
 func (p *Plan[T, R]) checkLen(n int) {
@@ -553,7 +544,7 @@ func (p *Plan[T, R]) stageRun(out, src []T, d dir, s, lo, hi int) {
 		if tw.blk == 1 {
 			p.kern.GSSpan(oLo, oHi, in, w, pre)
 		} else {
-			p.blk.GSSpanBlk(oLo, oHi, in, w, pre, blk)
+			p.kern.GSSpanBlk(oLo, oHi, in, w, pre, blk)
 		}
 		return
 	}
@@ -564,9 +555,9 @@ func (p *Plan[T, R]) stageRun(out, src []T, d dir, s, lo, hi int) {
 	case tw.blk == 1:
 		p.kern.CTSpan(o, a, b, w, pre)
 	case last:
-		p.blk.CTSpanLastBlk(o, a, b, w, pre, blk)
+		p.kern.CTSpanLastBlk(o, a, b, w, pre, blk)
 	default:
-		p.blk.CTSpanBlk(o, a, b, w, pre, blk)
+		p.kern.CTSpanBlk(o, a, b, w, pre, blk)
 	}
 }
 

@@ -14,14 +14,16 @@
 // PolyMulNegacyclicInto and mulFrame.inverse.
 //
 // A Ring[T] supplies the fused span kernels every transform runs (lazy
-// Shoup spans for single-word rings, Barrett spans for double-word rings),
+// Shoup spans for single-word rings; Barrett spans for double-word rings,
+// with Shoup products on 52-bit limbs at the IFMA tier),
 // each at the kernel tier the ring value was built with, plus the
 // element arithmetic and number-theoretic setup table building needs.
 // Plan[T, R] does everything else, and stores each twiddle table
 // once, in the form its kernels read: one table per stage and direction,
-// compact (one entry per run of equal twiddles) where the kernels have
-// blocked spans, dense elsewhere, with Shoup words only on Shoup64
-// plans. The stack runs exactly two rings: Barrett128, whose
+// compact (one entry per run of equal twiddles) from runs of 8 up,
+// dense below, with a Shoup word beside every twiddle where the ring's
+// spans read one (every Shoup64 plan, and Barrett128 plans at the
+// avx512ifma tier). The stack runs exactly two rings: Barrett128, whose
 // Plan[u128.U128, Barrett128] is internal/ntt's Plan, and Shoup64 under
 // the RNS towers (internal/ntt's Plan64 is a cached handle to a
 // Plan[uint64, Shoup64]). Every Plan operation has one entry point, an
@@ -44,11 +46,10 @@ type Ring[T any] interface {
 	Neg(a T) T
 	// Mul returns a * b mod q for reduced inputs.
 	Mul(a, b T) T
-	// Precompute returns the per-multiplicand constant the span kernels
-	// read alongside each fixed multiplicand w (the Shoup word
-	// floor(w * 2^64 / q) for single-word rings; 0 for Barrett rings,
-	// whose kernels ignore it and whose plan tables store none).
-	Precompute(w T) uint64
+	// Precompute returns the Shoup word the span kernels may read
+	// alongside each fixed multiplicand w: floor(w * 2^W / q) for W-bit
+	// residues, below 2^W.
+	Precompute(w T) T
 	// Inv returns the multiplicative inverse of a mod q (q prime).
 	Inv(a T) T
 	// FromUint64 embeds a small integer (v < q) as a reduced residue.
@@ -78,36 +79,41 @@ type Barrett128 struct {
 	M *modmath.Modulus128
 
 	// tier is the kernel tier r's spans run, resolved by
-	// NewBarrett128Tier: TierAVX512 or TierScalar (see vecLen).
+	// NewBarrett128Tier: TierAVX512IFMA, TierAVX512 or TierScalar (see
+	// vecLen).
 	tier KernelTier
 }
 
 // NewBarrett128 wraps a 128-bit Barrett modulus as a Ring. Its span
-// kernels run the best supported tier: the AVX-512 bodies for moduli of
-// 65 to 124 bits on a capable host, the scalar Go loops otherwise.
+// kernels run the best supported tier: for moduli of 65 to 124 bits the
+// AVX-512 IFMA bodies, else the AVX-512 ones, on a capable host; the
+// scalar Go loops otherwise.
 func NewBarrett128(m *modmath.Modulus128) Barrett128 { return NewBarrett128Tier(m, TierAuto) }
 
 // NewBarrett128Tier wraps a 128-bit modulus with a kernel-tier request,
-// resolved once here (see resolveKernelTier). The AVX-512 bodies serve
+// resolved once here (see resolveKernelTier). The vector bodies serve
 // moduli of 65 to 124 bits; any other modulus, and an AVX2 request (there
 // is no AVX2 Barrett128 body), runs the scalar Go loops. Forcing
 // TierScalar pins them as the differential ground truth.
 func NewBarrett128Tier(m *modmath.Modulus128, tier KernelTier) Barrett128 {
-	if m.N <= 64 || resolveKernelTier(tier) != TierAVX512 {
-		return Barrett128{M: m, tier: TierScalar}
+	t := resolveKernelTier(tier)
+	if m.N <= 64 || t < TierAVX512 {
+		t = TierScalar
 	}
-	return Barrett128{M: m, tier: TierAVX512}
+	return Barrett128{M: m, tier: t}
 }
 
-func (r Barrett128) kernelTier() (KernelTier, bool) { return r.tier, false }
+// Only the IFMA tier reads a Shoup word beside each twiddle.
+func (r Barrett128) kernelTier() (KernelTier, bool) { return r.tier, r.tier == TierAVX512IFMA }
 
 func (r Barrett128) Neg(a u128.U128) u128.U128    { return r.M.Neg(a) }
 func (r Barrett128) Mul(a, b u128.U128) u128.U128 { return r.M.Mul(a, b) }
 
-// Precompute is 0: Barrett multiplication has no per-multiplicand word.
-func (r Barrett128) Precompute(u128.U128) uint64   { return 0 }
-func (r Barrett128) Inv(a u128.U128) u128.U128     { return r.M.Inv(a) }
-func (r Barrett128) FromUint64(v uint64) u128.U128 { return u128.From64(v) }
+// Precompute is the Shoup word floor(w * 2^128 / q) the IFMA spans
+// multiply with.
+func (r Barrett128) Precompute(w u128.U128) u128.U128 { return r.M.ShoupPrecompute(w) }
+func (r Barrett128) Inv(a u128.U128) u128.U128        { return r.M.Inv(a) }
+func (r Barrett128) FromUint64(v uint64) u128.U128    { return u128.From64(v) }
 
 func (r Barrett128) PrimitiveRootOfUnity(n uint64) (u128.U128, error) {
 	return r.M.PrimitiveRootOfUnity(n)
@@ -129,11 +135,12 @@ type Shoup64 struct {
 func NewShoup64(m *modmath.Modulus64) Shoup64 { return NewShoup64Tier(m, TierAuto) }
 
 // NewShoup64Tier wraps a 64-bit modulus with a kernel-tier request,
-// resolved once here (see resolveKernelTier). Forcing TierScalar pins the
-// fused scalar Go kernels (the differential ground truth); tests and CI
-// use this to push every tier through the same gates.
+// resolved once here (see resolveKernelTier) and clamped to TierAVX512:
+// there is no IFMA Shoup64 body. Forcing TierScalar pins the fused
+// scalar Go kernels (the differential ground truth); tests and CI use
+// this to push every tier through the same gates.
 func NewShoup64Tier(m *modmath.Modulus64, tier KernelTier) Shoup64 {
-	return Shoup64{M: m, tier: resolveKernelTier(tier)}
+	return Shoup64{M: m, tier: min(resolveKernelTier(tier), TierAVX512)}
 }
 
 // Every Shoup64 tier reads a Shoup word beside each twiddle.

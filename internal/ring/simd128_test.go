@@ -88,9 +88,47 @@ func diff128(t *testing.T, name string, got, want []u128.U128) {
 	}
 }
 
-func requireAVX512(t testing.TB) {
-	if DetectKernelTier() < TierAVX512 {
+// vecTiers128 returns the Barrett128 vector tiers this host runs
+// (avx512, avx512ifma), and skips t when it runs none.
+func vecTiers128(t testing.TB) []KernelTier {
+	var tiers []KernelTier
+	for _, tier := range []KernelTier{TierAVX512, TierAVX512IFMA} {
+		if DetectKernelTier() >= tier {
+			tiers = append(tiers, tier)
+		}
+	}
+	if len(tiers) == 0 {
 		t.Skip("no AVX-512 tier on this host")
+	}
+	return tiers
+}
+
+// preOf returns r's Shoup words of ws.
+func preOf(r Barrett128, ws []u128.U128) []u128.U128 {
+	pre := make([]u128.U128, len(ws))
+	for i, w := range ws {
+		pre[i] = r.Precompute(w)
+	}
+	return pre
+}
+
+// TestBarrett128PrecomputeMatchesBig checks the Shoup words the IFMA
+// spans read against math/big's floor(w * 2^128 / q) at w = 0, 1, q-1
+// and random w, on every test modulus.
+func TestBarrett128PrecomputeMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(156))
+	for _, m := range barrett128TestMods(t) {
+		r := NewBarrett128(m)
+		ws := make([]u128.U128, 64)
+		fill128(rng, ws, m)
+		ws = append(ws, u128.Zero, u128.One, m.Q.Sub64(1))
+		for _, w := range ws {
+			want := new(big.Int).Lsh(w.ToBig(), 128)
+			want.Quo(want, m.Q.ToBig())
+			if got := r.Precompute(w); got.ToBig().Cmp(want) != 0 {
+				t.Fatalf("%d-bit q=%v w=%v: Precompute = %v, want %v", m.N, m.Q, w, got, want)
+			}
+		}
 	}
 }
 
@@ -99,8 +137,9 @@ func requireAVX512(t testing.TB) {
 func TestBarrett128ConstsLayout(t *testing.T) {
 	var c barrett128Consts
 	got := []uintptr{unsafe.Offsetof(c.qHi), unsafe.Offsetof(c.qLo), unsafe.Offsetof(c.muHi),
-		unsafe.Offsetof(c.muLo), unsafe.Offsetof(c.nm1), unsafe.Offsetof(c.np1), unsafe.Sizeof(c.nm1)}
-	want := []uintptr{0, 8, 16, 24, 32, 40, 8}
+		unsafe.Offsetof(c.muLo), unsafe.Offsetof(c.nm1), unsafe.Offsetof(c.np1), unsafe.Sizeof(c.nm1),
+		unsafe.Offsetof(c.nq)}
+	want := []uintptr{0, 8, 16, 24, 32, 40, 8, 48}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("barrett128Consts layout %v, the assembly reads %v", got, want)
@@ -108,35 +147,46 @@ func TestBarrett128ConstsLayout(t *testing.T) {
 	}
 }
 
+// TestSIMDBarrett128SpanBitIdentity runs every Barrett128 span at each
+// vector tier the host has against the scalar tier: the dense spans over
+// simdSpanLens (vector prefix and scalar tail), the blocked spans at blk
+// 8 to 256 with twiddles 1 and q-1 in the first blocks, and the aliasing
+// the plan uses.
 func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
-	requireAVX512(t)
+	for _, tier := range vecTiers128(t) {
+		t.Run(tier.String(), func(t *testing.T) { checkBarrett128Spans(t, tier) })
+	}
+}
+
+func checkBarrett128Spans(t *testing.T, tier KernelTier) {
 	for mi, m := range barrett128TestMods(t) {
 		scalar := NewBarrett128Tier(m, TierScalar)
-		vec := NewBarrett128Tier(m, TierAVX512)
-		if vec.vecLen(8) != 8 {
-			t.Fatalf("%d-bit modulus: the avx512 Barrett128 runs no vector body", m.N)
+		vec := NewBarrett128Tier(m, tier)
+		if vec.tier != tier || vec.vecLen(8) != 8 {
+			t.Fatalf("%d-bit modulus: the %s Barrett128 runs tier %s", m.N, tier, vec.tier)
 		}
 		rng := rand.New(rand.NewSource(int64(m.N)))
+		mk := func(l int) []u128.U128 {
+			x := make([]u128.U128, l)
+			fill128(rng, x, m)
+			return x
+		}
 		var seen [3]int // Barrett corrections seen across the MulSpan inputs
 		for _, n := range simdSpanLens {
-			mk := func(l int) []u128.U128 {
-				x := make([]u128.U128, l)
-				fill128(rng, x, m)
-				return x
-			}
 			lo, hi, w, in := mk(n), mk(n), mk(n), mk(2*n)
+			pre := preOf(vec, w)
 			outS, outV := make([]u128.U128, 2*n), make([]u128.U128, 2*n)
 			loS, loV := make([]u128.U128, n), make([]u128.U128, n)
 			hiS, hiV := make([]u128.U128, n), make([]u128.U128, n)
 
 			scalar.CTSpan(outS, lo, hi, w, nil)
-			vec.CTSpan(outV, lo, hi, w, nil)
+			vec.CTSpan(outV, lo, hi, w, pre)
 			diff128(t, "CTSpan", outV, outS)
-			vec.CTSpanLast(outV, lo, hi, w, nil)
+			vec.CTSpanLast(outV, lo, hi, w, pre)
 			diff128(t, "CTSpanLast", outV, outS)
 
 			scalar.GSSpan(loS, hiS, in, w, nil)
-			vec.GSSpan(loV, hiV, in, w, nil)
+			vec.GSSpan(loV, hiV, in, w, pre)
 			diff128(t, "GSSpan lo", loV, loS)
 			diff128(t, "GSSpan hi", hiV, hiS)
 
@@ -146,13 +196,14 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 			scalar.MulSpan(outS[:n], lo, hi)
 			vec.MulSpan(outV[:n], lo, hi)
 			diff128(t, "MulSpan", outV[:n], outS[:n])
-			vec.MulPreSpan(outV[:n], lo, hi, nil)
+			hiPre := preOf(vec, hi)
+			vec.MulPreSpan(outV[:n], lo, hi, hiPre)
 			diff128(t, "MulPreSpan", outV[:n], outS[:n])
-			vec.MulPreNormSpan(outV[:n], lo, hi, nil)
+			vec.MulPreNormSpan(outV[:n], lo, hi, hiPre)
 			diff128(t, "MulPreNormSpan", outV[:n], outS[:n])
 
-			scalar.ScalarMulSpan(outS[:n], lo, w[0], 0)
-			vec.ScalarMulSpan(outV[:n], lo, w[0], 0)
+			scalar.ScalarMulSpan(outS[:n], lo, w[0], u128.Zero)
+			vec.ScalarMulSpan(outV[:n], lo, w[0], pre[0])
 			diff128(t, "ScalarMulSpan", outV[:n], outS[:n])
 
 			scalar.AddSpan(outS[:n], lo, hi)
@@ -178,9 +229,9 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 			scalar.MulSpan(outS[:n], lo, hi)
 			alias("MulSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.MulSpan(d, d, hi) })
 			alias("MulSpan dst=b", outS[:n], func(d []u128.U128) { copy(d, hi); vec.MulSpan(d, lo, d) })
-			alias("MulPreNormSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.MulPreNormSpan(d, d, hi, nil) })
-			scalar.ScalarMulSpan(outS[:n], lo, w[0], 0)
-			alias("ScalarMulSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.ScalarMulSpan(d, d, w[0], 0) })
+			alias("MulPreNormSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.MulPreNormSpan(d, d, hi, hiPre) })
+			scalar.ScalarMulSpan(outS[:n], lo, w[0], u128.Zero)
+			alias("ScalarMulSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.ScalarMulSpan(d, d, w[0], pre[0]) })
 			scalar.AddSpan(outS[:n], lo, hi)
 			alias("AddSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.AddSpan(d, d, hi) })
 			alias("AddSpan dst=b", outS[:n], func(d []u128.U128) { copy(d, hi); vec.AddSpan(d, lo, d) })
@@ -188,15 +239,27 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 			alias("SubSpan dst=a", outS[:n], func(d []u128.U128) { copy(d, lo); vec.SubSpan(d, d, hi) })
 			alias("SubSpan dst=b", outS[:n], func(d []u128.U128) { copy(d, hi); vec.SubSpan(d, lo, d) })
 		}
+		for blk := 8; blk <= 256; blk *= 2 {
+			for _, nb := range []int{1, 3} {
+				n := nb * blk
+				lo, hi, w, in := mk(n), mk(n), mk(nb), mk(2*n)
+				w[0] = u128.One
+				if nb > 1 {
+					w[1] = m.Q.Sub64(1)
+				}
+				checkBlocked128(t, scalar, vec, lo, hi, in, w, blk)
+			}
+		}
 		pair := []u128.U128{m.Q.Sub64(1), m.Q.Sub64(2)}
+		pre := preOf(vec, pair)
 		want := make([]u128.U128, 2)
 		scalar.CTSpan(want, pair[:1], pair[1:], pair[:1], nil)
 		got := append([]u128.U128(nil), pair...)
-		vec.CTSpan(got, got[:1], got[1:], pair[:1], nil)
+		vec.CTSpan(got, got[:1], got[1:], pair[:1], pre[:1])
 		diff128(t, "CTSpan out=lo|hi", got, want)
 		scalar.GSSpan(want[:1], want[1:], pair, pair[1:], nil)
 		got = append(got[:0], pair...)
-		vec.GSSpan(got[:1], got[1:], got, pair[1:], nil)
+		vec.GSSpan(got[:1], got[1:], got, pair[1:], pre[1:])
 		diff128(t, "GSSpan oLo|oHi=in", got, want)
 
 		if mi%2 == 0 && (seen[0] == 0 || seen[1] == 0 || seen[2] == 0) {
@@ -205,20 +268,47 @@ func TestSIMDBarrett128SpanBitIdentity(t *testing.T) {
 	}
 }
 
-// FuzzSIMDSpans128 drives the Barrett128 AVX-512 bodies against the
+// checkBlocked128 runs the blocked spans over twiddles w, each covering
+// blk butterflies, at vec's tier against the scalar tier, and the scalar
+// blocked spans against the dense scalar spans over the expanded table.
+func checkBlocked128(t *testing.T, scalar, vec Barrett128, lo, hi, in, w []u128.U128, blk int) {
+	t.Helper()
+	n := len(lo)
+	dense := make([]u128.U128, n)
+	for i := range dense {
+		dense[i] = w[i/blk]
+	}
+	pre := preOf(vec, w)
+	outS, outV, outD := make([]u128.U128, 2*n), make([]u128.U128, 2*n), make([]u128.U128, 2*n)
+	scalar.CTSpan(outD, lo, hi, dense, nil)
+	scalar.CTSpanBlk(outS, lo, hi, w, nil, blk)
+	diff128(t, "scalar CTSpanBlk", outS, outD)
+	vec.CTSpanBlk(outV, lo, hi, w, pre, blk)
+	diff128(t, "CTSpanBlk", outV, outS)
+	vec.CTSpanLastBlk(outV, lo, hi, w, pre, blk)
+	diff128(t, "CTSpanLastBlk", outV, outS)
+	scalar.GSSpan(outD[:n], outD[n:], in, dense, nil)
+	scalar.GSSpanBlk(outS[:n], outS[n:], in, w, nil, blk)
+	diff128(t, "scalar GSSpanBlk", outS, outD)
+	vec.GSSpanBlk(outV[:n], outV[n:], in, w, pre, blk)
+	diff128(t, "GSSpanBlk", outV, outS)
+}
+
+// FuzzSIMDSpans128 drives the Barrett128 vector bodies of every tier the
+// host has (the IFMA bodies only where it has avx512ifma) against the
 // scalar spans with fuzzer-chosen residues planted at the span head,
-// where the vector body (or, for short spans, the scalar tail) reads them,
-// over every test modulus.
+// where the vector body (or, for short spans, the scalar tail) reads
+// them, and as the first block's twiddle of the blocked spans, over
+// every test modulus.
 func FuzzSIMDSpans128(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint64(0), uint64(0), uint64(1), uint(8), uint8(0))
 	f.Add(int64(2), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(1), uint(16), uint8(1))
 	f.Add(int64(3), uint64(1)<<59, uint64(7), uint64(3)<<58, uint64(5), uint(9), uint8(9))
-	requireAVX512(f)
+	tiers := vecTiers128(f)
 	mods := barrett128TestMods(f)
 	f.Fuzz(func(t *testing.T, seed int64, aHi, aLo, bHi, bLo uint64, nRaw uint, mi uint8) {
 		m := mods[int(mi)%len(mods)]
 		scalar := NewBarrett128Tier(m, TierScalar)
-		vec := NewBarrett128Tier(m, TierAVX512)
 		n := int(nRaw%32) + 1
 		rng := rand.New(rand.NewSource(seed))
 		mk := func(l int) []u128.U128 {
@@ -229,38 +319,50 @@ func FuzzSIMDSpans128(f *testing.F) {
 		lo, hi, w, in := mk(n), mk(n), mk(n), mk(2*n)
 		a, b := u128.New(aHi, aLo).Mod(m.Q), u128.New(bHi, bLo).Mod(m.Q)
 		lo[0], hi[0], w[0], in[0], in[1] = a, b, b, a, b
-		outS, outV := make([]u128.U128, 2*n), make([]u128.U128, 2*n)
-		loS, loV := make([]u128.U128, n), make([]u128.U128, n)
-		hiS, hiV := make([]u128.U128, n), make([]u128.U128, n)
+		blk := 8 << (nRaw % 3)
+		bl, bh, bw, bin := mk(2*blk), mk(2*blk), mk(2), mk(4*blk)
+		bl[0], bh[0], bw[0], bin[0], bin[1] = a, b, b, a, b
+		for _, tier := range tiers {
+			vec := NewBarrett128Tier(m, tier)
+			pre := preOf(vec, w)
+			outS, outV := make([]u128.U128, 2*n), make([]u128.U128, 2*n)
+			loS, loV := make([]u128.U128, n), make([]u128.U128, n)
+			hiS, hiV := make([]u128.U128, n), make([]u128.U128, n)
 
-		scalar.CTSpan(outS, lo, hi, w, nil)
-		vec.CTSpan(outV, lo, hi, w, nil)
-		diff128(t, "CTSpan", outV, outS)
-		scalar.GSSpan(loS, hiS, in, w, nil)
-		vec.GSSpan(loV, hiV, in, w, nil)
-		diff128(t, "GSSpan lo", loV, loS)
-		diff128(t, "GSSpan hi", hiV, hiS)
-		scalar.MulSpan(outS[:n], lo, hi)
-		vec.MulSpan(outV[:n], lo, hi)
-		diff128(t, "MulSpan", outV[:n], outS[:n])
-		scalar.ScalarMulSpan(outS[:n], lo, b, 0)
-		vec.ScalarMulSpan(outV[:n], lo, b, 0)
-		diff128(t, "ScalarMulSpan", outV[:n], outS[:n])
-		scalar.AddSpan(outS[:n], lo, hi)
-		vec.AddSpan(outV[:n], lo, hi)
-		diff128(t, "AddSpan", outV[:n], outS[:n])
-		scalar.SubSpan(outS[:n], lo, hi)
-		vec.SubSpan(outV[:n], lo, hi)
-		diff128(t, "SubSpan", outV[:n], outS[:n])
+			scalar.CTSpan(outS, lo, hi, w, nil)
+			vec.CTSpan(outV, lo, hi, w, pre)
+			diff128(t, "CTSpan", outV, outS)
+			scalar.GSSpan(loS, hiS, in, w, nil)
+			vec.GSSpan(loV, hiV, in, w, pre)
+			diff128(t, "GSSpan lo", loV, loS)
+			diff128(t, "GSSpan hi", hiV, hiS)
+			scalar.MulSpan(outS[:n], lo, hi)
+			vec.MulSpan(outV[:n], lo, hi)
+			diff128(t, "MulSpan", outV[:n], outS[:n])
+			scalar.MulSpan(outS[:n], lo, w)
+			vec.MulPreSpan(outV[:n], lo, w, pre)
+			diff128(t, "MulPreSpan", outV[:n], outS[:n])
+			scalar.ScalarMulSpan(outS[:n], lo, b, u128.Zero)
+			vec.ScalarMulSpan(outV[:n], lo, b, vec.Precompute(b))
+			diff128(t, "ScalarMulSpan", outV[:n], outS[:n])
+			scalar.AddSpan(outS[:n], lo, hi)
+			vec.AddSpan(outV[:n], lo, hi)
+			diff128(t, "AddSpan", outV[:n], outS[:n])
+			scalar.SubSpan(outS[:n], lo, hi)
+			vec.SubSpan(outV[:n], lo, hi)
+			diff128(t, "SubSpan", outV[:n], outS[:n])
+			checkBlocked128(t, scalar, vec, bl, bh, bin, bw, blk)
+		}
 	})
 }
 
 // TestSIMDPlanDifferential128 runs whole 128-bit transforms through plans
-// at the scalar and avx512 tiers, in place as ntt callers run them, and
-// requires bit identity: twist, every stage, the pointwise product, the
-// 1/N landing pass and the untwist.
+// at the scalar tier and each vector tier the host has, in place as ntt
+// callers run them, and requires bit identity: twist, every stage (dense,
+// and blocked from blk 8 to N/2), the pointwise product, the 1/N landing
+// pass and the untwist.
 func TestSIMDPlanDifferential128(t *testing.T) {
-	requireAVX512(t)
+	tiers := vecTiers128(t)
 	for _, bits := range []int{65, 124} {
 		for _, n := range []int{16, 64, 4096} {
 			q, err := modmath.FindNTTPrime128(bits, uint64(2*n))
@@ -269,28 +371,30 @@ func TestSIMDPlanDifferential128(t *testing.T) {
 			}
 			m := modmath.MustModulus128(q)
 			ps := MustPlan[u128.U128](NewBarrett128Tier(m, TierScalar), n)
-			pv := MustPlan[u128.U128](NewBarrett128Tier(m, TierAVX512), n)
-			if pv.KernelTier() != "avx512" {
-				t.Fatalf("%d-bit plan tier = %s, want avx512", bits, pv.KernelTier())
-			}
 			rng := rand.New(rand.NewSource(int64(n)))
 			a, b := make([]u128.U128, n), make([]u128.U128, n)
 			fill128(rng, a, m)
 			fill128(rng, b, m)
-			run := func(name string, op func(p *Plan[u128.U128, Barrett128], x []u128.U128)) {
-				t.Helper()
-				xs, xv := append([]u128.U128(nil), a...), append([]u128.U128(nil), a...)
-				op(ps, xs)
-				op(pv, xv)
-				diff128(t, name, xv, xs)
+			for _, tier := range tiers {
+				pv := MustPlan[u128.U128](NewBarrett128Tier(m, tier), n)
+				if pv.KernelTier() != tier.String() {
+					t.Fatalf("%d-bit plan tier = %s, want %s", bits, pv.KernelTier(), tier)
+				}
+				run := func(name string, op func(p *Plan[u128.U128, Barrett128], x []u128.U128)) {
+					t.Helper()
+					xs, xv := append([]u128.U128(nil), a...), append([]u128.U128(nil), a...)
+					op(ps, xs)
+					op(pv, xv)
+					diff128(t, tier.String()+" "+name, xv, xs)
+				}
+				type plan = Plan[u128.U128, Barrett128]
+				run("ForwardInto", func(p *plan, x []u128.U128) { p.ForwardInto(x, x) })
+				run("InverseInto", func(p *plan, x []u128.U128) { p.InverseInto(x, x) })
+				run("PolyMulNegacyclicInto", func(p *plan, x []u128.U128) { p.PolyMulNegacyclicInto(x, x, b) })
+				run("NegacyclicForwardInto", func(p *plan, x []u128.U128) { p.NegacyclicForwardInto(x, x) })
+				run("NegacyclicInverseInto", func(p *plan, x []u128.U128) { p.NegacyclicInverseInto(x, x) })
+				run("ScalarMulInto", func(p *plan, x []u128.U128) { p.ScalarMulInto(x, x, b[1]) })
 			}
-			type plan = Plan[u128.U128, Barrett128]
-			run("ForwardInto", func(p *plan, x []u128.U128) { p.ForwardInto(x, x) })
-			run("InverseInto", func(p *plan, x []u128.U128) { p.InverseInto(x, x) })
-			run("PolyMulNegacyclicInto", func(p *plan, x []u128.U128) { p.PolyMulNegacyclicInto(x, x, b) })
-			run("NegacyclicForwardInto", func(p *plan, x []u128.U128) { p.NegacyclicForwardInto(x, x) })
-			run("NegacyclicInverseInto", func(p *plan, x []u128.U128) { p.NegacyclicInverseInto(x, x) })
-			run("ScalarMulInto", func(p *plan, x []u128.U128) { p.ScalarMulInto(x, x, b[1]) })
 		}
 	}
 }

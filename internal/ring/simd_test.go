@@ -222,38 +222,36 @@ func TestSIMDBlockedBitIdentity(t *testing.T) {
 
 // TestKernelTierSelection pins tier resolution for both rings: a plan
 // over a ring built at a requested tier holds that ring at the tier the
-// request clamps to, as both its span and its blocked kernels. Bit
-// identity alone cannot catch a mix-up, since every tier computes the
-// same bits: a ring forced to avx2 that ran the AVX-512 bodies would pass
-// every differential test. Barrett128 runs avx512 for moduli of 65 to 124
-// bits; an avx2 request and any modulus below 2^64 run (and report)
-// scalar, and a Barrett128 plan has no blocked kernels.
+// request clamps to. Bit identity alone cannot catch a mix-up, since every
+// tier computes the same bits: a ring forced to avx2 that ran the AVX-512
+// bodies would pass every differential test. Shoup64 has no IFMA body, so
+// an avx512ifma request runs (and reports) avx512. Barrett128 runs avx512
+// and avx512ifma for moduli of 65 to 124 bits; an avx2 request and any
+// modulus below 2^64 run (and report) scalar. Every spelling round-trips
+// through ParseKernelTier.
 func TestKernelTierSelection(t *testing.T) {
+	t.Logf("detected tier %s, features %v", DetectKernelTier(), CPUFeatures())
 	m := simdMod(t)
 	q62, err := modmath.FindNTTPrime128(62, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wide, narrow := modmath.DefaultModulus128(), modmath.MustModulus128(q62)
-	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512, TierAVX512IFMA} {
+		if got := ParseKernelTier(tier.String()); got != tier {
+			t.Errorf("ParseKernelTier(%q) = %v, want %v", tier.String(), got, tier)
+		}
 		if DetectKernelTier() < tier {
 			continue
 		}
-		p := MustPlan[uint64](NewShoup64Tier(m, tier), 16)
-		checkPlanRing(t, p, Shoup64{M: m, tier: tier}, tier)
-		if any(p.blk) != any(p.kern) {
-			t.Errorf("Shoup64 %s: blocked kernels %#v differ from span kernels %#v", tier, p.blk, p.kern)
-		}
+		want64 := min(tier, TierAVX512)
+		checkPlanRing(t, MustPlan[uint64](NewShoup64Tier(m, tier), 16), Shoup64{M: m, tier: want64}, want64)
 		for _, m := range []*modmath.Modulus128{wide, narrow} {
 			want := TierScalar
-			if tier == TierAVX512 && m == wide {
-				want = TierAVX512
+			if tier >= TierAVX512 && m == wide {
+				want = tier
 			}
-			p := MustPlan[u128.U128](NewBarrett128Tier(m, tier), 16)
-			checkPlanRing(t, p, Barrett128{M: m, tier: want}, want)
-			if p.blk != nil {
-				t.Errorf("Barrett128 %s: plan has blocked kernels %#v", tier, p.blk)
-			}
+			checkPlanRing(t, MustPlan[u128.U128](NewBarrett128Tier(m, tier), 16), Barrett128{M: m, tier: want}, want)
 		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // KernelTier names one implementation level of the span kernels: the
-// always-on scalar Go loops, or one of the vector tiers below them (AVX2
-// and AVX-512 for Shoup64; AVX-512 for Barrett128). The tier is resolved
-// by clamping the requested tier to what the host CPU supports; the
-// scalar kernels remain the ground truth every vector tier is
-// differential-tested against.
+// always-on scalar Go loops, or one of the vector tiers above them (AVX2
+// and AVX-512 for Shoup64; AVX-512 and AVX-512 IFMA for Barrett128). The
+// tiers are ordered, and a tier is resolved by clamping the requested
+// tier to what the host CPU supports; the scalar kernels remain the
+// ground truth every vector tier is differential-tested against.
 type KernelTier uint8
 
 const (
@@ -25,6 +25,11 @@ const (
 	// TierAVX512 is the 8-lane assembly tier (requires AVX-512 F+DQ:
 	// VPMULLQ and VPMINUQ carry the lazy arithmetic).
 	TierAVX512
+	// TierAVX512IFMA is TierAVX512 plus the 52-bit multiply-accumulate
+	// (VPMADD52LUQ/VPMADD52HUQ) that Barrett128's products by a fixed
+	// operand run on. Shoup64 has no body here: its primes do not fit
+	// 52-bit limbs, so NewShoup64Tier clamps it to TierAVX512.
+	TierAVX512IFMA
 )
 
 func (t KernelTier) String() string {
@@ -37,6 +42,8 @@ func (t KernelTier) String() string {
 		return "avx2"
 	case TierAVX512:
 		return "avx512"
+	case TierAVX512IFMA:
+		return "avx512ifma"
 	}
 	return "tier?"
 }
@@ -51,6 +58,8 @@ func ParseKernelTier(s string) KernelTier {
 		return TierAVX2
 	case "avx512":
 		return TierAVX512
+	case "avx512ifma":
+		return TierAVX512IFMA
 	}
 	return TierAuto
 }
@@ -78,8 +87,10 @@ func DetectKernelTier() KernelTier {
 // resolveKernelTier clamps a requested tier to what the host supports:
 // an explicit request wins over the environment knob, the environment
 // knob over detection, and nothing ever resolves above the detected
-// ceiling (forcing avx512 on an avx2-only host degrades to avx2, then
-// scalar). The result is one of TierScalar/TierAVX2/TierAVX512.
+// ceiling (forcing avx512ifma on an avx512-only host degrades to avx512,
+// forcing avx512 on an avx2-only host to avx2, then scalar). The result
+// is never TierAuto; each ring clamps it further to the tiers it has
+// bodies for.
 func resolveKernelTier(want KernelTier) KernelTier {
 	tierInit()
 	if want == TierAuto {

@@ -18,7 +18,7 @@ type evalRequest struct {
 	Args      []string `json:"args"`
 	Out       string   `json:"out,omitempty"`        // optional: overwrite this handle in place
 	Steps     int      `json:"steps,omitempty"`      // rotate: slot rotation amount (may be negative)
-	TimeoutMS int      `json:"timeout_ms,omitempty"` // optional: tighter than the server cap
+	TimeoutMS int64    `json:"timeout_ms,omitempty"` // optional: tighter than the server cap
 	Values    values   `json:"values,omitempty"`     // encrypt / encode / decode
 	Handle    string   `json:"handle,omitempty"`     // decrypt / free
 }

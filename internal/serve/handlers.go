@@ -101,8 +101,8 @@ func (s *Server) handleKeygen(w http.ResponseWriter, r *http.Request) {
 // for the cap or more, keeps the request deadline; comparing in whole
 // milliseconds keeps a huge timeoutMS out of the Duration product, which
 // would wrap negative and fire at once.
-func tighten(ctx context.Context, timeoutMS int, limit time.Duration) (context.Context, context.CancelFunc) {
-	if timeoutMS <= 0 || int64(timeoutMS) >= limit.Milliseconds() {
+func tighten(ctx context.Context, timeoutMS int64, limit time.Duration) (context.Context, context.CancelFunc) {
+	if timeoutMS <= 0 || timeoutMS >= limit.Milliseconds() {
 		return context.WithCancel(ctx)
 	}
 	return context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)

@@ -25,7 +25,7 @@ type mirrorRequest struct {
 	Args      []string `json:"args"`
 	Out       string   `json:"out,omitempty"`
 	Steps     int      `json:"steps,omitempty"`
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
+	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 	Values    []uint64 `json:"values,omitempty"`
 	Handle    string   `json:"handle,omitempty"`
 }
